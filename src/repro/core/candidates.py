@@ -41,10 +41,11 @@ from typing import (
     Tuple,
 )
 
-from repro.core.accuracy import AccuracyModel
+from repro.core.accuracy import AccuracyModel, SigmoidDistanceAccuracy
 from repro.core.instance import LTCInstance
 from repro.core.task import Task
 from repro.core.worker import Worker
+from repro.geo.bbox import BoundingBox
 
 
 def sigmoid_eligibility_radius(
@@ -64,6 +65,46 @@ def sigmoid_eligibility_radius(
     if ratio <= 0:
         return -1.0
     return d_max + math.log(ratio)
+
+
+def instance_reach_radius(instance: LTCInstance) -> Optional[float]:
+    """Largest distance at which *any* worker could be eligible, or ``None``.
+
+    Under :class:`~repro.core.accuracy.SigmoidDistanceAccuracy` this is the
+    eligibility radius of a perfect worker (``p_w = 1``); it upper-bounds
+    every real worker's radius.  Returns ``None`` when eligibility cannot be
+    bounded geographically — a non-sigmoid accuracy model, or a threshold of
+    zero (infinite radius).
+    """
+    model = instance.accuracy_model
+    if not isinstance(model, SigmoidDistanceAccuracy):
+        return None
+    radius = sigmoid_eligibility_radius(
+        1.0, model.d_max, instance.min_assignable_accuracy
+    )
+    if not math.isfinite(radius):
+        return None
+    return max(radius, 0.0)
+
+
+def tasks_reach_bounds(
+    instance: LTCInstance, tasks: Optional[Sequence[Task]] = None
+) -> Optional[BoundingBox]:
+    """Reach box of ``tasks`` (default: all of the instance's tasks).
+
+    The bounding box of the task locations expanded by
+    :func:`instance_reach_radius` — the region outside which no worker can
+    be eligible for any of these tasks.  ``None`` when the radius is
+    unbounded (see :func:`instance_reach_radius`).  Shard pinning
+    (:class:`~repro.service.sharding.ShardPlan`) and the dispatcher's
+    routing index both use this one definition.
+    """
+    radius = instance_reach_radius(instance)
+    if radius is None:
+        return None
+    source = instance.tasks if tasks is None else tasks
+    box = BoundingBox.from_points(task.location for task in source)
+    return box.expanded(radius)
 
 
 class CandidateFinder:

@@ -12,7 +12,9 @@ workers.  :class:`LTCDispatcher` is that serving surface:
   stream and routes it to every open session for which the worker is
   *eligible* — able to perform at least one of the session's tasks above the
   instance's assignable-accuracy threshold, which under the paper's sigmoid
-  accuracy model is a geographic proximity test;
+  accuracy model is a geographic proximity test.  A uniform grid over the
+  sessions' reach boxes picks which sessions an arrival is tested against,
+  so the cost follows the sessions near the worker, not all open ones;
 * :meth:`~LTCDispatcher.submit_tasks` posts additional tasks to an open
   session **mid-stream**: campaigns are long-lived and keep receiving
   tasks while workers flow.  Both the session's live candidate snapshot
@@ -32,20 +34,40 @@ stops at completion.
 
 from __future__ import annotations
 
+import heapq
+import itertools
+import math
 import time
+from bisect import insort
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from operator import attrgetter
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.algorithms.base import Solver, SolveResult
 from repro.algorithms.registry import build_solver
 from repro.algorithms.spec import SolverSpecLike
 from repro.core.arrangement import Assignment
 from repro.core.candidate_engine import validate_candidate_backend_name
-from repro.core.candidates import CandidateFinder
+from repro.core.candidates import (
+    CandidateFinder,
+    instance_reach_radius,
+    tasks_reach_bounds,
+)
 from repro.core.instance import LTCInstance
 from repro.core.session import Session, SessionSnapshot
 from repro.core.task import Task
 from repro.core.worker import Worker
+from repro.geo.bbox import BoundingBox
 from repro.service.metrics import DispatcherMetrics
 
 
@@ -77,7 +99,7 @@ class SessionStatus:
         return self.snapshot.complete
 
 
-@dataclass
+@dataclass(eq=False)
 class _ManagedSession:
     """Internal bookkeeping for one open session."""
 
@@ -95,6 +117,14 @@ class _ManagedSession:
     #: No longer monotone: a mid-stream task submission reopens it.
     complete: bool = False
     routed_stream: Optional[List[Worker]] = None
+    #: Reach box of every task ever posted (``None``: unbounded reach).
+    #: Grows on ``submit_tasks``; expiry never shrinks it.
+    reach: Optional[BoundingBox] = None
+    #: Position in submission order (adopted sessions after existing ones).
+    ordinal: int = 0
+    #: Cell span ``(col0, row0, col1, row1)`` the routing index files the
+    #: session under; ``None`` while it sits on the always-probe list.
+    cells: Optional[Tuple[int, int, int, int]] = None
 
     def deliver(self, worker: Worker) -> List[Assignment]:
         """Re-index ``worker`` into local arrival order and feed the session."""
@@ -104,6 +134,130 @@ class _ManagedSession:
         if self.routed_stream is not None:
             self.routed_stream.append(local)
         return assignments
+
+
+#: A session whose reach box would cover more index cells than this is
+#: probed on every arrival instead, so index upkeep stays bounded per open
+#: or task post.
+_MAX_INDEXED_CELLS = 1024
+
+#: Relative margin added around a reach box before it is mapped to cells.
+#: The box corners and the engine's distance test round separately, so an
+#: eligible worker may sit an ulp outside the box; the margin keeps the
+#: prefilter a superset anyway.
+_CELL_SLACK = 1e-9
+
+_by_ordinal = attrgetter("ordinal")
+
+
+class _ReachIndex:
+    """Uniform grid over session reach boxes: the routing scan's prefilter.
+
+    A worker can only be eligible for a session inside the session's reach
+    box (:func:`~repro.core.candidates.tasks_reach_bounds`, the box
+    :class:`~repro.service.sharding.ShardPlan` pins campaigns by), so an
+    arrival needs probing only by the sessions whose box covers its cell,
+    plus the *always-probe* list: sessions without a finite radius, or
+    whose box would cover more than :data:`_MAX_INDEXED_CELLS` cells.
+    Every list is kept in ordinal order, so probes run in the order a full
+    scan of the sessions would make them.  The cell side is the reach
+    diameter of the first session with a positive one.
+    """
+
+    def __init__(self) -> None:
+        self._side: Optional[float] = None
+        self._cells: Dict[Tuple[int, int], List[_ManagedSession]] = {}
+        self._always: List[_ManagedSession] = []
+
+    def add(self, managed: _ManagedSession) -> None:
+        """File a session holding the highest ordinal so far."""
+        if self._side is None:
+            radius = instance_reach_radius(managed.instance)
+            if radius is not None and radius > 0:
+                self._side = 2.0 * radius
+        managed.cells = self._span(managed.reach)
+        if managed.cells is None:
+            self._always.append(managed)
+            return
+        for key in _keys(managed.cells):
+            self._cells.setdefault(key, []).append(managed)
+
+    def grow(self, managed: _ManagedSession, box: BoundingBox) -> None:
+        """Extend a bounded session's reach box by ``box``."""
+        reach = managed.reach
+        managed.reach = BoundingBox(
+            min(reach.min_x, box.min_x), min(reach.min_y, box.min_y),
+            max(reach.max_x, box.max_x), max(reach.max_y, box.max_y),
+        )
+        old = managed.cells
+        if old is None:
+            return
+        new = self._span(managed.reach)
+        managed.cells = new
+        if new is None:
+            self._unfile(managed, old)
+            insort(self._always, managed, key=_by_ordinal)
+            return
+        col0, row0, col1, row1 = old
+        for col, row in _keys(new):
+            if not (col0 <= col <= col1 and row0 <= row <= row1):
+                bucket = self._cells.setdefault((col, row), [])
+                insort(bucket, managed, key=_by_ordinal)
+
+    def remove(self, managed: _ManagedSession) -> None:
+        """Drop a closed session."""
+        if managed.cells is None:
+            self._always.remove(managed)
+        else:
+            self._unfile(managed, managed.cells)
+
+    def probes(self, worker: Worker) -> Iterable[_ManagedSession]:
+        """The sessions that may find ``worker`` eligible, in ordinal order."""
+        side = self._side
+        if side is None:
+            return self._always
+        location = worker.location
+        bucket = self._cells.get(
+            (math.floor(location.x / side), math.floor(location.y / side))
+        )
+        if bucket is None:
+            return self._always
+        if self._always:
+            return heapq.merge(bucket, self._always, key=_by_ordinal)
+        return bucket
+
+    def _span(
+        self, box: Optional[BoundingBox]
+    ) -> Optional[Tuple[int, int, int, int]]:
+        side = self._side
+        if box is None or side is None:
+            return None
+        slack = _CELL_SLACK * (side + max(
+            abs(box.min_x), abs(box.min_y), abs(box.max_x), abs(box.max_y)
+        ))
+        col0 = math.floor((box.min_x - slack) / side)
+        row0 = math.floor((box.min_y - slack) / side)
+        col1 = math.floor((box.max_x + slack) / side)
+        row1 = math.floor((box.max_y + slack) / side)
+        if (col1 - col0 + 1) * (row1 - row0 + 1) > _MAX_INDEXED_CELLS:
+            return None
+        return col0, row0, col1, row1
+
+    def _unfile(
+        self, managed: _ManagedSession, cells: Tuple[int, int, int, int]
+    ) -> None:
+        for key in _keys(cells):
+            bucket = self._cells[key]
+            bucket.remove(managed)
+            if not bucket:
+                del self._cells[key]
+
+
+def _keys(cells: Tuple[int, int, int, int]) -> Iterator[Tuple[int, int]]:
+    col0, row0, col1, row1 = cells
+    for row in range(row0, row1 + 1):
+        for col in range(col0, col1 + 1):
+            yield col, row
 
 
 class LTCDispatcher:
@@ -124,9 +278,10 @@ class LTCDispatcher:
         Candidate-engine backend used for the per-session eligibility
         routing test (``"python"``, ``"numpy"``, ``"auto"``, or ``None``
         to defer to ``REPRO_CANDIDATES_BACKEND`` / auto-detection).  The
-        routing decision is a bulk ``has_candidates`` query per arrival
-        per open session, so the vectorized backend is what keeps the
-        dispatch hot path flat under heavy traffic.
+        routing decision is one ``has_candidates`` query per arrival per
+        session whose reach box covers the arrival's cell (a grid index
+        over the sessions' reach boxes skips the rest), so the backend
+        prices each probe, not the number of open sessions.
     clock:
         Monotonic time source used for the ``busy_seconds`` metric;
         defaults to :func:`time.perf_counter`.  Injectable so tests can
@@ -147,6 +302,8 @@ class LTCDispatcher:
         self._candidates_backend = candidates
         self._clock: Callable[[], float] = clock if clock is not None else time.perf_counter
         self._sessions: Dict[str, _ManagedSession] = {}
+        self._index = _ReachIndex()
+        self._ordinals = itertools.count()
         self._metrics = DispatcherMetrics()
         self._auto_id = 0
 
@@ -195,10 +352,12 @@ class LTCDispatcher:
                 "live traffic; dispatch sessions require an online solver"
             )
         # The dispatcher keeps its own CandidateFinder per session for the
-        # routing test; the solver builds another internally.  Two grid
-        # indexes per session is a deliberate trade-off: routing must work
+        # routing test; the solver builds another internally.  Two task
+        # grids per session is a deliberate trade-off: routing must work
         # before the session activates and without reaching into solver
-        # internals, and index construction is O(tasks) once per session.
+        # internals, and grid construction is O(tasks) once per session.
+        # The session's reach box also joins the dispatcher-wide routing
+        # index, which picks the sessions an arrival is probed against.
         managed = _ManagedSession(
             session_id=session_id,
             instance=instance,
@@ -206,8 +365,11 @@ class LTCDispatcher:
             candidates=CandidateFinder(instance, backend=self._candidates_backend),
             solver=solver_obj,
             routed_stream=[] if self._keep_streams else None,
+            reach=tasks_reach_bounds(instance),
+            ordinal=next(self._ordinals),
         )
         self._sessions[session_id] = managed
+        self._index.add(managed)
         self._metrics.sessions_opened += 1
         return session_id
 
@@ -231,6 +393,8 @@ class LTCDispatcher:
         # before the routing snapshot is touched, keeping the two in step.
         managed.session.submit_tasks(tasks)
         managed.candidates.add_tasks(tasks)
+        if tasks and managed.reach is not None:
+            self._index.grow(managed, tasks_reach_bounds(managed.instance, tasks))
         self._metrics.tasks_submitted += len(tasks)
         if managed.complete and not managed.session.is_complete:
             managed.complete = False
@@ -284,11 +448,15 @@ class LTCDispatcher:
         absorbs them in place).  The returned mapping has an entry for each
         session the worker reached, possibly with an empty assignment list
         when the session's solver declined to use the worker.
+
+        Only the sessions whose reach box covers the worker's cell in the
+        routing index are probed; the box bounds eligibility, so the
+        skipped sessions would all have declined.
         """
         started = self._clock()
         self._metrics.workers_fed += 1
         deliveries: Dict[str, List[Assignment]] = {}
-        for managed in self._sessions.values():
+        for managed in self._index.probes(worker):
             if managed.complete:
                 continue
             if not managed.candidates.has_candidates(worker):
@@ -380,8 +548,13 @@ class LTCDispatcher:
                     "in use here"
                 )
         self._sessions.update(donor._sessions)
+        for session_id in adopted:
+            managed = self._sessions[session_id]
+            managed.ordinal = next(self._ordinals)
+            self._index.add(managed)
         self._metrics.merge(donor._metrics)
         donor._sessions = {}
+        donor._index = _ReachIndex()
         donor._metrics = DispatcherMetrics()
         return adopted
 
@@ -394,6 +567,7 @@ class LTCDispatcher:
         # open (retryable) and the metrics stay truthful.
         result = managed.session.result()
         del self._sessions[session_id]
+        self._index.remove(managed)
         self._metrics.sessions_closed += 1
         return result
 

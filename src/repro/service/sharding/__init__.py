@@ -22,6 +22,7 @@ argument, and ``benchmarks/bench_dispatch_scale.py`` for the replay load
 harness that sweeps shard counts.
 """
 
+from repro.core.candidates import instance_reach_radius, tasks_reach_bounds
 from repro.service.sharding.dispatcher import (
     EXECUTORS,
     SHARD_STATES,
@@ -29,11 +30,7 @@ from repro.service.sharding.dispatcher import (
     ShardedDispatcher,
     ShardStatus,
 )
-from repro.service.sharding.plan import (
-    ShardPlan,
-    instance_reach_radius,
-    tasks_reach_bounds,
-)
+from repro.service.sharding.plan import ShardPlan
 from repro.service.sharding.process_executor import (
     INJECTED_CRASH_EXIT,
     ProcessShardClient,

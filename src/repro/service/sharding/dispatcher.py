@@ -27,12 +27,16 @@ byte-identical to a single-process run, under both executors; the
 differential suite enforces this.  Shedding policies (``drop-oldest`` /
 ``reject``) trade that guarantee for bounded lag under overload.
 
-**Scaling.**  The single-process dispatcher pays one eligibility probe per
-open session per arrival.  Sharding cuts that to the sessions of one shard
-(plus overflow), so routing work per arrival drops by roughly the shard
-count even single-threaded — that is the honest speedup the benchmark
-measures with the ``"serial"`` executor; the ``"thread"`` executor adds
-pipeline concurrency across shards on top.
+**Scaling.**  Each per-shard dispatcher probes only the sessions whose
+reach box covers an arrival's cell, and so does a single-process
+dispatcher: its routing index already skips the sessions of other
+regions.  Sharding therefore no longer cuts routing work, and the
+``"serial"`` executor's queue, fan-out and bookkeeping make it slower
+than one dispatcher (``docs/dispatch.md``, "Routing index", has the
+numbers).  What shards buy is an isolation and recovery boundary: a
+crash domain per region, journal replay, quarantine, and backpressure
+per queue; the ``"thread"`` and ``"process"`` executors add concurrency
+on top.
 
 **Fault tolerance.**  A shard failure (any exception escaping its
 dispatch attempt, including injected ones — see
@@ -70,6 +74,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Un
 from repro.algorithms.base import Solver, SolveResult
 from repro.algorithms.spec import SolverSpecLike
 from repro.core.arrangement import Assignment
+from repro.core.candidates import tasks_reach_bounds
 from repro.core.instance import LTCInstance
 from repro.core.task import Task
 from repro.core.worker import Worker
@@ -88,7 +93,7 @@ from repro.service.recovery import (
     RecoveryPolicy,
     ShardSupervisor,
 )
-from repro.service.sharding.plan import ShardPlan, tasks_reach_bounds
+from repro.service.sharding.plan import ShardPlan
 from repro.service.sharding.process_executor import (
     ProcessShardClient,
     ShardProcessChannel,

@@ -92,6 +92,12 @@ INJECTED_CRASH_EXIT = 86
 #: ("fork" / "spawn" / "forkserver"); defaults to fork where available.
 MP_CONTEXT_ENV = "REPRO_SHARD_MP_CONTEXT"
 
+#: Serialises pipe creation, worker start and the parent's close of the
+#: child end.  A worker forked while another channel's child end is still
+#: open in the parent would inherit it; that pipe then never reports EOF or
+#: EPIPE when its own worker dies, and the parent's sends block forever.
+_SPAWN_LOCK = threading.Lock()
+
 
 class ShardProcessError(RuntimeError):
     """A shard worker process failed; carries the worker-side traceback."""
@@ -449,13 +455,16 @@ class ShardProcessChannel:
         import multiprocessing
 
         ctx = multiprocessing.get_context(_start_method())
-        self._conn, child_conn = ctx.Pipe(duplex=True)
-        self._process = ctx.Process(
-            target=shard_worker_main,
-            args=(child_conn, config),
-            name=f"repro-shard-{config.shard_id}",
-            daemon=True,
-        )
+        with _SPAWN_LOCK:
+            self._conn, child_conn = ctx.Pipe(duplex=True)
+            self._process = ctx.Process(
+                target=shard_worker_main,
+                args=(child_conn, config),
+                name=f"repro-shard-{config.shard_id}",
+                daemon=True,
+            )
+            self._process.start()
+            child_conn.close()  # the parent's copy; the child keeps its own
         self._on_done = on_done
         self._on_death = on_death
         self._send_lock = threading.Lock()
@@ -469,8 +478,6 @@ class ShardProcessChannel:
         self._reconciled = False
         self._consumed_ordinal: Optional[int] = None
         self._send_times: deque = deque()
-        self._process.start()
-        child_conn.close()  # the parent's copy; the child keeps its own
         self._receiver = threading.Thread(
             target=self._receive_loop,
             name=f"repro-shard-{config.shard_id}-rx",
@@ -488,6 +495,10 @@ class ShardProcessChannel:
     @property
     def exitcode(self) -> Optional[int]:
         return self._process.exitcode
+
+    @property
+    def pid(self) -> Optional[int]:
+        return self._process.pid
 
     @property
     def consumed_ordinal(self) -> Optional[int]:

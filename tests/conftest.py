@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import faulthandler
+import os
+import sys
+from typing import TextIO
+
 import numpy as np
 import pytest
 
@@ -12,6 +17,45 @@ from repro.core.task import Task
 from repro.core.worker import Worker
 from repro.datagen.synthetic import SyntheticConfig, generate_synthetic_instance
 from repro.geo.point import Point
+
+#: Where the hang guard writes its stack dump; unset when pytest-timeout
+#: enforces the per-test cap itself.
+_HANG_GUARD_STREAM = pytest.StashKey[TextIO]()
+
+
+def pytest_configure(config):
+    if not config.pluginmanager.hasplugin("timeout"):
+        # Output capture is suspended while plugins configure, so this is
+        # the real stderr.  The watchdog writes from C and would otherwise
+        # land in a capture file that dies with the process.
+        stream = os.fdopen(os.dup(sys.stderr.fileno()), "w")
+        config.stash[_HANG_GUARD_STREAM] = stream
+
+
+def pytest_unconfigure(config):
+    stream = config.stash.get(_HANG_GUARD_STREAM, None)
+    if stream is not None:
+        stream.close()
+
+
+@pytest.fixture(autouse=True)
+def _hang_guard(request):
+    """Per-test wall-clock cap for runs without pytest-timeout.
+
+    pyproject's ``timeout`` only takes effect through that plugin.  Without
+    it, a wedged test (a deadlock in the shard runtime, say) dumps every
+    thread's stack and exits the run with an error instead of hanging it.
+    """
+    stream = request.config.stash.get(_HANG_GUARD_STREAM, None)
+    if stream is None:
+        yield
+        return
+    seconds = float(request.config.inicfg.get("timeout", 120))
+    faulthandler.dump_traceback_later(seconds, exit=True, file=stream)
+    try:
+        yield
+    finally:
+        faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture

@@ -78,6 +78,15 @@ def test_dispatch_doc_covers_the_process_executor():
     assert "process" in bench
 
 
+def test_dispatch_doc_covers_the_routing_index():
+    """The index's exactness argument and the sharding verdict are documented."""
+    text = (REPO_ROOT / "docs" / "dispatch.md").read_text(encoding="utf-8")
+    assert "## Routing index" in text
+    for term in ("always-probe", "tasks_reach_bounds", "test_dispatcher_index.py",
+                 "BENCH_dispatch_scale.json", "Is sharding still a performance feature?"):
+        assert term in text, f"dispatch.md routing-index docs lost {term!r}"
+
+
 @pytest.mark.parametrize("doc", DOC_FILES, ids=lambda p: str(p.relative_to(REPO_ROOT)))
 def test_relative_links_resolve(doc):
     broken = []

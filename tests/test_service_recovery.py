@@ -5,6 +5,10 @@ supervisor bookkeeping (restart budgets, backoff schedule), and the
 sharded dispatcher's restart/quarantine paths end to end.
 """
 
+import os
+import signal
+import threading
+
 import pytest
 
 from repro.algorithms.registry import build_solver
@@ -24,6 +28,10 @@ from repro.service import (
     ShardedDispatcher,
     ShardPlan,
     ShardSupervisor,
+)
+from repro.service.sharding.process_executor import (
+    ShardProcessChannel,
+    WorkerShardConfig,
 )
 
 BOUNDS = BoundingBox(0.0, 0.0, 2000.0, 2000.0)
@@ -508,3 +516,40 @@ class TestProcessRecovery:
         assert process_status[0].state == "live"
         threaded.stop()
         processed.stop()
+
+    @pytest.mark.parametrize("round_", range(6))
+    def test_concurrent_spawns_keep_worker_deaths_visible(self, round_):
+        """Two channels spawned from two threads at once, then one worker
+        killed: the parent must see that death promptly.
+
+        A worker forked while the other channel's child pipe end was still
+        open in the parent would inherit it, and the dead worker's pipe
+        would then never report EOF.  Rounds alternate which worker dies,
+        since either spawn order can leak.
+        """
+        deaths = [threading.Event(), threading.Event()]
+        channels = [None, None]
+        barrier = threading.Barrier(2)
+
+        def spawn(shard_id):
+            barrier.wait()
+            channels[shard_id] = ShardProcessChannel(
+                WorkerShardConfig(shard_id=shard_id),
+                on_done=lambda latency: None,
+                on_death=lambda channel, error: deaths[shard_id].set(),
+            )
+
+        threads = [threading.Thread(target=spawn, args=(i,)) for i in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30.0)
+        victim, survivor = round_ % 2, 1 - round_ % 2
+        try:
+            os.kill(channels[victim].pid, signal.SIGKILL)
+            assert deaths[victim].wait(timeout=10.0), "worker death went unseen"
+            assert not deaths[survivor].is_set()
+            assert channels[victim].exitcode == -signal.SIGKILL
+        finally:
+            channels[victim].abandon()
+            channels[survivor].stop()

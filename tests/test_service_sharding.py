@@ -20,7 +20,7 @@ from repro.service import (
     ShardPlan,
     UnknownSessionError,
 )
-from repro.service.sharding.plan import instance_reach_radius, tasks_reach_bounds
+from repro.service.sharding import instance_reach_radius, tasks_reach_bounds
 
 BOUNDS = BoundingBox(0.0, 0.0, 2000.0, 2000.0)
 
