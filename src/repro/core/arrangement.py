@@ -18,6 +18,9 @@ from repro.core.exceptions import CapacityExceeded, DuplicateAssignment
 from repro.core.task import Task
 from repro.core.worker import Worker
 
+#: Slack below ``delta`` at which a task already counts as complete.
+_TOLERANCE = 1e-9
+
 
 @dataclass(frozen=True, slots=True)
 class Assignment:
@@ -53,6 +56,12 @@ class Arrangement:
     every :meth:`assign` call.  The *error-rate constraint* is a property of
     the finished arrangement checked via :meth:`is_complete` /
     :meth:`uncompleted_tasks`.
+
+    A running count of *open* tasks (neither completed nor abandoned) keeps
+    :meth:`is_complete` O(1), since solvers and the dispatcher ask it after
+    every arrival.  :meth:`assign`, :meth:`add_tasks` and
+    :meth:`abandon_tasks` keep the count in step, using the same predicate
+    as :meth:`is_task_complete`.
     """
 
     def __init__(
@@ -78,6 +87,11 @@ class Arrangement:
         }
         self._abandoned: Set[int] = set()
         self._max_index_used = 0
+        # Counted with the completion predicate, not len(tasks): a delta
+        # below the tolerance makes fresh tasks complete.
+        self._open_count = sum(
+            1 for task_id in self._accumulated if not self.is_task_complete(task_id)
+        )
 
     # ------------------------------------------------------------------ state
 
@@ -130,6 +144,9 @@ class Arrangement:
             self._tasks[task.task_id] = task
             self._accumulated[task.task_id] = 0.0
             self._workers_by_task[task.task_id] = []
+        self._open_count += sum(
+            1 for task in incoming if not self.is_task_complete(task.task_id)
+        )
 
     def abandon_tasks(self, task_ids: Sequence[int]) -> None:
         """Mark tasks as expired: they no longer block completion.
@@ -154,7 +171,11 @@ class Arrangement:
                     f"task {task_id} already reached the quality threshold; "
                     "completed tasks cannot be abandoned"
                 )
-        self._abandoned.update(incoming)
+        newly_abandoned = set(incoming) - self._abandoned
+        self._open_count -= sum(
+            1 for task_id in newly_abandoned if not self.is_task_complete(task_id)
+        )
+        self._abandoned.update(newly_abandoned)
 
     def is_task_abandoned(self, task_id: int) -> bool:
         """Whether ``task_id`` was expired via :meth:`abandon_tasks`."""
@@ -177,11 +198,11 @@ class Arrangement:
         """How much ``Acc*`` the task still needs (0 when completed)."""
         return max(0.0, self._delta - self._accumulated[task_id])
 
-    def is_task_complete(self, task_id: int, tolerance: float = 1e-9) -> bool:
+    def is_task_complete(self, task_id: int, tolerance: float = _TOLERANCE) -> bool:
         """Whether ``task_id`` has reached the quality threshold."""
         return self._accumulated[task_id] >= self._delta - tolerance
 
-    def uncompleted_tasks(self, tolerance: float = 1e-9) -> List[int]:
+    def uncompleted_tasks(self, tolerance: float = _TOLERANCE) -> List[int]:
         """Task ids that still need quality: neither completed nor abandoned."""
         if not self._abandoned:
             return [
@@ -196,9 +217,16 @@ class Arrangement:
             if value < self._delta - tolerance and task_id not in abandoned
         ]
 
-    def is_complete(self, tolerance: float = 1e-9) -> bool:
-        """Whether every task has reached the quality threshold."""
-        return not self.uncompleted_tasks(tolerance)
+    def is_complete(self, tolerance: float = _TOLERANCE) -> bool:
+        """Whether every task has reached the quality threshold or expired.
+
+        O(1) at the default tolerance: it reads the running open-task count.
+        Any other ``tolerance`` rescans the tasks via
+        :meth:`uncompleted_tasks`.
+        """
+        if tolerance != _TOLERANCE:
+            return not self.uncompleted_tasks(tolerance)
+        return self._open_count == 0
 
     # -------------------------------------------------------------- latencies
 
@@ -259,7 +287,14 @@ class Arrangement:
         )
         self._assignments.append(assignment)
         self._pairs.add(pair)
-        self._accumulated[task.task_id] += star
+        before = self._accumulated[task.task_id]
+        after = before + star
+        self._accumulated[task.task_id] = after
+        # Acc* is a square, so accumulation only grows: a task closes exactly
+        # once, when it crosses the is_task_complete threshold.
+        threshold = self._delta - _TOLERANCE
+        if before < threshold <= after:
+            self._open_count -= 1
         self._load[worker.index] = load + 1
         self._workers_by_task[task.task_id].append(worker.index)
         self._max_index_used = max(self._max_index_used, worker.index)
@@ -323,9 +358,7 @@ class Arrangement:
             "max_latency": float(self.max_latency),
             "workers_used": float(len(self._load)),
             "tasks_completed": float(
-                len(self._tasks)
-                - len(self.uncompleted_tasks())
-                - len(self._abandoned)
+                len(self._tasks) - self._open_count - len(self._abandoned)
             ),
             "tasks_abandoned": float(len(self._abandoned)),
             "tasks_total": float(len(self._tasks)),

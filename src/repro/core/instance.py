@@ -37,6 +37,12 @@ class LTCInstance:
         Predicted-accuracy function ``Acc(w, t)``.
     name:
         Optional label used in reports.
+
+    The worker list is fixed at construction: nothing mutates ``workers``
+    afterwards (sessions grow only ``tasks``, through :meth:`add_tasks`), so
+    :attr:`capacity` is computed once in ``__post_init__`` and every
+    per-arrival read of it is O(1).  Build a new instance (as
+    :meth:`subset_of_workers` does) rather than editing ``workers`` in place.
     """
 
     tasks: List[Task]
@@ -69,6 +75,7 @@ class LTCInstance:
         self._workers_by_index: Dict[int, Worker] = {
             worker.index: worker for worker in self.workers
         }
+        self._capacity = min(worker.capacity for worker in self.workers)
 
     # ------------------------------------------------------------- accessors
 
@@ -83,9 +90,10 @@ class LTCInstance:
 
         The paper assumes every worker has the same capacity; when workers
         disagree this returns the minimum, which is the conservative value the
-        bound formulas need.
+        bound formulas need.  Computed once at construction (the worker list
+        is fixed), so reading it is O(1).
         """
-        return min(worker.capacity for worker in self.workers)
+        return self._capacity
 
     @property
     def num_tasks(self) -> int:

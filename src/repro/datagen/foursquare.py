@@ -32,13 +32,12 @@ import numpy as np
 
 from repro.core.accuracy import SigmoidDistanceAccuracy
 from repro.core.instance import LTCInstance
-from repro.core.quality_threshold import MIN_WORKER_ACCURACY
 from repro.core.task import Task
 from repro.core.worker import Worker
 from repro.datagen.distributions import AccuracyDistribution, NormalAccuracy
+from repro.datagen.eligibility import EligibleWorkerCounter
 from repro.datagen.rng import generator_for
 from repro.geo.bbox import BoundingBox
-from repro.geo.grid_index import GridIndex
 from repro.geo.hull import convex_hull, point_in_convex_polygon
 from repro.geo.point import Point
 
@@ -208,13 +207,9 @@ def _generate_pois(
     workers: List[Worker],
 ) -> List[Task]:
     hull = convex_hull([worker.location for worker in workers])
-    model = SigmoidDistanceAccuracy(d_max=config.d_max)
-
-    worker_grid: GridIndex[int] = GridIndex(
-        bounds.expanded(config.d_max), max(config.d_max, 1.0)
+    counter = EligibleWorkerCounter(
+        workers, SigmoidDistanceAccuracy(d_max=config.d_max)
     )
-    for worker in workers:
-        worker_grid.insert(worker.index, worker.location)
 
     minimum = config.min_eligible_workers
     if minimum is None:
@@ -239,7 +234,7 @@ def _generate_pois(
             )
             if len(hull) >= 3 and not point_in_convex_polygon(candidate, hull):
                 continue
-            count = _eligible_count(candidate, workers, worker_grid, model)
+            count = counter.count(candidate)
             if count > best_count:
                 best_count = count
                 best_location = candidate
@@ -249,7 +244,7 @@ def _generate_pois(
             # Extremely unlikely: every attempt fell outside the hull.  Place
             # the task at the most popular hotspot, which is certainly inside.
             best_location = hotspots[0]
-            best_count = _eligible_count(best_location, workers, worker_grid, model)
+            best_count = counter.count(best_location)
         tasks.append(
             Task(
                 task_id=task_id,
@@ -263,16 +258,3 @@ def _generate_pois(
         )
     return tasks
 
-
-def _eligible_count(
-    location: Point,
-    workers: List[Worker],
-    worker_grid: GridIndex[int],
-    model: SigmoidDistanceAccuracy,
-) -> int:
-    probe = Task(task_id=0, location=location)
-    count = 0
-    for index in worker_grid.query_radius(location, model.d_max + 5.0):
-        if model.accuracy(workers[index - 1], probe) >= MIN_WORKER_ACCURACY:
-            count += 1
-    return count

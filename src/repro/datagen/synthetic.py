@@ -27,13 +27,13 @@ import numpy as np
 
 from repro.core.accuracy import SigmoidDistanceAccuracy
 from repro.core.instance import LTCInstance
-from repro.core.quality_threshold import MIN_WORKER_ACCURACY, quality_threshold
+from repro.core.quality_threshold import quality_threshold
 from repro.core.task import Task
 from repro.core.worker import Worker
 from repro.datagen.distributions import AccuracyDistribution, NormalAccuracy
+from repro.datagen.eligibility import EligibleWorkerCounter
 from repro.datagen.rng import generator_for
 from repro.geo.bbox import BoundingBox
-from repro.geo.grid_index import GridIndex
 from repro.geo.point import Point
 
 
@@ -60,7 +60,7 @@ class SyntheticConfig:
     #: derives a value from delta assuming mid-range Acc* contributions.
     min_eligible_workers: Optional[int] = None
     #: How many candidate locations to try per task before giving up and
-    #: accepting the best one found.
+    #: accepting the best one found (at least 1).
     max_placement_attempts: int = 60
     name: str = "synthetic"
 
@@ -73,6 +73,8 @@ class SyntheticConfig:
             raise ValueError("error_rate must be in (0, 1)")
         if self.grid_size <= 0 or self.d_max <= 0:
             raise ValueError("grid_size and d_max must be positive")
+        if self.max_placement_attempts < 1:
+            raise ValueError("max_placement_attempts must be >= 1")
 
     @property
     def delta(self) -> float:
@@ -101,14 +103,15 @@ def generate_synthetic_instance(config: SyntheticConfig) -> LTCInstance:
 
     bounds = BoundingBox.square(config.grid_size)
     workers = _generate_workers(config, worker_rng, bounds)
-    worker_index = _index_workers(workers, bounds, config.d_max)
-    tasks = _generate_tasks(config, task_rng, answer_rng, bounds, workers, worker_index)
+    model = SigmoidDistanceAccuracy(d_max=config.d_max)
+    counter = EligibleWorkerCounter(workers, model)
+    tasks = _generate_tasks(config, task_rng, answer_rng, bounds, counter)
 
     return LTCInstance(
         tasks=tasks,
         workers=workers,
         error_rate=config.error_rate,
-        accuracy_model=SigmoidDistanceAccuracy(d_max=config.d_max),
+        accuracy_model=model,
         name=config.name,
     )
 
@@ -132,56 +135,31 @@ def _generate_workers(
     return workers
 
 
-def _index_workers(
-    workers: List[Worker], bounds: BoundingBox, d_max: float
-) -> GridIndex[int]:
-    grid: GridIndex[int] = GridIndex(bounds.expanded(d_max), max(d_max, 1.0))
-    for worker in workers:
-        grid.insert(worker.index, worker.location)
-    return grid
-
-
-def _eligible_worker_count(
-    location: Point,
-    workers: List[Worker],
-    worker_index: GridIndex[int],
-    d_max: float,
-) -> int:
-    """How many workers could perform a task at ``location``."""
-    model = SigmoidDistanceAccuracy(d_max=d_max)
-    count = 0
-    for index in worker_index.query_radius(location, d_max + 5.0):
-        worker = workers[index - 1]
-        if model.accuracy(worker, Task(task_id=0, location=location)) >= MIN_WORKER_ACCURACY:
-            count += 1
-    return count
-
-
 def _generate_tasks(
     config: SyntheticConfig,
     rng: np.random.Generator,
     answer_rng: np.random.Generator,
     bounds: BoundingBox,
-    workers: List[Worker],
-    worker_index: GridIndex[int],
+    counter: EligibleWorkerCounter,
 ) -> List[Task]:
     minimum = config.resolved_min_eligible_workers()
     tasks: List[Task] = []
     for task_id in range(config.num_tasks):
-        best_location: Optional[Point] = None
+        # max_placement_attempts >= 1 and every count beats -1, so the first
+        # attempt always replaces this placeholder.
+        best_location = Point(0.0, 0.0)
         best_count = -1
         for _ in range(config.max_placement_attempts):
             candidate = Point(
                 float(rng.uniform(bounds.min_x, bounds.max_x)),
                 float(rng.uniform(bounds.min_y, bounds.max_y)),
             )
-            count = _eligible_worker_count(candidate, workers, worker_index, config.d_max)
+            count = counter.count(candidate)
             if count > best_count:
                 best_count = count
                 best_location = candidate
             if count >= minimum:
                 break
-        assert best_location is not None
         true_answer = 1 if answer_rng.random() < 0.5 else -1
         tasks.append(
             Task(

@@ -42,6 +42,17 @@ class TestSyntheticConfig:
         with pytest.raises(ValueError):
             small_config(grid_size=-1.0)
 
+    @pytest.mark.parametrize("attempts", [0, -3])
+    def test_rejects_fewer_than_one_placement_attempt(self, attempts):
+        # With no attempt no location is ever drawn, so tasks would be
+        # emitted without one.
+        with pytest.raises(ValueError, match="max_placement_attempts"):
+            small_config(max_placement_attempts=attempts)
+
+    def test_single_placement_attempt_places_every_task(self):
+        instance = generate_synthetic_instance(small_config(max_placement_attempts=1))
+        assert all(task.location is not None for task in instance.tasks)
+
     def test_resolved_min_eligible_workers(self):
         config = small_config(error_rate=0.14)
         expected = math.ceil(quality_threshold(0.14) / 0.3)
