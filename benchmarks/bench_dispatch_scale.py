@@ -10,16 +10,12 @@ buys on a seeded, replayable multi-city workload from
 
 * **shard_sweep** — the same worker stream through shard plans of 1, 2, 4
   and 8 geo shards, under the ``serial`` executor (single-threaded: the
-  ratio prices queueing, fan-out and per-shard bookkeeping), the
-  ``thread`` executor (one drain thread per shard on top) and the
-  ``process`` executor (one worker
-  *process* per shard over shared-memory task snapshots — the only rows
-  that can escape the GIL, so on multi-core hosts they carry the scaling
-  story; on a single core the pipe/pickle hop makes them an honest
-  overhead measurement instead).  Every lossless run must produce
-  per-session arrangements **byte-identical** to the single-process
-  baseline (asserted via fingerprints); throughput, routed fraction and
-  routing-latency p50/p99 land in the report.
+  ratio prices queueing, fan-out and per-shard bookkeeping) and the
+  ``thread`` executor (one drain thread per shard on top).  Every
+  lossless run must produce per-session arrangements **byte-identical**
+  to the single-process baseline (asserted via fingerprints);
+  throughput, routed fraction and routing-latency p50/p99 land in the
+  report.
 * **backpressure** — a burst-heavy stream through deliberately small
   shard queues under the ``drop-oldest`` and ``reject`` policies,
   reporting shed rates (byte-identity is forfeited by design here, and the
@@ -66,7 +62,7 @@ DEFAULT_OUTPUT = _common.REPO_ROOT / "BENCH_dispatch_scale.json"
 SHARD_GRIDS: Dict[int, Tuple[int, int]] = {1: (1, 1), 2: (2, 1), 4: (2, 2), 8: (4, 2)}
 
 #: Executors swept per shard count (all three keep byte-identity).
-EXECUTORS: Tuple[str, ...] = ("serial", "thread", "process")
+EXECUTORS: Tuple[str, ...] = ("serial", "thread")
 
 
 def make_config(args) -> ReplayConfig:
@@ -424,11 +420,9 @@ SUITE = _common.register_suite(BenchSuite(
         "'shard_sweep' feeds the identical stream through 1/2/4/8 geo "
         "shards under the serial executor (single-threaded: the price "
         "of shard plumbing, since each dispatcher's routing index "
-        "already skips other regions' sessions), "
-        "the thread executor (plus per-shard drain threads) and the "
-        "process executor (one worker process per shard over "
-        "shared-memory task snapshots — the only rows that can escape "
-        "the GIL); every lossless run is asserted byte-identical to the "
+        "already skips other regions' sessions) "
+        "and the thread executor (plus per-shard drain threads); "
+        "every lossless run is asserted byte-identical to the "
         "single-process baseline via per-session arrangement "
         "fingerprints. "
         "'backpressure' sheds burst traffic through small bounded "

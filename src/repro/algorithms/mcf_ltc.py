@@ -33,8 +33,7 @@ Implementation notes
   O(V*E) Bellman-Ford of the generic path is never run.
 * Determinism among cost-equal optimal flows comes from the kernel's
   stable tie-breaking (arc-insertion order; workers are inserted in
-  arrival order, tasks ascending by id), not from perturbing the costs —
-  see the ``index_tiebreak`` parameter.
+  arrival order, tasks ascending by id), not from perturbing the costs.
 * The first batch uses ``floor(1.5 m)`` workers and subsequent batches
   ``floor(m)`` workers with ``m = |T| * ceil(delta) / K``, exactly as in the
   pseudo-code.
@@ -73,14 +72,6 @@ class MCFLTCSolver(OfflineSolver):
         Restrict worker->task edges to eligible (nearby) pairs using the
         grid index.  Disabling it adds every pair with an eligible accuracy
         after an exhaustive scan (slower, identical results).
-    index_tiebreak:
-        Accepted for spec compatibility; no longer alters arc costs.
-        Earlier implementations added a vanishing ``1e-9``-scale per-worker
-        penalty to order cost-equal flows, which could underflow against
-        real cost differences on large batches.  The flow kernel now
-        breaks ties deterministically by stable arc-insertion order
-        (workers in arrival order, tasks ascending), so results are
-        reproducible with unperturbed costs regardless of this flag.
     backend:
         Which :mod:`repro.flow.backends` implementation runs each batch's
         flow solve: ``"python"``, ``"numpy"``, ``"auto"``, or ``None``
@@ -104,7 +95,6 @@ class MCFLTCSolver(OfflineSolver):
         self,
         batch_multiplier: float = 1.0,
         use_spatial_index: bool = True,
-        index_tiebreak: bool = True,
         backend: Optional[str] = None,
         candidates: Optional[str] = None,
     ) -> None:
@@ -115,7 +105,6 @@ class MCFLTCSolver(OfflineSolver):
         validate_candidate_backend_name(candidates)
         self.batch_multiplier = batch_multiplier
         self.use_spatial_index = use_spatial_index
-        self.index_tiebreak = index_tiebreak
         self.backend = backend
         self.candidates = candidates
 

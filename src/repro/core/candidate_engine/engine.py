@@ -581,40 +581,6 @@ class CandidateEngine:
             self._mirrors.sync(self)
         return self._mirrors
 
-    def snapshot_arrays(self) -> Dict[str, Sequence]:
-        """The struct-of-arrays task snapshot, in position order.
-
-        Returns ``{"task_ids", "xs", "ys", "alive", "instance_positions"}``
-        — the flat parallel arrays the engine queries run over (numpy
-        arrays when numpy is importable, the plain list storage
-        otherwise).  This is the canonical export surface for shipping a
-        task snapshot across a process boundary: the shared-memory layer
-        (:mod:`repro.service.sharding.shm`) packs exactly these columns
-        (gathered back into instance order via ``instance_positions``)
-        into one block, so a worker process rebuilds the same snapshot
-        without pickling ``Task`` objects.  The returned arrays are
-        snapshots of the current epoch; mutating the engine afterwards
-        does not grow them.
-        """
-        try:
-            import numpy as np
-        except ImportError:
-            return {
-                "task_ids": list(self.task_ids),
-                "xs": list(self.xs),
-                "ys": list(self.ys),
-                "alive": list(self.alive),
-                "instance_positions": list(self.instance_positions),
-            }
-        mirrors = self.numpy_mirrors(np)
-        return {
-            "task_ids": mirrors.task_ids.copy(),
-            "xs": mirrors.xs.copy(),
-            "ys": mirrors.ys.copy(),
-            "alive": mirrors.alive.copy(),
-            "instance_positions": mirrors.instance_positions.copy(),
-        }
-
     # ------------------------------------------------- scalar float oracle
 
     def radius_of(self, worker: Worker) -> float:

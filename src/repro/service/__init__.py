@@ -58,10 +58,7 @@ from repro.service.sharding import (
     ShardAffinityError,
     ShardedDispatcher,
     ShardPlan,
-    ShardProcessDied,
-    ShardProcessError,
     ShardStatus,
-    process_executor_available,
 )
 
 __all__ = [
@@ -92,7 +89,4 @@ __all__ = [
     "ArrivalJournal",
     "JournalReplayError",
     "FAILURE_POLICIES",
-    "ShardProcessError",
-    "ShardProcessDied",
-    "process_executor_available",
 ]

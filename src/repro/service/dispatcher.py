@@ -327,8 +327,12 @@ class LTCDispatcher:
         fed a routed sub-stream of merged live traffic.
         """
         if session_id is None:
-            self._auto_id += 1
-            session_id = f"session-{self._auto_id}"
+            # Skip ids a caller already chose explicitly.
+            while True:
+                self._auto_id += 1
+                session_id = f"session-{self._auto_id}"
+                if session_id not in self._sessions:
+                    break
         if session_id in self._sessions:
             raise DuplicateSessionError(
                 f"session id {session_id!r} is already in use"

@@ -113,15 +113,6 @@ class DispatcherMetrics:
             )
         return self
 
-    def copy(self) -> "DispatcherMetrics":
-        """An independent snapshot of the counters.
-
-        The process executor ships one of these back across the pipe on
-        every control reply, so the parent's cached view stays usable
-        after the worker process is gone.
-        """
-        return DispatcherMetrics().merge(self)
-
     @classmethod
     def merged(cls, parts: Iterable["DispatcherMetrics"]) -> "DispatcherMetrics":
         """A new aggregate over ``parts`` — the per-shard roll-up."""

@@ -183,33 +183,6 @@ class ArrivalJournal:
         """Poison the journal (e.g. after adopting foreign sessions)."""
         self._taint = reason
 
-    def entries(self) -> List[tuple]:
-        """A snapshot of the raw entries, in observation order.
-
-        The process executor ships these across the pipe (after
-        re-exporting task payloads) to replay a journal into a fresh
-        worker process; call under the shard's lock.
-        """
-        return list(self._entries)
-
-    def check_replayable(self) -> None:
-        """Raise :class:`JournalReplayError` if :meth:`replay` would.
-
-        The parent-side pre-scan for cross-process replay: the
-        :data:`UNREPLAYABLE` sentinel loses its identity when pickled,
-        so unreplayable opens (and taint) must be detected *before* the
-        entries are shipped to a worker process.
-        """
-        if self._taint is not None:
-            raise JournalReplayError(f"journal is not replayable: {self._taint}")
-        for entry in self._entries:
-            if entry[0] == "open" and entry[3] is UNREPLAYABLE:
-                raise JournalReplayError(
-                    f"session {entry[1]!r} was opened with a prebuilt "
-                    "Solver object, which cannot be rebuilt from a spec; "
-                    "journal replay is impossible for this shard"
-                )
-
     # -------------------------------------------------------------- replay
 
     def replay(self, dispatcher) -> int:

@@ -9,13 +9,9 @@ its tasks, so campaigns and worker traffic partition cleanly by region:
 * :class:`BoundedArrivalQueue` is the bounded, backpressure-aware buffer
   between the router and each shard's dispatch loop;
 * :class:`ShardedDispatcher` runs one
-  :class:`~repro.service.LTCDispatcher` per shard — serially, on one
-  thread per shard, or in one worker process per shard
-  (:mod:`repro.service.sharding.process_executor`, with task snapshots
-  crossing the boundary as shared memory —
-  :mod:`repro.service.sharding.shm`) — while keeping per-session
-  arrangements byte-identical to a single-process run (in lossless
-  configurations).
+  :class:`~repro.service.LTCDispatcher` per shard — serially or on one
+  thread per shard — while keeping per-session arrangements
+  byte-identical to a single-process run (in lossless configurations).
 
 See ``docs/dispatch.md`` for the routing semantics and the exactness
 argument, and ``benchmarks/bench_dispatch_scale.py`` for the replay load
@@ -31,25 +27,10 @@ from repro.service.sharding.dispatcher import (
     ShardStatus,
 )
 from repro.service.sharding.plan import ShardPlan
-from repro.service.sharding.process_executor import (
-    INJECTED_CRASH_EXIT,
-    ProcessShardClient,
-    ShardProcessDied,
-    ShardProcessError,
-    WorkerShardConfig,
-    process_executor_available,
-)
 from repro.service.sharding.queueing import (
     BACKPRESSURE_POLICIES,
     BoundedArrivalQueue,
     QueueClosedError,
-)
-from repro.service.sharding.shm import (
-    TaskSnapshotHandle,
-    attach_tasks,
-    export_tasks,
-    segment_exists,
-    shared_memory_available,
 )
 
 __all__ = [
@@ -64,15 +45,4 @@ __all__ = [
     "SHARD_STATES",
     "instance_reach_radius",
     "tasks_reach_bounds",
-    "ProcessShardClient",
-    "WorkerShardConfig",
-    "ShardProcessError",
-    "ShardProcessDied",
-    "process_executor_available",
-    "INJECTED_CRASH_EXIT",
-    "TaskSnapshotHandle",
-    "export_tasks",
-    "attach_tasks",
-    "shared_memory_available",
-    "segment_exists",
 ]

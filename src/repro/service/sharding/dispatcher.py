@@ -10,11 +10,8 @@ worker traffic with a :class:`~repro.service.sharding.ShardPlan`:
   location, plus the overflow shard whenever it has open sessions;
 * each shard runs its own :class:`~repro.service.LTCDispatcher` behind a
   :class:`~repro.service.sharding.BoundedArrivalQueue`, drained either
-  inline (the ``"serial"`` executor — deterministic, single-threaded),
-  by a dedicated thread per shard (the ``"thread"`` executor), or by a
-  dedicated **worker process** per shard (the ``"process"`` executor —
-  GIL-free routing; see
-  :mod:`repro.service.sharding.process_executor`).
+  inline (the ``"serial"`` executor — deterministic, single-threaded)
+  or by a dedicated thread per shard (the ``"thread"`` executor).
 
 **Exactness.**  Because an eligible worker necessarily lies inside the
 campaign's reach box, and the reach box lies inside the campaign's cell,
@@ -35,8 +32,7 @@ regions.  Sharding therefore no longer cuts routing work, and the
 than one dispatcher (``docs/dispatch.md``, "Routing index", has the
 numbers).  What shards buy is an isolation and recovery boundary: a
 crash domain per region, journal replay, quarantine, and backpressure
-per queue; the ``"thread"`` and ``"process"`` executors add concurrency
-on top.
+per queue; the ``"thread"`` executor adds concurrency on top.
 
 **Fault tolerance.**  A shard failure (any exception escaping its
 dispatch attempt, including injected ones — see
@@ -66,7 +62,6 @@ from __future__ import annotations
 
 import threading
 import time
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
@@ -94,17 +89,10 @@ from repro.service.recovery import (
     ShardSupervisor,
 )
 from repro.service.sharding.plan import ShardPlan
-from repro.service.sharding.process_executor import (
-    ProcessShardClient,
-    ShardProcessChannel,
-    WorkerShardConfig,
-    process_executor_available,
-    split_journal_entries,
-)
 from repro.service.sharding.queueing import BoundedArrivalQueue
 
 #: The accepted executor names.
-EXECUTORS = ("serial", "thread", "process")
+EXECUTORS = ("serial", "thread")
 
 #: Shard lifecycle states, in the order a shard can move through them.
 SHARD_STATES: Tuple[str, ...] = ("live", "recovering", "quarantined", "failed")
@@ -153,18 +141,12 @@ class _ShardRuntime:
     """One shard's dispatcher, queue, lock and (optional) drain thread."""
 
     shard_id: int
-    #: The in-process dispatcher — or, under the ``"process"`` executor, a
-    #: :class:`~repro.service.sharding.process_executor.ProcessShardClient`
-    #: duck-typing the same surface over a worker process.
-    dispatcher: Union[LTCDispatcher, ProcessShardClient]
+    dispatcher: LTCDispatcher
     queue: BoundedArrivalQueue
     #: Serialises dispatcher access between the drain loop and control-plane
     #: calls (submit/poll/close) arriving from other threads.
     lock: threading.Lock = field(default_factory=threading.Lock)
     thread: Optional[threading.Thread] = None
-    #: Condition over ``lock``; the process pump waits on it while the
-    #: shard is ``"recovering"`` (``None`` for serial/thread shards).
-    cond: Optional[threading.Condition] = None
     #: Per-arrival routing latencies (seconds), recorded when enabled.
     latencies: List[float] = field(default_factory=list)
     error: Optional[BaseException] = None
@@ -192,15 +174,7 @@ class ShardedDispatcher:
     executor:
         ``"serial"`` processes each arrival inline during
         :meth:`feed_worker` (deterministic; the exact-merge configuration),
-        ``"thread"`` drains each shard's queue on its own thread,
-        ``"process"`` runs each shard's dispatcher in a worker process
-        fed over a pipe (same FIFO contract, GIL-free; task snapshots
-        cross as shared memory — :mod:`repro.service.sharding.shm`).
-        When worker processes are unavailable on the platform,
-        ``"process"`` degrades to ``"thread"`` with a
-        :class:`RuntimeWarning`.  Process shards cannot host prebuilt
-        :class:`~repro.algorithms.base.Solver` objects or ``"stall"``
-        faults, and an injected ``clock`` does not reach the workers.
+        ``"thread"`` drains each shard's queue on its own thread.
     queue_capacity / queue_policy:
         Bound and backpressure policy of every shard's arrival queue (see
         :class:`~repro.service.sharding.BoundedArrivalQueue`).  Only the
@@ -246,15 +220,6 @@ class ShardedDispatcher:
                 f"unknown executor {executor!r}; expected one of "
                 f"{', '.join(EXECUTORS)}"
             )
-        if executor == "process" and not process_executor_available():
-            warnings.warn(
-                "the process executor is unavailable on this platform "
-                "(no usable multiprocessing context); degrading to the "
-                "thread executor",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            executor = "thread"
         self._plan = plan
         self._executor = executor
         self._clock: Callable[[], float] = (
@@ -282,31 +247,15 @@ class ShardedDispatcher:
                     f"fault plan targets shard(s) {sorted(rogue)} outside the "
                     f"shard plan (0..{plan.overflow_shard})"
                 )
-            if self._executor == "process" and any(
-                spec.kind == "stall" for spec in self._injector.plan.faults
-            ):
-                raise ValueError(
-                    "stall faults are not supported under the process "
-                    "executor (the stall gate lives in the parent's drain "
-                    "loops); use crash/transient faults, or the "
-                    "serial/thread executor"
-                )
         self._shards: Dict[int, _ShardRuntime] = {
             shard_id: _ShardRuntime(
                 shard_id=shard_id,
-                dispatcher=(
-                    self._make_client(shard_id)
-                    if self._executor == "process"
-                    else self._make_dispatcher()
-                ),
+                dispatcher=self._make_dispatcher(),
                 queue=BoundedArrivalQueue(queue_capacity, queue_policy),
                 journal=ArrivalJournal() if self._policy.journaling else None,
             )
             for shard_id in plan.shard_ids
         }
-        if self._executor == "process":
-            for runtime in self._shards.values():
-                runtime.cond = threading.Condition(runtime.lock)
         self._shard_of_session: Dict[str, int] = {}
         self._auto_id = 0
         self._arrivals_offered = 0
@@ -344,25 +293,19 @@ class ShardedDispatcher:
         """Start processing queued arrivals (idempotent).
 
         Under the ``"thread"`` executor this launches one drain thread per
-        shard; under ``"process"`` one *pump* thread per shard, feeding
-        the shard's worker process over its pipe; under ``"serial"`` it
-        drains any pre-queued backlog inline and marks the runtime live
-        (subsequent :meth:`feed_worker` calls process inline).
+        shard; under ``"serial"`` it drains any pre-queued backlog inline
+        and marks the runtime live (subsequent :meth:`feed_worker` calls
+        process inline).
         """
         if self._stopped:
             raise RuntimeError("a stopped ShardedDispatcher cannot be restarted")
         if self._started:
             return
         self._started = True
-        if self._executor in ("thread", "process"):
-            target = (
-                self._drain_loop
-                if self._executor == "thread"
-                else self._process_pump
-            )
+        if self._executor == "thread":
             for runtime in self._shards.values():
                 thread = threading.Thread(
-                    target=target,
+                    target=self._drain_loop,
                     args=(runtime,),
                     name=f"shard-{runtime.shard_id}",
                     daemon=True,
@@ -420,18 +363,10 @@ class ShardedDispatcher:
             self._stopped = True
             for runtime in self._shards.values():
                 runtime.queue.close()
-            if self._executor in ("thread", "process") and self._started:
+            if self._executor == "thread" and self._started:
                 for runtime in self._shards.values():
                     if runtime.thread is not None:
                         runtime.thread.join()
-            if self._executor == "process":
-                # No further traffic: worker processes shut down as soon
-                # as their last session closes (immediately, if none are
-                # open) — so ``stop()`` → ``close_all()`` and
-                # ``close_all()`` → ``stop()`` both leave zero processes.
-                for runtime in self._shards.values():
-                    if isinstance(runtime.dispatcher, ProcessShardClient):
-                        runtime.dispatcher.mark_stopping()
         self._reraise_shard_errors()
 
     def _reraise_shard_errors(self) -> None:
@@ -465,8 +400,12 @@ class ShardedDispatcher:
         """
         with self._control:
             if session_id is None:
-                self._auto_id += 1
-                session_id = f"session-{self._auto_id}"
+                # Skip ids a caller already chose explicitly.
+                while True:
+                    self._auto_id += 1
+                    session_id = f"session-{self._auto_id}"
+                    if session_id not in self._shard_of_session:
+                        break
             if session_id in self._shard_of_session:
                 raise DuplicateSessionError(
                     f"session id {session_id!r} is already in use"
@@ -775,42 +714,6 @@ class ShardedDispatcher:
             clock=self._clock,
         )
 
-    def _make_client(self, shard_id: int) -> ProcessShardClient:
-        """Build one shard's worker-process client (``"process"`` executor).
-
-        The shard's fault schedule ships to the worker, which fires it
-        against its own live-arrival ordinals; an injected clock is *not*
-        shipped (worker dispatchers use the default clock — their
-        ``busy_seconds`` is measured in the worker, where the work runs).
-        """
-        specs = ()
-        if self._injector is not None:
-            specs = tuple(self._injector.plan.for_shard(shard_id))
-        config = WorkerShardConfig(
-            shard_id=shard_id,
-            default_solver=self._default_solver,
-            keep_streams=self._keep_streams,
-            candidates=self._candidates_backend,
-            transient_retries=self._policy.transient_retries,
-            fault_specs=specs,
-        )
-        return ProcessShardClient(
-            config,
-            on_done=lambda latency, sid=shard_id: self._on_worker_done(
-                sid, latency
-            ),
-            on_death=lambda channel, error, sid=shard_id: (
-                self._on_process_failure(sid, channel, error)
-            ),
-        )
-
-    def _on_worker_done(self, shard_id: int, latency: Optional[float]) -> None:
-        """One arrival acked by a worker process (its receiver thread)."""
-        runtime = self._shards[shard_id]
-        if self._record_latencies and latency is not None:
-            runtime.latencies.append(latency)
-        runtime.queue.task_done()
-
     def _runtime_for(self, session_id: str) -> _ShardRuntime:
         try:
             shard_id = self._shard_of_session[session_id]
@@ -935,50 +838,6 @@ class ShardedDispatcher:
             finally:
                 runtime.queue.task_done()
 
-    def _process_pump(self, runtime: _ShardRuntime) -> None:
-        """The per-shard pump body (``"process"`` executor).
-
-        Pulls arrivals off the shard's queue and ships them down the
-        worker's pipe.  ``task_done`` accounting is split: an arrival the
-        worker acks is credited by :meth:`_on_worker_done`; one the pump
-        discards (inactive shard, or a failed send with no journal to
-        re-deliver from) is credited here; a **journaled** arrival is
-        owned by the worker/death flow from the moment it is recorded —
-        it is acked by a worker (possibly after a restart re-sends it),
-        or credited as part of the terminal suffix by
-        :meth:`_handle_process_failure`.  Journal appends and pipe sends
-        share the runtime lock, so journal order equals pipe order
-        equals the worker's apply order.
-        """
-        while True:
-            worker = runtime.queue.get()
-            if worker is None:
-                return
-            done_here = True
-            try:
-                with runtime.lock:
-                    while runtime.state == "recovering":
-                        runtime.cond.wait()
-                    if runtime.state in _INACTIVE_STATES:
-                        runtime.discarded += 1
-                    elif runtime.journal is not None:
-                        # Write-ahead, as in _process(): the arrival in
-                        # flight when the worker dies is replayed or
-                        # re-sent, not lost.  A failed send leaves it
-                        # journaled for the next recovery's split.
-                        runtime.journal.record_worker(worker)
-                        runtime.dispatcher.send_worker(worker)
-                        done_here = False
-                    elif runtime.dispatcher.send_worker(worker):
-                        done_here = False
-                    else:
-                        # No journal to re-deliver from: the arrival
-                        # dies with the worker.
-                        runtime.discarded += 1
-            finally:
-                if done_here:
-                    runtime.queue.task_done()
-
     # ------------------------------------------------------------- recovery
 
     def _handle_shard_failure(
@@ -1068,189 +927,6 @@ class ShardedDispatcher:
             for session_id in migrated:
                 self._shard_of_session[session_id] = overflow.shard_id
             self._fault_metrics.quarantined_sessions += len(migrated)
-            self._fault_metrics.replayed_arrivals += replayed
-            self._recovery_events.append(
-                RecoveryEvent(
-                    shard_id=runtime.shard_id,
-                    action="quarantine",
-                    replayed_arrivals=replayed,
-                    duration_seconds=self._clock() - started,
-                    error=repr(error),
-                )
-            )
-            self._migrated.notify_all()
-
-    # ---------------------------------------------------- process recovery
-
-    def _on_process_failure(
-        self,
-        shard_id: int,
-        channel: ShardProcessChannel,
-        error: BaseException,
-    ) -> None:
-        """A shard's worker process died (runs on its receiver thread).
-
-        Fixes the death's position in the arrival stream first: the
-        *cut* is the absolute ordinal the dead incarnation consumed
-        through (reported in its failure frame, or reconstructed from
-        acks after a hard kill).  Recovery replays the journal up to the
-        cut and re-sends the rest live, so the only queue credit issued
-        here is for the arrival the worker died on — journaled, part of
-        the replay prefix, never acked.  Then the failure resolves
-        exactly like a thread-shard crash; a terminal failure parks on
-        the runtime for the next drain()/stop().
-        """
-        runtime = self._shards[shard_id]
-        framed = channel.consumed_ordinal is not None
-        if runtime.journal is not None:
-            cut = runtime.dispatcher.death_ordinal(channel)
-            if framed:
-                runtime.queue.task_done()
-        else:
-            # No journal: nothing can be replayed or re-sent, so every
-            # arrival shipped down the dead pipe is settled here (the one
-            # the worker died on was consumed; the rest are lost).
-            cut = None
-            unacked = channel.take_unacked()
-            with runtime.lock:
-                runtime.discarded += unacked - (1 if framed else 0)
-            for _ in range(unacked):
-                runtime.queue.task_done()
-        try:
-            self._handle_process_failure(runtime, error, cut)
-        except BaseException as failure:  # noqa: BLE001 - parked
-            if runtime.error is None:
-                runtime.error = failure
-
-    def _handle_process_failure(
-        self,
-        runtime: _ShardRuntime,
-        error: BaseException,
-        cut: Optional[int],
-    ) -> None:
-        """:meth:`_handle_shard_failure`, for a dead worker process.
-
-        Same decide-loop and accounting; the difference is mechanical —
-        "replay the journal into a fresh dispatcher" becomes "spawn a
-        fresh worker process, replay the journal up to the death's
-        ``cut`` down its pipe, and re-send the never-processed suffix
-        live" — and the pump is parked on the shard's condition while
-        the state is ``"recovering"``.  When the shard fails terminally
-        instead, the suffix arrivals are settled here: they can no
-        longer be delivered, so they are discarded and their queue
-        credits issued.
-        """
-        current = error
-        while True:
-            action = self._supervisor.decide(runtime.shard_id, current)
-            if (
-                action == "quarantine"
-                and runtime.shard_id == self._plan.overflow_shard
-            ):
-                action = "fail"
-            if action == "restart" and runtime.journal is not None:
-                started = self._clock()
-                self._supervisor.backoff(runtime.shard_id)
-                with runtime.lock:
-                    runtime.state = "recovering"
-                    try:
-                        runtime.journal.check_replayable()
-                        replayed = runtime.dispatcher.respawn(
-                            runtime.journal.entries(), cut
-                        )
-                    except BaseException as exc:  # noqa: BLE001 - escalates
-                        runtime.state = "failed"
-                        runtime.cond.notify_all()
-                        current = exc
-                        continue
-                    runtime.state = "live"
-                    runtime.cond.notify_all()
-                with self._control:
-                    self._fault_metrics.restarts += 1
-                    self._fault_metrics.replayed_arrivals += replayed
-                    self._recovery_events.append(
-                        RecoveryEvent(
-                            shard_id=runtime.shard_id,
-                            action="restart",
-                            replayed_arrivals=replayed,
-                            duration_seconds=self._clock() - started,
-                            error=repr(current),
-                        )
-                    )
-                return
-            if action == "quarantine" and runtime.journal is not None:
-                try:
-                    self._quarantine_process(runtime, current, cut)
-                    return
-                except BaseException as exc:  # noqa: BLE001 - falls to fail
-                    current = exc
-            with runtime.lock:
-                runtime.state = "failed"
-                suffix = 0
-                if runtime.journal is not None and cut is not None:
-                    suffix = runtime.journal.worker_count - cut
-                for _ in range(suffix):
-                    runtime.queue.task_done()
-                runtime.discarded += suffix + runtime.queue.flush()
-                if runtime.cond is not None:
-                    runtime.cond.notify_all()
-            raise current
-
-    def _quarantine_process(
-        self,
-        runtime: _ShardRuntime,
-        error: BaseException,
-        cut: Optional[int],
-    ) -> None:
-        """:meth:`_quarantine`, for a dead worker process.
-
-        The rebuild-by-replay happens inside the *overflow* shard's
-        worker (the ``("adopt", ...)`` message): a scratch dispatcher is
-        replayed there and its sessions adopted, so the migrated state
-        never transits the parent as live objects.  The dead shard keeps
-        an empty in-process husk so poll()/metrics/status stay uniform.
-
-        Only the journal prefix up to the death's ``cut`` is adopted —
-        the suffix arrivals were in the pipe, never processed, which is
-        the thread executor's "still in the dead shard's queue" case:
-        they are discarded (and counted), exactly as the queue flush
-        discards the backlog there.
-        """
-        started = self._clock()
-        overflow = self._shards[self._plan.overflow_shard]
-        with runtime.lock:
-            runtime.state = "quarantined"
-            runtime.cond.notify_all()
-            runtime.journal.check_replayable()
-            replayed = (
-                runtime.journal.worker_count if cut is None else cut
-            )
-            entries, resend = split_journal_entries(
-                runtime.journal.entries(), replayed
-            )
-            for _ in range(len(resend)):
-                runtime.queue.task_done()
-            runtime.discarded += len(resend)
-            client = runtime.dispatcher
-            instances = {
-                session_id: client.instance_of(session_id)
-                for session_id in client.session_ids
-            }
-            client.retire()
-            runtime.dispatcher = self._make_dispatcher()
-            runtime.journal = ArrivalJournal()
-            runtime.discarded += runtime.queue.flush()
-        with self._migrated:  # acquires the control lock
-            with overflow.lock:
-                adopted = overflow.dispatcher.adopt_entries(entries, instances)
-                if overflow.journal is not None:
-                    overflow.journal.mark_unreplayable(
-                        f"adopted {len(adopted)} session(s) from "
-                        f"quarantined shard {runtime.shard_id}"
-                    )
-            for session_id in adopted:
-                self._shard_of_session[session_id] = overflow.shard_id
-            self._fault_metrics.quarantined_sessions += len(adopted)
             self._fault_metrics.replayed_arrivals += replayed
             self._recovery_events.append(
                 RecoveryEvent(

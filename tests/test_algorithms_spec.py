@@ -124,11 +124,18 @@ class TestBuildSolver:
         assert solver.batch_multiplier == 2.0
         assert solver.use_spatial_index is False
 
-    def test_unknown_parameter_lists_declared_ones(self):
-        with pytest.raises(ValueError) as excinfo:
-            build_solver("MCF-LTC?batch_size=3")
+    @pytest.mark.parametrize(
+        "spec, unknown",
+        [
+            ("MCF-LTC?batch_size=3", "batch_size"),
+            ("MCF-LTC?index_tiebreak=false", "index_tiebreak"),
+        ],
+    )
+    def test_unknown_parameter_lists_declared_ones(self, spec, unknown):
+        with pytest.raises(ValueError, match="does not accept parameter") as excinfo:
+            build_solver(spec)
         message = str(excinfo.value)
-        assert "batch_size" in message
+        assert unknown in message
         assert "batch_multiplier" in message
 
     def test_unknown_solver_name_raises_keyerror(self):

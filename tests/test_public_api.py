@@ -1,6 +1,9 @@
 """Tests for the top-level public API surface."""
 
 import importlib
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -45,6 +48,32 @@ class TestPublicAPI:
     def test_city_presets_exposed(self):
         assert repro.NEW_YORK.city == "New York"
         assert repro.TOKYO.city == "Tokyo"
+
+
+class TestServiceSurface:
+    @pytest.mark.parametrize(
+        "module_name", ["repro.service", "repro.service.sharding"]
+    )
+    def test_all_names_resolve(self, module_name):
+        module = importlib.import_module(module_name)
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert missing == []
+
+    @pytest.mark.parametrize("module_name", ["repro", "repro.service"])
+    def test_import_does_not_load_multiprocessing(self, module_name):
+        """The shard runtime is threads only; no process machinery loads."""
+        src = Path(importlib.import_module("repro").__file__).parent.parent
+        loaded = subprocess.run(
+            [
+                sys.executable, "-c",
+                f"import sys; sys.path.insert(0, {str(src)!r}); "
+                f"import {module_name}; "
+                "print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] in ('multiprocessing', '_posixshmem')))",
+            ],
+            capture_output=True, text=True, check=True,
+        ).stdout.strip()
+        assert loaded == "[]"
 
 
 class TestExamplesAreImportable:

@@ -8,16 +8,12 @@ sharded run with **seeded mid-stream shard crashes** under
 ``on_shard_failure="restart"`` must still produce per-session
 arrangements identical, assignment by assignment, to a fault-free
 single-process run.  This suite enforces exactly that, across AAM/LAF ×
-serial/thread/process executors, under whichever candidate backend
+serial/thread executors, under whichever candidate backend
 ``REPRO_CANDIDATES_BACKEND`` selects (the CI backend matrix runs both).
 
 Faults are scheduled on per-shard arrival ordinals
 (:meth:`~repro.service.FaultPlan.seeded`), so every run — any executor,
-any machine — crashes at the same points in the stream.  Under the
-``process`` executor a scheduled crash **kills the worker process**
-(``os._exit``) mid-stream: recovery must then spawn a fresh process and
-replay the journal down its pipe, including the arrivals that were in
-the pipe when the worker died.
+any machine — crashes at the same points in the stream.
 """
 
 import pytest
@@ -107,7 +103,7 @@ def assert_identical(base, candidate):
 
 
 @pytest.mark.parametrize("solver", ["AAM", "LAF"])
-@pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+@pytest.mark.parametrize("executor", ["serial", "thread"])
 def test_restart_recovery_matches_fault_free_single_process(
     workload, solver, executor
 ):
@@ -128,7 +124,7 @@ def test_restart_recovery_matches_fault_free_single_process(
     assert dispatcher.discarded_total == 0
 
 
-@pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+@pytest.mark.parametrize("executor", ["serial", "thread"])
 def test_transient_faults_retry_in_place_exactly(workload, executor):
     """Bounded retry absorbs transients without touching the arrangements."""
     faults = FaultPlan.seeded(
@@ -204,38 +200,34 @@ def test_serial_quarantine_matches_fault_free_single_process(workload):
     assert [event.action for event in events] == ["quarantine"]
 
 
-def test_process_crash_kills_the_worker_and_accounting_matches_thread(workload):
-    """A process-executor crash is a real process death, same books.
+def test_thread_crash_accounting_matches_serial(workload):
+    """The thread executor keeps the same books as the serial one.
 
-    The injected crash fires inside the worker process and hard-exits it;
-    the supervisor must record the same ``last_error`` repr and restart
-    counts as the thread executor resolving the identical fault plan, and
-    every recovery event must be a restart of a crashed geo shard.
+    Resolving the identical fault plan, both record the same
+    ``last_error`` repr and restart count per crashed shard, replay the
+    same number of arrivals, and log one restart event per crash.
     """
     policy = RecoveryPolicy(on_shard_failure="restart")
+    *_, serial = run_chaotic(workload, "AAM", "serial", CRASH_PLAN, policy)
     *_, threaded = run_chaotic(workload, "AAM", "thread", CRASH_PLAN, policy)
-    *_, processed = run_chaotic(workload, "AAM", "process", CRASH_PLAN, policy)
+    serial_status = {s.shard_id: s for s in serial.shard_status()}
     thread_status = {s.shard_id: s for s in threaded.shard_status()}
-    process_status = {s.shard_id: s for s in processed.shard_status()}
     crashed = {spec.shard_id for spec in CRASH_PLAN.faults}
     for shard_id in crashed:
         assert (
-            process_status[shard_id].last_error
-            == thread_status[shard_id].last_error
+            thread_status[shard_id].last_error
+            == serial_status[shard_id].last_error
         )
-        assert "InjectedShardCrash" in process_status[shard_id].last_error
+        assert "InjectedShardCrash" in thread_status[shard_id].last_error
         assert (
-            process_status[shard_id].restarts
-            == thread_status[shard_id].restarts
+            thread_status[shard_id].restarts
+            == serial_status[shard_id].restarts
         )
-        assert process_status[shard_id].state == "live"
-    assert {e.shard_id for e in processed.recovery_events} == crashed
-    assert all(e.action == "restart" for e in processed.recovery_events)
-    # The replay prefix is cut at the ordinal the worker died on, so the
-    # replayed-arrival count matches the thread executor exactly (whose
-    # journal holds precisely what its dispatcher consumed).
+        assert thread_status[shard_id].state == "live"
+    assert {e.shard_id for e in threaded.recovery_events} == crashed
+    assert all(e.action == "restart" for e in threaded.recovery_events)
     assert (
-        processed.metrics.replayed_arrivals
-        == threaded.metrics.replayed_arrivals
+        threaded.metrics.replayed_arrivals
+        == serial.metrics.replayed_arrivals
     )
-    assert processed.metrics.restarts == threaded.metrics.restarts == 3
+    assert threaded.metrics.restarts == serial.metrics.restarts == 3

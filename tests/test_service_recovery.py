@@ -5,8 +5,6 @@ supervisor bookkeeping (restart budgets, backoff schedule), and the
 sharded dispatcher's restart/quarantine paths end to end.
 """
 
-import os
-import signal
 import threading
 
 import pytest
@@ -28,10 +26,6 @@ from repro.service import (
     ShardedDispatcher,
     ShardPlan,
     ShardSupervisor,
-)
-from repro.service.sharding.process_executor import (
-    ShardProcessChannel,
-    WorkerShardConfig,
 )
 
 BOUNDS = BoundingBox(0.0, 0.0, 2000.0, 2000.0)
@@ -349,6 +343,52 @@ class TestRestartRecovery:
         assert dispatcher.poll()[sid].workers_routed == 8
         dispatcher.stop()
 
+    def run_thread(self, plan, faults, policy, num_workers=12):
+        dispatcher = ShardedDispatcher(
+            plan,
+            executor="thread",
+            queue_capacity=256,
+            recovery=policy,
+            faults=faults,
+        )
+        dispatcher.submit_instance(campaign(*CENTERS[0]))
+        for index in range(1, num_workers + 1):
+            dispatcher.feed_worker(city_worker(index))
+        assert dispatcher.drain(timeout=30.0)
+        return dispatcher
+
+    def test_thread_restart_records_last_error(self, plan):
+        dispatcher = self.run_thread(
+            plan,
+            crash_fault(shard_id=0, at_arrival=3),
+            RecoveryPolicy(on_shard_failure="restart"),
+        )
+        status = {s.shard_id: s for s in dispatcher.shard_status()}
+        assert status[0].last_error == repr(
+            InjectedShardCrash("injected crash: shard 0, arrival 3")
+        )
+        assert status[0].restarts == 1
+        assert status[0].state == "live"
+        dispatcher.stop()
+
+    def test_thread_escalated_transient_restarts(self, plan):
+        """A transient outliving its retry budget escalates to a restart."""
+        faults = FaultPlan(faults=(
+            FaultSpec(
+                kind="transient", shard_id=0, at_arrival=2, failures=5
+            ),
+        ))
+        dispatcher = self.run_thread(
+            plan,
+            faults,
+            RecoveryPolicy(on_shard_failure="restart", transient_retries=1),
+        )
+        status = {s.shard_id: s for s in dispatcher.shard_status()}
+        assert "injected transient dispatch failure" in status[0].last_error
+        assert status[0].restarts == 1
+        assert status[0].state == "live"
+        dispatcher.stop()
+
 
 class TestQuarantine:
     def test_sessions_migrate_to_overflow(self, plan):
@@ -425,131 +465,156 @@ class TestQuarantine:
         dispatcher.stop()
 
 
-class TestProcessRecovery:
-    """The worker-process failure transport feeds the same bookkeeping.
+#: Fault scenarios resolved by both executors in :class:`TestExecutorParity`:
+#: (recovery policy, fault plan, shard 0's final state and restarts), all
+#: on geo shard 0.
+PARITY_SCENARIOS = {
+    "restart": (
+        RecoveryPolicy(on_shard_failure="restart"),
+        crash_fault(shard_id=0, at_arrival=3),
+        ("live", 1),
+    ),
+    "restart-twice": (
+        RecoveryPolicy(on_shard_failure="restart"),
+        FaultPlan(faults=(
+            FaultSpec(kind="crash", shard_id=0, at_arrival=2),
+            FaultSpec(kind="crash", shard_id=0, at_arrival=5),
+        )),
+        ("live", 2),
+    ),
+    "escalated-transient": (
+        RecoveryPolicy(on_shard_failure="restart", transient_retries=1),
+        FaultPlan(faults=(
+            FaultSpec(kind="transient", shard_id=0, at_arrival=2, failures=5),
+        )),
+        ("live", 1),
+    ),
+    "absorbed-transient": (
+        RecoveryPolicy(on_shard_failure="restart", transient_retries=2),
+        FaultPlan(faults=(
+            FaultSpec(kind="transient", shard_id=0, at_arrival=2, failures=2),
+        )),
+        ("live", 0),
+    ),
+    "quarantine": (
+        RecoveryPolicy(on_shard_failure="quarantine"),
+        crash_fault(shard_id=0, at_arrival=3),
+        ("quarantined", 0),
+    ),
+    "fail-fast": (
+        RecoveryPolicy(on_shard_failure="fail-fast"),
+        crash_fault(shard_id=0, at_arrival=2),
+        ("failed", 0),
+    ),
+    "restart-budget-exhausted": (
+        RecoveryPolicy(on_shard_failure="restart", max_restarts=1),
+        FaultPlan(faults=(
+            FaultSpec(kind="crash", shard_id=0, at_arrival=2),
+            FaultSpec(kind="crash", shard_id=0, at_arrival=3),
+        )),
+        ("failed", 1),
+    ),
+}
 
-    A dispatch failure inside a shard's worker process crosses the pipe
-    as a pickled exception plus the worker-side traceback; the
-    supervisor must then record exactly what the thread executor records
-    for the identical fault, and the surfaced exception must carry the
-    worker's traceback for operators.
+
+class TestExecutorParity:
+    """Serial and thread executors keep the same books for the same fault.
+
+    Both executors share one shard-failure path, so an identical fault
+    plan, resolved at the same stream position, must leave identical
+    shard states, restart counts, ``last_error`` reprs, replay and
+    discard counts, recovery events and session progress.  The thread
+    run drains after every arrival, so the only difference left is which
+    thread processes it; a fail-fast error must then surface at the same
+    arrival (inline under ``serial``, from the drain under ``thread``).
     """
 
-    def run_executor(self, plan, executor, faults, policy, num_workers=12):
+    def run_lockstep(self, plan, executor, policy, faults, num_workers=12):
         dispatcher = ShardedDispatcher(
             plan,
             executor=executor,
             queue_capacity=256,
+            keep_streams=True,
             recovery=policy,
             faults=faults,
         )
-        dispatcher.submit_instance(campaign(*CENTERS[0]))
+        ids = [
+            dispatcher.submit_instance(campaign(cx, cy, tid0=100 * i))
+            for i, (cx, cy) in enumerate(CENTERS[:2])
+        ]
+        surfaced = []
         for index in range(1, num_workers + 1):
-            dispatcher.feed_worker(city_worker(index))
-        dispatcher.drain(timeout=30.0)
-        return dispatcher
+            try:
+                dispatcher.feed_worker(city_worker(index, city=index % 2))
+                assert dispatcher.drain(timeout=30.0)
+            except InjectedShardCrash as error:
+                surfaced.append((index, repr(error)))
+        return dispatcher, ids, surfaced
 
-    def test_process_last_error_matches_thread_executor(self, plan):
-        faults = crash_fault(shard_id=0, at_arrival=3)
-        policy = RecoveryPolicy(on_shard_failure="restart")
-        threaded = self.run_executor(plan, "thread", faults, policy)
-        processed = self.run_executor(plan, "process", faults, policy)
-        thread_status = {s.shard_id: s for s in threaded.shard_status()}
-        process_status = {s.shard_id: s for s in processed.shard_status()}
-        assert (
-            process_status[0].last_error
-            == thread_status[0].last_error
-            == repr(InjectedShardCrash("injected crash: shard 0, arrival 3"))
-        )
-        assert process_status[0].restarts == thread_status[0].restarts == 1
-        assert process_status[0].state == "live"
-        assert processed.metrics.restarts == 1
-        threaded.stop()
-        processed.stop()
-
-    def test_surfaced_error_carries_worker_traceback(self, plan):
-        """Fail-fast: the pickled exception resurfaces with the worker's
-        traceback attached, and the no-journal accounting settles."""
-        dispatcher = ShardedDispatcher(
-            plan,
-            executor="process",
-            queue_capacity=256,
-            recovery=RecoveryPolicy(on_shard_failure="fail-fast"),
-            faults=crash_fault(shard_id=0, at_arrival=2),
-        )
-        dispatcher.submit_instance(campaign(*CENTERS[0]))
-        for index in range(1, 7):
-            dispatcher.feed_worker(city_worker(index))
-        with pytest.raises(InjectedShardCrash, match="arrival 2") as info:
-            dispatcher.drain(timeout=30.0)
-        tb = info.value.worker_traceback
-        assert "InjectedShardCrash" in tb
-        assert "_raise_fault" in tb  # genuinely the worker-side frames
-        status = {s.shard_id: s for s in dispatcher.shard_status()}
-        assert status[0].state == "failed"
-        assert "InjectedShardCrash" in status[0].last_error
-        dispatcher.stop()  # the parked error was consumed; stop is clean
-
-    def test_escalated_transient_restarts_like_thread(self, plan):
-        """A transient outliving its retry budget kills the worker; the
-        restart replays and the schedule marches on, as in the thread
-        executor."""
-        faults = FaultPlan(faults=(
-            FaultSpec(
-                kind="transient", shard_id=0, at_arrival=2, failures=5
+    def books(self, dispatcher, ids):
+        metrics = dispatcher.metrics
+        return {
+            "shards": [
+                (
+                    s.shard_id, s.state, s.restarts, s.last_error,
+                    s.session_ids, s.arrivals_processed,
+                    s.arrivals_discarded, s.journal_entries,
+                )
+                for s in dispatcher.shard_status()
+            ],
+            "metrics": (
+                metrics.workers_fed, metrics.workers_routed,
+                metrics.assignments_made, metrics.restarts,
+                metrics.replayed_arrivals, metrics.quarantined_sessions,
             ),
-        ))
-        policy = RecoveryPolicy(
-            on_shard_failure="restart", transient_retries=1
+            "events": [
+                (e.shard_id, e.action, e.replayed_arrivals, e.error)
+                for e in dispatcher.recovery_events
+            ],
+            "discarded": dispatcher.discarded_total,
+            "sessions": {
+                sid: (status.workers_routed, status.snapshot)
+                for sid, status in dispatcher.poll().items()
+            },
+            "streams": {sid: dispatcher.routed_stream(sid) for sid in ids},
+        }
+
+    @pytest.mark.parametrize("scenario", list(PARITY_SCENARIOS))
+    def test_serial_and_thread_keep_identical_books(self, plan, scenario):
+        policy, faults, expected = PARITY_SCENARIOS[scenario]
+        serial, serial_ids, serial_surfaced = self.run_lockstep(
+            plan, "serial", policy, faults
         )
-        threaded = self.run_executor(plan, "thread", faults, policy)
-        processed = self.run_executor(plan, "process", faults, policy)
-        thread_status = {s.shard_id: s for s in threaded.shard_status()}
-        process_status = {s.shard_id: s for s in processed.shard_status()}
-        assert (
-            process_status[0].last_error == thread_status[0].last_error
+        thread, thread_ids, thread_surfaced = self.run_lockstep(
+            plan, "thread", policy, faults
         )
-        assert "injected transient dispatch failure" in (
-            process_status[0].last_error
-        )
-        assert process_status[0].restarts == thread_status[0].restarts
-        assert process_status[0].state == "live"
-        threaded.stop()
-        processed.stop()
+        assert thread_ids == serial_ids
+        assert thread_surfaced == serial_surfaced
+        assert self.books(thread, thread_ids) == self.books(serial, serial_ids)
+        shard0 = {s.shard_id: s for s in serial.shard_status()}[0]
+        assert (shard0.state, shard0.restarts) == expected
+        serial.stop()
+        thread.stop()
 
-    @pytest.mark.parametrize("round_", range(6))
-    def test_concurrent_spawns_keep_worker_deaths_visible(self, round_):
-        """Two channels spawned from two threads at once, then one worker
-        killed: the parent must see that death promptly.
 
-        A worker forked while the other channel's child pipe end was still
-        open in the parent would inherit it, and the dead worker's pipe
-        would then never report EOF.  Rounds alternate which worker dies,
-        since either spawn order can leak.
-        """
-        deaths = [threading.Event(), threading.Event()]
-        channels = [None, None]
-        barrier = threading.Barrier(2)
-
-        def spawn(shard_id):
-            barrier.wait()
-            channels[shard_id] = ShardProcessChannel(
-                WorkerShardConfig(shard_id=shard_id),
-                on_done=lambda latency: None,
-                on_death=lambda channel, error: deaths[shard_id].set(),
-            )
-
-        threads = [threading.Thread(target=spawn, args=(i,)) for i in (0, 1)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30.0)
-        victim, survivor = round_ % 2, 1 - round_ % 2
-        try:
-            os.kill(channels[victim].pid, signal.SIGKILL)
-            assert deaths[victim].wait(timeout=10.0), "worker death went unseen"
-            assert not deaths[survivor].is_set()
-            assert channels[victim].exitcode == -signal.SIGKILL
-        finally:
-            channels[victim].abandon()
-            channels[survivor].stop()
+@pytest.mark.parametrize("policy", ["restart", "quarantine", "fail-fast"])
+def test_thread_stop_joins_every_shard_thread_after_a_crash(plan, policy):
+    """However a shard failure was resolved, stop() leaves no thread behind."""
+    before = set(threading.enumerate())
+    dispatcher = ShardedDispatcher(
+        plan,
+        executor="thread",
+        queue_capacity=256,
+        recovery=RecoveryPolicy(on_shard_failure=policy),
+        faults=crash_fault(shard_id=0, at_arrival=2),
+    )
+    dispatcher.submit_instance(campaign(*CENTERS[0]))
+    assert set(threading.enumerate()) - before  # the shard threads run
+    for index in range(1, 7):
+        dispatcher.feed_worker(city_worker(index))
+    if policy == "fail-fast":
+        with pytest.raises(InjectedShardCrash):
+            dispatcher.stop()
+    else:
+        dispatcher.stop()
+    assert set(threading.enumerate()) - before == set()

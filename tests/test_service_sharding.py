@@ -297,6 +297,45 @@ class TestShardedDispatcher:
         with pytest.raises(UnknownSessionError):
             dispatcher.shard_of("nope")
 
+    @pytest.mark.parametrize("sharded", [False, True], ids=["single", "sharded"])
+    def test_auto_ids_skip_caller_chosen_ones(self, plan, campaigns, sharded):
+        dispatcher = (
+            ShardedDispatcher(plan, executor="serial") if sharded
+            else LTCDispatcher()
+        )
+        dispatcher.submit_instance(campaigns[0], session_id="session-2")
+        auto = [dispatcher.submit_instance(c) for c in campaigns[1:3]]
+        assert auto == ["session-1", "session-3"]
+        assert dispatcher.session_ids == ["session-2", "session-1", "session-3"]
+
+    @pytest.mark.parametrize(
+        "requested, expected",
+        [
+            (["session-1", None, None],
+             ["session-1", "session-2", "session-3"]),
+            ([None, "session-3", None, None],
+             ["session-1", "session-3", "session-2", "session-4"]),
+            (["session-2", "session-3", None, None],
+             ["session-2", "session-3", "session-1", "session-4"]),
+        ],
+        ids=["explicit-first", "interleaved", "explicit-run"],
+    )
+    @pytest.mark.parametrize("sharded", [False, True], ids=["single", "sharded"])
+    def test_auto_ids_never_collide(
+        self, plan, campaigns, sharded, requested, expected
+    ):
+        """``None`` asks for an auto id; the rest are caller-chosen."""
+        dispatcher = (
+            ShardedDispatcher(plan, executor="serial") if sharded
+            else LTCDispatcher()
+        )
+        opened = [
+            dispatcher.submit_instance(c, session_id=session_id)
+            for c, session_id in zip(campaigns, requested)
+        ]
+        assert opened == expected
+        assert dispatcher.session_ids == expected
+
     def test_explicit_shard_override_is_validated(self, plan, campaigns):
         dispatcher = ShardedDispatcher(plan, executor="serial")
         # A campaign in cell 0 cannot be pinned to cell 3 ...
@@ -472,6 +511,7 @@ class TestShardedDispatcher:
         with pytest.raises(UnknownSessionError):
             dispatcher.close("ghost")
 
-    def test_invalid_executor(self, plan):
-        with pytest.raises(ValueError):
-            ShardedDispatcher(plan, executor="fork")
+    @pytest.mark.parametrize("executor", ["fork", "process"])
+    def test_invalid_executor(self, plan, executor):
+        with pytest.raises(ValueError, match="expected one of serial, thread$"):
+            ShardedDispatcher(plan, executor=executor)

@@ -9,10 +9,7 @@ identical replayable workload through:
 * the :class:`~repro.service.sharding.ShardedDispatcher` under the
   ``serial`` executor (the deterministic merge configuration),
 * the ``thread`` executor (cross-shard interleaving is arbitrary, but
-  per-session sub-streams stay FIFO), and
-* the ``process`` executor (each shard's dispatcher in a worker process,
-  task snapshots crossing as shared memory — same FIFO argument, now
-  across a pipe),
+  per-session sub-streams stay FIFO),
 
 and comparing the final per-session arrangements **assignment by
 assignment** (same pairs, same order, same per-session re-indexed worker
@@ -95,7 +92,7 @@ def assert_identical(base, candidate):
 
 
 @pytest.mark.parametrize("solver", ["AAM", "LAF"])
-@pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+@pytest.mark.parametrize("executor", ["serial", "thread"])
 def test_sharded_matches_single_process(workload, solver, executor):
     base = run_single_process(workload, solver)
     ids, streams, results, _ = run_sharded(workload, solver, executor)
@@ -123,14 +120,14 @@ def test_lossless_runs_shed_nothing(workload):
     assert dispatcher.arrivals_offered == CONFIG.num_workers
 
 
-@pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+@pytest.mark.parametrize("executor", ["serial", "thread"])
 def test_expiry_is_exact_across_runtimes(workload, executor):
     """A TTL sweep at the same per-session point yields identical state.
 
     Expiring via the sharded dispatcher and via a single-process
     dispatcher at the same stream position must abandon the same tasks
-    and leave byte-identical arrangements.  For the asynchronous
-    executors the sharded run drains before the sweep, so the sweep
+    and leave byte-identical arrangements.  The sharded run drains
+    before the sweep (a no-op under ``serial``), so the sweep
     lands at the same per-session stream position as the oracle's.
     """
     cutoff = CONFIG.num_workers // 4
