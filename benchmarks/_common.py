@@ -16,12 +16,12 @@ slightly different output schema.  This module centralises all of it:
   :func:`registered_suites` / :func:`select_suites`, with did-you-mean
   errors for unknown names.
 * **Shared report schema** — :func:`build_report` assembles the one
-  schema every ``BENCH_*.json`` now follows (``benchmark`` /
+  schema every report follows (``benchmark`` /
   ``description`` / ``mode`` / ``config`` / ``environment`` /
   ``sections`` / ``headline_speedups`` / ``fingerprint``) and
   :func:`validate_report` checks a report (per-suite or consolidated)
-  against it — ``tests/test_bench_schema.py`` runs that over every
-  committed report.
+  against it — ``tests/test_bench_schema.py`` runs that over the
+  committed ``BENCH_all.json`` and smoke baseline.
 * **Regression gate** — :func:`compare_reports` is the ratio-based
   comparator behind ``bench_all.py --check``: every speedup recorded in
   the baseline must be reproduced within a configurable noise fraction,
@@ -189,7 +189,6 @@ class BenchSuite:
 
     name: str
     description: str
-    default_output: Path
     add_arguments: Callable[[argparse.ArgumentParser], None]
     run: Callable[[argparse.Namespace], SuiteResult]
     smoke_overrides: Dict[str, object] = field(default_factory=dict)
@@ -279,14 +278,17 @@ def load_report(path: Path) -> dict:
 
 
 def suite_main(suite: BenchSuite, argv=None) -> int:
-    """The thin CLI shared by every standalone suite script."""
+    """The thin CLI shared by every standalone suite script.
+
+    A standalone run writes a scratch report under ``benchmarks/results/``;
+    the one committed report is ``BENCH_all.json`` from ``bench_all.py``.
+    """
     summary = suite.description.splitlines()[0]
     parser = argparse.ArgumentParser(description=summary)
     parser.add_argument("--output", type=Path, default=None,
                         help=f"where to write the JSON report (default: "
-                             f"{suite.default_output} for full runs, "
-                             f"benchmarks/results/{suite.name}_smoke.json "
-                             f"for --smoke)")
+                             f"benchmarks/results/{suite.name}.json, or "
+                             f"{suite.name}_smoke.json with --smoke)")
     parser.add_argument("--smoke", action="store_true",
                         help="run the small CI-sized configuration")
     suite.add_arguments(parser)
@@ -298,8 +300,8 @@ def suite_main(suite: BenchSuite, argv=None) -> int:
                 setattr(args, dest, value)
     output = args.output
     if output is None:
-        output = (RESULTS_DIR / f"{suite.name}_smoke.json" if args.smoke
-                  else suite.default_output)
+        suffix = "_smoke" if args.smoke else ""
+        output = RESULTS_DIR / f"{suite.name}{suffix}.json"
     result = suite.run(args)
     report = build_report(suite, result, mode="smoke" if args.smoke else "full")
     write_report(output, report)

@@ -10,8 +10,8 @@ exactness fingerprints, and one environment block (python/numpy
 versions, CPU count, git SHA).
 
 Before running anything it verifies prerequisites: numpy importable,
-both backend registries populated, the output directory writable, and —
-under ``--check`` — the baseline report present.
+the output directory writable, and — under ``--check`` — the baseline
+report present.
 
 Modes::
 
@@ -75,28 +75,7 @@ def verify_prerequisites(check: bool, baseline_path: Path,
 
     numpy = _common.numpy_version()
     checks.append(("numpy importable", numpy is not None,
-                   numpy or "pip install numpy (suites time the numpy "
-                            "backends against the python baselines)"))
-
-    try:
-        from repro.flow.backends import available_backends
-        flow = sorted(available_backends())
-    except Exception as exc:  # pragma: no cover - import errors only
-        flow = []
-        checks.append(("flow backend registry", False, repr(exc)))
-    if flow:
-        checks.append(("flow backend registry", "python" in flow,
-                       ", ".join(flow)))
-
-    try:
-        from repro.core.candidate_engine import available_candidate_backends
-        cand = sorted(available_candidate_backends())
-    except Exception as exc:  # pragma: no cover - import errors only
-        cand = []
-        checks.append(("candidate backend registry", False, repr(exc)))
-    if cand:
-        checks.append(("candidate backend registry", "python" in cand,
-                       ", ".join(cand)))
+                   numpy or "pip install numpy (a hard dependency of repro)"))
 
     writable = True
     try:

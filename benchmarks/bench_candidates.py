@@ -1,8 +1,7 @@
-"""Microbenchmark: candidate-engine backends vs the pre-engine object scan.
+"""Microbenchmark: the candidate engine vs the pre-engine object scan.
 
 Measures the two hot candidate paths on a dense sigmoid instance (defaults:
-2k tasks, worker degree ~100 — comfortably above the paper's sparse ~12,
-where the vectorized win is what the north star's traffic needs):
+2k tasks, target worker degree 260 — far above the paper's sparse ~12):
 
 * **online** — the per-arrival candidate path of the online solvers: a full
   LAF and AAM drive to completion, arrival by arrival, through
@@ -10,29 +9,25 @@ where the vectorized win is what the north star's traffic needs):
   - ``legacy`` — the retained pre-engine observe loops
     (:mod:`repro.core.candidates_legacy`): dict-grid query, python ``Task``
     objects, one ``math.exp`` per pair, plus AAM's O(T) remaining rescan;
-  - ``python`` — the engine's scalar backend (CSR rows + inlined sigmoid +
-    incremental AAM stats);
-  - ``numpy`` — the vectorized backend (batched gather/filter/``Acc*``,
-    ``np.partition`` top-k preselection).
+  - ``engine`` — the candidate engine (CSR rows, scalar loops below its
+    vector cutover and one numpy pass above it, incremental AAM stats).
 
 * **pairs** — the per-batch arc emission of the MCF-LTC reduction:
   ``list(finder.eligible_pairs(batch, uncompleted_ids))`` over a
   batch-sized worker slice.
 
-Exactness is asserted on every case: all implementations must produce
+Exactness is asserted on every case: both implementations must produce
 identical arrangements / identical pair streams.  Timings are medians over
 interleaved repeats.  The suite registers with the shared registry in
-:mod:`_common`, reports in the shared schema, and is normally run through
-``benchmarks/bench_all.py``; standalone it writes ``BENCH_candidates.json``
-at the repo root (or a smoke report under ``benchmarks/results/`` with
-``--smoke``).
+:mod:`_common`, reports in the shared schema, and is run through
+``benchmarks/bench_all.py`` into ``BENCH_all.json``; a standalone run
+writes a scratch report under ``benchmarks/results/``.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_candidates.py
+    PYTHONPATH=src python benchmarks/bench_candidates.py --smoke
     PYTHONPATH=src python benchmarks/bench_candidates.py \
-        --tasks 300 --workers 500 --repeats 2 \
-        --output benchmarks/results/candidates_smoke.json
+        --tasks 300 --workers 500 --repeats 2
 """
 
 from __future__ import annotations
@@ -50,7 +45,6 @@ from _common import BenchSuite, SuiteResult
 
 from repro.algorithms.aam import AAMSolver
 from repro.algorithms.laf import LAFSolver
-from repro.core.candidate_engine import available_candidate_backends
 from repro.core.candidates import CandidateFinder
 from repro.core.candidates_legacy import (
     LegacyCandidateFinder,
@@ -61,9 +55,6 @@ from repro.core.instance import LTCInstance
 from repro.core.task import Task
 from repro.core.worker import Worker
 from repro.geo.point import Point
-
-DEFAULT_OUTPUT = _common.REPO_ROOT / "BENCH_candidates.json"
-
 
 def build_instance(num_tasks: int, num_workers: int, box: float, seed: int,
                    capacity: int, error_rate: float) -> LTCInstance:
@@ -88,7 +79,7 @@ def build_instance(num_tasks: int, num_workers: int, box: float, seed: int,
 
 
 def mean_degree(instance: LTCInstance, sample: int = 200) -> float:
-    finder = CandidateFinder(instance, backend="python")
+    finder = CandidateFinder(instance)
     workers = instance.workers[:sample]
     return sum(len(finder.candidates(w)) for w in workers) / len(workers)
 
@@ -119,8 +110,8 @@ def drive_legacy(instance: LTCInstance, observe) -> tuple:
     return arrangement.assignments, arrivals, open_tasks == 0
 
 
-def drive_engine(instance: LTCInstance, solver_cls, backend: str) -> tuple:
-    solver = solver_cls(candidates=backend)
+def drive_engine(instance: LTCInstance, solver_cls) -> tuple:
+    solver = solver_cls()
     solver.start(instance)
     arrangement = solver.arrangement
     arrivals = 0
@@ -139,8 +130,7 @@ def drive_engine(instance: LTCInstance, solver_cls, backend: str) -> tuple:
     return arrangement.assignments, arrivals, open_tasks == 0
 
 
-def _finish_entry(entry, times, runners, backends, baseline="legacy",
-                  per_arrival=None):
+def _finish_entry(entry, times, runners, per_arrival=None):
     """Medians, per-arrival costs and speedups, shared by every section."""
     medians_s = {impl: statistics.median(times[impl]) for impl in runners}
     for impl in runners:
@@ -149,29 +139,24 @@ def _finish_entry(entry, times, runners, backends, baseline="legacy",
             entry[f"{impl}_us_per_arrival"] = round(
                 medians_s[impl] * 1e6 / max(1, per_arrival), 2
             )
-    for backend in backends:
-        entry[f"{backend}_speedup_vs_{baseline}"] = _common.ratio(
-            medians_s[baseline], medians_s[backend]
-        )
+    entry["engine_speedup_vs_legacy"] = _common.ratio(
+        medians_s["legacy"], medians_s["engine"]
+    )
     return entry, medians_s
 
 
-def _timed_section(entry, medians_s, baseline, backends) -> dict:
+def _timed_section(entry, medians_s) -> dict:
     return {
-        "baseline": baseline,
+        "baseline": "legacy",
         "timings_ms": {
             impl: round(value * 1000, 3) for impl, value in medians_s.items()
         },
-        "speedups": {
-            f"{backend}_vs_{baseline}":
-                entry[f"{backend}_speedup_vs_{baseline}"]
-            for backend in backends
-        },
+        "speedups": {"engine_vs_legacy": entry["engine_speedup_vs_legacy"]},
         "detail": entry,
     }
 
 
-def bench_online(instance: LTCInstance, repeats: int, backends):
+def bench_online(instance: LTCInstance, repeats: int):
     """Time full LAF and AAM drives for every implementation."""
     sections = {}
     witnesses = {}
@@ -180,11 +165,10 @@ def bench_online(instance: LTCInstance, repeats: int, backends):
         "AAM": (legacy_aam_observe, AAMSolver),
     }
     for name, (legacy_observe, solver_cls) in cases.items():
-        runners = {"legacy": lambda lo=legacy_observe: drive_legacy(instance, lo)}
-        for backend in backends:
-            runners[backend] = (
-                lambda cls=solver_cls, b=backend: drive_engine(instance, cls, b)
-            )
+        runners = {
+            "legacy": lambda lo=legacy_observe: drive_legacy(instance, lo),
+            "engine": lambda cls=solver_cls: drive_engine(instance, cls),
+        }
         times, outputs = _common.run_interleaved(runners, repeats)
         base_assignments, base_arrivals, base_completed = outputs["legacy"]
         for impl, (assignments, arrivals, _) in outputs.items():
@@ -198,11 +182,9 @@ def bench_online(instance: LTCInstance, repeats: int, backends):
             "assignments": len(base_assignments),
             "completed": base_completed,
         }
-        entry, medians_s = _finish_entry(entry, times, runners, backends,
+        entry, medians_s = _finish_entry(entry, times, runners,
                                          per_arrival=base_arrivals)
-        sections[f"online_{name.lower()}"] = _timed_section(
-            entry, medians_s, "legacy", backends
-        )
+        sections[f"online_{name.lower()}"] = _timed_section(entry, medians_s)
         witnesses[name] = {
             "arrivals": base_arrivals,
             "assignments": len(base_assignments),
@@ -212,8 +194,7 @@ def bench_online(instance: LTCInstance, repeats: int, backends):
     return sections, witnesses
 
 
-def bench_selection(instance: LTCInstance, repeats: int, backends,
-                    sample: int = 800):
+def bench_selection(instance: LTCInstance, repeats: int, sample: int = 800):
     """The candidate path itself: per-arrival selection on a frozen state.
 
     The full drives above include the arrangement mutation
@@ -228,7 +209,7 @@ def bench_selection(instance: LTCInstance, repeats: int, backends,
     """
     from repro.structures.topk import TopKHeap
 
-    solver = LAFSolver(candidates="python")
+    solver = LAFSolver()
     solver.start(instance)
     consumed = 0
     finished = 0
@@ -262,25 +243,17 @@ def bench_selection(instance: LTCInstance, repeats: int, backends,
             selections.append([task.task_id for _, task in heap.pop_all()])
         return selections
 
-    engines = {}
-    for backend in backends:
-        finder = CandidateFinder(instance, backend=backend)
-        engine = finder.engine
-        completed = engine.bool_array()
-        for task_id in finished_ids:
-            completed[engine.position_of[task_id]] = True
-        engines[backend] = (engine, completed)
+    # Finished tasks are retired, as the solvers retire them.
+    engine = CandidateFinder(instance).engine
+    engine.retire_tasks(finished_ids)
 
-    def run_engine(backend):
-        engine, completed = engines[backend]
+    def run_engine():
         return [
-            [task.task_id for task in engine.topk_acc_star(worker, capacity, completed)]
+            [task.task_id for task in engine.topk_acc_star(worker, capacity)]
             for worker in sample_workers
         ]
 
-    runners = {"legacy": run_legacy}
-    for backend in backends:
-        runners[backend] = lambda b=backend: run_engine(b)
+    runners = {"legacy": run_legacy, "engine": run_engine}
     times, outputs = _common.run_interleaved(runners, repeats)
     baseline = outputs["legacy"]
     for impl, selections in outputs.items():
@@ -291,9 +264,9 @@ def bench_selection(instance: LTCInstance, repeats: int, backends,
         "frozen_after_arrivals": consumed,
         "completed_tasks": finished,
     }
-    entry, medians_s = _finish_entry(entry, times, runners, backends,
+    entry, medians_s = _finish_entry(entry, times, runners,
                                      per_arrival=len(sample_workers))
-    section = _timed_section(entry, medians_s, "legacy", backends)
+    section = _timed_section(entry, medians_s)
     witness = {
         "sample_arrivals": len(sample_workers),
         "frozen_after_arrivals": consumed,
@@ -303,17 +276,16 @@ def bench_selection(instance: LTCInstance, repeats: int, backends,
     return section, witness
 
 
-def bench_pairs(instance: LTCInstance, repeats: int, backends,
-                batch_size: int):
+def bench_pairs(instance: LTCInstance, repeats: int, batch_size: int):
     """Time the batch arc-emission stream (the MCF-LTC reduction's input)."""
     batch = instance.workers[:batch_size]
     # Model a mid-run batch: a quarter of the tasks already completed.
     allowed = {task.task_id for task in instance.tasks
                if task.task_id % 4 != 0}
-    legacy = LegacyCandidateFinder(instance)
-    finders = {"legacy": legacy}
-    for backend in backends:
-        finders[backend] = CandidateFinder(instance, backend=backend)
+    finders = {
+        "legacy": LegacyCandidateFinder(instance),
+        "engine": CandidateFinder(instance),
+    }
 
     def emit(finder):
         return [
@@ -333,8 +305,8 @@ def bench_pairs(instance: LTCInstance, repeats: int, backends,
         "allowed_tasks": len(allowed),
         "pairs": len(baseline),
     }
-    entry, medians_s = _finish_entry(entry, times, runners, backends)
-    section = _timed_section(entry, medians_s, "legacy", backends)
+    entry, medians_s = _finish_entry(entry, times, runners)
+    section = _timed_section(entry, medians_s)
     witness = {
         "batch_workers": len(batch),
         "allowed_tasks": len(allowed),
@@ -344,13 +316,15 @@ def bench_pairs(instance: LTCInstance, repeats: int, backends,
     return section, witness
 
 
-def run_suite(args) -> SuiteResult:
-    backends = args.backends
-    if backends is None:
-        backends = [
-            b for b in ("python", "numpy") if b in available_candidate_backends()
-        ]
+def _report_line(detail, unit: str = "ms_median", scale: str = "ms") -> str:
+    return (
+        f"legacy={detail[f'legacy_{unit}']:>9.2f}{scale}  "
+        f"engine={detail[f'engine_{unit}']:>9.2f}{scale}  "
+        f"speedup={detail['engine_speedup_vs_legacy']:>5.2f}x"
+    )
 
+
+def run_suite(args) -> SuiteResult:
     box = args.box
     if box is None:
         # degree ~= tasks * pi * r^2 / box^2 with r ~= d_max for accurate
@@ -363,51 +337,26 @@ def run_suite(args) -> SuiteResult:
     print(f"instance: {args.tasks} tasks, {args.workers} workers, "
           f"box={box:.1f}, mean degree={degree:.1f}")
 
-    sections, online_witnesses = bench_online(instance, args.repeats, backends)
+    sections, online_witnesses = bench_online(instance, args.repeats)
     for name in ("LAF", "AAM"):
         detail = sections[f"online_{name.lower()}"]["detail"]
-        timings = "  ".join(
-            f"{impl}={detail[f'{impl}_ms_median']:>9.2f}ms"
-            for impl in ["legacy", *backends]
-        )
-        speedups = "  ".join(
-            f"{b}={detail[f'{b}_speedup_vs_legacy']:>5.2f}x" for b in backends
-        )
-        print(f"online {name:>4}  arrivals={detail['arrivals']:>5}  {timings}  "
-              f"speedup: {speedups}")
+        print(f"online {name:>4}  arrivals={detail['arrivals']:>5}  "
+              f"{_report_line(detail)}")
 
-    selection, selection_witness = bench_selection(instance, args.repeats,
-                                                   backends)
+    selection, selection_witness = bench_selection(instance, args.repeats)
     sections["selection"] = selection
-    detail = selection["detail"]
-    timings = "  ".join(
-        f"{impl}={detail[f'{impl}_us_per_arrival']:>8.1f}us"
-        for impl in ["legacy", *backends]
-    )
-    speedups = "  ".join(
-        f"{b}={detail[f'{b}_speedup_vs_legacy']:>5.2f}x" for b in backends
-    )
-    print(f"selection    per-arrival  {timings}  speedup: {speedups}")
+    print(f"selection    per-arrival  "
+          f"{_report_line(selection['detail'], 'us_per_arrival', 'us')}")
 
-    pairs, pairs_witness = bench_pairs(instance, args.repeats, backends,
-                                       args.batch_size)
+    pairs, pairs_witness = bench_pairs(instance, args.repeats, args.batch_size)
     sections["pairs"] = pairs
-    detail = pairs["detail"]
-    timings = "  ".join(
-        f"{impl}={detail[f'{impl}_ms_median']:>9.2f}ms"
-        for impl in ["legacy", *backends]
-    )
-    speedups = "  ".join(
-        f"{b}={detail[f'{b}_speedup_vs_legacy']:>5.2f}x" for b in backends
-    )
-    print(f"pairs  emit  pairs={detail['pairs']:>7}  {timings}  "
-          f"speedup: {speedups}")
+    print(f"pairs  emit  pairs={pairs['detail']['pairs']:>7}  "
+          f"{_report_line(pairs['detail'])}")
 
     headline = {
-        f"{section}_{backend}_vs_legacy":
-            sections[section]["speedups"][f"{backend}_vs_legacy"]
+        f"{section}_engine_vs_legacy":
+            sections[section]["speedups"]["engine_vs_legacy"]
         for section in ("online_laf", "online_aam", "selection", "pairs")
-        for backend in backends
     }
     config = {
         "tasks": args.tasks,
@@ -419,7 +368,6 @@ def run_suite(args) -> SuiteResult:
         "batch_size": args.batch_size,
         "repeats": args.repeats,
         "seed": args.seed,
-        "backends": list(backends),
     }
     return SuiteResult(
         config=config,
@@ -451,15 +399,13 @@ def add_arguments(parser) -> None:
                         help="worker slice for the arc-emission section")
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--seed", type=int, default=20180416)
-    parser.add_argument("--backends", nargs="+", default=None,
-                        help="engine backends to time (default: all available)")
 
 
 SUITE = _common.register_suite(BenchSuite(
     name="candidates",
     description=(
         "Candidate-generation hot paths: the struct-of-arrays engine "
-        "(python scalar and numpy vectorized backends) vs the retained "
+        "vs the retained "
         "pre-engine object scan (dict grid, per-pair math.exp, AAM's "
         "O(T) remaining rescan). 'online_laf'/'online_aam' time full "
         "LAF/AAM drives to completion arrival by arrival; 'selection' "
@@ -468,7 +414,6 @@ SUITE = _common.register_suite(BenchSuite(
         "All implementations are asserted to produce identical "
         "arrangements / pair streams."
     ),
-    default_output=DEFAULT_OUTPUT,
     add_arguments=add_arguments,
     run=run_suite,
     smoke_overrides={"tasks": 250, "workers": 500, "degree": 40.0,

@@ -26,17 +26,15 @@ buys on a seeded, replayable multi-city workload from
   sweep, and the report shows completion vs abandonment per deadline.
 
 The suite registers with the shared registry in :mod:`_common`, reports in
-the shared schema, and is normally run through
-``benchmarks/bench_all.py``; standalone it writes
-``BENCH_dispatch_scale.json`` at the repo root (or a smoke report under
-``benchmarks/results/`` with ``--smoke``).
+the shared schema, and is run through ``benchmarks/bench_all.py`` into
+``BENCH_all.json``; a standalone run writes a scratch report under
+``benchmarks/results/``.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_dispatch_scale.py
+    PYTHONPATH=src python benchmarks/bench_dispatch_scale.py --smoke
     PYTHONPATH=src python benchmarks/bench_dispatch_scale.py \
-        --workers 2000 --repeats 1 \
-        --output benchmarks/results/dispatch_scale_smoke.json
+        --workers 2000 --repeats 1
 """
 
 from __future__ import annotations
@@ -56,12 +54,11 @@ from _common import BenchSuite, SuiteResult
 from repro.service import LTCDispatcher, ShardedDispatcher, ShardPlan
 from repro.service.loadgen import BurstWindow, ReplayConfig, build_workload
 
-DEFAULT_OUTPUT = _common.REPO_ROOT / "BENCH_dispatch_scale.json"
 
 #: Shard-count sweep: shard count -> (cols, rows) over the 4x2 city grid.
 SHARD_GRIDS: Dict[int, Tuple[int, int]] = {1: (1, 1), 2: (2, 1), 4: (2, 2), 8: (4, 2)}
 
-#: Executors swept per shard count (all three keep byte-identity).
+#: Executors swept per shard count (both keep byte-identity).
 EXECUTORS: Tuple[str, ...] = ("serial", "thread")
 
 
@@ -429,7 +426,6 @@ SUITE = _common.register_suite(BenchSuite(
         "queues; 'ttl' expires still-open tasks at a deadline and "
         "reports the completion/abandonment trade."
     ),
-    default_output=DEFAULT_OUTPUT,
     add_arguments=add_arguments,
     run=run_suite,
     # Three interleaved repeats: a smoke case lasts ~0.2 s, so with one

@@ -26,20 +26,19 @@ steady-state control:
   and no mid-stream submissions, against the retained pre-engine legacy
   observe loops.  This guards the other side of the tentpole: the
   tombstone/spill machinery must not tax the static query path (the
-  speedup-vs-legacy here should match ``BENCH_candidates.json``).
+  speedup-vs-legacy here should match the ``candidates`` suite's).
 
 Timings are medians over interleaved repeats.  The suite registers with
 the shared registry in :mod:`_common`, reports in the shared schema, and
-is normally run through ``benchmarks/bench_all.py``; standalone it writes
-``BENCH_dynamic_sessions.json`` at the repo root (or a smoke report under
-``benchmarks/results/`` with ``--smoke``).
+is run through ``benchmarks/bench_all.py`` into ``BENCH_all.json``; a
+standalone run writes a scratch report under ``benchmarks/results/``.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_dynamic_sessions.py
+    PYTHONPATH=src python benchmarks/bench_dynamic_sessions.py --smoke
     PYTHONPATH=src python benchmarks/bench_dynamic_sessions.py \
         --tasks 120 --workers 2500 --submit-batch 20 --submit-every 80 \
-        --repeats 2 --output benchmarks/results/dynamic_sessions_smoke.json
+        --repeats 2
 """
 
 from __future__ import annotations
@@ -57,7 +56,6 @@ from _common import BenchSuite, SuiteResult
 
 from repro.algorithms.aam import AAMSolver
 from repro.algorithms.laf import LAFSolver
-from repro.core.candidate_engine import available_candidate_backends
 from repro.core.candidates import CandidateFinder
 from repro.core.candidates_legacy import (
     LegacyCandidateFinder,
@@ -68,9 +66,6 @@ from repro.core.instance import LTCInstance
 from repro.core.task import Task
 from repro.core.worker import Worker
 from repro.geo.point import Point
-
-DEFAULT_OUTPUT = _common.REPO_ROOT / "BENCH_dynamic_sessions.json"
-
 
 def build_workload(args) -> tuple:
     """The long stream: a base instance plus timed task-batch events.
@@ -151,9 +146,7 @@ class _RebuildPerSubmitMixin:
             if self._arrangement.is_task_complete(task.task_id)
         ]
         self._candidates = CandidateFinder(
-            self._instance,
-            use_spatial_index=self._use_spatial_index,
-            backend=self._candidates_backend,
+            self._instance, use_spatial_index=self._use_spatial_index
         )
         self._candidates.retire_tasks(retired)
         self._after_rebuild()
@@ -178,7 +171,7 @@ class RebuildAAM(_RebuildPerSubmitMixin, AAMSolver):
         arrangement = self._arrangement
         engine = self._candidates.engine
         delta = arrangement.delta
-        need = engine.float_array(delta)
+        need = [delta] * engine.num_tasks
         heap = []
         total = 0.0
         count = 0
@@ -237,32 +230,25 @@ def drive_session(solver, base: LTCInstance, events) -> tuple:
     return result.arrangement.assignments, arrivals, result.completed
 
 
-def bench_dynamic(base, events, repeats, backends):
+def bench_dynamic(base, events, repeats):
     sections = {}
     witnesses = {}
     cases = {"LAF": (LAFSolver, RebuildLAF), "AAM": (AAMSolver, RebuildAAM)}
     for name, (solver_cls, rebuild_cls) in cases.items():
-        runners = {}
-        for backend in backends:
-            runners[f"rebuild_{backend}"] = (
-                lambda cls=rebuild_cls, b=backend: drive_session(
-                    cls(candidates=b), base, events
-                )
-            )
-            runners[f"incremental_{backend}"] = (
-                lambda cls=solver_cls, b=backend: drive_session(
-                    cls(candidates=b), base, events
-                )
-            )
+        runners = {
+            "rebuild": lambda cls=rebuild_cls: drive_session(cls(), base, events),
+            "incremental": lambda cls=solver_cls: drive_session(
+                cls(), base, events
+            ),
+        }
         times, outputs = _common.run_interleaved(runners, repeats)
-        baseline_key = f"incremental_{backends[0]}"
-        base_assignments, base_arrivals, base_completed = outputs[baseline_key]
-        for impl, (assignments, arrivals, _) in outputs.items():
-            if assignments != base_assignments or arrivals != base_arrivals:
-                raise AssertionError(
-                    f"{name}/{impl} diverged from {baseline_key} "
-                    f"({len(assignments)} vs {len(base_assignments)} assignments)"
-                )
+        base_assignments, base_arrivals, base_completed = outputs["incremental"]
+        assignments, arrivals, _ = outputs["rebuild"]
+        if assignments != base_assignments or arrivals != base_arrivals:
+            raise AssertionError(
+                f"{name}/rebuild diverged from incremental "
+                f"({len(assignments)} vs {len(base_assignments)} assignments)"
+            )
         entry = {
             "arrivals": base_arrivals,
             "assignments": len(base_assignments),
@@ -271,22 +257,15 @@ def bench_dynamic(base, events, repeats, backends):
         medians_s = {impl: statistics.median(times[impl]) for impl in runners}
         for impl in runners:
             entry[f"{impl}_ms_median"] = round(medians_s[impl] * 1000, 3)
-        speedups = {}
-        for backend in backends:
-            speedups[f"incremental_{backend}_vs_rebuild_{backend}"] = (
-                _common.ratio(medians_s[f"rebuild_{backend}"],
-                              medians_s[f"incremental_{backend}"])
-            )
-            entry[f"{backend}_incremental_speedup_vs_rebuild"] = (
-                speedups[f"incremental_{backend}_vs_rebuild_{backend}"]
-            )
+        speedup = _common.ratio(medians_s["rebuild"], medians_s["incremental"])
+        entry["incremental_speedup_vs_rebuild"] = speedup
         sections[f"dynamic_{name.lower()}"] = {
-            "baseline": f"rebuild_{backends[0]}",
+            "baseline": "rebuild",
             "timings_ms": {
                 impl: round(value * 1000, 3)
                 for impl, value in medians_s.items()
             },
-            "speedups": speedups,
+            "speedups": {"incremental_vs_rebuild": speedup},
             "detail": entry,
         }
         witnesses[name] = {
@@ -317,8 +296,8 @@ def drive_legacy_static(instance: LTCInstance, observe) -> tuple:
     return arrangement.assignments, arrivals
 
 
-def drive_engine_static(instance: LTCInstance, solver_cls, backend) -> tuple:
-    solver = solver_cls(candidates=backend)
+def drive_engine_static(instance: LTCInstance, solver_cls) -> tuple:
+    solver = solver_cls()
     solver.start(clone_instance(instance))
     arrangement = solver.arrangement
     arrivals = 0
@@ -337,7 +316,7 @@ def drive_engine_static(instance: LTCInstance, solver_cls, backend) -> tuple:
     return arrangement.assignments, arrivals
 
 
-def bench_steady_state(base: LTCInstance, events, repeats, backends):
+def bench_steady_state(base: LTCInstance, events, repeats):
     """Static control: all tasks up front, no submissions, vs legacy loops.
 
     Uses the *full* task set (base plus every batch the dynamic section
@@ -360,14 +339,9 @@ def bench_steady_state(base: LTCInstance, events, repeats, backends):
     }
     for name, (legacy_observe, solver_cls) in cases.items():
         runners = {
-            "legacy": lambda lo=legacy_observe: drive_legacy_static(static, lo)
+            "legacy": lambda lo=legacy_observe: drive_legacy_static(static, lo),
+            "engine": lambda cls=solver_cls: drive_engine_static(static, cls),
         }
-        for backend in backends:
-            runners[backend] = (
-                lambda cls=solver_cls, b=backend: drive_engine_static(
-                    static, cls, b
-                )
-            )
         times, outputs = _common.run_interleaved(runners, repeats)
         base_assignments, base_arrivals = outputs["legacy"]
         for impl, (assignments, arrivals) in outputs.items():
@@ -381,21 +355,15 @@ def bench_steady_state(base: LTCInstance, events, repeats, backends):
             entry[f"{impl}_us_per_arrival"] = round(
                 medians_s[impl] * 1e6 / max(1, base_arrivals), 2
             )
-        speedups = {}
-        for backend in backends:
-            speedups[f"{backend}_vs_legacy"] = _common.ratio(
-                medians_s["legacy"], medians_s[backend]
-            )
-            entry[f"{backend}_speedup_vs_legacy"] = (
-                speedups[f"{backend}_vs_legacy"]
-            )
+        speedup = _common.ratio(medians_s["legacy"], medians_s["engine"])
+        entry["engine_speedup_vs_legacy"] = speedup
         sections[f"steady_{name.lower()}"] = {
             "baseline": "legacy",
             "timings_ms": {
                 impl: round(value * 1000, 3)
                 for impl, value in medians_s.items()
             },
-            "speedups": speedups,
+            "speedups": {"engine_vs_legacy": speedup},
             "detail": entry,
         }
         witnesses[name] = {
@@ -407,61 +375,40 @@ def bench_steady_state(base: LTCInstance, events, repeats, backends):
 
 
 def run_suite(args) -> SuiteResult:
-    backends = args.backends
-    if backends is None:
-        backends = [
-            b for b in ("python", "numpy") if b in available_candidate_backends()
-        ]
-
     base, events, box, submissions = build_workload(args)
     total_tasks = args.tasks + submissions * args.submit_batch
     print(f"workload: {args.tasks} initial + {submissions} x "
           f"{args.submit_batch} submitted tasks (total {total_tasks}), "
           f"{args.workers} arrivals, box={box:.1f}")
 
-    sections, dynamic_witnesses = bench_dynamic(base, events, args.repeats,
-                                                backends)
+    sections, dynamic_witnesses = bench_dynamic(base, events, args.repeats)
     for name in ("LAF", "AAM"):
         entry = sections[f"dynamic_{name.lower()}"]["detail"]
-        impls = [f"{kind}_{b}" for b in backends
-                 for kind in ("incremental", "rebuild")]
-        timings = "  ".join(
-            f"{impl}={entry[f'{impl}_ms_median']:>9.2f}ms" for impl in impls
-        )
-        speedups = "  ".join(
-            f"{b}={entry[f'{b}_incremental_speedup_vs_rebuild']:>5.2f}x"
-            for b in backends
-        )
-        print(f"dynamic {name:>4}  arrivals={entry['arrivals']:>6}  {timings}  "
-              f"incremental vs rebuild: {speedups}")
+        print(f"dynamic {name:>4}  arrivals={entry['arrivals']:>6}  "
+              f"incremental={entry['incremental_ms_median']:>9.2f}ms  "
+              f"rebuild={entry['rebuild_ms_median']:>9.2f}ms  "
+              f"incremental vs rebuild: "
+              f"{entry['incremental_speedup_vs_rebuild']:>5.2f}x")
 
     steady_sections, steady_witnesses = bench_steady_state(
-        base, events, args.repeats, backends
+        base, events, args.repeats
     )
     sections.update(steady_sections)
     for name in ("LAF", "AAM"):
         entry = sections[f"steady_{name.lower()}"]["detail"]
-        timings = "  ".join(
-            f"{impl}={entry[f'{impl}_us_per_arrival']:>8.1f}us"
-            for impl in ["legacy", *backends]
-        )
-        speedups = "  ".join(
-            f"{b}={entry[f'{b}_speedup_vs_legacy']:>5.2f}x" for b in backends
-        )
-        print(f"steady  {name:>4}  per-arrival  {timings}  vs legacy: "
-              f"{speedups}")
+        print(f"steady  {name:>4}  per-arrival  "
+              f"legacy={entry['legacy_us_per_arrival']:>8.1f}us  "
+              f"engine={entry['engine_us_per_arrival']:>8.1f}us  "
+              f"vs legacy: {entry['engine_speedup_vs_legacy']:>5.2f}x")
 
     headline = {}
-    for backend in backends:
-        for name in ("laf", "aam"):
-            headline[f"{name}_incremental_{backend}_vs_rebuild"] = (
-                sections[f"dynamic_{name}"]["speedups"][
-                    f"incremental_{backend}_vs_rebuild_{backend}"
-                ]
-            )
-            headline[f"{name}_steady_{backend}_vs_legacy"] = (
-                sections[f"steady_{name}"]["speedups"][f"{backend}_vs_legacy"]
-            )
+    for name in ("laf", "aam"):
+        headline[f"{name}_incremental_vs_rebuild"] = (
+            sections[f"dynamic_{name}"]["speedups"]["incremental_vs_rebuild"]
+        )
+        headline[f"{name}_steady_engine_vs_legacy"] = (
+            sections[f"steady_{name}"]["speedups"]["engine_vs_legacy"]
+        )
 
     config = {
         "initial_tasks": args.tasks,
@@ -475,7 +422,6 @@ def run_suite(args) -> SuiteResult:
         "error_rate": args.error_rate,
         "repeats": args.repeats,
         "seed": args.seed,
-        "backends": list(backends),
     }
     return SuiteResult(
         config=config,
@@ -509,9 +455,6 @@ def add_arguments(parser) -> None:
     parser.add_argument("--error-rate", type=float, default=0.14)
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--seed", type=int, default=20180416)
-    parser.add_argument("--backends", nargs="+", default=None,
-                        help="candidate backends to time (default: all "
-                             "available)")
 
 
 SUITE = _common.register_suite(BenchSuite(
@@ -526,7 +469,6 @@ SUITE = _common.register_suite(BenchSuite(
         "up front, vs the retained pre-engine legacy observe loops. "
         "Arrangements are asserted byte-identical in both sections."
     ),
-    default_output=DEFAULT_OUTPUT,
     add_arguments=add_arguments,
     run=run_suite,
     smoke_overrides={"tasks": 120, "workers": 1500, "degree": 40.0,

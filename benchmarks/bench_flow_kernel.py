@@ -1,4 +1,4 @@
-"""Microbenchmark: flow-kernel backends vs the pre-refactor object-graph SSPA.
+"""Microbenchmark: the flow kernel vs the pre-refactor object-graph SSPA.
 
 Builds LTC-shaped batch reductions (source -> workers -> tasks -> sink,
 negative real-valued worker->task costs, exactly what ``MCFLTCSolver``
@@ -8,35 +8,25 @@ solve through each implementation:
 * **reference** — the retained pre-kernel path (:mod:`repro.flow.reference`):
   ``Edge`` objects, dict adjacency, O(V*E) Bellman-Ford initial potentials;
   network built from scratch, as the old solver did per batch.
-* **python** — :class:`repro.flow.kernel.ArcArena` + one O(E) DAG potential
-  pass + :func:`repro.flow.kernel.solve_mcf` on the pure-Python backend.
-* **numpy** — the same kernel path on the numpy-vectorized backend
-  (omitted from the run and the report entirely when numpy is not
-  installed; naming it explicitly via ``--backends numpy`` then raises
-  ``BackendUnavailableError``).
+* **kernel** — :class:`repro.flow.kernel.ArcArena` + one O(E) DAG potential
+  pass + :func:`repro.flow.kernel.solve_mcf`.
 
 Each timing covers build + potentials + solve (what MCF-LTC pays per
 batch); the implementations are interleaved within each repeat so slow
-background drift hits all of them equally.  Exactness is asserted on every
-case: the kernel backends must agree with the reference on flow value and
-cost, and with each other on the exact per-arc flows.  A separate *dense*
-section times python vs numpy on high-degree reductions whose rows are
-long enough for the numpy backend's vector path (the reference is omitted
-there — its O(V*E) Bellman-Ford would dominate the wall-clock).
+background drift hits both equally.  Exactness is asserted on every case:
+the kernel must agree with the reference on flow value and cost.
 
 The suite registers with the shared registry in :mod:`_common`, reports
 in the shared schema (``sections`` / ``headline_speedups`` / exactness
-``fingerprint``), and is normally run through
-``benchmarks/bench_all.py``; standalone it writes
-``BENCH_flow_kernel.json`` at the repo root (or a smoke report under
-``benchmarks/results/`` with ``--smoke``).
+``fingerprint``), and is run through ``benchmarks/bench_all.py`` into
+``BENCH_all.json``; a standalone run writes a scratch report under
+``benchmarks/results/``.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_flow_kernel.py
+    PYTHONPATH=src python benchmarks/bench_flow_kernel.py --smoke
     PYTHONPATH=src python benchmarks/bench_flow_kernel.py \
-        --sizes 20 40 --repeats 2 --dense-sizes \
-        --output benchmarks/results/flow_kernel_smoke.json
+        --sizes 20 40 --repeats 2
 """
 
 from __future__ import annotations
@@ -52,11 +42,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 import _common
 from _common import BenchSuite, SuiteResult
 
-from repro.flow.backends import available_backends
 from repro.flow.kernel import ArcArena, dag_potentials, solve_mcf
 from repro.flow.reference import LegacyFlowNetwork, legacy_successive_shortest_paths
-
-DEFAULT_OUTPUT = _common.REPO_ROOT / "BENCH_flow_kernel.json"
 
 # Shape parameters mirroring a paper-default batch: epsilon = 0.14 gives
 # delta = 2 ln(1/0.14) ~= 3.93, so every task absorbs ceil(delta) = 4 useful
@@ -68,13 +55,13 @@ TASKS_PER_WORKER = 1.5
 DEGREE = 12  # eligible tasks per worker (grid-index candidates)
 
 
-def build_case(num_workers: int, seed: int, degree: int = DEGREE):
+def build_case(num_workers: int, seed: int):
     """One LTC-shaped batch reduction as plain data."""
     rng = random.Random(seed)
     num_tasks = max(2, int(num_workers * TASKS_PER_WORKER))
     pairs = []
     for w in range(num_workers):
-        row_degree = min(num_tasks, degree)
+        row_degree = min(num_tasks, DEGREE)
         for t in sorted(rng.sample(range(num_tasks), row_degree)):
             pairs.append((w, t, rng.uniform(0.1, 1.0)))
     return num_tasks, pairs
@@ -88,11 +75,10 @@ def run_reference(num_workers: int, num_tasks: int, pairs):
         network.add_edge(("w", w), ("t", t), 1, -value)
     for t in range(num_tasks):
         network.add_edge(("t", t), "d", TASK_NEED, 0.0)
-    value, cost, augmentations = legacy_successive_shortest_paths(network, "s", "d")
-    return value, cost, augmentations, None
+    return legacy_successive_shortest_paths(network, "s", "d")
 
 
-def run_kernel(num_workers: int, num_tasks: int, pairs, backend: str):
+def run_kernel(num_workers: int, num_tasks: int, pairs):
     # Same node layout as MCFLTCSolver: source 0, sink 1, then tasks, then
     # workers.  Low task ids make Dijkstra's node-id tie-breaking pop
     # zero-distance task nodes (and then the sink) before exploring more of
@@ -113,109 +99,53 @@ def run_kernel(num_workers: int, num_tasks: int, pairs, backend: str):
         + [1]
     )
     potentials = dag_potentials(arena, 0, topo)
-    result = solve_mcf(arena, 0, 1, potentials=potentials, backend=backend)
-    return result.flow_value, result.total_cost, result.augmentations, arena.flow
+    result = solve_mcf(arena, 0, 1, potentials=potentials)
+    return result.flow_value, result.total_cost, result.augmentations
 
 
-def bench_size(
-    num_workers: int,
-    repeats: int,
-    seed: int,
-    backends,
-    degree: int = DEGREE,
-    include_reference: bool = True,
-):
+def bench_size(num_workers: int, repeats: int, seed: int):
     """One batch size; returns ``(entry, medians_s)`` per implementation."""
-    num_tasks, pairs = build_case(num_workers, seed, degree=degree)
-    runners = {}
-    if include_reference:
-        runners["reference"] = lambda: run_reference(num_workers, num_tasks, pairs)
-    for backend in backends:
-        runners[backend] = (
-            lambda b=backend: run_kernel(num_workers, num_tasks, pairs, b)
-        )
-
+    num_tasks, pairs = build_case(num_workers, seed)
+    runners = {
+        "reference": lambda: run_reference(num_workers, num_tasks, pairs),
+        "kernel": lambda: run_kernel(num_workers, num_tasks, pairs),
+    }
     times, outputs = _common.run_interleaved(runners, repeats)
 
-    baseline_name = next(iter(runners))
-    base_value, base_cost, _base_augs, _ = outputs[baseline_name]
-    flows = {}
-    for backend in backends:
-        value, cost, _augs, flow = outputs[backend]
-        if value != base_value or abs(cost - base_cost) > 1e-6:
-            raise AssertionError(
-                f"{backend} backend disagrees with {baseline_name} at "
-                f"{num_workers} workers: ({value}, {cost}) vs "
-                f"({base_value}, {base_cost})"
-            )
-        flows[backend] = flow
-    if len(backends) > 1:
-        baseline = flows[backends[0]]
-        for backend in backends[1:]:
-            if flows[backend] != baseline:
-                raise AssertionError(
-                    f"backends {backends[0]} and {backend} produced different "
-                    f"per-arc flows at {num_workers} workers"
-                )
+    base_value, base_cost, base_augs = outputs["reference"]
+    value, cost, augs = outputs["kernel"]
+    if value != base_value or abs(cost - base_cost) > 1e-6:
+        raise AssertionError(
+            f"kernel disagrees with the reference at {num_workers} workers: "
+            f"({value}, {cost}) vs ({base_value}, {base_cost})"
+        )
 
     entry = {
         "batch_workers": num_workers,
         "tasks": num_tasks,
-        "degree": degree,
+        "degree": DEGREE,
         "pair_arcs": len(pairs),
         "flow_value": base_value,
         "total_cost": base_cost,
-        "augmentations": outputs[backends[0]][2] if backends else None,
+        "augmentations": augs,
+        "reference_augmentations": base_augs,
     }
-    if include_reference:
-        entry["reference_augmentations"] = outputs["reference"][2]
     medians_s = {name: statistics.median(times[name]) for name in runners}
     for name in runners:
         entry[f"{name}_ms_median"] = round(medians_s[name] * 1000, 3)
         entry[f"{name}_ms_best"] = round(min(times[name]) * 1000, 3)
-    if include_reference:
-        for backend in backends:
-            entry[f"{backend}_speedup_vs_reference"] = _common.ratio(
-                medians_s["reference"], medians_s[backend]
-            )
-    if "python" in backends and "numpy" in backends:
-        entry["numpy_speedup_vs_python"] = _common.ratio(
-            medians_s["python"], medians_s["numpy"]
-        )
+    entry["kernel_speedup_vs_reference"] = _common.ratio(
+        medians_s["reference"], medians_s["kernel"]
+    )
     return entry, medians_s
 
 
-def _section(cases, totals_s, baseline: str, backends) -> dict:
-    """Assemble one timed section: summed medians + summed-time speedups."""
-    impls = [baseline] + [b for b in backends if b != baseline]
-    return {
-        "baseline": baseline,
-        "timings_ms": {
-            impl: round(totals_s[impl] * 1000, 3) for impl in impls
-        },
-        "speedups": {
-            f"{impl}_vs_{baseline}": _common.ratio(
-                totals_s[baseline], totals_s[impl]
-            )
-            for impl in impls
-            if impl != baseline
-        },
-        "cases": cases,
-    }
-
-
 def run_suite(args) -> SuiteResult:
-    backends = args.backends
-    if backends is None:
-        backends = [b for b in ("python", "numpy") if b in available_backends()]
-
-    sections = {}
-    fingerprint_cases = []
-
     results = []
-    totals_s = {impl: 0.0 for impl in ["reference", *backends]}
+    fingerprint_cases = []
+    totals_s = {"reference": 0.0, "kernel": 0.0}
     for size in args.sizes:
-        entry, medians_s = bench_size(size, args.repeats, args.seed, backends)
+        entry, medians_s = bench_size(size, args.repeats, args.seed)
         results.append(entry)
         for impl, value in medians_s.items():
             totals_s[impl] += value
@@ -229,70 +159,24 @@ def run_suite(args) -> SuiteResult:
             "augmentations": entry["augmentations"],
             "reference_augmentations": entry["reference_augmentations"],
         })
-        timings = "  ".join(
-            f"{name}={entry[f'{name}_ms_median']:>9.2f}ms"
-            for name in ["reference", *backends]
-        )
-        speedups = "  ".join(
-            f"{b}={entry[f'{b}_speedup_vs_reference']:>5.2f}x" for b in backends
-        )
         print(
             f"batch={entry['batch_workers']:>5}  tasks={entry['tasks']:>5}  "
-            f"{timings}  speedup: {speedups}  "
+            f"reference={entry['reference_ms_median']:>9.2f}ms  "
+            f"kernel={entry['kernel_ms_median']:>9.2f}ms  "
+            f"speedup={entry['kernel_speedup_vs_reference']:>5.2f}x  "
             f"augmentations={entry['augmentations']}"
         )
-    sections["sparse"] = _section(results, totals_s, "reference", backends)
-
-    # Dense section: rows long enough for the numpy backend's vector path
-    # (the LTC default of ~12 eligible tasks per worker stays on the scalar
-    # path by design).  The O(V*E) reference would take minutes here and
-    # is omitted; the comparison of interest is python vs numpy.
-    dense_results = []
-    dense_totals_s = {impl: 0.0 for impl in backends}
-    for size in args.dense_sizes:
-        entry, medians_s = bench_size(
-            size, args.repeats, args.seed, backends,
-            degree=args.dense_degree, include_reference=False,
-        )
-        dense_results.append(entry)
-        for impl, value in medians_s.items():
-            dense_totals_s[impl] += value
-        fingerprint_cases.append({
-            "section": "dense",
-            "batch_workers": entry["batch_workers"],
-            "tasks": entry["tasks"],
-            "pair_arcs": entry["pair_arcs"],
-            "flow_value": entry["flow_value"],
-            "total_cost": round(entry["total_cost"], 9),
-            "augmentations": entry["augmentations"],
-        })
-        timings = "  ".join(
-            f"{name}={entry[f'{name}_ms_median']:>9.2f}ms" for name in backends
-        )
-        ratio = entry.get("numpy_speedup_vs_python")
-        print(
-            f"dense batch={entry['batch_workers']:>5}  degree={entry['degree']:>4}  "
-            f"{timings}"
-            + (f"  numpy_vs_python={ratio:>5.2f}x" if ratio is not None else "")
-        )
-    if dense_results and len(backends) > 1:
-        # With a single backend there is nothing to compare the dense rows
-        # against (the reference is deliberately excluded there).
-        sections["dense"] = _section(
-            dense_results, dense_totals_s, "python",
-            [b for b in backends if b != "python"],
-        )
-
-    headline = {
-        f"sparse_{backend}_vs_reference":
-            sections["sparse"]["speedups"][f"{backend}_vs_reference"]
-        for backend in backends
+    speedup = _common.ratio(totals_s["reference"], totals_s["kernel"])
+    sections = {
+        "sparse": {
+            "baseline": "reference",
+            "timings_ms": {
+                impl: round(value * 1000, 3) for impl, value in totals_s.items()
+            },
+            "speedups": {"kernel_vs_reference": speedup},
+            "cases": results,
+        }
     }
-    if "dense" in sections and "numpy_vs_python" in sections["dense"]["speedups"]:
-        headline["dense_numpy_vs_python"] = (
-            sections["dense"]["speedups"]["numpy_vs_python"]
-        )
-
     config = {
         "sizes": list(args.sizes),
         "repeats": args.repeats,
@@ -300,14 +184,11 @@ def run_suite(args) -> SuiteResult:
         "capacity": CAPACITY,
         "task_need": TASK_NEED,
         "degree": DEGREE,
-        "dense_sizes": list(args.dense_sizes),
-        "dense_degree": args.dense_degree,
-        "backends": list(backends),
     }
     return SuiteResult(
         config=config,
         sections=sections,
-        headline_speedups=headline,
+        headline_speedups={"sparse_kernel_vs_reference": speedup},
         fingerprint_payload=fingerprint_cases,
     )
 
@@ -318,30 +199,20 @@ def add_arguments(parser) -> None:
     parser.add_argument("--repeats", type=int, default=5,
                         help="timed repetitions per size (median reported)")
     parser.add_argument("--seed", type=int, default=20180416)
-    parser.add_argument("--backends", nargs="+", default=None,
-                        help="kernel backends to time (default: all available)")
-    parser.add_argument("--dense-sizes", type=int, nargs="*", default=[250],
-                        help="batch sizes for the dense (vectorization-regime) "
-                             "section; empty to skip")
-    parser.add_argument("--dense-degree", type=int, default=370,
-                        help="eligible tasks per worker in the dense section "
-                             "(rows long enough for the numpy vector path)")
 
 
 SUITE = _common.register_suite(BenchSuite(
     name="flow_kernel",
     description=(
         "Per-batch MCF-LTC flow solve: the array kernel (ArcArena + DAG "
-        "potentials + solve_mcf) on each registered backend (python, "
-        "numpy) vs the pre-refactor object-graph SSPA (Edge objects, "
-        "dict adjacency, Bellman-Ford). Times are medians over repeated "
-        "interleaved build+solve runs; all implementations are asserted "
-        "to agree on every case."
+        "potentials + solve_mcf) vs the pre-refactor object-graph SSPA "
+        "(Edge objects, dict adjacency, Bellman-Ford). Times are medians "
+        "over repeated interleaved build+solve runs; both implementations "
+        "are asserted to agree on every case."
     ),
-    default_output=DEFAULT_OUTPUT,
     add_arguments=add_arguments,
     run=run_suite,
-    smoke_overrides={"sizes": [20, 40], "repeats": 2, "dense_sizes": []},
+    smoke_overrides={"sizes": [20, 40], "repeats": 2},
 ))
 
 

@@ -25,12 +25,11 @@ workload from :mod:`repro.service.loadgen`:
   (all deterministic serially, so all fingerprinted).
 
 The suite registers with the shared registry in :mod:`_common` and is
-normally run through ``benchmarks/bench_all.py``; standalone it writes
-``BENCH_resilience.json`` at the repo root.
+run through ``benchmarks/bench_all.py`` into ``BENCH_all.json``; a
+standalone run writes a scratch report under ``benchmarks/results/``.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_resilience.py
     PYTHONPATH=src python benchmarks/bench_resilience.py --smoke
 """
 
@@ -56,7 +55,6 @@ from repro.service import (
 )
 from repro.service.loadgen import BurstWindow, ReplayConfig, build_workload
 
-DEFAULT_OUTPUT = _common.REPO_ROOT / "BENCH_resilience.json"
 
 GEO_SHARDS = [0, 1, 2, 3]  # the 2x2 grid the timed section shards over
 
@@ -374,7 +372,6 @@ SUITE = _common.register_suite(BenchSuite(
         "latency per journal length. 'quarantine' reports migration and "
         "discard accounting for a serial quarantine."
     ),
-    default_output=DEFAULT_OUTPUT,
     add_arguments=add_arguments,
     run=run_suite,
     smoke_overrides={"workers": 4000, "campaigns_per_city": 2,

@@ -12,7 +12,7 @@ The microbenchmark *scripts* in this directory (``bench_flow_kernel.py``,
 ``bench_candidates.py``, ``bench_dynamic_sessions.py``,
 ``bench_dispatch_scale.py``) do not use pytest at all — they are thin
 suites registered with :mod:`_common` and orchestrated by
-``bench_all.py``, which emits the committed ``BENCH_*.json`` reports and
+``bench_all.py``, which emits the committed ``BENCH_all.json`` report and
 drives the CI perf-regression gate (see ``docs/benchmarks.md``).
 
 Environment knobs:

@@ -20,17 +20,16 @@ compensated running sum plus a lazy-deletion max-heap of per-task needs —
 instead of rebuilding the remaining list over all tasks on every arrival
 (the pre-engine O(W*T) scan).  Completed tasks are excluded by retiring
 them through the :class:`~repro.core.candidates.CandidateFinder` facade
-(the engine's tombstone mask) instead of a per-solver completed-flag
-container, and AAM is **dynamic**: :meth:`AAMSolver.add_tasks` posts
-tasks mid-stream, folding their needs into the running statistics and
-appending them to the live snapshot.  ``maxRemain`` is exact (same float set as
+(the engine's tombstone mask), and AAM is **dynamic**:
+:meth:`AAMSolver.add_tasks` posts tasks mid-stream, folding their needs
+into the running statistics and appending them to the live snapshot.  ``maxRemain`` is exact (same float set as
 the naive scan); the running sum can differ from the naive left-to-right
 sum by accumulated rounding ulps, so whenever ``avg`` lands inside a
 small band around ``maxRemain`` — the only place an ulp could flip the
 LGF/LRF switch — the legacy sum is recomputed verbatim and decides.
 Arrangements therefore stay byte-identical to the pre-engine loop,
 knife-edges included.  Candidate scoring itself runs on the candidate
-engine's batched ``topk`` path.
+engine's ``topk`` path.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.algorithms.base import OnlineSolver
 from repro.core.arrangement import Arrangement, Assignment
-from repro.core.candidate_engine import validate_candidate_backend_name
 from repro.core.candidates import CandidateFinder
 from repro.core.instance import LTCInstance
 from repro.core.task import Task
@@ -55,27 +53,19 @@ class AAMSolver(OnlineSolver):
     use_spatial_index:
         Restrict candidate queries to the grid index under the sigmoid
         accuracy model; disabling forces the exhaustive scan.
-    candidates:
-        Candidate-engine backend name (``"python"``, ``"numpy"``,
-        ``"auto"``); ``None`` defers to ``REPRO_CANDIDATES_BACKEND`` /
-        auto-detection.  Reachable from spec strings as
-        ``"AAM?candidates=numpy"``.
     """
 
     name = "AAM"
     supports_dynamic_tasks = True
     supports_task_expiry = True
 
-    def __init__(
-        self, use_spatial_index: bool = True, candidates: Optional[str] = None
-    ) -> None:
-        validate_candidate_backend_name(candidates)
+    def __init__(self, use_spatial_index: bool = True) -> None:
         self._use_spatial_index = use_spatial_index
-        self._candidates_backend = candidates
         self._instance: Optional[LTCInstance] = None
         self._arrangement: Optional[Arrangement] = None
         self._candidates: Optional[CandidateFinder] = None
-        self._need: Optional[Sequence[float]] = None
+        #: Remaining need ``delta - S[t]`` per engine position.
+        self._need: List[float] = []
         self._uncompleted_count = 0
         self._remaining_sum = 0.0
         self._sum_compensation = 0.0
@@ -90,13 +80,10 @@ class AAMSolver(OnlineSolver):
         self._instance = instance
         self._arrangement = instance.new_arrangement()
         self._candidates = CandidateFinder(
-            instance,
-            use_spatial_index=self._use_spatial_index,
-            backend=self._candidates_backend,
+            instance, use_spatial_index=self._use_spatial_index
         )
-        engine = self._candidates.engine
         delta = self._arrangement.delta
-        self._need = engine.float_array(delta)
+        self._need = [delta] * self._candidates.engine.num_tasks
         self._uncompleted_count = instance.num_tasks
         # Seed the running sum with the same left-to-right addition order
         # the naive scan uses, so the two start bit-identical.
@@ -148,7 +135,7 @@ class AAMSolver(OnlineSolver):
         arrangement = self._arrangement
         candidates = self._candidates
         position = candidates.engine.position_of[task_id]
-        old_need = float(self._need[position])
+        old_need = self._need[position]
         if arrangement.is_task_complete(task_id):
             candidates.retire_tasks((task_id,))
             self._uncompleted_count -= 1
@@ -171,7 +158,7 @@ class AAMSolver(OnlineSolver):
         alive, need = self._candidates.engine.alive, self._need
         while heap:
             negated, position = heap[0]
-            if alive[position] and float(need[position]) == -negated:
+            if alive[position] and need[position] == -negated:
                 return -negated
             heapq.heappop(heap)
         raise RuntimeError("no uncompleted task remains")  # pragma: no cover
@@ -194,7 +181,7 @@ class AAMSolver(OnlineSolver):
         self._candidates.add_tasks(tasks)
         engine = self._candidates.engine
         delta = self._arrangement.delta
-        self._need = engine.grow_float_array(self._need, delta)
+        self._need.extend([delta] * (engine.num_tasks - len(self._need)))
         for task in tasks:
             position = engine.position_of[task.task_id]
             self._add_to_sum(delta)
@@ -233,7 +220,7 @@ class AAMSolver(OnlineSolver):
             self._candidates.retire_tasks(expired)
             for task_id in expired:
                 position = position_of[task_id]
-                self._add_to_sum(-float(self._need[position]))
+                self._add_to_sum(-self._need[position])
                 self._uncompleted_count -= 1
         return expired
 
@@ -282,11 +269,7 @@ class AAMSolver(OnlineSolver):
             self._lrf_rounds += 1
 
         picks = self._candidates.engine.topk(
-            worker,
-            worker.capacity,
-            "gain" if use_lgf else "need",
-            None,
-            self._need,
+            worker, worker.capacity, "gain" if use_lgf else "need", self._need
         )
         assignments: List[Assignment] = []
         for task in picks:
@@ -317,7 +300,7 @@ class LGFOnlySolver(AAMSolver):
         self._lgf_rounds += 1
 
         picks = candidates.engine.topk(
-            worker, worker.capacity, "gain", None, self._need
+            worker, worker.capacity, "gain", self._need
         )
         assignments = []
         for task in picks:
@@ -338,7 +321,7 @@ class LRFOnlySolver(AAMSolver):
         self._lrf_rounds += 1
 
         picks = candidates.engine.topk(
-            worker, worker.capacity, "need", None, self._need
+            worker, worker.capacity, "need", self._need
         )
         assignments = []
         for task in picks:

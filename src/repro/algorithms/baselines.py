@@ -18,7 +18,6 @@ import numpy as np
 
 from repro.algorithms.base import OfflineSolver, OnlineSolver, SolveResult
 from repro.core.arrangement import Arrangement, Assignment
-from repro.core.candidate_engine import validate_candidate_backend_name
 from repro.core.candidates import CandidateFinder
 from repro.core.instance import LTCInstance
 from repro.core.task import Task
@@ -30,19 +29,13 @@ class BaseOffSolver(OfflineSolver):
 
     name = "Base-off"
 
-    def __init__(
-        self, use_spatial_index: bool = True, candidates: Optional[str] = None
-    ) -> None:
-        validate_candidate_backend_name(candidates)
+    def __init__(self, use_spatial_index: bool = True) -> None:
         self.use_spatial_index = use_spatial_index
-        self.candidates = candidates
 
     def solve(self, instance: LTCInstance) -> SolveResult:
         arrangement = instance.new_arrangement()
         candidates = CandidateFinder(
-            instance,
-            use_spatial_index=self.use_spatial_index,
-            backend=self.candidates,
+            instance, use_spatial_index=self.use_spatial_index
         )
 
         # Offline knowledge: which (future) workers can serve each task.
@@ -103,13 +96,10 @@ class RandomOnlineSolver(OnlineSolver):
         seed: int = 0,
         use_spatial_index: bool = True,
         skip_completed: bool = False,
-        candidates: Optional[str] = None,
     ) -> None:
-        validate_candidate_backend_name(candidates)
         self.seed = seed
         self.use_spatial_index = use_spatial_index
         self.skip_completed = skip_completed
-        self.candidates = candidates
         self._rng = np.random.default_rng(seed)
         self._instance: Optional[LTCInstance] = None
         self._arrangement: Optional[Arrangement] = None
@@ -119,9 +109,7 @@ class RandomOnlineSolver(OnlineSolver):
         self._instance = instance
         self._arrangement = instance.new_arrangement()
         self._candidates = CandidateFinder(
-            instance,
-            use_spatial_index=self.use_spatial_index,
-            backend=self.candidates,
+            instance, use_spatial_index=self.use_spatial_index
         )
         self._rng = np.random.default_rng(self.seed)
 

@@ -6,14 +6,13 @@ proves a competitive ratio of 7.967 under the assumption
 ``epsilon <= e^-1.5`` (delta >= 3).
 
 Per arrival the selection runs on the candidate engine's bulk
-``topk_acc_star`` path: one radius gather plus one batched ``Acc*``
-evaluation over the candidate set.  Completed tasks are excluded by
-retiring them through the :class:`~repro.core.candidates.CandidateFinder`
-facade the moment they complete — the engine's tombstone mask filters
-them out of every later query, replacing the per-solver completed-flag
-container the pre-dynamic implementation threaded into ``topk``.  The
-arrangement is byte-identical to the pre-engine object-level loop
-(pinned by the differential suite against
+``topk_acc_star`` path: one radius gather plus one ``Acc*`` evaluation
+per candidate (batched once the gathered block is large).  Completed
+tasks are excluded by retiring them through the
+:class:`~repro.core.candidates.CandidateFinder` facade the moment they
+complete — the engine's tombstone mask filters them out of every later
+query.  The arrangement is byte-identical to the pre-engine object-level
+loop (pinned by the differential suite against
 :func:`repro.core.candidates_legacy.legacy_laf_arrangement`).
 
 LAF is **dynamic**: tasks may keep being posted after serving starts
@@ -27,7 +26,6 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.algorithms.base import OnlineSolver
 from repro.core.arrangement import Arrangement, Assignment
-from repro.core.candidate_engine import validate_candidate_backend_name
 from repro.core.candidates import CandidateFinder
 from repro.core.instance import LTCInstance
 from repro.core.task import Task
@@ -42,24 +40,14 @@ class LAFSolver(OnlineSolver):
     use_spatial_index:
         Restrict candidate queries to the grid index under the sigmoid
         accuracy model; disabling forces the exhaustive scan.
-    candidates:
-        Candidate-engine backend name (``"python"``, ``"numpy"``,
-        ``"auto"``); ``None`` defers to ``REPRO_CANDIDATES_BACKEND`` /
-        auto-detection.  Backends are exact, so arrangements do not depend
-        on this choice; it is reachable from spec strings as
-        ``"LAF?candidates=numpy"``.  Unknown names raise immediately.
     """
 
     name = "LAF"
     supports_dynamic_tasks = True
     supports_task_expiry = True
 
-    def __init__(
-        self, use_spatial_index: bool = True, candidates: Optional[str] = None
-    ) -> None:
-        validate_candidate_backend_name(candidates)
+    def __init__(self, use_spatial_index: bool = True) -> None:
         self._use_spatial_index = use_spatial_index
-        self._candidates_backend = candidates
         self._instance: Optional[LTCInstance] = None
         self._arrangement: Optional[Arrangement] = None
         self._candidates: Optional[CandidateFinder] = None
@@ -71,9 +59,7 @@ class LAFSolver(OnlineSolver):
         self._instance = instance
         self._arrangement = instance.new_arrangement()
         self._candidates = CandidateFinder(
-            instance,
-            use_spatial_index=self._use_spatial_index,
-            backend=self._candidates_backend,
+            instance, use_spatial_index=self._use_spatial_index
         )
         self._workers_with_assignments = 0
 

@@ -42,16 +42,14 @@ Implementation notes
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.algorithms.base import OfflineSolver, SolveResult
 from repro.core.arrangement import Arrangement
-from repro.core.candidate_engine import validate_candidate_backend_name
 from repro.core.candidates import CandidateFinder
 from repro.core.instance import LTCInstance
 from repro.core.task import Task
 from repro.core.worker import Worker
-from repro.flow.backends import AUTO_BACKEND, get_backend
 from repro.flow.kernel import ArcArena, dag_potentials, solve_mcf
 from repro.structures.topk import TopKHeap
 
@@ -72,21 +70,6 @@ class MCFLTCSolver(OfflineSolver):
         Restrict worker->task edges to eligible (nearby) pairs using the
         grid index.  Disabling it adds every pair with an eligible accuracy
         after an exhaustive scan (slower, identical results).
-    backend:
-        Which :mod:`repro.flow.backends` implementation runs each batch's
-        flow solve: ``"python"``, ``"numpy"``, ``"auto"``, or ``None``
-        (the default) to defer to the ``REPRO_FLOW_BACKEND`` environment
-        variable / auto-detection at solve time.  Backends are bit-exact,
-        so arrangements do not depend on this choice; it is reachable from
-        spec strings as ``"MCF-LTC?backend=numpy"``.  Unknown names raise
-        immediately with a did-you-mean suggestion.
-    candidates:
-        Which :mod:`repro.core.candidate_engine` backend generates each
-        batch's eligible pairs (``"python"``, ``"numpy"``, ``"auto"``, or
-        ``None`` to defer to ``REPRO_CANDIDATES_BACKEND`` /
-        auto-detection).  Candidate backends are exact down to pair order,
-        so the arc arena — and therefore the arrangement — does not depend
-        on this choice either; spec form ``"MCF-LTC?candidates=numpy"``.
     """
 
     name = "MCF-LTC"
@@ -95,27 +78,18 @@ class MCFLTCSolver(OfflineSolver):
         self,
         batch_multiplier: float = 1.0,
         use_spatial_index: bool = True,
-        backend: Optional[str] = None,
-        candidates: Optional[str] = None,
     ) -> None:
         if batch_multiplier <= 0:
             raise ValueError("batch_multiplier must be positive")
-        if backend is not None and backend != AUTO_BACKEND:
-            get_backend(backend)  # unknown names fail fast, with a hint
-        validate_candidate_backend_name(candidates)
         self.batch_multiplier = batch_multiplier
         self.use_spatial_index = use_spatial_index
-        self.backend = backend
-        self.candidates = candidates
 
     # ------------------------------------------------------------------ solve
 
     def solve(self, instance: LTCInstance) -> SolveResult:
         arrangement = instance.new_arrangement()
         candidates = CandidateFinder(
-            instance,
-            use_spatial_index=self.use_spatial_index,
-            backend=self.candidates,
+            instance, use_spatial_index=self.use_spatial_index
         )
         delta = instance.delta
         capacity = instance.capacity
@@ -226,9 +200,7 @@ class MCFLTCSolver(OfflineSolver):
         topo_order += task_nodes.values()
         topo_order.append(_SINK)
         potentials = dag_potentials(arena, _SOURCE, topo_order)
-        result = solve_mcf(
-            arena, _SOURCE, _SINK, potentials=potentials, backend=self.backend
-        )
+        result = solve_mcf(arena, _SOURCE, _SINK, potentials=potentials)
 
         # Apply every unit of flow on a worker->task arc as an assignment,
         # retiring each task the moment its quality threshold is reached.

@@ -1,202 +1,37 @@
-"""Pluggable backends for the struct-of-arrays candidate engine.
+"""The struct-of-arrays candidate engine.
 
 :class:`~repro.core.candidate_engine.engine.CandidateEngine` snapshots an
 instance's tasks into flat arrays (plus a CSR-packed grid under the
-sigmoid accuracy model) and hands every query — eligibility sets, bulk
-``eligible_pairs`` arc emission, top-``k`` ``Acc*`` selection,
-``has_candidates`` routing tests — to a **backend**, an implementation of
-the :class:`~repro.core.candidate_engine.base.CandidateBackend` contract.
-Two ship with the package:
-
-* ``"python"`` — scalar loops over the arrays
-  (:mod:`repro.core.candidate_engine.python_backend`); always available
-  and the semantics oracle.
-* ``"numpy"`` — vectorized gathers and batched accuracy evaluation
-  (:mod:`repro.core.candidate_engine.numpy_backend`); available when
-  numpy imports.
-
-Selection, most specific wins:
-
-1. an explicit ``backend=`` argument to :class:`CandidateEngine` /
-   :class:`~repro.core.candidates.CandidateFinder` (or the
-   ``candidates=`` parameter of a solver spec, e.g.
-   ``"LAF?candidates=numpy"``);
-2. the ``REPRO_CANDIDATES_BACKEND`` environment variable;
-3. ``"auto"`` — numpy when available, otherwise python.
-
-Unknown names raise ``KeyError`` with a did-you-mean suggestion; naming
-an unavailable backend explicitly raises
-:class:`~repro.core.candidate_engine.base.CandidateBackendUnavailableError`
-instead of silently falling back.  All backends produce identical results
-— ordering included — by the contract in
-:mod:`repro.core.candidate_engine.base` and ``docs/candidates.md``.
+sigmoid accuracy model) and answers every candidate query — eligibility
+sets, bulk ``eligible_pairs`` arc emission, top-``k`` ``Acc*`` selection,
+``has_candidates`` routing tests.  Small queries run scalar loops; a query
+whose gathered block reaches
+:data:`~repro.core.candidate_engine.engine.VECTOR_MIN_BLOCK` candidates
+runs one vectorized numpy pass.  Both give identical results, ordering
+included, by the contract in :mod:`repro.core.candidate_engine.engine`
+and ``docs/candidates.md``.
 """
 
 from __future__ import annotations
 
-import difflib
-import os
-from typing import Dict, List, Optional, Union
-
-from repro.core.candidate_engine.base import (
+from repro.core.candidate_engine.engine import (
     DECISION_BAND,
     ELIGIBILITY_EPS,
     TOPK_MODES,
     TOPK_SCORE_MARGIN,
-    CandidateBackend,
-    CandidateBackendUnavailableError,
+    CandidateEngine,
 )
-from repro.core.candidate_engine.engine import CandidateEngine
-from repro.core.candidate_engine.numpy_backend import NumpyCandidateBackend
-from repro.core.candidate_engine.python_backend import PythonCandidateBackend
-
-#: Environment variable consulted when no explicit backend is named.
-CANDIDATES_ENV_VAR = "REPRO_CANDIDATES_BACKEND"
-
-#: The resolver keyword for "pick the best available backend".
-AUTO_CANDIDATE_BACKEND = "auto"
-
-#: Anything the ``backend=`` / ``candidates=`` arguments accept.
-CandidateBackendLike = Union[CandidateBackend, str, None]
-
-_BACKENDS: Dict[str, CandidateBackend] = {}
 
 
-def register_candidate_backend(
-    backend: CandidateBackend, overwrite: bool = False
-) -> CandidateBackend:
-    """Register a backend instance under its ``name`` and return it.
-
-    Raises ``ValueError`` for empty/reserved names (``"auto"`` is the
-    resolver's keyword) or, unless ``overwrite`` is true, for a name that
-    is already taken.  Registered backends must honour the exactness
-    contract of :class:`~repro.core.candidate_engine.base.CandidateBackend`.
-    """
-    name = backend.name
-    if not name or name != name.strip():
-        raise ValueError(
-            f"candidate backend name {name!r} is empty or has surrounding "
-            "whitespace"
-        )
-    if name == AUTO_CANDIDATE_BACKEND:
-        raise ValueError(
-            f"candidate backend name {AUTO_CANDIDATE_BACKEND!r} is reserved "
-            "for auto-selection"
-        )
-    if not overwrite and name in _BACKENDS:
-        raise ValueError(
-            f"candidate backend name {name!r} is already registered"
-        )
-    _BACKENDS[name] = backend
-    return backend
-
-
-def get_candidate_backend(name: str) -> CandidateBackend:
-    """The registered backend called ``name`` (may be unavailable).
-
-    Raises ``KeyError`` with a did-you-mean suggestion for unknown names.
-    """
-    try:
-        return _BACKENDS[name]
-    except KeyError:
-        known = ", ".join(sorted(_BACKENDS))
-        close = difflib.get_close_matches(name, list(_BACKENDS), n=1, cutoff=0.5)
-        hint = f" (did you mean {close[0]!r}?)" if close else ""
-        raise KeyError(
-            f"unknown candidate backend {name!r}{hint}; known backends: {known}"
-        ) from None
-
-
-def registered_candidate_backends() -> List[str]:
-    """Names of all registered backends, sorted (available or not)."""
-    return sorted(_BACKENDS)
-
-
-def available_candidate_backends() -> List[str]:
-    """Names of the backends that can actually run here, sorted."""
-    return sorted(
-        name for name, backend in _BACKENDS.items() if backend.is_available()
-    )
-
-
+# Exists only because benchmarks/e2e/run.py imports it and prints the result.
 def default_candidate_backend_name() -> str:
-    """What auto-selection currently resolves to."""
-    return resolve_candidate_backend(AUTO_CANDIDATE_BACKEND).name
+    return "python+numpy"
 
-
-def resolve_candidate_backend(
-    choice: CandidateBackendLike = None,
-) -> CandidateBackend:
-    """Turn a backend choice into a runnable backend instance.
-
-    ``choice`` may be a :class:`~repro.core.candidate_engine.base.CandidateBackend`
-    (returned as-is), a registered name, ``"auto"``, or ``None``.  ``None``
-    consults the ``REPRO_CANDIDATES_BACKEND`` environment variable (read
-    at call time, so tests and services can flip it) and falls back to
-    ``"auto"`` when the variable is unset or empty.  ``"auto"`` prefers
-    numpy and falls back to the pure-python backend when numpy is absent.
-
-    Raises ``KeyError`` (with a did-you-mean hint) for unknown names and
-    :class:`~repro.core.candidate_engine.base.CandidateBackendUnavailableError`
-    when an explicitly named backend cannot run in this environment.
-    """
-    if isinstance(choice, CandidateBackend):
-        return choice
-    if choice is None:
-        choice = os.environ.get(CANDIDATES_ENV_VAR) or AUTO_CANDIDATE_BACKEND
-    if not isinstance(choice, str):
-        raise TypeError(
-            "candidate backend must be a name or CandidateBackend, got "
-            f"{type(choice).__name__}"
-        )
-    if choice == AUTO_CANDIDATE_BACKEND:
-        numpy_backend = _BACKENDS.get(NumpyCandidateBackend.name)
-        if numpy_backend is not None and numpy_backend.is_available():
-            return numpy_backend
-        return _BACKENDS[PythonCandidateBackend.name]
-    backend = get_candidate_backend(choice)
-    if not backend.is_available():
-        raise CandidateBackendUnavailableError(
-            f"candidate backend {choice!r} is registered but cannot run here "
-            "(missing optional dependency?); available backends: "
-            f"{', '.join(available_candidate_backends())}"
-        )
-    return backend
-
-
-def validate_candidate_backend_name(candidates: Optional[str]) -> None:
-    """Fail fast on unknown backend names in solver constructors.
-
-    ``None`` and ``"auto"`` always pass (they resolve at engine-build
-    time); anything else must be a registered name — availability is
-    still checked later, at resolution, so that constructing a solver
-    spec for another machine stays legal.
-    """
-    if candidates is not None and candidates != AUTO_CANDIDATE_BACKEND:
-        get_candidate_backend(candidates)
-
-
-register_candidate_backend(PythonCandidateBackend())
-register_candidate_backend(NumpyCandidateBackend())
 
 __all__ = [
-    "AUTO_CANDIDATE_BACKEND",
-    "CANDIDATES_ENV_VAR",
-    "CandidateBackend",
-    "CandidateBackendLike",
-    "CandidateBackendUnavailableError",
     "CandidateEngine",
     "DECISION_BAND",
     "ELIGIBILITY_EPS",
-    "NumpyCandidateBackend",
-    "PythonCandidateBackend",
     "TOPK_MODES",
     "TOPK_SCORE_MARGIN",
-    "available_candidate_backends",
-    "default_candidate_backend_name",
-    "get_candidate_backend",
-    "register_candidate_backend",
-    "registered_candidate_backends",
-    "resolve_candidate_backend",
-    "validate_candidate_backend_name",
 ]

@@ -9,8 +9,45 @@ row-major cell order (``cell_positions``) with per-cell offsets
 cell row* instead of chasing a dict of python lists.  All candidate
 queries the solvers need — eligibility sets, bulk ``eligible_pairs`` arc
 emission, top-``k`` ``Acc*`` selection, cheap ``has_candidates`` routing
-tests — run over these arrays through a pluggable
-:class:`~repro.core.candidate_engine.base.CandidateBackend`.
+tests — run over these arrays.
+
+**One engine, two passes.**  Each grid query computes the worker's
+radius and cell span once and sums the *gathered block* — the candidates
+in the CSR cells the disk overlaps, plus the spill — from the CSR offsets
+with plain ints.  Below :data:`VECTOR_MIN_BLOCK` it runs scalar loops
+over the lists; at or above it, one vectorized numpy pass (gather the
+cell slices, filter by exact squared distance, evaluate the sigmoid over
+the block, preselect top-``k`` with ``np.partition``).  Scan mode
+vectorizes when ``num_tasks`` reaches the same constant; generic mode and
+``has_candidates`` (which stops at the first eligible task) are always
+scalar.  ``docs/candidates.md`` ("Vector cutover") has the
+measured block sizes behind the constant.
+
+**Exactness contract.**  Both passes return identical results, ordering
+included:
+
+* ordered eligibility queries return positions ascending by task id in
+  grid mode and in posting order in scan/generic modes — exactly the
+  pre-engine ``CandidateFinder`` iteration orders;
+* every query filters **tombstoned positions** (the ``alive`` mask; see
+  :meth:`CandidateEngine.retire_tasks`) out of its candidate pool
+  *before* the accuracy evaluation, and grid-mode pools are the CSR cells
+  **plus the spill range** ``[spill_start, num_tasks)`` of positions
+  appended since the last grid rebuild;
+* the squared distance ``dx*dx + dy*dy`` is evaluated in the same
+  association order in both passes (elementwise IEEE-754 ops give the
+  same bits), so the radius prefilter gathers the exact same set;
+* the eligibility decision is pinned to the scalar expression
+  ``Acc(w, t) >= min_accuracy - ELIGIBILITY_EPS`` with ``Acc`` from
+  :meth:`CandidateEngine.scalar_accuracy`.  The vector pass trusts its
+  own sigmoid **only outside** :data:`DECISION_BAND` around the
+  threshold; inside the band it re-checks each pair with the scalar path;
+* top-``k`` returns positions in the exact pop order of a
+  :class:`~repro.structures.topk.TopKHeap` fed the *scalar* scores in
+  candidate order (largest first; ties favour the earlier-pushed, i.e.
+  lower-id, task).  The vector pass preselects a superset — every
+  candidate within :data:`TOPK_SCORE_MARGIN` of its approximate k-th best
+  survives — and rescores it through the one scalar heap loop.
 
 The snapshot is **dynamic**: the paper's online setting is a stream in
 which tasks are posted and expire while workers trickle in, so a
@@ -20,17 +57,13 @@ the incremental layer safe for callers that keep per-position state:
 * **Positions are append-only and stable for the engine's lifetime.**
   :meth:`CandidateEngine.add_tasks` appends new tasks at the next free
   positions; nothing is ever compacted or re-sorted, so a solver's
-  per-position containers (completed flags, remaining needs) stay valid
-  across every mutation — they only need growing, via
-  :meth:`CandidateEngine.grow_bool_array` /
-  :meth:`CandidateEngine.grow_float_array`.
+  per-position lists (remaining needs) stay valid across every mutation —
+  they only need extending.
 * **Retirement is a lazy tombstone, not a rebuild.**
   :meth:`CandidateEngine.retire_tasks` flips the per-position ``alive``
-  bit; every query of every backend filters tombstoned positions out of
-  its candidate pool *before* the accuracy evaluation, which is
-  bit-equivalent to the completed-mask filtering it replaces.  Retired
-  positions are physically dropped from the CSR grid only at the next
-  rebuild.
+  bit; every query filters tombstoned positions out of its candidate pool
+  before the accuracy evaluation.  Retired positions are physically
+  dropped from the CSR grid only at the next rebuild.
 * **Appends land in spill arrays; the grid merges them lazily.**  In
   grid mode, positions appended after the last (re)build are not in the
   CSR cells; queries scan that spill range linearly (it is bounded by
@@ -42,13 +75,14 @@ the incremental layer safe for callers that keep per-position state:
   to ``num_tasks``).
 
 ``epoch`` counts every mutation (append or retirement); ``grid_epoch``
-counts grid rebuilds.  The numpy mirrors re-sync from these counters on
-access — tail-appends and tombstone replay are incremental, a grid
-rebuild refreshes the mirrors wholesale.  Task ids are normally posted
-in increasing order, so position order keeps equalling id order and the
-ordered-output sort stays the plain position sort; if an added id breaks
-monotonicity, ``positions_id_ordered`` flips and ordered queries sort by
-task-id key instead (same output order, slightly slower sort).
+counts grid rebuilds.  The numpy mirrors the vector pass reads are built
+on its first use (an engine that never crosses the cutover never builds
+them) and re-sync from these counters — tail-appends and tombstone
+replay are incremental, a grid rebuild refreshes the mirrors wholesale.
+Task ids are normally posted in increasing order, so position order keeps
+equalling id order and the ordered-output sort stays the plain position
+sort; if an added id breaks monotonicity, ``positions_id_ordered`` flips
+and ordered queries sort by task-id key instead.
 
 The engine operates in one of three modes, chosen at construction:
 
@@ -64,17 +98,9 @@ The engine operates in one of three modes, chosen at construction:
     exhaustive scan byte for byte, including its lack of a radius gate).
 ``generic``
     Any other accuracy model: per-pair scalar evaluation over the tasks
-    in instance order.  Vectorized backends delegate this mode to the
-    scalar backend — an arbitrary python model cannot be batched.
+    in instance order.  An arbitrary python model cannot be batched.
 
-Floating-point ground rules (see ``docs/candidates.md``): the squared
-distance ``dx*dx + dy*dy`` is evaluated in the same association order
-everywhere, so the radius prefilter is bit-exact across backends; the
-sigmoid accuracy and ``Acc*`` *decisions* are pinned to the scalar
-:meth:`CandidateEngine.scalar_accuracy` / :meth:`CandidateEngine.scalar_acc_star`
-paths, which replicate
-:class:`~repro.core.accuracy.SigmoidDistanceAccuracy` expression by
-expression.
+``docs/candidates.md`` derives why the band/margin constants are safe.
 """
 
 from __future__ import annotations
@@ -91,17 +117,51 @@ from typing import (
     Tuple,
 )
 
+import numpy as np
+
 from repro.core.accuracy import SigmoidDistanceAccuracy
-from repro.core.candidate_engine.base import CandidateBackend, ELIGIBILITY_EPS
 # Cycle-free: repro.core.candidates only imports this package lazily,
 # inside CandidateFinder.__init__.  Sharing the one implementation keeps
 # the (bit-sensitive) radius gate identical between the legacy oracle and
-# both engine backends.
+# the engine.
 from repro.core.candidates import sigmoid_eligibility_radius
 from repro.core.instance import LTCInstance
 from repro.core.task import Task
 from repro.core.worker import Worker
 from repro.geo.bbox import BoundingBox
+from repro.structures.topk import TopKHeap
+
+#: The slack applied to the eligibility threshold, shared with
+#: ``CandidateFinder.is_eligible`` (the decision is
+#: ``accuracy >= min_accuracy - ELIGIBILITY_EPS``).
+ELIGIBILITY_EPS = 1e-12
+
+#: Half-width of the accuracy interval around the eligibility threshold in
+#: which the vector pass must fall back to the scalar evaluation.
+#: Vectorized and scalar sigmoid evaluations agree to ~1e-14 absolute
+#: (accuracies live in [0, 1]); outside +-1e-9 their decisions provably
+#: coincide, inside it the scalar path is authoritative.
+DECISION_BAND = 1e-9
+
+#: Score margin for vectorized top-k preselection: every candidate whose
+#: approximate score is within this of the approximate k-th best must be
+#: kept for the scalar rescoring pass.  Scores are ``Acc*`` values (or
+#: remaining-need caps of similar magnitude), approximated to ~1e-14
+#: absolute, so 1e-9 keeps every candidate the scalar heap could retain.
+TOPK_SCORE_MARGIN = 1e-9
+
+#: Scoring rules :meth:`CandidateEngine.topk` understands, matching the
+#: three online greedy rules of the paper's Algorithms 2-3:
+#: ``Acc*`` (LAF), ``min(Acc*, need)`` (LGF), ``need`` (LRF).
+TOPK_MODES = ("acc_star", "gain", "need")
+
+#: Gathered-block size at which ``eligible_positions`` and ``topk`` switch
+#: from the scalar loops to the vectorized numpy pass.  Numpy pays a fixed
+#: cost of some 40-50 us per query; measured per query, the vector pass
+#: starts winning top-k at about 64 gathered candidates and breaks even on
+#: plain eligibility there (``docs/candidates.md``, "Vector cutover").
+#: Both passes give identical results, so this only trades speed.
+VECTOR_MIN_BLOCK = 64
 
 #: Soft cap on total grid cells: keeps the dense ``cell_start`` offset
 #: array O(tasks) even for workloads whose extent dwarfs ``d_max`` (the
@@ -129,19 +189,12 @@ SPILL_REBUILD_FRACTION = 0.25
 #: decide membership either way.
 SPILL_REBUILD_MAX = 2048
 
-
-def _as_position_list(positions) -> List[int]:
-    """Materialise backend output as a python list (numpy iteration yields
-    ``np.int64`` scalars whose per-element overhead would cancel part of
-    the vectorized win on the facade paths)."""
-    tolist = getattr(positions, "tolist", None)
-    if tolist is not None:
-        return tolist()
-    return positions if isinstance(positions, list) else list(positions)
+#: CSR ``(lo, hi)`` slices of the cells a query disk overlaps.
+_Slices = List[Tuple[int, int]]
 
 
 class _NumpyMirrors:
-    """Numpy views of the engine's arrays, kept in sync incrementally.
+    """Numpy copies of the engine's lists, kept in sync incrementally.
 
     ``xs_cell``/``ys_cell`` hold the coordinates pre-permuted into CSR
     cell order, so a radius query reads its per-row coordinate blocks as
@@ -155,7 +208,6 @@ class _NumpyMirrors:
     """
 
     __slots__ = (
-        "_np",
         "_grid_epoch",
         "_count",
         "_dead_cursor",
@@ -169,16 +221,14 @@ class _NumpyMirrors:
         "instance_positions",
     )
 
-    def __init__(self, np, engine: "CandidateEngine") -> None:
-        self._np = np
+    def __init__(self, engine: "CandidateEngine") -> None:
         self._grid_epoch = -1  # force a full build on the first sync
         self._count = 0
         self._dead_cursor = 0
         self.sync(engine)
 
     def sync(self, engine: "CandidateEngine") -> None:
-        """Bring the mirrors up to date with the engine's arrays."""
-        np = self._np
+        """Bring the mirrors up to date with the engine's lists."""
         log = engine._tombstone_log
         if self._grid_epoch == engine.grid_epoch:
             if self._count == engine.num_tasks and self._dead_cursor == len(log):
@@ -243,11 +293,6 @@ class CandidateEngine:
     use_spatial_index:
         Build the CSR grid when the accuracy model is the sigmoid model.
         Disabling it forces the exhaustive scan (``scan`` mode).
-    backend:
-        A resolved :class:`~repro.core.candidate_engine.base.CandidateBackend`
-        instance, a registered backend name, ``"auto"``, or ``None`` to
-        defer to the ``REPRO_CANDIDATES_BACKEND`` environment variable /
-        auto-detection.
     """
 
     def __init__(
@@ -255,15 +300,7 @@ class CandidateEngine:
         instance: LTCInstance,
         min_accuracy: Optional[float] = None,
         use_spatial_index: bool = True,
-        backend=None,
     ) -> None:
-        if isinstance(backend, CandidateBackend):
-            resolved = backend
-        else:
-            from repro.core.candidate_engine import resolve_candidate_backend
-
-            resolved = resolve_candidate_backend(backend)
-        self.backend: CandidateBackend = resolved
         self.instance = instance
         self.model = instance.accuracy_model
         self.min_accuracy = (
@@ -417,11 +454,11 @@ class CandidateEngine:
         """Append newly posted tasks to the live snapshot.
 
         Appended tasks take the next free positions — existing positions
-        are never moved, so per-position caller state stays valid (grow
-        it with :meth:`grow_bool_array` / :meth:`grow_float_array`).  In
-        grid mode the new positions land in the spill range, which every
-        query scans alongside the CSR cells; once the spill crosses the
-        rebuild threshold the grid is rebuilt over the alive snapshot.
+        are never moved, so per-position caller state stays valid (extend
+        it to ``num_tasks``).  In grid mode the new positions land in the
+        spill range, which every query scans alongside the CSR cells; once
+        the spill crosses the rebuild threshold the grid is rebuilt over
+        the alive snapshot.
 
         Raises
         ------
@@ -469,7 +506,7 @@ class CandidateEngine:
         """Tombstone tasks (completed or expired) without rebuilding.
 
         Retired positions stay in the arrays (so caller state keeps its
-        indexing) but are filtered out of every backend's candidate pool
+        indexing) but are filtered out of every query's candidate pool
         before the accuracy evaluation.  Retiring an already-retired task
         is a no-op; retirement is permanent.
 
@@ -537,46 +574,10 @@ class CandidateEngine:
         row1 = min(max(row1, 0), self.rows - 1)
         return col0, col1, row0, row1
 
-    def grid_block_positions(self, wx: float, wy: float, radius: float) -> List[int]:
-        """Scalar radius gather: alive positions with ``dx*dx + dy*dy <= radius**2``.
-
-        The association order of the squared-distance expression is pinned
-        (it matches both the dict grid's ``Point.squared_distance_to`` and
-        the vectorized backend's elementwise arithmetic), so every backend
-        produces this exact set.  Gathers the CSR cells first, then the
-        spill range of positions appended since the last grid rebuild;
-        tombstoned positions are skipped in both.
-        """
-        assert self.cell_start is not None and self.cell_positions is not None
-        col0, col1, row0, row1 = self.cell_span(wx, wy, radius)
-        r2 = radius * radius
-        xs, ys = self.xs, self.ys
-        alive = self.alive
-        has_dead = self.dead_count > 0
-        start, order = self.cell_start, self.cell_positions
-        out: List[int] = []
-        for row in range(row0, row1 + 1):
-            base = row * self.cols
-            for position in order[start[base + col0] : start[base + col1 + 1]]:
-                if has_dead and not alive[position]:
-                    continue
-                dx = xs[position] - wx
-                dy = ys[position] - wy
-                if dx * dx + dy * dy <= r2:
-                    out.append(position)
-        for position in range(self.spill_start, self.num_tasks):
-            if has_dead and not alive[position]:
-                continue
-            dx = xs[position] - wx
-            dy = ys[position] - wy
-            if dx * dx + dy * dy <= r2:
-                out.append(position)
-        return out
-
-    def numpy_mirrors(self, np) -> _NumpyMirrors:
-        """Numpy views of the arrays (lazily built, incrementally synced)."""
+    def numpy_mirrors(self) -> _NumpyMirrors:
+        """Numpy copies of the lists (built on first use, synced incrementally)."""
         if self._mirrors is None:
-            self._mirrors = _NumpyMirrors(np, self)
+            self._mirrors = _NumpyMirrors(self)
         else:
             self._mirrors.sync(self)
         return self._mirrors
@@ -619,6 +620,281 @@ class CandidateEngine:
         """The pinned eligibility decision for one pair."""
         return self.scalar_accuracy(worker, position) >= self.threshold
 
+    # ------------------------------------------------------ query routing
+
+    def _cell_slices(self, worker: Worker, radius: float) -> Tuple[_Slices, int]:
+        """The CSR slices the worker's disk overlaps, and the block size.
+
+        The block size counts every candidate the query would gather: the
+        cell slices plus the spill range (tombstoned members included, so
+        it over-estimates after retirements).  Plain int arithmetic on the
+        offsets — no position is touched.
+        """
+        col0, col1, row0, row1 = self.cell_span(
+            worker.location.x, worker.location.y, radius
+        )
+        start = self.cell_start
+        assert start is not None
+        cols = self.cols
+        size = self.num_tasks - self.spill_start
+        slices: _Slices = []
+        for row in range(row0, row1 + 1):
+            base = row * cols
+            lo = start[base + col0]
+            hi = start[base + col1 + 1]
+            if lo < hi:
+                slices.append((lo, hi))
+                size += hi - lo
+        return slices, size
+
+    def _route(self, worker: Worker):
+        """Pick the pass for one query.
+
+        Returns ``None`` when the worker can reach no task (grid mode,
+        negative radius), else ``(vector, radius, slices)``: ``radius`` and
+        ``slices`` are only meaningful in grid mode.
+        """
+        if self.mode == "grid":
+            radius = self.radius_of(worker)
+            if radius < 0:
+                return None
+            slices, size = self._cell_slices(worker, radius)
+            return size >= VECTOR_MIN_BLOCK, radius, slices
+        if self.mode == "scan":
+            return self.num_tasks >= VECTOR_MIN_BLOCK, 0.0, None
+        return False, 0.0, None
+
+    # ---------------------------------------------------------- scalar pass
+
+    def _grid_block(self, worker: Worker, radius: float, slices: _Slices) -> List[int]:
+        """Alive positions with ``dx*dx + dy*dy <= radius**2``, cells then spill."""
+        wx, wy = worker.location.x, worker.location.y
+        r2 = radius * radius
+        xs, ys = self.xs, self.ys
+        alive = self.alive
+        has_dead = self.dead_count > 0
+        order = self.cell_positions
+        assert order is not None
+        out: List[int] = []
+        for lo, hi in slices:
+            for position in order[lo:hi]:
+                if has_dead and not alive[position]:
+                    continue
+                dx = xs[position] - wx
+                dy = ys[position] - wy
+                if dx * dx + dy * dy <= r2:
+                    out.append(position)
+        for position in range(self.spill_start, self.num_tasks):
+            if has_dead and not alive[position]:
+                continue
+            dx = xs[position] - wx
+            dy = ys[position] - wy
+            if dx * dx + dy * dy <= r2:
+                out.append(position)
+        return out
+
+    def _scalar_eligible(
+        self,
+        worker: Worker,
+        radius: float,
+        slices: Optional[_Slices],
+        allowed: Optional[Sequence[bool]],
+        ordered: bool,
+    ) -> List[int]:
+        if self.mode == "grid":
+            # The grid gather already skips tombstoned positions.
+            block = self._grid_block(worker, radius, slices)
+            if ordered:
+                self.sort_positions(block)
+            pool_is_alive = True
+        else:
+            block = self.instance_positions
+            pool_is_alive = self.dead_count == 0
+        scalar_eligible = self.scalar_eligible
+        if pool_is_alive:
+            if allowed is None:
+                return [p for p in block if scalar_eligible(worker, p)]
+            return [p for p in block if allowed[p] and scalar_eligible(worker, p)]
+        alive = self.alive
+        if allowed is None:
+            return [p for p in block if alive[p] and scalar_eligible(worker, p)]
+        return [
+            p
+            for p in block
+            if alive[p] and allowed[p] and scalar_eligible(worker, p)
+        ]
+
+    def _rescore_topk(
+        self,
+        worker: Worker,
+        positions: Sequence[int],
+        k: int,
+        mode: str,
+        need: Optional[Sequence[float]],
+    ) -> List[int]:
+        """Scalar-score ``positions`` (in the given order) through the heap.
+
+        Both passes end here — the vector pass feeds it its preselected
+        superset — which is what makes their pop orders identical.
+        """
+        heap: TopKHeap = TopKHeap(k)
+        acc_star = self.scalar_acc_star
+        for p in positions:
+            if mode == "acc_star":
+                score = acc_star(worker, p)
+            elif mode == "gain":
+                score = min(acc_star(worker, p), float(need[p]))
+            else:
+                score = float(need[p])
+            heap.push(score, p)
+        return [p for _, p in heap.pop_all()]
+
+    # ---------------------------------------------------------- vector pass
+
+    def _vector_block(self, worker: Worker, radius: float, slices: Optional[_Slices]):
+        """``(positions, squared_distances)`` after the exact radius prefilter.
+
+        In scan mode the block is every alive task in posting order (the
+        oracle scan applies no radius gate, and neither may we).  In grid
+        mode the block is the CSR cells plus the spill range, tombstones
+        filtered out of both.
+        """
+        mirrors = self.numpy_mirrors()
+        wx, wy = worker.location.x, worker.location.y
+        if self.mode != "grid":
+            # Boolean masking is order-preserving, so downstream filters
+            # keep the oracle's posting order.
+            block = mirrors.instance_positions
+            if self.dead_count:
+                block = block[mirrors.alive[block]]
+            dxs = mirrors.xs[block] - wx
+            dys = mirrors.ys[block] - wy
+            return block, dxs * dxs + dys * dys
+        r2 = radius * radius
+        if slices:
+            if len(slices) == 1:
+                lo, hi = slices[0]
+                block = mirrors.cell_positions[lo:hi]
+                block_x = mirrors.xs_cell[lo:hi]
+                block_y = mirrors.ys_cell[lo:hi]
+            else:
+                block = np.concatenate(
+                    [mirrors.cell_positions[lo:hi] for lo, hi in slices]
+                )
+                block_x = np.concatenate([mirrors.xs_cell[lo:hi] for lo, hi in slices])
+                block_y = np.concatenate([mirrors.ys_cell[lo:hi] for lo, hi in slices])
+            dxs = block_x - wx
+            dys = block_y - wy
+            d2 = dxs * dxs + dys * dys
+            keep = d2 <= r2
+            if self.dead_count:
+                keep &= mirrors.alive[block]
+            block, d2 = block[keep], d2[keep]
+        else:
+            block = d2 = np.empty(0, dtype=np.int64)
+        spill_lo = self.spill_start
+        if spill_lo < self.num_tasks:
+            dxs = mirrors.xs[spill_lo:] - wx
+            dys = mirrors.ys[spill_lo:] - wy
+            spill_d2 = dxs * dxs + dys * dys
+            keep = spill_d2 <= r2
+            if self.dead_count:
+                keep &= mirrors.alive[spill_lo:]
+            spill = np.arange(spill_lo, self.num_tasks, dtype=np.int64)
+            spill, spill_d2 = spill[keep], spill_d2[keep]
+            if len(block):
+                block = np.concatenate([block, spill])
+                d2 = np.concatenate([d2, spill_d2])
+            else:
+                block, d2 = spill, spill_d2
+        return block, d2
+
+    def _vector_decide(self, worker: Worker, positions, d2):
+        """Exact eligibility decisions for a candidate block.
+
+        The vectorized sigmoid decides outright outside the band around
+        the threshold; inside it (essentially never hit in practice) the
+        scalar path is consulted per pair.  ``sqrt`` of the prefilter's
+        squared distances and a clipped exponent stand in for the scalar
+        path's ``hypot`` and saturation guard — both approximations stay
+        ulps away from the scalar values, far inside the band.
+        """
+        exponent = np.minimum(np.sqrt(d2) - self.d_max, 700.0)
+        acc = worker.accuracy / (1.0 + np.exp(exponent))
+        threshold = self.threshold
+        eligible = acc >= threshold + DECISION_BAND
+        band = (acc >= threshold - DECISION_BAND) & ~eligible
+        if band.any():
+            scalar_eligible = self.scalar_eligible
+            for i in np.nonzero(band)[0]:
+                eligible[i] = scalar_eligible(worker, int(positions[i]))
+        return eligible, acc
+
+    def _vector_eligible(
+        self,
+        worker: Worker,
+        radius: float,
+        slices: Optional[_Slices],
+        allowed: Optional[Sequence[bool]],
+    ):
+        """Eligible positions and their (approximate) accuracies, unsorted.
+
+        The ``allowed`` list is gathered after the accuracy decision, over
+        the eligible positions only: the filters commute, and the gather is
+        the costly part.
+        """
+        positions, d2 = self._vector_block(worker, radius, slices)
+        if not len(positions):
+            return positions, d2
+        eligible, acc = self._vector_decide(worker, positions, d2)
+        positions, acc = positions[eligible], acc[eligible]
+        if allowed is not None and len(positions):
+            keep = np.array([allowed[p] for p in positions.tolist()], dtype=bool)
+            positions, acc = positions[keep], acc[keep]
+        return positions, acc
+
+    def _vector_order(self, positions) -> List[int]:
+        """Grid-mode positions in the oracle order (ascending task id)."""
+        if self.positions_id_ordered:
+            return np.sort(positions).tolist()
+        ids = self.numpy_mirrors().task_ids[positions]
+        return positions[np.argsort(ids)].tolist()
+
+    def _vector_topk(
+        self,
+        worker: Worker,
+        radius: float,
+        slices: Optional[_Slices],
+        k: int,
+        mode: str,
+        need: Optional[Sequence[float]],
+    ) -> List[int]:
+        positions, acc = self._vector_eligible(worker, radius, slices, None)
+        count = len(positions)
+        if count == 0:
+            return []
+        if count > k:
+            if mode == "acc_star":
+                weight = 2.0 * acc - 1.0
+                scores = weight * weight
+            else:
+                # The caller's need list is gathered for this block only.
+                scores = np.array(
+                    [need[p] for p in positions.tolist()], dtype=np.float64
+                )
+                if mode == "gain":
+                    weight = 2.0 * acc - 1.0
+                    scores = np.minimum(weight * weight, scores)
+            kth = np.partition(scores, count - k)[count - k]
+            positions = positions[scores >= kth - TOPK_SCORE_MARGIN]
+        if self.mode == "grid":
+            superset = self._vector_order(positions)
+        else:
+            # Scan blocks stream in posting order — the oracle push order —
+            # and every filter above preserved it.
+            superset = positions.tolist()
+        return self._rescore_topk(worker, superset, k, mode, need)
+
     # ------------------------------------------------------------- queries
 
     def eligible_positions(
@@ -626,31 +902,41 @@ class CandidateEngine:
         worker: Worker,
         allowed: Optional[Sequence[bool]] = None,
         ordered: bool = True,
-    ) -> Sequence[int]:
-        """Task positions assignable to ``worker`` (see the backend contract)."""
-        return self.backend.eligible_positions(self, worker, allowed, ordered)
+    ) -> List[int]:
+        """Task positions the worker may be assigned.
+
+        ``allowed`` optionally restricts the result by a per-position flag
+        list (built with :meth:`make_allowed_mask`).  ``ordered=True`` returns the oracle iteration order
+        (ascending task id in grid mode, posting order in scan modes);
+        ``ordered=False`` may return any order — callers that only count
+        or test membership use it to skip the sort.
+        """
+        route = self._route(worker)
+        if route is None:
+            return []
+        vector, radius, slices = route
+        if not vector:
+            return self._scalar_eligible(worker, radius, slices, allowed, ordered)
+        positions, _ = self._vector_eligible(worker, radius, slices, allowed)
+        if ordered and self.mode == "grid":
+            return self._vector_order(positions)
+        return positions.tolist()
 
     def eligible_tasks(
         self, worker: Worker, allowed_ids: Optional[AbstractSet[int]] = None
     ) -> List[Task]:
         """Assignable :class:`Task` objects in the oracle iteration order.
 
-        ``allowed_ids`` restricts by task id.  The restriction is turned
-        into a position mask and pushed into the backend, so it filters
-        *before* the accuracy evaluation — callers pay nothing for tasks
-        they would discard anyway.  Mask construction allocates O(tasks)
-        per call; callers iterating many workers against one restriction
-        set should use :meth:`eligible_pairs`, which builds the mask once
-        for the whole batch.
+        ``allowed_ids`` restricts by task id, through a position mask.
+        Mask construction allocates O(tasks) per call; callers iterating
+        many workers against one restriction set should use
+        :meth:`eligible_pairs`, which builds the mask once for the batch.
         """
         tasks = self.tasks
         if allowed_ids is not None and not allowed_ids:
             return []
         mask = None if allowed_ids is None else self.make_allowed_mask(allowed_ids)
-        positions = _as_position_list(
-            self.backend.eligible_positions(self, worker, mask, True)
-        )
-        return [tasks[position] for position in positions]
+        return [tasks[position] for position in self.eligible_positions(worker, mask)]
 
     def eligible_pairs(
         self,
@@ -660,88 +946,114 @@ class CandidateEngine:
         """Bulk-iterate assignable pairs, grouped by worker, ids ascending.
 
         The restriction set is converted to a per-position mask **once**
-        and pushed into the backend, so vectorized backends filter it
-        inside their array pass instead of per pair.
+        for the whole batch.
         """
         if allowed_ids is not None and not allowed_ids:
             return
         mask = None if allowed_ids is None else self.make_allowed_mask(allowed_ids)
         tasks = self.tasks
         for worker in workers:
-            positions = _as_position_list(
-                self.backend.eligible_positions(self, worker, mask, True)
-            )
-            for position in positions:
+            for position in self.eligible_positions(worker, mask):
                 yield worker, tasks[position]
 
     def has_candidates(self, worker: Worker) -> bool:
-        """Whether at least one task is assignable to the worker."""
-        return self.backend.has_candidates(self, worker)
+        """Whether at least one task is assignable to the worker.
+
+        Always the scalar loops, at any block size: the walk stops at the
+        first eligible task, which beat the vector pass at every block
+        size measured (``docs/candidates.md``).  The walk repeats
+        :meth:`_grid_block` inline because a shared generator costs this
+        routing hot path about 20%.
+        """
+        scalar_eligible = self.scalar_eligible
+        alive = self.alive
+        has_dead = self.dead_count > 0
+        if self.mode != "grid":
+            if has_dead:
+                return any(
+                    alive[p] and scalar_eligible(worker, p)
+                    for p in self.instance_positions
+                )
+            return any(scalar_eligible(worker, p) for p in self.instance_positions)
+        radius = self.radius_of(worker)
+        if radius < 0:
+            return False
+        slices, _ = self._cell_slices(worker, radius)
+        wx, wy = worker.location.x, worker.location.y
+        r2 = radius * radius
+        xs, ys = self.xs, self.ys
+        order = self.cell_positions
+        assert order is not None
+        for lo, hi in slices:
+            for p in order[lo:hi]:
+                if has_dead and not alive[p]:
+                    continue
+                dx = xs[p] - wx
+                dy = ys[p] - wy
+                if dx * dx + dy * dy <= r2 and scalar_eligible(worker, p):
+                    return True
+        for p in range(self.spill_start, self.num_tasks):
+            if has_dead and not alive[p]:
+                continue
+            dx = xs[p] - wx
+            dy = ys[p] - wy
+            if dx * dx + dy * dy <= r2 and scalar_eligible(worker, p):
+                return True
+        return False
 
     def topk(
         self,
         worker: Worker,
         k: int,
         mode: str = "acc_star",
-        completed: Optional[Sequence[bool]] = None,
         need: Optional[Sequence[float]] = None,
     ) -> List[Task]:
-        """The worker's best-``k`` assignable tasks, in assignment order."""
-        return [
-            self.tasks[position]
-            for position in self.backend.topk(self, worker, k, mode, completed, need)
-        ]
+        """The worker's best-``k`` assignable tasks, in assignment order.
 
-    def topk_acc_star(
-        self, worker: Worker, k: int, completed: Optional[Sequence[bool]] = None
-    ) -> List[Task]:
-        """LAF's selection: the ``k`` uncompleted tasks of largest ``Acc*``."""
-        return self.topk(worker, k, "acc_star", completed)
+        ``mode`` picks the score (see :data:`TOPK_MODES`); ``need``
+        supplies the per-position remaining need ``delta - S[t]`` for the
+        ``gain`` and ``need`` modes.  The order is largest scalar score
+        first, ties broken towards the lower-id task.  Finished tasks are
+        excluded by retiring them (:meth:`retire_tasks`).
+        """
+        if mode not in TOPK_MODES:
+            raise ValueError(f"unknown topk mode {mode!r}")
+        if mode != "acc_star" and need is None:
+            raise ValueError(f"topk mode {mode!r} requires a need array")
+        route = self._route(worker)
+        if route is None:
+            return []
+        vector, radius, slices = route
+        if vector:
+            picked = self._vector_topk(worker, radius, slices, k, mode, need)
+        else:
+            positions = self._scalar_eligible(worker, radius, slices, None, True)
+            picked = self._rescore_topk(worker, positions, k, mode, need)
+        tasks = self.tasks
+        return [tasks[position] for position in picked]
+
+    def topk_acc_star(self, worker: Worker, k: int) -> List[Task]:
+        """LAF's selection: the ``k`` open tasks of largest ``Acc*``."""
+        return self.topk(worker, k, "acc_star")
 
     def candidate_counts(self) -> Dict[int, int]:
         """Eligible-worker counts per task id (posting order).
 
         Iterates the snapshot's own posting order (the base instance's
         task order followed by dynamically added tasks), so tasks added
-        after construction are counted too; retired tasks count 0.
+        after construction are counted too; retired tasks count 0.  Each
+        worker contributes its unordered pool — nothing is sorted.
         """
-        counts = self.backend.count_eligible(self)
+        counts = [0] * self.num_tasks
+        for worker in self.instance.workers:
+            for position in self.eligible_positions(worker, ordered=False):
+                counts[position] += 1
         task_ids = self.task_ids
-        return {
-            task_ids[position]: int(counts[position])
-            for position in self.instance_positions
-        }
+        return {task_ids[position]: counts[position] for position in self.instance_positions}
 
-    # --------------------------------------------------- state containers
-
-    def bool_array(self) -> Sequence[bool]:
-        """A per-position ``False`` flag container in the backend's format."""
-        return self.backend.bool_array(self.num_tasks)
-
-    def float_array(self, fill: float) -> Sequence[float]:
-        """A per-position float container in the backend's format."""
-        return self.backend.float_array(self.num_tasks, fill)
-
-    def grow_bool_array(self, array: Sequence[bool]) -> Sequence[bool]:
-        """``array`` extended with ``False`` up to the current ``num_tasks``.
-
-        The companion of :meth:`add_tasks` for callers holding
-        per-position flag state: existing entries keep their positions
-        (the append-only invariant), new positions start ``False``.
-        """
-        return self.backend.grow_bool_array(array, self.num_tasks)
-
-    def grow_float_array(
-        self, array: Sequence[float], fill: float
-    ) -> Sequence[float]:
-        """``array`` extended with ``fill`` up to the current ``num_tasks``."""
-        return self.backend.grow_float_array(array, self.num_tasks, fill)
-
-    def make_allowed_mask(
-        self, allowed_ids: AbstractSet[int]
-    ) -> Sequence[bool]:
+    def make_allowed_mask(self, allowed_ids: AbstractSet[int]) -> List[bool]:
         """A per-position mask for an id restriction set (unknown ids ignored)."""
-        mask = self.backend.bool_array(self.num_tasks)
+        mask = [False] * self.num_tasks
         position_of = self.position_of
         for task_id in allowed_ids:
             position = position_of.get(task_id)

@@ -11,12 +11,9 @@ The :class:`CandidateFinder` centralises this eligibility rule.  It is a
 thin facade over the struct-of-arrays
 :class:`~repro.core.candidate_engine.engine.CandidateEngine`: tasks are
 snapshotted into flat coordinate arrays (CSR-grid-packed under the sigmoid
-model), and queries run through a pluggable backend — scalar loops or
-vectorized numpy passes — selected via the ``backend`` argument, the
-``candidates=`` solver-spec parameter, or the ``REPRO_CANDIDATES_BACKEND``
-environment variable.  All backends return identical candidates in
-identical order, so the choice is purely a speed knob; see
-``docs/candidates.md``.  (The pre-engine object-level scan survives as
+model); small queries run scalar loops and large ones one vectorized numpy
+pass, with identical candidates in identical order either way (see
+``docs/candidates.md``).  (The pre-engine object-level scan survives as
 :class:`~repro.core.candidates_legacy.LegacyCandidateFinder`, the
 differential-test oracle.)
 
@@ -120,10 +117,6 @@ class CandidateFinder:
     use_spatial_index:
         Build the CSR grid when the accuracy model is the sigmoid model.
         Disable to force the exhaustive scan (useful in tests).
-    backend:
-        Candidate-engine backend: a name (``"python"``, ``"numpy"``,
-        ``"auto"``), a backend instance, or ``None`` to defer to the
-        ``REPRO_CANDIDATES_BACKEND`` environment variable / auto-detection.
     """
 
     def __init__(
@@ -131,7 +124,6 @@ class CandidateFinder:
         instance: LTCInstance,
         min_accuracy: Optional[float] = None,
         use_spatial_index: bool = True,
-        backend=None,
     ) -> None:
         from repro.core.candidate_engine import CandidateEngine
 
@@ -140,7 +132,6 @@ class CandidateFinder:
             instance,
             min_accuracy=min_accuracy,
             use_spatial_index=use_spatial_index,
-            backend=backend,
         )
 
     @property
@@ -152,16 +143,10 @@ class CandidateFinder:
     def engine(self):
         """The underlying :class:`~repro.core.candidate_engine.engine.CandidateEngine`.
 
-        Solvers that need the bulk operations (``topk``, per-position state
-        containers) reach through this instead of re-snapshotting the
-        instance.
+        Solvers that need the bulk operations (``topk``, positions) reach
+        through this instead of re-snapshotting the instance.
         """
         return self._engine
-
-    @property
-    def backend_name(self) -> str:
-        """Name of the candidate backend answering this finder's queries."""
-        return self._engine.backend.name
 
     def add_tasks(self, tasks: Sequence[Task]) -> None:
         """Append newly posted tasks to the live snapshot.
@@ -225,7 +210,7 @@ class CandidateFinder:
         tasks ascending by id inside each group — exactly the stable arc
         order the MCF-LTC reduction appends to the kernel arena.  The
         restriction set is converted to a position mask once for the whole
-        batch, so vectorized backends filter it in-array.
+        batch.
 
         ``allowed_ids`` follows :meth:`iter_candidates` semantics:
         ``None`` leaves the task set unrestricted, while an empty set means
@@ -240,8 +225,8 @@ class CandidateFinder:
     def has_candidates(self, worker: Worker) -> bool:
         """Whether at least one task is assignable to the worker.
 
-        Short-circuits (scalar backend) or answers in one array pass
-        (numpy backend) without building the candidate list — the cheap
+        Short-circuits (scalar pass) or answers in one array pass (vector
+        pass) without building the candidate list — the cheap
         eligibility test for hot paths like the service layer's routing
         decision.
         """

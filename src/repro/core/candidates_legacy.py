@@ -9,7 +9,7 @@ per worker, python ``Task`` objects throughout, and one scalar
 role for the candidate layer that :mod:`repro.flow.reference` plays for
 the flow kernel:
 
-* the hypothesis differential suite checks both engine backends against
+* the hypothesis differential suite checks both engine passes against
   it pair by pair, and
 * ``benchmarks/bench_candidates.py`` uses it as the honest "before"
   baseline for the engine speedup numbers.

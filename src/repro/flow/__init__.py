@@ -8,15 +8,10 @@ around a flat array kernel:
 * :class:`ArcArena` / :func:`solve_mcf` — the kernel: parallel
   ``head``/``cost``/``cap``/``flow`` arrays indexed by arc id, residual
   twins at ``arc ^ 1``, CSR adjacency, SSPA with warm Johnson potentials
-  and deterministic tie-breaking.  Initial potentials come from
-  :func:`bellman_ford_potentials` (general graphs) or
+  and deterministic tie-breaking, in pure Python.  Initial potentials
+  come from :func:`bellman_ford_potentials` (general graphs) or
   :func:`dag_potentials` (one O(E) pass for the LTC reduction's 3-layer
   DAG).
-* :mod:`repro.flow.backends` — pluggable, bit-exact implementations of the
-  SSPA inner loop behind :func:`solve_mcf`: the pure-Python reference loop
-  and a numpy-vectorized one, selected via ``backend=`` / the
-  ``REPRO_FLOW_BACKEND`` environment variable / auto-detection
-  (:func:`resolve_backend`, :func:`available_backends`).
 * :class:`FlowNetwork` / :func:`successive_shortest_paths` — the
   label-addressed compatibility layer over the kernel, for callers that
   want hashable node labels and edge objects.
@@ -35,21 +30,10 @@ from repro.flow.kernel import (
     dag_potentials,
     solve_mcf,
 )
-from repro.flow.backends import (
-    BACKEND_ENV_VAR,
-    KernelBackend,
-    available_backends,
-    default_backend_name,
-    get_backend,
-    register_backend,
-    registered_backends,
-    resolve_backend,
-)
 from repro.flow.network import Edge, FlowNetwork
 from repro.flow.sspa import FlowResult, successive_shortest_paths, min_cost_flow
 from repro.flow.validate import validate_arena_flow, validate_flow, FlowViolation
 from repro.flow.exceptions import (
-    BackendUnavailableError,
     FlowError,
     InfeasibleFlowError,
     NegativeCycleError,
@@ -61,15 +45,6 @@ __all__ = [
     "bellman_ford_potentials",
     "dag_potentials",
     "solve_mcf",
-    "BACKEND_ENV_VAR",
-    "KernelBackend",
-    "available_backends",
-    "default_backend_name",
-    "get_backend",
-    "register_backend",
-    "registered_backends",
-    "resolve_backend",
-    "BackendUnavailableError",
     "Edge",
     "FlowNetwork",
     "FlowResult",

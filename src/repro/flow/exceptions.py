@@ -17,11 +17,3 @@ class NegativeCycleError(FlowError):
 class InfeasibleFlowError(FlowError):
     """A requested amount of flow cannot be routed from source to sink."""
 
-
-class BackendUnavailableError(FlowError):
-    """An explicitly named flow backend cannot run in this environment.
-
-    Raised by :func:`repro.flow.backends.resolve_backend` when a backend is
-    registered but its optional dependency (e.g. numpy) is missing.  Auto
-    selection never raises this — it falls back to the pure-Python backend.
-    """

@@ -16,12 +16,11 @@ those arrays: Dijkstra with Johnson potentials per augmentation, potentials
 kept warm across augmentations, and deterministic tie-breaking (heap ties
 fall back to the node id; among equal-cost relaxations the first-inserted
 arc wins), so no vanishing cost perturbations are needed for reproducible
-results.  The augmentation loop itself is pluggable: it runs on a
-:mod:`repro.flow.backends` backend — the tuned pure-Python reference loop
-or the numpy-vectorized one — selected per call (``backend=``), per process
-(the ``REPRO_FLOW_BACKEND`` environment variable) or automatically.  All
-backends are bit-exact with one another, so the choice is purely about
-speed.
+results.  The augmentation loop (:func:`_augment`) is tuned for CPython:
+packed per-node ``(arc, head, cost)`` rows, a solver-local residual array,
+*live* adjacency rows patched only along each augmenting path,
+goal-directed pruning against the sink's tentative distance, and a
+finalized-node skip before any float arithmetic.
 
 Initial potentials come from either :func:`bellman_ford_potentials`
 (general graphs, detects negative cycles) or — for the LTC reduction, whose
@@ -38,16 +37,21 @@ no per-batch network rebuild.
 
 from __future__ import annotations
 
+import bisect
+import heapq
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.flow.exceptions import InfeasibleFlowError, NegativeCycleError
 
-if TYPE_CHECKING:  # pragma: no cover - types only
-    from repro.flow.backends import BackendLike
-
 _INF = math.inf
+
+#: Strict-improvement tolerance for Dijkstra relaxations.  Relaxations
+#: compare ``candidate < dist - RELAX_EPS``, so among equal-cost
+#: alternatives the first-found one wins — part of the determinism that
+#: pins MCF-LTC arrangements byte for byte.
+RELAX_EPS = 1e-15
 
 
 class ArcArena:
@@ -58,8 +62,7 @@ class ArcArena:
     its residual twin (odd id, ``arc ^ 1``) in one call.  All numeric state
     lives in the four parallel lists; there are no per-arc objects.
 
-    Invariants (maintained by every mutator and relied on by the solver
-    backends):
+    Invariants (maintained by every mutator and relied on by the solver):
 
     * the four lists always have equal length, and ``num_arcs`` is even —
       arcs exist only as forward/twin pairs;
@@ -367,7 +370,6 @@ def solve_mcf(
     max_flow: Optional[int] = None,
     require_max_flow: bool = False,
     potentials: Optional[Sequence[float]] = None,
-    backend: "BackendLike" = None,
 ) -> KernelFlowResult:
     """Min-cost flow from ``source`` to ``sink`` by successive shortest paths.
 
@@ -391,16 +393,6 @@ def solve_mcf(
         graph (one entry per node, infinite for unreachable nodes) — stale
         potentials silently break optimality.  ``None`` computes them with
         :func:`bellman_ford_potentials`.
-    backend:
-        Which :mod:`repro.flow.backends` implementation runs the
-        augmentation loop: a backend instance, a registered name
-        (``"python"``, ``"numpy"``), ``"auto"``, or ``None`` to consult the
-        ``REPRO_FLOW_BACKEND`` environment variable and fall back to
-        ``"auto"`` (numpy when available, else python).  Backends are
-        bit-exact with one another, so this only affects speed.  Unknown
-        names raise ``KeyError`` with a did-you-mean hint; explicitly
-        naming an unavailable backend raises
-        :class:`~repro.flow.exceptions.BackendUnavailableError`.
 
     Returns
     -------
@@ -416,11 +408,8 @@ def solve_mcf(
     non-negative (the warm-start across augmentations).  Determinism: heap
     ties compare the node id and relaxations use strict ``<``, so among
     equal-reduced-cost alternatives the lowest node id / first-inserted arc
-    wins — stable across runs and across backends with no cost
-    perturbation.
+    wins — stable across runs with no cost perturbation.
     """
-    from repro.flow.backends import resolve_backend
-
     n = graph.num_nodes
     if not (0 <= source < n and 0 <= sink < n):
         raise ValueError("source and sink must be nodes of the graph")
@@ -428,7 +417,6 @@ def solve_mcf(
         raise ValueError("source and sink must differ")
     if max_flow is not None and max_flow < 0:
         raise ValueError("max_flow must be non-negative")
-    impl = resolve_backend(backend)
 
     if potentials is None:
         pot = bellman_ford_potentials(graph, source)
@@ -438,7 +426,7 @@ def solve_mcf(
             raise ValueError("potentials must cover every node")
 
     target = _INF if max_flow is None else max_flow
-    routed, augmentations, pot = impl.run(graph, source, sink, target, pot)
+    routed, augmentations = _augment(graph, source, sink, target, pot)
 
     if require_max_flow and max_flow is not None and routed < max_flow:
         raise InfeasibleFlowError(
@@ -451,3 +439,140 @@ def solve_mcf(
         augmentations=augmentations,
         potentials=pot,
     )
+
+
+def _augment(
+    graph: ArcArena, source: int, sink: int, target: float, pot: List[float]
+) -> Tuple[int, int]:
+    """Route up to ``target`` units by successive shortest paths.
+
+    ``pot`` must be exact shortest-path distances from ``source`` under
+    the arena's current residual graph; it is advanced in place and ends
+    valid as a warm start for a follow-up solve.  ``graph.flow`` is
+    updated in place, twins in lockstep.  Returns ``(routed,
+    augmentations)``.
+    """
+    n = graph.num_nodes
+    head, cost, cap, flow = graph.head, graph.cost, graph.cap, graph.flow
+    heappush, heappop = heapq.heappush, heapq.heappop
+    insort = bisect.insort
+
+    # Solver-local residual array: one index per touch instead of two
+    # plus a subtraction.  ``flow`` is kept in lockstep so callers read
+    # arc flows off the arena as usual.
+    res = [cap[a] - flow[a] for a in range(len(cap))]
+
+    # Live adjacency: per-node rows holding only arcs with residual
+    # capacity, so Dijkstra never scans (or re-checks) saturated arcs.
+    # Rows stay sorted by arc id — the same stable insertion order as
+    # :meth:`ArcArena.packed_adjacency`, preserving deterministic
+    # tie-breaking — and are patched only along each augmenting path as
+    # pushes saturate forward arcs and open their residual twins.
+    rows: List[List[Tuple[int, int, float]]] = [
+        [entry for entry in row if res[entry[0]] > 0]
+        for row in graph.packed_adjacency()
+    ]
+
+    routed = 0
+    augmentations = 0
+
+    while routed < target:
+        # Dijkstra over reduced costs, early exit at the sink.
+        dist = [_INF] * n
+        pred = [-1] * n
+        dist[source] = 0.0
+        dist_sink = _INF
+        done = bytearray(n)
+        touched: List[int] = []
+        heap: List[Tuple[float, int]] = [(0.0, source)]
+        while heap:
+            d, node = heappop(heap)
+            if done[node]:
+                continue
+            if node == sink:
+                break
+            done[node] = 1
+            # No infinite-potential guards in this loop: a scanned arc
+            # has residual capacity and leaves a node the search
+            # reached, and any such arc's head was already reachable
+            # when the initial potentials were computed — so its
+            # potential is finite.
+            base = d + pot[node]
+            for a, h, c in rows[node]:
+                # A finalized head can never improve: heap keys are
+                # monotone, so candidate >= d >= dist[h].  Skipping it
+                # saves the float arithmetic for every arc pointing
+                # back into the already-popped region.
+                if done[h]:
+                    continue
+                # candidate = d + max(reduced cost, 0); the max()
+                # clamps floating-point noise that pushes a reduced
+                # cost below 0.
+                candidate = base + c - pot[h]
+                if candidate < d:
+                    candidate = d
+                d_head = dist[h]
+                # Goal-directed pruning: a node whose tentative
+                # distance is not below the sink's would pop after the
+                # sink (heap ties resolve by node id and the sink's
+                # entry is already enqueued at dist[sink]), so it can
+                # never join the augmenting path, and the potential
+                # update clamps every distance at the sink's anyway.
+                # Skipping it here changes nothing in the output but
+                # avoids exploring the far side of the graph on every
+                # augmentation.
+                if candidate < d_head - RELAX_EPS and candidate < dist_sink:
+                    if d_head == _INF:
+                        touched.append(h)
+                    dist[h] = candidate
+                    pred[h] = a
+                    if h == sink:
+                        dist_sink = candidate
+                    heappush(heap, (candidate, h))
+
+        sink_dist = dist_sink
+        if sink_dist == _INF:
+            break
+
+        # Advance potentials so the next round's reduced costs stay
+        # non-negative.  Textbook SSPA adds ``min(dist[v], sink_dist)``
+        # to every finite potential; since reduced costs only ever see
+        # potential *differences*, the uniform ``+ sink_dist`` part
+        # cancels and only nodes the search actually reached below the
+        # sink need the relative update ``dist[v] - sink_dist`` —
+        # O(region) instead of O(V) per augmentation.
+        for v in touched:
+            d_v = dist[v]
+            if d_v < sink_dist:
+                pot[v] += d_v - sink_dist
+
+        # Bottleneck along sink -> source, then push.
+        bottleneck = target - routed
+        v = sink
+        while v != source:
+            a = pred[v]
+            r = res[a]
+            if r < bottleneck:
+                bottleneck = r
+            v = head[a ^ 1]
+        bottleneck = int(bottleneck)
+        if bottleneck <= 0:
+            break
+        v = sink
+        while v != source:
+            a = pred[v]
+            twin = a ^ 1
+            flow[a] += bottleneck
+            flow[twin] -= bottleneck
+            res[a] -= bottleneck
+            if res[a] == 0:
+                rows[head[twin]].remove((a, head[a], cost[a]))
+            if res[twin] == 0:
+                insort(rows[head[a]], (twin, head[twin], cost[twin]))
+            res[twin] += bottleneck
+            v = head[twin]
+
+        routed += bottleneck
+        augmentations += 1
+
+    return routed, augmentations

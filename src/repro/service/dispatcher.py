@@ -57,7 +57,6 @@ from repro.algorithms.base import Solver, SolveResult
 from repro.algorithms.registry import build_solver
 from repro.algorithms.spec import SolverSpecLike
 from repro.core.arrangement import Assignment
-from repro.core.candidate_engine import validate_candidate_backend_name
 from repro.core.candidates import (
     CandidateFinder,
     instance_reach_radius,
@@ -274,14 +273,6 @@ class LTCDispatcher:
         dispatch demo and tests to verify per-session latencies match
         single-session runs.  Off by default to keep memory flat under
         heavy traffic.
-    candidates:
-        Candidate-engine backend used for the per-session eligibility
-        routing test (``"python"``, ``"numpy"``, ``"auto"``, or ``None``
-        to defer to ``REPRO_CANDIDATES_BACKEND`` / auto-detection).  The
-        routing decision is one ``has_candidates`` query per arrival per
-        session whose reach box covers the arrival's cell (a grid index
-        over the sessions' reach boxes skips the rest), so the backend
-        prices each probe, not the number of open sessions.
     clock:
         Monotonic time source used for the ``busy_seconds`` metric;
         defaults to :func:`time.perf_counter`.  Injectable so tests can
@@ -293,13 +284,10 @@ class LTCDispatcher:
         self,
         default_solver: SolverSpecLike = "AAM",
         keep_streams: bool = False,
-        candidates: Optional[str] = None,
         clock: Optional[Callable[[], float]] = None,
     ) -> None:
-        validate_candidate_backend_name(candidates)
         self._default_solver = default_solver
         self._keep_streams = keep_streams
-        self._candidates_backend = candidates
         self._clock: Callable[[], float] = clock if clock is not None else time.perf_counter
         self._sessions: Dict[str, _ManagedSession] = {}
         self._index = _ReachIndex()
@@ -366,7 +354,7 @@ class LTCDispatcher:
             session_id=session_id,
             instance=instance,
             session=solver_obj.open_session(instance),
-            candidates=CandidateFinder(instance, backend=self._candidates_backend),
+            candidates=CandidateFinder(instance),
             solver=solver_obj,
             routed_stream=[] if self._keep_streams else None,
             reach=tasks_reach_bounds(instance),

@@ -167,7 +167,7 @@ class ShardedDispatcher:
         The :class:`~repro.service.sharding.ShardPlan` partitioning the
         region.  Every shard in the plan (geo cells + overflow) gets its
         own :class:`~repro.service.LTCDispatcher`.
-    default_solver / candidates / keep_streams / clock:
+    default_solver / keep_streams / clock:
         Forwarded to every per-shard dispatcher (see
         :class:`~repro.service.LTCDispatcher`); the clock is shared so
         per-shard busy-time metrics are comparable.
@@ -208,7 +208,6 @@ class ShardedDispatcher:
         queue_capacity: int = 1024,
         queue_policy: str = "block",
         keep_streams: bool = False,
-        candidates: Optional[str] = None,
         clock: Optional[Callable[[], float]] = None,
         recovery: Union[RecoveryPolicy, ShardSupervisor, None] = None,
         faults: Union[FaultPlan, FaultInjector, None] = None,
@@ -228,7 +227,6 @@ class ShardedDispatcher:
         self._record_latencies = record_latencies
         self._default_solver = default_solver
         self._keep_streams = keep_streams
-        self._candidates_backend = candidates
         if isinstance(recovery, ShardSupervisor):
             self._supervisor = recovery
         else:
@@ -710,7 +708,6 @@ class ShardedDispatcher:
         return LTCDispatcher(
             default_solver=self._default_solver,
             keep_streams=self._keep_streams,
-            candidates=self._candidates_backend,
             clock=self._clock,
         )
 

@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import contextlib
 import faulthandler
 import os
 import sys
-from typing import TextIO
+from typing import Iterator, TextIO
 
 import numpy as np
 import pytest
 
 from repro.core.accuracy import ConstantAccuracy, SigmoidDistanceAccuracy
+from repro.core.candidate_engine import engine as engine_module
 from repro.core.examples import running_example_instance
 from repro.core.instance import LTCInstance
 from repro.core.task import Task
@@ -56,6 +58,47 @@ def _hang_guard(request):
         yield
     finally:
         faulthandler.cancel_dump_traceback_later()
+
+
+#: A vector cutover above every block a test gathers: every query runs the
+#: candidate engine's scalar loops.
+SCALAR_ONLY = 1 << 30
+
+#: A vector cutover inside the blocks the tests gather (2-23 candidates on
+#: ``small_synthetic_instance``, 0-6 on a six-task dispatcher campaign), so
+#: one run switches between the passes query by query, as production does
+#: at the shipped cutover, and the lazy numpy mirrors are built mid-run and
+#: must track every ``add_tasks``/``retire_tasks`` the scalar queries saw.
+MIXED_CUTOVER = 6
+
+#: The cutover for each way of running the candidate engine.  ``0`` sends
+#: every sigmoid query, empty blocks included, through the numpy pass.
+ENGINE_PASSES = {"scalar": SCALAR_ONLY, "mixed": MIXED_CUTOVER, "vector": 0}
+
+
+@contextlib.contextmanager
+def vector_cutover(block: int) -> Iterator[None]:
+    """Set the engine's ``VECTOR_MIN_BLOCK`` for the duration."""
+    saved = engine_module.VECTOR_MIN_BLOCK
+    engine_module.VECTOR_MIN_BLOCK = block
+    try:
+        yield
+    finally:
+        engine_module.VECTOR_MIN_BLOCK = saved
+
+
+@pytest.fixture(params=sorted(ENGINE_PASSES))
+def engine_pass(request) -> Iterator[str]:
+    """Run the test once per way of running the engine's vector cutover.
+
+    Every candidate query in the test then takes the scalar pass, the
+    numpy pass, or whichever of the two its block size picks at
+    :data:`MIXED_CUTOVER`, so one exactness test checks all three against
+    the legacy oracle or the scalar results.  The value never changes mid-test, so it is safe under
+    hypothesis.
+    """
+    with vector_cutover(ENGINE_PASSES[request.param]):
+        yield request.param
 
 
 @pytest.fixture

@@ -125,18 +125,20 @@ class TestBuildSolver:
         assert solver.use_spatial_index is False
 
     @pytest.mark.parametrize(
-        "spec, unknown",
+        "spec, unknown, declared",
         [
-            ("MCF-LTC?batch_size=3", "batch_size"),
-            ("MCF-LTC?index_tiebreak=false", "index_tiebreak"),
+            ("MCF-LTC?batch_size=3", "batch_size", "batch_multiplier"),
+            ("MCF-LTC?index_tiebreak=false", "index_tiebreak", "batch_multiplier"),
+            ("MCF-LTC?backend=numpy", "backend", "batch_multiplier"),
+            ("LAF?candidates=numpy", "candidates", "use_spatial_index"),
         ],
     )
-    def test_unknown_parameter_lists_declared_ones(self, spec, unknown):
+    def test_unknown_parameter_lists_declared_ones(self, spec, unknown, declared):
         with pytest.raises(ValueError, match="does not accept parameter") as excinfo:
             build_solver(spec)
         message = str(excinfo.value)
         assert unknown in message
-        assert "batch_multiplier" in message
+        assert declared in message
 
     def test_unknown_solver_name_raises_keyerror(self):
         with pytest.raises(KeyError):

@@ -1,14 +1,13 @@
 """Every committed benchmark report must follow the shared schema.
 
-``benchmarks/_common.py`` defines one report shape for every
-``BENCH_*.json`` (benchmark name, config, sections with timings and
-speedups-vs-named-baseline, headline speedups, environment block,
-exactness fingerprint); the consolidated ``BENCH_all.json`` and the
-committed smoke baseline add per-suite ``fingerprints``/``config.suites``
-and ``<suite>.<section>`` namespacing.  These tests run
-``_common.validate_report`` over every report checked into the repo so a
-hand-edited or stale-schema report fails CI before the regression gate
-ever reads it.
+``benchmarks/_common.py`` defines one report shape (benchmark name,
+config, sections with timings and speedups-vs-named-baseline, headline
+speedups, environment block, exactness fingerprint); the consolidated
+``BENCH_all.json`` and the committed smoke baseline add per-suite
+``fingerprints``/``config.suites`` and ``<suite>.<section>`` namespacing.
+They are the only committed reports.  These tests run
+``_common.validate_report`` over both so a hand-edited or stale-schema
+report fails CI before the regression gate ever reads it.
 """
 
 from __future__ import annotations
@@ -24,35 +23,18 @@ sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 
 import _common  # noqa: E402
 
-SUITE_REPORTS = sorted(
-    path for path in REPO_ROOT.glob("BENCH_*.json")
-    if path.name != "BENCH_all.json"
-)
 CONSOLIDATED_REPORTS = [
     REPO_ROOT / "BENCH_all.json",
     _common.SMOKE_BASELINE,
 ]
 
 
-def test_expected_reports_are_committed():
-    names = {path.name for path in SUITE_REPORTS}
-    assert {
-        "BENCH_flow_kernel.json",
-        "BENCH_candidates.json",
-        "BENCH_dynamic_sessions.json",
-        "BENCH_dispatch_scale.json",
-    } <= names
+def test_root_holds_one_report():
+    assert [path.name for path in REPO_ROOT.glob("BENCH_*.json")] == [
+        "BENCH_all.json"
+    ]
     for path in CONSOLIDATED_REPORTS:
         assert path.is_file(), f"missing committed report {path}"
-
-
-@pytest.mark.parametrize(
-    "path", SUITE_REPORTS, ids=lambda path: path.name
-)
-def test_suite_report_matches_schema(path):
-    report = json.loads(path.read_text())
-    problems = _common.validate_report(report)
-    assert not problems, f"{path.name}: {problems}"
 
 
 @pytest.mark.parametrize(
@@ -62,19 +44,6 @@ def test_consolidated_report_matches_schema(path):
     report = json.loads(path.read_text())
     problems = _common.validate_report(report, consolidated=True)
     assert not problems, f"{path.name}: {problems}"
-
-
-def test_suite_reports_name_registered_suites():
-    """Each committed per-suite report belongs to a registered suite."""
-    import bench_all  # noqa: F401  (importing registers every suite)
-
-    registered = set(_common.registered_suites())
-    for path in SUITE_REPORTS:
-        report = json.loads(path.read_text())
-        assert report["benchmark"] in registered, (
-            f"{path.name} names unregistered suite {report['benchmark']!r}"
-        )
-        assert path.name == f"BENCH_{report['benchmark']}.json"
 
 
 def test_consolidated_covers_every_registered_suite():
@@ -91,9 +60,46 @@ def test_consolidated_covers_every_registered_suite():
         assert suites_with_sections == registered, path.name
 
 
+def _single_suite_report(name: str) -> dict:
+    """One suite's slice of ``BENCH_all.json``, in the single-suite shape."""
+    consolidated = json.loads((REPO_ROOT / "BENCH_all.json").read_text())
+    prefix = f"{name}."
+    return {
+        "schema_version": consolidated["schema_version"],
+        "benchmark": name,
+        "description": name,
+        "mode": consolidated["mode"],
+        "config": consolidated["config"]["suites"][name],
+        "environment": consolidated["environment"],
+        "sections": {
+            key[len(prefix):]: section
+            for key, section in consolidated["sections"].items()
+            if key.startswith(prefix)
+        },
+        "headline_speedups": {
+            key[len(prefix):]: value
+            for key, value in consolidated["headline_speedups"].items()
+            if key.startswith(prefix)
+        },
+        "fingerprint": consolidated["fingerprints"][name],
+    }
+
+
+@pytest.mark.parametrize(
+    "name",
+    sorted(json.loads((REPO_ROOT / "BENCH_all.json").read_text())["fingerprints"]),
+)
+def test_each_suite_slice_matches_the_single_suite_schema(name):
+    """Each suite's part of ``BENCH_all.json`` is a valid report of its own."""
+    report = _single_suite_report(name)
+    assert report["sections"], f"{name} has no sections"
+    problems = _common.validate_report(report)
+    assert not problems, f"{name}: {problems}"
+
+
 def test_validate_report_rejects_broken_reports():
     """The validator itself catches the failure modes it exists for."""
-    good = json.loads((REPO_ROOT / "BENCH_flow_kernel.json").read_text())
+    good = _single_suite_report("flow_kernel")
     assert _common.validate_report(good) == []
 
     assert _common.validate_report([]) != []

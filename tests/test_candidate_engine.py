@@ -1,27 +1,18 @@
-"""Candidate-engine backends: registry, selection, queries, and top-k."""
+"""Candidate-engine queries and top-k, through both sides of the vector cutover.
+
+Every test taking the ``engine_pass`` fixture runs three times: with every
+query on the scalar loops, with every query on the numpy pass, and with a
+cutover inside the test's block sizes, so each query picks its own pass.
+"""
 
 import math
 
 import pytest
+from conftest import MIXED_CUTOVER
 
-from repro.algorithms.registry import build_solver
-from repro.core import candidate_engine as engine_pkg
 from repro.core.accuracy import ConstantAccuracy, SigmoidDistanceAccuracy
-from repro.core.candidate_engine import (
-    AUTO_CANDIDATE_BACKEND,
-    CANDIDATES_ENV_VAR,
-    CandidateBackendUnavailableError,
-    CandidateEngine,
-    NumpyCandidateBackend,
-    PythonCandidateBackend,
-    available_candidate_backends,
-    default_candidate_backend_name,
-    get_candidate_backend,
-    register_candidate_backend,
-    registered_candidate_backends,
-    resolve_candidate_backend,
-)
-from repro.core.candidate_engine import numpy_backend as numpy_backend_module
+from repro.core.candidate_engine import CandidateEngine
+from repro.core.candidate_engine import engine as engine_module
 from repro.core.candidates import CandidateFinder
 from repro.core.candidates_legacy import LegacyCandidateFinder
 from repro.core.instance import LTCInstance
@@ -31,21 +22,6 @@ from repro.geo.bbox import BoundingBox
 from repro.geo.grid_index import GridIndex
 from repro.geo.point import Point
 from repro.structures.topk import TopKHeap
-
-NUMPY_AVAILABLE = NumpyCandidateBackend().is_available()
-
-needs_numpy = pytest.mark.skipif(not NUMPY_AVAILABLE, reason="numpy not installed")
-
-BACKENDS = ["python"] + (["numpy"] if NUMPY_AVAILABLE else [])
-
-
-def _no_numpy(monkeypatch):
-    """Make the numpy candidate backend behave as if numpy were absent."""
-
-    def _raise():
-        raise ImportError("numpy is not installed (simulated)")
-
-    monkeypatch.setattr(numpy_backend_module, "load_numpy", _raise)
 
 
 def spatial_instance(task_xs, worker_xs=(0.0,), worker_accuracy=0.9, d_max=30.0):
@@ -61,111 +37,6 @@ def spatial_instance(task_xs, worker_xs=(0.0,), worker_accuracy=0.9, d_max=30.0)
         error_rate=0.2,
         accuracy_model=SigmoidDistanceAccuracy(d_max=d_max),
     )
-
-
-class TestRegistry:
-    def test_builtins_are_registered(self):
-        assert "python" in registered_candidate_backends()
-        assert "numpy" in registered_candidate_backends()
-
-    def test_python_backend_is_always_available(self):
-        assert "python" in available_candidate_backends()
-
-    def test_unknown_name_raises_with_did_you_mean(self):
-        with pytest.raises(KeyError, match=r"did you mean 'numpy'"):
-            get_candidate_backend("numppy")
-        with pytest.raises(KeyError, match=r"known backends"):
-            get_candidate_backend("fortran")
-
-    def test_register_rejects_reserved_and_duplicate_names(self):
-        class Bad(PythonCandidateBackend):
-            name = AUTO_CANDIDATE_BACKEND
-
-        with pytest.raises(ValueError, match="reserved"):
-            register_candidate_backend(Bad())
-        with pytest.raises(ValueError, match="already registered"):
-            register_candidate_backend(PythonCandidateBackend())
-
-    def test_register_and_resolve_custom_backend(self):
-        class Tracing(PythonCandidateBackend):
-            name = "tracing-test"
-
-        backend = Tracing()
-        register_candidate_backend(backend)
-        try:
-            assert resolve_candidate_backend("tracing-test") is backend
-        finally:
-            del engine_pkg._BACKENDS["tracing-test"]
-
-
-class TestResolution:
-    def test_explicit_names_resolve(self):
-        assert resolve_candidate_backend("python").name == "python"
-        if NUMPY_AVAILABLE:
-            assert resolve_candidate_backend("numpy").name == "numpy"
-
-    def test_backend_instances_pass_through(self):
-        backend = PythonCandidateBackend()
-        assert resolve_candidate_backend(backend) is backend
-
-    def test_auto_prefers_numpy_when_available(self, monkeypatch):
-        monkeypatch.delenv(CANDIDATES_ENV_VAR, raising=False)
-        expected = "numpy" if NUMPY_AVAILABLE else "python"
-        assert resolve_candidate_backend(AUTO_CANDIDATE_BACKEND).name == expected
-        assert resolve_candidate_backend(None).name == expected
-        assert default_candidate_backend_name() == expected
-
-    def test_env_var_selects_backend(self, monkeypatch):
-        monkeypatch.setenv(CANDIDATES_ENV_VAR, "python")
-        assert resolve_candidate_backend(None).name == "python"
-        monkeypatch.setenv(CANDIDATES_ENV_VAR, "")
-        assert resolve_candidate_backend(None).name == default_candidate_backend_name()
-
-    def test_env_var_unknown_name_raises(self, monkeypatch):
-        monkeypatch.setenv(CANDIDATES_ENV_VAR, "numppy")
-        with pytest.raises(KeyError, match="did you mean"):
-            resolve_candidate_backend(None)
-
-    def test_non_string_choice_raises(self):
-        with pytest.raises(TypeError):
-            resolve_candidate_backend(42)
-
-    def test_auto_falls_back_to_python_without_numpy(self, monkeypatch):
-        monkeypatch.delenv(CANDIDATES_ENV_VAR, raising=False)
-        _no_numpy(monkeypatch)
-        assert not NumpyCandidateBackend().is_available()
-        assert available_candidate_backends() == ["python"]
-        assert resolve_candidate_backend(None).name == "python"
-
-    def test_explicitly_named_unavailable_backend_raises(self, monkeypatch):
-        _no_numpy(monkeypatch)
-        with pytest.raises(CandidateBackendUnavailableError):
-            resolve_candidate_backend("numpy")
-
-
-class TestSpecIntegration:
-    @pytest.mark.parametrize("spec", [
-        "LAF?candidates=python",
-        "AAM?candidates=python",
-        "MCF-LTC?candidates=python",
-        "Base-off?candidates=python",
-        "Random?candidates=python",
-        "LGF-only?candidates=python",
-        "LRF-only?candidates=python",
-    ])
-    def test_candidates_param_reaches_solvers(self, spec, tiny_instance):
-        solver = build_solver(spec)
-        result = solver.solve(tiny_instance)
-        assert result.completed
-
-    def test_unknown_candidates_name_fails_fast(self):
-        with pytest.raises(KeyError, match="did you mean"):
-            build_solver("LAF?candidates=numppy")
-
-    @needs_numpy
-    def test_numpy_spec_form(self, tiny_instance):
-        result = build_solver("LAF?candidates=numpy").solve(tiny_instance)
-        assert result.completed
 
 
 class TestInfiniteRadiusRegression:
@@ -186,10 +57,9 @@ class TestInfiniteRadiusRegression:
         with pytest.raises(ValueError):
             grid.query_radius(Point(0, 0), math.nan)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_zero_threshold_returns_every_task(self, backend):
+    def test_zero_threshold_returns_every_task(self, engine_pass):
         instance = spatial_instance([0.0, 50.0, 500.0])
-        finder = CandidateFinder(instance, min_accuracy=0.0, backend=backend)
+        finder = CandidateFinder(instance, min_accuracy=0.0)
         worker = instance.worker(1)
         assert [t.task_id for t in finder.candidates(worker)] == [0, 1, 2]
         assert finder.has_candidates(worker)
@@ -201,32 +71,29 @@ class TestInfiniteRadiusRegression:
 
 
 class TestEngineQueries:
-    @pytest.mark.parametrize("backend", BACKENDS)
     def test_matches_legacy_on_synthetic_instance(
-        self, backend, small_synthetic_instance
+        self, engine_pass, small_synthetic_instance
     ):
         legacy = LegacyCandidateFinder(small_synthetic_instance)
-        finder = CandidateFinder(small_synthetic_instance, backend=backend)
+        finder = CandidateFinder(small_synthetic_instance)
         for worker in small_synthetic_instance.workers[:60]:
             expected = [t.task_id for t in legacy.candidates(worker)]
             assert [t.task_id for t in finder.candidates(worker)] == expected
             assert finder.has_candidates(worker) == bool(expected)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_count_per_task_matches_naive(self, backend, small_synthetic_instance):
-        finder = CandidateFinder(small_synthetic_instance, backend=backend)
+    def test_count_per_task_matches_naive(self, engine_pass, small_synthetic_instance):
+        finder = CandidateFinder(small_synthetic_instance)
         naive = {task.task_id: 0 for task in small_synthetic_instance.tasks}
         for worker in small_synthetic_instance.workers:
             for task in finder.candidates(worker):
                 naive[task.task_id] += 1
         assert finder.candidate_count_per_task() == naive
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     def test_eligible_pairs_order_and_allowed_semantics(
-        self, backend, small_synthetic_instance
+        self, engine_pass, small_synthetic_instance
     ):
         legacy = LegacyCandidateFinder(small_synthetic_instance)
-        finder = CandidateFinder(small_synthetic_instance, backend=backend)
+        finder = CandidateFinder(small_synthetic_instance)
         workers = small_synthetic_instance.workers[:30]
         allowed = {t.task_id for t in small_synthetic_instance.tasks[::3]}
         for restriction in (None, allowed):
@@ -242,39 +109,58 @@ class TestEngineQueries:
         assert list(finder.eligible_pairs(workers, set())) == []
         assert list(finder.iter_candidates(workers[0], frozenset())) == []
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_non_contiguous_task_ids(self, backend):
+    def test_non_contiguous_task_ids(self, engine_pass):
         tasks = [Task(task_id=i, location=Point(float(i % 7), 0.0))
                  for i in (90, 3, 41, 17, 55)]
         workers = [Worker(index=1, location=Point(0.0, 0.0), accuracy=0.9,
                           capacity=3)]
         instance = LTCInstance(tasks=tasks, workers=workers, error_rate=0.2)
-        finder = CandidateFinder(instance, backend=backend)
+        finder = CandidateFinder(instance)
         got = [t.task_id for t in finder.candidates(instance.worker(1))]
         assert got == sorted(got) == [3, 17, 41, 55, 90]
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_generic_model_scans_in_instance_order(self, backend):
-        # Non-sigmoid models fall back to the instance-order scan (the
-        # numpy backend delegates to the scalar one).
+    def test_generic_model_scans_in_instance_order(self, engine_pass):
+        # Non-sigmoid models fall back to the instance-order scan, which is
+        # scalar on both sides of the cutover.
         tasks = [Task.at(5, 0, 0), Task.at(2, 500, 500), Task.at(9, 1, 1)]
         workers = [Worker.at(1, 0, 0, accuracy=0.9, capacity=3)]
         instance = LTCInstance(
             tasks=tasks, workers=workers, error_rate=0.2,
             accuracy_model=ConstantAccuracy(0.9),
         )
-        finder = CandidateFinder(instance, backend=backend)
+        finder = CandidateFinder(instance)
         assert [t.task_id for t in finder.candidates(instance.worker(1))] == [5, 2, 9]
+
+    def test_allowed_restriction_matches_legacy(
+        self, engine_pass, small_synthetic_instance
+    ):
+        instance = small_synthetic_instance
+        legacy = LegacyCandidateFinder(instance)
+        finder = CandidateFinder(instance)
+        allowed = {t.task_id for t in instance.tasks[::3]}
+        for worker in instance.workers[:40]:
+            assert [t.task_id for t in finder.iter_candidates(worker, allowed)] == [
+                t.task_id for t in legacy.iter_candidates(worker, allowed)
+            ]
+        assert finder.candidate_count_per_task() == legacy.candidate_count_per_task()
+
+    def test_scan_mode_matches_legacy(self, engine_pass, small_synthetic_instance):
+        instance = small_synthetic_instance
+        legacy = LegacyCandidateFinder(instance, use_spatial_index=False)
+        finder = CandidateFinder(instance, use_spatial_index=False)
+        for worker in instance.workers[:20]:
+            expected = [t.task_id for t in legacy.candidates(worker)]
+            assert [t.task_id for t in finder.candidates(worker)] == expected
+            assert finder.has_candidates(worker) == bool(expected)
 
 
 class TestTopK:
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("k", [1, 2, 5, 40])
     def test_topk_acc_star_matches_manual_heap(
-        self, backend, k, small_synthetic_instance
+        self, engine_pass, k, small_synthetic_instance
     ):
         instance = small_synthetic_instance
-        finder = CandidateFinder(instance, backend=backend)
+        finder = CandidateFinder(instance)
         engine = finder.engine
         for worker in instance.workers[:25]:
             heap: TopKHeap = TopKHeap(k)
@@ -284,30 +170,29 @@ class TestTopK:
             got = [t.task_id for t in engine.topk_acc_star(worker, k)]
             assert got == expected
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_topk_respects_completed_mask(self, backend, small_synthetic_instance):
+    def test_topk_skips_tombstoned_tasks(self, engine_pass, small_synthetic_instance):
         instance = small_synthetic_instance
-        engine = CandidateEngine(instance, backend=backend)
+        engine = CandidateEngine(instance)
         worker = instance.workers[0]
         full = engine.topk_acc_star(worker, 4)
         if not full:
             pytest.skip("worker has no candidates")
-        completed = engine.bool_array()
-        completed[engine.position_of[full[0].task_id]] = True
-        reduced = engine.topk_acc_star(worker, 4, completed)
+        engine.retire_tasks([full[0].task_id])
+        reduced = engine.topk_acc_star(worker, 4)
         assert full[0].task_id not in {t.task_id for t in reduced}
+        assert [t.task_id for t in reduced[:3]] == [t.task_id for t in full[1:4]]
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     def test_topk_need_modes_match_manual_scores(
-        self, backend, small_synthetic_instance
+        self, engine_pass, small_synthetic_instance
     ):
         instance = small_synthetic_instance
-        engine = CandidateEngine(instance, backend=backend)
+        engine = CandidateEngine(instance)
         delta = instance.delta
-        need = engine.float_array(delta)
         # Perturb needs so the two modes genuinely disagree with acc_star.
-        for position in range(engine.num_tasks):
-            need[position] = delta * (0.1 + (position % 5) / 5.0)
+        need = [
+            delta * (0.1 + (position % 5) / 5.0)
+            for position in range(engine.num_tasks)
+        ]
         for mode in ("gain", "need"):
             for worker in instance.workers[:15]:
                 heap: TopKHeap = TopKHeap(3)
@@ -317,102 +202,121 @@ class TestTopK:
                     score = min(star, need[position]) if mode == "gain" else need[position]
                     heap.push(float(score), task)
                 expected = [task.task_id for _, task in heap.pop_all()]
-                got = [t.task_id for t in engine.topk(worker, 3, mode, None, need)]
+                got = [t.task_id for t in engine.topk(worker, 3, mode, need)]
                 assert got == expected, (mode, worker.index)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_topk_unknown_mode_raises(self, backend, small_synthetic_instance):
-        engine = CandidateEngine(small_synthetic_instance, backend=backend)
+    def test_topk_unknown_mode_raises(self, engine_pass, small_synthetic_instance):
+        engine = CandidateEngine(small_synthetic_instance)
         with pytest.raises(ValueError, match="unknown topk mode"):
             engine.topk(small_synthetic_instance.workers[0], 2, "weird")
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("k", [1, 2])
-    def test_topk_need_mode_requires_need(self, backend, k, small_synthetic_instance):
-        # k=1 forces the vector preselect path (more candidates than k),
-        # which must fail with the same contractual error as the scalar
-        # paths rather than an opaque numpy indexing error.
-        engine = CandidateEngine(small_synthetic_instance, backend=backend)
+    def test_topk_need_mode_requires_need(self, engine_pass, k, small_synthetic_instance):
+        # k=1 leaves more candidates than k, so the vector pass would reach
+        # its preselect; the contractual error must come first.
+        engine = CandidateEngine(small_synthetic_instance)
         worker = small_synthetic_instance.workers[0]
         for mode in ("need", "gain"):
             with pytest.raises(ValueError, match="requires a need array"):
                 engine.topk(worker, k, mode)
 
 
-class TestContainers:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_state_containers_read_write(self, backend, small_synthetic_instance):
-        engine = CandidateEngine(small_synthetic_instance, backend=backend)
-        flags = engine.bool_array()
-        values = engine.float_array(1.5)
-        assert len(flags) == engine.num_tasks == len(values)
-        flags[0] = True
-        values[1] = 2.25
-        assert bool(flags[0]) and not bool(flags[1])
-        assert float(values[1]) == 2.25 and float(values[0]) == 1.5
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_allowed_mask_ignores_unknown_ids(self, backend, small_synthetic_instance):
-        engine = CandidateEngine(small_synthetic_instance, backend=backend)
+class TestVectorCutover:
+    def test_allowed_mask_ignores_unknown_ids(self, small_synthetic_instance):
+        engine = CandidateEngine(small_synthetic_instance)
         known = small_synthetic_instance.tasks[0].task_id
         mask = engine.make_allowed_mask({known, 10_000_000})
-        assert bool(mask[engine.position_of[known]])
+        assert mask[engine.position_of[known]]
         assert sum(1 for flag in mask if flag) == 1
 
+    def test_block_size_counts_cells_and_spill(self, small_synthetic_instance):
+        engine = CandidateEngine(small_synthetic_instance)
+        order = engine.cell_positions
+        xs, ys = engine.xs, engine.ys
+        for worker in small_synthetic_instance.workers[:20]:
+            radius = engine.radius_of(worker)
+            if radius < 0:
+                continue
+            slices, size = engine._cell_slices(worker, radius)
+            assert size == sum(hi - lo for lo, hi in slices)
+            col0, col1, row0, row1 = engine.cell_span(
+                worker.location.x, worker.location.y, radius
+            )
+            gathered = {
+                p for lo, hi in slices for p in order[lo:hi]
+            }
+            for p in range(engine.num_tasks):
+                col = int((xs[p] - engine.grid_min_x) // engine.cell_size)
+                row = int((ys[p] - engine.grid_min_y) // engine.cell_size)
+                col = min(max(col, 0), engine.cols - 1)
+                row = min(max(row, 0), engine.rows - 1)
+                inside = col0 <= col <= col1 and row0 <= row <= row1
+                assert (p in gathered) == inside
+        extra = [Task(task_id=10_000 + i, location=Point(0.0, 0.0)) for i in range(3)]
+        engine.add_tasks(extra)
+        worker = small_synthetic_instance.workers[0]
+        slices, size = engine._cell_slices(worker, max(engine.radius_of(worker), 0.0))
+        assert size == sum(hi - lo for lo, hi in slices) + 3
 
-@needs_numpy
-class TestVectorPathForced:
-    """The adaptive cutover routes small blocks to the scalar path, so on
-    test-sized instances the vectorized code would otherwise never run;
-    these cases force it (cutover 1) and pin it against the oracle."""
+    def test_cutover_picks_the_pass(self, monkeypatch):
+        # Four tasks inside one worker's disk: a cutover at the block size
+        # vectorizes eligibility and top-k, one above it stays scalar, and
+        # has_candidates is scalar at any size.  Results agree either way.
+        instance = spatial_instance([0.0, 1.0, 2.0, 3.0])
+        worker = instance.worker(1)
+        calls = []
+        original = CandidateEngine._vector_block
 
-    @pytest.fixture
-    def force_vector(self, monkeypatch):
-        monkeypatch.setattr(numpy_backend_module, "VECTOR_MIN_BLOCK", 1)
+        def spy(self, *args):
+            calls.append(1)
+            return original(self, *args)
 
-    def test_queries_match_legacy(self, force_vector, small_synthetic_instance):
-        instance = small_synthetic_instance
-        legacy = LegacyCandidateFinder(instance)
-        finder = CandidateFinder(instance, backend="numpy")
-        allowed = {t.task_id for t in instance.tasks[::3]}
-        for worker in instance.workers[:40]:
-            expected = [t.task_id for t in legacy.candidates(worker)]
-            assert [t.task_id for t in finder.candidates(worker)] == expected
-            assert finder.has_candidates(worker) == bool(expected)
-            assert [t.task_id for t in finder.iter_candidates(worker, allowed)] == [
-                t.task_id for t in legacy.iter_candidates(worker, allowed)
-            ]
-        assert finder.candidate_count_per_task() == legacy.candidate_count_per_task()
+        monkeypatch.setattr(CandidateEngine, "_vector_block", spy)
+        engine = CandidateEngine(instance)
+        _, size = engine._cell_slices(worker, engine.radius_of(worker))
+        assert size == 4
+        results = {}
+        for cutover in (size + 1, size):
+            monkeypatch.setattr(engine_module, "VECTOR_MIN_BLOCK", cutover)
+            calls.clear()
+            results[cutover] = (
+                engine.eligible_positions(worker),
+                engine.has_candidates(worker),
+                [t.task_id for t in engine.topk_acc_star(worker, 2)],
+            )
+            assert len(calls) == (2 if cutover == size else 0)
+        assert results[size + 1] == results[size]
 
-    def test_topk_matches_scalar_backend(self, force_vector, small_synthetic_instance):
-        instance = small_synthetic_instance
-        vector = CandidateEngine(instance, backend="numpy")
-        scalar = CandidateEngine(instance, backend="python")
-        delta = instance.delta
-        need_v, need_s = vector.float_array(delta), scalar.float_array(delta)
-        for worker in instance.workers[:30]:
-            for mode, needs in (("acc_star", (None, None)),
-                                ("gain", (need_v, need_s)),
-                                ("need", (need_v, need_s))):
-                got = [t.task_id for t in vector.topk(worker, 3, mode, None, needs[0])]
-                expected = [
-                    t.task_id for t in scalar.topk(worker, 3, mode, None, needs[1])
-                ]
-                assert got == expected, (mode, worker.index)
+    def test_mixed_cutover_splits_the_synthetic_queries(
+        self, monkeypatch, small_synthetic_instance
+    ):
+        # The ``mixed`` engine pass is only a third check if its cutover
+        # really sends some of the fixture's queries each way.
+        calls = []
+        original = CandidateEngine._vector_block
+
+        def spy(self, *args):
+            calls.append(1)
+            return original(self, *args)
+
+        monkeypatch.setattr(CandidateEngine, "_vector_block", spy)
+        monkeypatch.setattr(engine_module, "VECTOR_MIN_BLOCK", MIXED_CUTOVER)
+        engine = CandidateEngine(small_synthetic_instance)
+        workers = small_synthetic_instance.workers
+        for worker in workers:
+            engine.eligible_positions(worker)
+        assert 0 < len(calls) < len(workers)
+
+    def test_scalar_engine_never_builds_numpy_mirrors(self, small_synthetic_instance):
+        engine = CandidateEngine(small_synthetic_instance)
+        for worker in small_synthetic_instance.workers[:10]:
+            engine.topk_acc_star(worker, 3)
+            engine.has_candidates(worker)
+        # The synthetic fixture's blocks stay far below the shipped cutover.
+        assert engine._mirrors is None
 
 
 class TestFinderFacade:
-    def test_engine_and_backend_name_exposed(self, small_synthetic_instance):
-        finder = CandidateFinder(small_synthetic_instance, backend="python")
-        assert finder.backend_name == "python"
+    def test_engine_exposed(self, small_synthetic_instance):
+        finder = CandidateFinder(small_synthetic_instance)
         assert finder.engine.num_tasks == small_synthetic_instance.num_tasks
-
-    def test_dispatcher_accepts_candidates_backend(self, tiny_instance):
-        from repro.service.dispatcher import LTCDispatcher
-
-        dispatcher = LTCDispatcher(candidates="python")
-        dispatcher.submit_instance(tiny_instance, solver="LAF")
-        consumed = dispatcher.feed_stream(tiny_instance.workers)
-        assert consumed >= 1
-        with pytest.raises(KeyError, match="did you mean"):
-            LTCDispatcher(candidates="numppy")

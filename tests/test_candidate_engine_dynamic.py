@@ -2,23 +2,23 @@
 
 The engine's incremental layer must be invisible at the query surface:
 after any interleaving of ``add_tasks`` / ``retire_tasks`` calls, every
-query of every backend must answer exactly like a from-scratch
+query must answer exactly like a from-scratch
 :class:`~repro.core.candidates_legacy.LegacyCandidateFinder` built over
 the currently-alive tasks in posting order.  The hypothesis suite below
-drives randomized insert/complete/expire interleavings through both
-backends (and the forced vector path) against that rebuild-from-scratch
-oracle; the unit tests pin the machinery itself — position stability,
-epoch counters, spill thresholds, tombstone idempotence, the
-out-of-order-id sort switch, and the numpy mirror sync.
+drives randomized insert/complete/expire interleavings through both sides
+of the engine's vector cutover, and through a cutover that switches
+between them mid-run, against that rebuild-from-scratch oracle; the unit
+tests pin the machinery itself — position stability, epoch counters,
+spill thresholds, tombstone idempotence, the out-of-order-id sort switch,
+and the numpy mirror sync.
 """
 
-import contextlib
 import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core.candidate_engine import CandidateEngine, NumpyCandidateBackend
+from repro.core.candidate_engine import CandidateEngine
 from repro.core.candidate_engine import engine as engine_module
 from repro.core.candidates import CandidateFinder
 from repro.core.candidates_legacy import LegacyCandidateFinder
@@ -28,22 +28,8 @@ from repro.core.worker import Worker
 from repro.geo.point import Point
 from repro.structures.topk import TopKHeap
 
-NUMPY_AVAILABLE = NumpyCandidateBackend().is_available()
-
-BACKENDS = ["python"] + (["numpy"] if NUMPY_AVAILABLE else [])
-
-
-@contextlib.contextmanager
-def forced_vector_path():
-    """Drop the numpy backend's adaptive cutover to 1 for the duration."""
-    from repro.core.candidate_engine import numpy_backend as nb
-
-    previous = nb.VECTOR_MIN_BLOCK
-    nb.VECTOR_MIN_BLOCK = 1
-    try:
-        yield
-    finally:
-        nb.VECTOR_MIN_BLOCK = previous
+#: ``engine_pass`` is set once per test, not per example.
+HEALTH_OK = [HealthCheck.large_base_example, HealthCheck.function_scoped_fixture]
 
 
 def make_instance(num_tasks=8, num_workers=10, box=100.0, seed=0, first_id=0):
@@ -80,7 +66,7 @@ def fresh_tasks(count, box, rng, used_ids):
 class TestDynamicMachinery:
     def test_positions_are_append_only_and_stable(self):
         instance = make_instance()
-        engine = CandidateEngine(instance, backend="python")
+        engine = CandidateEngine(instance)
         before = dict(engine.position_of)
         engine.add_tasks([Task.at(500, 1.0, 1.0), Task.at(501, 2.0, 2.0)])
         engine.retire_tasks([instance.tasks[0].task_id])
@@ -91,7 +77,7 @@ class TestDynamicMachinery:
         assert engine.num_tasks == len(before) + 2
 
     def test_epoch_counters_track_mutations(self):
-        engine = CandidateEngine(make_instance(), backend="python")
+        engine = CandidateEngine(make_instance())
         epoch = engine.epoch
         engine.add_tasks([Task.at(500, 1.0, 1.0)])
         assert engine.epoch == epoch + 1
@@ -103,7 +89,7 @@ class TestDynamicMachinery:
 
     def test_duplicate_and_unknown_ids_raise(self):
         instance = make_instance()
-        engine = CandidateEngine(instance, backend="python")
+        engine = CandidateEngine(instance)
         existing = instance.tasks[0].task_id
         with pytest.raises(ValueError, match="already in the snapshot"):
             engine.add_tasks([Task.at(existing, 0.0, 0.0)])
@@ -118,7 +104,7 @@ class TestDynamicMachinery:
 
     def test_spill_threshold_triggers_grid_rebuild(self, monkeypatch):
         monkeypatch.setattr(engine_module, "SPILL_REBUILD_MIN", 4)
-        engine = CandidateEngine(make_instance(num_tasks=6), backend="python")
+        engine = CandidateEngine(make_instance(num_tasks=6))
         assert engine.mode == "grid"
         assert engine.rebuild_count == 0
         spill_before = engine.spill_start
@@ -138,7 +124,7 @@ class TestDynamicMachinery:
         bounds it."""
         monkeypatch.setattr(engine_module, "SPILL_REBUILD_MIN", 1)
         monkeypatch.setattr(engine_module, "SPILL_REBUILD_MAX", 5)
-        engine = CandidateEngine(make_instance(num_tasks=100), backend="python")
+        engine = CandidateEngine(make_instance(num_tasks=100))
         engine.add_tasks([Task.at(1_000 + i, 1.0, 1.0) for i in range(6)])
         # fraction * 100 = 25 would not have triggered yet; the cap did.
         assert engine.rebuild_count == 1
@@ -146,7 +132,7 @@ class TestDynamicMachinery:
 
     def test_rebuild_sweeps_tombstones_out_of_the_grid(self):
         instance = make_instance(num_tasks=10)
-        engine = CandidateEngine(instance, backend="python")
+        engine = CandidateEngine(instance)
         assert len(engine.cell_positions) == 10
         engine.retire_tasks([task.task_id for task in instance.tasks[:4]])
         # Lazy: tombstones stay in the cells until a rebuild...
@@ -157,9 +143,7 @@ class TestDynamicMachinery:
         assert all(engine.alive[p] for p in engine.cell_positions)
 
     def test_rebuild_index_is_a_noop_off_grid(self):
-        engine = CandidateEngine(
-            make_instance(), use_spatial_index=False, backend="python"
-        )
+        engine = CandidateEngine(make_instance(), use_spatial_index=False)
         assert engine.mode == "scan"
         grid_epoch = engine.grid_epoch
         engine.rebuild_index()
@@ -167,7 +151,7 @@ class TestDynamicMachinery:
 
     def test_out_of_order_ids_flip_the_sort_key(self):
         instance = make_instance(first_id=100)
-        engine = CandidateEngine(instance, backend="python")
+        engine = CandidateEngine(instance)
         assert engine.positions_id_ordered
         engine.add_tasks([Task.at(7, 1.0, 1.0)])  # id below every existing one
         assert not engine.positions_id_ordered
@@ -175,45 +159,27 @@ class TestDynamicMachinery:
         got = [t.task_id for t in engine.eligible_tasks(worker)]
         assert got == sorted(got)
 
-    def test_grow_containers_preserve_prefix(self):
-        for backend in BACKENDS:
-            engine = CandidateEngine(make_instance(), backend=backend)
-            flags = engine.bool_array()
-            values = engine.float_array(1.0)
-            flags[1] = True
-            values[2] = 9.5
-            engine.add_tasks([Task.at(500, 1.0, 1.0), Task.at(501, 2.0, 2.0)])
-            flags = engine.grow_bool_array(flags)
-            values = engine.grow_float_array(values, 3.25)
-            assert len(flags) == engine.num_tasks == len(values)
-            assert bool(flags[1]) and not bool(flags[0])
-            assert float(values[2]) == 9.5
-            assert float(values[engine.num_tasks - 1]) == 3.25
+    def test_all_tasks_retired_leaves_empty_queries(self, engine_pass):
+        instance = make_instance(num_tasks=4)
+        engine = CandidateEngine(instance, min_accuracy=0.0)
+        worker = instance.workers[0]
+        assert engine.eligible_tasks(worker)
+        engine.retire_tasks([task.task_id for task in instance.tasks])
+        assert engine.eligible_tasks(worker) == []
+        assert not engine.has_candidates(worker)
+        assert engine.topk_acc_star(worker, 3) == []
+        # A rebuild over the empty alive set must also survive.
+        engine.rebuild_index()
+        assert engine.eligible_tasks(worker) == []
 
-    def test_all_tasks_retired_leaves_empty_queries(self):
-        for backend in BACKENDS:
-            instance = make_instance(num_tasks=4)
-            engine = CandidateEngine(instance, min_accuracy=0.0, backend=backend)
-            worker = instance.workers[0]
-            assert engine.eligible_tasks(worker)
-            engine.retire_tasks([task.task_id for task in instance.tasks])
-            assert engine.eligible_tasks(worker) == []
-            assert not engine.has_candidates(worker)
-            assert engine.topk_acc_star(worker, 3) == []
-            # A rebuild over the empty alive set must also survive.
-            engine.rebuild_index()
-            assert engine.eligible_tasks(worker) == []
-
-    @pytest.mark.skipif(not NUMPY_AVAILABLE, reason="numpy not installed")
     def test_numpy_mirrors_sync_incrementally(self):
-        import numpy as np
-
         instance = make_instance()
-        engine = CandidateEngine(instance, backend="numpy")
-        mirrors = engine.numpy_mirrors(np)
+        engine = CandidateEngine(instance)
+        assert engine._mirrors is None  # built on the first vector query
+        mirrors = engine.numpy_mirrors()
         engine.add_tasks([Task.at(500, 3.0, 4.0)])
         engine.retire_tasks([instance.tasks[0].task_id])
-        synced = engine.numpy_mirrors(np)
+        synced = engine.numpy_mirrors()
         assert synced is mirrors  # one cached mirror object, synced in place
         assert len(synced.xs) == engine.num_tasks
         assert synced.task_ids[engine.position_of[500]] == 500
@@ -246,7 +212,7 @@ class TestDynamicDifferential:
     """Randomized interleavings vs the rebuild-from-scratch legacy oracle."""
 
     @staticmethod
-    def _check_against_oracle(engines, posted, alive_ids, workers,
+    def _check_against_oracle(engine, posted, alive_ids, workers,
                               use_spatial_index, min_accuracy):
         alive_tasks = [task for task in posted if task.task_id in alive_ids]
         oracle = None
@@ -258,69 +224,70 @@ class TestDynamicDifferential:
                 oracle_instance, min_accuracy=min_accuracy,
                 use_spatial_index=use_spatial_index,
             )
+        # Per-position needs for the gain/need modes, keyed on task id so
+        # the oracle can score the same values.
+        need_of = {task.task_id: 0.4 + (task.task_id % 7) / 5.0 for task in posted}
+        need = [need_of[task_id] for task_id in engine.task_ids]
+        allowed = {task.task_id for task in alive_tasks[::2]}
         for worker in workers:
-            expected = (
-                [task.task_id for task in oracle.candidates(worker)]
-                if oracle is not None else []
-            )
-            heap: TopKHeap = TopKHeap(2)
-            if oracle is not None:
-                for task in oracle.candidates(worker):
-                    heap.push(oracle_instance.acc_star(worker, task), task)
-            expected_top = [task.task_id for _, task in heap.pop_all()]
-            for engine in engines:
-                name = engine.backend.name
-                got = [task.task_id for task in engine.eligible_tasks(worker)]
-                assert got == expected, name
-                assert engine.has_candidates(worker) == bool(expected), name
+            candidates = oracle.candidates(worker) if oracle is not None else []
+            expected = [task.task_id for task in candidates]
+            got = [task.task_id for task in engine.eligible_tasks(worker)]
+            assert got == expected
+            assert engine.has_candidates(worker) == bool(expected)
+            got_allowed = [
+                task.task_id for task in engine.eligible_tasks(worker, allowed)
+            ]
+            assert got_allowed == [t for t in expected if t in allowed]
+            for mode in ("acc_star", "gain", "need"):
+                heap: TopKHeap = TopKHeap(2)
+                for task in candidates:
+                    star = oracle_instance.acc_star(worker, task)
+                    score = {
+                        "acc_star": star,
+                        "gain": min(star, need_of[task.task_id]),
+                        "need": need_of[task.task_id],
+                    }[mode]
+                    heap.push(score, task)
+                expected_top = [task.task_id for _, task in heap.pop_all()]
                 got_top = [
-                    task.task_id for task in engine.topk_acc_star(worker, 2)
+                    task.task_id for task in engine.topk(worker, 2, mode, need)
                 ]
-                assert got_top == expected_top, name
+                assert got_top == expected_top, mode
 
     @given(data=interleavings(), use_spatial_index=st.booleans())
-    @settings(max_examples=30, deadline=None,
-              suppress_health_check=[HealthCheck.large_base_example])
-    def test_backends_match_rebuild_from_scratch(self, data, use_spatial_index):
+    @settings(max_examples=30, deadline=None, suppress_health_check=HEALTH_OK)
+    def test_engine_matches_rebuild_from_scratch(
+        self, engine_pass, data, use_spatial_index
+    ):
         instance, steps, box = data
         min_accuracy = instance.min_assignable_accuracy
-        engines = [
-            CandidateEngine(
-                instance, use_spatial_index=use_spatial_index, backend=backend
-            )
-            for backend in BACKENDS
-        ]
+        engine = CandidateEngine(instance, use_spatial_index=use_spatial_index)
         posted = list(instance.tasks)
         alive_ids = {task.task_id for task in instance.tasks}
         rng = random.Random(4242)
-        with forced_vector_path():
-            for kind, payload in steps:
-                if kind == "add":
-                    for engine in engines:
-                        engine.add_tasks(payload)
-                    posted.extend(payload)
-                    alive_ids.update(task.task_id for task in payload)
-                elif alive_ids:
-                    count = max(1, int(payload * len(alive_ids)) // 2)
-                    victims = rng.sample(sorted(alive_ids), count)
-                    for engine in engines:
-                        engine.retire_tasks(victims)
-                    alive_ids.difference_update(victims)
-                self._check_against_oracle(
-                    engines, posted, alive_ids, instance.workers,
-                    use_spatial_index, min_accuracy,
-                )
+        for kind, payload in steps:
+            if kind == "add":
+                engine.add_tasks(payload)
+                posted.extend(payload)
+                alive_ids.update(task.task_id for task in payload)
+            elif alive_ids:
+                count = max(1, int(payload * len(alive_ids)) // 2)
+                victims = rng.sample(sorted(alive_ids), count)
+                engine.retire_tasks(victims)
+                alive_ids.difference_update(victims)
+            self._check_against_oracle(
+                engine, posted, alive_ids, instance.workers,
+                use_spatial_index, min_accuracy,
+            )
 
     @given(data=interleavings())
-    @settings(max_examples=15, deadline=None,
-              suppress_health_check=[HealthCheck.large_base_example])
-    def test_forced_rebuilds_change_nothing(self, data):
+    @settings(max_examples=15, deadline=None, suppress_health_check=HEALTH_OK)
+    def test_forced_rebuilds_change_nothing(self, engine_pass, data):
         """Same interleaving, with the grid rebuilt after every mutation."""
         instance, steps, box = data
-        engines = [
-            CandidateEngine(instance, backend=backend) for backend in BACKENDS
-        ]
-        eager = [CandidateEngine(instance, backend=b) for b in BACKENDS]
+        engines = [CandidateEngine(instance)]
+        eager = [CandidateEngine(instance)]
         posted = list(instance.tasks)
         alive_ids = {task.task_id for task in instance.tasks}
         rng = random.Random(99)
@@ -349,7 +316,7 @@ class TestDynamicDifferential:
 class TestFinderFacadeDynamics:
     def test_facade_add_and_retire_delegate(self):
         instance = make_instance()
-        finder = CandidateFinder(instance, backend="python")
+        finder = CandidateFinder(instance)
         worker = Worker.at(1, 50.0, 50.0, accuracy=0.99, capacity=3)
         finder.add_tasks([Task.at(900, 50.0, 50.0)])
         assert 900 in {task.task_id for task in finder.candidates(worker)}

@@ -7,30 +7,32 @@ ways:
 
 * the pre-refactor object-level scan
   (:class:`repro.core.candidates_legacy.LegacyCandidateFinder`),
-* the engine's scalar ``python`` backend, and
-* the engine's vectorized ``numpy`` backend (when numpy is installed).
+* the engine with every query on its scalar loops,
+* the engine with every query on its numpy pass, and
+* the engine with a cutover inside the drawn block sizes, so queries
+  switch passes mid-run (the ``engine_pass`` fixture sets the vector
+  cutover for each).
 
 Every query (candidate lists, ``has_candidates``, restricted
 ``eligible_pairs`` streams, per-task counts) must agree exactly, ordering
 included.  On top of the query layer, whole solver runs are compared:
 MCF-LTC / LAF / AAM (+ ablations) arrangements must be byte-identical
-across candidate backends, and LAF/AAM must be byte-identical to replicas
+across the three ways, and LAF/AAM must be byte-identical to replicas
 of their pre-engine observe loops.  Worker accuracies are full-precision
 PRNG floats, so threshold-boundary ties have measure zero and exact
 agreement is the right bar.
 """
 
-import contextlib
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from conftest import ENGINE_PASSES, vector_cutover
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.algorithms.aam import AAMSolver
 from repro.algorithms.laf import LAFSolver
 from repro.algorithms.registry import build_solver
 from repro.core.accuracy import ConstantAccuracy, SigmoidDistanceAccuracy
-from repro.core.candidate_engine import NumpyCandidateBackend
 from repro.core.candidates import CandidateFinder
 from repro.core.candidates_legacy import (
     LegacyCandidateFinder,
@@ -42,33 +44,8 @@ from repro.core.task import Task
 from repro.core.worker import Worker
 from repro.geo.point import Point
 
-NUMPY_AVAILABLE = NumpyCandidateBackend().is_available()
-
-BACKENDS = ["python"] + (["numpy"] if NUMPY_AVAILABLE else [])
-
-
-@contextlib.contextmanager
-def forced_vector_path():
-    """Drop the numpy backend's adaptive cutover to 1 for the duration.
-
-    The random instances here are small enough that every query would
-    otherwise take the scalar-delegation path, leaving the vectorized
-    gather/filter/top-k code unexercised (the flow suite patches its
-    VECTOR_MIN_ROW for the same reason).
-    """
-    from repro.core.candidate_engine import numpy_backend as nb
-
-    previous = nb.VECTOR_MIN_BLOCK
-    nb.VECTOR_MIN_BLOCK = 1
-    try:
-        yield
-    finally:
-        nb.VECTOR_MIN_BLOCK = previous
-
-
-#: Both adaptive regimes: the default (scalar delegation on small blocks)
-#: and the forced vector path.
-CUTOVER_REGIMES = (contextlib.nullcontext, forced_vector_path)
+#: ``engine_pass`` is set once per test, not per example.
+FIXTURE_OK = [HealthCheck.function_scoped_fixture]
 
 ONLINE_SPECS = ["LAF", "AAM", "LGF-only", "LRF-only", "Random?seed=3"]
 ALL_SPECS = ONLINE_SPECS + ["MCF-LTC", "Base-off"]
@@ -129,104 +106,77 @@ class TestQueryDifferential:
         use_spatial_index=st.booleans(),
         min_accuracy=st.sampled_from([None, 0.0, 0.8]),
     )
-    @settings(max_examples=40, deadline=None)
-    def test_all_backends_match_the_legacy_scan(
-        self, instance, use_spatial_index, min_accuracy
+    @settings(max_examples=40, deadline=None, suppress_health_check=FIXTURE_OK)
+    def test_engine_matches_the_legacy_scan(
+        self, engine_pass, instance, use_spatial_index, min_accuracy
     ):
         legacy = LegacyCandidateFinder(
             instance, min_accuracy=min_accuracy, use_spatial_index=use_spatial_index
         )
-        finders = [
-            CandidateFinder(
-                instance,
-                min_accuracy=min_accuracy,
-                use_spatial_index=use_spatial_index,
-                backend=backend,
-            )
-            for backend in BACKENDS
-        ]
+        finder = CandidateFinder(
+            instance, min_accuracy=min_accuracy, use_spatial_index=use_spatial_index
+        )
         some_ids = {task.task_id for task in instance.tasks[::2]}
-        for regime in CUTOVER_REGIMES:
-            with regime():
-                for worker in instance.workers:
-                    expected = [t.task_id for t in legacy.candidates(worker)]
-                    for finder in finders:
-                        got = [t.task_id for t in finder.candidates(worker)]
-                        assert got == expected, finder.backend_name
-                        assert finder.has_candidates(worker) == bool(expected)
-                        restricted = [
-                            t.task_id
-                            for t in finder.iter_candidates(worker, some_ids)
-                        ]
-                        assert restricted == [
-                            t.task_id
-                            for t in legacy.iter_candidates(worker, some_ids)
-                        ]
-                        assert list(finder.iter_candidates(worker, set())) == []
-                for finder in finders:
-                    assert (
-                        finder.candidate_count_per_task()
-                        == legacy.candidate_count_per_task()
-                    )
-                    for restriction in (None, some_ids, set()):
-                        expected_pairs = [
-                            (w.index, t.task_id)
-                            for w, t in legacy.eligible_pairs(
-                                instance.workers, restriction
-                            )
-                        ]
-                        got_pairs = [
-                            (w.index, t.task_id)
-                            for w, t in finder.eligible_pairs(
-                                instance.workers, restriction
-                            )
-                        ]
-                        assert got_pairs == expected_pairs, finder.backend_name
+        for worker in instance.workers:
+            expected = [t.task_id for t in legacy.candidates(worker)]
+            got = [t.task_id for t in finder.candidates(worker)]
+            assert got == expected
+            assert finder.has_candidates(worker) == bool(expected)
+            restricted = [
+                t.task_id for t in finder.iter_candidates(worker, some_ids)
+            ]
+            assert restricted == [
+                t.task_id for t in legacy.iter_candidates(worker, some_ids)
+            ]
+            assert list(finder.iter_candidates(worker, set())) == []
+        assert finder.candidate_count_per_task() == legacy.candidate_count_per_task()
+        for restriction in (None, some_ids, set()):
+            expected_pairs = [
+                (w.index, t.task_id)
+                for w, t in legacy.eligible_pairs(instance.workers, restriction)
+            ]
+            got_pairs = [
+                (w.index, t.task_id)
+                for w, t in finder.eligible_pairs(instance.workers, restriction)
+            ]
+            assert got_pairs == expected_pairs
 
 
 class TestArrangementEquality:
+    @staticmethod
+    def _per_pass(spec, instance):
+        results = {}
+        for name, block in ENGINE_PASSES.items():
+            with vector_cutover(block):
+                results[name] = build_solver(spec).solve(instance).arrangement.assignments
+        return results
+
     @given(instance=ltc_instances())
     @settings(max_examples=15, deadline=None)
-    def test_solvers_agree_across_candidate_backends(self, instance):
-        if len(BACKENDS) < 2:
-            pytest.skip("only one candidate backend available")
+    def test_solvers_agree_across_engine_passes(self, instance):
         for spec in ALL_SPECS:
-            results = {}
-            for backend in BACKENDS:
-                solver = build_solver(
-                    spec + ("&" if "?" in spec else "?") + f"candidates={backend}"
-                )
-                results[backend] = solver.solve(instance).arrangement.assignments
-            baseline = results[BACKENDS[0]]
-            for backend in BACKENDS[1:]:
-                assert results[backend] == baseline, spec
+            results = self._per_pass(spec, instance)
+            for name in ("mixed", "vector"):
+                assert results[name] == results["scalar"], (spec, name)
 
     @given(instance=ltc_instances())
-    @settings(max_examples=15, deadline=None)
-    def test_laf_and_aam_match_their_pre_engine_loops(self, instance):
-        for regime in CUTOVER_REGIMES:
-            with regime():
-                for backend in BACKENDS:
-                    laf = LAFSolver(candidates=backend).solve(instance)
-                    assert laf.arrangement.assignments == legacy_laf_arrangement(
-                        instance
-                    ).assignments, backend
-                    aam = AAMSolver(candidates=backend).solve(instance)
-                    assert aam.arrangement.assignments == legacy_aam_arrangement(
-                        instance
-                    ).assignments, backend
+    @settings(max_examples=15, deadline=None, suppress_health_check=FIXTURE_OK)
+    def test_laf_and_aam_match_their_pre_engine_loops(self, engine_pass, instance):
+        laf = LAFSolver().solve(instance)
+        assert laf.arrangement.assignments == legacy_laf_arrangement(
+            instance
+        ).assignments
+        aam = AAMSolver().solve(instance)
+        assert aam.arrangement.assignments == legacy_aam_arrangement(
+            instance
+        ).assignments
 
-    def test_mcf_ltc_identical_across_backends_on_synthetic(
+    def test_mcf_ltc_identical_across_engine_passes_on_synthetic(
         self, small_synthetic_instance
     ):
-        results = {
-            backend: build_solver(f"MCF-LTC?candidates={backend}")
-            .solve(small_synthetic_instance)
-            .arrangement.assignments
-            for backend in BACKENDS
-        }
-        baseline = results[BACKENDS[0]]
-        assert all(assignments == baseline for assignments in results.values())
+        results = self._per_pass("MCF-LTC", small_synthetic_instance)
+        assert results["mixed"] == results["scalar"]
+        assert results["vector"] == results["scalar"]
 
 
 class TestAAMIncrementalStats:
@@ -247,7 +197,7 @@ class TestAAMIncrementalStats:
     @given(instance=ltc_instances())
     @settings(max_examples=20, deadline=None)
     def test_incremental_sum_and_max_track_naive_scan(self, instance):
-        solver = AAMSolver(candidates="python")
+        solver = AAMSolver()
         solver.start(instance)
         for worker in instance.workers:
             naive = self._naive_stats(instance, solver.arrangement)
@@ -266,7 +216,7 @@ class TestAAMIncrementalStats:
             )
             solver.observe(worker)
 
-    def test_knife_edge_decision_matches_legacy(self):
+    def test_knife_edge_decision_matches_legacy(self, engine_pass):
         """When avg lands exactly on maxRemain the switch must still take
         the legacy branch: the incremental sum is bypassed inside the
         resolution band and the naive left-to-right sum decides."""
@@ -277,13 +227,11 @@ class TestAAMIncrementalStats:
             for i in range(1, 40)
         ]
         instance = LTCInstance(tasks=tasks, workers=workers, error_rate=0.2)
-        for backend in BACKENDS:
-            solver = AAMSolver(candidates=backend)
-            result = solver.solve(instance)
-            legacy = legacy_aam_arrangement(instance)
-            assert result.arrangement.assignments == legacy.assignments
+        result = AAMSolver().solve(instance)
+        legacy = legacy_aam_arrangement(instance)
+        assert result.arrangement.assignments == legacy.assignments
         # avg == maxRemain takes the LGF branch (>=), as in the paper.
-        solver = AAMSolver(candidates="python")
+        solver = AAMSolver()
         solver.start(instance)
         solver.observe(instance.worker(1))
         assert solver.diagnostics()["lgf_rounds"] == 1.0
@@ -304,24 +252,22 @@ class TestAAMIncrementalStats:
 
 
 class TestDegenerateGeometry:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_all_tasks_at_one_point(self, backend):
+    def test_all_tasks_at_one_point(self, engine_pass):
         tasks = [Task(task_id=i, location=Point(5.0, 5.0)) for i in range(6)]
         workers = [Worker(index=1, location=Point(5.0, 5.0), accuracy=0.9,
                           capacity=2)]
         instance = LTCInstance(tasks=tasks, workers=workers, error_rate=0.2)
-        finder = CandidateFinder(instance, backend=backend)
+        finder = CandidateFinder(instance)
         legacy = LegacyCandidateFinder(instance)
         assert [t.task_id for t in finder.candidates(instance.worker(1))] == [
             t.task_id for t in legacy.candidates(instance.worker(1))
         ]
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_worker_far_outside_every_cell(self, backend):
+    def test_worker_far_outside_every_cell(self, engine_pass):
         tasks = [Task(task_id=i, location=Point(float(i), 0.0)) for i in range(4)]
         workers = [Worker(index=1, location=Point(1e6, -1e6), accuracy=0.99,
                           capacity=2)]
         instance = LTCInstance(tasks=tasks, workers=workers, error_rate=0.2)
-        finder = CandidateFinder(instance, backend=backend)
+        finder = CandidateFinder(instance)
         assert finder.candidates(instance.worker(1)) == []
         assert not finder.has_candidates(instance.worker(1))

@@ -104,8 +104,7 @@ def frozen_clock() -> float:
 class Lockstep:
     """An indexed dispatcher and the full-scan oracle, fed the same calls."""
 
-    def __init__(self, backend: str) -> None:
-        self.backend = backend
+    def __init__(self) -> None:
         self.indexed, self.oracle = self.pair()
         self.next_session = 0
         self.next_task = 0
@@ -115,8 +114,8 @@ class Lockstep:
 
     def pair(self):
         return (
-            LTCDispatcher(candidates=self.backend, clock=frozen_clock),
-            FullScanDispatcher(candidates=self.backend, clock=frozen_clock),
+            LTCDispatcher(clock=frozen_clock),
+            FullScanDispatcher(clock=frozen_clock),
         )
 
     def tasks_around(self, cx: float, cy: float, offsets) -> List[Task]:
@@ -253,11 +252,13 @@ OPS = ["open", "post", "post_far", "expire", "expire_all", "close", "adopt",
 
 
 @settings(max_examples=80, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow],
+          # ``engine_pass`` is set once per test, not per example.
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.function_scoped_fixture],
           phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink])
-@given(data=st.data(), backend=st.sampled_from(["python", "numpy"]))
-def test_indexed_routing_matches_a_full_scan(data, backend):
-    lockstep = Lockstep(backend)
+@given(data=st.data())
+def test_indexed_routing_matches_a_full_scan(engine_pass, data):
+    lockstep = Lockstep()
     for _ in range(data.draw(st.integers(1, 3))):
         lockstep.open((lockstep.indexed, lockstep.oracle), *data.draw(open_args))
     for _ in range(data.draw(st.integers(5, 25))):

@@ -51,11 +51,11 @@ def test_dispatch_doc_covers_fault_tolerance():
     text = (REPO_ROOT / "docs" / "dispatch.md").read_text(encoding="utf-8")
     assert "## Fault tolerance" in text
     for term in ("fail-fast", "restart", "quarantine", "JournalReplayError",
-                 "bench_resilience.py", "BENCH_resilience.json"):
+                 "bench_resilience.py", "BENCH_all.json"):
         assert term in text, f"dispatch.md fault-tolerance docs lost {term!r}"
     index = (REPO_ROOT / "docs" / "index.md").read_text(encoding="utf-8")
     assert "RecoveryPolicy" in index
-    assert "BENCH_resilience.json" in index
+    assert "bench_resilience.py" in index
 
 
 def test_dispatch_doc_notes_the_process_executor_removal():
@@ -71,7 +71,7 @@ def test_dispatch_doc_covers_the_routing_index():
     text = (REPO_ROOT / "docs" / "dispatch.md").read_text(encoding="utf-8")
     assert "## Routing index" in text
     for term in ("always-probe", "tasks_reach_bounds", "test_dispatcher_index.py",
-                 "BENCH_dispatch_scale.json", "Is sharding still a performance feature?"):
+                 "BENCH_all.json", "Is sharding still a performance feature?"):
         assert term in text, f"dispatch.md routing-index docs lost {term!r}"
 
 

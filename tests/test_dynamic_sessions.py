@@ -21,7 +21,6 @@ from repro.algorithms.aam import AAMSolver, LGFOnlySolver, LRFOnlySolver
 from repro.algorithms.baselines import RandomOnlineSolver
 from repro.algorithms.laf import LAFSolver
 from repro.algorithms.mcf_ltc import MCFLTCSolver
-from repro.core.candidate_engine import NumpyCandidateBackend
 from repro.core.candidates import CandidateFinder
 from repro.core.candidates_legacy import (
     LegacyCandidateFinder,
@@ -36,9 +35,8 @@ from repro.geo.point import Point
 from repro.service.dispatcher import LTCDispatcher
 from repro.structures.topk import TopKHeap
 
-NUMPY_AVAILABLE = NumpyCandidateBackend().is_available()
-
-BACKENDS = ["python"] + (["numpy"] if NUMPY_AVAILABLE else [])
+#: ``engine_pass`` is set once per test, not per example.
+HEALTH_OK = [HealthCheck.large_base_example, HealthCheck.function_scoped_fixture]
 
 
 # ----------------------------------------------------------- oracle drivers
@@ -185,23 +183,18 @@ def dynamic_scenarios(draw):
 
 class TestDynamicSolversMatchOracle:
     @given(data=dynamic_scenarios())
-    @settings(max_examples=12, deadline=None,
-              suppress_health_check=[HealthCheck.large_base_example])
-    def test_arrangements_match_rebuild_from_scratch(self, data):
+    @settings(max_examples=12, deadline=None, suppress_health_check=HEALTH_OK)
+    def test_arrangements_match_rebuild_from_scratch(self, engine_pass, data):
         instance, events = data
         for solver_cls, observe in ORACLE_OBSERVES.items():
             expected = oracle_drive(observe, instance, events).assignments
-            for backend in BACKENDS:
-                session = dynamic_drive(
-                    solver_cls(candidates=backend), instance, events
-                )
-                got = session.result().arrangement.assignments
-                assert got == expected, (solver_cls.name, backend)
+            session = dynamic_drive(solver_cls(), instance, events)
+            got = session.result().arrangement.assignments
+            assert got == expected, solver_cls.name
 
     @given(data=dynamic_scenarios())
-    @settings(max_examples=8, deadline=None,
-              suppress_health_check=[HealthCheck.large_base_example])
-    def test_random_solver_matches_rebuild_per_submit(self, data):
+    @settings(max_examples=8, deadline=None, suppress_health_check=HEALTH_OK)
+    def test_random_solver_matches_rebuild_per_submit(self, engine_pass, data):
         """Random has no independent legacy loop; its oracle is the same
         solver with the candidate snapshot rebuilt at every submit (legal
         because Random keeps no per-position state and its rng draws
@@ -214,24 +207,18 @@ class TestDynamicSolversMatchOracle:
                 self._instance.add_tasks(tasks)
                 self._arrangement.add_tasks(tasks)
                 self._candidates = CandidateFinder(
-                    self._instance,
-                    use_spatial_index=self.use_spatial_index,
-                    backend=self.candidates,
+                    self._instance, use_spatial_index=self.use_spatial_index
                 )
 
         expected = (
             dynamic_drive(RebuildEverySubmit(seed=11), instance, events)
             .result().arrangement.assignments
         )
-        for backend in BACKENDS:
-            got = (
-                dynamic_drive(
-                    RandomOnlineSolver(seed=11, candidates=backend),
-                    instance, events,
-                )
-                .result().arrangement.assignments
-            )
-            assert got == expected, backend
+        got = (
+            dynamic_drive(RandomOnlineSolver(seed=11), instance, events)
+            .result().arrangement.assignments
+        )
+        assert got == expected
 
 
 class TestSessionSemantics:

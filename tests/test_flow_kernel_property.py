@@ -4,7 +4,8 @@ Random LTC-shaped bipartite networks (source -> workers -> tasks -> sink,
 negative real-valued worker->task costs) are solved three ways:
 
 * the array kernel (:func:`repro.flow.kernel.solve_mcf`) with the O(E)
-  DAG potential pass,
+  DAG potential pass (the dense cases also start it from Bellman-Ford
+  potentials and from a warm restart after one routed unit),
 * the retained pre-refactor object-graph SSPA
   (:mod:`repro.flow.reference`), and
 * on tiny instances, brute-force enumeration of every feasible assignment
@@ -21,8 +22,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.flow.backends import available_backends
-from repro.flow.kernel import ArcArena, dag_potentials, solve_mcf
+from repro.flow.kernel import (
+    ArcArena,
+    KernelFlowResult,
+    dag_potentials,
+    solve_mcf,
+)
 from repro.flow.reference import LegacyFlowNetwork, legacy_successive_shortest_paths
 from repro.flow.validate import validate_arena_flow
 
@@ -40,7 +45,14 @@ def random_ltc_shape(seed, num_workers, num_tasks, capacity, max_need, density):
     return pairs, caps, needs
 
 
-def solve_with_kernel(pairs, caps, needs, backend=None):
+def solve_with_kernel(pairs, caps, needs, route="dag"):
+    """Solve on the array kernel.
+
+    ``route`` picks how the kernel starts: ``"dag"`` warm-starts from
+    :func:`dag_potentials`, ``"bellman_ford"`` passes no potentials, and
+    ``"restart"`` routes one unit, then resumes from that call's
+    potentials with the first unit's flow already in the arena.
+    """
     arena = ArcArena(2)  # 0 = source, 1 = sink
     worker_nodes = [arena.add_node() for _ in caps]
     task_nodes = [arena.add_node() for _ in needs]
@@ -52,9 +64,21 @@ def solve_with_kernel(pairs, caps, needs, backend=None):
     for node, need in zip(task_nodes, needs):
         arena.add_arc(node, 1, need, 0.0)
     topo = [0] + worker_nodes + task_nodes + [1]
-    result = solve_mcf(
-        arena, 0, 1, potentials=dag_potentials(arena, 0, topo), backend=backend
-    )
+    if route == "bellman_ford":
+        result = solve_mcf(arena, 0, 1)
+    elif route == "restart":
+        first = solve_mcf(
+            arena, 0, 1, max_flow=1, potentials=dag_potentials(arena, 0, topo)
+        )
+        rest = solve_mcf(arena, 0, 1, potentials=first.potentials)
+        result = KernelFlowResult(
+            flow_value=first.flow_value + rest.flow_value,
+            total_cost=rest.total_cost,
+            augmentations=first.augmentations + rest.augmentations,
+            potentials=rest.potentials,
+        )
+    else:
+        result = solve_mcf(arena, 0, 1, potentials=dag_potentials(arena, 0, topo))
     flows = {pair: arena.flow[arc] for pair, arc in pair_arcs.items()}
     violations = validate_arena_flow(arena, 0, 1, expected_value=result.flow_value)
     return result, flows, violations
@@ -99,62 +123,24 @@ class TestKernelMatchesReferenceSSPA:
         assert kernel_flows == ref_flows
         assert result.augmentations == ref_augmentations
 
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    @pytest.mark.parametrize("route", ["dag", "bellman_ford", "restart"])
     @pytest.mark.parametrize("seed", range(6))
-    def test_dense_instances(self, seed, backend):
-        if backend == "numpy" and "numpy" not in available_backends():
-            pytest.skip("numpy not installed")
+    def test_dense_instances(self, seed, route):
         pairs, caps, needs = random_ltc_shape(
             seed, num_workers=12, num_tasks=9, capacity=4, max_need=3, density=1.0
         )
         result, kernel_flows, violations = solve_with_kernel(
-            pairs, caps, needs, backend=backend
+            pairs, caps, needs, route=route
         )
-        ref_value, ref_cost, _, ref_flows = solve_with_reference(pairs, caps, needs)
+        ref_value, ref_cost, ref_augmentations, ref_flows = solve_with_reference(
+            pairs, caps, needs
+        )
         assert violations == []
         assert result.flow_value == ref_value
         assert result.total_cost == pytest.approx(ref_cost, abs=1e-9)
         assert kernel_flows == ref_flows
-
-
-class TestBackendsMatchEachOtherAndReference:
-    """Three-way differential: numpy backend vs python backend vs oracle."""
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        seed=st.integers(0, 10_000),
-        num_workers=st.integers(1, 10),
-        num_tasks=st.integers(1, 8),
-        capacity=st.integers(1, 4),
-        max_need=st.integers(1, 3),
-    )
-    def test_numpy_backend_is_bit_exact(
-        self, seed, num_workers, num_tasks, capacity, max_need
-    ):
-        if "numpy" not in available_backends():
-            pytest.skip("numpy not installed")
-        pairs, caps, needs = random_ltc_shape(
-            seed, num_workers, num_tasks, capacity, max_need, density=0.5
-        )
-        py_result, py_flows, py_violations = solve_with_kernel(
-            pairs, caps, needs, backend="python"
-        )
-        np_result, np_flows, np_violations = solve_with_kernel(
-            pairs, caps, needs, backend="numpy"
-        )
-        ref_value, ref_cost, _, ref_flows = solve_with_reference(pairs, caps, needs)
-        assert py_violations == [] and np_violations == []
-        # Bit-exact across backends: flows, costs, augmentation counts and
-        # final potentials all agree exactly (no approx comparisons).
-        assert np_flows == py_flows
-        assert np_result.flow_value == py_result.flow_value
-        assert np_result.total_cost == py_result.total_cost
-        assert np_result.augmentations == py_result.augmentations
-        assert np_result.potentials == py_result.potentials
-        # And both agree with the pre-refactor oracle.
-        assert py_result.flow_value == ref_value
-        assert py_flows == ref_flows
-        assert py_result.total_cost == pytest.approx(ref_cost, abs=1e-9)
+        # Every route takes the same shortest paths, one unit at a time.
+        assert result.augmentations == ref_augmentations
 
 
 def brute_force_best(pairs, caps, needs):

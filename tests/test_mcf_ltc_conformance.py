@@ -6,7 +6,9 @@ immediately *before* the flow layer was rewritten onto the array kernel
 rebuild, float-epsilon index tie-breaking).  These tests replay the same
 seeded synthetic instances through the current solver and require the
 exact assignment sequence — worker and task ids in order — plus the
-headline metrics to match.
+headline metrics to match, with the candidate engine's eligible pairs
+produced by each side of its vector cutover and by a cutover that
+splits the blocks between them (the ``engine_pass`` fixture).
 
 If an intentional algorithmic change legitimately alters the optimal
 arrangements, regenerate the fixture and say so in the commit message; an
@@ -20,17 +22,8 @@ import pytest
 
 from repro.algorithms.mcf_ltc import MCFLTCSolver
 from repro.datagen.synthetic import SyntheticConfig, generate_synthetic_instance
-from repro.flow.backends import available_backends
 
 FIXTURE = Path(__file__).parent / "data" / "mcf_ltc_conformance.json"
-
-# Every registered flow backend must reproduce the golden arrangements
-# byte-for-byte — the backend contract makes backend choice purely a speed
-# knob.  ``None`` additionally exercises the default resolution path
-# (REPRO_FLOW_BACKEND / auto-selection).
-BACKENDS = [None, "python"] + (
-    ["numpy"] if "numpy" in available_backends() else []
-)
 
 
 def load_cases():
@@ -38,15 +31,14 @@ def load_cases():
         return json.load(fh)["cases"]
 
 
-@pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: f"backend-{b or 'default'}")
 @pytest.mark.parametrize("case", load_cases(), ids=lambda c: f"seed{c['config']['seed']}")
 class TestArrangementConformance:
-    def test_assignments_identical_to_pre_refactor_capture(self, case, backend):
+    def test_assignments_identical_to_pre_refactor_capture(self, case, engine_pass):
         cfg = case["config"]
         instance = generate_synthetic_instance(
             SyntheticConfig(name=f"conformance-{cfg['seed']}", **cfg)
         )
-        result = MCFLTCSolver(backend=backend).solve(instance)
+        result = MCFLTCSolver().solve(instance)
         assignments = [[a.worker_index, a.task_id] for a in result.arrangement.assignments]
         assert assignments == case["assignments"]
         assert result.completed == case["completed"]
@@ -55,12 +47,12 @@ class TestArrangementConformance:
         assert result.extra["flow_units"] == case["flow_units"]
         assert result.extra["batches"] == case["batches"]
 
-    def test_arrangement_satisfies_all_constraints(self, case, backend):
+    def test_arrangement_satisfies_all_constraints(self, case, engine_pass):
         cfg = case["config"]
         instance = generate_synthetic_instance(
             SyntheticConfig(name=f"conformance-{cfg['seed']}", **cfg)
         )
-        result = MCFLTCSolver(backend=backend).solve(instance)
+        result = MCFLTCSolver().solve(instance)
         assert result.arrangement.constraint_violations(
             instance.workers_by_index()
         ) == []

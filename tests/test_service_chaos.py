@@ -8,8 +8,7 @@ sharded run with **seeded mid-stream shard crashes** under
 ``on_shard_failure="restart"`` must still produce per-session
 arrangements identical, assignment by assignment, to a fault-free
 single-process run.  This suite enforces exactly that, across AAM/LAF ×
-serial/thread executors, under whichever candidate backend
-``REPRO_CANDIDATES_BACKEND`` selects (the CI backend matrix runs both).
+serial/thread executors.
 
 Faults are scheduled on per-shard arrival ordinals
 (:meth:`~repro.service.FaultPlan.seeded`), so every run — any executor,

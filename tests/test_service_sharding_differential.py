@@ -13,12 +13,13 @@ identical replayable workload through:
 
 and comparing the final per-session arrangements **assignment by
 assignment** (same pairs, same order, same per-session re-indexed worker
-arrivals) plus latencies and completion.  The suite runs under whichever
-candidate backend ``REPRO_CANDIDATES_BACKEND`` selects, so the CI backend
-matrix pins the guarantee for both the python and numpy engines.
+arrivals) plus latencies and completion.  The main differential runs the
+shards through every ``engine_pass`` of the candidate engine against an
+oracle on its scalar loops.
 """
 
 import pytest
+from conftest import SCALAR_ONLY, vector_cutover
 
 from repro.service import LTCDispatcher, ShardedDispatcher, ShardPlan
 from repro.service.loadgen import BurstWindow, ReplayConfig, build_workload
@@ -93,8 +94,11 @@ def assert_identical(base, candidate):
 
 @pytest.mark.parametrize("solver", ["AAM", "LAF"])
 @pytest.mark.parametrize("executor", ["serial", "thread"])
-def test_sharded_matches_single_process(workload, solver, executor):
-    base = run_single_process(workload, solver)
+def test_sharded_matches_single_process(workload, solver, executor, engine_pass):
+    # The oracle stays on the scalar loops; the shards run each way of the
+    # candidate engine's vector cutover.
+    with vector_cutover(SCALAR_ONLY):
+        base = run_single_process(workload, solver)
     ids, streams, results, _ = run_sharded(workload, solver, executor)
     assert_identical(base, (ids, streams, results))
 
