@@ -151,7 +151,7 @@ def fingerprint(payload: object) -> str:
 
     The payload must be JSON-serialisable and deterministic for a fixed
     config (include flow values, assignment digests, counters; exclude
-    timings and anything thread-timing-dependent).  Configs are seeded,
+    timings).  Configs are seeded,
     so the digest is reproducible across machines — the regression gate
     compares it bit-for-bit whenever baseline and fresh configs match.
     """

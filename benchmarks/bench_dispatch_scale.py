@@ -9,18 +9,17 @@ buys on a seeded, replayable multi-city workload from
 :mod:`repro.service.loadgen`:
 
 * **shard_sweep** — the same worker stream through shard plans of 1, 2, 4
-  and 8 geo shards, under the ``serial`` executor (single-threaded: the
-  ratio prices queueing, fan-out and per-shard bookkeeping) and the
-  ``thread`` executor (one drain thread per shard on top).  Every
-  lossless run must produce per-session arrangements **byte-identical**
-  to the single-process baseline (asserted via fingerprints);
-  throughput, routed fraction and routing-latency p50/p99 land in the
-  report.
-* **backpressure** — a burst-heavy stream through deliberately small
-  shard queues under the ``drop-oldest`` and ``reject`` policies,
-  reporting shed rates (byte-identity is forfeited by design here, and the
-  shed counts are thread-timing dependent, so this observational section
-  is excluded from the exactness fingerprint).
+  and 8 geo shards (the ratio prices queueing, fan-out and per-shard
+  bookkeeping).  Every lossless run must produce per-session
+  arrangements **byte-identical** to the single-process baseline
+  (asserted via fingerprints); throughput, routed fraction and
+  routing-latency p50/p99 land in the report.
+* **backpressure** — the burst city's shard is stalled (a ``"stall"``
+  fault) while the stream crosses the burst window, so its deliberately
+  small queue fills; the ``drop-oldest`` and ``reject`` policies shed
+  the overflow, and the stall is released when the stream leaves the
+  window.  Byte-identity is forfeited by design here, but the shed
+  counts are deterministic and join the exactness fingerprint.
 * **ttl** — the latency-vs-abandonment trade: the stream is cut at a
   deadline fraction, every still-open task is expired through the TTL
   sweep, and the report shows completion vs abandonment per deadline.
@@ -51,15 +50,18 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 import _common
 from _common import BenchSuite, SuiteResult
 
-from repro.service import LTCDispatcher, ShardedDispatcher, ShardPlan
+from repro.service import (
+    FaultPlan,
+    FaultSpec,
+    LTCDispatcher,
+    ShardedDispatcher,
+    ShardPlan,
+)
 from repro.service.loadgen import BurstWindow, ReplayConfig, build_workload
 
 
 #: Shard-count sweep: shard count -> (cols, rows) over the 4x2 city grid.
 SHARD_GRIDS: Dict[int, Tuple[int, int]] = {1: (1, 1), 2: (2, 1), 4: (2, 2), 8: (4, 2)}
-
-#: Executors swept per shard count (both keep byte-identity).
-EXECUTORS: Tuple[str, ...] = ("serial", "thread")
 
 
 def make_config(args) -> ReplayConfig:
@@ -111,13 +113,12 @@ def run_single_process(workload) -> dict:
     }
 
 
-def run_sharded(workload, shards: int, executor: str, queue_capacity: int) -> dict:
+def run_sharded(workload, shards: int, queue_capacity: int) -> dict:
     cols, rows = SHARD_GRIDS[shards]
     plan = ShardPlan.for_region(workload.config.bounds, cols=cols, rows=rows)
     dispatcher = ShardedDispatcher(
         plan,
         default_solver="AAM",
-        executor=executor,
         queue_capacity=queue_capacity,
         queue_policy="block",
         record_latencies=True,
@@ -173,12 +174,9 @@ def bench_shard_sweep(workload, shard_counts, repeats, queue_capacity):
     """The headline sweep: timings are medians over interleaved repeats."""
     runners = {"single_process": lambda: run_single_process(workload)}
     for shards in shard_counts:
-        for executor in EXECUTORS:
-            runners[f"{executor}_{shards}"] = (
-                lambda s=shards, e=executor: run_sharded(
-                    workload, s, e, queue_capacity
-                )
-            )
+        runners[f"serial_{shards}"] = (
+            lambda s=shards: run_sharded(workload, s, queue_capacity)
+        )
     times: Dict[str, List[float]] = {impl: [] for impl in runners}
     outputs: Dict[str, dict] = {}
     for _ in range(repeats):
@@ -248,21 +246,44 @@ def bench_shard_sweep(workload, shard_counts, repeats, queue_capacity):
 
 
 def bench_backpressure(workload, queue_capacity: int) -> dict:
-    """Small queues + burst traffic: shed accounting per policy."""
+    """A shard stalled across the burst: shed accounting per policy.
+
+    The burst city's shard stops consuming once it has processed every
+    arrival routed to it before the burst window, and resumes when the
+    stream leaves the window; its small queue sheds the rest.
+    """
+    config = workload.config
+    burst = config.bursts[0]
+    cols, rows = SHARD_GRIDS[8]
+    plan = ShardPlan.for_region(config.bounds, cols=cols, rows=rows)
+    stalled = plan.shard_of_point(config.city_center(burst.hot_city))
+
+    def fraction(worker) -> float:
+        return (worker.index - 1) / config.num_workers
+
+    before_burst = sum(
+        1
+        for worker in workload.worker_stream()
+        if fraction(worker) < burst.start
+        and plan.shard_of_point(worker.location) == stalled
+    )
     metrics = {}
     for policy in ("drop-oldest", "reject"):
-        cols, rows = SHARD_GRIDS[8]
-        plan = ShardPlan.for_region(workload.config.bounds, cols=cols, rows=rows)
+        injector = FaultPlan(
+            (FaultSpec("stall", shard_id=stalled, at_arrival=before_burst),)
+        ).injector()
         dispatcher = ShardedDispatcher(
             plan,
             default_solver="AAM",
-            executor="thread",
             queue_capacity=queue_capacity,
             queue_policy=policy,
+            faults=injector,
         )
         for campaign in workload.campaigns:
             dispatcher.submit_instance(campaign)
         for worker in workload.worker_stream():
+            if fraction(worker) >= burst.end:
+                injector.release_stalls()
             dispatcher.feed_worker(worker)
         dispatcher.stop()
         offered = dispatcher.arrivals_offered
@@ -270,6 +291,7 @@ def bench_backpressure(workload, queue_capacity: int) -> dict:
         dispatcher.close_all()
         metrics[policy] = {
             "queue_capacity": queue_capacity,
+            "stalled_shard": stalled,
             "offered": offered,
             "shed": shed,
             "shed_rate": round(shed / offered, 4) if offered else 0.0,
@@ -284,7 +306,7 @@ def bench_ttl(workload, deadlines) -> dict:
     for deadline in deadlines:
         cols, rows = SHARD_GRIDS[4]
         plan = ShardPlan.for_region(workload.config.bounds, cols=cols, rows=rows)
-        dispatcher = ShardedDispatcher(plan, default_solver="AAM", executor="serial")
+        dispatcher = ShardedDispatcher(plan, default_solver="AAM")
         session_tasks = {}
         for campaign in workload.campaigns:
             session_id = dispatcher.submit_instance(campaign)
@@ -328,12 +350,11 @@ def run_suite(args) -> SuiteResult:
     print(f"single_process  wall={base['wall_ms_median']:>9.1f}ms  "
           f"throughput={base['throughput_per_s']:>9.0f}/s")
     for shards in args.shards:
-        for executor in EXECUTORS:
-            entry = sweep["cases"][f"{executor}_{shards}"]
-            print(f"{executor:>6}_{shards}  wall={entry['wall_ms_median']:>9.1f}ms  "
-                  f"throughput={entry['throughput_per_s']:>9.0f}/s  "
-                  f"speedup={entry['speedup_vs_single_process']:>5.2f}x  "
-                  f"p99={entry['routing_p99_us']:>7.1f}us")
+        entry = sweep["cases"][f"serial_{shards}"]
+        print(f"serial_{shards}  wall={entry['wall_ms_median']:>9.1f}ms  "
+              f"throughput={entry['throughput_per_s']:>9.0f}/s  "
+              f"speedup={entry['speedup_vs_single_process']:>5.2f}x  "
+              f"p99={entry['routing_p99_us']:>7.1f}us")
 
     backpressure = bench_backpressure(workload, args.burst_queue_capacity)
     for policy, entry in backpressure["metrics"].items():
@@ -352,9 +373,8 @@ def run_suite(args) -> SuiteResult:
         "ttl": ttl,
     }
     headline = {
-        f"{executor}_max_shards_vs_single_process":
-            sweep["speedups"][f"{executor}_{max(args.shards)}_vs_single_process"]
-        for executor in EXECUTORS
+        "serial_max_shards_vs_single_process":
+            sweep["speedups"][f"serial_{max(args.shards)}_vs_single_process"],
     }
     config = {
         "cities": config_obj.num_cities,
@@ -371,15 +391,13 @@ def run_suite(args) -> SuiteResult:
         "repeats": args.repeats,
         "seed": args.seed,
     }
-    # The backpressure section is deliberately absent from the payload:
-    # shed counts under the thread executor depend on thread timing and
-    # are not reproducible across machines.
     return SuiteResult(
         config=config,
         sections=sections,
         headline_speedups=headline,
         fingerprint_payload={
             "shard_sweep": sweep_witness,
+            "backpressure": backpressure["metrics"],
             "ttl": ttl["metrics"],
         },
     )
@@ -415,15 +433,14 @@ SUITE = _common.register_suite(BenchSuite(
         "Sharded dispatch vs a single-process dispatcher on a seeded, "
         "replayable multi-city worker stream (diurnal + burst traffic). "
         "'shard_sweep' feeds the identical stream through 1/2/4/8 geo "
-        "shards under the serial executor (single-threaded: the price "
-        "of shard plumbing, since each dispatcher's routing index "
-        "already skips other regions' sessions) "
-        "and the thread executor (plus per-shard drain threads); "
+        "shards (the price of shard plumbing, since each dispatcher's "
+        "routing index already skips other regions' sessions); "
         "every lossless run is asserted byte-identical to the "
         "single-process baseline via per-session arrangement "
         "fingerprints. "
-        "'backpressure' sheds burst traffic through small bounded "
-        "queues; 'ttl' expires still-open tasks at a deadline and "
+        "'backpressure' stalls the burst city's shard across the burst "
+        "window and sheds its traffic through a small bounded queue; "
+        "'ttl' expires still-open tasks at a deadline and "
         "reports the completion/abandonment trade."
     ),
     add_arguments=add_arguments,

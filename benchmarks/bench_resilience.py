@@ -20,9 +20,9 @@ workload from :mod:`repro.service.loadgen`:
   machine-dependent and excluded from the exactness fingerprint; the
   counts and arrangement digests are included.
 * **quarantine** (observational) — a seeded crash under
-  ``on_shard_failure="quarantine"`` with the serial executor: migrated
-  session count, replayed arrivals and post-migration discard accounting
-  (all deterministic serially, so all fingerprinted).
+  ``on_shard_failure="quarantine"``: migrated session count, replayed
+  arrivals and post-migration discard accounting (all deterministic, so
+  all fingerprinted).
 
 The suite registers with the shared registry in :mod:`_common` and is
 run through ``benchmarks/bench_all.py`` into ``BENCH_all.json``; a
@@ -90,7 +90,6 @@ def run_policy(workload, policy: Optional[RecoveryPolicy],
     dispatcher = ShardedDispatcher(
         plan,
         default_solver="AAM",
-        executor="serial",
         queue_capacity=queue_capacity,
         recovery=policy,
         faults=faults,
@@ -202,7 +201,6 @@ def bench_crash_recovery(workload, crash_arrivals, queue_capacity: int):
         dispatcher = ShardedDispatcher(
             plan,
             default_solver="AAM",
-            executor="serial",
             queue_capacity=queue_capacity,
             recovery=RecoveryPolicy(on_shard_failure="restart"),
             faults=faults,
@@ -246,7 +244,6 @@ def bench_quarantine(workload, at_arrival: int, queue_capacity: int):
     dispatcher = ShardedDispatcher(
         plan,
         default_solver="AAM",
-        executor="serial",
         queue_capacity=queue_capacity,
         recovery=RecoveryPolicy(on_shard_failure="quarantine"),
         faults=faults,

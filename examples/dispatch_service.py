@@ -134,7 +134,7 @@ def main() -> None:
     # a 2x2 plan, so each campaign is pinned to its own shard and the
     # per-campaign latencies must be identical to the single-process run.
     plan = ShardPlan.for_campaigns(instances.values(), cols=2)
-    sharded = ShardedDispatcher(plan, executor="serial", queue_policy="block")
+    sharded = ShardedDispatcher(plan, queue_policy="block")
     for name, _, spec in DISTRICTS:
         sharded.submit_instance(instances[name], solver=spec, session_id=name)
     sharded.feed_stream(stream)

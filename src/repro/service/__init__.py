@@ -55,6 +55,7 @@ from repro.service.recovery import (
 from repro.service.sharding import (
     BoundedArrivalQueue,
     QueueClosedError,
+    QueueFullError,
     ShardAffinityError,
     ShardedDispatcher,
     ShardPlan,
@@ -73,6 +74,7 @@ __all__ = [
     "ShardAffinityError",
     "BoundedArrivalQueue",
     "QueueClosedError",
+    "QueueFullError",
     "ReplayConfig",
     "ReplayWorkload",
     "BurstWindow",

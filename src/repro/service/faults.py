@@ -1,13 +1,11 @@
 """Deterministic, seeded fault injection for the sharded dispatch runtime.
 
-Chaos testing a concurrent system is only useful if the chaos is
-*reproducible*: a fault schedule that depends on wall-clock timing or
-thread interleaving produces unreviewable flakes.  Every fault here is
-therefore keyed on a **per-shard processed-arrival ordinal** — "crash
-shard 2 on its 37th arrival" means the same thing under the serial and
-the thread executor, on a laptop and in CI, because each shard's queue
-is FIFO and its arrival sub-sequence is fixed by the router, not by
-scheduling.
+Chaos testing is only useful if the chaos is *reproducible*: a fault
+schedule that depends on wall-clock timing produces unreviewable flakes.
+Every fault here is therefore keyed on a **per-shard processed-arrival
+ordinal** — "crash shard 2 on its 37th arrival" means the same thing on
+a laptop and in CI, because each shard's queue is FIFO and its arrival
+sub-sequence is fixed by the router.
 
 Three fault kinds are supported (:data:`FAULT_KINDS`):
 
@@ -21,7 +19,8 @@ Three fault kinds are supported (:data:`FAULT_KINDS`):
 * ``"stall"`` — the shard stops consuming its queue once ``at_arrival``
   arrivals have been processed, until :meth:`FaultInjector.release_stalls`
   is called (or the runtime stops).  Backlog and backpressure become
-  observable without any sleeps.
+  observable without any sleeps, and ``drain()`` reports the backlog
+  instead of waiting on it.
 
 A :class:`FaultPlan` is a frozen, validated schedule; build one by hand
 or with :meth:`FaultPlan.seeded`.  The plan compiles to a
@@ -35,8 +34,7 @@ not re-trigger the fault that caused it.
 from __future__ import annotations
 
 import random
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 #: The accepted fault kinds, in documentation order.
@@ -186,14 +184,12 @@ class _StallState:
 class FaultInjector:
     """The mutable runtime consulted by the dispatcher's hook points.
 
-    Thread-safe.  One injector serves one :class:`ShardedDispatcher` run;
-    build a fresh one (``plan.injector()``) per run — fired faults are
-    consumed.
+    One injector serves one :class:`ShardedDispatcher` run; build a fresh
+    one (``plan.injector()``) per run — fired faults are consumed.
     """
 
     def __init__(self, plan: FaultPlan) -> None:
         self._plan = plan
-        self._lock = threading.Lock()
         self._ordinals: Dict[int, int] = {}
         self._scheduled: Dict[Tuple[int, int], FaultSpec] = {
             (spec.shard_id, spec.at_arrival): spec
@@ -202,13 +198,11 @@ class FaultInjector:
         }
         self._consumed: Set[Tuple[int, int]] = set()
         self._stalls: Dict[int, List[_StallState]] = {}
-        self._stall_released: Dict[int, threading.Event] = {}
         for spec in plan.faults:
             if spec.kind == "stall":
                 self._stalls.setdefault(spec.shard_id, []).append(
                     _StallState(after_arrivals=spec.at_arrival)
                 )
-                self._stall_released.setdefault(spec.shard_id, threading.Event())
 
     @property
     def plan(self) -> FaultPlan:
@@ -223,9 +217,8 @@ class FaultInjector:
         the injector, so replayed arrivals do not advance the ordinal —
         the schedule stays aligned with the offered stream).
         """
-        with self._lock:
-            self._ordinals[shard_id] = self._ordinals.get(shard_id, 0) + 1
-            return self._ordinals[shard_id]
+        self._ordinals[shard_id] = self._ordinals.get(shard_id, 0) + 1
+        return self._ordinals[shard_id]
 
     def raise_for(self, shard_id: int, ordinal: int, attempt: int) -> None:
         """Fire the fault scheduled at this arrival, if any.
@@ -235,55 +228,37 @@ class FaultInjector:
         attempt ``f``.  Crash faults consume themselves *before* raising,
         so a restarted shard does not crash again on replay.
         """
-        with self._lock:
-            key = (shard_id, ordinal)
-            spec = self._scheduled.get(key)
-            if spec is None or key in self._consumed:
-                return
-            if spec.kind == "crash":
-                self._consumed.add(key)
-                raise InjectedShardCrash(
-                    f"injected crash: shard {shard_id}, arrival {ordinal}"
-                )
-            if attempt < spec.failures:
-                raise TransientSolverError(
-                    f"injected transient dispatch failure: shard {shard_id}, "
-                    f"arrival {ordinal}, attempt {attempt + 1}/{spec.failures}"
-                )
+        key = (shard_id, ordinal)
+        spec = self._scheduled.get(key)
+        if spec is None or key in self._consumed:
+            return
+        if spec.kind == "crash":
             self._consumed.add(key)
+            raise InjectedShardCrash(
+                f"injected crash: shard {shard_id}, arrival {ordinal}"
+            )
+        if attempt < spec.failures:
+            raise TransientSolverError(
+                f"injected transient dispatch failure: shard {shard_id}, "
+                f"arrival {ordinal}, attempt {attempt + 1}/{spec.failures}"
+            )
+        self._consumed.add(key)
 
     # ---------------------------------------------------------------- stalls
 
     def stall_active(self, shard_id: int, processed: int) -> bool:
         """Whether ``shard_id`` should pause consumption right now."""
-        with self._lock:
-            return any(
-                not stall.released and processed >= stall.after_arrivals
-                for stall in self._stalls.get(shard_id, ())
-            )
-
-    def wait_stall_release(
-        self, shard_id: int, processed: int, timeout: Optional[float] = None
-    ) -> bool:
-        """Block while a stall is active for ``shard_id`` (thread executor).
-
-        Returns ``True`` once no stall is active (possibly immediately),
-        ``False`` on timeout.
-        """
-        event = self._stall_released.get(shard_id)
-        while self.stall_active(shard_id, processed):
-            if event is None or not event.wait(timeout=timeout):
-                return False
-        return True
+        return any(
+            not stall.released and processed >= stall.after_arrivals
+            for stall in self._stalls.get(shard_id, ())
+        )
 
     def release_stalls(self, shard_id: Optional[int] = None) -> None:
-        """Release active stalls (all shards, or one); wakes blocked loops."""
-        with self._lock:
-            targets = (
-                self._stalls.keys() if shard_id is None else
-                [shard_id] if shard_id in self._stalls else []
-            )
-            for sid in list(targets):
-                for stall in self._stalls[sid]:
-                    stall.released = True
-                self._stall_released[sid].set()
+        """Release scheduled stalls (all shards, or one), active or not."""
+        targets = (
+            self._stalls.keys() if shard_id is None else
+            [shard_id] if shard_id in self._stalls else []
+        )
+        for sid in targets:
+            for stall in self._stalls[sid]:
+                stall.released = True

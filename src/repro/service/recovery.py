@@ -26,9 +26,9 @@ which the supervisor escalates to fail-fast.
 :class:`RecoveryPolicy` configures what a shard failure does
 (:data:`FAILURE_POLICIES`):
 
-* ``"fail-fast"`` — park the error, flush the shard's queue, surface at
-  the next ``drain()``/``stop()`` (PR 6's behaviour, now with explicit
-  discard accounting).  No journal is kept.
+* ``"fail-fast"`` — mark the shard failed, flush its queue (counting the
+  discards) and raise the error from the call that processed the
+  arrival.  No journal is kept.
 * ``"restart"`` — rebuild the dead shard's dispatcher by replaying its
   journal, with a per-shard restart budget and deterministic backoff.
 * ``"quarantine"`` — rebuild the shard's sessions *once* (same replay)
@@ -42,7 +42,6 @@ last errors, backoff sleeps (injectable; the default budget of
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -128,10 +127,8 @@ class RecoveryEvent:
 class ArrivalJournal:
     """One shard's append-only operation log.
 
-    Not internally locked: the owning runtime appends and replays under
-    the shard's own lock, which already serialises dispatcher access.
-    Entries are ``(kind, *payload)`` tuples in lock-acquisition order —
-    the exact order the shard's dispatcher observed the operations.
+    Entries are ``(kind, *payload)`` tuples in append order — the exact
+    order the shard's dispatcher observed the operations.
     """
 
     __slots__ = ("_entries", "_worker_count", "_taint")
@@ -224,8 +221,8 @@ class ArrivalJournal:
 class ShardSupervisor:
     """Policy bookkeeping: decides what each shard failure becomes.
 
-    Thread-safe.  ``sleep`` is injectable so tests can assert the backoff
-    schedule without waiting it out.
+    ``sleep`` is injectable so tests can assert the backoff schedule
+    without waiting it out.
     """
 
     def __init__(
@@ -235,7 +232,6 @@ class ShardSupervisor:
     ) -> None:
         self._policy = policy
         self._sleep = sleep if sleep is not None else time.sleep
-        self._lock = threading.Lock()
         self._restarts: Dict[int, int] = {}
         self._last_error: Dict[int, str] = {}
 
@@ -250,21 +246,19 @@ class ShardSupervisor:
         one unit of the shard's budget; an exhausted budget (or any other
         policy) degrades to ``"fail"`` / ``"quarantine"`` respectively.
         """
-        with self._lock:
-            self._last_error[shard_id] = repr(error)
-            if self._policy.on_shard_failure == "restart":
-                if self._restarts.get(shard_id, 0) < self._policy.max_restarts:
-                    self._restarts[shard_id] = self._restarts.get(shard_id, 0) + 1
-                    return "restart"
-                return "fail"
-            if self._policy.on_shard_failure == "quarantine":
-                return "quarantine"
+        self._last_error[shard_id] = repr(error)
+        if self._policy.on_shard_failure == "restart":
+            if self._restarts.get(shard_id, 0) < self._policy.max_restarts:
+                self._restarts[shard_id] = self._restarts.get(shard_id, 0) + 1
+                return "restart"
             return "fail"
+        if self._policy.on_shard_failure == "quarantine":
+            return "quarantine"
+        return "fail"
 
     def backoff(self, shard_id: int) -> float:
         """Sleep before the shard's next restart attempt; return the delay."""
-        with self._lock:
-            attempt = self._restarts.get(shard_id, 0)
+        attempt = self._restarts.get(shard_id, 0)
         if attempt < 1 or self._policy.backoff_seconds <= 0.0:
             return 0.0
         delay = self._policy.backoff_seconds * (
@@ -275,10 +269,8 @@ class ShardSupervisor:
 
     def restarts(self, shard_id: int) -> int:
         """How many restarts the shard has consumed."""
-        with self._lock:
-            return self._restarts.get(shard_id, 0)
+        return self._restarts.get(shard_id, 0)
 
     def last_error(self, shard_id: int) -> Optional[str]:
         """``repr`` of the shard's most recent failure, if any."""
-        with self._lock:
-            return self._last_error.get(shard_id)
+        return self._last_error.get(shard_id)

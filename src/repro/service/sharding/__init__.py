@@ -7,10 +7,10 @@ its tasks, so campaigns and worker traffic partition cleanly by region:
   overflow shard for campaigns whose reach spans cells or cannot be
   bounded) and pins each campaign to the shard containing its reach box;
 * :class:`BoundedArrivalQueue` is the bounded, backpressure-aware buffer
-  between the router and each shard's dispatch loop;
+  between the router and each shard's dispatcher;
 * :class:`ShardedDispatcher` runs one
-  :class:`~repro.service.LTCDispatcher` per shard — serially or on one
-  thread per shard — while keeping per-session arrangements
+  :class:`~repro.service.LTCDispatcher` per shard, draining every shard
+  inline on the caller's thread, while keeping per-session arrangements
   byte-identical to a single-process run (in lossless configurations).
 
 See ``docs/dispatch.md`` for the routing semantics and the exactness
@@ -20,7 +20,6 @@ harness that sweeps shard counts.
 
 from repro.core.candidates import instance_reach_radius, tasks_reach_bounds
 from repro.service.sharding.dispatcher import (
-    EXECUTORS,
     SHARD_STATES,
     ShardAffinityError,
     ShardedDispatcher,
@@ -31,6 +30,7 @@ from repro.service.sharding.queueing import (
     BACKPRESSURE_POLICIES,
     BoundedArrivalQueue,
     QueueClosedError,
+    QueueFullError,
 )
 
 __all__ = [
@@ -40,8 +40,8 @@ __all__ = [
     "ShardAffinityError",
     "BoundedArrivalQueue",
     "QueueClosedError",
+    "QueueFullError",
     "BACKPRESSURE_POLICIES",
-    "EXECUTORS",
     "SHARD_STATES",
     "instance_reach_radius",
     "tasks_reach_bounds",

@@ -9,9 +9,9 @@ worker traffic with a :class:`~repro.service.sharding.ShardPlan`:
 * every arriving worker is routed to the geo shard covering its check-in
   location, plus the overflow shard whenever it has open sessions;
 * each shard runs its own :class:`~repro.service.LTCDispatcher` behind a
-  :class:`~repro.service.sharding.BoundedArrivalQueue`, drained either
-  inline (the ``"serial"`` executor — deterministic, single-threaded)
-  or by a dedicated thread per shard (the ``"thread"`` executor).
+  :class:`~repro.service.sharding.BoundedArrivalQueue`, drained inline
+  on the caller's thread: one ordered arrival stream, as in the paper's
+  online model.
 
 **Exactness.**  Because an eligible worker necessarily lies inside the
 campaign's reach box, and the reach box lies inside the campaign's cell,
@@ -20,29 +20,29 @@ route it — so per-session routed sub-streams are *identical* to what the
 single-process dispatcher would deliver, in the same per-session order
 (each session lives on exactly one shard, whose queue is FIFO).  With a
 lossless queue policy the final per-session arrangements are therefore
-byte-identical to a single-process run, under both executors; the
-differential suite enforces this.  Shedding policies (``drop-oldest`` /
+byte-identical to a single-process run; the differential suite
+enforces this.  Shedding policies (``drop-oldest`` /
 ``reject``) trade that guarantee for bounded lag under overload.
 
 **Scaling.**  Each per-shard dispatcher probes only the sessions whose
 reach box covers an arrival's cell, and so does a single-process
 dispatcher: its routing index already skips the sessions of other
 regions.  Sharding therefore no longer cuts routing work, and the
-``"serial"`` executor's queue, fan-out and bookkeeping make it slower
-than one dispatcher (``docs/dispatch.md``, "Routing index", has the
-numbers).  What shards buy is an isolation and recovery boundary: a
-crash domain per region, journal replay, quarantine, and backpressure
-per queue; the ``"thread"`` executor adds concurrency on top.
+queue, fan-out and bookkeeping make the runtime slower than one
+dispatcher (``docs/dispatch.md``, "Routing index", has the numbers).
+What shards buy is an isolation and recovery boundary: a crash domain
+per region, journal replay, quarantine, and backpressure per queue.
 
 **Fault tolerance.**  A shard failure (any exception escaping its
 dispatch attempt, including injected ones — see
 :mod:`repro.service.faults`) is resolved by the configured
 :class:`~repro.service.recovery.RecoveryPolicy`:
 
-* ``"fail-fast"`` (the default) parks the error (surfaced at the next
-  :meth:`drain` / :meth:`stop`), marks the shard *failed*, flushes its
-  queue, and discards subsequent arrivals routed to it — every lost
-  arrival is counted (:attr:`ShardStatus.arrivals_discarded`);
+* ``"fail-fast"`` (the default) marks the shard *failed*, flushes its
+  queue, and raises the error from the call that processed the arrival
+  (:meth:`feed_worker`, or :meth:`drain` / :meth:`stop` for a queued
+  backlog); later arrivals routed to the shard are discarded — every
+  lost arrival is counted (:attr:`ShardStatus.arrivals_discarded`);
 * ``"restart"`` rebuilds the shard's dispatcher by replaying its
   :class:`~repro.service.recovery.ArrivalJournal` — byte-identical by
   the same FIFO argument as above, so a lossless run *with mid-stream
@@ -60,11 +60,9 @@ Journals are kept exactly when the policy can need a replay, so
 
 from __future__ import annotations
 
-import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.algorithms.base import Solver, SolveResult
 from repro.algorithms.spec import SolverSpecLike
@@ -89,10 +87,7 @@ from repro.service.recovery import (
     ShardSupervisor,
 )
 from repro.service.sharding.plan import ShardPlan
-from repro.service.sharding.queueing import BoundedArrivalQueue
-
-#: The accepted executor names.
-EXECUTORS = ("serial", "thread")
+from repro.service.sharding.queueing import BoundedArrivalQueue, QueueFullError
 
 #: Shard lifecycle states, in the order a shard can move through them.
 SHARD_STATES: Tuple[str, ...] = ("live", "recovering", "quarantined", "failed")
@@ -138,23 +133,18 @@ class ShardStatus:
 
 @dataclass
 class _ShardRuntime:
-    """One shard's dispatcher, queue, lock and (optional) drain thread."""
+    """One shard's dispatcher, queue, journal and failure accounting."""
 
     shard_id: int
     dispatcher: LTCDispatcher
     queue: BoundedArrivalQueue
-    #: Serialises dispatcher access between the drain loop and control-plane
-    #: calls (submit/poll/close) arriving from other threads.
-    lock: threading.Lock = field(default_factory=threading.Lock)
-    thread: Optional[threading.Thread] = None
     #: Per-arrival routing latencies (seconds), recorded when enabled.
     latencies: List[float] = field(default_factory=list)
-    error: Optional[BaseException] = None
-    #: Lifecycle state, one of :data:`SHARD_STATES`; guarded by ``lock``.
+    #: Lifecycle state, one of :data:`SHARD_STATES`.
     state: str = "live"
     #: The recovery journal (``None`` when the policy needs no replay).
     journal: Optional[ArrivalJournal] = None
-    #: Arrivals lost to the failure path; guarded by ``lock``.
+    #: Arrivals lost to the failure path.
     discarded: int = 0
 
 
@@ -172,14 +162,15 @@ class ShardedDispatcher:
         :class:`~repro.service.LTCDispatcher`); the clock is shared so
         per-shard busy-time metrics are comparable.
     executor:
-        ``"serial"`` processes each arrival inline during
-        :meth:`feed_worker` (deterministic; the exact-merge configuration),
-        ``"thread"`` drains each shard's queue on its own thread.
+        Must be ``"serial"``, the only runtime.  The keyword survives
+        solely because ``benchmarks/e2e/workloads.py`` passes it.
     queue_capacity / queue_policy:
         Bound and backpressure policy of every shard's arrival queue (see
         :class:`~repro.service.sharding.BoundedArrivalQueue`).  Only the
         lossless ``"block"`` policy preserves byte-identity with a
-        single-process dispatcher.
+        single-process dispatcher; a full ``"block"`` queue (a stalled or
+        unstarted shard) makes :meth:`feed_worker` raise
+        :class:`~repro.service.sharding.QueueFullError`.
     recovery:
         A :class:`~repro.service.recovery.RecoveryPolicy` (or a prebuilt
         :class:`~repro.service.recovery.ShardSupervisor`, e.g. with an
@@ -214,13 +205,11 @@ class ShardedDispatcher:
         autostart: bool = True,
         record_latencies: bool = False,
     ) -> None:
-        if executor not in EXECUTORS:
-            raise ValueError(
-                f"unknown executor {executor!r}; expected one of "
-                f"{', '.join(EXECUTORS)}"
-            )
+        # Only benchmarks/e2e/workloads.py still passes `executor`; drop
+        # the keyword at the next change to that benchmark.
+        if executor != "serial":
+            raise ValueError(f"unknown executor {executor!r}; expected serial")
         self._plan = plan
-        self._executor = executor
         self._clock: Callable[[], float] = (
             clock if clock is not None else time.perf_counter
         )
@@ -257,11 +246,6 @@ class ShardedDispatcher:
         self._shard_of_session: Dict[str, int] = {}
         self._auto_id = 0
         self._arrivals_offered = 0
-        self._control = threading.Lock()
-        #: Signalled (with the control lock) after a quarantine migration
-        #: remaps sessions, so control-plane calls racing the migration can
-        #: re-resolve instead of spinning.
-        self._migrated = threading.Condition(self._control)
         self._fault_metrics = DispatcherMetrics()
         self._recovery_events: List[RecoveryEvent] = []
         self._started = False
@@ -276,10 +260,6 @@ class ShardedDispatcher:
         return self._plan
 
     @property
-    def executor(self) -> str:
-        return self._executor
-
-    @property
     def started(self) -> bool:
         return self._started
 
@@ -288,67 +268,41 @@ class ShardedDispatcher:
         return self._policy
 
     def start(self) -> None:
-        """Start processing queued arrivals (idempotent).
+        """Process any pre-queued backlog and go live (idempotent).
 
-        Under the ``"thread"`` executor this launches one drain thread per
-        shard; under ``"serial"`` it drains any pre-queued backlog inline
-        and marks the runtime live (subsequent :meth:`feed_worker` calls
-        process inline).
+        After ``start()`` every :meth:`feed_worker` call processes its
+        arrival inline.
         """
         if self._stopped:
             raise RuntimeError("a stopped ShardedDispatcher cannot be restarted")
         if self._started:
             return
         self._started = True
-        if self._executor == "thread":
-            for runtime in self._shards.values():
-                thread = threading.Thread(
-                    target=self._drain_loop,
-                    args=(runtime,),
-                    name=f"shard-{runtime.shard_id}",
-                    daemon=True,
-                )
-                runtime.thread = thread
-                thread.start()
-        else:
-            for runtime in self._shards.values():
-                self._drain_inline(runtime)
+        for runtime in self._shards.values():
+            self._drain_inline(runtime)
 
-    def drain(self, timeout: Optional[float] = None) -> bool:
-        """Wait until every accepted arrival has been processed.
+    def drain(self) -> bool:
+        """Process every queued arrival that can be processed now.
 
-        Under ``"serial"`` any backlog is processed inline first.
-        ``timeout`` is a **shared deadline budget** across all shards, not
-        a per-shard allowance — the call returns within ``timeout``
-        seconds however many shards are behind.  Returns whether every
-        queue fully drained in time.  Re-raises the first error a shard
-        loop parked (fail-fast failures surface here).
+        Never blocks.  Returns whether every queue is empty afterwards:
+        ``False`` while a stalled shard keeps a backlog.  A terminal
+        shard failure met while draining raises here.
         """
         if not self._started:
             raise RuntimeError("start() the ShardedDispatcher before drain()")
-        if self._executor == "serial":
-            for runtime in self._shards.values():
-                self._drain_inline(runtime)
-        deadline = None if timeout is None else time.monotonic() + timeout
-        drained = True
         for runtime in self._shards.values():
-            if deadline is None:
-                drained = runtime.queue.join() and drained
-            else:
-                remaining = max(0.0, deadline - time.monotonic())
-                drained = runtime.queue.join(timeout=remaining) and drained
-        self._reraise_shard_errors()
-        return drained
+            self._drain_inline(runtime)
+        return all(runtime.queue.size == 0 for runtime in self._shards.values())
 
     def stop(self, drain: bool = True) -> None:
-        """Stop the runtime: optionally drain, close queues, join threads.
+        """Stop the runtime: optionally drain, then close every queue.
 
-        Idempotent and exception-safe: queues are closed and drain threads
-        joined even when draining re-raises a parked shard error, so the
-        runtime never stays half-alive.  Active fault-injection stalls are
-        released first (a stalled shard could never drain).  After
-        ``stop()`` the control plane (poll/close/result) keeps working,
-        but further arrivals are refused.
+        Idempotent and exception-safe: queues are closed even when
+        draining raises a shard error, so the runtime never stays
+        half-alive.  Active fault-injection stalls are released first (a
+        stalled shard could never drain).  After ``stop()`` the control
+        plane (poll/close/result) keeps working, but further arrivals are
+        refused.
         """
         if self._stopped:
             return
@@ -361,17 +315,6 @@ class ShardedDispatcher:
             self._stopped = True
             for runtime in self._shards.values():
                 runtime.queue.close()
-            if self._executor == "thread" and self._started:
-                for runtime in self._shards.values():
-                    if runtime.thread is not None:
-                        runtime.thread.join()
-        self._reraise_shard_errors()
-
-    def _reraise_shard_errors(self) -> None:
-        for runtime in self._shards.values():
-            if runtime.error is not None:
-                error, runtime.error = runtime.error, None
-                raise error
 
     # ------------------------------------------------------------- sessions
 
@@ -396,53 +339,52 @@ class ShardedDispatcher:
         the overflow shard; an explicit override naming a dead shard
         raises :class:`RuntimeError` instead.
         """
-        with self._control:
-            if session_id is None:
-                # Skip ids a caller already chose explicitly.
-                while True:
-                    self._auto_id += 1
-                    session_id = f"session-{self._auto_id}"
-                    if session_id not in self._shard_of_session:
-                        break
-            if session_id in self._shard_of_session:
-                raise DuplicateSessionError(
-                    f"session id {session_id!r} is already in use"
+        if session_id is None:
+            # Skip ids a caller already chose explicitly.
+            while True:
+                self._auto_id += 1
+                session_id = f"session-{self._auto_id}"
+                if session_id not in self._shard_of_session:
+                    break
+        if session_id in self._shard_of_session:
+            raise DuplicateSessionError(
+                f"session id {session_id!r} is already in use"
+            )
+        explicit = shard_id is not None
+        if shard_id is None:
+            shard_id = self._plan.shard_for_instance(instance)
+        else:
+            if shard_id not in self._shards:
+                raise ValueError(
+                    f"shard id {shard_id} is not in the plan "
+                    f"(0..{self._plan.overflow_shard})"
                 )
-            explicit = shard_id is not None
-            if shard_id is None:
-                shard_id = self._plan.shard_for_instance(instance)
-            else:
-                if shard_id not in self._shards:
-                    raise ValueError(
-                        f"shard id {shard_id} is not in the plan "
-                        f"(0..{self._plan.overflow_shard})"
+            cell = self._plan.cell(shard_id)
+            if cell is not None:
+                reach = tasks_reach_bounds(instance)
+                if reach is None or not self._box_within(reach, cell):
+                    raise ShardAffinityError(
+                        f"campaign reach box does not fit shard {shard_id}'s "
+                        "cell; pin it to the overflow shard instead"
                     )
-                cell = self._plan.cell(shard_id)
-                if cell is not None:
-                    reach = tasks_reach_bounds(instance)
-                    if reach is None or not self._box_within(reach, cell):
-                        raise ShardAffinityError(
-                            f"campaign reach box does not fit shard {shard_id}'s "
-                            "cell; pin it to the overflow shard instead"
-                        )
+        if not self._try_open(self._shards[shard_id], instance, solver,
+                              session_id):
+            if explicit:
+                raise RuntimeError(
+                    f"shard {shard_id} is "
+                    f"{self._shards[shard_id].state}; it accepts no new "
+                    "sessions"
+                )
+            shard_id = self._plan.overflow_shard
             if not self._try_open(self._shards[shard_id], instance, solver,
                                   session_id):
-                if explicit:
-                    raise RuntimeError(
-                        f"shard {shard_id} is "
-                        f"{self._shards[shard_id].state}; it accepts no new "
-                        "sessions"
-                    )
-                shard_id = self._plan.overflow_shard
-                if not self._try_open(self._shards[shard_id], instance, solver,
-                                      session_id):
-                    raise RuntimeError(
-                        "the overflow shard is "
-                        f"{self._shards[shard_id].state}; no shard can serve "
-                        "this campaign"
-                    )
-            self._shard_of_session[session_id] = shard_id
-            return session_id
+                raise RuntimeError(
+                    "the overflow shard is "
+                    f"{self._shards[shard_id].state}; no shard can serve "
+                    "this campaign"
+                )
+        self._shard_of_session[session_id] = shard_id
+        return session_id
 
     def _try_open(
         self,
@@ -452,21 +394,20 @@ class ShardedDispatcher:
         session_id: str,
     ) -> bool:
         """Open a session on ``runtime`` unless it stopped serving."""
-        with runtime.lock:
-            if runtime.state in _INACTIVE_STATES:
-                return False
-            runtime.dispatcher.submit_instance(
-                instance, solver=solver, session_id=session_id
+        if runtime.state in _INACTIVE_STATES:
+            return False
+        runtime.dispatcher.submit_instance(
+            instance, solver=solver, session_id=session_id
+        )
+        if runtime.journal is not None:
+            prebuilt = isinstance(solver, Solver)
+            runtime.journal.record_open(
+                session_id,
+                instance,
+                None if prebuilt else solver,
+                replayable=not prebuilt,
             )
-            if runtime.journal is not None:
-                prebuilt = isinstance(solver, Solver)
-                runtime.journal.record_open(
-                    session_id,
-                    instance,
-                    None if prebuilt else solver,
-                    replayable=not prebuilt,
-                )
-            return True
+        return True
 
     def submit_tasks(self, session_id: str, tasks: Sequence[Task]) -> str:
         """Post additional tasks to an open session mid-stream.
@@ -477,33 +418,33 @@ class ShardedDispatcher:
         untouched.  Overflow-shard sessions accept any tasks.
         """
         tasks = list(tasks)
-        with self._locked_session_runtime(session_id) as runtime:
-            cell = self._plan.cell(runtime.shard_id)
-            if cell is not None and tasks:
-                instance = runtime.dispatcher.instance_of(session_id)
-                reach = tasks_reach_bounds(instance, tasks)
-                if reach is None or not self._box_within(reach, cell):
-                    raise ShardAffinityError(
-                        f"mid-stream tasks for session {session_id!r} reach "
-                        f"outside shard {runtime.shard_id}'s cell; sessions "
-                        "are pinned — open a new campaign (or use the "
-                        "overflow shard) instead"
-                    )
-            runtime.dispatcher.submit_tasks(session_id, tasks)
-            if runtime.journal is not None:
-                runtime.journal.record_tasks(session_id, tasks)
-            return session_id
+        runtime = self._runtime_for(session_id)
+        cell = self._plan.cell(runtime.shard_id)
+        if cell is not None and tasks:
+            instance = runtime.dispatcher.instance_of(session_id)
+            reach = tasks_reach_bounds(instance, tasks)
+            if reach is None or not self._box_within(reach, cell):
+                raise ShardAffinityError(
+                    f"mid-stream tasks for session {session_id!r} reach "
+                    f"outside shard {runtime.shard_id}'s cell; sessions "
+                    "are pinned — open a new campaign (or use the "
+                    "overflow shard) instead"
+                )
+        runtime.dispatcher.submit_tasks(session_id, tasks)
+        if runtime.journal is not None:
+            runtime.journal.record_tasks(session_id, tasks)
+        return session_id
 
     def expire_tasks(self, session_id: str, task_ids: Sequence[int]) -> List[int]:
         """Expire overdue tasks in an open session (the TTL sweep)."""
-        with self._locked_session_runtime(session_id) as runtime:
-            expired = runtime.dispatcher.expire_tasks(session_id, task_ids)
-            # Journal the honest abandonments only: replaying them at the
-            # same stream position abandons exactly the same tasks, and an
-            # empty sweep is a no-op not worth an entry.
-            if expired and runtime.journal is not None:
-                runtime.journal.record_expire(session_id, expired)
-            return expired
+        runtime = self._runtime_for(session_id)
+        expired = runtime.dispatcher.expire_tasks(session_id, task_ids)
+        # Journal the honest abandonments only: replaying them at the same
+        # stream position abandons exactly the same tasks, and an empty
+        # sweep is a no-op not worth an entry.
+        if expired and runtime.journal is not None:
+            runtime.journal.record_expire(session_id, expired)
+        return expired
 
     @property
     def session_ids(self) -> List[str]:
@@ -526,47 +467,54 @@ class ShardedDispatcher:
     def feed_worker(self, worker: Worker) -> Optional[Dict[str, List[Assignment]]]:
         """Route one arrival to its geo shard (and overflow, if populated).
 
-        Under the ``"serial"`` executor (started) the arrival is processed
-        inline and the merged per-session deliveries are returned, exactly
-        like :meth:`LTCDispatcher.feed_worker` (deliveries triggered by a
+        Once started, the arrival is processed inline and the merged
+        per-session deliveries are returned, exactly like
+        :meth:`LTCDispatcher.feed_worker` (deliveries triggered by a
         crash-recovery replay are an exception: they surface via
-        :meth:`poll` / :meth:`close`, not the return value).  Under
-        ``"thread"`` — or before :meth:`start` — the arrival is only
-        enqueued and ``None`` is returned.  Arrivals routed to a
-        quarantined or failed shard are discarded and counted
-        (:attr:`ShardStatus.arrivals_discarded`).
+        :meth:`poll` / :meth:`close`, not the return value).  Before
+        :meth:`start` the arrival is only enqueued and ``None`` is
+        returned.  Arrivals routed to a quarantined or failed shard are
+        discarded and counted (:attr:`ShardStatus.arrivals_discarded`).
+
+        Raises :class:`~repro.service.sharding.QueueFullError` when a
+        target shard's ``"block"`` queue is full (the shard is stalled or
+        the runtime not started); the arrival is then not admitted and no
+        counter moves.
         """
         if self._stopped:
             raise RuntimeError("the ShardedDispatcher is stopped")
-        self._arrivals_offered += 1
         geo = self._shards[self._plan.shard_of_point(worker.location)]
         overflow = self._shards[self._plan.overflow_shard]
         candidates = [geo]
         if overflow.dispatcher.session_ids and overflow is not geo:
             candidates.append(overflow)
-        targets = []
+        targets = [r for r in candidates if r.state not in _INACTIVE_STATES]
+        for runtime in targets:
+            if runtime.queue.full and runtime.queue.policy == "block":
+                raise QueueFullError(
+                    f"shard {runtime.shard_id}'s queue is full "
+                    f"({runtime.queue.capacity} arrivals) and nothing can "
+                    "consume it; start() the runtime or release its stall"
+                )
+        self._arrivals_offered += 1
         for runtime in candidates:
             if runtime.state in _INACTIVE_STATES:
-                with runtime.lock:
-                    runtime.discarded += 1
-                continue
-            targets.append(runtime)
+                runtime.discarded += 1
         for runtime in targets:
             runtime.queue.put(worker)
-        if self._executor == "serial" and self._started:
-            deliveries: Dict[str, List[Assignment]] = {}
-            for runtime in targets:
-                deliveries.update(self._drain_inline(runtime))
-            return deliveries
-        return None
+        if not self._started:
+            return None
+        deliveries: Dict[str, List[Assignment]] = {}
+        for runtime in targets:
+            deliveries.update(self._drain_inline(runtime))
+        return deliveries
 
     def feed_stream(self, workers, stop_when_all_complete: bool = False) -> int:
         """Feed a whole merged stream; return how many arrivals were offered.
 
-        Early stop on ``all_complete`` is off by default: under the
-        threaded executor completion lags the queues, so checking it
-        per-arrival is racy; enable it only for serial runs that mirror
-        :meth:`LTCDispatcher.feed_stream` semantics.
+        ``stop_when_all_complete`` stops before the first arrival offered
+        once every open session is complete, mirroring
+        :meth:`LTCDispatcher.feed_stream`; it is off by default.
         """
         offered = 0
         for worker in workers:
@@ -592,37 +540,30 @@ class ShardedDispatcher:
         """Progress snapshots of every open session, across all shards."""
         statuses: Dict[str, SessionStatus] = {}
         for runtime in self._shards.values():
-            with runtime.lock:
-                statuses.update(runtime.dispatcher.poll())
+            statuses.update(runtime.dispatcher.poll())
         return statuses
 
     def shard_status(self) -> List[ShardStatus]:
         """Per-shard state: lifecycle, sessions, metrics, queue counters."""
         statuses: List[ShardStatus] = []
         for shard_id, runtime in sorted(self._shards.items()):
-            with runtime.lock:
-                metrics = DispatcherMetrics.merged([runtime.dispatcher.metrics])
-                session_ids = runtime.dispatcher.session_ids
-                state = runtime.state
-                discarded = runtime.discarded
-                journal_entries = (
-                    len(runtime.journal) if runtime.journal is not None else 0
-                )
             statuses.append(
                 ShardStatus(
                     shard_id=shard_id,
                     cell=self._plan.cell(shard_id),
-                    session_ids=session_ids,
-                    metrics=metrics,
+                    session_ids=runtime.dispatcher.session_ids,
+                    metrics=DispatcherMetrics.merged([runtime.dispatcher.metrics]),
                     queue_depth=runtime.queue.size,
                     arrivals_accepted=runtime.queue.accepted,
                     arrivals_shed=runtime.queue.shed,
                     arrivals_processed=runtime.queue.processed,
-                    state=state,
+                    state=runtime.state,
                     restarts=self._supervisor.restarts(shard_id),
                     last_error=self._supervisor.last_error(shard_id),
-                    arrivals_discarded=discarded,
-                    journal_entries=journal_entries,
+                    arrivals_discarded=runtime.discarded,
+                    journal_entries=(
+                        len(runtime.journal) if runtime.journal is not None else 0
+                    ),
                 )
             )
         return statuses
@@ -638,13 +579,10 @@ class ShardedDispatcher:
         ``replayed_arrivals``, ``quarantined_sessions``) are folded in
         from the runtime's own fault accounting.
         """
-        parts = []
-        for runtime in self._shards.values():
-            with runtime.lock:
-                parts.append(DispatcherMetrics.merged([runtime.dispatcher.metrics]))
-        with self._control:
-            parts.append(DispatcherMetrics.merged([self._fault_metrics]))
-        return DispatcherMetrics.merged(parts)
+        return DispatcherMetrics.merged(
+            [runtime.dispatcher.metrics for runtime in self._shards.values()]
+            + [self._fault_metrics]
+        )
 
     @property
     def shed_total(self) -> int:
@@ -654,17 +592,12 @@ class ShardedDispatcher:
     @property
     def discarded_total(self) -> int:
         """Arrivals lost to the failure path across all shards."""
-        total = 0
-        for runtime in self._shards.values():
-            with runtime.lock:
-                total += runtime.discarded
-        return total
+        return sum(runtime.discarded for runtime in self._shards.values())
 
     @property
     def recovery_events(self) -> List[RecoveryEvent]:
         """Completed recovery actions, in completion order (a copy)."""
-        with self._control:
-            return list(self._recovery_events)
+        return list(self._recovery_events)
 
     def routing_latencies(self) -> Dict[int, List[float]]:
         """Per-shard routing latency samples (``record_latencies=True`` only)."""
@@ -680,19 +613,17 @@ class ShardedDispatcher:
 
     def routed_stream(self, session_id: str) -> List[Worker]:
         """A session's re-indexed sub-stream (``keep_streams=True`` only)."""
-        with self._locked_session_runtime(session_id) as runtime:
-            return runtime.dispatcher.routed_stream(session_id)
+        return self._runtime_for(session_id).dispatcher.routed_stream(session_id)
 
     # -------------------------------------------------------------- closing
 
     def close(self, session_id: str) -> SolveResult:
         """Finalise one session, remove it, and return its solve result."""
-        with self._locked_session_runtime(session_id) as runtime:
-            result = runtime.dispatcher.close(session_id)
-            if runtime.journal is not None:
-                runtime.journal.record_close(session_id)
-        with self._control:
-            del self._shard_of_session[session_id]
+        runtime = self._runtime_for(session_id)
+        result = runtime.dispatcher.close(session_id)
+        if runtime.journal is not None:
+            runtime.journal.record_close(session_id)
+        del self._shard_of_session[session_id]
         return result
 
     def close_all(self) -> Dict[str, SolveResult]:
@@ -721,31 +652,6 @@ class ShardedDispatcher:
             ) from None
         return self._shards[shard_id]
 
-    @contextmanager
-    def _locked_session_runtime(self, session_id: str) -> Iterator[_ShardRuntime]:
-        """Resolve a session's runtime and hold its lock, migration-safe.
-
-        A quarantine migration can move the session to the overflow shard
-        between the map lookup and the lock acquisition; re-resolve until
-        the mapping is stable under the lock (waiting out an in-flight
-        migration on the control condition rather than spinning).
-        """
-        while True:
-            runtime = self._runtime_for(session_id)
-            with runtime.lock:
-                if (
-                    runtime.state != "quarantined"
-                    and self._shard_of_session.get(session_id) == runtime.shard_id
-                ):
-                    yield runtime
-                    return
-            with self._migrated:
-                self._migrated.wait_for(
-                    lambda: self._shard_of_session.get(session_id)
-                    != runtime.shard_id,
-                    timeout=1.0,
-                )
-
     @staticmethod
     def _box_within(inner: BoundingBox, outer: BoundingBox) -> bool:
         return (
@@ -757,16 +663,15 @@ class ShardedDispatcher:
 
     def _process(self, runtime: _ShardRuntime, worker: Worker):
         started = self._clock()
-        with runtime.lock:
-            # Write-ahead: journal the arrival *before* the dispatch
-            # attempt, so the arrival in flight when the shard crashes is
-            # replayed rather than lost.
-            if runtime.journal is not None:
-                runtime.journal.record_worker(worker)
-            if self._injector is None:
-                deliveries = runtime.dispatcher.feed_worker(worker)
-            else:
-                deliveries = self._feed_with_faults(runtime, worker)
+        # Write-ahead: journal the arrival *before* the dispatch attempt, so
+        # the arrival in flight when the shard crashes is replayed rather
+        # than lost.
+        if runtime.journal is not None:
+            runtime.journal.record_worker(worker)
+        if self._injector is None:
+            deliveries = runtime.dispatcher.feed_worker(worker)
+        else:
+            deliveries = self._feed_with_faults(runtime, worker)
         if self._record_latencies:
             runtime.latencies.append(self._clock() - started)
         return deliveries
@@ -785,55 +690,25 @@ class ShardedDispatcher:
                     raise
 
     def _drain_inline(self, runtime: _ShardRuntime) -> Dict[str, List[Assignment]]:
-        """Process a shard's queued backlog on the calling thread."""
+        """Process a shard's queued backlog until it empties or stalls."""
         deliveries: Dict[str, List[Assignment]] = {}
         while True:
             if self._injector is not None and self._injector.stall_active(
                 runtime.shard_id, runtime.queue.processed
             ):
-                # A stalled serial shard just stops consuming; the backlog
-                # (and any backpressure) becomes observable immediately.
+                # A stalled shard just stops consuming; the backlog (and
+                # any backpressure) becomes observable immediately.
                 return deliveries
-            worker = runtime.queue.get(timeout=0.0)
+            worker = runtime.queue.get()
             if worker is None:
                 return deliveries
             if runtime.state in _INACTIVE_STATES:
-                with runtime.lock:
-                    runtime.discarded += 1
-                runtime.queue.task_done()
+                runtime.discarded += 1
                 continue
             try:
                 deliveries.update(self._process(runtime, worker))
             except BaseException as exc:  # noqa: BLE001 - resolved by policy
                 self._handle_shard_failure(runtime, exc)
-            finally:
-                runtime.queue.task_done()
-
-    def _drain_loop(self, runtime: _ShardRuntime) -> None:
-        """The per-shard thread body: drain until the queue closes."""
-        while True:
-            if self._injector is not None:
-                self._injector.wait_stall_release(
-                    runtime.shard_id, runtime.queue.processed
-                )
-            worker = runtime.queue.get()
-            if worker is None:
-                return
-            if runtime.state in _INACTIVE_STATES:
-                with runtime.lock:
-                    runtime.discarded += 1
-                runtime.queue.task_done()
-                continue
-            try:
-                self._process(runtime, worker)
-            except BaseException as exc:  # noqa: BLE001 - resolved by policy
-                try:
-                    self._handle_shard_failure(runtime, exc)
-                except BaseException as failure:  # noqa: BLE001 - parked
-                    if runtime.error is None:
-                        runtime.error = failure
-            finally:
-                runtime.queue.task_done()
 
     # ------------------------------------------------------------- recovery
 
@@ -844,7 +719,7 @@ class ShardedDispatcher:
 
         Returns normally when the shard was recovered (restarted or
         quarantined); raises the terminal error when the shard fails for
-        good (the serial caller propagates it, the thread loop parks it).
+        good.
         """
         current = error
         while True:
@@ -858,31 +733,29 @@ class ShardedDispatcher:
             if action == "restart" and runtime.journal is not None:
                 started = self._clock()
                 self._supervisor.backoff(runtime.shard_id)
-                with runtime.lock:
-                    runtime.state = "recovering"
-                    fresh = self._make_dispatcher()
-                    try:
-                        replayed = runtime.journal.replay(fresh)
-                    except BaseException as exc:  # noqa: BLE001 - escalates
-                        runtime.state = "failed"
-                        current = exc
-                        continue
-                    # The dead dispatcher's counters are replaced, not
-                    # added to: the replay regenerated them exactly.
-                    runtime.dispatcher = fresh
-                    runtime.state = "live"
-                with self._control:
-                    self._fault_metrics.restarts += 1
-                    self._fault_metrics.replayed_arrivals += replayed
-                    self._recovery_events.append(
-                        RecoveryEvent(
-                            shard_id=runtime.shard_id,
-                            action="restart",
-                            replayed_arrivals=replayed,
-                            duration_seconds=self._clock() - started,
-                            error=repr(current),
-                        )
+                runtime.state = "recovering"
+                fresh = self._make_dispatcher()
+                try:
+                    replayed = runtime.journal.replay(fresh)
+                except BaseException as exc:  # noqa: BLE001 - escalates
+                    runtime.state = "failed"
+                    current = exc
+                    continue
+                # The dead dispatcher's counters are replaced, not added
+                # to: the replay regenerated them exactly.
+                runtime.dispatcher = fresh
+                runtime.state = "live"
+                self._fault_metrics.restarts += 1
+                self._fault_metrics.replayed_arrivals += replayed
+                self._recovery_events.append(
+                    RecoveryEvent(
+                        shard_id=runtime.shard_id,
+                        action="restart",
+                        replayed_arrivals=replayed,
+                        duration_seconds=self._clock() - started,
+                        error=repr(current),
                     )
+                )
                 return
             if action == "quarantine" and runtime.journal is not None:
                 try:
@@ -890,48 +763,43 @@ class ShardedDispatcher:
                     return
                 except BaseException as exc:  # noqa: BLE001 - falls to fail
                     current = exc
-            with runtime.lock:
-                runtime.state = "failed"
-                runtime.discarded += runtime.queue.flush()
+            runtime.state = "failed"
+            runtime.discarded += runtime.queue.flush()
             raise current
 
     def _quarantine(self, runtime: _ShardRuntime, error: BaseException) -> None:
         """Rebuild a failed shard's sessions and migrate them to overflow."""
         started = self._clock()
         overflow = self._shards[self._plan.overflow_shard]
-        with runtime.lock:
-            runtime.state = "quarantined"
-            scratch = self._make_dispatcher()
-            replayed = runtime.journal.replay(scratch)
-            migrated = scratch.session_ids
-            # Discard the dead dispatcher (and its journal) wholesale: the
-            # shard's history now lives in `scratch`, about to move to
-            # overflow; an empty husk keeps poll()/metrics from
-            # double-reporting the migrated sessions.
-            runtime.dispatcher = self._make_dispatcher()
-            runtime.journal = ArrivalJournal()
-            runtime.discarded += runtime.queue.flush()
-        with self._migrated:  # acquires the control lock
-            with overflow.lock:
-                overflow.dispatcher.adopt_sessions(scratch)
-                if overflow.journal is not None:
-                    # The adopted sessions' history is not in overflow's
-                    # journal, so a later overflow replay cannot be exact.
-                    overflow.journal.mark_unreplayable(
-                        f"adopted {len(migrated)} session(s) from "
-                        f"quarantined shard {runtime.shard_id}"
-                    )
-            for session_id in migrated:
-                self._shard_of_session[session_id] = overflow.shard_id
-            self._fault_metrics.quarantined_sessions += len(migrated)
-            self._fault_metrics.replayed_arrivals += replayed
-            self._recovery_events.append(
-                RecoveryEvent(
-                    shard_id=runtime.shard_id,
-                    action="quarantine",
-                    replayed_arrivals=replayed,
-                    duration_seconds=self._clock() - started,
-                    error=repr(error),
-                )
+        runtime.state = "quarantined"
+        scratch = self._make_dispatcher()
+        replayed = runtime.journal.replay(scratch)
+        migrated = scratch.session_ids
+        # Discard the dead dispatcher (and its journal) wholesale: the
+        # shard's history now lives in `scratch`, about to move to
+        # overflow; an empty husk keeps poll()/metrics from
+        # double-reporting the migrated sessions.
+        runtime.dispatcher = self._make_dispatcher()
+        runtime.journal = ArrivalJournal()
+        runtime.discarded += runtime.queue.flush()
+        overflow.dispatcher.adopt_sessions(scratch)
+        if overflow.journal is not None:
+            # The adopted sessions' history is not in overflow's journal,
+            # so a later overflow replay cannot be exact.
+            overflow.journal.mark_unreplayable(
+                f"adopted {len(migrated)} session(s) from "
+                f"quarantined shard {runtime.shard_id}"
             )
-            self._migrated.notify_all()
+        for session_id in migrated:
+            self._shard_of_session[session_id] = overflow.shard_id
+        self._fault_metrics.quarantined_sessions += len(migrated)
+        self._fault_metrics.replayed_arrivals += replayed
+        self._recovery_events.append(
+            RecoveryEvent(
+                shard_id=runtime.shard_id,
+                action="quarantine",
+                replayed_arrivals=replayed,
+                duration_seconds=self._clock() - started,
+                error=repr(error),
+            )
+        )

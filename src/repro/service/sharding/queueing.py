@@ -1,13 +1,15 @@
 """Bounded arrival queues with explicit backpressure policies.
 
 Each shard of a :class:`~repro.service.sharding.ShardedDispatcher` owns one
-:class:`BoundedArrivalQueue` between the router (the thread calling
-``feed_worker``) and the shard's dispatch loop.  The queue is bounded on
-purpose: a shard falling behind must surface that fact instead of growing
-an unbounded backlog.  What happens at the bound is the *backpressure
-policy*:
+:class:`BoundedArrivalQueue` between the router (``feed_worker``) and the
+shard's dispatcher.  The queue is bounded on purpose: a shard falling
+behind (a stalled shard, or a runtime not yet started) must surface that
+fact instead of growing an unbounded backlog.  What happens at the bound
+is the *backpressure policy*:
 
-* ``"block"`` — the producer waits for space (lossless; the default);
+* ``"block"`` — the new arrival is refused with :class:`QueueFullError`
+  (lossless: nothing is dropped, the caller learns the shard is stuck;
+  the default);
 * ``"drop-oldest"`` — the oldest queued arrival is evicted to admit the new
   one (bounded staleness; the evicted arrival is *shed*);
 * ``"reject"`` — the new arrival is refused (bounded lag; the refused
@@ -22,7 +24,6 @@ queue that never fills).
 
 from __future__ import annotations
 
-import threading
 from collections import deque
 from typing import Deque, Optional, Tuple
 
@@ -31,16 +32,18 @@ BACKPRESSURE_POLICIES: Tuple[str, ...] = ("block", "drop-oldest", "reject")
 
 
 class QueueClosedError(RuntimeError):
-    """An arrival was offered to (or awaited from) a closed queue."""
+    """An arrival was offered to a closed queue."""
+
+
+class QueueFullError(RuntimeError):
+    """A full ``"block"`` queue refused an arrival; nothing can consume it."""
 
 
 class BoundedArrivalQueue:
     """A bounded FIFO with a selectable full-queue policy and shed counters.
 
-    Thread-safe.  Producers call :meth:`put`; the consumer loop calls
-    :meth:`get` / :meth:`task_done`; :meth:`join` waits until every accepted
-    arrival has been fully processed; :meth:`close` wakes blocked producers
-    and consumers and lets the consumer drain what remains.
+    The router calls :meth:`put`; the shard's drain loop calls :meth:`get`
+    until it returns ``None``; :meth:`close` refuses further arrivals.
 
     Counters (monotone, readable at any time):
 
@@ -48,7 +51,7 @@ class BoundedArrivalQueue:
     * ``evicted`` — arrivals shed by ``drop-oldest`` to make room;
     * ``rejected`` — arrivals refused by ``reject``;
     * ``shed`` — ``evicted + rejected``;
-    * ``processed`` — arrivals for which :meth:`task_done` was called.
+    * ``processed`` — arrivals taken by :meth:`get`.
     """
 
     def __init__(self, capacity: int, policy: str = "block") -> None:
@@ -62,12 +65,7 @@ class BoundedArrivalQueue:
         self._capacity = capacity
         self._policy = policy
         self._items: Deque[object] = deque()
-        self._lock = threading.Lock()
-        self._not_full = threading.Condition(self._lock)
-        self._not_empty = threading.Condition(self._lock)
-        self._all_done = threading.Condition(self._lock)
         self._closed = False
-        self._unfinished = 0
         self._accepted = 0
         self._evicted = 0
         self._rejected = 0
@@ -85,141 +83,85 @@ class BoundedArrivalQueue:
 
     @property
     def size(self) -> int:
-        """Arrivals currently queued (excludes the one being processed)."""
-        with self._lock:
-            return len(self._items)
+        """Arrivals currently queued."""
+        return len(self._items)
+
+    @property
+    def full(self) -> bool:
+        return len(self._items) >= self._capacity
 
     @property
     def closed(self) -> bool:
-        with self._lock:
-            return self._closed
+        return self._closed
 
     @property
     def accepted(self) -> int:
-        with self._lock:
-            return self._accepted
+        return self._accepted
 
     @property
     def evicted(self) -> int:
-        with self._lock:
-            return self._evicted
+        return self._evicted
 
     @property
     def rejected(self) -> int:
-        with self._lock:
-            return self._rejected
+        return self._rejected
 
     @property
     def shed(self) -> int:
         """Arrivals lost to backpressure (evicted + rejected)."""
-        with self._lock:
-            return self._evicted + self._rejected
+        return self._evicted + self._rejected
 
     @property
     def processed(self) -> int:
-        with self._lock:
-            return self._processed
+        return self._processed
 
     # ------------------------------------------------------------- lifecycle
 
     def put(self, item: object) -> bool:
         """Offer one arrival; return whether it was admitted.
 
-        Under ``"block"`` this waits for space (always returns ``True``
-        unless the queue is closed while waiting, which raises).  Under
-        ``"drop-oldest"`` a full queue evicts its head and admits the new
-        arrival (returns ``True``; the eviction is counted).  Under
-        ``"reject"`` a full queue refuses the arrival (returns ``False``).
+        A full queue applies its policy: ``"block"`` raises
+        :class:`QueueFullError` (nothing admitted, no counter moves),
+        ``"drop-oldest"`` evicts its head and admits the new arrival
+        (returns ``True``; the eviction is counted), ``"reject"`` refuses
+        the arrival (returns ``False``).
 
-        Raises :class:`QueueClosedError` if the queue is already closed.
+        Raises :class:`QueueClosedError` if the queue is closed.
         """
-        with self._lock:
-            if self._closed:
-                raise QueueClosedError("queue is closed")
-            if len(self._items) >= self._capacity:
-                if self._policy == "reject":
-                    self._rejected += 1
-                    return False
-                if self._policy == "drop-oldest":
-                    self._items.popleft()
-                    self._evicted += 1
-                    # The evicted arrival will never reach task_done.
-                    self._unfinished -= 1
-                    if self._unfinished == 0:
-                        self._all_done.notify_all()
-                else:  # block
-                    while len(self._items) >= self._capacity and not self._closed:
-                        self._not_full.wait()
-                    if self._closed:
-                        raise QueueClosedError("queue closed while blocked")
-            self._items.append(item)
-            self._accepted += 1
-            self._unfinished += 1
-            self._not_empty.notify()
-            return True
+        if self._closed:
+            raise QueueClosedError("queue is closed")
+        if self.full:
+            if self._policy == "reject":
+                self._rejected += 1
+                return False
+            if self._policy == "block":
+                raise QueueFullError(
+                    f"queue is full ({self._capacity} arrivals)"
+                )
+            self._items.popleft()
+            self._evicted += 1
+        self._items.append(item)
+        self._accepted += 1
+        return True
 
-    def get(self, timeout: Optional[float] = None) -> Optional[object]:
-        """Take the next arrival; ``None`` once the queue is closed and empty.
-
-        Blocks while the queue is open and empty (up to ``timeout`` seconds
-        if given; a timeout also returns ``None`` — callers distinguish the
-        cases via :attr:`closed`).
-        """
-        with self._lock:
-            while not self._items:
-                if self._closed:
-                    return None
-                if not self._not_empty.wait(timeout=timeout):
-                    return None
-            item = self._items.popleft()
-            self._not_full.notify()
-            return item
-
-    def task_done(self) -> None:
-        """Mark one taken arrival as fully processed (for :meth:`join`)."""
-        with self._lock:
-            if self._unfinished <= 0:
-                raise RuntimeError("task_done() called more times than items taken")
-            self._unfinished -= 1
-            self._processed += 1
-            if self._unfinished == 0:
-                self._all_done.notify_all()
-
-    def join(self, timeout: Optional[float] = None) -> bool:
-        """Wait until every accepted arrival was processed; return success."""
-        with self._lock:
-            if self._unfinished == 0:
-                return True
-            return self._all_done.wait_for(
-                lambda: self._unfinished == 0, timeout=timeout
-            )
+    def get(self) -> Optional[object]:
+        """Take the next arrival, or ``None`` if the queue is empty."""
+        if not self._items:
+            return None
+        self._processed += 1
+        return self._items.popleft()
 
     def flush(self) -> int:
         """Discard every queued arrival; return how many were dropped.
 
-        The failure path for dead/quarantined shards: the dropped
-        arrivals count as finished for :meth:`join` purposes (they will
-        never reach :meth:`task_done`), so a runtime with a failed shard
-        can still drain cleanly.  The caller owns the discard accounting;
-        these drops are *not* added to the backpressure ``shed`` counters.
+        The failure path for dead/quarantined shards.  The caller owns the
+        discard accounting; these drops are *not* added to the
+        backpressure ``shed`` counters.
         """
-        with self._lock:
-            dropped = len(self._items)
-            self._items.clear()
-            self._unfinished -= dropped
-            if self._unfinished == 0:
-                self._all_done.notify_all()
-            self._not_full.notify_all()
-            return dropped
+        dropped = len(self._items)
+        self._items.clear()
+        return dropped
 
     def close(self) -> None:
-        """Refuse further arrivals and wake everyone.
-
-        Consumers drain the remaining items and then receive ``None``;
-        producers blocked on a full queue raise :class:`QueueClosedError`.
-        Idempotent.
-        """
-        with self._lock:
-            self._closed = True
-            self._not_empty.notify_all()
-            self._not_full.notify_all()
+        """Refuse further arrivals (idempotent); queued ones stay gettable."""
+        self._closed = True

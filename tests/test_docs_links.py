@@ -58,12 +58,15 @@ def test_dispatch_doc_covers_fault_tolerance():
     assert "bench_resilience.py" in index
 
 
-def test_dispatch_doc_notes_the_process_executor_removal():
-    """The removed executor's measurement and last commit stay findable."""
+@pytest.mark.parametrize(
+    "executor, commit", [("process", "2200435"), ("thread", "be746b9")]
+)
+def test_dispatch_doc_notes_the_executor_removal(executor, commit):
+    """A removed executor's measurement and commit stay findable."""
     text = (REPO_ROOT / "docs" / "dispatch.md").read_text(encoding="utf-8")
     assert "## Executors" in text
-    assert "Removed: the process executor" in text
-    assert "2200435" in text
+    assert f"Removed: the {executor} executor" in text
+    assert commit in text
 
 
 def test_dispatch_doc_covers_the_routing_index():

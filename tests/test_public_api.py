@@ -61,7 +61,7 @@ class TestServiceSurface:
 
     @pytest.mark.parametrize("module_name", ["repro", "repro.service"])
     def test_import_does_not_load_multiprocessing(self, module_name):
-        """The shard runtime is threads only; no process machinery loads."""
+        """The shard runtime is single-process; no process machinery loads."""
         src = Path(importlib.import_module("repro").__file__).parent.parent
         loaded = subprocess.run(
             [

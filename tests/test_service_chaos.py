@@ -7,18 +7,18 @@ fresh dispatcher rebuilds byte-identical state — and therefore a lossless
 sharded run with **seeded mid-stream shard crashes** under
 ``on_shard_failure="restart"`` must still produce per-session
 arrangements identical, assignment by assignment, to a fault-free
-single-process run.  This suite enforces exactly that, across AAM/LAF ×
-serial/thread executors.
+single-process run.  This suite enforces exactly that, for AAM and LAF.
 
 Faults are scheduled on per-shard arrival ordinals
-(:meth:`~repro.service.FaultPlan.seeded`), so every run — any executor,
-any machine — crashes at the same points in the stream.
+(:meth:`~repro.service.FaultPlan.seeded`), so every run — on any
+machine — crashes at the same points in the stream.
 """
 
 import pytest
 
 from repro.service import (
     FaultPlan,
+    FaultSpec,
     LTCDispatcher,
     RecoveryPolicy,
     ShardedDispatcher,
@@ -65,12 +65,12 @@ def run_single_process(workload, solver):
     return ids, streams, dispatcher.close_all()
 
 
-def run_chaotic(workload, solver, executor, faults, policy):
+def run_chaotic(workload, solver, faults, policy, stalls=None):
+    """The sharded run; ``stalls`` is the injector to release mid-run."""
     plan = ShardPlan.for_region(CONFIG.bounds, cols=2, rows=2)
     dispatcher = ShardedDispatcher(
         plan,
         default_solver=solver,
-        executor=executor,
         queue_capacity=8192,
         keep_streams=True,
         recovery=policy,
@@ -78,7 +78,10 @@ def run_chaotic(workload, solver, executor, faults, policy):
     )
     ids = [dispatcher.submit_instance(c) for c in workload.campaigns]
     dispatcher.feed_stream(workload.worker_stream())
-    dispatcher.drain()
+    if stalls is not None:
+        assert dispatcher.drain() is False  # a stalled shard holds a backlog
+        stalls.release_stalls()
+    assert dispatcher.drain()
     streams = {sid: dispatcher.routed_stream(sid) for sid in ids}
     results = dispatcher.close_all()
     dispatcher.stop()
@@ -102,15 +105,11 @@ def assert_identical(base, candidate):
 
 
 @pytest.mark.parametrize("solver", ["AAM", "LAF"])
-@pytest.mark.parametrize("executor", ["serial", "thread"])
-def test_restart_recovery_matches_fault_free_single_process(
-    workload, solver, executor
-):
+def test_restart_recovery_matches_fault_free_single_process(workload, solver):
     base = run_single_process(workload, solver)
     ids, streams, results, dispatcher = run_chaotic(
         workload,
         solver,
-        executor,
         faults=CRASH_PLAN,
         policy=RecoveryPolicy(on_shard_failure="restart"),
     )
@@ -121,10 +120,57 @@ def test_restart_recovery_matches_fault_free_single_process(
     assert metrics.replayed_arrivals > 0
     assert dispatcher.shed_total == 0
     assert dispatcher.discarded_total == 0
+    crashed = {spec.shard_id for spec in CRASH_PLAN.faults}
+    status = {s.shard_id: s for s in dispatcher.shard_status()}
+    for shard_id in crashed:
+        assert "InjectedShardCrash" in status[shard_id].last_error
+        assert status[shard_id].state == "live"
+    assert {e.shard_id for e in dispatcher.recovery_events} == crashed
+    assert all(e.action == "restart" for e in dispatcher.recovery_events)
 
 
-@pytest.mark.parametrize("executor", ["serial", "thread"])
-def test_transient_faults_retry_in_place_exactly(workload, executor):
+@pytest.mark.parametrize("solver", ["AAM", "LAF"])
+def test_released_stalls_match_fault_free_single_process(workload, solver):
+    """A stall delays a shard's arrivals without reordering or losing
+    them, so once it is released the lossless run is still exact."""
+    injector = FaultPlan.seeded(
+        seed=31, shard_ids=GEO_SHARDS, max_arrival=250, crashes=0, stalls=2
+    ).injector()
+    base = run_single_process(workload, solver)
+    ids, streams, results, dispatcher = run_chaotic(
+        workload,
+        solver,
+        faults=injector,
+        policy=RecoveryPolicy(on_shard_failure="restart"),
+        stalls=injector,
+    )
+    assert_identical(base, (ids, streams, results))
+    assert dispatcher.shed_total == 0
+    assert dispatcher.discarded_total == 0
+    assert dispatcher.metrics.restarts == 0
+
+
+def test_crash_behind_a_stall_recovers_exactly(workload):
+    """The crash fires while drain() works off the released backlog."""
+    injector = FaultPlan(faults=(
+        FaultSpec(kind="stall", shard_id=1, at_arrival=100),
+        FaultSpec(kind="crash", shard_id=1, at_arrival=200),
+    )).injector()
+    base = run_single_process(workload, "AAM")
+    ids, streams, results, dispatcher = run_chaotic(
+        workload,
+        "AAM",
+        faults=injector,
+        policy=RecoveryPolicy(on_shard_failure="restart"),
+        stalls=injector,
+    )
+    assert_identical(base, (ids, streams, results))
+    assert dispatcher.metrics.restarts == 1
+    assert dispatcher.metrics.replayed_arrivals > 0
+    assert [e.shard_id for e in dispatcher.recovery_events] == [1]
+
+
+def test_transient_faults_retry_in_place_exactly(workload):
     """Bounded retry absorbs transients without touching the arrangements."""
     faults = FaultPlan.seeded(
         seed=55,
@@ -138,7 +184,6 @@ def test_transient_faults_retry_in_place_exactly(workload, executor):
     ids, streams, results, dispatcher = run_chaotic(
         workload,
         "AAM",
-        executor,
         faults=faults,
         policy=RecoveryPolicy(on_shard_failure="restart", transient_retries=2),
     )
@@ -147,7 +192,7 @@ def test_transient_faults_retry_in_place_exactly(workload, executor):
 
 
 def test_mixed_faults_still_match(workload):
-    """Crashes and transients together, serial executor."""
+    """Crashes and transients together."""
     faults = FaultPlan.seeded(
         seed=99,
         shard_ids=GEO_SHARDS,
@@ -160,7 +205,6 @@ def test_mixed_faults_still_match(workload):
     ids, streams, results, dispatcher = run_chaotic(
         workload,
         "AAM",
-        "serial",
         faults=faults,
         policy=RecoveryPolicy(on_shard_failure="restart", transient_retries=1),
     )
@@ -168,15 +212,15 @@ def test_mixed_faults_still_match(workload):
     assert dispatcher.metrics.restarts == 2
 
 
-def test_serial_quarantine_matches_fault_free_single_process(workload):
-    """Under the serial executor quarantine is exact too.
+def test_quarantine_matches_fault_free_single_process(workload):
+    """Quarantine is exact too.
 
     The crashed shard's sessions are rebuilt from the journal and migrate
     to the overflow shard; from then on every arrival fans out to
     overflow (it is populated), so the migrated sessions keep receiving
-    exactly their eligible sub-streams.  Serially there is never a
-    backlog in the dead shard's queue, so nothing is discarded that a
-    session would have received.
+    exactly their eligible sub-streams.  Every arrival is processed
+    inline, so the dead shard's queue never holds a backlog and nothing
+    is discarded that a session would have received.
     """
     faults = FaultPlan.seeded(
         seed=7, shard_ids=GEO_SHARDS, max_arrival=250, crashes=1
@@ -185,7 +229,6 @@ def test_serial_quarantine_matches_fault_free_single_process(workload):
     ids, streams, results, dispatcher = run_chaotic(
         workload,
         "AAM",
-        "serial",
         faults=faults,
         policy=RecoveryPolicy(on_shard_failure="quarantine"),
     )
@@ -197,36 +240,3 @@ def test_serial_quarantine_matches_fault_free_single_process(workload):
     assert dispatcher.discarded_total > 0
     events = dispatcher.recovery_events
     assert [event.action for event in events] == ["quarantine"]
-
-
-def test_thread_crash_accounting_matches_serial(workload):
-    """The thread executor keeps the same books as the serial one.
-
-    Resolving the identical fault plan, both record the same
-    ``last_error`` repr and restart count per crashed shard, replay the
-    same number of arrivals, and log one restart event per crash.
-    """
-    policy = RecoveryPolicy(on_shard_failure="restart")
-    *_, serial = run_chaotic(workload, "AAM", "serial", CRASH_PLAN, policy)
-    *_, threaded = run_chaotic(workload, "AAM", "thread", CRASH_PLAN, policy)
-    serial_status = {s.shard_id: s for s in serial.shard_status()}
-    thread_status = {s.shard_id: s for s in threaded.shard_status()}
-    crashed = {spec.shard_id for spec in CRASH_PLAN.faults}
-    for shard_id in crashed:
-        assert (
-            thread_status[shard_id].last_error
-            == serial_status[shard_id].last_error
-        )
-        assert "InjectedShardCrash" in thread_status[shard_id].last_error
-        assert (
-            thread_status[shard_id].restarts
-            == serial_status[shard_id].restarts
-        )
-        assert thread_status[shard_id].state == "live"
-    assert {e.shard_id for e in threaded.recovery_events} == crashed
-    assert all(e.action == "restart" for e in threaded.recovery_events)
-    assert (
-        threaded.metrics.replayed_arrivals
-        == serial.metrics.replayed_arrivals
-    )
-    assert threaded.metrics.restarts == serial.metrics.restarts == 3

@@ -5,9 +5,6 @@ dispatcher hook points under each fault kind, the fail-fast discard
 accounting, and the exception-safety of ``stop()``.
 """
 
-import threading
-import time
-
 import pytest
 
 from repro.core.instance import LTCInstance
@@ -138,7 +135,6 @@ class TestFaultInjector:
         assert not injector.stall_active(0, processed=99)
         injector.release_stalls(shard_id=1)
         assert not injector.stall_active(1, processed=5)
-        assert injector.wait_stall_release(1, processed=5, timeout=0.01)
 
 
 @pytest.fixture
@@ -151,7 +147,7 @@ class TestFailFast:
         faults = FaultPlan(
             faults=(FaultSpec(kind="crash", shard_id=0, at_arrival=3),)
         )
-        dispatcher = ShardedDispatcher(plan, executor="serial", faults=faults)
+        dispatcher = ShardedDispatcher(plan, faults=faults)
         dispatcher.submit_instance(campaign(*CENTERS[0]))
         dispatcher.feed_worker(shard0_worker(1))
         dispatcher.feed_worker(shard0_worker(2))
@@ -169,22 +165,27 @@ class TestFailFast:
                 for s in dispatcher.shard_status()}[0] == 1
         dispatcher.stop()
 
-    def test_thread_crash_parks_error_until_drain(self, plan):
-        faults = FaultPlan(
-            faults=(FaultSpec(kind="crash", shard_id=0, at_arrival=2),)
-        )
-        dispatcher = ShardedDispatcher(
-            plan, executor="thread", queue_capacity=64, faults=faults
-        )
+    def test_crash_queued_behind_a_stall_surfaces_from_drain(self, plan):
+        """A crash met while draining a released backlog raises there."""
+        injector = FaultPlan(faults=(
+            FaultSpec(kind="stall", shard_id=0, at_arrival=1),
+            FaultSpec(kind="crash", shard_id=0, at_arrival=2),
+        )).injector()
+        dispatcher = ShardedDispatcher(plan, queue_capacity=64, faults=injector)
         dispatcher.submit_instance(campaign(*CENTERS[0]))
-        for index in range(1, 5):
+        for index in range(1, 4):  # 2 and 3 queue behind the stall
             dispatcher.feed_worker(shard0_worker(index))
+        injector.release_stalls()
         with pytest.raises(InjectedShardCrash):
-            dispatcher.drain(timeout=5.0)
+            dispatcher.drain()
+        status = dispatcher.shard_status()[0]
+        assert status.state == "failed"
+        assert status.arrivals_discarded == 1  # arrival 3, flushed
+        assert dispatcher.metrics.workers_fed == 1
         dispatcher.stop()
 
     def test_fail_fast_keeps_no_journal(self, plan):
-        dispatcher = ShardedDispatcher(plan, executor="serial")
+        dispatcher = ShardedDispatcher(plan)
         dispatcher.submit_instance(campaign(*CENTERS[0]))
         dispatcher.feed_worker(shard0_worker(1))
         assert all(s.journal_entries == 0 for s in dispatcher.shard_status())
@@ -204,105 +205,100 @@ class TestStalls:
             faults=(FaultSpec(kind="stall", shard_id=0, at_arrival=2),)
         )
         injector = faults.injector()
-        dispatcher = ShardedDispatcher(
-            plan, executor="serial", queue_capacity=64, faults=injector
-        )
+        dispatcher = ShardedDispatcher(plan, queue_capacity=64, faults=injector)
         dispatcher.submit_instance(campaign(*CENTERS[0]))
         for index in range(1, 6):
             dispatcher.feed_worker(shard0_worker(index))
         status = {s.shard_id: s for s in dispatcher.shard_status()}
         assert status[0].arrivals_processed == 2
         assert status[0].queue_depth == 3  # stalled backlog
-        assert not dispatcher.drain(timeout=0.05)
+        assert not dispatcher.drain()
         injector.release_stalls()
         assert dispatcher.drain()
         assert dispatcher.metrics.workers_fed == 5
         dispatcher.stop()
 
-    def test_thread_stall_blocks_then_releases(self, plan):
+    def test_drain_returns_at_once_while_a_shard_is_stalled(self, plan):
+        """drain() never waits on a stalled shard: it reports the backlog."""
+        injector = FaultPlan(
+            (FaultSpec("stall", shard_id=0, at_arrival=2),)
+        ).injector()
+        dispatcher = ShardedDispatcher(plan, faults=injector)
+        dispatcher.submit_instance(campaign(*CENTERS[0]))
+        for index in range(1, 51):
+            dispatcher.feed_worker(shard0_worker(index))
+        assert dispatcher.shard_status()[0].queue_depth == 48
+        assert dispatcher.drain() is False
+        injector.release_stalls()
+        assert dispatcher.drain() is True
+        assert dispatcher.metrics.workers_fed == 50
+        dispatcher.stop()
+
+    def test_releasing_one_shard_keeps_the_others_stalled(self, plan):
+        injector = FaultPlan(faults=tuple(
+            FaultSpec(kind="stall", shard_id=shard, at_arrival=1)
+            for shard in (0, 1)
+        )).injector()
+        dispatcher = ShardedDispatcher(plan, queue_capacity=64, faults=injector)
+        for city in (0, 1):
+            dispatcher.submit_instance(campaign(*CENTERS[city], tid0=100 * city))
+        for index in range(1, 9):
+            dispatcher.feed_worker(city_worker(index, city=index % 2))
+        injector.release_stalls(shard_id=0)
+        assert dispatcher.drain() is False
+        depths = {s.shard_id: s.queue_depth for s in dispatcher.shard_status()}
+        assert (depths[0], depths[1]) == (0, 3)
+        injector.release_stalls(shard_id=1)
+        assert dispatcher.drain() is True
+        assert dispatcher.metrics.workers_fed == 8
+        dispatcher.stop()
+
+    def test_stop_without_drain_leaves_the_backlog_unprocessed(self, plan):
         faults = FaultPlan(
             faults=(FaultSpec(kind="stall", shard_id=0, at_arrival=1),)
         )
-        injector = faults.injector()
-        dispatcher = ShardedDispatcher(
-            plan, executor="thread", queue_capacity=64, faults=injector
-        )
+        dispatcher = ShardedDispatcher(plan, queue_capacity=64, faults=faults)
         dispatcher.submit_instance(campaign(*CENTERS[0]))
-        for index in range(1, 4):
+        for index in range(1, 5):
             dispatcher.feed_worker(shard0_worker(index))
-        assert not dispatcher.drain(timeout=0.2)
-        injector.release_stalls()
-        assert dispatcher.drain(timeout=5.0)
-        assert dispatcher.metrics.workers_fed == 3
-        dispatcher.stop()
+        dispatcher.stop(drain=False)
+        assert dispatcher.metrics.workers_fed == 1
+        assert dispatcher.shard_status()[0].queue_depth == 3
+        # Neither shed by backpressure nor discarded by the failure path.
+        assert dispatcher.shed_total == dispatcher.discarded_total == 0
+        with pytest.raises(RuntimeError, match="stopped"):
+            dispatcher.feed_worker(shard0_worker(5))
 
     def test_stop_releases_stalls(self, plan):
         faults = FaultPlan(
             faults=(FaultSpec(kind="stall", shard_id=0, at_arrival=1),)
         )
-        dispatcher = ShardedDispatcher(
-            plan, executor="thread", queue_capacity=64, faults=faults
-        )
+        dispatcher = ShardedDispatcher(plan, queue_capacity=64, faults=faults)
         dispatcher.submit_instance(campaign(*CENTERS[0]))
         for index in range(1, 4):
             dispatcher.feed_worker(shard0_worker(index))
-        dispatcher.stop()  # must not hang on the stalled shard
+        dispatcher.stop()  # releases the stall and drains the backlog
         assert dispatcher.metrics.workers_fed == 3
 
 
 class TestStopExceptionSafety:
     def test_stop_cleans_up_before_reraising(self, plan):
-        """stop(drain=True) must close queues and join threads even when
-        draining re-raises a parked shard error (the half-alive bug)."""
-        faults = FaultPlan(
-            faults=(FaultSpec(kind="crash", shard_id=0, at_arrival=1),)
-        )
-        dispatcher = ShardedDispatcher(
-            plan, executor="thread", queue_capacity=64, faults=faults
-        )
+        """stop(drain=True) must close queues even when draining the
+        backlog raises a shard error (the half-alive bug)."""
+        faults = FaultPlan(faults=(
+            FaultSpec(kind="stall", shard_id=0, at_arrival=1),
+            FaultSpec(kind="crash", shard_id=0, at_arrival=2),
+        ))
+        dispatcher = ShardedDispatcher(plan, queue_capacity=64, faults=faults)
         dispatcher.submit_instance(campaign(*CENTERS[0]))
         dispatcher.feed_worker(shard0_worker(1))
+        dispatcher.feed_worker(shard0_worker(2))  # queued behind the stall
         with pytest.raises(InjectedShardCrash):
             dispatcher.stop()
         # The runtime is fully stopped despite the exception ...
         for runtime in dispatcher._shards.values():
             assert runtime.queue.closed
-            if runtime.thread is not None:
-                assert not runtime.thread.is_alive()
         with pytest.raises(RuntimeError):
             dispatcher.feed_worker(shard0_worker(2))
         # ... and a second stop() is a clean no-op.
-        dispatcher.stop()
-
-
-class TestDrainDeadline:
-    def test_drain_timeout_is_a_shared_budget(self, plan):
-        """The timeout bounds the whole drain, not each shard's join.
-
-        Four stalled shards under the old per-shard semantics would take
-        up to 4x the timeout; the shared deadline returns within ~one.
-        """
-        faults = FaultPlan(faults=tuple(
-            FaultSpec(kind="stall", shard_id=shard, at_arrival=1)
-            for shard in range(4)
-        ))
-        injector = faults.injector()
-        dispatcher = ShardedDispatcher(
-            plan, executor="thread", queue_capacity=64, faults=injector
-        )
-        for i, (cx, cy) in enumerate(CENTERS):
-            dispatcher.submit_instance(campaign(cx, cy, tid0=100 * i))
-        # Two arrivals per shard: one processes, one sits behind the stall.
-        index = 0
-        for city in range(4):
-            for _ in range(2):
-                index += 1
-                dispatcher.feed_worker(city_worker(index, city=city))
-        timeout = 0.5
-        started = time.monotonic()
-        assert not dispatcher.drain(timeout=timeout)
-        elapsed = time.monotonic() - started
-        assert elapsed < timeout * 2.5  # well under the 4x worst case
-        injector.release_stalls()
-        assert dispatcher.drain(timeout=5.0)
         dispatcher.stop()

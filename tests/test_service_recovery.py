@@ -5,8 +5,6 @@ supervisor bookkeeping (restart budgets, backoff schedule), and the
 sharded dispatcher's restart/quarantine paths end to end.
 """
 
-import threading
-
 import pytest
 
 from repro.algorithms.registry import build_solver
@@ -26,6 +24,7 @@ from repro.service import (
     ShardedDispatcher,
     ShardPlan,
     ShardSupervisor,
+    TransientSolverError,
 )
 
 BOUNDS = BoundingBox(0.0, 0.0, 2000.0, 2000.0)
@@ -202,7 +201,6 @@ def plan():
 def run_serial(plan, faults=None, policy=None, num_workers=40):
     dispatcher = ShardedDispatcher(
         plan,
-        executor="serial",
         queue_capacity=256,
         keep_streams=True,
         recovery=policy,
@@ -270,7 +268,7 @@ class TestRestartRecovery:
 
         def build(**kwargs):
             return ShardedDispatcher(
-                plan, executor="serial", queue_capacity=256, **kwargs
+                plan, queue_capacity=256, **kwargs
             )
 
         base = drive(build())
@@ -297,7 +295,6 @@ class TestRestartRecovery:
         ))
         dispatcher = ShardedDispatcher(
             plan,
-            executor="serial",
             faults=faults,
             recovery=RecoveryPolicy(on_shard_failure="restart", max_restarts=1),
         )
@@ -316,7 +313,6 @@ class TestRestartRecovery:
         the journal; the restart degrades to fail-fast with a clear error."""
         dispatcher = ShardedDispatcher(
             plan,
-            executor="serial",
             faults=crash_fault(shard_id=0, at_arrival=2),
             recovery=RecoveryPolicy(on_shard_failure="restart", max_restarts=1),
         )
@@ -327,66 +323,29 @@ class TestRestartRecovery:
         assert {s.shard_id: s.state for s in dispatcher.shard_status()}[0] == "failed"
         dispatcher.stop()
 
-    def test_thread_restart_is_transparent(self, plan):
+    def test_restart_inside_a_stalled_backlog_is_transparent(self, plan):
+        """The crash fires while drain() works off a released backlog."""
+        injector = FaultPlan(faults=(
+            FaultSpec(kind="stall", shard_id=0, at_arrival=1),
+            FaultSpec(kind="crash", shard_id=0, at_arrival=3),
+        )).injector()
         dispatcher = ShardedDispatcher(
             plan,
-            executor="thread",
             queue_capacity=256,
-            faults=crash_fault(shard_id=0, at_arrival=3),
+            faults=injector,
             recovery=RecoveryPolicy(on_shard_failure="restart"),
         )
         sid = dispatcher.submit_instance(campaign(*CENTERS[0]))
         for index in range(1, 9):
             dispatcher.feed_worker(city_worker(index))
-        assert dispatcher.drain(timeout=10.0)  # no error surfaces
+        assert dispatcher.drain() is False
+        injector.release_stalls()
+        assert dispatcher.drain() is True  # no error surfaces
         assert dispatcher.metrics.restarts == 1
         assert dispatcher.poll()[sid].workers_routed == 8
-        dispatcher.stop()
-
-    def run_thread(self, plan, faults, policy, num_workers=12):
-        dispatcher = ShardedDispatcher(
-            plan,
-            executor="thread",
-            queue_capacity=256,
-            recovery=policy,
-            faults=faults,
-        )
-        dispatcher.submit_instance(campaign(*CENTERS[0]))
-        for index in range(1, num_workers + 1):
-            dispatcher.feed_worker(city_worker(index))
-        assert dispatcher.drain(timeout=30.0)
-        return dispatcher
-
-    def test_thread_restart_records_last_error(self, plan):
-        dispatcher = self.run_thread(
-            plan,
-            crash_fault(shard_id=0, at_arrival=3),
-            RecoveryPolicy(on_shard_failure="restart"),
-        )
-        status = {s.shard_id: s for s in dispatcher.shard_status()}
-        assert status[0].last_error == repr(
-            InjectedShardCrash("injected crash: shard 0, arrival 3")
-        )
-        assert status[0].restarts == 1
-        assert status[0].state == "live"
-        dispatcher.stop()
-
-    def test_thread_escalated_transient_restarts(self, plan):
-        """A transient outliving its retry budget escalates to a restart."""
-        faults = FaultPlan(faults=(
-            FaultSpec(
-                kind="transient", shard_id=0, at_arrival=2, failures=5
-            ),
-        ))
-        dispatcher = self.run_thread(
-            plan,
-            faults,
-            RecoveryPolicy(on_shard_failure="restart", transient_retries=1),
-        )
-        status = {s.shard_id: s for s in dispatcher.shard_status()}
-        assert "injected transient dispatch failure" in status[0].last_error
-        assert status[0].restarts == 1
-        assert status[0].state == "live"
+        shard0 = dispatcher.shard_status()[0]
+        assert (shard0.state, shard0.restarts) == ("live", 1)
+        assert shard0.last_error == crash_repr(3)
         dispatcher.stop()
 
 
@@ -394,7 +353,6 @@ class TestQuarantine:
     def test_sessions_migrate_to_overflow(self, plan):
         dispatcher = ShardedDispatcher(
             plan,
-            executor="serial",
             queue_capacity=256,
             faults=crash_fault(shard_id=0, at_arrival=3),
             recovery=RecoveryPolicy(on_shard_failure="quarantine"),
@@ -432,7 +390,6 @@ class TestQuarantine:
     def test_new_campaigns_for_a_quarantined_cell_go_to_overflow(self, plan):
         dispatcher = ShardedDispatcher(
             plan,
-            executor="serial",
             faults=crash_fault(shard_id=0, at_arrival=1),
             recovery=RecoveryPolicy(on_shard_failure="quarantine"),
         )
@@ -451,7 +408,6 @@ class TestQuarantine:
         overflow = plan.overflow_shard
         dispatcher = ShardedDispatcher(
             plan,
-            executor="serial",
             faults=crash_fault(shard_id=overflow, at_arrival=1),
             recovery=RecoveryPolicy(on_shard_failure="quarantine"),
         )
@@ -465,14 +421,18 @@ class TestQuarantine:
         dispatcher.stop()
 
 
-#: Fault scenarios resolved by both executors in :class:`TestExecutorParity`:
-#: (recovery policy, fault plan, shard 0's final state and restarts), all
-#: on geo shard 0.
-PARITY_SCENARIOS = {
+def crash_repr(arrival):
+    return repr(InjectedShardCrash(f"injected crash: shard 0, arrival {arrival}"))
+
+
+#: Fault scenarios on geo shard 0, resolved in :class:`TestFailureScenarios`:
+#: (recovery policy, fault plan, shard 0's final state and restarts, the
+#: stream positions at which an error surfaced, shard 0's ``last_error``).
+FAILURE_SCENARIOS = {
     "restart": (
         RecoveryPolicy(on_shard_failure="restart"),
         crash_fault(shard_id=0, at_arrival=3),
-        ("live", 1),
+        ("live", 1), [], crash_repr(3),
     ),
     "restart-twice": (
         RecoveryPolicy(on_shard_failure="restart"),
@@ -480,31 +440,35 @@ PARITY_SCENARIOS = {
             FaultSpec(kind="crash", shard_id=0, at_arrival=2),
             FaultSpec(kind="crash", shard_id=0, at_arrival=5),
         )),
-        ("live", 2),
+        ("live", 2), [], crash_repr(5),
     ),
     "escalated-transient": (
         RecoveryPolicy(on_shard_failure="restart", transient_retries=1),
         FaultPlan(faults=(
             FaultSpec(kind="transient", shard_id=0, at_arrival=2, failures=5),
         )),
-        ("live", 1),
+        ("live", 1), [],
+        repr(TransientSolverError(
+            "injected transient dispatch failure: shard 0, arrival 2, "
+            "attempt 2/5"
+        )),
     ),
     "absorbed-transient": (
         RecoveryPolicy(on_shard_failure="restart", transient_retries=2),
         FaultPlan(faults=(
             FaultSpec(kind="transient", shard_id=0, at_arrival=2, failures=2),
         )),
-        ("live", 0),
+        ("live", 0), [], None,
     ),
     "quarantine": (
         RecoveryPolicy(on_shard_failure="quarantine"),
         crash_fault(shard_id=0, at_arrival=3),
-        ("quarantined", 0),
+        ("quarantined", 0), [], crash_repr(3),
     ),
     "fail-fast": (
         RecoveryPolicy(on_shard_failure="fail-fast"),
         crash_fault(shard_id=0, at_arrival=2),
-        ("failed", 0),
+        ("failed", 0), [4], crash_repr(2),
     ),
     "restart-budget-exhausted": (
         RecoveryPolicy(on_shard_failure="restart", max_restarts=1),
@@ -512,109 +476,68 @@ PARITY_SCENARIOS = {
             FaultSpec(kind="crash", shard_id=0, at_arrival=2),
             FaultSpec(kind="crash", shard_id=0, at_arrival=3),
         )),
-        ("failed", 1),
+        ("failed", 1), [6], crash_repr(3),
     ),
 }
 
 
-class TestExecutorParity:
-    """Serial and thread executors keep the same books for the same fault.
+class TestFailureScenarios:
+    """Each fault resolves to a known shard state, at a known position.
 
-    Both executors share one shard-failure path, so an identical fault
-    plan, resolved at the same stream position, must leave identical
-    shard states, restart counts, ``last_error`` reprs, replay and
-    discard counts, recovery events and session progress.  The thread
-    run drains after every arrival, so the only difference left is which
-    thread processes it; a fail-fast error must then surface at the same
-    arrival (inline under ``serial``, from the drain under ``thread``).
+    Two campaigns on shards 0 and 1 take alternating arrivals; after every
+    arrival the runtime drains.  A terminal failure surfaces inline, from
+    the ``feed_worker`` call whose arrival hit it.
     """
 
-    def run_lockstep(self, plan, executor, policy, faults, num_workers=12):
-        dispatcher = ShardedDispatcher(
-            plan,
-            executor=executor,
-            queue_capacity=256,
-            keep_streams=True,
-            recovery=policy,
-            faults=faults,
+    @pytest.mark.parametrize("scenario", list(FAILURE_SCENARIOS))
+    def test_scenario_books(self, plan, scenario):
+        policy, faults, expected, surfaced_at, last_error = (
+            FAILURE_SCENARIOS[scenario]
         )
-        ids = [
+        dispatcher = ShardedDispatcher(
+            plan, queue_capacity=256, recovery=policy, faults=faults
+        )
+        for i, (cx, cy) in enumerate(CENTERS[:2]):
             dispatcher.submit_instance(campaign(cx, cy, tid0=100 * i))
-            for i, (cx, cy) in enumerate(CENTERS[:2])
-        ]
         surfaced = []
-        for index in range(1, num_workers + 1):
+        for index in range(1, 13):
             try:
                 dispatcher.feed_worker(city_worker(index, city=index % 2))
-                assert dispatcher.drain(timeout=30.0)
-            except InjectedShardCrash as error:
-                surfaced.append((index, repr(error)))
-        return dispatcher, ids, surfaced
-
-    def books(self, dispatcher, ids):
-        metrics = dispatcher.metrics
-        return {
-            "shards": [
-                (
-                    s.shard_id, s.state, s.restarts, s.last_error,
-                    s.session_ids, s.arrivals_processed,
-                    s.arrivals_discarded, s.journal_entries,
-                )
-                for s in dispatcher.shard_status()
-            ],
-            "metrics": (
-                metrics.workers_fed, metrics.workers_routed,
-                metrics.assignments_made, metrics.restarts,
-                metrics.replayed_arrivals, metrics.quarantined_sessions,
-            ),
-            "events": [
-                (e.shard_id, e.action, e.replayed_arrivals, e.error)
-                for e in dispatcher.recovery_events
-            ],
-            "discarded": dispatcher.discarded_total,
-            "sessions": {
-                sid: (status.workers_routed, status.snapshot)
-                for sid, status in dispatcher.poll().items()
-            },
-            "streams": {sid: dispatcher.routed_stream(sid) for sid in ids},
-        }
-
-    @pytest.mark.parametrize("scenario", list(PARITY_SCENARIOS))
-    def test_serial_and_thread_keep_identical_books(self, plan, scenario):
-        policy, faults, expected = PARITY_SCENARIOS[scenario]
-        serial, serial_ids, serial_surfaced = self.run_lockstep(
-            plan, "serial", policy, faults
-        )
-        thread, thread_ids, thread_surfaced = self.run_lockstep(
-            plan, "thread", policy, faults
-        )
-        assert thread_ids == serial_ids
-        assert thread_surfaced == serial_surfaced
-        assert self.books(thread, thread_ids) == self.books(serial, serial_ids)
-        shard0 = {s.shard_id: s for s in serial.shard_status()}[0]
+                assert dispatcher.drain()
+            except InjectedShardCrash:
+                surfaced.append(index)
+        assert surfaced == surfaced_at
+        shard0 = dispatcher.shard_status()[0]
         assert (shard0.state, shard0.restarts) == expected
-        serial.stop()
-        thread.stop()
+        assert shard0.last_error == last_error
+        dispatcher.stop()
 
 
-@pytest.mark.parametrize("policy", ["restart", "quarantine", "fail-fast"])
-def test_thread_stop_joins_every_shard_thread_after_a_crash(plan, policy):
-    """However a shard failure was resolved, stop() leaves no thread behind."""
-    before = set(threading.enumerate())
+@pytest.mark.parametrize(
+    "on_failure, state",
+    [("fail-fast", "failed"), ("quarantine", "quarantined"), ("restart", "live")],
+)
+def test_stop_after_a_failure_closes_every_queue(plan, on_failure, state):
     dispatcher = ShardedDispatcher(
         plan,
-        executor="thread",
         queue_capacity=256,
-        recovery=RecoveryPolicy(on_shard_failure=policy),
-        faults=crash_fault(shard_id=0, at_arrival=2),
+        faults=crash_fault(shard_id=0, at_arrival=3),
+        recovery=RecoveryPolicy(on_shard_failure=on_failure),
     )
-    dispatcher.submit_instance(campaign(*CENTERS[0]))
-    assert set(threading.enumerate()) - before  # the shard threads run
-    for index in range(1, 7):
-        dispatcher.feed_worker(city_worker(index))
-    if policy == "fail-fast":
-        with pytest.raises(InjectedShardCrash):
-            dispatcher.stop()
-    else:
-        dispatcher.stop()
-    assert set(threading.enumerate()) - before == set()
+    ids = [
+        dispatcher.submit_instance(campaign(cx, cy, tid0=100 * i))
+        for i, (cx, cy) in enumerate(CENTERS)
+    ]
+    for index in range(1, 13):
+        try:
+            dispatcher.feed_worker(city_worker(index, city=index % 4))
+        except InjectedShardCrash:
+            assert on_failure == "fail-fast"
+    assert dispatcher.shard_status()[0].state == state
+    dispatcher.stop()
+    assert all(runtime.queue.closed for runtime in dispatcher._shards.values())
+    with pytest.raises(RuntimeError, match="stopped"):
+        dispatcher.feed_worker(city_worker(13))
+    dispatcher.stop()  # a clean no-op
+    # The control plane outlives the runtime.
+    assert set(dispatcher.poll()) == set(ids)

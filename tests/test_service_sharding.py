@@ -1,6 +1,7 @@
 """Tests for the geographic sharding runtime (plan, queues, dispatcher)."""
 
-import threading
+import random
+from collections import deque
 
 import pytest
 
@@ -13,8 +14,11 @@ from repro.geo.point import Point
 from repro.service import (
     BoundedArrivalQueue,
     DuplicateSessionError,
+    FaultPlan,
+    FaultSpec,
     LTCDispatcher,
     QueueClosedError,
+    QueueFullError,
     ShardAffinityError,
     ShardedDispatcher,
     ShardPlan,
@@ -53,6 +57,12 @@ def city_stream(num_workers, centers=CENTERS, spread=10.0, seed=0):
             )
         )
     return workers
+
+
+def shard0_worker(index):
+    """An arrival at the first city centre, inside shard 0's cell."""
+    cx, cy = CENTERS[0]
+    return Worker(index=index, location=Point(cx, cy), accuracy=0.9, capacity=2)
 
 
 class TestShardPlan:
@@ -148,12 +158,10 @@ class TestBoundedArrivalQueue:
         for item in "abc":
             assert queue.put(item)
         assert [queue.get() for _ in range(3)] == list("abc")
-        for _ in range(3):
-            queue.task_done()
+        assert queue.get() is None  # empty: never waits
         assert queue.accepted == 3
         assert queue.processed == 3
         assert queue.shed == 0
-        assert queue.join(timeout=0.1)
 
     def test_drop_oldest_evicts_head(self):
         queue = BoundedArrivalQueue(capacity=2, policy="drop-oldest")
@@ -172,22 +180,67 @@ class TestBoundedArrivalQueue:
         assert queue.shed == 1
         assert queue.get() == "a"
 
-    def test_block_policy_waits_for_space(self):
+    def test_full_block_queue_raises_and_admits_nothing(self):
         queue = BoundedArrivalQueue(capacity=1, policy="block")
         queue.put("a")
-        admitted = []
-
-        def producer():
-            admitted.append(queue.put("b"))
-
-        thread = threading.Thread(target=producer)
-        thread.start()
-        thread.join(timeout=0.05)
-        assert thread.is_alive()  # blocked on the full queue
+        with pytest.raises(QueueFullError, match="1 arrivals"):
+            queue.put("b")
+        assert (queue.accepted, queue.shed, queue.size) == (1, 0, 1)
         assert queue.get() == "a"
-        thread.join(timeout=2.0)
-        assert admitted == [True]
-        assert queue.get() == "b"
+        assert queue.put("b")  # space again
+
+    @pytest.mark.parametrize("policy", ["block", "drop-oldest", "reject"])
+    def test_counters_are_conserved_over_any_interleaving(self, policy):
+        """Seeded put/get/flush mixes against a plain deque model.
+
+        Counters only grow, ``shed`` is ``evicted + rejected``, and every
+        admitted arrival is still queued, taken, evicted or flushed.
+        """
+        rng = random.Random(f"queue-{policy}")
+        queue = BoundedArrivalQueue(capacity=3, policy=policy)
+        model = deque()
+        flushed = 0
+        previous = (0, 0, 0, 0)
+        for step in range(500):
+            roll = rng.random()
+            if roll < 0.6:
+                was_full = queue.full
+                if was_full and policy == "block":
+                    with pytest.raises(QueueFullError):
+                        queue.put(step)
+                elif queue.put(step):
+                    assert not was_full or policy == "drop-oldest"
+                    if was_full:
+                        model.popleft()
+                    model.append(step)
+                else:
+                    assert was_full and policy == "reject"
+            elif roll < 0.95:
+                assert queue.get() == (model.popleft() if model else None)
+            else:
+                flushed += queue.flush()
+                model.clear()
+            counters = (
+                queue.accepted, queue.evicted, queue.rejected, queue.processed
+            )
+            assert all(now >= old for now, old in zip(counters, previous))
+            previous = counters
+            assert queue.size == len(model)
+            assert queue.shed == queue.evicted + queue.rejected
+            assert queue.accepted == (
+                queue.processed + queue.evicted + flushed + queue.size
+            )
+        # The mix really hit the bound under every policy.
+        assert (queue.evicted > 0) == (policy == "drop-oldest")
+        assert (queue.rejected > 0) == (policy == "reject")
+
+    def test_closed_full_queue_reports_closed_not_full(self):
+        queue = BoundedArrivalQueue(capacity=1, policy="block")
+        queue.put("a")
+        queue.close()
+        with pytest.raises(QueueClosedError):
+            queue.put("b")
+        assert (queue.accepted, queue.size) == (1, 1)
 
     def test_close_wakes_consumers_and_refuses_producers(self):
         queue = BoundedArrivalQueue(capacity=2)
@@ -204,76 +257,20 @@ class TestBoundedArrivalQueue:
         with pytest.raises(ValueError):
             BoundedArrivalQueue(capacity=1, policy="spill")
 
-    def test_close_wakes_blocked_producer(self):
-        queue = BoundedArrivalQueue(capacity=1, policy="block")
-        queue.put("a")
-        outcome = []
-
-        def producer():
-            try:
-                queue.put("b")
-            except QueueClosedError:
-                outcome.append("closed")
-
-        thread = threading.Thread(target=producer)
-        thread.start()
-        thread.join(timeout=0.05)
-        assert thread.is_alive()  # parked on the full queue
-        queue.close()
-        thread.join(timeout=2.0)
-        assert not thread.is_alive()
-        assert outcome == ["closed"]
-
     def test_get_after_close_and_empty_returns_sentinel(self):
         queue = BoundedArrivalQueue(capacity=2)
         queue.close()
         assert queue.get() is None
-        assert queue.get(timeout=0.01) is None  # stays closed, no raise
+        assert queue.get() is None  # stays closed, no raise
 
-    def test_flush_discards_backlog_and_unblocks_join(self):
+    def test_flush_discards_backlog(self):
         queue = BoundedArrivalQueue(capacity=4)
         for item in "abc":
             queue.put(item)
         assert queue.flush() == 3
-        assert queue.join(timeout=0.1)  # no outstanding work remains
+        assert queue.size == 0 and queue.get() is None
         assert queue.accepted == 3  # admission history is preserved
         assert queue.shed == 0  # flush is not backpressure shedding
-
-    def test_counters_monotone_under_concurrency(self):
-        queue = BoundedArrivalQueue(capacity=8, policy="block")
-        total = 200
-        samples = []
-
-        def producer():
-            for i in range(total):
-                queue.put(i)
-            queue.close()
-
-        def consumer():
-            while True:
-                item = queue.get(timeout=2.0)
-                if item is None:
-                    break
-                samples.append((queue.accepted, queue.processed))
-                queue.task_done()
-
-        threads = [
-            threading.Thread(target=producer),
-            threading.Thread(target=consumer),
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=10.0)
-        assert not any(thread.is_alive() for thread in threads)
-        assert queue.accepted == total
-        assert queue.processed == total
-        assert queue.shed == 0
-        for (acc0, proc0), (acc1, proc1) in zip(samples, samples[1:]):
-            assert acc1 >= acc0
-            assert proc1 >= proc0
-        for accepted, processed in samples:
-            assert processed <= accepted
 
 
 @pytest.fixture
@@ -288,7 +285,7 @@ def campaigns():
 
 class TestShardedDispatcher:
     def test_sessions_pin_and_ids_are_global(self, plan, campaigns):
-        dispatcher = ShardedDispatcher(plan, executor="serial")
+        dispatcher = ShardedDispatcher(plan)
         ids = [dispatcher.submit_instance(c) for c in campaigns]
         assert ids == [f"session-{i}" for i in range(1, 5)]
         assert [dispatcher.shard_of(sid) for sid in ids] == [0, 1, 2, 3]
@@ -300,7 +297,7 @@ class TestShardedDispatcher:
     @pytest.mark.parametrize("sharded", [False, True], ids=["single", "sharded"])
     def test_auto_ids_skip_caller_chosen_ones(self, plan, campaigns, sharded):
         dispatcher = (
-            ShardedDispatcher(plan, executor="serial") if sharded
+            ShardedDispatcher(plan) if sharded
             else LTCDispatcher()
         )
         dispatcher.submit_instance(campaigns[0], session_id="session-2")
@@ -326,7 +323,7 @@ class TestShardedDispatcher:
     ):
         """``None`` asks for an auto id; the rest are caller-chosen."""
         dispatcher = (
-            ShardedDispatcher(plan, executor="serial") if sharded
+            ShardedDispatcher(plan) if sharded
             else LTCDispatcher()
         )
         opened = [
@@ -337,7 +334,7 @@ class TestShardedDispatcher:
         assert dispatcher.session_ids == expected
 
     def test_explicit_shard_override_is_validated(self, plan, campaigns):
-        dispatcher = ShardedDispatcher(plan, executor="serial")
+        dispatcher = ShardedDispatcher(plan)
         # A campaign in cell 0 cannot be pinned to cell 3 ...
         with pytest.raises(ShardAffinityError):
             dispatcher.submit_instance(campaigns[0], shard_id=3)
@@ -349,7 +346,7 @@ class TestShardedDispatcher:
             dispatcher.submit_instance(campaigns[1], shard_id=99)
 
     def test_serial_feed_returns_deliveries(self, plan, campaigns):
-        dispatcher = ShardedDispatcher(plan, executor="serial")
+        dispatcher = ShardedDispatcher(plan)
         ids = [dispatcher.submit_instance(c) for c in campaigns]
         cx, cy = CENTERS[0]
         deliveries = dispatcher.feed_worker(
@@ -359,7 +356,7 @@ class TestShardedDispatcher:
         assert dispatcher.arrivals_offered == 1
 
     def test_worker_fans_out_to_overflow_when_populated(self, plan, campaigns):
-        dispatcher = ShardedDispatcher(plan, executor="serial")
+        dispatcher = ShardedDispatcher(plan)
         geo_id = dispatcher.submit_instance(campaigns[0])
         overflow_id = dispatcher.submit_instance(
             campaign(*CENTERS[0], tid0=900), shard_id=plan.overflow_shard
@@ -374,7 +371,7 @@ class TestShardedDispatcher:
         assert dispatcher.metrics.workers_fed == 2
 
     def test_mid_stream_tasks_must_stay_in_cell(self, plan, campaigns):
-        dispatcher = ShardedDispatcher(plan, executor="serial")
+        dispatcher = ShardedDispatcher(plan)
         sid = dispatcher.submit_instance(campaigns[0])
         # Same-cell tasks are accepted ...
         dispatcher.submit_tasks(
@@ -389,7 +386,7 @@ class TestShardedDispatcher:
         assert dispatcher.poll()[sid].snapshot.tasks_total == before
 
     def test_overflow_sessions_accept_any_tasks(self, plan, campaigns):
-        dispatcher = ShardedDispatcher(plan, executor="serial")
+        dispatcher = ShardedDispatcher(plan)
         sid = dispatcher.submit_instance(campaigns[0],
                                          shard_id=plan.overflow_shard)
         dispatcher.submit_tasks(
@@ -399,7 +396,7 @@ class TestShardedDispatcher:
 
     def test_autostart_false_defers_processing(self, plan, campaigns):
         dispatcher = ShardedDispatcher(
-            plan, executor="serial", autostart=False, queue_capacity=64
+            plan, autostart=False, queue_capacity=64
         )
         ids = [dispatcher.submit_instance(c) for c in campaigns]
         stream = city_stream(40)
@@ -415,7 +412,6 @@ class TestShardedDispatcher:
     def test_shed_accounting_with_drop_oldest(self, plan, campaigns):
         dispatcher = ShardedDispatcher(
             plan,
-            executor="serial",
             autostart=False,
             queue_capacity=4,
             queue_policy="drop-oldest",
@@ -423,12 +419,8 @@ class TestShardedDispatcher:
         for c in campaigns:
             dispatcher.submit_instance(c)
         # All 12 arrivals target shard 0's queue (capacity 4) -> 8 evicted.
-        cx, cy = CENTERS[0]
         for index in range(1, 13):
-            dispatcher.feed_worker(
-                Worker(index=index, location=Point(cx, cy),
-                       accuracy=0.9, capacity=2)
-            )
+            dispatcher.feed_worker(shard0_worker(index))
         assert dispatcher.shed_total == 8
         status = {s.shard_id: s for s in dispatcher.shard_status()}
         assert status[0].arrivals_shed == 8
@@ -442,18 +434,13 @@ class TestShardedDispatcher:
     def test_shed_accounting_with_reject(self, plan, campaigns):
         dispatcher = ShardedDispatcher(
             plan,
-            executor="serial",
             autostart=False,
             queue_capacity=4,
             queue_policy="reject",
         )
         dispatcher.submit_instance(campaigns[0])
-        cx, cy = CENTERS[0]
         for index in range(1, 13):
-            dispatcher.feed_worker(
-                Worker(index=index, location=Point(cx, cy),
-                       accuracy=0.9, capacity=2)
-            )
+            dispatcher.feed_worker(shard0_worker(index))
         assert dispatcher.shed_total == 8
         # Rejected keeps the *oldest* arrivals, drop-oldest the newest.
         dispatcher.start()
@@ -461,13 +448,124 @@ class TestShardedDispatcher:
         assert dispatcher.poll()["session-1"].workers_routed == 4
         dispatcher.stop()
 
-    def test_thread_executor_serves_and_stops(self, plan, campaigns):
-        dispatcher = ShardedDispatcher(plan, executor="thread",
-                                       queue_capacity=256)
+    def test_full_block_queue_raises_before_start(self, plan, campaigns):
+        dispatcher = ShardedDispatcher(plan, queue_capacity=4, autostart=False)
+        dispatcher.submit_instance(campaigns[0])
+        for index in range(1, 5):
+            dispatcher.feed_worker(shard0_worker(index))
+        with pytest.raises(QueueFullError, match="shard 0.*4 arrivals"):
+            dispatcher.feed_worker(shard0_worker(5))
+        # The refused arrival was not admitted and moved no counter.
+        assert dispatcher.arrivals_offered == 4
+        status = dispatcher.shard_status()[0]
+        assert (status.arrivals_accepted, status.queue_depth) == (4, 4)
+        assert dispatcher.shed_total == dispatcher.discarded_total == 0
+        dispatcher.start()
+        dispatcher.feed_worker(shard0_worker(5))  # the backlog drained
+        assert dispatcher.metrics.workers_fed == 5
+        dispatcher.stop()
+
+    def test_full_block_queue_raises_while_stalled(self, plan, campaigns):
+        faults = FaultPlan((FaultSpec("stall", shard_id=0, at_arrival=1),))
+        injector = faults.injector()
+        dispatcher = ShardedDispatcher(plan, queue_capacity=4, faults=injector)
+        dispatcher.submit_instance(campaigns[0])
+        for index in range(1, 6):  # one processed, four queued
+            dispatcher.feed_worker(shard0_worker(index))
+        with pytest.raises(QueueFullError, match="shard 0.*4 arrivals"):
+            dispatcher.feed_worker(shard0_worker(6))
+        assert dispatcher.arrivals_offered == 5
+        assert dispatcher.shard_status()[0].arrivals_accepted == 5
+        injector.release_stalls()
+        assert dispatcher.drain()
+        dispatcher.feed_worker(shard0_worker(6))
+        assert dispatcher.metrics.workers_fed == 6
+        dispatcher.stop()
+
+    def test_refused_fan_out_admits_nothing_anywhere(self, plan, campaigns):
+        """A full overflow queue refuses the arrival for its geo shard too."""
+        overflow = plan.overflow_shard
+        faults = FaultPlan((FaultSpec("stall", shard_id=overflow, at_arrival=1),))
+        dispatcher = ShardedDispatcher(plan, queue_capacity=2, faults=faults)
+        dispatcher.submit_instance(campaigns[0])
+        dispatcher.submit_instance(
+            campaign(*CENTERS[0], tid0=900), shard_id=overflow
+        )
+        for index in range(1, 4):  # overflow: one processed, two queued
+            dispatcher.feed_worker(shard0_worker(index))
+        with pytest.raises(QueueFullError, match=f"shard {overflow}"):
+            dispatcher.feed_worker(shard0_worker(4))
+        status = {s.shard_id: s for s in dispatcher.shard_status()}
+        assert dispatcher.arrivals_offered == 3
+        geo, spill = status[0], status[overflow]
+        assert (geo.arrivals_accepted, geo.arrivals_processed) == (3, 3)
+        assert (spill.arrivals_accepted, spill.queue_depth) == (3, 2)
+        dispatcher.stop()
+
+    @pytest.mark.parametrize(
+        "policy, kept",
+        [("drop-oldest", [1, 8, 9, 10, 11]), ("reject", [1, 2, 3, 4, 5])],
+    )
+    def test_a_stall_sheds_reproducibly(self, plan, policy, kept):
+        """Under a stall, what a shed policy keeps depends on nothing else."""
+        cx, cy = CENTERS[0]
+
+        def run():
+            injector = FaultPlan(
+                (FaultSpec("stall", shard_id=0, at_arrival=1),)
+            ).injector()
+            dispatcher = ShardedDispatcher(
+                plan,
+                queue_capacity=4,
+                queue_policy=policy,
+                keep_streams=True,
+                faults=injector,
+            )
+            # Thirty tasks: eleven workers of capacity 2 cannot finish it.
+            sid = dispatcher.submit_instance(campaign(cx, cy, num_tasks=30))
+            for index in range(1, 12):
+                dispatcher.feed_worker(
+                    Worker(index=index, location=Point(cx + index, cy),
+                           accuracy=0.9, capacity=2)
+                )
+            shed = dispatcher.shed_total
+            injector.release_stalls()
+            assert dispatcher.drain()
+            routed = [
+                round(w.location.x - cx) for w in dispatcher.routed_stream(sid)
+            ]
+            dispatcher.stop()
+            return shed, routed
+
+        assert run() == run() == (6, kept)
+
+    def test_drain_serves_the_shards_behind_a_stall(self, plan, campaigns):
+        faults = FaultPlan((FaultSpec("stall", shard_id=0, at_arrival=1),))
+        dispatcher = ShardedDispatcher(
+            plan, queue_capacity=64, autostart=False, faults=faults
+        )
+        for c in campaigns:
+            dispatcher.submit_instance(c)
+        dispatcher.feed_stream(city_stream(40))  # ten arrivals per city
+        dispatcher.start()
+        assert dispatcher.drain() is False
+        depths = {s.shard_id: s.queue_depth for s in dispatcher.shard_status()}
+        assert depths == {0: 9, 1: 0, 2: 0, 3: 0, plan.overflow_shard: 0}
+        assert dispatcher.metrics.workers_fed == 31
+        dispatcher.stop()
+        assert dispatcher.metrics.workers_fed == 40
+
+    def test_drain_before_start_raises(self, plan):
+        dispatcher = ShardedDispatcher(plan, autostart=False)
+        with pytest.raises(RuntimeError, match="start"):
+            dispatcher.drain()
+
+    def test_serves_and_stops(self, plan, campaigns):
+        dispatcher = ShardedDispatcher(plan, queue_capacity=256)
         ids = [dispatcher.submit_instance(c) for c in campaigns]
         stream = city_stream(200)
         assert dispatcher.feed_stream(stream) == len(stream)
-        assert dispatcher.drain(timeout=10.0)
+        assert dispatcher.drain()
         statuses = dispatcher.poll()
         assert all(statuses[sid].complete for sid in ids)
         dispatcher.stop()
@@ -478,7 +576,7 @@ class TestShardedDispatcher:
         assert set(results) == set(ids)
 
     def test_metrics_roll_up_across_shards(self, plan, campaigns):
-        dispatcher = ShardedDispatcher(plan, executor="serial")
+        dispatcher = ShardedDispatcher(plan)
         for c in campaigns:
             dispatcher.submit_instance(c)
         stream = city_stream(80)
@@ -494,7 +592,7 @@ class TestShardedDispatcher:
         dispatcher.stop()
 
     def test_expire_tasks_routes_to_the_right_shard(self, plan, campaigns):
-        dispatcher = ShardedDispatcher(plan, executor="serial")
+        dispatcher = ShardedDispatcher(plan)
         ids = [dispatcher.submit_instance(c) for c in campaigns]
         expired = dispatcher.expire_tasks(ids[2], [200, 201, 202])
         assert expired == [200, 201, 202]
@@ -505,13 +603,13 @@ class TestShardedDispatcher:
         dispatcher.stop()
 
     def test_unknown_sessions_raise(self, plan):
-        dispatcher = ShardedDispatcher(plan, executor="serial")
+        dispatcher = ShardedDispatcher(plan)
         with pytest.raises(UnknownSessionError):
             dispatcher.submit_tasks("ghost", [])
         with pytest.raises(UnknownSessionError):
             dispatcher.close("ghost")
 
-    @pytest.mark.parametrize("executor", ["fork", "process"])
+    @pytest.mark.parametrize("executor", ["fork", "process", "thread"])
     def test_invalid_executor(self, plan, executor):
-        with pytest.raises(ValueError, match="expected one of serial, thread$"):
+        with pytest.raises(ValueError, match="expected serial$"):
             ShardedDispatcher(plan, executor=executor)

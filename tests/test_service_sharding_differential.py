@@ -6,10 +6,7 @@ deliver, in the same per-session order — is enforced here by running the
 identical replayable workload through:
 
 * the single-process :class:`~repro.service.LTCDispatcher` (the oracle),
-* the :class:`~repro.service.sharding.ShardedDispatcher` under the
-  ``serial`` executor (the deterministic merge configuration),
-* the ``thread`` executor (cross-shard interleaving is arbitrary, but
-  per-session sub-streams stay FIFO),
+* the :class:`~repro.service.sharding.ShardedDispatcher`,
 
 and comparing the final per-session arrangements **assignment by
 assignment** (same pairs, same order, same per-session re-indexed worker
@@ -55,12 +52,11 @@ def run_single_process(workload, solver):
     return ids, streams, dispatcher.close_all()
 
 
-def run_sharded(workload, solver, executor, cols=2, rows=2, **kwargs):
+def run_sharded(workload, solver, cols=2, rows=2, **kwargs):
     plan = ShardPlan.for_region(CONFIG.bounds, cols=cols, rows=rows)
     dispatcher = ShardedDispatcher(
         plan,
         default_solver=solver,
-        executor=executor,
         queue_capacity=8192,
         keep_streams=True,
         **kwargs,
@@ -93,13 +89,12 @@ def assert_identical(base, candidate):
 
 
 @pytest.mark.parametrize("solver", ["AAM", "LAF"])
-@pytest.mark.parametrize("executor", ["serial", "thread"])
-def test_sharded_matches_single_process(workload, solver, executor, engine_pass):
+def test_sharded_matches_single_process(workload, solver, engine_pass):
     # The oracle stays on the scalar loops; the shards run each way of the
     # candidate engine's vector cutover.
     with vector_cutover(SCALAR_ONLY):
         base = run_single_process(workload, solver)
-    ids, streams, results, _ = run_sharded(workload, solver, executor)
+    ids, streams, results, _ = run_sharded(workload, solver)
     assert_identical(base, (ids, streams, results))
 
 
@@ -112,27 +107,22 @@ def test_every_campaign_pins_to_a_geo_shard(workload):
 def test_single_shard_plan_matches_too(workload):
     """The degenerate 1x1 plan is pure queue overhead — still exact."""
     base = run_single_process(workload, "AAM")
-    ids, streams, results, _ = run_sharded(
-        workload, "AAM", "serial", cols=1, rows=1
-    )
+    ids, streams, results, _ = run_sharded(workload, "AAM", cols=1, rows=1)
     assert_identical(base, (ids, streams, results))
 
 
 def test_lossless_runs_shed_nothing(workload):
-    *_, dispatcher = run_sharded(workload, "AAM", "thread")
+    *_, dispatcher = run_sharded(workload, "AAM")
     assert dispatcher.shed_total == 0
     assert dispatcher.arrivals_offered == CONFIG.num_workers
 
 
-@pytest.mark.parametrize("executor", ["serial", "thread"])
-def test_expiry_is_exact_across_runtimes(workload, executor):
+def test_expiry_is_exact_across_runtimes(workload):
     """A TTL sweep at the same per-session point yields identical state.
 
     Expiring via the sharded dispatcher and via a single-process
     dispatcher at the same stream position must abandon the same tasks
-    and leave byte-identical arrangements.  The sharded run drains
-    before the sweep (a no-op under ``serial``), so the sweep
-    lands at the same per-session stream position as the oracle's.
+    and leave byte-identical arrangements.
     """
     cutoff = CONFIG.num_workers // 4
 
@@ -143,8 +133,6 @@ def test_expiry_is_exact_across_runtimes(workload, executor):
             if worker.index > cutoff:
                 break
             dispatcher.feed_worker(worker)
-        if sharded:
-            dispatcher.drain()
         expired = {
             sid: dispatcher.expire_tasks(
                 sid, [t.task_id for t in campaign.tasks]
@@ -158,7 +146,7 @@ def test_expiry_is_exact_across_runtimes(workload, executor):
     base_ids, base_expired, base_results = drive(LTCDispatcher(), sharded=False)
     plan = ShardPlan.for_region(CONFIG.bounds, cols=2, rows=2)
     shard_ids, shard_expired, shard_results = drive(
-        ShardedDispatcher(plan, executor=executor, queue_capacity=8192),
+        ShardedDispatcher(plan, queue_capacity=8192),
         sharded=True,
     )
     for base_id, shard_id in zip(base_ids, shard_ids):
