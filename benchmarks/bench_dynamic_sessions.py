@@ -145,9 +145,7 @@ class _RebuildPerSubmitMixin:
             for task in self._instance.tasks
             if self._arrangement.is_task_complete(task.task_id)
         ]
-        self._candidates = CandidateFinder(
-            self._instance, use_spatial_index=self._use_spatial_index
-        )
+        self._candidates = CandidateFinder(self._instance)
         self._candidates.retire_tasks(retired)
         self._after_rebuild()
 

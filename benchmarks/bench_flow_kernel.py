@@ -43,7 +43,7 @@ import _common
 from _common import BenchSuite, SuiteResult
 
 from repro.flow.kernel import ArcArena, dag_potentials, solve_mcf
-from repro.flow.reference import LegacyFlowNetwork, legacy_successive_shortest_paths
+from repro.flow.reference import LegacyNetwork, legacy_sspa
 
 # Shape parameters mirroring a paper-default batch: epsilon = 0.14 gives
 # delta = 2 ln(1/0.14) ~= 3.93, so every task absorbs ceil(delta) = 4 useful
@@ -68,14 +68,14 @@ def build_case(num_workers: int, seed: int):
 
 
 def run_reference(num_workers: int, num_tasks: int, pairs):
-    network = LegacyFlowNetwork()
+    network = LegacyNetwork()
     for w in range(num_workers):
         network.add_edge("s", ("w", w), CAPACITY, 0.0)
     for w, t, value in pairs:
         network.add_edge(("w", w), ("t", t), 1, -value)
     for t in range(num_tasks):
         network.add_edge(("t", t), "d", TASK_NEED, 0.0)
-    return legacy_successive_shortest_paths(network, "s", "d")
+    return legacy_sspa(network, "s", "d")
 
 
 def run_kernel(num_workers: int, num_tasks: int, pairs):

@@ -39,7 +39,7 @@ from repro.service import LTCDispatcher, ShardPlan, ShardedDispatcher
 DISTRICTS = [
     ("downtown", (0.0, 0.0), "AAM"),
     ("harbour", (1000.0, 0.0), "LAF"),
-    ("airport", (0.0, 1000.0), "AAM?use_spatial_index=false"),
+    ("airport", (0.0, 1000.0), "AAM"),
 ]
 
 

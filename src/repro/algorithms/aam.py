@@ -46,21 +46,13 @@ from repro.core.worker import Worker
 
 
 class AAMSolver(OnlineSolver):
-    """Average And Max online solver (paper Algorithm 3).
-
-    Parameters
-    ----------
-    use_spatial_index:
-        Restrict candidate queries to the grid index under the sigmoid
-        accuracy model; disabling forces the exhaustive scan.
-    """
+    """Average And Max online solver (paper Algorithm 3)."""
 
     name = "AAM"
     supports_dynamic_tasks = True
     supports_task_expiry = True
 
-    def __init__(self, use_spatial_index: bool = True) -> None:
-        self._use_spatial_index = use_spatial_index
+    def __init__(self) -> None:
         self._instance: Optional[LTCInstance] = None
         self._arrangement: Optional[Arrangement] = None
         self._candidates: Optional[CandidateFinder] = None
@@ -79,9 +71,7 @@ class AAMSolver(OnlineSolver):
     def start(self, instance: LTCInstance) -> None:
         self._instance = instance
         self._arrangement = instance.new_arrangement()
-        self._candidates = CandidateFinder(
-            instance, use_spatial_index=self._use_spatial_index
-        )
+        self._candidates = CandidateFinder(instance)
         delta = self._arrangement.delta
         self._need = [delta] * self._candidates.engine.num_tasks
         self._uncompleted_count = instance.num_tasks

@@ -29,14 +29,9 @@ class BaseOffSolver(OfflineSolver):
 
     name = "Base-off"
 
-    def __init__(self, use_spatial_index: bool = True) -> None:
-        self.use_spatial_index = use_spatial_index
-
     def solve(self, instance: LTCInstance) -> SolveResult:
         arrangement = instance.new_arrangement()
-        candidates = CandidateFinder(
-            instance, use_spatial_index=self.use_spatial_index
-        )
+        candidates = CandidateFinder(instance)
 
         # Offline knowledge: which (future) workers can serve each task.
         eligible_tasks_per_worker: Dict[int, List[int]] = {}
@@ -94,11 +89,9 @@ class RandomOnlineSolver(OnlineSolver):
     def __init__(
         self,
         seed: int = 0,
-        use_spatial_index: bool = True,
         skip_completed: bool = False,
     ) -> None:
         self.seed = seed
-        self.use_spatial_index = use_spatial_index
         self.skip_completed = skip_completed
         self._rng = np.random.default_rng(seed)
         self._instance: Optional[LTCInstance] = None
@@ -108,9 +101,7 @@ class RandomOnlineSolver(OnlineSolver):
     def start(self, instance: LTCInstance) -> None:
         self._instance = instance
         self._arrangement = instance.new_arrangement()
-        self._candidates = CandidateFinder(
-            instance, use_spatial_index=self.use_spatial_index
-        )
+        self._candidates = CandidateFinder(instance)
         self._rng = np.random.default_rng(self.seed)
 
     @property

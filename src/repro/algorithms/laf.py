@@ -33,21 +33,13 @@ from repro.core.worker import Worker
 
 
 class LAFSolver(OnlineSolver):
-    """Largest Acc First online solver (paper Algorithm 2).
-
-    Parameters
-    ----------
-    use_spatial_index:
-        Restrict candidate queries to the grid index under the sigmoid
-        accuracy model; disabling forces the exhaustive scan.
-    """
+    """Largest Acc First online solver (paper Algorithm 2)."""
 
     name = "LAF"
     supports_dynamic_tasks = True
     supports_task_expiry = True
 
-    def __init__(self, use_spatial_index: bool = True) -> None:
-        self._use_spatial_index = use_spatial_index
+    def __init__(self) -> None:
         self._instance: Optional[LTCInstance] = None
         self._arrangement: Optional[Arrangement] = None
         self._candidates: Optional[CandidateFinder] = None
@@ -58,9 +50,7 @@ class LAFSolver(OnlineSolver):
     def start(self, instance: LTCInstance) -> None:
         self._instance = instance
         self._arrangement = instance.new_arrangement()
-        self._candidates = CandidateFinder(
-            instance, use_spatial_index=self._use_spatial_index
-        )
+        self._candidates = CandidateFinder(instance)
         self._workers_with_assignments = 0
 
     @property

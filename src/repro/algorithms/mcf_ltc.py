@@ -66,10 +66,6 @@ class MCFLTCSolver(OfflineSolver):
         Scales the batch size relative to the paper's choice (1.0 keeps the
         pseudo-code sizes).  Exposed for the batch-size ablation study
         discussed in Sec. V-B1 of the paper.
-    use_spatial_index:
-        Restrict worker->task edges to eligible (nearby) pairs using the
-        grid index.  Disabling it adds every pair with an eligible accuracy
-        after an exhaustive scan (slower, identical results).
     """
 
     name = "MCF-LTC"
@@ -77,20 +73,16 @@ class MCFLTCSolver(OfflineSolver):
     def __init__(
         self,
         batch_multiplier: float = 1.0,
-        use_spatial_index: bool = True,
     ) -> None:
         if batch_multiplier <= 0:
             raise ValueError("batch_multiplier must be positive")
         self.batch_multiplier = batch_multiplier
-        self.use_spatial_index = use_spatial_index
 
     # ------------------------------------------------------------------ solve
 
     def solve(self, instance: LTCInstance) -> SolveResult:
         arrangement = instance.new_arrangement()
-        candidates = CandidateFinder(
-            instance, use_spatial_index=self.use_spatial_index
-        )
+        candidates = CandidateFinder(instance)
         delta = instance.delta
         capacity = instance.capacity
 

@@ -69,14 +69,12 @@ class InstanceStats:
         )
 
 
-def compute_instance_stats(
-    instance: LTCInstance, use_spatial_index: bool = True
-) -> InstanceStats:
+def compute_instance_stats(instance: LTCInstance) -> InstanceStats:
     """Compute :class:`InstanceStats` for ``instance``.
 
     One pass over the workers; cost is roughly the same as running LAF once.
     """
-    finder = CandidateFinder(instance, use_spatial_index=use_spatial_index)
+    finder = CandidateFinder(instance)
 
     per_task = {task.task_id: 0 for task in instance.tasks}
     per_task_best_acc_star = {task.task_id: 0.0 for task in instance.tasks}

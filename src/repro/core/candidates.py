@@ -235,8 +235,7 @@ class CandidateFinder:
     def candidate_count_per_task(self) -> Dict[int, int]:
         """For every task, the number of workers eligible to perform it.
 
-        Used by the ``Base-off`` baseline, which prioritises tasks with few
-        remaining nearby workers, and by feasibility diagnostics.  Counts
+        Used by feasibility diagnostics (the data generators' tests).  Counts
         come from the unordered per-worker pool — no candidate list is
         materialised or sorted per worker.
         """

@@ -12,10 +12,7 @@ around a flat array kernel:
   come from :func:`bellman_ford_potentials` (general graphs) or
   :func:`dag_potentials` (one O(E) pass for the LTC reduction's 3-layer
   DAG).
-* :class:`FlowNetwork` / :func:`successive_shortest_paths` — the
-  label-addressed compatibility layer over the kernel, for callers that
-  want hashable node labels and edge objects.
-* :func:`validate_flow` / :func:`validate_arena_flow` — independent
+* :func:`validate_arena_flow` — independent
   verification of capacity/conservation constraints, used by the
   test-suite and by debugging assertions.
 * :mod:`repro.flow.reference` — the pre-kernel object-graph SSPA, retained
@@ -30,9 +27,7 @@ from repro.flow.kernel import (
     dag_potentials,
     solve_mcf,
 )
-from repro.flow.network import Edge, FlowNetwork
-from repro.flow.sspa import FlowResult, successive_shortest_paths, min_cost_flow
-from repro.flow.validate import validate_arena_flow, validate_flow, FlowViolation
+from repro.flow.validate import validate_arena_flow, FlowViolation
 from repro.flow.exceptions import (
     FlowError,
     InfeasibleFlowError,
@@ -45,12 +40,6 @@ __all__ = [
     "bellman_ford_potentials",
     "dag_potentials",
     "solve_mcf",
-    "Edge",
-    "FlowNetwork",
-    "FlowResult",
-    "successive_shortest_paths",
-    "min_cost_flow",
-    "validate_flow",
     "validate_arena_flow",
     "FlowViolation",
     "FlowError",

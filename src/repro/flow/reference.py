@@ -48,7 +48,7 @@ class LegacyEdge:
     @property
     def twin(self) -> "LegacyEdge":
         if self._twin is None:
-            raise RuntimeError("edge has no twin; was it added through LegacyFlowNetwork?")
+            raise RuntimeError("edge has no twin; was it added through LegacyNetwork?")
         return self._twin
 
     def push(self, amount: int) -> None:
@@ -63,7 +63,7 @@ class LegacyEdge:
         self.twin.flow -= amount
 
 
-class LegacyFlowNetwork:
+class LegacyNetwork:
     """Dict-of-lists residual graph over hashable labels (pre-kernel)."""
 
     def __init__(self) -> None:
@@ -110,7 +110,7 @@ class LegacyFlowNetwork:
 
 
 def _bellman_ford_potentials(
-    network: LegacyFlowNetwork, source: Node
+    network: LegacyNetwork, source: Node
 ) -> Dict[Node, float]:
     distance: Dict[Node, float] = {node: _INF for node in network.nodes}
     distance[source] = 0.0
@@ -136,7 +136,7 @@ def _bellman_ford_potentials(
 
 
 def _dijkstra_reduced(
-    network: LegacyFlowNetwork,
+    network: LegacyNetwork,
     source: Node,
     sink: Node,
     potentials: Dict[Node, float],
@@ -174,8 +174,8 @@ def _dijkstra_reduced(
     return distance, predecessor
 
 
-def legacy_successive_shortest_paths(
-    network: LegacyFlowNetwork,
+def legacy_sspa(
+    network: LegacyNetwork,
     source: Node,
     sink: Node,
     max_flow: Optional[int] = None,

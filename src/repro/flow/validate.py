@@ -5,22 +5,14 @@ tests and debugging assertions want an *independent* check that a computed
 flow is feasible: capacities respected, flow conserved at every node except
 the source and sink, and the claimed flow value consistent with the
 source's net outflow.
-
-The core check, :func:`validate_arena_flow`, walks the arena's parallel
-arrays directly.  :func:`validate_flow` is the label-level wrapper for
-:class:`~repro.flow.network.FlowNetwork`, reporting violations in terms of
-the network's node labels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, List, Optional, Sequence
+from typing import List
 
 from repro.flow.kernel import ArcArena
-from repro.flow.network import FlowNetwork
-
-Node = Hashable
 
 
 @dataclass(frozen=True, slots=True)
@@ -39,19 +31,12 @@ def validate_arena_flow(
     source: int,
     sink: int,
     expected_value: int | None = None,
-    labels: Optional[Sequence[Node]] = None,
 ) -> List[FlowViolation]:
     """Constraint violations of the arena's current flow (empty = feasible).
 
     Walks the forward (even) arcs once, accumulating per-node net outflow.
-    ``labels`` optionally maps node ids to display labels for the violation
-    messages; ids are shown otherwise.  When ``expected_value`` is given,
-    the source's net outflow must equal it.
+    When ``expected_value`` is given, the source's net outflow must equal it.
     """
-
-    def name(node: int) -> object:
-        return labels[node] if labels is not None else node
-
     violations: List[FlowViolation] = []
     head, cap, flow = graph.head, graph.cap, graph.flow
     net = [0] * graph.num_nodes
@@ -62,14 +47,14 @@ def validate_arena_flow(
         if units < 0:
             violations.append(
                 FlowViolation(
-                    "negative-flow", f"{name(tail)}->{name(head[arc])}: {units}"
+                    "negative-flow", f"{tail}->{head[arc]}: {units}"
                 )
             )
         if units > cap[arc]:
             violations.append(
                 FlowViolation(
                     "capacity",
-                    f"{name(tail)}->{name(head[arc])}: flow {units} > "
+                    f"{tail}->{head[arc]}: flow {units} > "
                     f"capacity {cap[arc]}",
                 )
             )
@@ -82,7 +67,7 @@ def validate_arena_flow(
         if node_net != 0:
             violations.append(
                 FlowViolation(
-                    "conservation", f"node {name(node)!r} has net outflow {node_net}"
+                    "conservation", f"node {node} has net outflow {node_net}"
                 )
             )
 
@@ -104,24 +89,3 @@ def validate_arena_flow(
 
     return violations
 
-
-def validate_flow(
-    network: FlowNetwork,
-    source: Node,
-    sink: Node,
-    expected_value: int | None = None,
-) -> List[FlowViolation]:
-    """Return the list of constraint violations of the network's current flow.
-
-    An empty list means the flow is feasible.  When ``expected_value`` is
-    given, the source's net outflow must equal it.
-    """
-    if source not in network or sink not in network:
-        raise ValueError("source and sink must be nodes of the network")
-    return validate_arena_flow(
-        network.arena,
-        network.node_id(source),
-        network.node_id(sink),
-        expected_value=expected_value,
-        labels=network.nodes,
-    )

@@ -4,21 +4,16 @@ This package provides the small amount of computational geometry the paper
 relies on: 2-D points with Euclidean distance, axis-aligned bounding boxes,
 convex hulls (used to constrain task locations to the region covered by
 worker check-ins, as in the paper's real-data setup) and a uniform grid
-spatial index used by the ``Base-off`` / ``Random`` baselines to find tasks
-"nearby" a worker and by the data generators.
+spatial index that only the pre-engine candidate oracle still uses.
 """
 
 from repro.geo.point import Point
-from repro.geo.distance import euclidean, manhattan, squared_euclidean
 from repro.geo.bbox import BoundingBox
 from repro.geo.hull import convex_hull, point_in_convex_polygon
 from repro.geo.grid_index import GridIndex
 
 __all__ = [
     "Point",
-    "euclidean",
-    "manhattan",
-    "squared_euclidean",
     "BoundingBox",
     "convex_hull",
     "point_in_convex_polygon",

@@ -306,7 +306,7 @@ class LTCDispatcher:
         """Open a session serving ``instance`` and return its id.
 
         ``solver`` may be a registry name, a spec string such as
-        ``"AAM?use_spatial_index=false"``, a
+        ``"Random?seed=7"``, a
         :class:`~repro.algorithms.spec.SolverSpec`, or an already-built
         :class:`~repro.algorithms.base.Solver`; it defaults to the
         dispatcher's ``default_solver``.  Only *online* solvers are

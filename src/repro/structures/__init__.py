@@ -2,14 +2,11 @@
 
 The paper's pseudo-code keeps, for every worker, a heap ``Q`` bounded by the
 worker's capacity that holds the best candidate tasks (Algorithms 1-3).  The
-:class:`TopKHeap` here is that structure.  The :class:`IndexedMinHeap` is a
-classic decrease-key priority queue used by the ``Base-off`` baseline to keep
-tasks ordered by how many nearby workers remain, and :class:`RunningStats`
+:class:`TopKHeap` here is that structure, and :class:`RunningStats`
 aggregates repeated experiment measurements.
 """
 
 from repro.structures.topk import TopKHeap
-from repro.structures.indexed_heap import IndexedMinHeap
 from repro.structures.stats import RunningStats
 
-__all__ = ["TopKHeap", "IndexedMinHeap", "RunningStats"]
+__all__ = ["TopKHeap", "RunningStats"]

@@ -89,8 +89,3 @@ class TestLAFBehaviour:
             if solver.is_complete():
                 break
 
-    def test_spatial_and_scan_variants_agree(self, small_synthetic_instance):
-        indexed = LAFSolver(use_spatial_index=True).solve(small_synthetic_instance)
-        scanned = LAFSolver(use_spatial_index=False).solve(small_synthetic_instance)
-        assert indexed.max_latency == scanned.max_latency
-        assert indexed.num_assignments == scanned.num_assignments

@@ -57,10 +57,6 @@ class TestSolving:
         assert small_batches.completed and large_batches.completed
         assert small_batches.extra["batches"] >= large_batches.extra["batches"]
 
-    def test_spatial_index_toggle_gives_same_latency(self, small_synthetic_instance):
-        indexed = MCFLTCSolver(use_spatial_index=True).solve(small_synthetic_instance)
-        scanned = MCFLTCSolver(use_spatial_index=False).solve(small_synthetic_instance)
-        assert indexed.max_latency == scanned.max_latency
 
     def test_incomplete_when_workers_insufficient(self):
         """With too few workers the solver reports (not raises) incompletion."""

@@ -43,7 +43,7 @@ class TestParse:
             "AAM",
             "MCF-LTC?batch_multiplier=2.0",
             "Random?seed=7&skip_completed=true",
-            "MCF-LTC?batch_multiplier=0.5&index_tiebreak=false&use_spatial_index=true",
+            "MCF-LTC?batch_multiplier=0.5&index_tiebreak=false&scan=true",
         ):
             spec = SolverSpec.parse(text)
             assert SolverSpec.parse(str(spec)) == spec
@@ -120,9 +120,10 @@ class TestCoerce:
 
 class TestBuildSolver:
     def test_builds_with_parameters(self):
-        solver = build_solver("MCF-LTC?batch_multiplier=2.0&use_spatial_index=false")
-        assert solver.batch_multiplier == 2.0
-        assert solver.use_spatial_index is False
+        solver = build_solver("Random?seed=7&skip_completed=true")
+        assert solver.seed == 7
+        assert solver.skip_completed is True
+        assert build_solver("MCF-LTC?batch_multiplier=2.0").batch_multiplier == 2.0
 
     @pytest.mark.parametrize(
         "spec, unknown, declared",
@@ -130,7 +131,14 @@ class TestBuildSolver:
             ("MCF-LTC?batch_size=3", "batch_size", "batch_multiplier"),
             ("MCF-LTC?index_tiebreak=false", "index_tiebreak", "batch_multiplier"),
             ("MCF-LTC?backend=numpy", "backend", "batch_multiplier"),
-            ("LAF?candidates=numpy", "candidates", "use_spatial_index"),
+            ("Random?candidates=numpy", "candidates", "skip_completed"),
+            ("LAF?use_spatial_index=false", "use_spatial_index", "<none>"),
+            ("Base-off?use_spatial_index=false", "use_spatial_index", "<none>"),
+            ("Random?use_spatial_index=false", "use_spatial_index", "seed"),
+            ("MCF-LTC?use_spatial_index=false", "use_spatial_index", "batch_multiplier"),
+            ("AAM?use_spatial_index=false", "use_spatial_index", "<none>"),
+            ("LGF-only?use_spatial_index=false", "use_spatial_index", "<none>"),
+            ("LRF-only?use_spatial_index=false", "use_spatial_index", "<none>"),
         ],
     )
     def test_unknown_parameter_lists_declared_ones(self, spec, unknown, declared):

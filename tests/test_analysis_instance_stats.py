@@ -54,12 +54,6 @@ class TestComputeInstanceStats:
         assert stats.feasibility_margin > 1.0
         assert stats.eligible_workers_per_task["min"] >= 1
 
-    def test_spatial_index_toggle_gives_identical_stats(self, small_synthetic_instance):
-        fast = compute_instance_stats(small_synthetic_instance, use_spatial_index=True)
-        slow = compute_instance_stats(small_synthetic_instance, use_spatial_index=False)
-        assert fast.eligible_workers_per_task == slow.eligible_workers_per_task
-        assert fast.contention_ratio == pytest.approx(slow.contention_ratio)
-        assert fast.starved_tasks == slow.starved_tasks
 
     def test_unreachable_task_is_reported_starved(self):
         tasks = [Task.at(0, 0.0, 0.0), Task.at(1, 500.0, 500.0)]

@@ -206,9 +206,7 @@ class TestDynamicSolversMatchOracle:
                 tasks = list(tasks)
                 self._instance.add_tasks(tasks)
                 self._arrangement.add_tasks(tasks)
-                self._candidates = CandidateFinder(
-                    self._instance, use_spatial_index=self.use_spatial_index
-                )
+                self._candidates = CandidateFinder(self._instance)
 
         expected = (
             dynamic_drive(RebuildEverySubmit(seed=11), instance, events)

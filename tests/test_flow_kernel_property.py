@@ -28,7 +28,7 @@ from repro.flow.kernel import (
     dag_potentials,
     solve_mcf,
 )
-from repro.flow.reference import LegacyFlowNetwork, legacy_successive_shortest_paths
+from repro.flow.reference import LegacyNetwork, legacy_sspa
 from repro.flow.validate import validate_arena_flow
 
 
@@ -85,7 +85,7 @@ def solve_with_kernel(pairs, caps, needs, route="dag"):
 
 
 def solve_with_reference(pairs, caps, needs):
-    network = LegacyFlowNetwork()
+    network = LegacyNetwork()
     for w, cap in enumerate(caps):
         network.add_edge("s", ("w", w), cap, 0.0)
     pair_edges = {}
@@ -93,7 +93,7 @@ def solve_with_reference(pairs, caps, needs):
         pair_edges[(w, t)] = network.add_edge(("w", w), ("t", t), 1, -value)
     for t, need in enumerate(needs):
         network.add_edge(("t", t), "d", need, 0.0)
-    value, cost, augmentations = legacy_successive_shortest_paths(network, "s", "d")
+    value, cost, augmentations = legacy_sspa(network, "s", "d")
     flows = {pair: edge.flow for pair, edge in pair_edges.items()}
     return value, cost, augmentations, flows
 

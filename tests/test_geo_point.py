@@ -1,11 +1,10 @@
-"""Tests for repro.geo.point and repro.geo.distance."""
+"""Tests for repro.geo.point."""
 
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.geo.distance import euclidean, manhattan, squared_euclidean
 from repro.geo.point import Point
 
 finite_coord = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -58,22 +57,12 @@ class TestPoint:
         origin = Point.origin()
         assert a.distance_to(b) <= a.distance_to(origin) + origin.distance_to(b) + 1e-6
 
-
-class TestDistanceFunctions:
-    def test_euclidean_accepts_points_and_sequences(self):
-        assert euclidean(Point(0, 0), (3, 4)) == pytest.approx(5.0)
-        assert euclidean((0, 0), [3, 4]) == pytest.approx(5.0)
-
-    def test_squared_euclidean(self):
-        assert squared_euclidean((1, 1), (4, 5)) == pytest.approx(25.0)
-
-    def test_manhattan(self):
-        assert manhattan((0, 0), (1, -2)) == pytest.approx(3.0)
-
     @given(finite_coord, finite_coord, finite_coord, finite_coord)
     def test_euclidean_never_exceeds_manhattan(self, ax, ay, bx, by):
-        assert euclidean((ax, ay), (bx, by)) <= manhattan((ax, ay), (bx, by)) + 1e-9
+        a = Point(ax, ay)
+        b = Point(bx, by)
+        assert a.distance_to(b) <= a.manhattan_distance_to(b) + 1e-9
 
     @given(finite_coord, finite_coord)
     def test_distance_to_self_is_zero(self, x, y):
-        assert euclidean((x, y), (x, y)) == 0.0
+        assert Point(x, y).distance_to(Point(x, y)) == 0.0

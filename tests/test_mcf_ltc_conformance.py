@@ -2,7 +2,7 @@
 
 ``tests/data/mcf_ltc_conformance.json`` was captured at commit 232a14f,
 immediately *before* the flow layer was rewritten onto the array kernel
-(object-graph ``FlowNetwork``, Bellman-Ford potentials, per-batch network
+(object-graph network, Bellman-Ford potentials, per-batch network
 rebuild, float-epsilon index tie-breaking).  These tests replay the same
 seeded synthetic instances through the current solver and require the
 exact assignment sequence — worker and task ids in order — plus the
