@@ -1,4 +1,4 @@
-"""Microbenchmark: the flow kernel vs the pre-refactor object-graph SSPA.
+"""Microbenchmark: MCF-LTC's batch flow solve, three ways.
 
 Builds LTC-shaped batch reductions (source -> workers -> tasks -> sink,
 negative real-valued worker->task costs, exactly what ``MCFLTCSolver``
@@ -9,12 +9,17 @@ solve through each implementation:
   ``Edge`` objects, dict adjacency, O(V*E) Bellman-Ford initial potentials;
   network built from scratch, as the old solver did per batch.
 * **kernel** — :class:`repro.flow.kernel.ArcArena` + one O(E) DAG potential
-  pass + :func:`repro.flow.kernel.solve_mcf`.
+  pass + :func:`repro.flow.kernel.solve_mcf` (the SSPA).
+* **simplex** — the same arena through MCF-LTC's batch entry
+  :func:`repro.algorithms.mcf_ltc.solve_mcf`: the certified network
+  simplex, with the kernel's SSPA as the fallback when the optimum is not
+  unique (each case reports whether it fell back).
 
-Each timing covers build + potentials + solve (what MCF-LTC pays per
-batch); the implementations are interleaved within each repeat so slow
-background drift hits both equally.  Exactness is asserted on every case:
-the kernel must agree with the reference on flow value and cost.
+Each timing covers build + solve (what MCF-LTC pays per batch); the
+implementations are interleaved within each repeat so slow background
+drift hits all equally.  Exactness is asserted on every case: the kernel
+must agree with the reference on flow value and cost, and the simplex
+with the kernel arc for arc.
 
 The suite registers with the shared registry in :mod:`_common`, reports
 in the shared schema (``sections`` / ``headline_speedups`` / exactness
@@ -42,6 +47,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 import _common
 from _common import BenchSuite, SuiteResult
 
+from repro.algorithms.mcf_ltc import solve_mcf as solve_batch
 from repro.flow.kernel import ArcArena, dag_potentials, solve_mcf
 from repro.flow.reference import LegacyNetwork, legacy_sspa
 
@@ -78,11 +84,14 @@ def run_reference(num_workers: int, num_tasks: int, pairs):
     return legacy_sspa(network, "s", "d")
 
 
-def run_kernel(num_workers: int, num_tasks: int, pairs):
-    # Same node layout as MCFLTCSolver: source 0, sink 1, then tasks, then
-    # workers.  Low task ids make Dijkstra's node-id tie-breaking pop
-    # zero-distance task nodes (and then the sink) before exploring more of
-    # the worker frontier.
+def build_arena(num_workers: int, num_tasks: int, pairs):
+    """The case as an arena and its topological order.
+
+    Same node layout as MCFLTCSolver: source 0, sink 1, then tasks, then
+    workers.  Low task ids make Dijkstra's node-id tie-breaking pop
+    zero-distance task nodes (and then the sink) before exploring more of
+    the worker frontier.
+    """
     arena = ArcArena(2)  # 0 = source, 1 = sink
     task_base = arena.add_nodes(num_tasks)
     worker_base = arena.add_nodes(num_workers)
@@ -98,9 +107,20 @@ def run_kernel(num_workers: int, num_tasks: int, pairs):
         + list(range(task_base, task_base + num_tasks))
         + [1]
     )
+    return arena, topo
+
+
+def run_kernel(num_workers: int, num_tasks: int, pairs):
+    arena, topo = build_arena(num_workers, num_tasks, pairs)
     potentials = dag_potentials(arena, 0, topo)
     result = solve_mcf(arena, 0, 1, potentials=potentials)
-    return result.flow_value, result.total_cost, result.augmentations
+    return result.flow_value, result.total_cost, result.augmentations, arena.flow
+
+
+def run_simplex(num_workers: int, num_tasks: int, pairs):
+    arena, topo = build_arena(num_workers, num_tasks, pairs)
+    result = solve_batch(arena, topo)
+    return result.flow_value, result.augmentations, result.fallback, arena.flow
 
 
 def bench_size(num_workers: int, repeats: int, seed: int):
@@ -109,15 +129,21 @@ def bench_size(num_workers: int, repeats: int, seed: int):
     runners = {
         "reference": lambda: run_reference(num_workers, num_tasks, pairs),
         "kernel": lambda: run_kernel(num_workers, num_tasks, pairs),
+        "simplex": lambda: run_simplex(num_workers, num_tasks, pairs),
     }
     times, outputs = _common.run_interleaved(runners, repeats)
 
     base_value, base_cost, base_augs = outputs["reference"]
-    value, cost, augs = outputs["kernel"]
+    value, cost, augs, flow = outputs["kernel"]
     if value != base_value or abs(cost - base_cost) > 1e-6:
         raise AssertionError(
             f"kernel disagrees with the reference at {num_workers} workers: "
             f"({value}, {cost}) vs ({base_value}, {base_cost})"
+        )
+    simplex_value, pivots, fallback, simplex_flow = outputs["simplex"]
+    if simplex_value != value or simplex_flow != flow:
+        raise AssertionError(
+            f"the simplex's flow differs from the kernel's at {num_workers} workers"
         )
 
     entry = {
@@ -129,6 +155,8 @@ def bench_size(num_workers: int, repeats: int, seed: int):
         "total_cost": base_cost,
         "augmentations": augs,
         "reference_augmentations": base_augs,
+        "pivots": pivots,
+        "fallback": fallback,
     }
     medians_s = {name: statistics.median(times[name]) for name in runners}
     for name in runners:
@@ -137,13 +165,16 @@ def bench_size(num_workers: int, repeats: int, seed: int):
     entry["kernel_speedup_vs_reference"] = _common.ratio(
         medians_s["reference"], medians_s["kernel"]
     )
+    entry["simplex_speedup_vs_kernel"] = _common.ratio(
+        medians_s["kernel"], medians_s["simplex"]
+    )
     return entry, medians_s
 
 
 def run_suite(args) -> SuiteResult:
     results = []
     fingerprint_cases = []
-    totals_s = {"reference": 0.0, "kernel": 0.0}
+    totals_s = {"reference": 0.0, "kernel": 0.0, "simplex": 0.0}
     for size in args.sizes:
         entry, medians_s = bench_size(size, args.repeats, args.seed)
         results.append(entry)
@@ -158,22 +189,31 @@ def run_suite(args) -> SuiteResult:
             "total_cost": round(entry["total_cost"], 9),
             "augmentations": entry["augmentations"],
             "reference_augmentations": entry["reference_augmentations"],
+            "pivots": entry["pivots"],
+            "fallback": entry["fallback"],
         })
         print(
             f"batch={entry['batch_workers']:>5}  tasks={entry['tasks']:>5}  "
             f"reference={entry['reference_ms_median']:>9.2f}ms  "
             f"kernel={entry['kernel_ms_median']:>9.2f}ms  "
-            f"speedup={entry['kernel_speedup_vs_reference']:>5.2f}x  "
-            f"augmentations={entry['augmentations']}"
+            f"simplex={entry['simplex_ms_median']:>9.2f}ms  "
+            f"augmentations={entry['augmentations']}  "
+            f"pivots={entry['pivots']}"
+            + ("  (fell back to the SSPA)" if entry["fallback"] else "")
         )
     speedup = _common.ratio(totals_s["reference"], totals_s["kernel"])
+    simplex_speedup = _common.ratio(totals_s["kernel"], totals_s["simplex"])
     sections = {
         "sparse": {
             "baseline": "reference",
             "timings_ms": {
                 impl: round(value * 1000, 3) for impl, value in totals_s.items()
             },
-            "speedups": {"kernel_vs_reference": speedup},
+            "speedups": {
+                "kernel_vs_reference": speedup,
+                "simplex_vs_kernel": simplex_speedup,
+            },
+            "fallbacks": sum(entry["fallback"] for entry in results),
             "cases": results,
         }
     }
@@ -188,7 +228,10 @@ def run_suite(args) -> SuiteResult:
     return SuiteResult(
         config=config,
         sections=sections,
-        headline_speedups={"sparse_kernel_vs_reference": speedup},
+        headline_speedups={
+            "sparse_kernel_vs_reference": speedup,
+            "sparse_simplex_vs_kernel": simplex_speedup,
+        },
         fingerprint_payload=fingerprint_cases,
     )
 
@@ -206,9 +249,11 @@ SUITE = _common.register_suite(BenchSuite(
     description=(
         "Per-batch MCF-LTC flow solve: the array kernel (ArcArena + DAG "
         "potentials + solve_mcf) vs the pre-refactor object-graph SSPA "
-        "(Edge objects, dict adjacency, Bellman-Ford). Times are medians "
-        "over repeated interleaved build+solve runs; both implementations "
-        "are asserted to agree on every case."
+        "(Edge objects, dict adjacency, Bellman-Ford), and MCF-LTC's batch "
+        "entry (certified network simplex, SSPA fallback) vs the kernel. "
+        "Times are medians over repeated interleaved build+solve runs; the "
+        "kernel is asserted to agree with the reference on every case, and "
+        "the simplex with the kernel arc for arc."
     ),
     add_arguments=add_arguments,
     run=run_suite,

@@ -27,13 +27,25 @@ Implementation notes
   with :meth:`~repro.flow.kernel.ArcArena.truncate` and refreshes the
   task->sink capacities from the arrangement's accumulated quality, instead
   of rebuilding the network from scratch.
-* Because at zero flow the batch network is a 3-layer DAG
-  (source -> workers -> tasks -> sink), initial Johnson potentials come
-  from :func:`~repro.flow.kernel.dag_potentials` in one O(E) pass; the
-  O(V*E) Bellman-Ford of the generic path is never run.
-* Determinism among cost-equal optimal flows comes from the kernel's
+* Each batch goes through :func:`solve_mcf`, which runs the primal
+  network simplex of :mod:`repro.flow.simplex` first.  At zero flow the
+  batch network is a 3-layer DAG (source -> workers -> tasks -> sink), so
+  the simplex starts from a strongly feasible tree of real arcs, and the
+  SSPA fallback takes its initial Johnson potentials from
+  :func:`~repro.flow.kernel.dag_potentials` in one O(E) pass; the O(V*E)
+  Bellman-Ford of the generic path is never run.
+* Determinism among cost-equal optimal flows comes from the kernel SSPA's
   stable tie-breaking (arc-insertion order; workers are inserted in
   arrival order, tasks ascending by id), not from perturbing the costs.
+  The simplex may pick a different one of several cost-equal optima, so
+  its flow is applied only when the uniqueness certificate shows the
+  optimum is unique (no residual cycle within
+  :data:`~repro.flow.simplex.UNIQUE_MARGIN` of zero cost); otherwise the
+  batch is re-solved by the SSPA and counted in
+  ``extra["flow_fallbacks"]``.  A batch in which many workers are
+  indifferent between tasks at that margin (:data:`TIE_PRONE_SHARE`)
+  skips the simplex and is counted in ``extra["flow_tie_prone"]``.
+  Either way the arrangement is the one the SSPA alone would give.
 * The first batch uses ``floor(1.5 m)`` workers and subsequent batches
   ``floor(m)`` workers with ``m = |T| * ceil(delta) / K``, exactly as in the
   pseudo-code.
@@ -42,6 +54,7 @@ Implementation notes
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.algorithms.base import OfflineSolver, SolveResult
@@ -50,11 +63,63 @@ from repro.core.candidates import CandidateFinder
 from repro.core.instance import LTCInstance
 from repro.core.task import Task
 from repro.core.worker import Worker
-from repro.flow.kernel import ArcArena, dag_potentials, solve_mcf
+from repro.flow import kernel
+from repro.flow.kernel import ArcArena, dag_potentials
+from repro.flow.simplex import indifferent_share, network_simplex
 from repro.structures.topk import TopKHeap
 
 _SOURCE = 0
 _SINK = 1
+
+#: A batch in which at least this share of the workers with two or more
+#: candidate tasks are indifferent between two of them (costs within
+#: :data:`~repro.flow.simplex.UNIQUE_MARGIN`) goes straight to the SSPA.
+#: Close to a task the sigmoid accuracy saturates, so a worker's costs to
+#: its nearby tasks differ by about 1e-12.  On the e2e instances with
+#: 500 arcs or more, ``paper_dense`` batches measured 0.145-0.39 and 12%
+#: of them failed the certificate, a seed-dependent share that paid for
+#: both solvers; ``paper_sparse`` batches measured at most 0.065 and
+#: almost never failed.  The routing never changes the flow, only which
+#: exact solver finds it.
+TIE_PRONE_SHARE = 0.1
+
+
+@dataclass(frozen=True, slots=True)
+class BatchFlow:
+    """One batch's flow solve, as :func:`solve_mcf` reports it."""
+
+    #: Units routed from the source to the sink.
+    flow_value: int
+    #: Simplex pivots, or SSPA augmentations when the SSPA solved it.
+    augmentations: int
+    #: Whether the uniqueness certificate failed and the SSPA re-solved.
+    fallback: bool
+    #: Whether the batch was tie-prone and went straight to the SSPA.
+    tie_prone: bool = False
+
+
+def solve_mcf(arena: ArcArena, topo_order: Sequence[int]) -> BatchFlow:
+    """Min-cost max-flow of one batch network, left in ``arena.flow``.
+
+    A tie-prone batch (:data:`TIE_PRONE_SHARE`) is solved by the SSPA
+    alone.  Any other batch goes to the network simplex, whose flow is
+    kept when its optimum is unique (certified to
+    :data:`~repro.flow.simplex.UNIQUE_MARGIN`); otherwise the SSPA
+    re-solves from zero flow.  The SSPA runs
+    :func:`~repro.flow.kernel.dag_potentials`, then
+    :func:`~repro.flow.kernel.solve_mcf`, and its tie-breaking picks the
+    flow among the cost-equal optima.
+    """
+    tie_prone = indifferent_share(arena, _SOURCE) >= TIE_PRONE_SHARE
+    result = None if tie_prone else network_simplex(arena, _SOURCE, _SINK, topo_order)
+    if result is None:
+        potentials = dag_potentials(arena, _SOURCE, topo_order)
+        sspa = kernel.solve_mcf(arena, _SOURCE, _SINK, potentials=potentials)
+        return BatchFlow(sspa.flow_value, sspa.augmentations, not tie_prone, tie_prone)
+    return BatchFlow(result.flow_value, result.augmentations, False)
+
+
+_NO_FLOW = BatchFlow(0, 0, False)
 
 
 class MCFLTCSolver(OfflineSolver):
@@ -110,15 +175,20 @@ class MCFLTCSolver(OfflineSolver):
         position = 0
         batches = 0
         total_flow = 0
+        fallbacks = 0
+        tie_prone = 0
         while position < len(workers) and not arrangement.is_complete():
             size = first_batch_size if batches == 0 else batch_size
             batch = workers[position:position + size]
             position += len(batch)
             batches += 1
-            total_flow += self._solve_batch(
+            flow = self._solve_batch(
                 instance, arrangement, candidates, batch,
                 arena, watermark, task_nodes, task_sink_arcs,
             )
+            total_flow += flow.flow_value
+            fallbacks += flow.fallback
+            tie_prone += flow.tie_prone
             self._greedy_fill(instance, arrangement, candidates, batch)
 
         return SolveResult(
@@ -130,6 +200,8 @@ class MCFLTCSolver(OfflineSolver):
             extra={
                 "batches": float(batches),
                 "flow_units": float(total_flow),
+                "flow_fallbacks": float(fallbacks),
+                "flow_tie_prone": float(tie_prone),
                 "batch_size": float(batch_size),
             },
         )
@@ -146,10 +218,10 @@ class MCFLTCSolver(OfflineSolver):
         watermark: Tuple[int, int],
         task_nodes: Dict[int, int],
         task_sink_arcs: Sequence[Tuple[int, int]],
-    ) -> int:
+    ) -> BatchFlow:
         """Run the MCF reduction for one batch and apply the resulting flow."""
         if not batch or arrangement.is_complete():
-            return 0
+            return _NO_FLOW
 
         # Reuse the arena: drop the previous batch's worker nodes/arcs and
         # refresh how many more useful answers each task can absorb.
@@ -183,16 +255,15 @@ class MCFLTCSolver(OfflineSolver):
             )
             pair_arcs.append((worker, task, arc))
         if not pair_arcs:
-            return 0
+            return _NO_FLOW
 
         # The zero-flow batch network is a source -> workers -> tasks -> sink
-        # DAG, so one O(E) pass over that order replaces Bellman-Ford.
+        # DAG; both solvers take that order.
         topo_order = [_SOURCE]
         topo_order += worker_nodes
         topo_order += task_nodes.values()
         topo_order.append(_SINK)
-        potentials = dag_potentials(arena, _SOURCE, topo_order)
-        result = solve_mcf(arena, _SOURCE, _SINK, potentials=potentials)
+        result = solve_mcf(arena, topo_order)
 
         # Apply every unit of flow on a worker->task arc as an assignment,
         # retiring each task the moment its quality threshold is reached.
@@ -202,7 +273,7 @@ class MCFLTCSolver(OfflineSolver):
                 arrangement.assign(worker, task)
                 if arrangement.is_task_complete(task.task_id):
                     candidates.retire_tasks((task.task_id,))
-        return result.flow_value
+        return result
 
     def _greedy_fill(
         self,

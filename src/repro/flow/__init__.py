@@ -3,7 +3,8 @@
 MCF-LTC (Algorithm 1 in the paper) reduces each batch of workers to a
 minimum-cost-flow instance and solves it with the Successive Shortest Path
 Algorithm (SSPA).  This package implements that substrate from scratch,
-around a flat array kernel:
+around a flat array kernel, and adds a faster exact solver whose result
+is used only when it provably equals the SSPA's:
 
 * :class:`ArcArena` / :func:`solve_mcf` — the kernel: parallel
   ``head``/``cost``/``cap``/``flow`` arrays indexed by arc id, residual
@@ -12,8 +13,15 @@ around a flat array kernel:
   come from :func:`bellman_ford_potentials` (general graphs) or
   :func:`dag_potentials` (one O(E) pass for the LTC reduction's 3-layer
   DAG).
+* :func:`network_simplex` (:mod:`repro.flow.simplex`) — a primal network
+  simplex over the same arena for DAG-shaped networks at zero flow.  It
+  writes its flow back only when a uniqueness certificate shows the
+  optimum is unique to within :data:`~repro.flow.simplex.UNIQUE_MARGIN`,
+  and returns ``None`` otherwise, so the SSPA's tie-breaking still
+  decides among cost-equal optima.  :func:`indifferent_share` tells how
+  likely that is to happen before the simplex runs.
 * :func:`validate_arena_flow` — independent
-  verification of capacity/conservation constraints, used by the
+  verification of capacity/conservation/twin constraints, used by the
   test-suite and by debugging assertions.
 * :mod:`repro.flow.reference` — the pre-kernel object-graph SSPA, retained
   as a differential-testing oracle and benchmark baseline (not re-exported
@@ -27,6 +35,7 @@ from repro.flow.kernel import (
     dag_potentials,
     solve_mcf,
 )
+from repro.flow.simplex import indifferent_share, network_simplex
 from repro.flow.validate import validate_arena_flow, FlowViolation
 from repro.flow.exceptions import (
     FlowError,
@@ -40,6 +49,8 @@ __all__ = [
     "bellman_ford_potentials",
     "dag_potentials",
     "solve_mcf",
+    "network_simplex",
+    "indifferent_share",
     "validate_arena_flow",
     "FlowViolation",
     "FlowError",

@@ -3,8 +3,10 @@
 The kernel in :mod:`repro.flow.kernel` maintains its own invariants, but
 tests and debugging assertions want an *independent* check that a computed
 flow is feasible: capacities respected, flow conserved at every node except
-the source and sink, and the claimed flow value consistent with the
-source's net outflow.
+the source and sink, the claimed flow value consistent with the source's
+net outflow, and every residual twin holding its forward arc's negated
+flow (a solver that writes flows back must keep both in lockstep, or the
+next solve on the arena reads a corrupt residual graph).
 """
 
 from __future__ import annotations
@@ -34,8 +36,9 @@ def validate_arena_flow(
 ) -> List[FlowViolation]:
     """Constraint violations of the arena's current flow (empty = feasible).
 
-    Walks the forward (even) arcs once, accumulating per-node net outflow.
-    When ``expected_value`` is given, the source's net outflow must equal it.
+    Walks the forward (even) arcs once, accumulating per-node net outflow
+    and checking each twin (``flow[arc ^ 1] == -flow[arc]``).  When
+    ``expected_value`` is given, the source's net outflow must equal it.
     """
     violations: List[FlowViolation] = []
     head, cap, flow = graph.head, graph.cap, graph.flow
@@ -56,6 +59,13 @@ def validate_arena_flow(
                     "capacity",
                     f"{tail}->{head[arc]}: flow {units} > "
                     f"capacity {cap[arc]}",
+                )
+            )
+        if flow[arc ^ 1] != -units:
+            violations.append(
+                FlowViolation(
+                    "twin",
+                    f"{tail}->{head[arc]}: flow {units}, twin {flow[arc ^ 1]}",
                 )
             )
         net[tail] += units

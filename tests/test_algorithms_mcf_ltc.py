@@ -7,9 +7,11 @@ import pytest
 from repro.algorithms.baselines import BaseOffSolver
 from repro.algorithms.mcf_ltc import MCFLTCSolver
 from repro.core.accuracy import ConstantAccuracy, TabularAccuracy
+from repro.core.examples import running_example_instance
 from repro.core.instance import LTCInstance
 from repro.core.task import Task
 from repro.core.worker import Worker
+from repro.experiments import get_experiment
 from repro.geo.point import Point
 
 
@@ -104,6 +106,30 @@ class TestSolving:
         result = MCFLTCSolver().solve(instance)
         assert result.completed
         assert result.max_latency == 2
+
+
+class TestFlowFallbacks:
+    def test_table_one_ties_are_solved_by_the_sspa(self):
+        # Table I repeats accuracies, so some batch has cost-equal optima:
+        # it is tie-prone, or the certificate fails on it.
+        extra = MCFLTCSolver().solve(running_example_instance()).extra
+        by_sspa = extra["flow_fallbacks"] + extra["flow_tie_prone"]
+        assert 1 <= by_sspa <= extra["batches"]
+
+    def test_the_paper_default_regime_needs_no_fallback(self):
+        factory = get_experiment("fig4_epsilon").instance_factory(0.05)
+        result = MCFLTCSolver().solve(factory(0.14, 0))
+        assert result.extra["batches"] > 1
+        assert result.extra["flow_fallbacks"] == 0
+        assert result.extra["flow_tie_prone"] == 0
+
+    def test_saturated_dense_batches_go_straight_to_the_sspa(self):
+        # |T| = 50,000 at this scale puts workers close to many tasks, where
+        # the sigmoid saturates and a worker's costs differ by ~1e-12.
+        factory = get_experiment("fig4_scalability").instance_factory(0.0025)
+        extra = MCFLTCSolver().solve(factory(50_000, 0)).extra
+        assert extra["flow_tie_prone"] == extra["batches"] > 1
+        assert extra["flow_fallbacks"] == 0
 
 
 class TestAgainstBaseline:

@@ -522,6 +522,15 @@ class TestValidateArenaFlow:
             "value"
         ]
 
+    def test_a_drifted_twin_is_its_own_violation(self):
+        rng = random.Random(3)
+        arena, _ = random_network(rng, num_nodes=8, num_edges=18)
+        value = solve_mcf(arena, 0, 7).flow_value
+        arc = next(a for a in arena.forward_arcs() if arena.flow[a])
+        arena.flow[arc ^ 1] += 1  # the forward flow is left as solved
+        violations = validate_arena_flow(arena, 0, 7, expected_value=value)
+        assert [v.kind for v in violations] == ["twin"]
+
     @pytest.mark.parametrize("seed", range(6))
     def test_one_unit_off_on_any_arc_of_a_solved_flow_is_detected(self, seed):
         rng = random.Random(seed)
