@@ -31,9 +31,10 @@ slightly different output schema.  This module centralises all of it:
 Sections come in two shapes.  A **timed** section names its baseline
 implementation and carries ``timings_ms`` (median wall-milliseconds per
 implementation) plus ``speedups`` (``"<impl>_vs_<baseline>"`` ratio
-keys); an **observational** section (shed rates, TTL trade-offs — things
-with no faster/slower axis) carries a ``metrics`` dict instead and is
-exempt from the ratio gate.
+keys); an **observational** section (shed rates, TTL trade-offs, the
+paper's figure series — things with no faster/slower axis) carries a
+``metrics`` dict instead and is exempt from the ratio gate.  A suite made
+only of observational sections (``figures``) has no headline speedups.
 """
 
 from __future__ import annotations
@@ -368,6 +369,7 @@ def validate_report(report: object, *, consolidated: bool = False) -> List[str]:
                 problems.append(f"'environment' is missing {key!r}")
 
     sections = expect("sections", dict)
+    any_timed = False
     if sections is not None:
         if not sections:
             problems.append("'sections' must be non-empty")
@@ -376,6 +378,7 @@ def validate_report(report: object, *, consolidated: bool = False) -> List[str]:
                 problems.append(f"section {section_name!r} must be an object")
                 continue
             timed = "baseline" in section or "timings_ms" in section
+            any_timed = any_timed or timed
             if timed:
                 baseline = section.get("baseline")
                 timings = section.get("timings_ms")
@@ -415,7 +418,10 @@ def validate_report(report: object, *, consolidated: bool = False) -> List[str]:
 
     headline = expect("headline_speedups", dict)
     if headline is not None:
-        if not headline:
+        # A suite of observational sections has nothing to speed up; a
+        # report with a timed section (and any consolidated one) must
+        # name its headline ratios.
+        if not headline and (consolidated or any_timed):
             problems.append("'headline_speedups' must be non-empty")
         bad = [k for k, v in headline.items() if not _is_number(v)]
         if bad:

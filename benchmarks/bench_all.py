@@ -1,13 +1,16 @@
 """Unified benchmark orchestrator with a perf-regression gate.
 
-Runs every registered microbenchmark suite (``flow_kernel``,
-``candidates``, ``dynamic_sessions``, ``dispatch_scale``,
-``resilience`` — each a thin module over :mod:`_common`) through one
+Runs every registered benchmark suite (the microbenchmarks
+``flow_kernel``, ``candidates``, ``dynamic_sessions``,
+``dispatch_scale`` and ``resilience``, and ``figures``, the paper's ten
+experiments — each a thin module over :mod:`_common`) through one
 command and emits one
 consolidated report in the shared schema: per-section median timings and
-speedups-vs-named-baseline under ``"<suite>.<section>"`` keys, per-suite
-exactness fingerprints, and one environment block (python/numpy
-versions, CPU count, git SHA).
+speedups-vs-named-baseline (or observational metrics) under
+``"<suite>.<section>"`` keys, per-suite exactness fingerprints, and one
+environment block (python/numpy versions, CPU count, git SHA).
+``scripts/build_experiments_md.py`` renders EXPERIMENTS.md from the
+``figures`` sections.
 
 Before running anything it verifies prerequisites: numpy importable,
 the output directory writable, and — under ``--check`` — the baseline
@@ -57,6 +60,7 @@ import bench_candidates  # noqa: F401
 import bench_dynamic_sessions  # noqa: F401
 import bench_dispatch_scale  # noqa: F401
 import bench_resilience  # noqa: F401
+import bench_figures  # noqa: F401
 
 DESCRIPTION = (
     "One consolidated run of every registered microbenchmark suite: "

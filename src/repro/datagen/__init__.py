@@ -10,7 +10,7 @@ Two generators mirror the paper's evaluation data:
   spirit of Table V (New York / Tokyo): clustered hotspots, chronologically
   ordered check-ins, POI tasks constrained to the convex hull of the
   check-ins.  It substitutes the real dataset, which cannot be shipped; see
-  DESIGN.md section 4 for the substitution rationale.
+  EXPERIMENTS.md ("Modelling decisions") for the substitution rationale.
 
 Every generator is deterministic given a seed.
 """

@@ -29,7 +29,7 @@ from typing import List, Optional
 from repro.experiments.configs import get_experiment, list_experiments
 from repro.experiments.harness import run_experiment
 from repro.experiments.paper_reference import PAPER_EXPECTATIONS
-from repro.experiments.report import render_table
+from repro.experiments.report import render_claims, render_table
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -98,12 +98,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             print("\n(no paper expectation registered for this experiment)")
         else:
             problems = expectation.check(table)
+            print("\n" + render_claims(expectation, problems,
+                                       expectation.paired_outcomes(table)))
             if problems:
-                print("\nDeviations from the paper's qualitative claims:")
-                for problem in problems:
-                    print(f"  - {problem}")
                 return 1
-            print("\nMeasured shapes match the paper's qualitative claims.")
     return 0
 
 

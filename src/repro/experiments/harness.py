@@ -2,7 +2,9 @@
 
 :func:`run_experiment` resolves an experiment id, builds its runner and
 returns the populated :class:`~repro.simulation.results.ResultTable`.  The
-CLI and the benchmark files are thin wrappers over this function.
+``repro-experiments`` CLI and the ``figures`` benchmark suite
+(``benchmarks/bench_figures.py``, which EXPERIMENTS.md is rendered from)
+both call this function.
 
 Solver configuration is fully declarative: ``algorithms`` accepts registry
 names and parameterized spec strings (``"MCF-LTC?batch_multiplier=2.0"``)

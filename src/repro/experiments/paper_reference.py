@@ -4,9 +4,10 @@ The paper's figures are plots without exact numbers, so the reproduction
 target is the *shape* of each panel: which algorithm wins, how the metric
 moves along the sweep, and the coarse ordering between algorithm families.
 Each :class:`PanelExpectation` captures those claims for one experiment and
-offers a ``check`` method that the EXPERIMENTS.md generator and the
-integration tests use to compare a measured :class:`ResultTable` against the
-paper.
+offers a ``check`` method that the ``figures`` benchmark suite, the
+``repro-experiments --check`` CLI and the integration tests use to compare a
+measured :class:`ResultTable` against the paper.  ``paired_outcomes`` adds
+the instance-by-instance view of the same latency claims.
 
 The expectations intentionally allow slack (e.g. "AAM is never worse than
 Random by more than 5%") because individual repetitions of a randomised
@@ -58,6 +59,38 @@ class PanelExpectation:
         problems.extend(self._check_trend(table))
         problems.extend(self._check_runtime(table))
         return problems
+
+    def paired_outcomes(self, table: ResultTable) -> Dict[str, Dict[str, int]]:
+        """Wins, ties and losses of ``a`` against ``b`` per ``latency_better`` pair.
+
+        The runner solves every algorithm on the same instance of each
+        (sweep value, repetition), so the two latencies of an instance pair
+        up.  A win means ``a``'s latency is strictly lower.  Keys read
+        ``"a vs b"``; pairs with an algorithm missing from the table are
+        left out, as in :meth:`check`.
+        """
+        latencies: Dict[Tuple[float, int], Dict[str, float]] = {}
+        for record in table.records:
+            instance = (record.sweep_value, record.repetition)
+            latencies.setdefault(instance, {})[record.algorithm] = record.max_latency
+        present = set(table.algorithms())
+        outcomes: Dict[str, Dict[str, int]] = {}
+        for better, worse in self.latency_better:
+            if better not in present or worse not in present:
+                continue
+            counts = {"wins": 0, "ties": 0, "losses": 0}
+            for by_algorithm in latencies.values():
+                if better not in by_algorithm or worse not in by_algorithm:
+                    continue
+                ours, theirs = by_algorithm[better], by_algorithm[worse]
+                if ours < theirs:
+                    counts["wins"] += 1
+                elif ours == theirs:
+                    counts["ties"] += 1
+                else:
+                    counts["losses"] += 1
+            outcomes[f"{better} vs {worse}"] = counts
+        return outcomes
 
     def _mean_over_sweep(self, table: ResultTable, metric: str) -> Dict[str, float]:
         series = table.mean_series(metric)

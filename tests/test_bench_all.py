@@ -87,6 +87,73 @@ def test_suite_namespace_applies_smoke_overrides():
     assert capped.repeats == 1
 
 
+def test_list_shows_every_suite(capsys):
+    assert bench_all.main(["--list"]) == 0
+    listed = [line.split()[0] for line in
+              capsys.readouterr().out.splitlines()[1:]]
+    assert listed == ["candidates", "dispatch_scale", "dynamic_sessions",
+                      "figures", "flow_kernel", "resilience"]
+
+
+def test_figures_config_is_its_two_repetition_counts():
+    suite = _common.get_suite("figures")
+    full = _common.suite_namespace(suite, repeats=3)
+    smoke = _common.suite_namespace(suite, smoke=True)
+    # --repeats times implementations; it does not change the paper's
+    # repetition count (and with it the fingerprint).
+    assert vars(full) == {"repetitions": 30, "memory_repetitions": 1}
+    assert vars(smoke) == {"repetitions": 1, "memory_repetitions": 0}
+
+
+def _fake_figure_tables(monkeypatch, memory_latency):
+    """Make ``bench_figures`` run a two-record fake of one experiment."""
+    import bench_figures
+    from repro.simulation.results import ExperimentRecord, ResultTable
+
+    def fake_run_experiment(experiment_id, repetitions, track_memory):
+        table = ResultTable(experiment_id, "x")
+        for repetition in range(repetitions):
+            for algorithm, latency in (("AAM", 5.0), ("LAF", 7.0)):
+                if track_memory and algorithm == "LAF":
+                    latency = memory_latency
+                table.add(ExperimentRecord(
+                    experiment_id=experiment_id, sweep_parameter="x",
+                    sweep_value=1.0, algorithm=algorithm,
+                    repetition=repetition, max_latency=latency,
+                    completed=True, runtime_seconds=0.5,
+                    peak_memory_mb=2.0 if track_memory else 0.0,
+                ))
+        return table
+
+    monkeypatch.setattr(bench_figures, "run_experiment", fake_run_experiment)
+    return bench_figures
+
+
+def test_figures_section_holds_series_claims_and_paired_outcomes(monkeypatch):
+    bench_figures = _fake_figure_tables(monkeypatch, memory_latency=7.0)
+    section, witness = bench_figures.run_figure("ablation_aam_switch", 2, 1)
+    metrics = section["metrics"]
+    assert metrics["series"] == {
+        "max_latency": {"AAM": [(1.0, 5.0)], "LAF": [(1.0, 7.0)]},
+        "runtime_seconds": {"AAM": [(1.0, 0.5)], "LAF": [(1.0, 0.5)]},
+        "peak_memory_mb": {"AAM": [(1.0, 2.0)], "LAF": [(1.0, 2.0)]},
+    }
+    assert metrics["paired_outcomes"] == {
+        "AAM vs LAF": {"wins": 2, "ties": 0, "losses": 0},
+    }
+    assert metrics["deviations"] == []
+    assert witness == [[1.0, 0, "AAM", 5.0, True], [1.0, 0, "LAF", 7.0, True],
+                       [1.0, 1, "AAM", 5.0, True], [1.0, 1, "LAF", 7.0, True]]
+    section, _ = bench_figures.run_figure("ablation_aam_switch", 1, 0)
+    assert "peak_memory_mb" not in section["metrics"]["series"]
+
+
+def test_figures_memory_pass_must_match_the_timing_pass(monkeypatch):
+    bench_figures = _fake_figure_tables(monkeypatch, memory_latency=8.0)
+    with pytest.raises(AssertionError, match="memory pass"):
+        bench_figures.run_figure("ablation_aam_switch", 2, 1)
+
+
 def test_bench_all_only_rejects_unknown_suite(capsys):
     assert bench_all.main(["--only", "flowkernel"]) == 2
     assert "did you mean 'flow_kernel'?" in capsys.readouterr().err

@@ -121,3 +121,29 @@ def test_validate_report_rejects_broken_reports():
     # A consolidated report must namespace sections and carry per-suite
     # fingerprints; a single-suite report fails the consolidated check.
     assert _common.validate_report(good, consolidated=True) != []
+
+
+def test_observational_only_report_needs_no_headline():
+    """A suite with nothing timed has no speedup to headline."""
+    report = dict(
+        _single_suite_report("flow_kernel"),
+        sections={"panel": {"metrics": {"latency": [1, 2]}}},
+        headline_speedups={},
+    )
+    assert _common.validate_report(report) == []
+
+
+def test_timed_report_without_headline_still_fails():
+    report = dict(_single_suite_report("flow_kernel"), headline_speedups={})
+    assert "'headline_speedups' must be non-empty" in _common.validate_report(report)
+    # Adding an observational section does not excuse the timed ones.
+    report["sections"] = dict(report["sections"],
+                              panel={"metrics": {"latency": [1, 2]}})
+    assert "'headline_speedups' must be non-empty" in _common.validate_report(report)
+
+
+def test_consolidated_report_without_headline_still_fails():
+    report = json.loads(_common.SMOKE_BASELINE.read_text())
+    report["headline_speedups"] = {}
+    assert ("'headline_speedups' must be non-empty"
+            in _common.validate_report(report, consolidated=True))

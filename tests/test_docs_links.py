@@ -42,6 +42,8 @@ def test_docs_exist():
     assert (REPO_ROOT / "docs" / "sessions.md").is_file()
     assert (REPO_ROOT / "docs" / "dispatch.md").is_file()
     assert (REPO_ROOT / "docs" / "benchmarks.md").is_file()
+    # The paper-vs-measured record that the code and examples cite.
+    assert (REPO_ROOT / "EXPERIMENTS.md").is_file()
     # README + index + the six subsystem docs, all in the link matrix.
     assert len(DOC_FILES) >= 8
 

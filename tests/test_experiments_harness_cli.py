@@ -118,3 +118,15 @@ class TestCLI:
         output = capsys.readouterr().out
         assert "Max index of worker" in output
         assert "LAF" in output and "AAM" in output
+
+    def test_check_prints_claims_with_paired_outcomes(self, capsys):
+        exit_code = main([
+            "fig3_tasks", "--scale", "0.004", "--repetitions", "2",
+            "--algorithms", "AAM", "Random", "--no-memory", "--quiet",
+            "--check",
+        ])
+        output = capsys.readouterr().out
+        assert "Claims checked (sweep means, 5% slack):" in output
+        assert "- AAM latency <= Random (paired over 10 instances: " in output
+        assert "- MCF-LTC latency <= Base-off (not both run)" in output
+        assert exit_code == (0 if "Measured shapes match" in output else 1)

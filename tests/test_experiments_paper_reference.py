@@ -119,3 +119,68 @@ class TestRegisteredExpectations:
     def test_task_sweeps_expect_increasing_latency(self):
         assert PAPER_EXPECTATIONS["fig3_tasks"].latency_trend == "increasing"
         assert PAPER_EXPECTATIONS["fig4_scalability"].latency_trend == "increasing"
+
+
+class TestPairedOutcomes:
+    @staticmethod
+    def paired_table(latencies):
+        """``{(x, repetition): {algorithm: latency}}`` as a ResultTable."""
+        table = ResultTable("exp", "x")
+        for (x, repetition), by_algorithm in latencies.items():
+            for algorithm, latency in by_algorithm.items():
+                table.add(ExperimentRecord(
+                    experiment_id="exp", sweep_parameter="x", sweep_value=x,
+                    algorithm=algorithm, repetition=repetition,
+                    max_latency=latency, completed=True,
+                    runtime_seconds=0.1, peak_memory_mb=1.0,
+                ))
+        return table
+
+    def test_counts_wins_ties_and_losses_per_instance(self):
+        # Six instances: AAM lower on 3, equal on 2, higher on 1.  The sweep
+        # means (AAM 105 vs Random 113.3) would hide the loss.
+        table = self.paired_table({
+            (1, 0): {"AAM": 90, "Random": 100},
+            (1, 1): {"AAM": 80, "Random": 120},
+            (1, 2): {"AAM": 100, "Random": 100},
+            (2, 0): {"AAM": 110, "Random": 140},
+            (2, 1): {"AAM": 120, "Random": 120},
+            (2, 2): {"AAM": 130, "Random": 100},
+        })
+        expectation = PanelExpectation(
+            experiment_id="exp", latency_better=[("AAM", "Random")],
+            runtime_slowest=None,
+        )
+        assert expectation.paired_outcomes(table) == {
+            "AAM vs Random": {"wins": 3, "ties": 2, "losses": 1},
+        }
+        assert expectation.check(table) == []
+
+    def test_each_pair_is_counted_from_its_own_side(self):
+        table = self.paired_table({
+            (1, 0): {"AAM": 90, "LAF": 95, "Random": 100},
+            (1, 1): {"AAM": 90, "LAF": 90, "Random": 80},
+        })
+        expectation = PanelExpectation(
+            experiment_id="exp",
+            latency_better=[("AAM", "Random"), ("LAF", "AAM")],
+            runtime_slowest=None,
+        )
+        assert expectation.paired_outcomes(table) == {
+            "AAM vs Random": {"wins": 1, "ties": 0, "losses": 1},
+            "LAF vs AAM": {"wins": 0, "ties": 1, "losses": 1},
+        }
+
+    def test_instances_missing_an_algorithm_are_skipped(self):
+        table = self.paired_table({
+            (1, 0): {"AAM": 90, "Random": 100},
+            (2, 0): {"AAM": 90},
+        })
+        expectation = PanelExpectation(
+            experiment_id="exp",
+            latency_better=[("AAM", "Random"), ("AAM", "MCF-LTC")],
+            runtime_slowest=None,
+        )
+        assert expectation.paired_outcomes(table) == {
+            "AAM vs Random": {"wins": 1, "ties": 0, "losses": 0},
+        }

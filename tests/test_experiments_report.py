@@ -1,6 +1,12 @@
 """Tests for the textual experiment report rendering."""
 
-from repro.experiments.report import render_series, render_summary, render_table
+from repro.experiments.report import (
+    render_claims,
+    render_mean_series,
+    render_series,
+    render_summary,
+    render_table,
+)
 from repro.simulation.results import ExperimentRecord, ResultTable
 
 
@@ -70,3 +76,42 @@ class TestRenderTableAndSummary:
         tables["b_exp"].experiment_id = "fig_demo"
         text = render_summary({"a": small_table(), "b": small_table()})
         assert text.index("=== a ===") < text.index("=== b ===")
+
+
+class TestRenderClaims:
+    def expectation(self, **kwargs):
+        from repro.experiments.paper_reference import PanelExpectation
+
+        defaults = dict(experiment_id="fig_demo",
+                        latency_better=[("AAM", "LAF")],
+                        latency_trend="increasing", trend_algorithms=("AAM",))
+        return PanelExpectation(**{**defaults, **kwargs})
+
+    def test_latency_claims_carry_their_paired_outcomes(self):
+        text = render_claims(self.expectation(), [],
+                             {"AAM vs LAF": {"wins": 2, "ties": 1, "losses": 0}})
+        assert "Claims checked (sweep means, 5% slack):" in text
+        assert ("- AAM latency <= LAF (paired over 3 instances: "
+                "2 lower, 1 equal, 0 higher)") in text
+        assert "- AAM latency increasing over the sweep" in text
+        assert "- MCF-LTC has the largest mean runtime" in text
+        assert text.endswith("Measured shapes match the paper's qualitative claims.")
+
+    def test_deviations_are_listed_after_the_claims(self):
+        text = render_claims(self.expectation(), ["AAM lost"], {})
+        assert text.index("- AAM latency <= LAF (not both run)\n") < text.index(
+            "Deviations from the paper's qualitative claims:\n\n- AAM lost")
+
+    def test_a_panel_without_claims_says_so(self):
+        expectation = self.expectation(latency_better=(), latency_trend=None,
+                                       runtime_slowest=None)
+        assert render_claims(expectation, [], {}) == (
+            "No paper claims are recorded for this panel.")
+
+    def test_table_and_mean_series_render_identically(self):
+        # BENCH_all.json stores the series with lists for tuples.
+        table = small_table()
+        series = {algorithm: [list(point) for point in points]
+                  for algorithm, points in table.mean_series("max_latency").items()}
+        assert render_mean_series("fig_demo", "|T|", "max_latency", series) == (
+            render_series(table, "max_latency"))
