@@ -24,7 +24,13 @@ incrementally through the :class:`~repro.core.session.Session` protocol via
 :meth:`~repro.algorithms.base.Solver.open_session`.
 """
 
-from repro.algorithms.base import OfflineSolver, OnlineSolver, SolveResult, Solver
+from repro.algorithms.base import (
+    OfflineSolver,
+    OnlineSolver,
+    Selection,
+    SolveResult,
+    Solver,
+)
 from repro.algorithms.bounds import (
     latency_lower_bound,
     latency_upper_bound,
@@ -53,6 +59,7 @@ __all__ = [
     "Solver",
     "OfflineSolver",
     "OnlineSolver",
+    "Selection",
     "SolveResult",
     "SolverSpec",
     "SolverSpecLike",

@@ -37,12 +37,17 @@ from __future__ import annotations
 import heapq
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.algorithms.base import OnlineSolver
+from repro.algorithms.base import OnlineSolver, Selection
 from repro.core.arrangement import Arrangement, Assignment
 from repro.core.candidates import CandidateFinder
 from repro.core.instance import LTCInstance
 from repro.core.task import Task
 from repro.core.worker import Worker
+
+
+#: The engine's top-k mode for each greedy rule.  With no rule (no open
+#: task) there is nothing to rank, so any mode gives the empty top-k.
+_TOPK_MODE = {"lgf": "gain", "lrf": "need", "": "need"}
 
 
 class AAMSolver(OnlineSolver):
@@ -207,7 +212,7 @@ class AAMSolver(OnlineSolver):
             expired.append(task_id)
         if expired:
             arrangement.abandon_tasks(expired)
-            self._candidates.retire_tasks(expired)
+            self._candidates.retire_tasks(expired, expired=True)
             for task_id in expired:
                 position = position_of[task_id]
                 self._add_to_sum(-self._need[position])
@@ -216,16 +221,14 @@ class AAMSolver(OnlineSolver):
 
     # ---------------------------------------------------------------- observe
 
-    def observe(self, worker: Worker) -> List[Assignment]:
-        """Assign up to K tasks to ``worker`` using the LGF/LRF hybrid rule."""
-        if self._instance is None or self._arrangement is None or self._candidates is None:
-            raise RuntimeError("start() must be called before observe()")
+    def _rule(self) -> str:
+        """The greedy rule for the next worker: ``"lgf"``, ``"lrf"``, or
+        ``""`` when no task is open.  Reads the statistics, changes none."""
+        if self._uncompleted_count == 0:
+            return ""
         arrangement = self._arrangement
         instance = self._instance
-
         # "Average" work left per capacity unit vs. the single worst task.
-        if self._uncompleted_count == 0:
-            return []
         avg = self._remaining_sum / instance.capacity
         max_remain = self._current_max_remaining()
         # Knife-edge guard: the incremental sum can differ from the naive
@@ -252,15 +255,38 @@ class AAMSolver(OnlineSolver):
                 if not arrangement.is_task_complete(task.task_id)
                 and not arrangement.is_task_abandoned(task.task_id)
             ) / instance.capacity
-        use_lgf = avg >= max_remain
-        if use_lgf:
-            self._lgf_rounds += 1
-        else:
-            self._lrf_rounds += 1
+        return "lgf" if avg >= max_remain else "lrf"
 
-        picks = self._candidates.engine.topk(
-            worker, worker.capacity, "gain" if use_lgf else "need", self._need
+    def select(self, worker: Worker) -> Optional[Selection]:
+        """The LGF/LRF hybrid's picks for ``worker``, or ``None`` (see base)."""
+        if self._instance is None or self._arrangement is None or self._candidates is None:
+            raise RuntimeError("start() must be called before select()")
+        rule = self._rule()
+        picks = self._candidates.engine.probe(
+            worker, worker.capacity, _TOPK_MODE[rule], self._need
         )
+        return None if picks is None else Selection(picks, rule)
+
+    def observe(
+        self, worker: Worker, selection: Optional[Selection] = None
+    ) -> List[Assignment]:
+        """Assign up to K tasks to ``worker`` using the LGF/LRF hybrid rule."""
+        if self._instance is None or self._arrangement is None or self._candidates is None:
+            raise RuntimeError("start() must be called before observe()")
+        if selection is None:
+            rule = self._rule()
+            picks = []
+            if rule:
+                picks = self._candidates.engine.topk(
+                    worker, worker.capacity, _TOPK_MODE[rule], self._need
+                )
+        else:
+            picks, rule = selection
+        if rule == "lgf":
+            self._lgf_rounds += 1
+        elif rule == "lrf":
+            self._lrf_rounds += 1
+        arrangement = self._arrangement
         assignments: List[Assignment] = []
         for task in picks:
             assignments.append(arrangement.assign(worker, task))
@@ -283,20 +309,8 @@ class LGFOnlySolver(AAMSolver):
 
     name = "LGF-only"
 
-    def observe(self, worker: Worker) -> List[Assignment]:
-        arrangement = self.arrangement
-        candidates = self._candidates
-        assert candidates is not None
-        self._lgf_rounds += 1
-
-        picks = candidates.engine.topk(
-            worker, worker.capacity, "gain", self._need
-        )
-        assignments = []
-        for task in picks:
-            assignments.append(arrangement.assign(worker, task))
-            self._note_assignment(task.task_id)
-        return assignments
+    def _rule(self) -> str:
+        return "lgf"
 
 
 class LRFOnlySolver(AAMSolver):
@@ -304,17 +318,5 @@ class LRFOnlySolver(AAMSolver):
 
     name = "LRF-only"
 
-    def observe(self, worker: Worker) -> List[Assignment]:
-        arrangement = self.arrangement
-        candidates = self._candidates
-        assert candidates is not None
-        self._lrf_rounds += 1
-
-        picks = candidates.engine.topk(
-            worker, worker.capacity, "need", self._need
-        )
-        assignments = []
-        for task in picks:
-            assignments.append(arrangement.assign(worker, task))
-            self._note_assignment(task.task_id)
-        return assignments
+    def _rule(self) -> str:
+        return "lrf"

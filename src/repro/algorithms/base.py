@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional
 
 from repro.core.arrangement import Arrangement, Assignment
 from repro.core.instance import LTCInstance
@@ -115,6 +115,22 @@ class Solver(abc.ABC):
         return f"{type(self).__name__}(name={self.name!r})"
 
 
+class Selection(NamedTuple):
+    """An online solver's decision for one worker, made but not committed.
+
+    :meth:`OnlineSolver.select` returns it and
+    :meth:`OnlineSolver.observe` commits it, so a caller that needs the
+    decision before delivering (the dispatcher's routing probe) queries
+    the candidate engine once per worker, not twice.
+    """
+
+    #: The tasks ``observe`` assigns, in order (``Random`` draws from them).
+    tasks: List[Task]
+    #: The greedy rule that picked ``tasks`` (AAM's ``"lgf"`` or ``"lrf"``;
+    #: empty when no rule ran), for solvers that count rule rounds.
+    rule: str = ""
+
+
 class OfflineSolver(Solver):
     """A solver that may inspect the full worker sequence before deciding."""
 
@@ -175,8 +191,26 @@ class OnlineSolver(Solver):
         """Reset internal state for a new instance (tasks are now visible)."""
 
     @abc.abstractmethod
-    def observe(self, worker: Worker) -> List[Assignment]:
-        """Handle one arriving worker and return the assignments made for it."""
+    def select(self, worker: Worker) -> Optional[Selection]:
+        """Decide for ``worker`` without committing anything.
+
+        Returns ``None`` when the worker is eligible for no task that has
+        not expired — completed tasks count, so a worker near only
+        completed tasks still gets a (possibly empty) selection.  Must
+        have no side effect: the arrangement, the candidate snapshot,
+        counters and random state stay as they were.
+        """
+
+    @abc.abstractmethod
+    def observe(
+        self, worker: Worker, selection: Optional[Selection] = None
+    ) -> List[Assignment]:
+        """Handle one arriving worker and return the assignments made for it.
+
+        ``selection``, when given, is what :meth:`select` returned for this
+        worker with no mutation in between, and is committed as is;
+        otherwise the solver decides here.
+        """
 
     @property
     @abc.abstractmethod

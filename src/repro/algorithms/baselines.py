@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.algorithms.base import OfflineSolver, OnlineSolver, SolveResult
+from repro.algorithms.base import OfflineSolver, OnlineSolver, Selection, SolveResult
 from repro.core.arrangement import Arrangement, Assignment
 from repro.core.candidates import CandidateFinder
 from repro.core.instance import LTCInstance
@@ -126,11 +126,28 @@ class RandomOnlineSolver(OnlineSolver):
         self._arrangement.add_tasks(tasks)
         self._candidates.add_tasks(tasks)
 
-    def observe(self, worker: Worker) -> List[Assignment]:
+    def select(self, worker: Worker) -> Optional[Selection]:
+        """The nearby pool the draw picks from, or ``None`` when it is empty.
+
+        Random never retires a task, so the pool already holds every task
+        the worker is eligible for; the draw itself (and so the rng) waits
+        for :meth:`observe`.
+        """
+        if self._candidates is None:
+            raise RuntimeError("start() must be called before select()")
+        nearby = self._candidates.candidates(worker)
+        return Selection(nearby) if nearby else None
+
+    def observe(
+        self, worker: Worker, selection: Optional[Selection] = None
+    ) -> List[Assignment]:
         if self._instance is None or self._arrangement is None or self._candidates is None:
             raise RuntimeError("start() must be called before observe()")
         arrangement = self._arrangement
-        nearby = self._candidates.candidates(worker)
+        if selection is None:
+            nearby = self._candidates.candidates(worker)
+        else:
+            nearby = selection.tasks
         if self.skip_completed:
             nearby = [
                 task

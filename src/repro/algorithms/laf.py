@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.algorithms.base import OnlineSolver
+from repro.algorithms.base import OnlineSolver, Selection
 from repro.core.arrangement import Arrangement, Assignment
 from repro.core.candidates import CandidateFinder
 from repro.core.instance import LTCInstance
@@ -98,18 +98,31 @@ class LAFSolver(OnlineSolver):
             expired.append(task_id)
         if expired:
             arrangement.abandon_tasks(expired)
-            self._candidates.retire_tasks(expired)
+            self._candidates.retire_tasks(expired, expired=True)
         return expired
 
-    def observe(self, worker: Worker) -> List[Assignment]:
+    def select(self, worker: Worker) -> Optional[Selection]:
+        """The K largest-``Acc*`` uncompleted tasks, or ``None`` (see base)."""
+        if self._candidates is None:
+            raise RuntimeError("start() must be called before select()")
+        picks = self._candidates.engine.probe(worker, worker.capacity)
+        return None if picks is None else Selection(picks)
+
+    def observe(
+        self, worker: Worker, selection: Optional[Selection] = None
+    ) -> List[Assignment]:
         """Assign the K largest-``Acc*`` uncompleted tasks to ``worker``."""
         if self._instance is None or self._arrangement is None or self._candidates is None:
             raise RuntimeError("start() must be called before observe()")
         arrangement = self._arrangement
         candidates = self._candidates
+        if selection is None:
+            picks = candidates.engine.topk_acc_star(worker, worker.capacity)
+        else:
+            picks = selection.tasks
 
         assignments: List[Assignment] = []
-        for task in candidates.engine.topk_acc_star(worker, worker.capacity):
+        for task in picks:
             assignments.append(arrangement.assign(worker, task))
             if arrangement.is_task_complete(task.task_id):
                 candidates.retire_tasks((task.task_id,))

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.algorithms.base import OnlineSolver, Solver, SolveResult
+from repro.algorithms.base import OnlineSolver, Selection, Solver, SolveResult
 from repro.core.arrangement import Arrangement, Assignment
 from repro.core.instance import LTCInstance
 from repro.core.session import Session, SessionSnapshot, SessionStateError
@@ -72,14 +72,22 @@ class _SolverSession(Session):
             known.add(task.task_id)
             self._extra_tasks.append(task)
 
-    def on_worker(self, worker: Worker) -> List[Assignment]:
+    def on_worker(
+        self, worker: Worker, selection: Optional[Selection] = None
+    ) -> List[Assignment]:
+        """Feed one arrival; ``selection`` is a precomputed decision for it.
+
+        ``selection`` comes from :meth:`OnlineSolverSession.select` for
+        the same worker with no mutation in between; the solver commits
+        it instead of querying again.
+        """
         self._activate()
         # Count the arrival only after dispatch succeeds, so a worker the
         # session *rejects up front* (wrong stream, rebound solver) does not
         # desync it or inflate workers_observed.  If a solver's observe()
         # itself fails partway it may already have mutated its arrangement —
         # sessions make no transactional promise about mid-observe failures.
-        assignments = self._dispatch(worker)
+        assignments = self._dispatch(worker, selection)
         self._observed += 1
         return assignments
 
@@ -141,7 +149,9 @@ class _SolverSession(Session):
     def _start(self, instance: LTCInstance) -> None:
         raise NotImplementedError
 
-    def _dispatch(self, worker: Worker) -> List[Assignment]:
+    def _dispatch(
+        self, worker: Worker, selection: Optional[Selection]
+    ) -> List[Assignment]:
         raise NotImplementedError
 
     def _submit_live(self, tasks: List[Task]) -> None:
@@ -214,9 +224,26 @@ class OnlineSolverSession(_SolverSession):
         self._online.start(instance)
         self._online._active_session = self
 
-    def _dispatch(self, worker: Worker) -> List[Assignment]:
+    def select(self, worker: Worker) -> Optional[Selection]:
+        """The solver's decision for ``worker``, not yet committed.
+
+        ``None`` when the worker is eligible for no task of the session
+        that has not expired (see
+        :meth:`~repro.algorithms.base.OnlineSolver.select`); otherwise
+        pass the result to :meth:`on_worker`.  The first call activates
+        the session, as the first arrival would.
+        """
+        if self._instance is None:
+            self._activate()
+        if self._online._active_session is not self:
+            self._check_binding()  # raises
+        return self._online.select(worker)
+
+    def _dispatch(
+        self, worker: Worker, selection: Optional[Selection]
+    ) -> List[Assignment]:
         self._check_binding()
-        return self._online.observe(worker)
+        return self._online.observe(worker, selection)
 
     def _submit_live(self, tasks: List[Task]) -> None:
         """Mid-stream submission: forward to a dynamic solver in place.
@@ -309,7 +336,9 @@ class ReplaySession(_SolverSession):
         self._plan_extra = dict(planned.extra)
         self._replayed = instance.new_arrangement()
 
-    def _dispatch(self, worker: Worker) -> List[Assignment]:
+    def _dispatch(
+        self, worker: Worker, selection: Optional[Selection]
+    ) -> List[Assignment]:
         assert self._instance is not None and self._replayed is not None
         expected = self._observed + 1
         if worker.index != expected:

@@ -8,8 +8,9 @@ row-major cell order (``cell_positions``) with per-cell offsets
 (``cell_start``), so a radius query gathers one *contiguous slice per
 cell row* instead of chasing a dict of python lists.  All candidate
 queries the solvers need — eligibility sets, bulk ``eligible_pairs`` arc
-emission, top-``k`` ``Acc*`` selection, cheap ``has_candidates`` routing
-tests — run over these arrays.
+emission, top-``k`` ``Acc*`` selection, and the dispatcher's routing
+probe (:meth:`CandidateEngine.probe`: top-``k``, then a walk over
+completed tasks when that is empty) — run over these arrays.
 
 **One engine, two passes.**  Each grid query computes the worker's
 radius and cell span once and sums the *gathered block* — the candidates
@@ -19,7 +20,7 @@ over the lists; at or above it, one vectorized numpy pass (gather the
 cell slices, filter by exact squared distance, evaluate the sigmoid over
 the block, preselect top-``k`` with ``np.partition``).  Scan mode
 vectorizes when ``num_tasks`` reaches the same constant; generic mode and
-``has_candidates`` (which stops at the first eligible task) are always
+``reaches_completed`` (which stops at the first eligible task) are always
 scalar.  ``docs/candidates.md`` ("Vector cutover") has the
 measured block sizes behind the constant.
 
@@ -47,7 +48,9 @@ included:
   candidate order (largest first; ties favour the earlier-pushed, i.e.
   lower-id, task).  The vector pass preselects a superset — every
   candidate within :data:`TOPK_SCORE_MARGIN` of its approximate k-th best
-  survives — and rescores it through the one scalar heap loop.
+  survives — and rescores it through the one scalar ranking
+  (``_rank_topk``), which sorts by (score descending, candidate
+  order) instead of pushing through a heap; the order is the same.
 
 The snapshot is **dynamic**: the paper's online setting is a stream in
 which tasks are posted and expire while workers trickle in, so a
@@ -63,7 +66,10 @@ the incremental layer safe for callers that keep per-position state:
   :meth:`CandidateEngine.retire_tasks` flips the per-position ``alive``
   bit; every query filters tombstoned positions out of its candidate pool
   before the accuracy evaluation.  Retired positions are physically
-  dropped from the CSR grid only at the next rebuild.
+  dropped from the CSR grid only at the next rebuild.  Positions retired
+  as *completed* (not expired) are also kept in a list of their own, which
+  no rebuild sweeps: routing still counts a worker eligible for a
+  completed task as a session arrival.
 * **Appends land in spill arrays; the grid merges them lazily.**  In
   grid mode, positions appended after the last (re)build are not in the
   CSR cells; queries scan that spill range linearly (it is bounded by
@@ -129,7 +135,6 @@ from repro.core.instance import LTCInstance
 from repro.core.task import Task
 from repro.core.worker import Worker
 from repro.geo.bbox import BoundingBox
-from repro.structures.topk import TopKHeap
 
 #: The slack applied to the eligibility threshold, shared with
 #: ``CandidateFinder.is_eligible`` (the decision is
@@ -348,6 +353,9 @@ class CandidateEngine:
         #: Positions retired since the last grid rebuild, in retirement
         #: order — the numpy mirrors replay this log via a cursor.
         self._tombstone_log: List[int] = []
+        #: Positions retired as completed (not expired), in retirement
+        #: order, for :meth:`reaches_completed`.  Never swept.
+        self._completed: List[int] = []
         #: First position not covered by the CSR cells (grid mode):
         #: positions in ``[spill_start, num_tasks)`` are the spill that
         #: queries scan linearly until the next rebuild merges them.
@@ -502,30 +510,39 @@ class CandidateEngine:
             if spill > threshold:
                 self.rebuild_index()
 
-    def retire_tasks(self, task_ids: Iterable[int]) -> None:
-        """Tombstone tasks (completed or expired) without rebuilding.
+    def retire_tasks(self, task_ids: Iterable[int], expired: bool = False) -> None:
+        """Tombstone completed (or, with ``expired=True``, expired) tasks.
 
         Retired positions stay in the arrays (so caller state keeps its
         indexing) but are filtered out of every query's candidate pool
-        before the accuracy evaluation.  Retiring an already-retired task
-        is a no-op; retirement is permanent.
+        before the accuracy evaluation.  Completed positions stay visible
+        to :meth:`reaches_completed`; expired ones leave every query.
+        Retiring an already-retired task is a no-op; retirement is
+        permanent.
 
         Raises
         ------
         KeyError
-            If a task id was never part of the snapshot.
+            If a task id was never part of the snapshot.  Every id is
+            checked before any is retired, so a failed call changes
+            nothing.
         """
         position_of = self.position_of
-        alive = self.alive
-        changed = False
+        positions = []
         for task_id in task_ids:
             position = position_of.get(task_id)
             if position is None:
                 raise KeyError(f"task id {task_id} is not in the snapshot")
+            positions.append(position)
+        alive = self.alive
+        changed = False
+        for position in positions:
             if alive[position]:
                 alive[position] = False
                 self.dead_count += 1
                 self._tombstone_log.append(position)
+                if not expired:
+                    self._completed.append(position)
                 changed = True
         if changed:
             self.epoch += 1
@@ -544,17 +561,6 @@ class CandidateEngine:
         self.rebuild_count += 1
         self.epoch += 1
         self._build_csr_grid()
-
-    def sort_positions(self, positions: List[int]) -> None:
-        """In-place sort into the oracle output order (ascending task id).
-
-        While ids were appended monotonically this is the plain position
-        sort; after an out-of-order append it sorts by id key instead.
-        """
-        if self.positions_id_ordered:
-            positions.sort()
-        else:
-            positions.sort(key=self.task_ids.__getitem__)
 
     def cell_span(self, wx: float, wy: float, radius: float) -> Tuple[int, int, int, int]:
         """Clamped inclusive cell range ``(col0, col1, row0, row1)`` covering
@@ -611,11 +617,6 @@ class CandidateEngine:
             return worker.accuracy / (1.0 + math.exp(exponent))
         return self.model.accuracy(worker, self.tasks[position])
 
-    def scalar_acc_star(self, worker: Worker, position: int) -> float:
-        """``Acc*(w, t)`` for a snapshot position (scalar association order)."""
-        weight = 2.0 * self.scalar_accuracy(worker, position) - 1.0
-        return weight * weight
-
     def scalar_eligible(self, worker: Worker, position: int) -> bool:
         """The pinned eligibility decision for one pair."""
         return self.scalar_accuracy(worker, position) >= self.threshold
@@ -666,88 +667,96 @@ class CandidateEngine:
 
     # ---------------------------------------------------------- scalar pass
 
-    def _grid_block(self, worker: Worker, radius: float, slices: _Slices) -> List[int]:
-        """Alive positions with ``dx*dx + dy*dy <= radius**2``, cells then spill."""
-        wx, wy = worker.location.x, worker.location.y
-        r2 = radius * radius
-        xs, ys = self.xs, self.ys
-        alive = self.alive
-        has_dead = self.dead_count > 0
-        order = self.cell_positions
-        assert order is not None
-        out: List[int] = []
-        for lo, hi in slices:
-            for position in order[lo:hi]:
-                if has_dead and not alive[position]:
-                    continue
-                dx = xs[position] - wx
-                dy = ys[position] - wy
-                if dx * dx + dy * dy <= r2:
-                    out.append(position)
-        for position in range(self.spill_start, self.num_tasks):
-            if has_dead and not alive[position]:
-                continue
-            dx = xs[position] - wx
-            dy = ys[position] - wy
-            if dx * dx + dy * dy <= r2:
-                out.append(position)
-        return out
-
-    def _scalar_eligible(
+    def _scalar_pass(
         self,
         worker: Worker,
         radius: float,
         slices: Optional[_Slices],
         allowed: Optional[Sequence[bool]],
         ordered: bool,
-    ) -> List[int]:
-        if self.mode == "grid":
-            # The grid gather already skips tombstoned positions.
-            block = self._grid_block(worker, radius, slices)
-            if ordered:
-                self.sort_positions(block)
-            pool_is_alive = True
-        else:
-            block = self.instance_positions
-            pool_is_alive = self.dead_count == 0
-        scalar_eligible = self.scalar_eligible
-        if pool_is_alive:
-            if allowed is None:
-                return [p for p in block if scalar_eligible(worker, p)]
-            return [p for p in block if allowed[p] and scalar_eligible(worker, p)]
-        alive = self.alive
-        if allowed is None:
-            return [p for p in block if alive[p] and scalar_eligible(worker, p)]
-        return [
-            p
-            for p in block
-            if alive[p] and allowed[p] and scalar_eligible(worker, p)
-        ]
+    ) -> List[Tuple[int, float]]:
+        """Eligible ``(position, scalar_accuracy)`` pairs.
 
-    def _rescore_topk(
-        self,
-        worker: Worker,
-        positions: Sequence[int],
+        One walk applies the tombstone filter, the radius gate (grid mode:
+        the CSR cells, then the spill), the ``allowed`` mask and the
+        pinned decision, with :meth:`scalar_accuracy`'s expression inlined
+        for the sigmoid model, so each candidate's accuracy is evaluated
+        once — top-``k`` scores reuse it.  ``ordered`` sorts grid-mode
+        results into the oracle order (ascending task id); scan and
+        generic pools are already in posting order.
+        """
+        threshold = self.threshold
+        alive = self.alive
+        has_dead = self.dead_count > 0
+        wx, wy = worker.location.x, worker.location.y
+        p_w, d_max = worker.accuracy, self.d_max
+        xs, ys = self.xs, self.ys
+        hypot, exp = math.hypot, math.exp
+        eligible: List[Tuple[int, float]] = []
+        if self.mode == "grid":
+            r2 = radius * radius
+            order = self.cell_positions
+            assert order is not None
+            pools = [order[lo:hi] for lo, hi in slices]
+            pools.append(range(self.spill_start, self.num_tasks))
+            for pool in pools:
+                for p in pool:
+                    if has_dead and not alive[p]:
+                        continue
+                    dx = xs[p] - wx
+                    dy = ys[p] - wy
+                    if dx * dx + dy * dy <= r2 and (allowed is None or allowed[p]):
+                        exponent = -(d_max - hypot(dx, dy))
+                        acc = 0.0 if exponent > 700.0 else p_w / (1.0 + exp(exponent))
+                        if acc >= threshold:
+                            eligible.append((p, acc))
+            if ordered:
+                if self.positions_id_ordered:
+                    eligible.sort()
+                else:
+                    task_ids = self.task_ids
+                    eligible.sort(key=lambda entry: task_ids[entry[0]])
+        else:
+            accuracy = self.scalar_accuracy
+            sigmoid = self.sigmoid
+            for p in self.instance_positions:
+                if (has_dead and not alive[p]) or (allowed is not None and not allowed[p]):
+                    continue
+                if sigmoid:
+                    exponent = -(d_max - hypot(xs[p] - wx, ys[p] - wy))
+                    acc = 0.0 if exponent > 700.0 else p_w / (1.0 + exp(exponent))
+                else:
+                    acc = accuracy(worker, p)
+                if acc >= threshold:
+                    eligible.append((p, acc))
+        return eligible
+
+    @staticmethod
+    def _rank_topk(
+        scored: Sequence[Tuple[int, float]],
         k: int,
         mode: str,
         need: Optional[Sequence[float]],
     ) -> List[int]:
-        """Scalar-score ``positions`` (in the given order) through the heap.
+        """The best ``k`` of ``(position, scalar_accuracy)`` pairs, best first.
 
-        Both passes end here — the vector pass feeds it its preselected
-        superset — which is what makes their pop orders identical.
+        Ties go to the pair earlier in ``scored`` — the pop order of a
+        :class:`~repro.structures.topk.TopKHeap` fed them in order.  Both
+        passes end here — the vector pass feeds it its preselected
+        superset — which is what makes their orders identical.
         """
-        heap: TopKHeap = TopKHeap(k)
-        acc_star = self.scalar_acc_star
-        for p in positions:
-            if mode == "acc_star":
-                score = acc_star(worker, p)
-            elif mode == "gain":
-                score = min(acc_star(worker, p), float(need[p]))
-            else:
+        ranked = []
+        for seq, (p, acc) in enumerate(scored):
+            if mode == "need":
                 score = float(need[p])
-            heap.push(score, p)
-        return [p for _, p in heap.pop_all()]
+            else:
+                weight = 2.0 * acc - 1.0
+                score = weight * weight
+                if mode == "gain":
+                    score = min(score, float(need[p]))
+            ranked.append((-score, seq, p))
+        ranked.sort()
+        return [p for _, _, p in ranked[:k]]
 
     # ---------------------------------------------------------- vector pass
 
@@ -893,7 +902,13 @@ class CandidateEngine:
             # Scan blocks stream in posting order — the oracle push order —
             # and every filter above preserved it.
             superset = positions.tolist()
-        return self._rescore_topk(worker, superset, k, mode, need)
+        if mode == "need":
+            # The remaining need alone scores; no accuracy is read.
+            scored = [(p, 0.0) for p in superset]
+        else:
+            accuracy = self.scalar_accuracy
+            scored = [(p, accuracy(worker, p)) for p in superset]
+        return self._rank_topk(scored, k, mode, need)
 
     # ------------------------------------------------------------- queries
 
@@ -916,7 +931,7 @@ class CandidateEngine:
             return []
         vector, radius, slices = route
         if not vector:
-            return self._scalar_eligible(worker, radius, slices, allowed, ordered)
+            return [p for p, _ in self._scalar_pass(worker, radius, slices, allowed, ordered)]
         positions, _ = self._vector_eligible(worker, radius, slices, allowed)
         if ordered and self.mode == "grid":
             return self._vector_order(positions)
@@ -956,45 +971,31 @@ class CandidateEngine:
             for position in self.eligible_positions(worker, mask):
                 yield worker, tasks[position]
 
-    def has_candidates(self, worker: Worker) -> bool:
-        """Whether at least one task is assignable to the worker.
+    def reaches_completed(self, worker: Worker) -> bool:
+        """Whether the worker is eligible for a task retired as completed.
 
-        Always the scalar loops, at any block size: the walk stops at the
-        first eligible task, which beat the vector pass at every block
-        size measured (``docs/candidates.md``).  The walk repeats
-        :meth:`_grid_block` inline because a shared generator costs this
-        routing hot path about 20%.
+        The fallback half of a routing probe: a session counts a worker
+        eligible for any task that has not expired, completed ones
+        included, so a probe whose selection over the open tasks comes
+        back empty asks this next.  The walk covers the positions
+        :meth:`retire_tasks` recorded as completed — grid rebuilds sweep
+        them out of the cells, not out of this list — with the pinned
+        radius gate and decision, and stops at the first eligible one.
+        Always scalar.
         """
+        completed = self._completed
+        if not completed:
+            return False
         scalar_eligible = self.scalar_eligible
-        alive = self.alive
-        has_dead = self.dead_count > 0
         if self.mode != "grid":
-            if has_dead:
-                return any(
-                    alive[p] and scalar_eligible(worker, p)
-                    for p in self.instance_positions
-                )
-            return any(scalar_eligible(worker, p) for p in self.instance_positions)
+            return any(scalar_eligible(worker, p) for p in completed)
         radius = self.radius_of(worker)
         if radius < 0:
             return False
-        slices, _ = self._cell_slices(worker, radius)
         wx, wy = worker.location.x, worker.location.y
         r2 = radius * radius
         xs, ys = self.xs, self.ys
-        order = self.cell_positions
-        assert order is not None
-        for lo, hi in slices:
-            for p in order[lo:hi]:
-                if has_dead and not alive[p]:
-                    continue
-                dx = xs[p] - wx
-                dy = ys[p] - wy
-                if dx * dx + dy * dy <= r2 and scalar_eligible(worker, p):
-                    return True
-        for p in range(self.spill_start, self.num_tasks):
-            if has_dead and not alive[p]:
-                continue
+        for p in completed:
             dx = xs[p] - wx
             dy = ys[p] - wy
             if dx * dx + dy * dy <= r2 and scalar_eligible(worker, p):
@@ -1027,14 +1028,36 @@ class CandidateEngine:
         if vector:
             picked = self._vector_topk(worker, radius, slices, k, mode, need)
         else:
-            positions = self._scalar_eligible(worker, radius, slices, None, True)
-            picked = self._rescore_topk(worker, positions, k, mode, need)
+            scored = self._scalar_pass(worker, radius, slices, None, True)
+            picked = self._rank_topk(scored, k, mode, need)
         tasks = self.tasks
         return [tasks[position] for position in picked]
 
     def topk_acc_star(self, worker: Worker, k: int) -> List[Task]:
         """LAF's selection: the ``k`` open tasks of largest ``Acc*``."""
         return self.topk(worker, k, "acc_star")
+
+    def probe(
+        self,
+        worker: Worker,
+        k: int,
+        mode: str = "acc_star",
+        need: Optional[Sequence[float]] = None,
+    ) -> Optional[List[Task]]:
+        """Routing and selection in one query.
+
+        ``None`` when the worker is eligible for no task that has not
+        expired; otherwise :meth:`topk` over the open tasks, which is
+        empty when only completed tasks are in reach.  Completed tasks
+        count for routing so that a dispatched session's arrival axis
+        does not shrink as it completes; the fallback walk
+        (:meth:`reaches_completed`) runs only when the selection is
+        empty.
+        """
+        picks = self.topk(worker, k, mode, need)
+        if picks or self.reaches_completed(worker):
+            return picks
+        return None
 
     def candidate_counts(self) -> Dict[int, int]:
         """Eligible-worker counts per task id (posting order).

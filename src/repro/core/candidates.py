@@ -160,18 +160,20 @@ class CandidateFinder:
         """
         self._engine.add_tasks(tasks)
 
-    def retire_tasks(self, task_ids: Iterable[int]) -> None:
-        """Tombstone completed or expired tasks.
+    def retire_tasks(self, task_ids: Iterable[int], expired: bool = False) -> None:
+        """Tombstone completed (or, with ``expired=True``, expired) tasks.
 
         Retired tasks vanish from every subsequent query — candidate
-        lists, ``eligible_pairs`` streams, ``topk`` selection,
-        ``has_candidates`` — without any snapshot rebuild.  This replaces
-        the per-solver completed-mask plumbing: a solver retires a task
-        the moment its arrangement completes it, and every later query is
-        automatically restricted to the open task set.  Retiring an
-        already-retired task is a no-op; unknown ids raise ``KeyError``.
+        lists, ``eligible_pairs`` streams, ``topk`` selection — without
+        any snapshot rebuild.  This replaces the per-solver completed-mask
+        plumbing: a solver retires a task the moment its arrangement
+        completes it, and every later query is automatically restricted
+        to the open task set.  Completed tasks still count for routing
+        (:meth:`~repro.core.candidate_engine.engine.CandidateEngine.reaches_completed`);
+        expired ones do not.  Retiring an already-retired task is a no-op;
+        an unknown id raises ``KeyError`` before anything is retired.
         """
-        self._engine.retire_tasks(task_ids)
+        self._engine.retire_tasks(task_ids, expired)
 
     def is_eligible(self, worker: Worker, task: Task) -> bool:
         """Whether ``worker`` may be assigned ``task``."""
@@ -223,14 +225,14 @@ class CandidateFinder:
         return self._engine.eligible_tasks(worker)
 
     def has_candidates(self, worker: Worker) -> bool:
-        """Whether at least one task is assignable to the worker.
+        """Whether at least one open task is assignable to the worker.
 
-        Short-circuits (scalar pass) or answers in one array pass (vector
-        pass) without building the candidate list — the cheap
-        eligibility test for hot paths like the service layer's routing
-        decision.
+        No program path calls this: dispatcher routing asks the serving
+        solver (:meth:`~repro.algorithms.base.OnlineSolver.select`).  It
+        stays because the frozen end-to-end tracer names it as a trace
+        point.
         """
-        return self._engine.has_candidates(worker)
+        return bool(self._engine.eligible_positions(worker, ordered=False))
 
     def candidate_count_per_task(self) -> Dict[int, int]:
         """For every task, the number of workers eligible to perform it.

@@ -61,6 +61,19 @@ class Worker:
         if self.capacity < 1:
             raise ValueError("capacity K must be >= 1")
 
+    def with_index(self, index: int) -> "Worker":
+        """This worker at arrival ``index``: ``dataclasses.replace(self,
+        index=index)``, about twice as fast.
+
+        The dispatcher re-indexes every delivered arrival into its
+        session's arrival order, so this sits on the serving hot path.
+        Every other field is passed on as is.
+        """
+        return Worker(
+            index, self.location, self.accuracy, self.capacity,
+            self.arrival_time, self.metadata,
+        )
+
     def distance_to(self, location: Point) -> float:
         """Euclidean distance from the worker's check-in to ``location``."""
         return self.location.distance_to(location)

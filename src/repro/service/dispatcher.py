@@ -17,12 +17,18 @@ workers.  :class:`LTCDispatcher` is that serving surface:
   so the cost follows the sessions near the worker, not all open ones;
 * :meth:`~LTCDispatcher.submit_tasks` posts additional tasks to an open
   session **mid-stream**: campaigns are long-lived and keep receiving
-  tasks while workers flow.  Both the session's live candidate snapshot
-  and the dispatcher's own routing snapshot absorb the tasks in place
-  (no rebuild), and a session that had completed reopens;
+  tasks while workers flow.  The session's live candidate snapshot — the
+  only one the session has — absorbs the tasks in place (no rebuild),
+  and a session that had completed reopens;
 * :meth:`~LTCDispatcher.poll` reports per-session progress snapshots;
 * :meth:`~LTCDispatcher.close` finalises a session into its
   :class:`~repro.algorithms.base.SolveResult`.
+
+Each probe asks the session's own solver one question
+(:meth:`~repro.algorithms.session.OnlineSolverSession.select`): is the
+worker eligible, and if so, what would the solver assign?  Delivery
+commits that answer, so an arrival walks each session's candidate engine
+once.
 
 Latency is measured in *per-session* arrivals, exactly as in the
 single-instance setting: a worker delivered to a session is re-indexed into
@@ -39,7 +45,7 @@ import itertools
 import math
 import time
 from bisect import insort
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from operator import attrgetter
 from typing import (
     Callable,
@@ -53,17 +59,14 @@ from typing import (
     Union,
 )
 
-from repro.algorithms.base import Solver, SolveResult
+from repro.algorithms.base import Selection, Solver, SolveResult
 from repro.algorithms.registry import build_solver
+from repro.algorithms.session import OnlineSolverSession
 from repro.algorithms.spec import SolverSpecLike
 from repro.core.arrangement import Assignment
-from repro.core.candidates import (
-    CandidateFinder,
-    instance_reach_radius,
-    tasks_reach_bounds,
-)
+from repro.core.candidates import instance_reach_radius, tasks_reach_bounds
 from repro.core.instance import LTCInstance
-from repro.core.session import Session, SessionSnapshot
+from repro.core.session import SessionSnapshot
 from repro.core.task import Task
 from repro.core.worker import Worker
 from repro.geo.bbox import BoundingBox
@@ -104,11 +107,7 @@ class _ManagedSession:
 
     session_id: str
     instance: LTCInstance
-    session: Session
-    #: The dispatcher's own routing snapshot.  Long-lived: built once at
-    #: submission and mutated in place (``add_tasks``) when tasks are
-    #: posted mid-stream — never rebuilt per change.
-    candidates: CandidateFinder
+    session: OnlineSolverSession
     solver: Solver
     workers_routed: int = 0
     #: Completion is cached here once observed — the dispatch hot path
@@ -125,10 +124,10 @@ class _ManagedSession:
     #: session under; ``None`` while it sits on the always-probe list.
     cells: Optional[Tuple[int, int, int, int]] = None
 
-    def deliver(self, worker: Worker) -> List[Assignment]:
-        """Re-index ``worker`` into local arrival order and feed the session."""
-        local = replace(worker, index=self.workers_routed + 1)
-        assignments = self.session.on_worker(local)
+    def deliver(self, worker: Worker, selection: Selection) -> List[Assignment]:
+        """Re-index ``worker`` into local arrival order and commit ``selection``."""
+        local = worker.with_index(self.workers_routed + 1)
+        assignments = self.session.on_worker(local, selection)
         self.workers_routed += 1
         if self.routed_stream is not None:
             self.routed_stream.append(local)
@@ -343,18 +342,14 @@ class LTCDispatcher:
                 "must be fed its instance's own worker sequence, not routed "
                 "live traffic; dispatch sessions require an online solver"
             )
-        # The dispatcher keeps its own CandidateFinder per session for the
-        # routing test; the solver builds another internally.  Two task
-        # grids per session is a deliberate trade-off: routing must work
-        # before the session activates and without reaching into solver
-        # internals, and grid construction is O(tasks) once per session.
-        # The session's reach box also joins the dispatcher-wide routing
-        # index, which picks the sessions an arrival is probed against.
+        # Routing asks the session's own solver (one candidate engine per
+        # session, built when the first probe activates the session).  The
+        # session's reach box joins the dispatcher-wide routing index,
+        # which picks the sessions an arrival is probed against.
         managed = _ManagedSession(
             session_id=session_id,
             instance=instance,
             session=solver_obj.open_session(instance),
-            candidates=CandidateFinder(instance),
             solver=solver_obj,
             routed_stream=[] if self._keep_streams else None,
             reach=tasks_reach_bounds(instance),
@@ -368,23 +363,22 @@ class LTCDispatcher:
     def submit_tasks(self, session_id: str, tasks: Sequence[Task]) -> str:
         """Post additional tasks to an open session and return its id.
 
-        Works at any point in the session's life: before its first routed
-        worker the tasks are staged by the session, afterwards they join
-        the serving solver's live candidate snapshot in place (legal for
-        the dynamic online solvers the dispatcher accepts; a solver
-        without dynamic support raises
+        Works at any point in the session's life: before its first probe
+        the tasks are staged by the session, afterwards they join the
+        serving solver's live candidate snapshot in place (legal for the
+        dynamic online solvers the dispatcher accepts; a solver without
+        dynamic support raises
         :class:`~repro.core.session.SessionStateError` and the dispatcher
-        state is left untouched).  The dispatcher's own routing snapshot
-        absorbs the tasks too, so subsequent arrivals near only the new
-        tasks route correctly — and a session that had already completed
-        reopens and resumes receiving workers.
+        state is left untouched).  Routing asks that same snapshot, so
+        subsequent arrivals near only the new tasks route correctly — and
+        a session that had already completed reopens and resumes
+        receiving workers.
         """
         managed = self._managed(session_id)
         tasks = list(tasks)
         # Session first: it validates duplicate ids (and dynamic support)
-        # before the routing snapshot is touched, keeping the two in step.
+        # before the routing index or the metrics are touched.
         managed.session.submit_tasks(tasks)
-        managed.candidates.add_tasks(tasks)
         if tasks and managed.reach is not None:
             self._index.grow(managed, tasks_reach_bounds(managed.instance, tasks))
         self._metrics.tasks_submitted += len(tasks)
@@ -397,9 +391,9 @@ class LTCDispatcher:
         """Expire overdue tasks in an open session; return the expired ids.
 
         Delegates to :meth:`~repro.core.session.Session.expire_tasks` (legal
-        for sessions over expiry-capable online solvers) and retires the
-        same tasks from the dispatcher's routing snapshot, so arrivals near
-        only-expired tasks stop being routed to the session.  A session
+        for sessions over expiry-capable online solvers), whose solver
+        retires the tasks as expired, so arrivals near only-expired tasks
+        stop being routed to the session.  A session
         whose last open tasks all expire becomes complete — abandonment,
         like completion, stops it from receiving further traffic.  The
         returned list contains only honestly-abandoned ids (completed and
@@ -408,7 +402,6 @@ class LTCDispatcher:
         managed = self._managed(session_id)
         expired = managed.session.expire_tasks(list(task_ids))
         if expired:
-            managed.candidates.retire_tasks(expired)
             self._metrics.tasks_expired += len(expired)
             if not managed.complete and managed.session.is_complete:
                 managed.complete = True
@@ -431,19 +424,21 @@ class LTCDispatcher:
         """Route one arriving worker; return the assignments per session.
 
         The worker is delivered to every open, still-incomplete session it is
-        eligible for (it can perform at least one of the session's tasks).
-        Eligibility never *shrinks* — a worker near only-completed tasks
-        still counts as a session arrival, so the per-session latency axis
-        means the same thing for the whole run, exactly as a standalone
-        drive of that sub-stream would count it — but it does *grow* when
-        :meth:`submit_tasks` posts tasks mid-stream (the routing snapshot
-        absorbs them in place).  The returned mapping has an entry for each
-        session the worker reached, possibly with an empty assignment list
-        when the session's solver declined to use the worker.
+        eligible for (it can perform at least one of the session's tasks
+        that has not expired).  Completion does not shrink eligibility — a
+        worker near only-completed tasks still counts as a session arrival,
+        so the per-session latency axis means the same thing for the whole
+        run, exactly as a standalone drive of that sub-stream would count
+        it — but expiry does, and :meth:`submit_tasks` grows it.  The
+        returned mapping has an entry for each session the worker reached,
+        possibly with an empty assignment list when the session's solver
+        declined to use the worker.
 
         Only the sessions whose reach box covers the worker's cell in the
         routing index are probed; the box bounds eligibility, so the
-        skipped sessions would all have declined.
+        skipped sessions would all have declined.  A probe is one
+        :meth:`~repro.algorithms.session.OnlineSolverSession.select` call,
+        and delivery commits its answer.
         """
         started = self._clock()
         self._metrics.workers_fed += 1
@@ -451,9 +446,10 @@ class LTCDispatcher:
         for managed in self._index.probes(worker):
             if managed.complete:
                 continue
-            if not managed.candidates.has_candidates(worker):
+            selection = managed.session.select(worker)
+            if selection is None:
                 continue
-            assignments = managed.deliver(worker)
+            assignments = managed.deliver(worker, selection)
             deliveries[managed.session_id] = assignments
             self._metrics.workers_routed += 1
             self._metrics.assignments_made += len(assignments)
@@ -526,7 +522,7 @@ class LTCDispatcher:
     def adopt_sessions(self, donor: "LTCDispatcher") -> List[str]:
         """Take over every open session of ``donor`` (quarantine migration).
 
-        Managed sessions move wholesale — live solver state, routing
+        Managed sessions move wholesale — live solver state, candidate
         snapshot, routed-stream history and all — and the donor's metrics
         fold into this dispatcher's, leaving the donor empty.  Session ids
         must not collide (the sharded runtime keeps ids globally unique).

@@ -259,9 +259,10 @@ class TestVectorCutover:
         assert size == sum(hi - lo for lo, hi in slices) + 3
 
     def test_cutover_picks_the_pass(self, monkeypatch):
-        # Four tasks inside one worker's disk: a cutover at the block size
-        # vectorizes eligibility and top-k, one above it stays scalar, and
-        # has_candidates is scalar at any size.  Results agree either way.
+        # Four tasks inside one worker's disk, one of them completed: a
+        # cutover at the block size vectorizes eligibility and top-k, one
+        # above it stays scalar, and the routing fallback over completed
+        # tasks is scalar at any size.  Results agree either way.
         instance = spatial_instance([0.0, 1.0, 2.0, 3.0])
         worker = instance.worker(1)
         calls = []
@@ -273,6 +274,8 @@ class TestVectorCutover:
 
         monkeypatch.setattr(CandidateEngine, "_vector_block", spy)
         engine = CandidateEngine(instance)
+        engine.retire_tasks([0])
+        # The gathered block counts tombstoned members too.
         _, size = engine._cell_slices(worker, engine.radius_of(worker))
         assert size == 4
         results = {}
@@ -281,7 +284,7 @@ class TestVectorCutover:
             calls.clear()
             results[cutover] = (
                 engine.eligible_positions(worker),
-                engine.has_candidates(worker),
+                engine.reaches_completed(worker),
                 [t.task_id for t in engine.topk_acc_star(worker, 2)],
             )
             assert len(calls) == (2 if cutover == size else 0)
@@ -309,9 +312,10 @@ class TestVectorCutover:
 
     def test_scalar_engine_never_builds_numpy_mirrors(self, small_synthetic_instance):
         engine = CandidateEngine(small_synthetic_instance)
+        engine.retire_tasks(engine.task_ids[::2])
         for worker in small_synthetic_instance.workers[:10]:
             engine.topk_acc_star(worker, 3)
-            engine.has_candidates(worker)
+            engine.reaches_completed(worker)
         # The synthetic fixture's blocks stay far below the shipped cutover.
         assert engine._mirrors is None
 

@@ -164,13 +164,44 @@ class TestDynamicMachinery:
         engine = CandidateEngine(instance, min_accuracy=0.0)
         worker = instance.workers[0]
         assert engine.eligible_tasks(worker)
-        engine.retire_tasks([task.task_id for task in instance.tasks])
+        ids = [task.task_id for task in instance.tasks]
+        engine.retire_tasks(ids[:2], expired=True)
+        engine.retire_tasks(ids[2:])
         assert engine.eligible_tasks(worker) == []
-        assert not engine.has_candidates(worker)
         assert engine.topk_acc_star(worker, 3) == []
-        # A rebuild over the empty alive set must also survive.
+        # Only the routing fallback still sees the completed pair.
+        assert engine.reaches_completed(worker)
+        assert engine.probe(worker, 3) == []
+        # A rebuild over the empty alive set must also survive, and it
+        # sweeps the cells, not the completed list.
         engine.rebuild_index()
         assert engine.eligible_tasks(worker) == []
+        assert engine.probe(worker, 3) == []
+
+    def test_expired_tasks_never_reach_routing(self, engine_pass):
+        instance = make_instance(num_tasks=4)
+        engine = CandidateEngine(instance, min_accuracy=0.0)
+        worker = instance.workers[0]
+        assert not engine.reaches_completed(worker)
+        engine.retire_tasks([task.task_id for task in instance.tasks], expired=True)
+        assert not engine.reaches_completed(worker)
+        assert engine.probe(worker, 3) is None
+        # Retiring again as completed is a no-op: retirement is permanent.
+        engine.retire_tasks([instance.tasks[0].task_id])
+        assert not engine.reaches_completed(worker)
+
+    def test_failed_retire_changes_nothing(self):
+        instance = make_instance(num_tasks=4)
+        engine = CandidateEngine(instance)
+        first = instance.tasks[0].task_id
+        engine.retire_tasks([instance.tasks[1].task_id])
+        state = (list(engine.alive), engine.dead_count, engine.epoch,
+                 list(engine._tombstone_log), list(engine._completed))
+        with pytest.raises(KeyError):
+            engine.retire_tasks([first, 99_999])
+        assert (list(engine.alive), engine.dead_count, engine.epoch,
+                list(engine._tombstone_log), list(engine._completed)) == state
+        assert engine.alive[engine.position_of[first]]
 
     def test_numpy_mirrors_sync_incrementally(self):
         instance = make_instance()
@@ -212,18 +243,30 @@ class TestDynamicDifferential:
     """Randomized interleavings vs the rebuild-from-scratch legacy oracle."""
 
     @staticmethod
-    def _check_against_oracle(engine, posted, alive_ids, workers,
-                              use_spatial_index, min_accuracy):
+    def _legacy(tasks, workers, use_spatial_index, min_accuracy):
+        """``(instance, LegacyCandidateFinder)`` over ``tasks``, or Nones."""
+        if not tasks:
+            return None, None
+        instance = LTCInstance(tasks=tasks, workers=workers, error_rate=0.2)
+        return instance, LegacyCandidateFinder(
+            instance, min_accuracy=min_accuracy,
+            use_spatial_index=use_spatial_index,
+        )
+
+    @classmethod
+    def _check_against_oracle(cls, engine, posted, alive_ids, completed_ids,
+                              workers, use_spatial_index, min_accuracy):
         alive_tasks = [task for task in posted if task.task_id in alive_ids]
-        oracle = None
-        if alive_tasks:
-            oracle_instance = LTCInstance(
-                tasks=alive_tasks, workers=workers, error_rate=0.2,
-            )
-            oracle = LegacyCandidateFinder(
-                oracle_instance, min_accuracy=min_accuracy,
-                use_spatial_index=use_spatial_index,
-            )
+        oracle_instance, oracle = cls._legacy(
+            alive_tasks, workers, use_spatial_index, min_accuracy
+        )
+        # Routing's oracle: every task that has not expired, completed
+        # ones included.
+        _, routable = cls._legacy(
+            [task for task in posted
+             if task.task_id in alive_ids or task.task_id in completed_ids],
+            workers, use_spatial_index, min_accuracy,
+        )
         # Per-position needs for the gain/need modes, keyed on task id so
         # the oracle can score the same values.
         need_of = {task.task_id: 0.4 + (task.task_id % 7) / 5.0 for task in posted}
@@ -234,7 +277,13 @@ class TestDynamicDifferential:
             expected = [task.task_id for task in candidates]
             got = [task.task_id for task in engine.eligible_tasks(worker)]
             assert got == expected
-            assert engine.has_candidates(worker) == bool(expected)
+            # The fused routing probe: not eligible for any task that has
+            # not expired, or eligible with the top-k over the open ones.
+            eligible = routable is not None and bool(routable.candidates(worker))
+            probed = engine.probe(worker, 2)
+            assert (probed is not None) == eligible
+            if probed is not None:
+                assert probed == engine.topk_acc_star(worker, 2)
             got_allowed = [
                 task.task_id for task in engine.eligible_tasks(worker, allowed)
             ]
@@ -265,6 +314,7 @@ class TestDynamicDifferential:
         engine = CandidateEngine(instance, use_spatial_index=use_spatial_index)
         posted = list(instance.tasks)
         alive_ids = {task.task_id for task in instance.tasks}
+        completed_ids = set()
         rng = random.Random(4242)
         for kind, payload in steps:
             if kind == "add":
@@ -274,10 +324,13 @@ class TestDynamicDifferential:
             elif alive_ids:
                 count = max(1, int(payload * len(alive_ids)) // 2)
                 victims = rng.sample(sorted(alive_ids), count)
-                engine.retire_tasks(victims)
+                expired = rng.random() < 0.5
+                engine.retire_tasks(victims, expired=expired)
                 alive_ids.difference_update(victims)
+                if not expired:
+                    completed_ids.update(victims)
             self._check_against_oracle(
-                engine, posted, alive_ids, instance.workers,
+                engine, posted, alive_ids, completed_ids, instance.workers,
                 use_spatial_index, min_accuracy,
             )
 

@@ -1,5 +1,7 @@
 """Tests for repro.core.task and repro.core.worker."""
 
+from dataclasses import fields, replace
+
 import pytest
 
 from repro.core.quality_threshold import MIN_WORKER_ACCURACY
@@ -79,3 +81,18 @@ class TestWorker:
     def test_distance_to(self):
         worker = Worker.at(1, 0, 0, accuracy=0.9, capacity=1)
         assert worker.distance_to(Point(0, 2)) == pytest.approx(2.0)
+
+    def test_with_index_is_replace(self):
+        # with_index passes every field on explicitly; a new field must be
+        # added there too.
+        assert [f.name for f in fields(Worker)] == [
+            "index", "location", "accuracy", "capacity", "arrival_time", "metadata",
+        ]
+        worker = Worker.at(4, 1, 2, accuracy=0.8, capacity=3,
+                           arrival_time=12.5, metadata={"city": "nyc"})
+        moved = worker.with_index(9)
+        expected = replace(worker, index=9)
+        for field in fields(Worker):
+            assert getattr(moved, field.name) is getattr(expected, field.name)
+        with pytest.raises(ValueError):
+            worker.with_index(0)

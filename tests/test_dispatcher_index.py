@@ -1,37 +1,71 @@
-"""Exactness of the dispatcher's reach-box routing index.
+"""Exactness of the dispatcher's routing: the reach-box index and the
+fused probe.
 
 ``LTCDispatcher.feed_worker`` probes only the sessions whose reach box
 covers the arrival's cell, plus an always-probe list.  The index is a
 superset prefilter, so every arrival must reach exactly the sessions, in
-exactly the order, that a probe of every open session would reach.  The
-differential test drives the indexed dispatcher and a full-scan oracle in
-lockstep through interleaved opens, task posts, expiries, closes,
-adoptions and arrivals, and compares every return value and the metrics.
+exactly the order, that a probe of every open session would reach.  Each
+probe is one fused question to the session's solver
+(``OnlineSolverSession.select``): not eligible, or eligible with this
+selection.  The differential test drives the indexed dispatcher and a
+full-scan oracle in lockstep through interleaved opens, task posts,
+expiries, closes, adoptions and arrivals, and compares every return value
+and the metrics.  The oracle asks the two questions separately — is the
+worker eligible for any task that has not expired (a legacy scan), and
+what does the solver's standalone ``observe`` assign — and checks the
+fused answer against both.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List
+from typing import Dict, List, Set
 
 import pytest
 from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
+from repro.algorithms.session import OnlineSolverSession
 from repro.core.accuracy import ConstantAccuracy, SigmoidDistanceAccuracy
 from repro.core.arrangement import Assignment
+from repro.core.candidate_engine.engine import SPILL_REBUILD_MIN
 from repro.core.candidates import (
     CandidateFinder,
     instance_reach_radius,
     tasks_reach_bounds,
 )
+from repro.core.candidates_legacy import LegacyCandidateFinder
 from repro.core.instance import LTCInstance
+from repro.core.session import SessionStateError
 from repro.core.task import Task
 from repro.core.worker import Worker
 from repro.service import LTCDispatcher
 
 
 class FullScanDispatcher(LTCDispatcher):
-    """The oracle: probe every open session on every arrival."""
+    """The oracle: probe every open session on every arrival, asking the
+    routing and the selection question separately."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        #: Session id -> the task ids it expired.
+        self.expired: Dict[str, Set[int]] = {}
+
+    def expire_tasks(self, session_id, task_ids):
+        expired = super().expire_tasks(session_id, task_ids)
+        self.expired.setdefault(session_id, set()).update(expired)
+        return expired
+
+    def adopt_sessions(self, donor):
+        self.expired.update(donor.expired)
+        return super().adopt_sessions(donor)
+
+    def eligible(self, managed, worker: Worker) -> List[int]:
+        """Ids of the tasks ``worker`` is eligible for that have not
+        expired, completed ones included (legacy scan of every task)."""
+        expired = self.expired.get(managed.session_id, set())
+        legacy = LegacyCandidateFinder(managed.session.instance)
+        return [task.task_id for task in legacy.candidates(worker)
+                if task.task_id not in expired]
 
     def feed_worker(self, worker: Worker) -> Dict[str, List[Assignment]]:
         started = self._clock()
@@ -40,9 +74,21 @@ class FullScanDispatcher(LTCDispatcher):
         for managed in self._sessions.values():
             if managed.complete:
                 continue
-            if not managed.candidates.has_candidates(worker):
+            fused = managed.session.select(worker)
+            eligible = self.eligible(managed, worker)
+            assert (fused is not None) == bool(eligible)
+            if not eligible:
                 continue
-            assignments = managed.deliver(worker)
+            # Standalone selection: ``observe`` queries on its own.
+            assignments = managed.deliver(worker, None)
+            if managed.session.algorithm == "Random":
+                # The fused answer is the pool the draw picked from: every
+                # eligible task, since Random never retires one.
+                assert [task.task_id for task in fused.tasks] == eligible
+            else:
+                assert [task.task_id for task in fused.tasks] == [
+                    assignment.task_id for assignment in assignments
+                ]
             deliveries[managed.session_id] = assignments
             self._metrics.workers_routed += 1
             self._metrics.assignments_made += len(assignments)
@@ -154,11 +200,14 @@ class Lockstep:
         self.check_metrics()
 
     def expire(self, session_id, task_ids) -> None:
-        expired = [
-            dispatcher.expire_tasks(session_id, task_ids)
-            for dispatcher in (self.indexed, self.oracle)
-        ]
-        assert expired[0] == expired[1]
+        outcomes = []
+        for dispatcher in (self.indexed, self.oracle):
+            try:
+                outcomes.append(dispatcher.expire_tasks(session_id, task_ids))
+            except SessionStateError:
+                # Random sessions cannot expire tasks.
+                outcomes.append(SessionStateError)
+        assert outcomes[0] == outcomes[1]
         self.check_metrics()
 
     def close(self, session_id) -> None:
@@ -225,7 +274,7 @@ offsets = st.lists(
 )
 open_args = st.tuples(
     st.sampled_from(["narrow", "narrow", "narrow", "wide", "zero", "constant"]),
-    st.sampled_from(["AAM", "LAF"]),
+    st.sampled_from(["AAM", "LAF", "LGF-only", "LRF-only", "Random"]),
     coordinates,
     coordinates,
     offsets,
@@ -309,15 +358,16 @@ def district(kind: str, cx: float, cy: float, tid0: int, name: str) -> LTCInstan
 
 @pytest.fixture
 def probe_counter(monkeypatch):
-    """Count every ``has_candidates`` probe the dispatcher makes."""
+    """Count every fused probe (``OnlineSolverSession.select``) the
+    dispatcher makes."""
     calls = []
-    original = CandidateFinder.has_candidates
+    original = OnlineSolverSession.select
 
     def counting(self, worker):
         calls.append(worker.index)
         return original(self, worker)
 
-    monkeypatch.setattr(CandidateFinder, "has_candidates", counting)
+    monkeypatch.setattr(OnlineSolverSession, "select", counting)
     return calls
 
 
@@ -393,3 +443,45 @@ def test_grown_and_demoted_sessions_keep_their_submission_order():
     # A task far off on both axes spans more cells than the index files.
     dispatcher.submit_tasks("old", [Task.at(6, 5000.0, 5000.0)])
     assert list(dispatcher.feed_worker(arrival(2, 100.0, 0.5))) == expected
+
+
+def test_a_completed_task_still_routes_after_a_rebuild_sweeps_it():
+    """Completion does not shrink eligibility, even once a grid rebuild
+    has swept the completed task out of the selection cells."""
+    dispatcher = LTCDispatcher()
+    session_id = dispatcher.submit_instance(
+        make_instance("narrow", [Task.at(0, 0.0, 0.0)], "lone"), solver="LAF"
+    )
+    completing = 0
+    while not dispatcher.all_complete:
+        completing += 1
+        worker = arrival(completing, 0.0, 0.0, accuracy=1.0)
+        assert list(dispatcher.feed_worker(worker)) == [session_id]
+    assert completing == 4
+    far = [Task.at(1 + i, 5000.0, 5000.0) for i in range(80)]
+    assert len(far) > SPILL_REBUILD_MIN
+    dispatcher.submit_tasks(session_id, far)
+    assert dispatcher.feed_worker(arrival(5, 0.5, 0.0)) == {session_id: []}
+    assert dispatcher.poll()[session_id].workers_routed == 5
+
+
+def test_each_session_builds_one_candidate_finder(monkeypatch):
+    built = []
+    original = CandidateFinder.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(CandidateFinder, "__init__", counting)
+    dispatcher = LTCDispatcher()
+    for number, solver in enumerate(["AAM", "LAF", "Random"]):
+        dispatcher.submit_instance(
+            district("narrow", 0.0, 0.0, 10 * number, solver), solver=solver
+        )
+    assert built == []  # sessions activate at their first probe
+    for index in range(1, 9):
+        dispatcher.feed_worker(arrival(index, 1.0, 0.0))
+    dispatcher.submit_tasks("session-1", [Task.at(99, 2.0, 0.0)])
+    dispatcher.feed_worker(arrival(9, 600.0, 0.0))
+    assert len(built) == 3

@@ -80,3 +80,30 @@ class TestRegistryConformance:
             {a.as_tuple() for a in driven.arrangement}
             == {a.as_tuple() for a in solved.arrangement}
         )
+
+
+@pytest.mark.parametrize(
+    "name", [name for name in all_solver_names() if build_solver(name).is_online]
+)
+def test_select_then_commit_matches_observe(name, tiny_instance):
+    """An online solver's ``select`` changes nothing, and committing its
+    selection assigns what a standalone ``observe`` would."""
+    fused = build_solver(name).open_session(tiny_instance)
+    standalone = build_solver(name).open_session(tiny_instance)
+    for worker in tiny_instance.workers:
+        if standalone.is_complete:
+            break
+        before = fused.snapshot()
+        rng = getattr(fused._online, "_rng", None)
+        rng_state = None if rng is None else rng.bit_generator.state
+        selection = fused.select(worker)
+        assert fused.snapshot() == before
+        if rng is not None:
+            assert fused._online._rng.bit_generator.state == rng_state
+        got = fused.on_worker(worker, selection)
+        want = standalone.on_worker(worker)
+        assert got == want
+        if selection is None:
+            assert want == []
+    assert fused.result().extra == standalone.result().extra
+    assert fused.snapshot() == standalone.snapshot()

@@ -6,7 +6,9 @@ import pytest
 
 from repro.algorithms.registry import build_solver
 from repro.core.accuracy import SigmoidDistanceAccuracy
+from repro.core.candidates import CandidateFinder
 from repro.core.instance import LTCInstance
+from repro.core.session import SessionStateError
 from repro.core.task import Task
 from repro.core.worker import Worker
 from repro.geo.point import Point
@@ -123,6 +125,54 @@ class TestRouting:
         assert dispatcher.metrics.workers_unrouted == 1
         assert dispatcher.metrics.workers_fed == 1
         assert dispatcher.metrics.routed_fraction == 0.0
+
+
+class TestProbeActivation:
+    """A probe activates its session, so tasks posted or expired before its
+    first delivery reach the live solver instead of the staging list; the
+    observable results must be those of a session never probed."""
+
+    @pytest.mark.parametrize("solver", ["AAM", "LAF", "LGF-only", "Random"])
+    def test_probed_session_stages_like_an_unprobed_one(
+        self, solver, three_districts, monkeypatch
+    ):
+        built = []
+        original = CandidateFinder.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(CandidateFinder, "__init__", counting)
+        instance = three_districts[0]
+        probed, unprobed = LTCDispatcher(), LTCDispatcher()
+        for dispatcher in (probed, unprobed):
+            dispatcher.submit_instance(instance, solver=solver, session_id="d")
+        # Inside the reach box (a perfect worker's radius is about 29.3),
+        # but outside this worker's radius (about 27.2) of every task.
+        weak = Worker(index=1, location=Point(-28.5, 0.0), accuracy=0.7, capacity=2)
+        assert probed.feed_worker(weak) == {}
+        assert len(built) == 1  # the probe activated the session
+        assert probed.poll() == unprobed.poll()
+
+        posted = [Task(task_id=7, location=Point(20.0, 0.0))]
+        for dispatcher in (probed, unprobed):
+            assert dispatcher.submit_tasks("d", posted) == "d"
+        assert probed.poll() == unprobed.poll()
+        if solver == "Random":
+            for dispatcher in (probed, unprobed):
+                with pytest.raises(SessionStateError):
+                    dispatcher.expire_tasks("d", [1])
+        else:
+            assert probed.expire_tasks("d", [1]) == unprobed.expire_tasks("d", [1]) == [1]
+        assert probed.poll() == unprobed.poll()
+
+        for worker in instance.workers:
+            assert probed.feed_worker(worker) == unprobed.feed_worker(worker)
+            assert probed.poll() == unprobed.poll()
+        results = [dispatcher.close("d") for dispatcher in (probed, unprobed)]
+        assert results[0].arrangement.assignments == results[1].arrangement.assignments
+        assert results[0].max_latency == results[1].max_latency
 
 
 class TestLifecycle:
