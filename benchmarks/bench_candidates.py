@@ -249,7 +249,7 @@ def bench_selection(instance: LTCInstance, repeats: int, sample: int = 800):
 
     def run_engine():
         return [
-            [task.task_id for task in engine.topk_acc_star(worker, capacity)]
+            [task.task_id for task, _ in engine.topk_acc_star(worker, capacity)]
             for worker in sample_workers
         ]
 

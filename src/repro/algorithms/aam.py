@@ -20,16 +20,23 @@ compensated running sum plus a lazy-deletion max-heap of per-task needs —
 instead of rebuilding the remaining list over all tasks on every arrival
 (the pre-engine O(W*T) scan).  Completed tasks are excluded by retiring
 them through the :class:`~repro.core.candidates.CandidateFinder` facade
-(the engine's tombstone mask), and AAM is **dynamic**:
-:meth:`AAMSolver.add_tasks` posts tasks mid-stream, folding their needs
-into the running statistics and appending them to the live snapshot.  ``maxRemain`` is exact (same float set as
-the naive scan); the running sum can differ from the naive left-to-right
-sum by accumulated rounding ulps, so whenever ``avg`` lands inside a
-small band around ``maxRemain`` — the only place an ulp could flip the
-LGF/LRF switch — the legacy sum is recomputed verbatim and decides.
-Arrangements therefore stay byte-identical to the pre-engine loop,
-knife-edges included.  Candidate scoring itself runs on the candidate
-engine's ``topk`` path.
+(the engine's tombstone mask).
+
+AAM is **dynamic**: :meth:`AAMSolver.add_tasks` posts tasks mid-stream,
+folding their needs into the running statistics and appending them to
+the live snapshot.
+
+``maxRemain`` is exact (same float set as the naive scan).  The running
+sum can differ from the naive left-to-right sum by accumulated rounding
+ulps, so whenever ``avg`` lands inside a small band around ``maxRemain``
+— the only place an ulp could flip the LGF/LRF switch — the legacy sum
+is recomputed verbatim and decides.  Arrangements therefore stay
+byte-identical to the pre-engine loop, knife-edges included.
+
+Candidate scoring itself runs on the candidate engine's ``topk`` path,
+whose picks carry the accuracy they were ranked by (LRF ranks by need
+alone, so only its picks are evaluated); the arrangement records it
+without evaluating the model again.
 """
 
 from __future__ import annotations
@@ -281,15 +288,15 @@ class AAMSolver(OnlineSolver):
                     worker, worker.capacity, _TOPK_MODE[rule], self._need
                 )
         else:
-            picks, rule = selection
+            picks, rule = selection.picks, selection.rule
         if rule == "lgf":
             self._lgf_rounds += 1
         elif rule == "lrf":
             self._lrf_rounds += 1
         arrangement = self._arrangement
         assignments: List[Assignment] = []
-        for task in picks:
-            assignments.append(arrangement.assign(worker, task))
+        for task, acc in picks:
+            assignments.append(arrangement.assign(worker, task, acc))
             self._note_assignment(task.task_id)
         return assignments
 

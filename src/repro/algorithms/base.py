@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.core.arrangement import Arrangement, Assignment
 from repro.core.instance import LTCInstance
@@ -124,9 +124,12 @@ class Selection(NamedTuple):
     the candidate engine once per worker, not twice.
     """
 
-    #: The tasks ``observe`` assigns, in order (``Random`` draws from them).
-    tasks: List[Task]
-    #: The greedy rule that picked ``tasks`` (AAM's ``"lgf"`` or ``"lrf"``;
+    #: ``(task, acc)`` pairs in the order ``observe`` assigns the tasks
+    #: (``Random`` draws from them).  ``acc`` is ``Acc(w, task)`` as the
+    #: candidate engine ranked it, which the arrangement records without
+    #: calling the model again; ``None`` when nothing evaluated it.
+    picks: List[Tuple[Task, Optional[float]]]
+    #: The greedy rule that picked them (AAM's ``"lgf"`` or ``"lrf"``;
     #: empty when no rule ran), for solvers that count rule rounds.
     rule: str = ""
 

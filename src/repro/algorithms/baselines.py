@@ -136,7 +136,7 @@ class RandomOnlineSolver(OnlineSolver):
         if self._candidates is None:
             raise RuntimeError("start() must be called before select()")
         nearby = self._candidates.candidates(worker)
-        return Selection(nearby) if nearby else None
+        return Selection([(task, None) for task in nearby]) if nearby else None
 
     def observe(
         self, worker: Worker, selection: Optional[Selection] = None
@@ -147,7 +147,7 @@ class RandomOnlineSolver(OnlineSolver):
         if selection is None:
             nearby = self._candidates.candidates(worker)
         else:
-            nearby = selection.tasks
+            nearby = [task for task, _ in selection.picks]
         if self.skip_completed:
             nearby = [
                 task

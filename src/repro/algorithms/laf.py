@@ -6,13 +6,16 @@ proves a competitive ratio of 7.967 under the assumption
 ``epsilon <= e^-1.5`` (delta >= 3).
 
 Per arrival the selection runs on the candidate engine's bulk
-``topk_acc_star`` path: one radius gather plus one ``Acc*`` evaluation
-per candidate (batched once the gathered block is large).  Completed
-tasks are excluded by retiring them through the
-:class:`~repro.core.candidates.CandidateFinder` facade the moment they
-complete — the engine's tombstone mask filters them out of every later
-query.  The arrangement is byte-identical to the pre-engine object-level
-loop (pinned by the differential suite against
+``topk_acc_star`` path: one gather (every task of a small snapshot, the
+CSR cells plus the spill of a large one) and one accuracy evaluation per
+candidate inside the eligibility radius (batched once the gathered block
+is large).  Each pick comes with the accuracy it was ranked by, and
+:meth:`~repro.core.arrangement.Arrangement.assign` records that value
+instead of evaluating the model again.  Completed tasks are excluded by
+retiring them through the :class:`~repro.core.candidates.CandidateFinder`
+facade the moment they complete — the engine's tombstone mask filters
+them out of every later query.  The arrangement is byte-identical to the
+pre-engine object-level loop (pinned by the differential suite against
 :func:`repro.core.candidates_legacy.legacy_laf_arrangement`).
 
 LAF is **dynamic**: tasks may keep being posted after serving starts
@@ -119,11 +122,11 @@ class LAFSolver(OnlineSolver):
         if selection is None:
             picks = candidates.engine.topk_acc_star(worker, worker.capacity)
         else:
-            picks = selection.tasks
+            picks = selection.picks
 
         assignments: List[Assignment] = []
-        for task in picks:
-            assignments.append(arrangement.assign(worker, task))
+        for task, acc in picks:
+            assignments.append(arrangement.assign(worker, task, acc))
             if arrangement.is_task_complete(task.task_id):
                 candidates.retire_tasks((task.task_id,))
         if assignments:

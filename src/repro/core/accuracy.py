@@ -36,7 +36,12 @@ class AccuracyModel(abc.ABC):
         """Predicted probability that ``worker`` answers ``task`` correctly."""
 
     def acc_star(self, worker: Worker, task: Task) -> float:
-        """``(2 * Acc(w, t) - 1)^2`` for the pair."""
+        """``(2 * Acc(w, t) - 1)^2`` for the pair.
+
+        Not meant to be overridden: :meth:`Arrangement.assign
+        <repro.core.arrangement.Arrangement.assign>` derives ``Acc*`` from
+        the recorded ``Acc`` with :func:`acc_star` instead of calling this.
+        """
         return acc_star(self.accuracy(worker, task))
 
     def voting_weight(self, worker: Worker, task: Task) -> float:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.core.accuracy import AccuracyModel
+from repro.core.accuracy import AccuracyModel, acc_star
 from repro.core.exceptions import CapacityExceeded, DuplicateAssignment
 from repro.core.task import Task
 from repro.core.worker import Worker
@@ -246,8 +246,17 @@ class Arrangement:
 
     # ------------------------------------------------------------- assignment
 
-    def assign(self, worker: Worker, task: Task) -> Assignment:
+    def assign(
+        self, worker: Worker, task: Task, acc: Optional[float] = None
+    ) -> Assignment:
         """Assign ``task`` to ``worker``, enforcing the LTC constraints.
+
+        ``acc`` is the pair's ``Acc(w, t)`` when the caller already
+        evaluated it bit for bit as the accuracy model does (the candidate
+        engine's top-``k`` picks carry it); otherwise the model is called
+        once.  ``Acc*`` is derived from it as ``(2 * Acc - 1)^2``, which
+        :meth:`~repro.core.accuracy.AccuracyModel.acc_star` is defined to
+        equal.
 
         Raises
         ------
@@ -277,8 +286,9 @@ class Arrangement:
                 f"(capacity {worker.capacity})"
             )
 
-        acc = self._accuracy_model.accuracy(worker, task)
-        star = self._accuracy_model.acc_star(worker, task)
+        if acc is None:
+            acc = self._accuracy_model.accuracy(worker, task)
+        star = acc_star(acc)
         assignment = Assignment(
             worker_index=worker.index,
             task_id=task.task_id,

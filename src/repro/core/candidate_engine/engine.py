@@ -12,17 +12,22 @@ emission, top-``k`` ``Acc*`` selection, and the dispatcher's routing
 probe (:meth:`CandidateEngine.probe`: top-``k``, then a walk over
 completed tasks when that is empty) — run over these arrays.
 
-**One engine, two passes.**  Each grid query computes the worker's
-radius and cell span once and sums the *gathered block* — the candidates
-in the CSR cells the disk overlaps, plus the spill — from the CSR offsets
-with plain ints.  Below :data:`VECTOR_MIN_BLOCK` it runs scalar loops
-over the lists; at or above it, one vectorized numpy pass (gather the
-cell slices, filter by exact squared distance, evaluate the sigmoid over
-the block, preselect top-``k`` with ``np.partition``).  Scan mode
-vectorizes when ``num_tasks`` reaches the same constant; generic mode and
-``reaches_completed`` (which stops at the first eligible task) are always
-scalar.  ``docs/candidates.md`` ("Vector cutover") has the
-measured block sizes behind the constant.
+**One engine, two gathers, two passes.**  Each grid query computes the
+worker's radius once and picks its *gathered block*.  A snapshot of at
+most :data:`SPILL_REBUILD_MIN` positions is gathered flat: the block is
+every position, scanned in ascending order the way the spill is, and no
+cell span is computed.  A larger one computes its cell span and sums the
+block — the candidates in the CSR cells the disk overlaps, plus the
+spill — from the CSR offsets with plain ints.  Below
+:data:`VECTOR_MIN_BLOCK` the query runs scalar loops over the lists; at
+or above it, one vectorized numpy pass (gather the block, filter by exact
+squared distance, evaluate the sigmoid over it, preselect top-``k`` with
+``np.partition``).  Scan mode vectorizes when ``num_tasks`` reaches the
+same constant; generic mode and ``reaches_completed`` (which stops at the
+first eligible task) are always scalar.  ``docs/candidates.md`` ("Vector
+cutover") has the measurements behind both thresholds.  Top-``k`` picks
+carry the scalar accuracy they were ranked by, so the arrangement records
+it without evaluating the model again.
 
 **Exactness contract.**  Both passes return identical results, ordering
 included:
@@ -34,7 +39,8 @@ included:
   :meth:`CandidateEngine.retire_tasks`) out of its candidate pool
   *before* the accuracy evaluation, and grid-mode pools are the CSR cells
   **plus the spill range** ``[spill_start, num_tasks)`` of positions
-  appended since the last grid rebuild;
+  appended since the last grid rebuild, or, for a flat gather, every
+  position;
 * the squared distance ``dx*dx + dy*dy`` is evaluated in the same
   association order in both passes (elementwise IEEE-754 ops give the
   same bits), so the radius prefilter gathers the exact same set;
@@ -96,8 +102,9 @@ The engine operates in one of three modes, chosen at construction:
     Sigmoid accuracy model with the spatial index enabled.  The accuracy
     threshold converts to a per-worker eligibility radius
     (:func:`~repro.core.candidates.sigmoid_eligibility_radius`); queries
-    gather grid cells, filter by exact squared distance, then apply the
-    accuracy decision.  Output order: ascending task id.
+    gather grid cells (or, on a small snapshot, every position), filter by
+    exact squared distance, then apply the accuracy decision.  Output
+    order: ascending task id.
 ``scan``
     Sigmoid model, spatial index disabled: the accuracy decision is
     applied to every task, in instance order (matching the pre-engine
@@ -162,11 +169,13 @@ TOPK_MODES = ("acc_star", "gain", "need")
 
 #: Gathered-block size at which ``eligible_positions`` and ``topk`` switch
 #: from the scalar loops to the vectorized numpy pass.  Numpy pays a fixed
-#: cost of some 40-50 us per query; measured per query, the vector pass
-#: starts winning top-k at about 64 gathered candidates and breaks even on
-#: plain eligibility there (``docs/candidates.md``, "Vector cutover").
-#: Both passes give identical results, so this only trades speed.
-VECTOR_MIN_BLOCK = 64
+#: cost of some 40-60 us per query; measured per query against the scalar
+#: ``topk`` that evaluates each candidate's accuracy once, the scalar
+#: loops win every query kind below 96 gathered candidates, and ``gain``
+#: top-k and plain eligibility break even at 96-111 (``docs/candidates.md``,
+#: "Vector cutover").  Both passes give identical results, so this only
+#: trades speed.
+VECTOR_MIN_BLOCK = 96
 
 #: Soft cap on total grid cells: keeps the dense ``cell_start`` offset
 #: array O(tasks) even for workloads whose extent dwarfs ``d_max`` (the
@@ -177,7 +186,9 @@ _MAX_CELLS_PER_TASK = 8
 
 #: Minimum spill size (positions appended since the last grid build)
 #: before :meth:`CandidateEngine.add_tasks` triggers a rebuild.  Below
-#: this the linear spill scan is cheaper than re-packing the cells.
+#: this the linear spill scan is cheaper than re-packing the cells, and
+#: for the same reason a grid-mode snapshot of at most this many positions
+#: skips the cells altogether and is scanned flat.
 SPILL_REBUILD_MIN = 64
 
 #: Fractional rebuild threshold: the spill may grow to this fraction of
@@ -649,16 +660,21 @@ class CandidateEngine:
         return slices, size
 
     def _route(self, worker: Worker):
-        """Pick the pass for one query.
+        """Pick the gather and the pass for one query.
 
         Returns ``None`` when the worker can reach no task (grid mode,
         negative radius), else ``(vector, radius, slices)``: ``radius`` and
-        ``slices`` are only meaningful in grid mode.
+        ``slices`` are only meaningful in grid mode.  A grid-mode snapshot
+        of at most :data:`SPILL_REBUILD_MIN` positions skips the cells:
+        ``slices`` is ``None`` and the query scans every position the way
+        it scans the spill, so the gathered block is the whole snapshot.
         """
         if self.mode == "grid":
             radius = self.radius_of(worker)
             if radius < 0:
                 return None
+            if self.num_tasks <= SPILL_REBUILD_MIN:
+                return self.num_tasks >= VECTOR_MIN_BLOCK, radius, None
             slices, size = self._cell_slices(worker, radius)
             return size >= VECTOR_MIN_BLOCK, radius, slices
         if self.mode == "scan":
@@ -678,12 +694,14 @@ class CandidateEngine:
         """Eligible ``(position, scalar_accuracy)`` pairs.
 
         One walk applies the tombstone filter, the radius gate (grid mode:
-        the CSR cells, then the spill), the ``allowed`` mask and the
-        pinned decision, with :meth:`scalar_accuracy`'s expression inlined
-        for the sigmoid model, so each candidate's accuracy is evaluated
-        once — top-``k`` scores reuse it.  ``ordered`` sorts grid-mode
-        results into the oracle order (ascending task id); scan and
-        generic pools are already in posting order.
+        the CSR cells, then the spill; or, for a flat gather, every
+        position), the ``allowed`` mask and the pinned decision, with
+        :meth:`scalar_accuracy`'s expression inlined for the sigmoid
+        model, so each candidate's accuracy is evaluated once — top-``k``
+        scores reuse it.  ``ordered`` sorts grid-mode results into the
+        oracle order (ascending task id) unless the pool already is in it
+        (a flat gather over id-ordered positions); scan and generic pools
+        are already in posting order.
         """
         threshold = self.threshold
         alive = self.alive
@@ -695,10 +713,15 @@ class CandidateEngine:
         eligible: List[Tuple[int, float]] = []
         if self.mode == "grid":
             r2 = radius * radius
-            order = self.cell_positions
-            assert order is not None
-            pools = [order[lo:hi] for lo, hi in slices]
-            pools.append(range(self.spill_start, self.num_tasks))
+            if slices is None:
+                pools = [range(self.num_tasks)]
+                # Ascending positions are the oracle order while ids are.
+                ordered = ordered and not self.positions_id_ordered
+            else:
+                order = self.cell_positions
+                assert order is not None
+                pools = [order[lo:hi] for lo, hi in slices]
+                pools.append(range(self.spill_start, self.num_tasks))
             for pool in pools:
                 for p in pool:
                     if has_dead and not alive[p]:
@@ -737,7 +760,7 @@ class CandidateEngine:
         k: int,
         mode: str,
         need: Optional[Sequence[float]],
-    ) -> List[int]:
+    ) -> List[Tuple[int, float]]:
         """The best ``k`` of ``(position, scalar_accuracy)`` pairs, best first.
 
         Ties go to the pair earlier in ``scored`` — the pop order of a
@@ -754,9 +777,9 @@ class CandidateEngine:
                 score = weight * weight
                 if mode == "gain":
                     score = min(score, float(need[p]))
-            ranked.append((-score, seq, p))
+            ranked.append((-score, seq, p, acc))
         ranked.sort()
-        return [p for _, _, p in ranked[:k]]
+        return [(p, acc) for _, _, p, acc in ranked[:k]]
 
     # ---------------------------------------------------------- vector pass
 
@@ -766,7 +789,8 @@ class CandidateEngine:
         In scan mode the block is every alive task in posting order (the
         oracle scan applies no radius gate, and neither may we).  In grid
         mode the block is the CSR cells plus the spill range, tombstones
-        filtered out of both.
+        filtered out of both; a flat gather (``slices is None``) takes no
+        cells and reads every position as spill.
         """
         mirrors = self.numpy_mirrors()
         wx, wy = worker.location.x, worker.location.y
@@ -801,7 +825,7 @@ class CandidateEngine:
             block, d2 = block[keep], d2[keep]
         else:
             block = d2 = np.empty(0, dtype=np.int64)
-        spill_lo = self.spill_start
+        spill_lo = 0 if slices is None else self.spill_start
         if spill_lo < self.num_tasks:
             dxs = mirrors.xs[spill_lo:] - wx
             dys = mirrors.ys[spill_lo:] - wy
@@ -877,7 +901,7 @@ class CandidateEngine:
         k: int,
         mode: str,
         need: Optional[Sequence[float]],
-    ) -> List[int]:
+    ) -> List[Tuple[int, float]]:
         positions, acc = self._vector_eligible(worker, radius, slices, None)
         count = len(positions)
         if count == 0:
@@ -902,12 +926,13 @@ class CandidateEngine:
             # Scan blocks stream in posting order — the oracle push order —
             # and every filter above preserved it.
             superset = positions.tolist()
+        accuracy = self.scalar_accuracy
         if mode == "need":
-            # The remaining need alone scores; no accuracy is read.
-            scored = [(p, 0.0) for p in superset]
-        else:
-            accuracy = self.scalar_accuracy
-            scored = [(p, accuracy(worker, p)) for p in superset]
+            # The remaining need alone ranks, so only the picks get their
+            # scalar accuracy.
+            ranked = self._rank_topk([(p, 0.0) for p in superset], k, mode, need)
+            return [(p, accuracy(worker, p)) for p, _ in ranked]
+        scored = [(p, accuracy(worker, p)) for p in superset]
         return self._rank_topk(scored, k, mode, need)
 
     # ------------------------------------------------------------- queries
@@ -1008,14 +1033,18 @@ class CandidateEngine:
         k: int,
         mode: str = "acc_star",
         need: Optional[Sequence[float]] = None,
-    ) -> List[Task]:
+    ) -> List[Tuple[Task, float]]:
         """The worker's best-``k`` assignable tasks, in assignment order.
 
-        ``mode`` picks the score (see :data:`TOPK_MODES`); ``need``
-        supplies the per-position remaining need ``delta - S[t]`` for the
-        ``gain`` and ``need`` modes.  The order is largest scalar score
-        first, ties broken towards the lower-id task.  Finished tasks are
-        excluded by retiring them (:meth:`retire_tasks`).
+        Each pick comes as ``(task, Acc(w, task))``: the scalar accuracy
+        it was ranked by, bit-identical to the accuracy model's, which
+        :meth:`~repro.core.arrangement.Arrangement.assign` records without
+        evaluating the model again.  ``mode`` picks the score (see
+        :data:`TOPK_MODES`); ``need`` supplies the per-position remaining
+        need ``delta - S[t]`` for the ``gain`` and ``need`` modes.  The
+        order is largest scalar score first, ties broken towards the
+        lower-id task.  Finished tasks are excluded by retiring them
+        (:meth:`retire_tasks`).
         """
         if mode not in TOPK_MODES:
             raise ValueError(f"unknown topk mode {mode!r}")
@@ -1031,9 +1060,9 @@ class CandidateEngine:
             scored = self._scalar_pass(worker, radius, slices, None, True)
             picked = self._rank_topk(scored, k, mode, need)
         tasks = self.tasks
-        return [tasks[position] for position in picked]
+        return [(tasks[position], acc) for position, acc in picked]
 
-    def topk_acc_star(self, worker: Worker, k: int) -> List[Task]:
+    def topk_acc_star(self, worker: Worker, k: int) -> List[Tuple[Task, float]]:
         """LAF's selection: the ``k`` open tasks of largest ``Acc*``."""
         return self.topk(worker, k, "acc_star")
 
@@ -1043,7 +1072,7 @@ class CandidateEngine:
         k: int,
         mode: str = "acc_star",
         need: Optional[Sequence[float]] = None,
-    ) -> Optional[List[Task]]:
+    ) -> Optional[List[Tuple[Task, float]]]:
         """Routing and selection in one query.
 
         ``None`` when the worker is eligible for no task that has not

@@ -64,11 +64,14 @@ def _hang_guard(request):
 #: candidate engine's scalar loops.
 SCALAR_ONLY = 1 << 30
 
-#: A vector cutover inside the blocks the tests gather (2-23 candidates on
-#: ``small_synthetic_instance``, 0-6 on a six-task dispatcher campaign), so
-#: one run switches between the passes query by query, as production does
-#: at the shipped cutover, and the lazy numpy mirrors are built mid-run and
-#: must track every ``add_tasks``/``retire_tasks`` the scalar queries saw.
+#: A vector cutover inside the blocks the tests gather through the grid
+#: (2-23 candidates on ``small_synthetic_instance``, 0-6 on a six-task
+#: dispatcher campaign; see :func:`grid_gather`), so one run switches
+#: between the passes query by query, as production does at the shipped
+#: cutover, and the lazy numpy mirrors are built mid-run and must track
+#: every ``add_tasks``/``retire_tasks`` the scalar queries saw.  A flat
+#: gather's block is the whole snapshot, so there it splits by snapshot
+#: size instead.
 MIXED_CUTOVER = 6
 
 #: The cutover for each way of running the candidate engine.  ``0`` sends
@@ -99,6 +102,20 @@ def engine_pass(request) -> Iterator[str]:
     """
     with vector_cutover(ENGINE_PASSES[request.param]):
         yield request.param
+
+
+@pytest.fixture
+def grid_gather(monkeypatch) -> None:
+    """Send every grid-mode query through the CSR cells and the spill.
+
+    A snapshot of at most ``SPILL_REBUILD_MIN`` tasks is otherwise queried
+    by one flat scan over every position, so without this the small
+    instances of the exactness tests would never reach the cells.  Below
+    zero, the constant also leaves only the fractional term of the spill
+    rebuild threshold, so grids are rebuilt sooner; no query result
+    depends on when that happens.
+    """
+    monkeypatch.setattr(engine_module, "SPILL_REBUILD_MIN", -1)
 
 
 @pytest.fixture

@@ -57,7 +57,7 @@ class TestInfiniteRadiusRegression:
         with pytest.raises(ValueError):
             grid.query_radius(Point(0, 0), math.nan)
 
-    def test_zero_threshold_returns_every_task(self, engine_pass):
+    def test_zero_threshold_returns_every_task(self, engine_pass, grid_gather):
         instance = spatial_instance([0.0, 50.0, 500.0])
         finder = CandidateFinder(instance, min_accuracy=0.0)
         worker = instance.worker(1)
@@ -72,7 +72,7 @@ class TestInfiniteRadiusRegression:
 
 class TestEngineQueries:
     def test_matches_legacy_on_synthetic_instance(
-        self, engine_pass, small_synthetic_instance
+        self, engine_pass, grid_gather, small_synthetic_instance
     ):
         legacy = LegacyCandidateFinder(small_synthetic_instance)
         finder = CandidateFinder(small_synthetic_instance)
@@ -81,7 +81,9 @@ class TestEngineQueries:
             assert [t.task_id for t in finder.candidates(worker)] == expected
             assert finder.has_candidates(worker) == bool(expected)
 
-    def test_count_per_task_matches_naive(self, engine_pass, small_synthetic_instance):
+    def test_count_per_task_matches_naive(
+        self, engine_pass, grid_gather, small_synthetic_instance
+    ):
         finder = CandidateFinder(small_synthetic_instance)
         naive = {task.task_id: 0 for task in small_synthetic_instance.tasks}
         for worker in small_synthetic_instance.workers:
@@ -90,7 +92,7 @@ class TestEngineQueries:
         assert finder.candidate_count_per_task() == naive
 
     def test_eligible_pairs_order_and_allowed_semantics(
-        self, engine_pass, small_synthetic_instance
+        self, engine_pass, grid_gather, small_synthetic_instance
     ):
         legacy = LegacyCandidateFinder(small_synthetic_instance)
         finder = CandidateFinder(small_synthetic_instance)
@@ -109,7 +111,7 @@ class TestEngineQueries:
         assert list(finder.eligible_pairs(workers, set())) == []
         assert list(finder.iter_candidates(workers[0], frozenset())) == []
 
-    def test_non_contiguous_task_ids(self, engine_pass):
+    def test_non_contiguous_task_ids(self, engine_pass, grid_gather):
         tasks = [Task(task_id=i, location=Point(float(i % 7), 0.0))
                  for i in (90, 3, 41, 17, 55)]
         workers = [Worker(index=1, location=Point(0.0, 0.0), accuracy=0.9,
@@ -119,7 +121,7 @@ class TestEngineQueries:
         got = [t.task_id for t in finder.candidates(instance.worker(1))]
         assert got == sorted(got) == [3, 17, 41, 55, 90]
 
-    def test_generic_model_scans_in_instance_order(self, engine_pass):
+    def test_generic_model_scans_in_instance_order(self, engine_pass, grid_gather):
         # Non-sigmoid models fall back to the instance-order scan, which is
         # scalar on both sides of the cutover.
         tasks = [Task.at(5, 0, 0), Task.at(2, 500, 500), Task.at(9, 1, 1)]
@@ -132,7 +134,7 @@ class TestEngineQueries:
         assert [t.task_id for t in finder.candidates(instance.worker(1))] == [5, 2, 9]
 
     def test_allowed_restriction_matches_legacy(
-        self, engine_pass, small_synthetic_instance
+        self, engine_pass, grid_gather, small_synthetic_instance
     ):
         instance = small_synthetic_instance
         legacy = LegacyCandidateFinder(instance)
@@ -144,7 +146,9 @@ class TestEngineQueries:
             ]
         assert finder.candidate_count_per_task() == legacy.candidate_count_per_task()
 
-    def test_scan_mode_matches_legacy(self, engine_pass, small_synthetic_instance):
+    def test_scan_mode_matches_legacy(
+        self, engine_pass, grid_gather, small_synthetic_instance
+    ):
         instance = small_synthetic_instance
         legacy = LegacyCandidateFinder(instance, use_spatial_index=False)
         finder = CandidateFinder(instance, use_spatial_index=False)
@@ -157,7 +161,7 @@ class TestEngineQueries:
 class TestTopK:
     @pytest.mark.parametrize("k", [1, 2, 5, 40])
     def test_topk_acc_star_matches_manual_heap(
-        self, engine_pass, k, small_synthetic_instance
+        self, engine_pass, grid_gather, k, small_synthetic_instance
     ):
         instance = small_synthetic_instance
         finder = CandidateFinder(instance)
@@ -167,23 +171,26 @@ class TestTopK:
             for task in finder.candidates(worker):
                 heap.push(instance.acc_star(worker, task), task)
             expected = [task.task_id for _, task in heap.pop_all()]
-            got = [t.task_id for t in engine.topk_acc_star(worker, k)]
+            got = [t.task_id for t, _ in engine.topk_acc_star(worker, k)]
             assert got == expected
 
-    def test_topk_skips_tombstoned_tasks(self, engine_pass, small_synthetic_instance):
+    def test_topk_skips_tombstoned_tasks(
+        self, engine_pass, grid_gather, small_synthetic_instance
+    ):
         instance = small_synthetic_instance
         engine = CandidateEngine(instance)
         worker = instance.workers[0]
         full = engine.topk_acc_star(worker, 4)
         if not full:
             pytest.skip("worker has no candidates")
-        engine.retire_tasks([full[0].task_id])
+        first = full[0][0].task_id
+        engine.retire_tasks([first])
         reduced = engine.topk_acc_star(worker, 4)
-        assert full[0].task_id not in {t.task_id for t in reduced}
-        assert [t.task_id for t in reduced[:3]] == [t.task_id for t in full[1:4]]
+        assert first not in {t.task_id for t, _ in reduced}
+        assert reduced[:3] == full[1:4]
 
     def test_topk_need_modes_match_manual_scores(
-        self, engine_pass, small_synthetic_instance
+        self, engine_pass, grid_gather, small_synthetic_instance
     ):
         instance = small_synthetic_instance
         engine = CandidateEngine(instance)
@@ -202,16 +209,20 @@ class TestTopK:
                     score = min(star, need[position]) if mode == "gain" else need[position]
                     heap.push(float(score), task)
                 expected = [task.task_id for _, task in heap.pop_all()]
-                got = [t.task_id for t in engine.topk(worker, 3, mode, need)]
+                got = [t.task_id for t, _ in engine.topk(worker, 3, mode, need)]
                 assert got == expected, (mode, worker.index)
 
-    def test_topk_unknown_mode_raises(self, engine_pass, small_synthetic_instance):
+    def test_topk_unknown_mode_raises(
+        self, engine_pass, grid_gather, small_synthetic_instance
+    ):
         engine = CandidateEngine(small_synthetic_instance)
         with pytest.raises(ValueError, match="unknown topk mode"):
             engine.topk(small_synthetic_instance.workers[0], 2, "weird")
 
     @pytest.mark.parametrize("k", [1, 2])
-    def test_topk_need_mode_requires_need(self, engine_pass, k, small_synthetic_instance):
+    def test_topk_need_mode_requires_need(
+        self, engine_pass, grid_gather, k, small_synthetic_instance
+    ):
         # k=1 leaves more candidates than k, so the vector pass would reach
         # its preselect; the contractual error must come first.
         engine = CandidateEngine(small_synthetic_instance)
@@ -285,13 +296,13 @@ class TestVectorCutover:
             results[cutover] = (
                 engine.eligible_positions(worker),
                 engine.reaches_completed(worker),
-                [t.task_id for t in engine.topk_acc_star(worker, 2)],
+                engine.topk_acc_star(worker, 2),
             )
             assert len(calls) == (2 if cutover == size else 0)
         assert results[size + 1] == results[size]
 
     def test_mixed_cutover_splits_the_synthetic_queries(
-        self, monkeypatch, small_synthetic_instance
+        self, monkeypatch, grid_gather, small_synthetic_instance
     ):
         # The ``mixed`` engine pass is only a third check if its cutover
         # really sends some of the fixture's queries each way.

@@ -159,7 +159,7 @@ class TestDynamicMachinery:
         got = [t.task_id for t in engine.eligible_tasks(worker)]
         assert got == sorted(got)
 
-    def test_all_tasks_retired_leaves_empty_queries(self, engine_pass):
+    def test_all_tasks_retired_leaves_empty_queries(self, engine_pass, grid_gather):
         instance = make_instance(num_tasks=4)
         engine = CandidateEngine(instance, min_accuracy=0.0)
         worker = instance.workers[0]
@@ -178,7 +178,7 @@ class TestDynamicMachinery:
         assert engine.eligible_tasks(worker) == []
         assert engine.probe(worker, 3) == []
 
-    def test_expired_tasks_never_reach_routing(self, engine_pass):
+    def test_expired_tasks_never_reach_routing(self, engine_pass, grid_gather):
         instance = make_instance(num_tasks=4)
         engine = CandidateEngine(instance, min_accuracy=0.0)
         worker = instance.workers[0]
@@ -256,30 +256,46 @@ class TestDynamicDifferential:
     @classmethod
     def _check_against_oracle(cls, engine, posted, alive_ids, completed_ids,
                               workers, use_spatial_index, min_accuracy):
+        """Every engine query against legacy scans rebuilt from scratch."""
         alive_tasks = [task for task in posted if task.task_id in alive_ids]
         oracle_instance, oracle = cls._legacy(
             alive_tasks, workers, use_spatial_index, min_accuracy
         )
         # Routing's oracle: every task that has not expired, completed
-        # ones included.
+        # ones included; its fallback walk sees the completed ones alone.
         _, routable = cls._legacy(
             [task for task in posted
              if task.task_id in alive_ids or task.task_id in completed_ids],
             workers, use_spatial_index, min_accuracy,
         )
+        _, completed = cls._legacy(
+            [task for task in posted if task.task_id in completed_ids],
+            workers, use_spatial_index, min_accuracy,
+        )
+        model = engine.model
         # Per-position needs for the gain/need modes, keyed on task id so
         # the oracle can score the same values.
         need_of = {task.task_id: 0.4 + (task.task_id % 7) / 5.0 for task in posted}
         need = [need_of[task_id] for task_id in engine.task_ids]
         allowed = {task.task_id for task in alive_tasks[::2]}
+        counts = {task.task_id: 0 for task in posted}
+        task_ids = engine.task_ids
         for worker in workers:
             candidates = oracle.candidates(worker) if oracle is not None else []
             expected = [task.task_id for task in candidates]
+            for task_id in expected:
+                counts[task_id] += 1
             got = [task.task_id for task in engine.eligible_tasks(worker)]
             assert got == expected
+            assert [task_ids[p] for p in engine.eligible_positions(worker)] == expected
+            unordered = engine.eligible_positions(worker, ordered=False)
+            assert sorted(task_ids[p] for p in unordered) == sorted(expected)
+            assert len(unordered) == len(expected)
             # The fused routing probe: not eligible for any task that has
             # not expired, or eligible with the top-k over the open ones.
             eligible = routable is not None and bool(routable.candidates(worker))
+            reaches = completed is not None and bool(completed.candidates(worker))
+            assert engine.reaches_completed(worker) == reaches
             probed = engine.probe(worker, 2)
             assert (probed is not None) == eligible
             if probed is not None:
@@ -299,19 +315,43 @@ class TestDynamicDifferential:
                     }[mode]
                     heap.push(score, task)
                 expected_top = [task.task_id for _, task in heap.pop_all()]
-                got_top = [
-                    task.task_id for task in engine.topk(worker, 2, mode, need)
-                ]
-                assert got_top == expected_top, mode
+                picks = engine.topk(worker, 2, mode, need)
+                assert [task.task_id for task, _ in picks] == expected_top, mode
+                # Each pick carries the model's accuracy, bit for bit.
+                assert [acc.hex() for _, acc in picks] == [
+                    model.accuracy(worker, task).hex() for task, _ in picks
+                ], mode
+        for restriction in (None, allowed):
+            expected_pairs = [] if oracle is None else [
+                (w.index, t.task_id)
+                for w, t in oracle.eligible_pairs(workers, restriction)
+            ]
+            got_pairs = [
+                (w.index, t.task_id)
+                for w, t in engine.eligible_pairs(workers, restriction)
+            ]
+            assert got_pairs == expected_pairs
+        # Posting order, retired tasks included (they count 0).
+        assert list(engine.candidate_counts().items()) == list(counts.items())
 
     @given(data=interleavings(), use_spatial_index=st.booleans())
     @settings(max_examples=30, deadline=None, suppress_health_check=HEALTH_OK)
     def test_engine_matches_rebuild_from_scratch(
-        self, engine_pass, data, use_spatial_index
+        self, engine_pass, grid_gather, data, use_spatial_index
     ):
         instance, steps, box = data
-        min_accuracy = instance.min_assignable_accuracy
-        engine = CandidateEngine(instance, use_spatial_index=use_spatial_index)
+        self.replay(instance, steps, use_spatial_index)
+
+    @classmethod
+    def replay(cls, instance, steps, use_spatial_index=True, min_accuracy=None):
+        """Apply ``steps`` to a fresh engine, checking every query after
+        each one; returns the engine."""
+        if min_accuracy is None:
+            min_accuracy = instance.min_assignable_accuracy
+        engine = CandidateEngine(
+            instance, min_accuracy=min_accuracy,
+            use_spatial_index=use_spatial_index,
+        )
         posted = list(instance.tasks)
         alive_ids = {task.task_id for task in instance.tasks}
         completed_ids = set()
@@ -329,14 +369,15 @@ class TestDynamicDifferential:
                 alive_ids.difference_update(victims)
                 if not expired:
                     completed_ids.update(victims)
-            self._check_against_oracle(
+            cls._check_against_oracle(
                 engine, posted, alive_ids, completed_ids, instance.workers,
                 use_spatial_index, min_accuracy,
             )
+        return engine
 
     @given(data=interleavings())
     @settings(max_examples=15, deadline=None, suppress_health_check=HEALTH_OK)
-    def test_forced_rebuilds_change_nothing(self, engine_pass, data):
+    def test_forced_rebuilds_change_nothing(self, engine_pass, grid_gather, data):
         """Same interleaving, with the grid rebuilt after every mutation."""
         instance, steps, box = data
         engines = [CandidateEngine(instance)]
@@ -364,6 +405,93 @@ class TestDynamicDifferential:
                         [t.task_id for t in lazy.eligible_tasks(worker)]
                         == [t.task_id for t in rebuilt.eligible_tasks(worker)]
                     )
+
+
+@st.composite
+def straddling_interleavings(draw):
+    """Snapshots of 1-96 tasks whose appends cross the flat-gather limit.
+
+    The base snapshot is drawn across the whole range and appends grow it
+    towards 96 tasks, so one interleaving may start on the flat gather,
+    cross ``SPILL_REBUILD_MIN`` onto the construction-time grid plus a
+    long spill, and trigger the first rebuild once the spill itself
+    exceeds the minimum.  Appended ids either keep ascending (positions
+    stay in id order) or are random (ordered queries sort by id).
+    """
+    rng = draw(st.randoms(use_true_random=False))
+    num_tasks = draw(st.integers(min_value=1, max_value=96))
+    box = draw(st.sampled_from([60.0, 150.0]))
+    instance = make_instance(
+        num_tasks, draw(st.integers(min_value=2, max_value=6)), box,
+        draw(st.integers(min_value=0, max_value=10_000)),
+    )
+    ascending_ids = draw(st.booleans())
+    used_ids = {task.task_id for task in instance.tasks}
+    size, steps = num_tasks, []
+    for _ in range(draw(st.integers(min_value=2, max_value=8))):
+        room = 96 - size
+        if room and rng.random() < 0.6:
+            count = rng.randint(1, min(room, 40))
+            if ascending_ids:
+                first = max(used_ids) + 1
+                batch = [
+                    Task(task_id=first + i,
+                         location=Point(rng.uniform(0, box), rng.uniform(0, box)))
+                    for i in range(count)
+                ]
+                used_ids.update(task.task_id for task in batch)
+            else:
+                batch = fresh_tasks(count, box, rng, used_ids)
+            steps.append(("add", batch))
+            size += count
+        else:
+            steps.append(("retire", rng.random()))
+    return instance, steps
+
+
+class TestFlatAndGridGathers:
+    """Snapshots of at most ``SPILL_REBUILD_MIN`` tasks skip the CSR cells
+    and scan every position; larger ones gather cells plus spill.  Both
+    gathers must answer every query exactly like the legacy oracle, in
+    every engine pass, across the threshold."""
+
+    @given(
+        data=straddling_interleavings(),
+        min_accuracy=st.sampled_from([None, 0.0]),
+    )
+    @settings(max_examples=25, deadline=None, suppress_health_check=HEALTH_OK)
+    def test_gathers_match_the_oracle_across_the_threshold(
+        self, engine_pass, data, min_accuracy
+    ):
+        instance, steps = data
+        TestDynamicDifferential.replay(instance, steps, min_accuracy=min_accuracy)
+
+    def test_appends_cross_the_limit_and_trigger_the_first_rebuild(
+        self, engine_pass
+    ):
+        rng = random.Random(7)
+        instance = make_instance(num_tasks=10, num_workers=8, box=90.0, seed=3)
+        used_ids = {task.task_id for task in instance.tasks}
+        limit = engine_module.SPILL_REBUILD_MIN
+        # 10 -> 40 (flat) -> 70 (grid over the first cells, spill 60)
+        # -> 90 (spill 80 > 64: the first rebuild).
+        steps = [
+            ("add", fresh_tasks(30, 90.0, rng, used_ids)),
+            ("retire", 0.3),
+            ("add", fresh_tasks(30, 90.0, rng, used_ids)),
+            ("retire", 0.3),
+            ("add", fresh_tasks(20, 90.0, rng, used_ids)),
+            ("retire", 0.3),
+        ]
+        engines = []
+        for cut in (1, 3, 5, 6):
+            engines.append(TestDynamicDifferential.replay(instance, steps[:cut]))
+        flat, stale_grid, rebuilt, swept = engines
+        assert flat.num_tasks <= limit < stale_grid.num_tasks
+        assert stale_grid.rebuild_count == 0
+        assert stale_grid.num_tasks - stale_grid.spill_start == 60
+        assert rebuilt.rebuild_count == swept.rebuild_count == 1
+        assert rebuilt.spill_start == rebuilt.num_tasks
 
 
 class TestFinderFacadeDynamics:

@@ -108,7 +108,7 @@ class TestQueryDifferential:
     )
     @settings(max_examples=40, deadline=None, suppress_health_check=FIXTURE_OK)
     def test_engine_matches_the_legacy_scan(
-        self, engine_pass, instance, use_spatial_index, min_accuracy
+        self, engine_pass, grid_gather, instance, use_spatial_index, min_accuracy
     ):
         legacy = LegacyCandidateFinder(
             instance, min_accuracy=min_accuracy, use_spatial_index=use_spatial_index
@@ -161,7 +161,9 @@ class TestArrangementEquality:
 
     @given(instance=ltc_instances())
     @settings(max_examples=15, deadline=None, suppress_health_check=FIXTURE_OK)
-    def test_laf_and_aam_match_their_pre_engine_loops(self, engine_pass, instance):
+    def test_laf_and_aam_match_their_pre_engine_loops(
+        self, engine_pass, grid_gather, instance
+    ):
         laf = LAFSolver().solve(instance)
         assert laf.arrangement.assignments == legacy_laf_arrangement(
             instance
@@ -216,7 +218,7 @@ class TestAAMIncrementalStats:
             )
             solver.observe(worker)
 
-    def test_knife_edge_decision_matches_legacy(self, engine_pass):
+    def test_knife_edge_decision_matches_legacy(self, engine_pass, grid_gather):
         """When avg lands exactly on maxRemain the switch must still take
         the legacy branch: the incremental sum is bypassed inside the
         resolution band and the naive left-to-right sum decides."""
@@ -252,7 +254,7 @@ class TestAAMIncrementalStats:
 
 
 class TestDegenerateGeometry:
-    def test_all_tasks_at_one_point(self, engine_pass):
+    def test_all_tasks_at_one_point(self, engine_pass, grid_gather):
         tasks = [Task(task_id=i, location=Point(5.0, 5.0)) for i in range(6)]
         workers = [Worker(index=1, location=Point(5.0, 5.0), accuracy=0.9,
                           capacity=2)]
@@ -263,7 +265,7 @@ class TestDegenerateGeometry:
             t.task_id for t in legacy.candidates(instance.worker(1))
         ]
 
-    def test_worker_far_outside_every_cell(self, engine_pass):
+    def test_worker_far_outside_every_cell(self, engine_pass, grid_gather):
         tasks = [Task(task_id=i, location=Point(float(i), 0.0)) for i in range(4)]
         workers = [Worker(index=1, location=Point(1e6, -1e6), accuracy=0.99,
                           capacity=2)]

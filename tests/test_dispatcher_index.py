@@ -84,10 +84,11 @@ class FullScanDispatcher(LTCDispatcher):
             if managed.session.algorithm == "Random":
                 # The fused answer is the pool the draw picked from: every
                 # eligible task, since Random never retires one.
-                assert [task.task_id for task in fused.tasks] == eligible
+                assert [task.task_id for task, _ in fused.picks] == eligible
             else:
-                assert [task.task_id for task in fused.tasks] == [
-                    assignment.task_id for assignment in assignments
+                assert [(task.task_id, acc) for task, acc in fused.picks] == [
+                    (assignment.task_id, assignment.acc)
+                    for assignment in assignments
                 ]
             deliveries[managed.session_id] = assignments
             self._metrics.workers_routed += 1
@@ -306,7 +307,7 @@ OPS = ["open", "post", "post_far", "expire", "expire_all", "close", "adopt",
                                  HealthCheck.function_scoped_fixture],
           phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink])
 @given(data=st.data())
-def test_indexed_routing_matches_a_full_scan(engine_pass, data):
+def test_indexed_routing_matches_a_full_scan(engine_pass, grid_gather, data):
     lockstep = Lockstep()
     for _ in range(data.draw(st.integers(1, 3))):
         lockstep.open((lockstep.indexed, lockstep.oracle), *data.draw(open_args))

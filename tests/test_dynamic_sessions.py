@@ -184,7 +184,9 @@ def dynamic_scenarios(draw):
 class TestDynamicSolversMatchOracle:
     @given(data=dynamic_scenarios())
     @settings(max_examples=12, deadline=None, suppress_health_check=HEALTH_OK)
-    def test_arrangements_match_rebuild_from_scratch(self, engine_pass, data):
+    def test_arrangements_match_rebuild_from_scratch(
+        self, engine_pass, grid_gather, data
+    ):
         instance, events = data
         for solver_cls, observe in ORACLE_OBSERVES.items():
             expected = oracle_drive(observe, instance, events).assignments
@@ -194,7 +196,9 @@ class TestDynamicSolversMatchOracle:
 
     @given(data=dynamic_scenarios())
     @settings(max_examples=8, deadline=None, suppress_health_check=HEALTH_OK)
-    def test_random_solver_matches_rebuild_per_submit(self, engine_pass, data):
+    def test_random_solver_matches_rebuild_per_submit(
+        self, engine_pass, grid_gather, data
+    ):
         """Random has no independent legacy loop; its oracle is the same
         solver with the candidate snapshot rebuilt at every submit (legal
         because Random keeps no per-position state and its rng draws

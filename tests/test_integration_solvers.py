@@ -26,7 +26,7 @@ from repro.quality.hoeffding import empirical_error_rate
 class TestAllSolversOnGeneratedData:
     @pytest.mark.parametrize("name", DEFAULT_SOLVER_NAMES)
     def test_solver_completes_and_satisfies_all_constraints(
-        self, engine_pass, small_synthetic_instance, name
+        self, engine_pass, grid_gather, small_synthetic_instance, name
     ):
         result = get_solver(name).solve(small_synthetic_instance)
         assert result.completed, name
@@ -47,7 +47,7 @@ class TestAllSolversOnGeneratedData:
 
     @pytest.mark.parametrize("name", DEFAULT_SOLVER_NAMES)
     def test_assignments_only_use_eligible_pairs(
-        self, engine_pass, small_synthetic_instance, name
+        self, engine_pass, grid_gather, small_synthetic_instance, name
     ):
         """Every assigned pair satisfies Acc(w, t) >= 0.66 (the Theorem 2 regime),
         whichever pass of the candidate engine decided its eligibility."""

@@ -33,7 +33,9 @@ def load_cases():
 
 @pytest.mark.parametrize("case", load_cases(), ids=lambda c: f"seed{c['config']['seed']}")
 class TestArrangementConformance:
-    def test_assignments_identical_to_pre_refactor_capture(self, case, engine_pass):
+    def test_assignments_identical_to_pre_refactor_capture(
+        self, case, engine_pass, grid_gather
+    ):
         cfg = case["config"]
         instance = generate_synthetic_instance(
             SyntheticConfig(name=f"conformance-{cfg['seed']}", **cfg)
@@ -47,7 +49,7 @@ class TestArrangementConformance:
         assert result.extra["flow_units"] == case["flow_units"]
         assert result.extra["batches"] == case["batches"]
 
-    def test_arrangement_satisfies_all_constraints(self, case, engine_pass):
+    def test_arrangement_satisfies_all_constraints(self, case, engine_pass, grid_gather):
         cfg = case["config"]
         instance = generate_synthetic_instance(
             SyntheticConfig(name=f"conformance-{cfg['seed']}", **cfg)

@@ -89,7 +89,7 @@ def assert_identical(base, candidate):
 
 
 @pytest.mark.parametrize("solver", ["AAM", "LAF"])
-def test_sharded_matches_single_process(workload, solver, engine_pass):
+def test_sharded_matches_single_process(workload, solver, engine_pass, grid_gather):
     # The oracle stays on the scalar loops; the shards run each way of the
     # candidate engine's vector cutover.
     with vector_cutover(SCALAR_ONLY):
