@@ -288,9 +288,11 @@ def bench_pairs(instance: LTCInstance, repeats: int, batch_size: int):
     }
 
     def emit(finder):
+        # The engine's pairs also carry their accuracy; the legacy oracle's
+        # do not, so the comparison reads the pair alone.
         return [
-            (w.index, t.task_id)
-            for w, t in finder.eligible_pairs(batch, allowed)
+            (pair[0].index, pair[1].task_id)
+            for pair in finder.eligible_pairs(batch, allowed)
         ]
 
     runners = {impl: (lambda f=finder: emit(f))

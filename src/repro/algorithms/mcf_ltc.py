@@ -28,12 +28,18 @@ Implementation notes
   task->sink capacities from the arrangement's accumulated quality, instead
   of rebuilding the network from scratch.
 * Each batch goes through :func:`solve_mcf`, which runs the primal
-  network simplex of :mod:`repro.flow.simplex` first.  At zero flow the
-  batch network is a 3-layer DAG (source -> workers -> tasks -> sink), so
-  the simplex starts from a strongly feasible tree of real arcs, and the
-  SSPA fallback takes its initial Johnson potentials from
-  :func:`~repro.flow.kernel.dag_potentials` in one O(E) pass; the O(V*E)
-  Bellman-Ford of the generic path is never run.
+  network simplex of :mod:`repro.flow.simplex` first.  The batch network
+  is layered (source -> workers -> tasks -> sink, unit worker -> task
+  arcs), so the simplex starts from a greedy flow on a strongly feasible
+  tree of real arcs, and the SSPA fallback takes its initial Johnson
+  potentials from :func:`~repro.flow.kernel.dag_potentials` in one O(E)
+  pass over the zero-flow DAG; the O(V*E) Bellman-Ford of the generic
+  path is never run.
+* Each candidate's accuracy is evaluated once, in the candidate engine's
+  scan: ``eligible_pairs`` and ``iter_candidates`` yield it with the pair,
+  bit-identical to the accuracy model's.  Batch arcs cost
+  ``-acc_star(acc)``, the greedy fill ranks by ``acc_star(acc)``, and
+  both hand ``acc`` to :meth:`~repro.core.arrangement.Arrangement.assign`.
 * Determinism among cost-equal optimal flows comes from the kernel SSPA's
   stable tie-breaking (arc-insertion order; workers are inserted in
   arrival order, tasks ascending by id), not from perturbing the costs.
@@ -58,6 +64,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.algorithms.base import OfflineSolver, SolveResult
+from repro.core.accuracy import acc_star
 from repro.core.arrangement import Arrangement
 from repro.core.candidates import CandidateFinder
 from repro.core.instance import LTCInstance
@@ -111,7 +118,7 @@ def solve_mcf(arena: ArcArena, topo_order: Sequence[int]) -> BatchFlow:
     flow among the cost-equal optima.
     """
     tie_prone = indifferent_share(arena, _SOURCE) >= TIE_PRONE_SHARE
-    result = None if tie_prone else network_simplex(arena, _SOURCE, _SINK, topo_order)
+    result = None if tie_prone else network_simplex(arena, _SOURCE, _SINK)
     if result is None:
         potentials = dag_potentials(arena, _SOURCE, topo_order)
         sspa = kernel.solve_mcf(arena, _SOURCE, _SINK, potentials=potentials)
@@ -183,13 +190,13 @@ class MCFLTCSolver(OfflineSolver):
             position += len(batch)
             batches += 1
             flow = self._solve_batch(
-                instance, arrangement, candidates, batch,
+                arrangement, candidates, batch,
                 arena, watermark, task_nodes, task_sink_arcs,
             )
             total_flow += flow.flow_value
             fallbacks += flow.fallback
             tie_prone += flow.tie_prone
-            self._greedy_fill(instance, arrangement, candidates, batch)
+            self._greedy_fill(arrangement, candidates, batch)
 
         return SolveResult(
             algorithm=self.name,
@@ -210,7 +217,6 @@ class MCFLTCSolver(OfflineSolver):
 
     def _solve_batch(
         self,
-        instance: LTCInstance,
         arrangement: Arrangement,
         candidates: CandidateFinder,
         batch: Sequence[Worker],
@@ -233,27 +239,26 @@ class MCFLTCSolver(OfflineSolver):
             arena.set_capacity(arc, max(0, math.ceil(need - 1e-12)))
 
         # Append this batch's worker nodes and arcs (Fig. 2a), streaming the
-        # eligible pairs straight into the arena.  ``eligible_pairs`` yields
-        # grouped by worker with tasks ascending, so the arc order — and
-        # therefore the kernel's tie-breaking — is stable.  Completed tasks
-        # were retired through the candidate facade as their completions
-        # landed, so the unrestricted stream is already the open set — no
-        # per-batch uncompleted-id mask is built.
-        acc_star = instance.acc_star
-        pair_arcs: List[Tuple[Worker, Task, int]] = []
+        # eligible pairs, each with its accuracy, straight into the arena.
+        # ``eligible_pairs`` yields grouped by worker with tasks ascending,
+        # so the arc order — and therefore the kernel's tie-breaking — is
+        # stable.  Completed tasks were retired through the candidate
+        # facade as their completions landed, so the unrestricted stream is
+        # already the open set — no per-batch uncompleted-id mask is built.
+        pair_arcs: List[Tuple[Worker, Task, float, int]] = []
         worker_nodes: List[int] = []
         current_worker = None
         worker_node = -1
-        for worker, task in candidates.eligible_pairs(batch):
+        for worker, task, acc in candidates.eligible_pairs(batch):
             if worker is not current_worker:
                 current_worker = worker
                 worker_node = arena.add_node()
                 worker_nodes.append(worker_node)
                 arena.add_arc(_SOURCE, worker_node, worker.capacity, 0.0)
             arc = arena.add_arc(
-                worker_node, task_nodes[task.task_id], 1, -acc_star(worker, task)
+                worker_node, task_nodes[task.task_id], 1, -acc_star(acc)
             )
-            pair_arcs.append((worker, task, arc))
+            pair_arcs.append((worker, task, acc, arc))
         if not pair_arcs:
             return _NO_FLOW
 
@@ -268,24 +273,24 @@ class MCFLTCSolver(OfflineSolver):
         # Apply every unit of flow on a worker->task arc as an assignment,
         # retiring each task the moment its quality threshold is reached.
         arc_flow = arena.flow
-        for worker, task, arc in pair_arcs:
+        for worker, task, acc, arc in pair_arcs:
             if arc_flow[arc] > 0:
-                arrangement.assign(worker, task)
+                arrangement.assign(worker, task, acc)
                 if arrangement.is_task_complete(task.task_id):
                     candidates.retire_tasks((task.task_id,))
         return result
 
     def _greedy_fill(
         self,
-        instance: LTCInstance,
         arrangement: Arrangement,
         candidates: CandidateFinder,
         batch: Sequence[Worker],
     ) -> None:
         """Lines 8-15: top up workers that still have spare capacity.
 
-        Each such worker receives its best (largest ``Acc*``) uncompleted
-        tasks it does not already perform, up to its remaining capacity.
+        Each such worker receives its best (largest ``Acc*``, from the
+        accuracy each candidate carries) uncompleted tasks it does not
+        already perform, up to its remaining capacity.
         Completed tasks are already retired from the candidate snapshot,
         so ``iter_candidates`` yields only the open set; tasks completing
         during the fill are retired in turn.
@@ -297,11 +302,11 @@ class MCFLTCSolver(OfflineSolver):
             if spare <= 0:
                 continue
             heap: TopKHeap = TopKHeap(spare)
-            for task in candidates.iter_candidates(worker):
+            for task, acc in candidates.iter_candidates(worker):
                 if (worker.index, task.task_id) in arrangement:
                     continue
-                heap.push(instance.acc_star(worker, task), task)
-            for _, task in heap.pop_all():
-                arrangement.assign(worker, task)
+                heap.push(acc_star(acc), (task, acc))
+            for _, (task, acc) in heap.pop_all():
+                arrangement.assign(worker, task, acc)
                 if arrangement.is_task_complete(task.task_id):
                     candidates.retire_tasks((task.task_id,))

@@ -978,23 +978,63 @@ class CandidateEngine:
         mask = None if allowed_ids is None else self.make_allowed_mask(allowed_ids)
         return [tasks[position] for position in self.eligible_positions(worker, mask)]
 
+    def _scored(
+        self, worker: Worker, allowed: Optional[Sequence[bool]]
+    ) -> List[Tuple[int, float]]:
+        """Eligible ``(position, scalar_accuracy)`` pairs in the oracle order.
+
+        The scalar pass hands over the accuracy each decision read; the
+        vector pass evaluates the scalar accuracy of its eligible
+        positions only.
+        """
+        route = self._route(worker)
+        if route is None:
+            return []
+        vector, radius, slices = route
+        if not vector:
+            return self._scalar_pass(worker, radius, slices, allowed, True)
+        positions, _ = self._vector_eligible(worker, radius, slices, allowed)
+        if self.mode == "grid":
+            positions = self._vector_order(positions)
+        else:
+            positions = positions.tolist()
+        accuracy = self.scalar_accuracy
+        return [(p, accuracy(worker, p)) for p in positions]
+
+    def scored_tasks(
+        self, worker: Worker, allowed_ids: Optional[AbstractSet[int]] = None
+    ) -> List[Tuple[Task, float]]:
+        """:meth:`eligible_tasks` as ``(task, Acc(w, task))`` pairs.
+
+        Each accuracy is the scalar one, bit-identical to the accuracy
+        model's, so callers rank by it and hand it to
+        :meth:`~repro.core.arrangement.Arrangement.assign` without
+        evaluating the model again.
+        """
+        if allowed_ids is not None and not allowed_ids:
+            return []
+        mask = None if allowed_ids is None else self.make_allowed_mask(allowed_ids)
+        tasks = self.tasks
+        return [(tasks[p], acc) for p, acc in self._scored(worker, mask)]
+
     def eligible_pairs(
         self,
         workers: Iterable[Worker],
         allowed_ids: Optional[AbstractSet[int]] = None,
-    ) -> Iterator[Tuple[Worker, Task]]:
+    ) -> Iterator[Tuple[Worker, Task, float]]:
         """Bulk-iterate assignable pairs, grouped by worker, ids ascending.
 
-        The restriction set is converted to a per-position mask **once**
-        for the whole batch.
+        Each comes as ``(worker, task, Acc(w, task))`` with the scalar
+        accuracy of :meth:`scored_tasks`.  The restriction set is
+        converted to a per-position mask **once** for the whole batch.
         """
         if allowed_ids is not None and not allowed_ids:
             return
         mask = None if allowed_ids is None else self.make_allowed_mask(allowed_ids)
         tasks = self.tasks
         for worker in workers:
-            for position in self.eligible_positions(worker, mask):
-                yield worker, tasks[position]
+            for position, acc in self._scored(worker, mask):
+                yield worker, tasks[position], acc
 
     def reaches_completed(self, worker: Worker) -> bool:
         """Whether the worker is eligible for a task retired as completed.

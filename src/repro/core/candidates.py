@@ -181,8 +181,12 @@ class CandidateFinder:
 
     def iter_candidates(
         self, worker: Worker, allowed_ids: Optional[AbstractSet[int]] = None
-    ) -> Iterator[Task]:
+    ) -> Iterator[Tuple[Task, float]]:
         """Yield the worker's assignable tasks in ascending-id order.
+
+        Each comes as ``(task, Acc(w, task))``: the scalar accuracy the
+        eligibility decision read, bit-identical to the accuracy model's
+        (:meth:`~repro.core.candidate_engine.engine.CandidateEngine.scored_tasks`).
 
         ``allowed_ids`` optionally restricts the yield to a task-id subset
         (e.g. the uncompleted tasks of a batch) so callers pay nothing for
@@ -199,18 +203,19 @@ class CandidateFinder:
         if allowed_ids is not None and not allowed_ids:
             # Explicit empty restriction: nothing can qualify.
             return
-        yield from self._engine.eligible_tasks(worker, allowed_ids)
+        yield from self._engine.scored_tasks(worker, allowed_ids)
 
     def eligible_pairs(
         self,
         workers: Iterable[Worker],
         allowed_ids: Optional[AbstractSet[int]] = None,
-    ) -> Iterator[Tuple[Worker, Task]]:
-        """Bulk-iterate every assignable ``(worker, task)`` pair.
+    ) -> Iterator[Tuple[Worker, Task, float]]:
+        """Bulk-iterate every assignable pair as ``(worker, task, acc)``.
 
-        Pairs stream grouped by worker (in the given worker order) with
-        tasks ascending by id inside each group — exactly the stable arc
-        order the MCF-LTC reduction appends to the kernel arena.  The
+        ``acc`` is the pair's accuracy as :meth:`iter_candidates` yields
+        it.  Pairs stream grouped by worker (in the given worker order)
+        with tasks ascending by id inside each group — exactly the stable
+        arc order the MCF-LTC reduction appends to the kernel arena.  The
         restriction set is converted to a position mask once for the whole
         batch.
 

@@ -14,8 +14,9 @@ is used only when it provably equals the SSPA's:
   :func:`dag_potentials` (one O(E) pass for the LTC reduction's 3-layer
   DAG).
 * :func:`network_simplex` (:mod:`repro.flow.simplex`) — a primal network
-  simplex over the same arena for DAG-shaped networks at zero flow.  It
-  writes its flow back only when a uniqueness certificate shows the
+  simplex over the same arena for the layered batch network at zero flow,
+  started from a greedy flow.  It writes its flow back only when a
+  uniqueness certificate shows the
   optimum is unique to within :data:`~repro.flow.simplex.UNIQUE_MARGIN`,
   and returns ``None`` otherwise, so the SSPA's tie-breaking still
   decides among cost-equal optima.  :func:`indifferent_share` tells how

@@ -6,7 +6,8 @@ flow is feasible: capacities respected, flow conserved at every node except
 the source and sink, the claimed flow value consistent with the source's
 net outflow, and every residual twin holding its forward arc's negated
 flow (a solver that writes flows back must keep both in lockstep, or the
-next solve on the arena reads a corrupt residual graph).
+next solve on the arena reads a corrupt residual graph), its negated
+cost and a capacity of 0.
 """
 
 from __future__ import annotations
@@ -37,11 +38,14 @@ def validate_arena_flow(
     """Constraint violations of the arena's current flow (empty = feasible).
 
     Walks the forward (even) arcs once, accumulating per-node net outflow
-    and checking each twin (``flow[arc ^ 1] == -flow[arc]``).  When
+    and checking each twin against the invariant
+    :class:`~repro.flow.kernel.ArcArena` documents:
+    ``flow[arc ^ 1] == -flow[arc]``, ``cost[arc ^ 1] == -cost[arc]`` and
+    ``cap[arc ^ 1] == 0``, each a ``twin`` violation.  When
     ``expected_value`` is given, the source's net outflow must equal it.
     """
     violations: List[FlowViolation] = []
-    head, cap, flow = graph.head, graph.cap, graph.flow
+    head, cap, cost, flow = graph.head, graph.cap, graph.cost, graph.flow
     net = [0] * graph.num_nodes
 
     for arc in range(0, len(flow), 2):
@@ -66,6 +70,21 @@ def validate_arena_flow(
                 FlowViolation(
                     "twin",
                     f"{tail}->{head[arc]}: flow {units}, twin {flow[arc ^ 1]}",
+                )
+            )
+        if cap[arc ^ 1] != 0:
+            violations.append(
+                FlowViolation(
+                    "twin",
+                    f"{tail}->{head[arc]}: twin capacity {cap[arc ^ 1]}, not 0",
+                )
+            )
+        if cost[arc ^ 1] != -cost[arc]:
+            violations.append(
+                FlowViolation(
+                    "twin",
+                    f"{tail}->{head[arc]}: cost {cost[arc]}, "
+                    f"twin {cost[arc ^ 1]}",
                 )
             )
         net[tail] += units

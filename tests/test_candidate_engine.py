@@ -98,14 +98,16 @@ class TestEngineQueries:
         finder = CandidateFinder(small_synthetic_instance)
         workers = small_synthetic_instance.workers[:30]
         allowed = {t.task_id for t in small_synthetic_instance.tasks[::3]}
+        model = small_synthetic_instance.accuracy_model
         for restriction in (None, allowed):
+            # Each pair carries the model's accuracy, bit for bit.
             expected = [
-                (w.index, t.task_id)
+                (w.index, t.task_id, model.accuracy(w, t).hex())
                 for w, t in legacy.eligible_pairs(workers, restriction)
             ]
             got = [
-                (w.index, t.task_id)
-                for w, t in finder.eligible_pairs(workers, restriction)
+                (w.index, t.task_id, acc.hex())
+                for w, t, acc in finder.eligible_pairs(workers, restriction)
             ]
             assert got == expected
         assert list(finder.eligible_pairs(workers, set())) == []
@@ -140,9 +142,14 @@ class TestEngineQueries:
         legacy = LegacyCandidateFinder(instance)
         finder = CandidateFinder(instance)
         allowed = {t.task_id for t in instance.tasks[::3]}
+        model = instance.accuracy_model
         for worker in instance.workers[:40]:
-            assert [t.task_id for t in finder.iter_candidates(worker, allowed)] == [
-                t.task_id for t in legacy.iter_candidates(worker, allowed)
+            assert [
+                (t.task_id, acc.hex())
+                for t, acc in finder.iter_candidates(worker, allowed)
+            ] == [
+                (t.task_id, model.accuracy(worker, t).hex())
+                for t in legacy.iter_candidates(worker, allowed)
             ]
         assert finder.candidate_count_per_task() == legacy.candidate_count_per_task()
 

@@ -323,12 +323,12 @@ class TestDynamicDifferential:
                 ], mode
         for restriction in (None, allowed):
             expected_pairs = [] if oracle is None else [
-                (w.index, t.task_id)
+                (w.index, t.task_id, model.accuracy(w, t).hex())
                 for w, t in oracle.eligible_pairs(workers, restriction)
             ]
             got_pairs = [
-                (w.index, t.task_id)
-                for w, t in engine.eligible_pairs(workers, restriction)
+                (w.index, t.task_id, acc.hex())
+                for w, t, acc in engine.eligible_pairs(workers, restriction)
             ]
             assert got_pairs == expected_pairs
         # Posting order, retired tasks included (they count 0).
@@ -504,6 +504,6 @@ class TestFinderFacadeDynamics:
         finder.retire_tasks([900])
         assert 900 not in {task.task_id for task in finder.candidates(worker)}
         # eligible_pairs and counts see the same open set.
-        pairs = {t.task_id for _, t in finder.eligible_pairs([worker])}
+        pairs = {t.task_id for _, t, _ in finder.eligible_pairs([worker])}
         assert 900 not in pairs
         assert finder.candidate_count_per_task()[900] == 0

@@ -117,27 +117,31 @@ class TestQueryDifferential:
             instance, min_accuracy=min_accuracy, use_spatial_index=use_spatial_index
         )
         some_ids = {task.task_id for task in instance.tasks[::2]}
+        model = instance.accuracy_model
         for worker in instance.workers:
             expected = [t.task_id for t in legacy.candidates(worker)]
             got = [t.task_id for t in finder.candidates(worker)]
             assert got == expected
             assert finder.has_candidates(worker) == bool(expected)
+            # Each candidate carries the model's accuracy, bit for bit.
             restricted = [
-                t.task_id for t in finder.iter_candidates(worker, some_ids)
+                (t.task_id, acc.hex())
+                for t, acc in finder.iter_candidates(worker, some_ids)
             ]
             assert restricted == [
-                t.task_id for t in legacy.iter_candidates(worker, some_ids)
+                (t.task_id, model.accuracy(worker, t).hex())
+                for t in legacy.iter_candidates(worker, some_ids)
             ]
             assert list(finder.iter_candidates(worker, set())) == []
         assert finder.candidate_count_per_task() == legacy.candidate_count_per_task()
         for restriction in (None, some_ids, set()):
             expected_pairs = [
-                (w.index, t.task_id)
+                (w.index, t.task_id, model.accuracy(w, t).hex())
                 for w, t in legacy.eligible_pairs(instance.workers, restriction)
             ]
             got_pairs = [
-                (w.index, t.task_id)
-                for w, t in finder.eligible_pairs(instance.workers, restriction)
+                (w.index, t.task_id, acc.hex())
+                for w, t, acc in finder.eligible_pairs(instance.workers, restriction)
             ]
             assert got_pairs == expected_pairs
 

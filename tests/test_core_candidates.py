@@ -119,7 +119,7 @@ class TestAllowedIdsSemantics:
         instance = spatial_instance([0.0, 10.0, 28.0])
         finder = CandidateFinder(instance)
         worker = instance.worker(1)
-        unrestricted = [t.task_id for t in finder.iter_candidates(worker, None)]
+        unrestricted = [t.task_id for t, _ in finder.iter_candidates(worker, None)]
         assert unrestricted == [t.task_id for t in finder.candidates(worker)]
         assert unrestricted == [0, 1, 2]
 
@@ -140,9 +140,9 @@ class TestAllowedIdsSemantics:
         instance = spatial_instance([0.0, 10.0, 28.0])
         finder = CandidateFinder(instance)
         worker = instance.worker(1)
-        assert [t.task_id for t in finder.iter_candidates(worker, {2, 1})] == [1, 2]
+        assert [t.task_id for t, _ in finder.iter_candidates(worker, {2, 1})] == [1, 2]
         # Ids outside the instance are simply never yielded.
-        assert [t.task_id for t in finder.iter_candidates(worker, {99})] == []
+        assert [t.task_id for t, _ in finder.iter_candidates(worker, {99})] == []
 
 
 class TestHasCandidates:

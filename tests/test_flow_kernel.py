@@ -531,6 +531,24 @@ class TestValidateArenaFlow:
         violations = validate_arena_flow(arena, 0, 7, expected_value=value)
         assert [v.kind for v in violations] == ["twin"]
 
+    def test_a_twin_with_capacity_is_a_violation(self):
+        arena, first, second = two_hop()
+        arena.push(first, 2)
+        arena.push(second, 2)
+        arena.cap[second ^ 1] = 1
+        violations = validate_arena_flow(arena, 0, 2, expected_value=2)
+        assert [v.kind for v in violations] == ["twin"]
+        assert "twin capacity 1" in violations[0].detail
+
+    def test_a_twin_whose_cost_is_not_negated_is_a_violation(self):
+        arena, first, second = two_hop()
+        arena.push(first, 2)
+        arena.push(second, 2)
+        arena.cost[first ^ 1] = arena.cost[first]
+        violations = validate_arena_flow(arena, 0, 2, expected_value=2)
+        assert [v.kind for v in violations] == ["twin"]
+        assert "cost 1.0, twin 1.0" in violations[0].detail
+
     @pytest.mark.parametrize("seed", range(6))
     def test_one_unit_off_on_any_arc_of_a_solved_flow_is_detected(self, seed):
         rng = random.Random(seed)

@@ -12,7 +12,9 @@ only arcs lead to them.  Costs come in three regimes:
 * ``near`` — a base cost plus a perturbation in [1e-14, 1e-9].
 
 A certified result must equal the SSPA's flow arc for arc; an uncertified
-one (``None``) must leave the arena at zero flow.
+one (``None``) must leave the arena at zero flow.  The simplex's first
+basis, the greedy start, is checked on the same arenas: a feasible flow
+on a strongly feasible spanning tree of the pruned network.
 """
 
 import random
@@ -22,7 +24,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.algorithms.mcf_ltc import solve_mcf as solve_batch
 from repro.flow.kernel import ArcArena, dag_potentials, solve_mcf
-from repro.flow.simplex import UNIQUE_MARGIN, indifferent_share, network_simplex
+from repro.flow.simplex import (
+    UNIQUE_MARGIN,
+    _greedy_start,
+    indifferent_share,
+    network_simplex,
+)
 from repro.flow.validate import validate_arena_flow
 
 REGIMES = ("distinct", "ties", "near")
@@ -72,7 +79,7 @@ def sspa(seed, num_workers, num_tasks, regime):
 def check(seed, num_workers, num_tasks, regime):
     """Solve both ways; returns whether the simplex was certified."""
     arena, order = batch_arena(seed, num_workers, num_tasks, regime)
-    result = network_simplex(arena, 0, 1, order)
+    result = network_simplex(arena, 0, 1)
     expected, reference = sspa(seed, num_workers, num_tasks, regime)
     if result is None:
         assert not any(arena.flow)
@@ -92,6 +99,114 @@ def check(seed, num_workers, num_tasks, regime):
 )
 def test_certified_flows_match_the_sspa(seed, num_workers, num_tasks, regime):
     check(seed, num_workers, num_tasks, regime)
+
+
+def pruned(arena, source, sink):
+    """The arcs of positive capacity on some source -> sink path."""
+    head, cap = arena.head, arena.cap
+    arcs = [a for a in range(0, len(head), 2) if cap[a] > 0]
+
+    def closure(start, step):
+        seen = {start}
+        frontier = [start]
+        while frontier:
+            v = frontier.pop()
+            for a in arcs:
+                u, w = step(a)
+                if u == v and w not in seen:
+                    seen.add(w)
+                    frontier.append(w)
+        return seen
+
+    forward = closure(source, lambda a: (head[a ^ 1], head[a]))
+    backward = closure(sink, lambda a: (head[a], head[a ^ 1]))
+    return [a for a in arcs if head[a ^ 1] in forward and head[a] in backward]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_workers=st.integers(1, 8),
+    num_tasks=st.integers(1, 8),
+    regime=st.sampled_from(REGIMES),
+)
+def test_the_greedy_start_is_a_strongly_feasible_basis(
+    seed, num_workers, num_tasks, regime
+):
+    arena, _ = batch_arena(seed, num_workers, num_tasks, regime)
+    start = _greedy_start(arena, 0, 1)
+    _, reference = sspa(seed, num_workers, num_tasks, regime)
+    kept = pruned(arena, 0, 1)
+    # Nothing routes exactly when the max flow is zero.
+    assert (start is None) == (reference.flow_value == 0) == (not kept)
+    if start is None:
+        return
+    arcs, x, parent, edge = start
+    head, cap = arena.head, arena.cap
+    S = [head[a ^ 1] for a in arcs] + [1]
+    T = [head[a] for a in arcs] + [0]
+    U = [cap[a] for a in arcs] + [float("inf")]
+    ret = len(arcs)
+
+    # The tree spans the pruned network: its nodes are the kept arcs' ends.
+    assert arcs == kept
+    nodes = {v for v in range(arena.num_nodes) if parent[v] >= 0}
+    assert nodes | {1} == set(S) | set(T)
+    assert parent[1] == -1
+
+    # A feasible flow: within bounds and conserved, the return arc
+    # carrying it back.
+    net = [0] * arena.num_nodes
+    for j, units in enumerate(x):
+        assert 0 <= units <= U[j]
+        net[S[j]] += units
+        net[T[j]] -= units
+    assert not any(net)
+    assert x[ret] > 0
+
+    # Every tree arc joins a node to its parent, and every non-tree arc
+    # sits at a bound.
+    tree = {edge[v] for v in nodes}
+    assert len(tree) == len(nodes)
+    for v in nodes:
+        assert {S[edge[v]], T[edge[v]]} == {v, parent[v]}
+    for j, units in enumerate(x):
+        if j not in tree:
+            assert units in (0, U[j])
+
+    # Strongly feasible: every node pushes more flow toward the sink.
+    for v in nodes:
+        steps = 0
+        u = v
+        while u != 1:
+            j = edge[u]
+            room = U[j] - x[j] if S[j] == u else x[j]
+            assert room > 0, (v, u)
+            u = parent[u]
+            steps += 1
+            assert steps <= len(nodes)
+
+
+@pytest.mark.parametrize(
+    "arcs",
+    [
+        [(0, 2, 1), (2, 3, 1), (3, 4, 1), (4, 1, 1)],  # worker -> worker
+        [(0, 2, 1), (2, 1, 1)],                        # a worker is a task
+        [(0, 2, 2), (2, 3, 2), (3, 1, 2)],             # a two-unit pair arc
+        [(0, 2, 1), (0, 2, 1), (2, 3, 1), (3, 1, 1)],  # two source arcs
+        [(0, 2, 1), (2, 3, 1), (3, 1, 1), (3, 1, 1)],  # two sink arcs
+        [(0, 2, 1), (2, 0, 1), (2, 3, 1), (3, 1, 1)],  # an arc into the source
+        [(0, 1, 1)],                                   # source -> sink
+    ],
+    ids=["chain", "worker-task", "wide-pair", "two-source-arcs",
+         "two-sink-arcs", "into-source", "direct"],
+)
+def test_a_non_layered_arena_is_rejected(arcs):
+    arena = ArcArena(5)
+    for tail, head, capacity in arcs:
+        arena.add_arc(tail, head, capacity, -0.5)
+    with pytest.raises(ValueError, match="layered"):
+        network_simplex(arena, 0, 1)
 
 
 @settings(max_examples=25, deadline=None)
@@ -119,7 +234,7 @@ def test_an_exact_two_by_two_tie_is_not_certified():
         arena.add_arc(0, worker, 1, 0.0)
         for task in (2, 3):
             arena.add_arc(worker, task, 1, -0.5)
-    assert network_simplex(arena, 0, 1, [0, 4, 5, 2, 3, 1]) is None
+    assert network_simplex(arena, 0, 1) is None
     assert not any(arena.flow)
 
 
@@ -131,7 +246,7 @@ def test_a_tie_wider_than_the_margin_is_certified():
         arena.add_arc(0, worker, 1, 0.0)
         arena.add_arc(worker, 2, 1, -0.5 - offset)
         arena.add_arc(worker, 3, 1, -0.5)
-    result = network_simplex(arena, 0, 1, [0, 4, 5, 2, 3, 1])
+    result = network_simplex(arena, 0, 1)
     assert result is not None and result.flow_value == 2
     assert [arena.flow[a] for a in (6, 8, 12, 14)] == [0, 1, 1, 0]
 
@@ -141,7 +256,7 @@ def test_a_sink_out_of_reach_routes_nothing():
     arena.add_arc(0, 2, 1, 0.0)
     arena.add_arc(2, 3, 1, -1.0)
     arena.add_arc(3, 1, 0, 0.0)  # a completed task
-    result = network_simplex(arena, 0, 1, [0, 2, 3, 1])
+    result = network_simplex(arena, 0, 1)
     assert (result.flow_value, result.augmentations) == (0, 0)
     assert not any(arena.flow)
 
@@ -150,10 +265,10 @@ def test_rejects_bad_terminals_and_a_flowing_arena():
     arena, order = batch_arena(7, 3, 3, "distinct")
     for source, sink in ((0, 0), (0, arena.num_nodes)):
         with pytest.raises(ValueError):
-            network_simplex(arena, source, sink, order)
-    assert network_simplex(arena, 0, 1, order).flow_value > 0
+            network_simplex(arena, source, sink)
+    assert network_simplex(arena, 0, 1).flow_value > 0
     with pytest.raises(ValueError):
-        network_simplex(arena, 0, 1, order)  # the arena now carries flow
+        network_simplex(arena, 0, 1)  # the arena now carries flow
 
 
 def test_the_batch_entry_falls_back_to_the_sspa_on_a_tie():

@@ -2,21 +2,25 @@
 
 LAF and AAM hand each pick's ``Acc(w, t)`` from the candidate engine to
 :meth:`~repro.core.arrangement.Arrangement.assign`, which records it and
-derives ``Acc*`` from it instead of evaluating the model again.  So every
-recorded ``Assignment.acc`` must equal the accuracy model's own
-evaluation bit for bit, and ``Assignment.acc_star`` the model's
-``acc_star``: in every engine pass, on snapshots small enough for the
-flat gather and on ones large enough for the CSR grid, standalone and
-behind an :class:`~repro.service.LTCDispatcher`.
+derives ``Acc*`` from it instead of evaluating the model again; MCF-LTC
+does the same with the accuracy each eligible pair carries, and prices
+its batch arcs from it.  So every recorded ``Assignment.acc`` must equal
+the accuracy model's own evaluation bit for bit, and
+``Assignment.acc_star`` the model's ``acc_star``: in every engine pass,
+on snapshots small enough for the flat gather and on ones large enough
+for the CSR grid, standalone and behind an
+:class:`~repro.service.LTCDispatcher`.
 """
 
 from dataclasses import replace
 
 import pytest
 
+from repro.algorithms import mcf_ltc
 from repro.algorithms.aam import AAMSolver, LGFOnlySolver, LRFOnlySolver
 from repro.algorithms.laf import LAFSolver
 from repro.core.candidate_engine import engine as engine_module
+from repro.core.candidates import CandidateFinder
 from repro.core.task import Task
 from repro.datagen.synthetic import SyntheticConfig, generate_synthetic_instance
 from repro.geo.point import Point
@@ -114,3 +118,60 @@ def test_dispatched_sessions_record_the_model_accuracy(engine_pass, instances):
     assert len(tasks[small_id]) > engine_module.SPILL_REBUILD_MIN
     for session_id, assignments in delivered.items():
         assert_model_accuracy(assignments, workers, tasks[session_id], model)
+
+
+@pytest.mark.parametrize("gather", ["flat", "grid"])
+def test_mcf_ltc_records_and_prices_the_model_accuracy(
+    request, monkeypatch, engine_pass, instances, gather
+):
+    """Batch-flow and greedy-fill assignments record the model's ``Acc``,
+    and every batch arc costs the model's ``-Acc*``, bit for bit."""
+    if gather == "grid":
+        request.getfixturevalue("grid_gather")
+    batches = []  # per batch: the (worker, task) pairs in arc order, flows
+    model = None  # the instance being solved's model, set in the loop below
+    eligible_pairs = CandidateFinder.eligible_pairs
+    solve_mcf = mcf_ltc.solve_mcf
+
+    def recording_pairs(self, workers, allowed_ids=None):
+        pairs = []
+        batches.append([pairs, None])
+        for worker, task, acc in eligible_pairs(self, workers, allowed_ids):
+            pairs.append((worker, task))
+            yield worker, task, acc
+
+    def recording_solve(arena, topo_order):
+        pairs = batches[-1][0]
+        arcs = [
+            a for a in range(0, len(arena.head), 2)
+            if arena.head[a ^ 1] != mcf_ltc._SOURCE and arena.head[a] != mcf_ltc._SINK
+        ]
+        assert len(arcs) == len(pairs)
+        for arc, (worker, task) in zip(arcs, pairs):
+            expected = -model.acc_star(worker, task)
+            assert arena.cost[arc].hex() == expected.hex()
+        result = solve_mcf(arena, topo_order)
+        batches[-1][1] = [arena.flow[arc] for arc in arcs]
+        return result
+
+    monkeypatch.setattr(CandidateFinder, "eligible_pairs", recording_pairs)
+    monkeypatch.setattr(mcf_ltc, "solve_mcf", recording_solve)
+    for instance in instances:
+        model = instance.accuracy_model
+        batches.clear()
+        result = mcf_ltc.MCFLTCSolver().solve(instance)
+        by_flow = {
+            (worker.index, task.task_id)
+            for pairs, flows in batches if flows is not None
+            for (worker, task), units in zip(pairs, flows) if units
+        }
+        assignments = list(result.arrangement)
+        recorded = {assignment.as_tuple() for assignment in assignments}
+        # Both ways of assigning ran: the batch flow and the greedy fill.
+        assert by_flow and by_flow < recorded
+        assert_model_accuracy(
+            assignments,
+            {worker.index: worker for worker in instance.workers},
+            {task.task_id: task for task in instance.tasks},
+            model,
+        )
