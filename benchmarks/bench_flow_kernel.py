@@ -21,6 +21,18 @@ drift hits all equally.  Exactness is asserted on every case: the kernel
 must agree with the reference on flow value and cost, and the simplex
 with the kernel arc for arc.
 
+Two sections share the batch sizes:
+
+* ``sparse`` draws each worker -> task value from ``uniform(0.1, 1.0)``,
+  so near-ties have measure zero; its speedups are gated.
+* ``saturated`` takes ``Acc*`` of the paper's sigmoid accuracy at
+  distances of at most ``d_max / 2``, two cases per size.  Close to a
+  task the sigmoid saturates, so a worker's values to its nearest tasks
+  differ by about 1e-12, below the certificate's margin, as on the e2e
+  ``paper_dense`` workload: some cases certify and some fall back.  The
+  kernel and the simplex are compared arc for arc; the timings are
+  reported as observations, not gated.
+
 The suite registers with the shared registry in :mod:`_common`, reports
 in the shared schema (``sections`` / ``headline_speedups`` / exactness
 ``fingerprint``), and is run through ``benchmarks/bench_all.py`` into
@@ -48,6 +60,9 @@ import _common
 from _common import BenchSuite, SuiteResult
 
 from repro.algorithms.mcf_ltc import solve_mcf as solve_batch
+from repro.core.accuracy import SigmoidDistanceAccuracy, acc_star
+from repro.core.task import Task
+from repro.core.worker import Worker
 from repro.flow.kernel import ArcArena, dag_potentials, solve_mcf
 from repro.flow.reference import LegacyNetwork, legacy_sspa
 
@@ -59,17 +74,33 @@ CAPACITY = 6
 TASK_NEED = math.ceil(2 * math.log(1 / 0.14))
 TASKS_PER_WORKER = 1.5
 DEGREE = 12  # eligible tasks per worker (grid-index candidates)
+# The saturated section: the paper's accuracy model and its d_max, with
+# historical accuracies spanning the e2e paper_dense workers' deciles.
+SIGMOID = SigmoidDistanceAccuracy()
+SATURATED_CASES = 2  # seeds per batch size
 
 
-def build_case(num_workers: int, seed: int):
-    """One LTC-shaped batch reduction as plain data."""
+def build_case(num_workers: int, seed: int, saturated: bool = False):
+    """One LTC-shaped batch reduction as plain data.
+
+    ``saturated`` replaces the uniform values by ``Acc*`` of the sigmoid
+    accuracy at a distance drawn from ``uniform(0, d_max / 2)``.
+    """
     rng = random.Random(seed)
     num_tasks = max(2, int(num_workers * TASKS_PER_WORKER))
     pairs = []
     for w in range(num_workers):
         row_degree = min(num_tasks, DEGREE)
+        if saturated:
+            worker = Worker.at(w + 1, 0.0, 0.0, accuracy=rng.uniform(0.75, 0.95),
+                               capacity=CAPACITY)
         for t in sorted(rng.sample(range(num_tasks), row_degree)):
-            pairs.append((w, t, rng.uniform(0.1, 1.0)))
+            if saturated:
+                task = Task.at(t, rng.uniform(0.0, SIGMOID.d_max / 2), 0.0)
+                value = acc_star(SIGMOID.accuracy(worker, task))
+            else:
+                value = rng.uniform(0.1, 1.0)
+            pairs.append((w, t, value))
     return num_tasks, pairs
 
 
@@ -123,27 +154,38 @@ def run_simplex(num_workers: int, num_tasks: int, pairs):
     return result.flow_value, result.augmentations, result.fallback, arena.flow
 
 
-def bench_size(num_workers: int, repeats: int, seed: int):
-    """One batch size; returns ``(entry, medians_s)`` per implementation."""
-    num_tasks, pairs = build_case(num_workers, seed)
+def bench_size(num_workers: int, repeats: int, seed: int,
+               saturated: bool = False):
+    """One batch size; returns ``(entry, medians_s)`` per implementation.
+
+    A saturated case skips the reference: it checks the simplex against
+    the kernel in the near-tie regime.
+    """
+    num_tasks, pairs = build_case(num_workers, seed, saturated)
     runners = {
         "reference": lambda: run_reference(num_workers, num_tasks, pairs),
         "kernel": lambda: run_kernel(num_workers, num_tasks, pairs),
         "simplex": lambda: run_simplex(num_workers, num_tasks, pairs),
     }
+    if saturated:
+        del runners["reference"]
     times, outputs = _common.run_interleaved(runners, repeats)
 
-    base_value, base_cost, base_augs = outputs["reference"]
     value, cost, augs, flow = outputs["kernel"]
-    if value != base_value or abs(cost - base_cost) > 1e-6:
-        raise AssertionError(
-            f"kernel disagrees with the reference at {num_workers} workers: "
-            f"({value}, {cost}) vs ({base_value}, {base_cost})"
-        )
+    if saturated:
+        base_value, base_cost = value, cost
+    else:
+        base_value, base_cost, base_augs = outputs["reference"]
+        if value != base_value or abs(cost - base_cost) > 1e-6:
+            raise AssertionError(
+                f"kernel disagrees with the reference at {num_workers} workers: "
+                f"({value}, {cost}) vs ({base_value}, {base_cost})"
+            )
     simplex_value, pivots, fallback, simplex_flow = outputs["simplex"]
     if simplex_value != value or simplex_flow != flow:
         raise AssertionError(
-            f"the simplex's flow differs from the kernel's at {num_workers} workers"
+            f"the simplex's flow differs from the kernel's at {num_workers} "
+            f"workers (seed {seed})"
         )
 
     entry = {
@@ -154,21 +196,49 @@ def bench_size(num_workers: int, repeats: int, seed: int):
         "flow_value": base_value,
         "total_cost": base_cost,
         "augmentations": augs,
-        "reference_augmentations": base_augs,
-        "pivots": pivots,
-        "fallback": fallback,
     }
+    if saturated:
+        entry["seed"] = seed
+    else:
+        entry["reference_augmentations"] = base_augs
+    entry.update(pivots=pivots, fallback=fallback)
     medians_s = {name: statistics.median(times[name]) for name in runners}
     for name in runners:
         entry[f"{name}_ms_median"] = round(medians_s[name] * 1000, 3)
         entry[f"{name}_ms_best"] = round(min(times[name]) * 1000, 3)
-    entry["kernel_speedup_vs_reference"] = _common.ratio(
-        medians_s["reference"], medians_s["kernel"]
-    )
+    if not saturated:
+        entry["kernel_speedup_vs_reference"] = _common.ratio(
+            medians_s["reference"], medians_s["kernel"]
+        )
     entry["simplex_speedup_vs_kernel"] = _common.ratio(
         medians_s["kernel"], medians_s["simplex"]
     )
     return entry, medians_s
+
+
+_FINGERPRINT_KEYS = ("seed", "batch_workers", "tasks", "pair_arcs",
+                     "flow_value", "augmentations", "reference_augmentations",
+                     "pivots", "fallback")
+
+
+def _fingerprint_case(section: str, entry: dict) -> dict:
+    case = {key: entry[key] for key in _FINGERPRINT_KEYS if key in entry}
+    case.update(section=section, total_cost=round(entry["total_cost"], 9))
+    return case
+
+
+def _print_case(section: str, entry: dict) -> None:
+    timings = "  ".join(
+        f"{impl}={entry[f'{impl}_ms_median']:>9.2f}ms"
+        for impl in ("reference", "kernel", "simplex")
+        if f"{impl}_ms_median" in entry
+    )
+    print(
+        f"{section:<9}  batch={entry['batch_workers']:>5}  "
+        f"tasks={entry['tasks']:>5}  {timings}  "
+        f"augmentations={entry['augmentations']}  pivots={entry['pivots']}"
+        + ("  (fell back to the SSPA)" if entry["fallback"] else "")
+    )
 
 
 def run_suite(args) -> SuiteResult:
@@ -180,27 +250,19 @@ def run_suite(args) -> SuiteResult:
         results.append(entry)
         for impl, value in medians_s.items():
             totals_s[impl] += value
-        fingerprint_cases.append({
-            "section": "sparse",
-            "batch_workers": entry["batch_workers"],
-            "tasks": entry["tasks"],
-            "pair_arcs": entry["pair_arcs"],
-            "flow_value": entry["flow_value"],
-            "total_cost": round(entry["total_cost"], 9),
-            "augmentations": entry["augmentations"],
-            "reference_augmentations": entry["reference_augmentations"],
-            "pivots": entry["pivots"],
-            "fallback": entry["fallback"],
-        })
-        print(
-            f"batch={entry['batch_workers']:>5}  tasks={entry['tasks']:>5}  "
-            f"reference={entry['reference_ms_median']:>9.2f}ms  "
-            f"kernel={entry['kernel_ms_median']:>9.2f}ms  "
-            f"simplex={entry['simplex_ms_median']:>9.2f}ms  "
-            f"augmentations={entry['augmentations']}  "
-            f"pivots={entry['pivots']}"
-            + ("  (fell back to the SSPA)" if entry["fallback"] else "")
-        )
+        fingerprint_cases.append(_fingerprint_case("sparse", entry))
+        _print_case("sparse", entry)
+    saturated = []
+    saturated_s = {"kernel": 0.0, "simplex": 0.0}
+    for size in args.sizes:
+        for seed in range(args.seed, args.seed + SATURATED_CASES):
+            entry, medians_s = bench_size(size, args.repeats, seed,
+                                          saturated=True)
+            saturated.append(entry)
+            for impl, value in medians_s.items():
+                saturated_s[impl] += value
+            fingerprint_cases.append(_fingerprint_case("saturated", entry))
+            _print_case("saturated", entry)
     speedup = _common.ratio(totals_s["reference"], totals_s["kernel"])
     simplex_speedup = _common.ratio(totals_s["kernel"], totals_s["simplex"])
     sections = {
@@ -215,7 +277,20 @@ def run_suite(args) -> SuiteResult:
             },
             "fallbacks": sum(entry["fallback"] for entry in results),
             "cases": results,
-        }
+        },
+        "saturated": {
+            "metrics": {
+                "timings_ms": {
+                    impl: round(value * 1000, 3)
+                    for impl, value in saturated_s.items()
+                },
+                "simplex_vs_kernel": _common.ratio(
+                    saturated_s["kernel"], saturated_s["simplex"]
+                ),
+                "fallbacks": sum(entry["fallback"] for entry in saturated),
+                "cases": saturated,
+            }
+        },
     }
     config = {
         "sizes": list(args.sizes),
@@ -253,7 +328,9 @@ SUITE = _common.register_suite(BenchSuite(
         "entry (certified network simplex, SSPA fallback) vs the kernel. "
         "Times are medians over repeated interleaved build+solve runs; the "
         "kernel is asserted to agree with the reference on every case, and "
-        "the simplex with the kernel arc for arc."
+        "the simplex with the kernel arc for arc.  A saturated section "
+        "(sigmoid accuracies close to their tasks, costs within about "
+        "1e-12) runs the near-tie regime, timed but not gated."
     ),
     add_arguments=add_arguments,
     run=run_suite,

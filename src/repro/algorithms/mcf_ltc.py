@@ -48,10 +48,9 @@ Implementation notes
   optimum is unique (no residual cycle within
   :data:`~repro.flow.simplex.UNIQUE_MARGIN` of zero cost); otherwise the
   batch is re-solved by the SSPA and counted in
-  ``extra["flow_fallbacks"]``.  A batch in which many workers are
-  indifferent between tasks at that margin (:data:`TIE_PRONE_SHARE`)
-  skips the simplex and is counted in ``extra["flow_tie_prone"]``.
-  Either way the arrangement is the one the SSPA alone would give.
+  ``extra["flow_fallbacks"]``.  There is no second path: every batch
+  tries the simplex first, and either way the arrangement is the one the
+  SSPA alone would give.
 * The first batch uses ``floor(1.5 m)`` workers and subsequent batches
   ``floor(m)`` workers with ``m = |T| * ceil(delta) / K``, exactly as in the
   pseudo-code.
@@ -72,23 +71,11 @@ from repro.core.task import Task
 from repro.core.worker import Worker
 from repro.flow import kernel
 from repro.flow.kernel import ArcArena, dag_potentials
-from repro.flow.simplex import indifferent_share, network_simplex
+from repro.flow.simplex import network_simplex
 from repro.structures.topk import TopKHeap
 
 _SOURCE = 0
 _SINK = 1
-
-#: A batch in which at least this share of the workers with two or more
-#: candidate tasks are indifferent between two of them (costs within
-#: :data:`~repro.flow.simplex.UNIQUE_MARGIN`) goes straight to the SSPA.
-#: Close to a task the sigmoid accuracy saturates, so a worker's costs to
-#: its nearby tasks differ by about 1e-12.  On the e2e instances with
-#: 500 arcs or more, ``paper_dense`` batches measured 0.145-0.39 and 12%
-#: of them failed the certificate, a seed-dependent share that paid for
-#: both solvers; ``paper_sparse`` batches measured at most 0.065 and
-#: almost never failed.  The routing never changes the flow, only which
-#: exact solver finds it.
-TIE_PRONE_SHARE = 0.1
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,28 +88,23 @@ class BatchFlow:
     augmentations: int
     #: Whether the uniqueness certificate failed and the SSPA re-solved.
     fallback: bool
-    #: Whether the batch was tie-prone and went straight to the SSPA.
-    tie_prone: bool = False
 
 
 def solve_mcf(arena: ArcArena, topo_order: Sequence[int]) -> BatchFlow:
     """Min-cost max-flow of one batch network, left in ``arena.flow``.
 
-    A tie-prone batch (:data:`TIE_PRONE_SHARE`) is solved by the SSPA
-    alone.  Any other batch goes to the network simplex, whose flow is
-    kept when its optimum is unique (certified to
-    :data:`~repro.flow.simplex.UNIQUE_MARGIN`); otherwise the SSPA
-    re-solves from zero flow.  The SSPA runs
+    The network simplex runs first, and its flow is kept when its optimum
+    is unique (certified to :data:`~repro.flow.simplex.UNIQUE_MARGIN`);
+    otherwise the SSPA re-solves from zero flow.  The SSPA runs
     :func:`~repro.flow.kernel.dag_potentials`, then
     :func:`~repro.flow.kernel.solve_mcf`, and its tie-breaking picks the
     flow among the cost-equal optima.
     """
-    tie_prone = indifferent_share(arena, _SOURCE) >= TIE_PRONE_SHARE
-    result = None if tie_prone else network_simplex(arena, _SOURCE, _SINK)
+    result = network_simplex(arena, _SOURCE, _SINK)
     if result is None:
         potentials = dag_potentials(arena, _SOURCE, topo_order)
         sspa = kernel.solve_mcf(arena, _SOURCE, _SINK, potentials=potentials)
-        return BatchFlow(sspa.flow_value, sspa.augmentations, not tie_prone, tie_prone)
+        return BatchFlow(sspa.flow_value, sspa.augmentations, True)
     return BatchFlow(result.flow_value, result.augmentations, False)
 
 
@@ -183,7 +165,6 @@ class MCFLTCSolver(OfflineSolver):
         batches = 0
         total_flow = 0
         fallbacks = 0
-        tie_prone = 0
         while position < len(workers) and not arrangement.is_complete():
             size = first_batch_size if batches == 0 else batch_size
             batch = workers[position:position + size]
@@ -195,7 +176,6 @@ class MCFLTCSolver(OfflineSolver):
             )
             total_flow += flow.flow_value
             fallbacks += flow.fallback
-            tie_prone += flow.tie_prone
             self._greedy_fill(arrangement, candidates, batch)
 
         return SolveResult(
@@ -208,7 +188,6 @@ class MCFLTCSolver(OfflineSolver):
                 "batches": float(batches),
                 "flow_units": float(total_flow),
                 "flow_fallbacks": float(fallbacks),
-                "flow_tie_prone": float(tie_prone),
                 "batch_size": float(batch_size),
             },
         )

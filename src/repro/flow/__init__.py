@@ -19,8 +19,7 @@ is used only when it provably equals the SSPA's:
   uniqueness certificate shows the
   optimum is unique to within :data:`~repro.flow.simplex.UNIQUE_MARGIN`,
   and returns ``None`` otherwise, so the SSPA's tie-breaking still
-  decides among cost-equal optima.  :func:`indifferent_share` tells how
-  likely that is to happen before the simplex runs.
+  decides among cost-equal optima.
 * :func:`validate_arena_flow` — independent
   verification of capacity/conservation/twin constraints, used by the
   test-suite and by debugging assertions.
@@ -36,7 +35,7 @@ from repro.flow.kernel import (
     dag_potentials,
     solve_mcf,
 )
-from repro.flow.simplex import indifferent_share, network_simplex
+from repro.flow.simplex import network_simplex
 from repro.flow.validate import validate_arena_flow, FlowViolation
 from repro.flow.exceptions import (
     FlowError,
@@ -51,7 +50,6 @@ __all__ = [
     "dag_potentials",
     "solve_mcf",
     "network_simplex",
-    "indifferent_share",
     "validate_arena_flow",
     "FlowViolation",
     "FlowError",

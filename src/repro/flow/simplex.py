@@ -43,28 +43,33 @@ that is when no residual cycle has reduced cost within
 When the certificate fails, :func:`network_simplex` returns ``None`` and
 leaves the arena at zero flow, and the caller re-solves with the SSPA.
 
-**Predicting failure.**  A node choosing between out-arcs that cost
-within the margin of each other is *indifferent* at the certificate's
-resolution: any optimum in which that choice matters fails it.
-:func:`indifferent_share` measures how common such nodes are, so a
-caller can send a network where failure is likely straight to the SSPA
-instead of paying for both solvers on a seed-dependent share of them.
+**When it fails.**  A node choosing between out-arcs that cost within
+the margin of each other is *indifferent* at the certificate's
+resolution: any optimum in which that choice matters fails it.  Close to
+a task the sigmoid accuracy saturates, so dense batches have many such
+workers, yet most of their optima still certify.  Nothing predicts
+failure up front: MCF-LTC runs the simplex on every batch and pays for
+the SSPA only on a batch whose certificate fails
+(``docs/flow_kernel.md``, "Every batch tries the simplex").
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.flow.kernel import ArcArena, KernelFlowResult
 
 #: Reduced-cost margin of the uniqueness certificate.  A residual cycle
 #: cheaper than this counts as a tie.  The SSPA's potentials drift by
 #: about 1e-16 per augmentation (one rounding per float operation on
-#: values of order 1), and a batch runs at most about 600 augmentations,
-#: so the SSPA's flow is optimal to within about 1e-13; the simplex's
-#: recomputed potentials are exact to within a few roundings.  1e-11
-#: leaves about 100x headroom over that bound: an optimum unique by this
+#: values of order 1), and an augmentation routes at least one unit, so
+#: a batch of flow value F leaves the SSPA's flow optimal to within about
+#: F * 1e-16; the simplex's recomputed potentials are exact to within a
+#: few roundings.  The largest batch measured routes 1,000 units in the
+#: ``figures`` suite (about 1e-13: 100x headroom) and 19,960 at the
+#: paper's sizes (``fig3_tasks``, |T| = 5,000 at scale 1.0: about 2e-12,
+#: only 5x headroom; ``docs/flow_kernel.md``).  An optimum unique by this
 #: margin is the flow the SSPA finds too.
 UNIQUE_MARGIN = 1e-11
 
@@ -75,39 +80,6 @@ UNIQUE_MARGIN = 1e-11
 PIVOT_TOL = 1e-12
 
 _INF = math.inf
-
-
-def indifferent_share(graph: ArcArena, source: int) -> float:
-    """Share of the choosing nodes that are indifferent at the margin.
-
-    A node other than ``source`` *chooses* when it has two or more
-    forward arcs of positive capacity, and is *indifferent* when two of
-    them cost within :data:`UNIQUE_MARGIN` of each other, so the
-    certificate cannot order that choice.  Returns 0.0 when no node
-    chooses.  In the LTC batch network the choosing nodes are the workers
-    with two or more candidate tasks.
-    """
-    head, cost, cap = graph.head, graph.cost, graph.cap
-    rows: Dict[int, List[float]] = {}
-    for a in range(0, len(head), 2):
-        if cap[a] > 0:
-            tail = head[a ^ 1]
-            if tail != source:
-                row = rows.get(tail)
-                if row is None:
-                    rows[tail] = [cost[a]]
-                else:
-                    row.append(cost[a])
-    choosing = indifferent = 0
-    for row in rows.values():
-        if len(row) > 1:
-            choosing += 1
-            row.sort()
-            for low, high in zip(row, row[1:]):
-                if high - low <= UNIQUE_MARGIN:
-                    indifferent += 1
-                    break
-    return indifferent / choosing if choosing else 0.0
 
 
 def network_simplex(

@@ -24,12 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.algorithms.mcf_ltc import solve_mcf as solve_batch
 from repro.flow.kernel import ArcArena, dag_potentials, solve_mcf
-from repro.flow.simplex import (
-    UNIQUE_MARGIN,
-    _greedy_start,
-    indifferent_share,
-    network_simplex,
-)
+from repro.flow.simplex import UNIQUE_MARGIN, _greedy_start, network_simplex
 from repro.flow.validate import validate_arena_flow
 
 REGIMES = ("distinct", "ties", "near")
@@ -278,7 +273,7 @@ def test_the_batch_entry_falls_back_to_the_sspa_on_a_tie():
         expected, reference = sspa(seed, 6, 6, "ties")
         assert arena.flow == expected.flow
         assert flow.flow_value == reference.flow_value
-        if flow.fallback or flow.tie_prone:
+        if flow.fallback:
             assert flow.augmentations == reference.augmentations
 
 
@@ -297,30 +292,14 @@ def two_by_two(costs):
     return arena, [0, 4, 5, 2, 3, 1]
 
 
-def test_indifferent_share_counts_workers_choosing_within_the_margin():
-    arena = ArcArena(8)
-    for task in (2, 3, 4):
-        arena.add_arc(task, 1, 1, 0.0)
-    rows = {
-        5: (-0.5, -0.5 - UNIQUE_MARGIN / 2, -0.1),  # indifferent
-        6: (-0.5, -0.5 - 2 * UNIQUE_MARGIN),        # tells its tasks apart
-        7: (-0.5,),                                 # no choice to make
-    }
-    for worker, row in rows.items():
-        arena.add_arc(0, worker, 2, 0.0)
-        for task, cost in zip((2, 3, 4), row):
-            arena.add_arc(worker, task, 1, cost)
-    assert indifferent_share(arena, 0) == 0.5
-    arena.set_capacity(2 * 4, 0)  # worker 5's first arc can carry nothing
-    assert indifferent_share(arena, 0) == 0.0
-    assert indifferent_share(ArcArena(2), 0) == 0.0
-
-
-def test_a_tie_prone_batch_skips_the_simplex():
-    arena, order = two_by_two([(-0.5, -0.5), (-0.5, -0.5)])
+def test_an_exact_tie_falls_back_to_the_sspa():
+    # Every worker -> task arc costs the same, so both matchings are
+    # optimal: the certificate fails and the SSPA's tie-breaking decides.
+    costs = [(-0.5, -0.5), (-0.5, -0.5)]
+    arena, order = two_by_two(costs)
     flow = solve_batch(arena, order)
-    assert (flow.tie_prone, flow.fallback) == (True, False)
-    expected, order = two_by_two([(-0.5, -0.5), (-0.5, -0.5)])
+    assert flow.fallback is True
+    expected, order = two_by_two(costs)
     reference = solve_mcf(expected, 0, 1, potentials=dag_potentials(expected, 0, order))
     assert arena.flow == expected.flow
     assert (flow.flow_value, flow.augmentations) == (2, reference.augmentations)
@@ -328,13 +307,12 @@ def test_a_tie_prone_batch_skips_the_simplex():
 
 def test_a_tie_between_workers_that_tell_tasks_apart_falls_back():
     # Both matchings cost -0.625 exactly, yet each worker's two costs
-    # differ by 0.25, so the batch is not tie-prone and the certificate
-    # has to catch the tie.
+    # differ by 0.25: no single choice is a tie, and the certificate has
+    # to catch the tie between whole matchings.
     costs = [(-0.5, -0.25), (-0.375, -0.125)]
     arena, order = two_by_two(costs)
-    assert indifferent_share(arena, 0) == 0.0
     flow = solve_batch(arena, order)
-    assert (flow.tie_prone, flow.fallback) == (False, True)
+    assert flow.fallback is True
     expected, order = two_by_two(costs)
     reference = solve_mcf(expected, 0, 1, potentials=dag_potentials(expected, 0, order))
     assert arena.flow == expected.flow
