@@ -13,8 +13,10 @@ Measures the two hot candidate paths on a dense sigmoid instance (defaults:
     vector cutover and one numpy pass above it, incremental AAM stats).
 
 * **pairs** — the per-batch arc emission of the MCF-LTC reduction:
-  ``list(finder.eligible_pairs(batch, uncompleted_ids))`` over a
-  batch-sized worker slice.
+  ``list(finder.eligible_pairs(batch))`` over a batch-sized worker slice,
+  mid-run: a quarter of the tasks is completed.  The engine's finder has
+  them retired, as MCF-LTC retires completed tasks; the legacy oracle
+  filters them out with its ``allowed_ids`` restriction.
 
 Exactness is asserted on every case: both implementations must produce
 identical arrangements / identical pair streams.  Timings are medians over
@@ -282,21 +284,20 @@ def bench_pairs(instance: LTCInstance, repeats: int, batch_size: int):
     # Model a mid-run batch: a quarter of the tasks already completed.
     allowed = {task.task_id for task in instance.tasks
                if task.task_id % 4 != 0}
-    finders = {
-        "legacy": LegacyCandidateFinder(instance),
-        "engine": CandidateFinder(instance),
-    }
+    legacy = LegacyCandidateFinder(instance)
+    engine = CandidateFinder(instance)
+    engine.retire_tasks(task.task_id for task in instance.tasks
+                        if task.task_id not in allowed)
 
-    def emit(finder):
+    def emit(pairs):
         # The engine's pairs also carry their accuracy; the legacy oracle's
         # do not, so the comparison reads the pair alone.
-        return [
-            (pair[0].index, pair[1].task_id)
-            for pair in finder.eligible_pairs(batch, allowed)
-        ]
+        return [(pair[0].index, pair[1].task_id) for pair in pairs]
 
-    runners = {impl: (lambda f=finder: emit(f))
-               for impl, finder in finders.items()}
+    runners = {
+        "legacy": lambda: emit(legacy.eligible_pairs(batch, allowed)),
+        "engine": lambda: emit(engine.eligible_pairs(batch)),
+    }
     times, outputs = _common.run_interleaved(runners, repeats)
     baseline = outputs["legacy"]
     for impl, pairs in outputs.items():

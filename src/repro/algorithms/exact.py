@@ -43,7 +43,7 @@ class ExactSolver(OfflineSolver):
         self.max_search_nodes = max_search_nodes
 
     def solve(self, instance: LTCInstance) -> SolveResult:
-        candidates = CandidateFinder(instance, use_spatial_index=False)
+        candidates = CandidateFinder(instance)
         delta = instance.delta
 
         # Precompute the eligible Acc* of every worker for every task.

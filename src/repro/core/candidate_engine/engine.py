@@ -22,19 +22,18 @@ spill — from the CSR offsets with plain ints.  Below
 :data:`VECTOR_MIN_BLOCK` the query runs scalar loops over the lists; at
 or above it, one vectorized numpy pass (gather the block, filter by exact
 squared distance, evaluate the sigmoid over it, preselect top-``k`` with
-``np.partition``).  Scan mode vectorizes when ``num_tasks`` reaches the
-same constant; generic mode and ``reaches_completed`` (which stops at the
-first eligible task) are always scalar.  ``docs/candidates.md`` ("Vector
-cutover") has the measurements behind both thresholds.  Top-``k`` picks
-carry the scalar accuracy they were ranked by, so the arrangement records
-it without evaluating the model again.
+``np.partition``).  Generic mode and ``reaches_completed`` (which stops
+at the first eligible task) are always scalar.  ``docs/candidates.md``
+("Vector cutover") has the measurements behind both thresholds.
+Top-``k`` picks carry the scalar accuracy they were ranked by, so the
+arrangement records it without evaluating the model again.
 
 **Exactness contract.**  Both passes return identical results, ordering
 included:
 
-* ordered eligibility queries return positions ascending by task id in
-  grid mode and in posting order in scan/generic modes — exactly the
-  pre-engine ``CandidateFinder`` iteration orders;
+* eligibility queries return positions ascending by task id in grid
+  mode and in posting order in generic mode — exactly the pre-engine
+  ``CandidateFinder`` iteration orders;
 * every query filters **tombstoned positions** (the ``alive`` mask; see
   :meth:`CandidateEngine.retire_tasks`) out of its candidate pool
   *before* the accuracy evaluation, and grid-mode pools are the CSR cells
@@ -96,19 +95,16 @@ equalling id order and the ordered-output sort stays the plain position
 sort; if an added id breaks monotonicity, ``positions_id_ordered`` flips
 and ordered queries sort by task-id key instead.
 
-The engine operates in one of three modes, chosen at construction:
+The engine operates in one of two modes, picked by the instance's
+accuracy model:
 
 ``grid``
-    Sigmoid accuracy model with the spatial index enabled.  The accuracy
-    threshold converts to a per-worker eligibility radius
+    The sigmoid accuracy model.  The instance's threshold converts to a
+    per-worker eligibility radius
     (:func:`~repro.core.candidates.sigmoid_eligibility_radius`); queries
     gather grid cells (or, on a small snapshot, every position), filter by
     exact squared distance, then apply the accuracy decision.  Output
     order: ascending task id.
-``scan``
-    Sigmoid model, spatial index disabled: the accuracy decision is
-    applied to every task, in instance order (matching the pre-engine
-    exhaustive scan byte for byte, including its lack of a radius gate).
 ``generic``
     Any other accuracy model: per-pair scalar evaluation over the tasks
     in instance order.  An arbitrary python model cannot be batched.
@@ -120,7 +116,6 @@ from __future__ import annotations
 
 import math
 from typing import (
-    AbstractSet,
     Dict,
     Iterable,
     Iterator,
@@ -143,8 +138,7 @@ from repro.core.task import Task
 from repro.core.worker import Worker
 from repro.geo.bbox import BoundingBox
 
-#: The slack applied to the eligibility threshold, shared with
-#: ``CandidateFinder.is_eligible`` (the decision is
+#: The slack applied to the eligibility threshold (the decision is
 #: ``accuracy >= min_accuracy - ELIGIBILITY_EPS``).
 ELIGIBILITY_EPS = 1e-12
 
@@ -198,7 +192,7 @@ SPILL_REBUILD_FRACTION = 0.25
 
 #: Absolute spill cap.  Every grid query scans the spill linearly, so on
 #: large snapshots the fractional threshold alone would let per-query
-#: spill cost approach scan-mode cost (25% of 100k tasks); capping the
+#: spill cost approach a full scan's cost (25% of 100k tasks); capping the
 #: spill bounds that scan while still amortising the O(n) rebuild over
 #: thousands of appends.  All three knobs only trade query overhead
 #: against rebuild frequency — the exact distance/accuracy filters
@@ -234,7 +228,6 @@ class _NumpyMirrors:
         "cell_positions",
         "xs_cell",
         "ys_cell",
-        "instance_positions",
     )
 
     def __init__(self, engine: "CandidateEngine") -> None:
@@ -263,12 +256,6 @@ class _NumpyMirrors:
                 self.alive = np.concatenate(
                     [self.alive, np.asarray(engine.alive[lo:], dtype=bool)]
                 )
-                self.instance_positions = np.concatenate(
-                    [
-                        self.instance_positions,
-                        np.asarray(engine.instance_positions[lo:], dtype=np.int64),
-                    ]
-                )
                 self._count = engine.num_tasks
             if self._dead_cursor < len(log):
                 dead = np.asarray(log[self._dead_cursor :], dtype=np.int64)
@@ -280,9 +267,6 @@ class _NumpyMirrors:
         self.ys = np.asarray(engine.ys, dtype=np.float64)
         self.task_ids = np.asarray(engine.task_ids, dtype=np.int64)
         self.alive = np.asarray(engine.alive, dtype=bool)
-        self.instance_positions = np.asarray(
-            engine.instance_positions, dtype=np.int64
-        )
         if engine.cell_positions is not None:
             self.cell_positions = np.asarray(engine.cell_positions, dtype=np.int64)
             self.xs_cell = self.xs[self.cell_positions]
@@ -302,26 +286,15 @@ class CandidateEngine:
     Parameters
     ----------
     instance:
-        The LTC instance whose tasks are snapshotted.
-    min_accuracy:
-        Eligibility threshold on predicted accuracy; defaults to the
-        instance's ``min_assignable_accuracy``.
-    use_spatial_index:
-        Build the CSR grid when the accuracy model is the sigmoid model.
-        Disabling it forces the exhaustive scan (``scan`` mode).
+        The LTC instance whose tasks are snapshotted.  Its accuracy model
+        picks the mode and its ``min_assignable_accuracy`` is the
+        eligibility threshold.
     """
 
-    def __init__(
-        self,
-        instance: LTCInstance,
-        min_accuracy: Optional[float] = None,
-        use_spatial_index: bool = True,
-    ) -> None:
+    def __init__(self, instance: LTCInstance) -> None:
         self.instance = instance
         self.model = instance.accuracy_model
-        self.min_accuracy = (
-            instance.min_assignable_accuracy if min_accuracy is None else min_accuracy
-        )
+        self.min_accuracy = instance.min_assignable_accuracy
         #: The pinned eligibility decision threshold (``accuracy >= threshold``).
         self.threshold = self.min_accuracy - ELIGIBILITY_EPS
 
@@ -335,8 +308,8 @@ class CandidateEngine:
         self.position_of: Dict[int, int] = {
             task_id: position for position, task_id in enumerate(self.task_ids)
         }
-        #: Positions in the instance's task-list order (the scan-mode pool);
-        #: dynamically added tasks append in posting order.
+        #: Positions in the instance's task-list order (the generic-mode
+        #: pool); dynamically added tasks append in posting order.
         self.instance_positions: List[int] = [
             self.position_of[task.task_id] for task in instance.tasks
         ]
@@ -383,11 +356,9 @@ class CandidateEngine:
         self.rows = 0
         self.cell_start: Optional[List[int]] = None
         self.cell_positions: Optional[List[int]] = None
-        if self.sigmoid and use_spatial_index:
+        if self.sigmoid:
             self.mode = "grid"
             self._build_csr_grid()
-        elif self.sigmoid:
-            self.mode = "scan"
         else:
             self.mode = "generic"
 
@@ -564,8 +535,8 @@ class CandidateEngine:
         Merges the spill range into the cells and sweeps tombstoned
         positions out of them; positions themselves do not move.  Called
         automatically by :meth:`add_tasks` at the spill threshold, and
-        callable directly (e.g. after mass expiry) — a no-op for scan and
-        generic engines, which have no spatial index to refresh.
+        callable directly (e.g. after mass expiry) — a no-op for a generic
+        engine, which has no spatial index to refresh.
         """
         if self.mode != "grid":
             return
@@ -602,7 +573,7 @@ class CandidateEngine:
     # ------------------------------------------------- scalar float oracle
 
     def radius_of(self, worker: Worker) -> float:
-        """The worker's eligibility radius (grid/scan modes only).
+        """The worker's eligibility radius (grid mode only).
 
         Negative when no task can ever reach the threshold; ``math.inf``
         when every distance qualifies (``min_accuracy <= 0``).
@@ -664,10 +635,11 @@ class CandidateEngine:
 
         Returns ``None`` when the worker can reach no task (grid mode,
         negative radius), else ``(vector, radius, slices)``: ``radius`` and
-        ``slices`` are only meaningful in grid mode.  A grid-mode snapshot
-        of at most :data:`SPILL_REBUILD_MIN` positions skips the cells:
-        ``slices`` is ``None`` and the query scans every position the way
-        it scans the spill, so the gathered block is the whole snapshot.
+        ``slices`` are only meaningful in grid mode, the only mode that
+        vectorizes.  A grid-mode snapshot of at most
+        :data:`SPILL_REBUILD_MIN` positions skips the cells: ``slices`` is
+        ``None`` and the query scans every position the way it scans the
+        spill, so the gathered block is the whole snapshot.
         """
         if self.mode == "grid":
             radius = self.radius_of(worker)
@@ -677,31 +649,23 @@ class CandidateEngine:
                 return self.num_tasks >= VECTOR_MIN_BLOCK, radius, None
             slices, size = self._cell_slices(worker, radius)
             return size >= VECTOR_MIN_BLOCK, radius, slices
-        if self.mode == "scan":
-            return self.num_tasks >= VECTOR_MIN_BLOCK, 0.0, None
         return False, 0.0, None
 
     # ---------------------------------------------------------- scalar pass
 
     def _scalar_pass(
-        self,
-        worker: Worker,
-        radius: float,
-        slices: Optional[_Slices],
-        allowed: Optional[Sequence[bool]],
-        ordered: bool,
+        self, worker: Worker, radius: float, slices: Optional[_Slices]
     ) -> List[Tuple[int, float]]:
-        """Eligible ``(position, scalar_accuracy)`` pairs.
+        """Eligible ``(position, scalar_accuracy)`` pairs in the oracle order.
 
         One walk applies the tombstone filter, the radius gate (grid mode:
         the CSR cells, then the spill; or, for a flat gather, every
-        position), the ``allowed`` mask and the pinned decision, with
-        :meth:`scalar_accuracy`'s expression inlined for the sigmoid
-        model, so each candidate's accuracy is evaluated once — top-``k``
-        scores reuse it.  ``ordered`` sorts grid-mode results into the
-        oracle order (ascending task id) unless the pool already is in it
-        (a flat gather over id-ordered positions); scan and generic pools
-        are already in posting order.
+        position) and the pinned decision, with :meth:`scalar_accuracy`'s
+        expression inlined for the sigmoid model, so each candidate's
+        accuracy is evaluated once — top-``k`` scores reuse it.  Grid-mode
+        results are sorted into ascending task id unless the pool already
+        is in it (a flat gather over id-ordered positions); the generic
+        pool is already in posting order.
         """
         threshold = self.threshold
         alive = self.alive
@@ -716,8 +680,9 @@ class CandidateEngine:
             if slices is None:
                 pools = [range(self.num_tasks)]
                 # Ascending positions are the oracle order while ids are.
-                ordered = ordered and not self.positions_id_ordered
+                needs_sort = not self.positions_id_ordered
             else:
+                needs_sort = True
                 order = self.cell_positions
                 assert order is not None
                 pools = [order[lo:hi] for lo, hi in slices]
@@ -728,12 +693,12 @@ class CandidateEngine:
                         continue
                     dx = xs[p] - wx
                     dy = ys[p] - wy
-                    if dx * dx + dy * dy <= r2 and (allowed is None or allowed[p]):
+                    if dx * dx + dy * dy <= r2:
                         exponent = -(d_max - hypot(dx, dy))
                         acc = 0.0 if exponent > 700.0 else p_w / (1.0 + exp(exponent))
                         if acc >= threshold:
                             eligible.append((p, acc))
-            if ordered:
+            if needs_sort:
                 if self.positions_id_ordered:
                     eligible.sort()
                 else:
@@ -741,15 +706,10 @@ class CandidateEngine:
                     eligible.sort(key=lambda entry: task_ids[entry[0]])
         else:
             accuracy = self.scalar_accuracy
-            sigmoid = self.sigmoid
             for p in self.instance_positions:
-                if (has_dead and not alive[p]) or (allowed is not None and not allowed[p]):
+                if has_dead and not alive[p]:
                     continue
-                if sigmoid:
-                    exponent = -(d_max - hypot(xs[p] - wx, ys[p] - wy))
-                    acc = 0.0 if exponent > 700.0 else p_w / (1.0 + exp(exponent))
-                else:
-                    acc = accuracy(worker, p)
+                acc = accuracy(worker, p)
                 if acc >= threshold:
                     eligible.append((p, acc))
         return eligible
@@ -786,23 +746,12 @@ class CandidateEngine:
     def _vector_block(self, worker: Worker, radius: float, slices: Optional[_Slices]):
         """``(positions, squared_distances)`` after the exact radius prefilter.
 
-        In scan mode the block is every alive task in posting order (the
-        oracle scan applies no radius gate, and neither may we).  In grid
-        mode the block is the CSR cells plus the spill range, tombstones
+        The block is the CSR cells plus the spill range, tombstones
         filtered out of both; a flat gather (``slices is None``) takes no
         cells and reads every position as spill.
         """
         mirrors = self.numpy_mirrors()
         wx, wy = worker.location.x, worker.location.y
-        if self.mode != "grid":
-            # Boolean masking is order-preserving, so downstream filters
-            # keep the oracle's posting order.
-            block = mirrors.instance_positions
-            if self.dead_count:
-                block = block[mirrors.alive[block]]
-            dxs = mirrors.xs[block] - wx
-            dys = mirrors.ys[block] - wy
-            return block, dxs * dxs + dys * dys
         r2 = radius * radius
         if slices:
             if len(slices) == 1:
@@ -864,30 +813,17 @@ class CandidateEngine:
         return eligible, acc
 
     def _vector_eligible(
-        self,
-        worker: Worker,
-        radius: float,
-        slices: Optional[_Slices],
-        allowed: Optional[Sequence[bool]],
+        self, worker: Worker, radius: float, slices: Optional[_Slices]
     ):
-        """Eligible positions and their (approximate) accuracies, unsorted.
-
-        The ``allowed`` list is gathered after the accuracy decision, over
-        the eligible positions only: the filters commute, and the gather is
-        the costly part.
-        """
+        """Eligible positions and their (approximate) accuracies, unsorted."""
         positions, d2 = self._vector_block(worker, radius, slices)
         if not len(positions):
             return positions, d2
         eligible, acc = self._vector_decide(worker, positions, d2)
-        positions, acc = positions[eligible], acc[eligible]
-        if allowed is not None and len(positions):
-            keep = np.array([allowed[p] for p in positions.tolist()], dtype=bool)
-            positions, acc = positions[keep], acc[keep]
-        return positions, acc
+        return positions[eligible], acc[eligible]
 
     def _vector_order(self, positions) -> List[int]:
-        """Grid-mode positions in the oracle order (ascending task id)."""
+        """Positions in the oracle order (ascending task id)."""
         if self.positions_id_ordered:
             return np.sort(positions).tolist()
         ids = self.numpy_mirrors().task_ids[positions]
@@ -902,7 +838,7 @@ class CandidateEngine:
         mode: str,
         need: Optional[Sequence[float]],
     ) -> List[Tuple[int, float]]:
-        positions, acc = self._vector_eligible(worker, radius, slices, None)
+        positions, acc = self._vector_eligible(worker, radius, slices)
         count = len(positions)
         if count == 0:
             return []
@@ -920,12 +856,7 @@ class CandidateEngine:
                     scores = np.minimum(weight * weight, scores)
             kth = np.partition(scores, count - k)[count - k]
             positions = positions[scores >= kth - TOPK_SCORE_MARGIN]
-        if self.mode == "grid":
-            superset = self._vector_order(positions)
-        else:
-            # Scan blocks stream in posting order — the oracle push order —
-            # and every filter above preserved it.
-            superset = positions.tolist()
+        superset = self._vector_order(positions)
         accuracy = self.scalar_accuracy
         if mode == "need":
             # The remaining need alone ranks, so only the picks get their
@@ -937,51 +868,26 @@ class CandidateEngine:
 
     # ------------------------------------------------------------- queries
 
-    def eligible_positions(
-        self,
-        worker: Worker,
-        allowed: Optional[Sequence[bool]] = None,
-        ordered: bool = True,
-    ) -> List[int]:
-        """Task positions the worker may be assigned.
+    def eligible_positions(self, worker: Worker) -> List[int]:
+        """Task positions the worker may be assigned, in the oracle order.
 
-        ``allowed`` optionally restricts the result by a per-position flag
-        list (built with :meth:`make_allowed_mask`).  ``ordered=True`` returns the oracle iteration order
-        (ascending task id in grid mode, posting order in scan modes);
-        ``ordered=False`` may return any order — callers that only count
-        or test membership use it to skip the sort.
+        Ascending task id in grid mode, posting order in generic mode.
         """
         route = self._route(worker)
         if route is None:
             return []
         vector, radius, slices = route
         if not vector:
-            return [p for p, _ in self._scalar_pass(worker, radius, slices, allowed, ordered)]
-        positions, _ = self._vector_eligible(worker, radius, slices, allowed)
-        if ordered and self.mode == "grid":
-            return self._vector_order(positions)
-        return positions.tolist()
+            return [p for p, _ in self._scalar_pass(worker, radius, slices)]
+        return self._vector_order(self._vector_eligible(worker, radius, slices)[0])
 
-    def eligible_tasks(
-        self, worker: Worker, allowed_ids: Optional[AbstractSet[int]] = None
-    ) -> List[Task]:
-        """Assignable :class:`Task` objects in the oracle iteration order.
-
-        ``allowed_ids`` restricts by task id, through a position mask.
-        Mask construction allocates O(tasks) per call; callers iterating
-        many workers against one restriction set should use
-        :meth:`eligible_pairs`, which builds the mask once for the batch.
-        """
+    def eligible_tasks(self, worker: Worker) -> List[Task]:
+        """Assignable :class:`Task` objects in the oracle order."""
         tasks = self.tasks
-        if allowed_ids is not None and not allowed_ids:
-            return []
-        mask = None if allowed_ids is None else self.make_allowed_mask(allowed_ids)
-        return [tasks[position] for position in self.eligible_positions(worker, mask)]
+        return [tasks[position] for position in self.eligible_positions(worker)]
 
-    def _scored(
-        self, worker: Worker, allowed: Optional[Sequence[bool]]
-    ) -> List[Tuple[int, float]]:
-        """Eligible ``(position, scalar_accuracy)`` pairs in the oracle order.
+    def _scored(self, worker: Worker) -> List[Tuple[int, float]]:
+        """:meth:`eligible_positions` as ``(position, scalar_accuracy)`` pairs.
 
         The scalar pass hands over the accuracy each decision read; the
         vector pass evaluates the scalar accuracy of its eligible
@@ -992,18 +898,12 @@ class CandidateEngine:
             return []
         vector, radius, slices = route
         if not vector:
-            return self._scalar_pass(worker, radius, slices, allowed, True)
-        positions, _ = self._vector_eligible(worker, radius, slices, allowed)
-        if self.mode == "grid":
-            positions = self._vector_order(positions)
-        else:
-            positions = positions.tolist()
+            return self._scalar_pass(worker, radius, slices)
         accuracy = self.scalar_accuracy
+        positions = self._vector_order(self._vector_eligible(worker, radius, slices)[0])
         return [(p, accuracy(worker, p)) for p in positions]
 
-    def scored_tasks(
-        self, worker: Worker, allowed_ids: Optional[AbstractSet[int]] = None
-    ) -> List[Tuple[Task, float]]:
+    def scored_tasks(self, worker: Worker) -> List[Tuple[Task, float]]:
         """:meth:`eligible_tasks` as ``(task, Acc(w, task))`` pairs.
 
         Each accuracy is the scalar one, bit-identical to the accuracy
@@ -1011,29 +911,20 @@ class CandidateEngine:
         :meth:`~repro.core.arrangement.Arrangement.assign` without
         evaluating the model again.
         """
-        if allowed_ids is not None and not allowed_ids:
-            return []
-        mask = None if allowed_ids is None else self.make_allowed_mask(allowed_ids)
         tasks = self.tasks
-        return [(tasks[p], acc) for p, acc in self._scored(worker, mask)]
+        return [(tasks[p], acc) for p, acc in self._scored(worker)]
 
     def eligible_pairs(
-        self,
-        workers: Iterable[Worker],
-        allowed_ids: Optional[AbstractSet[int]] = None,
+        self, workers: Iterable[Worker]
     ) -> Iterator[Tuple[Worker, Task, float]]:
         """Bulk-iterate assignable pairs, grouped by worker, ids ascending.
 
         Each comes as ``(worker, task, Acc(w, task))`` with the scalar
-        accuracy of :meth:`scored_tasks`.  The restriction set is
-        converted to a per-position mask **once** for the whole batch.
+        accuracy of :meth:`scored_tasks`.
         """
-        if allowed_ids is not None and not allowed_ids:
-            return
-        mask = None if allowed_ids is None else self.make_allowed_mask(allowed_ids)
         tasks = self.tasks
         for worker in workers:
-            for position, acc in self._scored(worker, mask):
+            for position, acc in self._scored(worker):
                 yield worker, tasks[position], acc
 
     def reaches_completed(self, worker: Worker) -> bool:
@@ -1097,7 +988,7 @@ class CandidateEngine:
         if vector:
             picked = self._vector_topk(worker, radius, slices, k, mode, need)
         else:
-            scored = self._scalar_pass(worker, radius, slices, None, True)
+            scored = self._scalar_pass(worker, radius, slices)
             picked = self._rank_topk(scored, k, mode, need)
         tasks = self.tasks
         return [(tasks[position], acc) for position, acc in picked]
@@ -1133,22 +1024,11 @@ class CandidateEngine:
 
         Iterates the snapshot's own posting order (the base instance's
         task order followed by dynamically added tasks), so tasks added
-        after construction are counted too; retired tasks count 0.  Each
-        worker contributes its unordered pool — nothing is sorted.
+        after construction are counted too; retired tasks count 0.
         """
         counts = [0] * self.num_tasks
         for worker in self.instance.workers:
-            for position in self.eligible_positions(worker, ordered=False):
+            for position in self.eligible_positions(worker):
                 counts[position] += 1
         task_ids = self.task_ids
         return {task_ids[position]: counts[position] for position in self.instance_positions}
-
-    def make_allowed_mask(self, allowed_ids: AbstractSet[int]) -> List[bool]:
-        """A per-position mask for an id restriction set (unknown ids ignored)."""
-        mask = [False] * self.num_tasks
-        position_of = self.position_of
-        for task_id in allowed_ids:
-            position = position_of.get(task_id)
-            if position is not None:
-                mask[position] = True
-        return mask

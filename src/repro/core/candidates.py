@@ -7,8 +7,10 @@ accuracy function this is equivalent to a distance cut-off around ``d_max``,
 which is also how the evaluation section talks about "nearby" tasks for the
 ``Base-off`` and ``Random`` baselines.
 
-The :class:`CandidateFinder` centralises this eligibility rule.  It is a
-thin facade over the struct-of-arrays
+The :class:`CandidateFinder` centralises this eligibility rule: it takes
+the instance alone, so every solver applies the same threshold
+(``LTCInstance.min_assignable_accuracy``) the same way.  It is a thin
+facade over the struct-of-arrays
 :class:`~repro.core.candidate_engine.engine.CandidateEngine`: tasks are
 snapshotted into flat coordinate arrays (CSR-grid-packed under the sigmoid
 model); small queries run scalar loops and large ones one vectorized numpy
@@ -27,18 +29,9 @@ being re-snapshotted per change.
 from __future__ import annotations
 
 import math
-from typing import (
-    AbstractSet,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.core.accuracy import AccuracyModel, SigmoidDistanceAccuracy
+from repro.core.accuracy import SigmoidDistanceAccuracy
 from repro.core.instance import LTCInstance
 from repro.core.task import Task
 from repro.core.worker import Worker
@@ -110,34 +103,16 @@ class CandidateFinder:
     Parameters
     ----------
     instance:
-        The LTC instance whose tasks are indexed.
-    min_accuracy:
-        Minimum predicted accuracy for a pair to be assignable.  Defaults to
-        the instance's ``min_assignable_accuracy``.
-    use_spatial_index:
-        Build the CSR grid when the accuracy model is the sigmoid model.
-        Disable to force the exhaustive scan (useful in tests).
+        The LTC instance whose tasks are indexed.  A pair is assignable
+        when its predicted accuracy reaches the instance's
+        ``min_assignable_accuracy``.  Under the sigmoid model the engine
+        runs in ``grid`` mode, under any other model in ``generic`` mode.
     """
 
-    def __init__(
-        self,
-        instance: LTCInstance,
-        min_accuracy: Optional[float] = None,
-        use_spatial_index: bool = True,
-    ) -> None:
+    def __init__(self, instance: LTCInstance) -> None:
         from repro.core.candidate_engine import CandidateEngine
 
-        self._model: AccuracyModel = instance.accuracy_model
-        self._engine = CandidateEngine(
-            instance,
-            min_accuracy=min_accuracy,
-            use_spatial_index=use_spatial_index,
-        )
-
-    @property
-    def min_accuracy(self) -> float:
-        """The eligibility threshold on predicted accuracy."""
-        return self._engine.min_accuracy
+        self._engine = CandidateEngine(instance)
 
     @property
     def engine(self):
@@ -175,55 +150,27 @@ class CandidateFinder:
         """
         self._engine.retire_tasks(task_ids, expired)
 
-    def is_eligible(self, worker: Worker, task: Task) -> bool:
-        """Whether ``worker`` may be assigned ``task``."""
-        return self._model.accuracy(worker, task) >= self.min_accuracy - 1e-12
-
-    def iter_candidates(
-        self, worker: Worker, allowed_ids: Optional[AbstractSet[int]] = None
-    ) -> Iterator[Tuple[Task, float]]:
+    def iter_candidates(self, worker: Worker) -> Iterator[Tuple[Task, float]]:
         """Yield the worker's assignable tasks in ascending-id order.
 
         Each comes as ``(task, Acc(w, task))``: the scalar accuracy the
         eligibility decision read, bit-identical to the accuracy model's
         (:meth:`~repro.core.candidate_engine.engine.CandidateEngine.scored_tasks`).
-
-        ``allowed_ids`` optionally restricts the yield to a task-id subset
-        (e.g. the uncompleted tasks of a batch) so callers pay nothing for
-        tasks they would filter out anyway.
-
-        The two "no restriction set" spellings mean opposite things and are
-        deliberately *not* interchangeable: ``allowed_ids=None`` means "no
-        restriction — every eligible task qualifies", while an **empty set
-        means "nothing is allowed" and yields no tasks at all** (the natural
-        reading for a batch whose uncompleted-task set has drained).  Only
-        ``None`` is the don't-care value; do not pass an empty set to mean
-        "unrestricted".
+        Retired tasks are never yielded.
         """
-        if allowed_ids is not None and not allowed_ids:
-            # Explicit empty restriction: nothing can qualify.
-            return
-        yield from self._engine.scored_tasks(worker, allowed_ids)
+        yield from self._engine.scored_tasks(worker)
 
     def eligible_pairs(
-        self,
-        workers: Iterable[Worker],
-        allowed_ids: Optional[AbstractSet[int]] = None,
+        self, workers: Iterable[Worker]
     ) -> Iterator[Tuple[Worker, Task, float]]:
         """Bulk-iterate every assignable pair as ``(worker, task, acc)``.
 
         ``acc`` is the pair's accuracy as :meth:`iter_candidates` yields
         it.  Pairs stream grouped by worker (in the given worker order)
         with tasks ascending by id inside each group — exactly the stable
-        arc order the MCF-LTC reduction appends to the kernel arena.  The
-        restriction set is converted to a position mask once for the whole
-        batch.
-
-        ``allowed_ids`` follows :meth:`iter_candidates` semantics:
-        ``None`` leaves the task set unrestricted, while an empty set means
-        "nothing is allowed" and yields no pairs for any worker.
+        arc order the MCF-LTC reduction appends to the kernel arena.
         """
-        return self._engine.eligible_pairs(workers, allowed_ids)
+        return self._engine.eligible_pairs(workers)
 
     def candidates(self, worker: Worker) -> List[Task]:
         """All tasks the worker may be assigned, in ascending task-id order."""
@@ -237,13 +184,11 @@ class CandidateFinder:
         stays because the frozen end-to-end tracer names it as a trace
         point.
         """
-        return bool(self._engine.eligible_positions(worker, ordered=False))
+        return bool(self._engine.eligible_positions(worker))
 
     def candidate_count_per_task(self) -> Dict[int, int]:
         """For every task, the number of workers eligible to perform it.
 
-        Used by feasibility diagnostics (the data generators' tests).  Counts
-        come from the unordered per-worker pool — no candidate list is
-        materialised or sorted per worker.
+        Used by feasibility diagnostics (the data generators' tests).
         """
         return self._engine.candidate_counts()

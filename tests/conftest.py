@@ -25,6 +25,18 @@ from repro.geo.point import Point
 _HANG_GUARD_STREAM = pytest.StashKey[TextIO]()
 
 
+def pytest_addoption(parser, pluginmanager):
+    if not pluginmanager.hasplugin("timeout"):
+        # pytest-timeout owns this key; without it (not installed, or
+        # disabled with ``-p no:timeout``), registering the key keeps
+        # pyproject's cap readable (and ``--strict-config`` happy) for the
+        # hang guard below, which turns on under the same condition.
+        parser.addini(
+            "timeout", "Per-test wall-clock cap in seconds (hang guard).",
+            default="120",
+        )
+
+
 def pytest_configure(config):
     if not config.pluginmanager.hasplugin("timeout"):
         # Output capture is suspended while plugins configure, so this is
@@ -52,7 +64,7 @@ def _hang_guard(request):
     if stream is None:
         yield
         return
-    seconds = float(request.config.inicfg.get("timeout", 120))
+    seconds = float(request.config.getini("timeout"))
     faulthandler.dump_traceback_later(seconds, exit=True, file=stream)
     try:
         yield

@@ -6,6 +6,7 @@ cutover inside the test's block sizes, so each query picks its own pass.
 """
 
 import math
+from dataclasses import replace
 
 import pytest
 from conftest import MIXED_CUTOVER
@@ -59,7 +60,7 @@ class TestInfiniteRadiusRegression:
 
     def test_zero_threshold_returns_every_task(self, engine_pass, grid_gather):
         instance = spatial_instance([0.0, 50.0, 500.0])
-        finder = CandidateFinder(instance, min_accuracy=0.0)
+        finder = CandidateFinder(replace(instance, min_assignable_accuracy=0.0))
         worker = instance.worker(1)
         assert [t.task_id for t in finder.candidates(worker)] == [0, 1, 2]
         assert finder.has_candidates(worker)
@@ -91,27 +92,23 @@ class TestEngineQueries:
                 naive[task.task_id] += 1
         assert finder.candidate_count_per_task() == naive
 
-    def test_eligible_pairs_order_and_allowed_semantics(
+    def test_eligible_pairs_order_and_accuracy(
         self, engine_pass, grid_gather, small_synthetic_instance
     ):
         legacy = LegacyCandidateFinder(small_synthetic_instance)
         finder = CandidateFinder(small_synthetic_instance)
         workers = small_synthetic_instance.workers[:30]
-        allowed = {t.task_id for t in small_synthetic_instance.tasks[::3]}
         model = small_synthetic_instance.accuracy_model
-        for restriction in (None, allowed):
-            # Each pair carries the model's accuracy, bit for bit.
-            expected = [
-                (w.index, t.task_id, model.accuracy(w, t).hex())
-                for w, t in legacy.eligible_pairs(workers, restriction)
-            ]
-            got = [
-                (w.index, t.task_id, acc.hex())
-                for w, t, acc in finder.eligible_pairs(workers, restriction)
-            ]
-            assert got == expected
-        assert list(finder.eligible_pairs(workers, set())) == []
-        assert list(finder.iter_candidates(workers[0], frozenset())) == []
+        # Each pair carries the model's accuracy, bit for bit.
+        expected = [
+            (w.index, t.task_id, model.accuracy(w, t).hex())
+            for w, t in legacy.eligible_pairs(workers)
+        ]
+        got = [
+            (w.index, t.task_id, acc.hex())
+            for w, t, acc in finder.eligible_pairs(workers)
+        ]
+        assert got == expected
 
     def test_non_contiguous_task_ids(self, engine_pass, grid_gather):
         tasks = [Task(task_id=i, location=Point(float(i % 7), 0.0))
@@ -134,35 +131,6 @@ class TestEngineQueries:
         )
         finder = CandidateFinder(instance)
         assert [t.task_id for t in finder.candidates(instance.worker(1))] == [5, 2, 9]
-
-    def test_allowed_restriction_matches_legacy(
-        self, engine_pass, grid_gather, small_synthetic_instance
-    ):
-        instance = small_synthetic_instance
-        legacy = LegacyCandidateFinder(instance)
-        finder = CandidateFinder(instance)
-        allowed = {t.task_id for t in instance.tasks[::3]}
-        model = instance.accuracy_model
-        for worker in instance.workers[:40]:
-            assert [
-                (t.task_id, acc.hex())
-                for t, acc in finder.iter_candidates(worker, allowed)
-            ] == [
-                (t.task_id, model.accuracy(worker, t).hex())
-                for t in legacy.iter_candidates(worker, allowed)
-            ]
-        assert finder.candidate_count_per_task() == legacy.candidate_count_per_task()
-
-    def test_scan_mode_matches_legacy(
-        self, engine_pass, grid_gather, small_synthetic_instance
-    ):
-        instance = small_synthetic_instance
-        legacy = LegacyCandidateFinder(instance, use_spatial_index=False)
-        finder = CandidateFinder(instance, use_spatial_index=False)
-        for worker in instance.workers[:20]:
-            expected = [t.task_id for t in legacy.candidates(worker)]
-            assert [t.task_id for t in finder.candidates(worker)] == expected
-            assert finder.has_candidates(worker) == bool(expected)
 
 
 class TestTopK:
@@ -240,13 +208,6 @@ class TestTopK:
 
 
 class TestVectorCutover:
-    def test_allowed_mask_ignores_unknown_ids(self, small_synthetic_instance):
-        engine = CandidateEngine(small_synthetic_instance)
-        known = small_synthetic_instance.tasks[0].task_id
-        mask = engine.make_allowed_mask({known, 10_000_000})
-        assert mask[engine.position_of[known]]
-        assert sum(1 for flag in mask if flag) == 1
-
     def test_block_size_counts_cells_and_spill(self, small_synthetic_instance):
         engine = CandidateEngine(small_synthetic_instance)
         order = engine.cell_positions

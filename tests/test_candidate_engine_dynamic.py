@@ -14,10 +14,12 @@ and the numpy mirror sync.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.core.accuracy import ConstantAccuracy
 from repro.core.candidate_engine import CandidateEngine
 from repro.core.candidate_engine import engine as engine_module
 from repro.core.candidates import CandidateFinder
@@ -143,8 +145,9 @@ class TestDynamicMachinery:
         assert all(engine.alive[p] for p in engine.cell_positions)
 
     def test_rebuild_index_is_a_noop_off_grid(self):
-        engine = CandidateEngine(make_instance(), use_spatial_index=False)
-        assert engine.mode == "scan"
+        instance = replace(make_instance(), accuracy_model=ConstantAccuracy(0.9))
+        engine = CandidateEngine(instance)
+        assert engine.mode == "generic"
         grid_epoch = engine.grid_epoch
         engine.rebuild_index()
         assert engine.grid_epoch == grid_epoch
@@ -161,7 +164,7 @@ class TestDynamicMachinery:
 
     def test_all_tasks_retired_leaves_empty_queries(self, engine_pass, grid_gather):
         instance = make_instance(num_tasks=4)
-        engine = CandidateEngine(instance, min_accuracy=0.0)
+        engine = CandidateEngine(replace(instance, min_assignable_accuracy=0.0))
         worker = instance.workers[0]
         assert engine.eligible_tasks(worker)
         ids = [task.task_id for task in instance.tasks]
@@ -180,7 +183,7 @@ class TestDynamicMachinery:
 
     def test_expired_tasks_never_reach_routing(self, engine_pass, grid_gather):
         instance = make_instance(num_tasks=4)
-        engine = CandidateEngine(instance, min_accuracy=0.0)
+        engine = CandidateEngine(replace(instance, min_assignable_accuracy=0.0))
         worker = instance.workers[0]
         assert not engine.reaches_completed(worker)
         engine.retire_tasks([task.task_id for task in instance.tasks], expired=True)
@@ -243,41 +246,43 @@ class TestDynamicDifferential:
     """Randomized interleavings vs the rebuild-from-scratch legacy oracle."""
 
     @staticmethod
-    def _legacy(tasks, workers, use_spatial_index, min_accuracy):
+    def _legacy(tasks, workers, min_accuracy, use_spatial_index=True):
         """``(instance, LegacyCandidateFinder)`` over ``tasks``, or Nones."""
         if not tasks:
             return None, None
-        instance = LTCInstance(tasks=tasks, workers=workers, error_rate=0.2)
+        instance = LTCInstance(tasks=tasks, workers=workers, error_rate=0.2,
+                               min_assignable_accuracy=min_accuracy)
         return instance, LegacyCandidateFinder(
-            instance, min_accuracy=min_accuracy,
-            use_spatial_index=use_spatial_index,
+            instance, use_spatial_index=use_spatial_index
         )
 
     @classmethod
     def _check_against_oracle(cls, engine, posted, alive_ids, completed_ids,
-                              workers, use_spatial_index, min_accuracy):
+                              workers):
         """Every engine query against legacy scans rebuilt from scratch."""
+        min_accuracy = engine.min_accuracy
         alive_tasks = [task for task in posted if task.task_id in alive_ids]
-        oracle_instance, oracle = cls._legacy(
-            alive_tasks, workers, use_spatial_index, min_accuracy
-        )
+        oracle_instance, oracle = cls._legacy(alive_tasks, workers, min_accuracy)
+        # The exhaustive reference (no radius gate, posting order): the
+        # dict-grid oracle above pins the order, this one the sets.
+        _, scan = cls._legacy(alive_tasks, workers, min_accuracy,
+                              use_spatial_index=False)
         # Routing's oracle: every task that has not expired, completed
         # ones included; its fallback walk sees the completed ones alone.
         _, routable = cls._legacy(
             [task for task in posted
              if task.task_id in alive_ids or task.task_id in completed_ids],
-            workers, use_spatial_index, min_accuracy,
+            workers, min_accuracy,
         )
         _, completed = cls._legacy(
             [task for task in posted if task.task_id in completed_ids],
-            workers, use_spatial_index, min_accuracy,
+            workers, min_accuracy,
         )
         model = engine.model
         # Per-position needs for the gain/need modes, keyed on task id so
         # the oracle can score the same values.
         need_of = {task.task_id: 0.4 + (task.task_id % 7) / 5.0 for task in posted}
         need = [need_of[task_id] for task_id in engine.task_ids]
-        allowed = {task.task_id for task in alive_tasks[::2]}
         counts = {task.task_id: 0 for task in posted}
         task_ids = engine.task_ids
         for worker in workers:
@@ -287,10 +292,9 @@ class TestDynamicDifferential:
                 counts[task_id] += 1
             got = [task.task_id for task in engine.eligible_tasks(worker)]
             assert got == expected
+            scanned = scan.candidates(worker) if scan is not None else []
+            assert sorted(got) == sorted(task.task_id for task in scanned)
             assert [task_ids[p] for p in engine.eligible_positions(worker)] == expected
-            unordered = engine.eligible_positions(worker, ordered=False)
-            assert sorted(task_ids[p] for p in unordered) == sorted(expected)
-            assert len(unordered) == len(expected)
             # The fused routing probe: not eligible for any task that has
             # not expired, or eligible with the top-k over the open ones.
             eligible = routable is not None and bool(routable.candidates(worker))
@@ -300,10 +304,6 @@ class TestDynamicDifferential:
             assert (probed is not None) == eligible
             if probed is not None:
                 assert probed == engine.topk_acc_star(worker, 2)
-            got_allowed = [
-                task.task_id for task in engine.eligible_tasks(worker, allowed)
-            ]
-            assert got_allowed == [t for t in expected if t in allowed]
             for mode in ("acc_star", "gain", "need"):
                 heap: TopKHeap = TopKHeap(2)
                 for task in candidates:
@@ -321,37 +321,31 @@ class TestDynamicDifferential:
                 assert [acc.hex() for _, acc in picks] == [
                     model.accuracy(worker, task).hex() for task, _ in picks
                 ], mode
-        for restriction in (None, allowed):
-            expected_pairs = [] if oracle is None else [
-                (w.index, t.task_id, model.accuracy(w, t).hex())
-                for w, t in oracle.eligible_pairs(workers, restriction)
-            ]
-            got_pairs = [
-                (w.index, t.task_id, acc.hex())
-                for w, t, acc in engine.eligible_pairs(workers, restriction)
-            ]
-            assert got_pairs == expected_pairs
+        expected_pairs = [] if oracle is None else [
+            (w.index, t.task_id, model.accuracy(w, t).hex())
+            for w, t in oracle.eligible_pairs(workers)
+        ]
+        got_pairs = [
+            (w.index, t.task_id, acc.hex())
+            for w, t, acc in engine.eligible_pairs(workers)
+        ]
+        assert got_pairs == expected_pairs
         # Posting order, retired tasks included (they count 0).
         assert list(engine.candidate_counts().items()) == list(counts.items())
 
-    @given(data=interleavings(), use_spatial_index=st.booleans())
+    @given(data=interleavings())
     @settings(max_examples=30, deadline=None, suppress_health_check=HEALTH_OK)
     def test_engine_matches_rebuild_from_scratch(
-        self, engine_pass, grid_gather, data, use_spatial_index
+        self, engine_pass, grid_gather, data
     ):
         instance, steps, box = data
-        self.replay(instance, steps, use_spatial_index)
+        self.replay(instance, steps)
 
     @classmethod
-    def replay(cls, instance, steps, use_spatial_index=True, min_accuracy=None):
+    def replay(cls, instance, steps):
         """Apply ``steps`` to a fresh engine, checking every query after
         each one; returns the engine."""
-        if min_accuracy is None:
-            min_accuracy = instance.min_assignable_accuracy
-        engine = CandidateEngine(
-            instance, min_accuracy=min_accuracy,
-            use_spatial_index=use_spatial_index,
-        )
+        engine = CandidateEngine(instance)
         posted = list(instance.tasks)
         alive_ids = {task.task_id for task in instance.tasks}
         completed_ids = set()
@@ -370,8 +364,7 @@ class TestDynamicDifferential:
                 if not expired:
                     completed_ids.update(victims)
             cls._check_against_oracle(
-                engine, posted, alive_ids, completed_ids, instance.workers,
-                use_spatial_index, min_accuracy,
+                engine, posted, alive_ids, completed_ids, instance.workers
             )
         return engine
 
@@ -464,7 +457,9 @@ class TestFlatAndGridGathers:
         self, engine_pass, data, min_accuracy
     ):
         instance, steps = data
-        TestDynamicDifferential.replay(instance, steps, min_accuracy=min_accuracy)
+        if min_accuracy is not None:
+            instance = replace(instance, min_assignable_accuracy=min_accuracy)
+        TestDynamicDifferential.replay(instance, steps)
 
     def test_appends_cross_the_limit_and_trigger_the_first_rebuild(
         self, engine_pass

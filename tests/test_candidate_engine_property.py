@@ -1,29 +1,32 @@
 """Differential property tests for the candidate engine.
 
 Random instances — clustered and scattered tasks, workers inside and far
-outside the task bounding box, sigmoid and constant accuracy models, grid
-and no-grid configurations, degenerate thresholds — are queried three
-ways:
+outside the task bounding box, sigmoid and constant accuracy models,
+degenerate thresholds — are queried four ways:
 
-* the pre-refactor object-level scan
-  (:class:`repro.core.candidates_legacy.LegacyCandidateFinder`),
+* the pre-refactor object-level finder
+  (:class:`repro.core.candidates_legacy.LegacyCandidateFinder`), on its
+  dict grid and as an exhaustive scan of every task with no radius gate,
 * the engine with every query on its scalar loops,
 * the engine with every query on its numpy pass, and
 * the engine with a cutover inside the drawn block sizes, so queries
   switch passes mid-run (the ``engine_pass`` fixture sets the vector
   cutover for each).
 
-Every query (candidate lists, ``has_candidates``, restricted
-``eligible_pairs`` streams, per-task counts) must agree exactly, ordering
-included.  On top of the query layer, whole solver runs are compared:
-MCF-LTC / LAF / AAM (+ ablations) arrangements must be byte-identical
-across the three ways, and LAF/AAM must be byte-identical to replicas
-of their pre-engine observe loops.  Worker accuracies are full-precision
+Every query (candidate lists, ``has_candidates``, ``eligible_pairs``
+streams, per-task counts) must agree exactly, ordering included (the
+exhaustive scan walks instance order, so against it the candidate sets
+and counts must agree).  On top
+of the query layer, whole solver runs are compared: MCF-LTC / LAF / AAM
+(+ ablations) arrangements must be byte-identical across the three
+engine passes, and LAF/AAM must be byte-identical to replicas of their
+pre-engine observe loops.  Worker accuracies are full-precision
 PRNG floats, so threshold-boundary ties have measure zero and exact
 agreement is the right bar.
 """
 
 import math
+from dataclasses import replace
 
 import pytest
 from conftest import ENGINE_PASSES, vector_cutover
@@ -103,47 +106,44 @@ def ltc_instances(draw):
 class TestQueryDifferential:
     @given(
         instance=ltc_instances(),
-        use_spatial_index=st.booleans(),
         min_accuracy=st.sampled_from([None, 0.0, 0.8]),
     )
     @settings(max_examples=40, deadline=None, suppress_health_check=FIXTURE_OK)
     def test_engine_matches_the_legacy_scan(
-        self, engine_pass, grid_gather, instance, use_spatial_index, min_accuracy
+        self, engine_pass, grid_gather, instance, min_accuracy
     ):
-        legacy = LegacyCandidateFinder(
-            instance, min_accuracy=min_accuracy, use_spatial_index=use_spatial_index
-        )
-        finder = CandidateFinder(
-            instance, min_accuracy=min_accuracy, use_spatial_index=use_spatial_index
-        )
-        some_ids = {task.task_id for task in instance.tasks[::2]}
+        if min_accuracy is not None:
+            instance = replace(instance, min_assignable_accuracy=min_accuracy)
+        legacy = LegacyCandidateFinder(instance)
+        # The exhaustive reference: every task, no radius gate, instance
+        # order (so only the candidate sets are compared against it).
+        scan = LegacyCandidateFinder(instance, use_spatial_index=False)
+        finder = CandidateFinder(instance)
         model = instance.accuracy_model
         for worker in instance.workers:
             expected = [t.task_id for t in legacy.candidates(worker)]
             got = [t.task_id for t in finder.candidates(worker)]
             assert got == expected
+            assert sorted(got) == sorted(t.task_id for t in scan.candidates(worker))
             assert finder.has_candidates(worker) == bool(expected)
             # Each candidate carries the model's accuracy, bit for bit.
-            restricted = [
-                (t.task_id, acc.hex())
-                for t, acc in finder.iter_candidates(worker, some_ids)
-            ]
-            assert restricted == [
+            assert [
+                (t.task_id, acc.hex()) for t, acc in finder.iter_candidates(worker)
+            ] == [
                 (t.task_id, model.accuracy(worker, t).hex())
-                for t in legacy.iter_candidates(worker, some_ids)
+                for t in legacy.iter_candidates(worker)
             ]
-            assert list(finder.iter_candidates(worker, set())) == []
         assert finder.candidate_count_per_task() == legacy.candidate_count_per_task()
-        for restriction in (None, some_ids, set()):
-            expected_pairs = [
-                (w.index, t.task_id, model.accuracy(w, t).hex())
-                for w, t in legacy.eligible_pairs(instance.workers, restriction)
-            ]
-            got_pairs = [
-                (w.index, t.task_id, acc.hex())
-                for w, t, acc in finder.eligible_pairs(instance.workers, restriction)
-            ]
-            assert got_pairs == expected_pairs
+        assert finder.candidate_count_per_task() == scan.candidate_count_per_task()
+        expected_pairs = [
+            (w.index, t.task_id, model.accuracy(w, t).hex())
+            for w, t in legacy.eligible_pairs(instance.workers)
+        ]
+        got_pairs = [
+            (w.index, t.task_id, acc.hex())
+            for w, t, acc in finder.eligible_pairs(instance.workers)
+        ]
+        assert got_pairs == expected_pairs
 
 
 class TestArrangementEquality:

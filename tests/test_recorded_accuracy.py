@@ -133,10 +133,10 @@ def test_mcf_ltc_records_and_prices_the_model_accuracy(
     eligible_pairs = CandidateFinder.eligible_pairs
     solve_mcf = mcf_ltc.solve_mcf
 
-    def recording_pairs(self, workers, allowed_ids=None):
+    def recording_pairs(self, workers):
         pairs = []
         batches.append([pairs, None])
-        for worker, task, acc in eligible_pairs(self, workers, allowed_ids):
+        for worker, task, acc in eligible_pairs(self, workers):
             pairs.append((worker, task))
             yield worker, task, acc
 
