@@ -2,8 +2,9 @@
 
 Runs every registered benchmark suite (the microbenchmarks
 ``flow_kernel``, ``candidates``, ``dynamic_sessions``,
-``dispatch_scale`` and ``resilience``, and ``figures``, the paper's ten
-experiments — each a thin module over :mod:`_common`) through one
+``dispatch_scale`` and ``resilience``; ``figures``, the paper's ten
+experiments; and ``e2e_counts``, the e2e workloads' exact per-layer
+counts — each a thin module over :mod:`_common`) through one
 command and emits one
 consolidated report in the shared schema: per-section median timings and
 speedups-vs-named-baseline (or observational metrics) under
@@ -61,6 +62,7 @@ import bench_dynamic_sessions  # noqa: F401
 import bench_dispatch_scale  # noqa: F401
 import bench_resilience  # noqa: F401
 import bench_figures  # noqa: F401
+import bench_e2e_counts  # noqa: F401
 
 DESCRIPTION = (
     "One consolidated run of every registered microbenchmark suite: "

@@ -12,8 +12,8 @@ solve through each implementation:
   pass + :func:`repro.flow.kernel.solve_mcf` (the SSPA).
 * **simplex** — the same arena through MCF-LTC's batch entry
   :func:`repro.algorithms.mcf_ltc.solve_mcf`: the certified network
-  simplex, with the kernel's SSPA as the fallback when the optimum is not
-  unique (each case reports whether it fell back).
+  simplex, with the kernel's SSPA as the fallback on an exact tie
+  between optima (each case reports whether it fell back).
 
 Each timing covers build + solve (what MCF-LTC pays per batch); the
 implementations are interleaved within each repeat so slow background
@@ -28,10 +28,11 @@ Two sections share the batch sizes:
 * ``saturated`` takes ``Acc*`` of the paper's sigmoid accuracy at
   distances of at most ``d_max / 2``, two cases per size.  Close to a
   task the sigmoid saturates, so a worker's values to its nearest tasks
-  differ by about 1e-12, below the certificate's margin, as on the e2e
-  ``paper_dense`` workload: some cases certify and some fall back.  The
-  kernel and the simplex are compared arc for arc; the timings are
-  reported as observations, not gated.
+  differ by about 1e-12, as on the e2e ``paper_dense`` workload.  The
+  simplex decides such near-ties in exact integers, so every case
+  certifies unless two optima tie exactly.  The kernel and the simplex
+  are compared arc for arc; the timings are reported as observations,
+  not gated.
 
 The suite registers with the shared registry in :mod:`_common`, reports
 in the shared schema (``sections`` / ``headline_speedups`` / exactness
@@ -330,7 +331,8 @@ SUITE = _common.register_suite(BenchSuite(
         "kernel is asserted to agree with the reference on every case, and "
         "the simplex with the kernel arc for arc.  A saturated section "
         "(sigmoid accuracies close to their tasks, costs within about "
-        "1e-12) runs the near-tie regime, timed but not gated."
+        "1e-12) runs the near-tie regime, which the simplex decides in "
+        "exact integers, timed but not gated."
     ),
     add_arguments=add_arguments,
     run=run_suite,

@@ -45,12 +45,14 @@ Implementation notes
   arrival order, tasks ascending by id), not from perturbing the costs.
   The simplex may pick a different one of several cost-equal optima, so
   its flow is applied only when the uniqueness certificate shows the
-  optimum is unique (no residual cycle within
-  :data:`~repro.flow.simplex.UNIQUE_MARGIN` of zero cost); otherwise the
-  batch is re-solved by the SSPA and counted in
-  ``extra["flow_fallbacks"]``.  There is no second path: every batch
-  tries the simplex first, and either way the arrangement is the one the
-  SSPA alone would give.
+  optimum is unique (no residual cycle of exactly zero cost, decided in
+  exact integer arithmetic); otherwise the batch is re-solved by the
+  SSPA and counted in ``extra["flow_fallbacks"]``.  There is no second
+  path: every batch tries the simplex first.  Only exact ties fall back,
+  such as the repeated accuracies of the paper's Table I; on every
+  batch measured, the float SSPA's flow equals the exact unique optimum
+  (``docs/flow_kernel.md``, "Exact costs"), so the arrangement is the
+  one the SSPA alone would give.
 * The first batch uses ``floor(1.5 m)`` workers and subsequent batches
   ``floor(m)`` workers with ``m = |T| * ceil(delta) / K``, exactly as in the
   pseudo-code.
@@ -86,7 +88,8 @@ class BatchFlow:
     flow_value: int
     #: Simplex pivots, or SSPA augmentations when the SSPA solved it.
     augmentations: int
-    #: Whether the uniqueness certificate failed and the SSPA re-solved.
+    #: Whether the uniqueness certificate failed (an exact tie) and the
+    #: SSPA re-solved.
     fallback: bool
 
 
@@ -94,8 +97,8 @@ def solve_mcf(arena: ArcArena, topo_order: Sequence[int]) -> BatchFlow:
     """Min-cost max-flow of one batch network, left in ``arena.flow``.
 
     The network simplex runs first, and its flow is kept when its optimum
-    is unique (certified to :data:`~repro.flow.simplex.UNIQUE_MARGIN`);
-    otherwise the SSPA re-solves from zero flow.  The SSPA runs
+    is unique (certified in exact integers); otherwise, on an exact tie,
+    the SSPA re-solves from zero flow.  The SSPA runs
     :func:`~repro.flow.kernel.dag_potentials`, then
     :func:`~repro.flow.kernel.solve_mcf`, and its tie-breaking picks the
     flow among the cost-equal optima.

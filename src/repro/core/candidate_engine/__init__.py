@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from repro.core.candidate_engine.engine import (
     DECISION_BAND,
-    ELIGIBILITY_EPS,
     TOPK_MODES,
     TOPK_SCORE_MARGIN,
     CandidateEngine,
@@ -31,7 +30,6 @@ def default_candidate_backend_name() -> str:
 __all__ = [
     "CandidateEngine",
     "DECISION_BAND",
-    "ELIGIBILITY_EPS",
     "TOPK_MODES",
     "TOPK_SCORE_MARGIN",
 ]

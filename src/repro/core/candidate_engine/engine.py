@@ -44,10 +44,13 @@ included:
   association order in both passes (elementwise IEEE-754 ops give the
   same bits), so the radius prefilter gathers the exact same set;
 * the eligibility decision is pinned to the scalar expression
-  ``Acc(w, t) >= min_accuracy - ELIGIBILITY_EPS`` with ``Acc`` from
-  :meth:`CandidateEngine.scalar_accuracy`.  The vector pass trusts its
-  own sigmoid **only outside** :data:`DECISION_BAND` around the
-  threshold; inside the band it re-checks each pair with the scalar path;
+  ``Acc(w, t) >= min_accuracy``, with no slack, with ``Acc`` from
+  :meth:`CandidateEngine.scalar_accuracy`; the radius gate is a
+  superset of it
+  (:func:`~repro.core.candidates.sigmoid_eligibility_radius`).  The
+  vector pass trusts its own sigmoid **only outside**
+  :data:`DECISION_BAND` around the threshold; inside the band it
+  re-checks each pair with the scalar path;
 * top-``k`` returns positions in the exact pop order of a
   :class:`~repro.structures.topk.TopKHeap` fed the *scalar* scores in
   candidate order (largest first; ties favour the earlier-pushed, i.e.
@@ -137,10 +140,6 @@ from repro.core.instance import LTCInstance
 from repro.core.task import Task
 from repro.core.worker import Worker
 from repro.geo.bbox import BoundingBox
-
-#: The slack applied to the eligibility threshold (the decision is
-#: ``accuracy >= min_accuracy - ELIGIBILITY_EPS``).
-ELIGIBILITY_EPS = 1e-12
 
 #: Half-width of the accuracy interval around the eligibility threshold in
 #: which the vector pass must fall back to the scalar evaluation.
@@ -295,8 +294,8 @@ class CandidateEngine:
         self.instance = instance
         self.model = instance.accuracy_model
         self.min_accuracy = instance.min_assignable_accuracy
-        #: The pinned eligibility decision threshold (``accuracy >= threshold``).
-        self.threshold = self.min_accuracy - ELIGIBILITY_EPS
+        #: The eligibility decision is exactly ``accuracy >= threshold``.
+        self.threshold = self.min_accuracy
 
         # --- struct-of-arrays snapshot, positions ascending by task id ----
         by_id = sorted(instance.tasks, key=lambda task: task.task_id)

@@ -38,23 +38,41 @@ from repro.core.worker import Worker
 from repro.geo.bbox import BoundingBox
 
 
+#: How far :func:`sigmoid_eligibility_radius` widens the solved radius so
+#: that it is a superset of the exact eligibility test: 64 ulps of
+#: ``1 + ratio`` inside the logarithm, and this relative slack on the
+#: distance (see there).
+RADIUS_SLACK = 1e-12
+
+
 def sigmoid_eligibility_radius(
     historical_accuracy: float, d_max: float, min_accuracy: float
 ) -> float:
-    """Largest distance at which the sigmoid accuracy stays above a threshold.
+    """A distance beyond which the sigmoid accuracy stays below a threshold.
 
-    Solves ``p / (1 + exp(d - d_max)) >= min_accuracy`` for ``d``.  Returns a
-    negative number when the worker can never reach the threshold (i.e. no
-    task is eligible) and ``math.inf`` when every distance qualifies
+    Solves ``p / (1 + exp(d - d_max)) >= min_accuracy`` for ``d``, widened
+    so that the radius gate never excludes a pair that the exact float
+    test ``Acc(w, t) >= min_accuracy`` accepts: the test decides, and the
+    radius only prefilters.  With ``ratio = p / min_accuracy - 1``, a
+    computed accuracy at or above the threshold implies
+    ``exp(d - d_max) <= ratio + 6 ulps * (1 + ratio)`` (one rounding in
+    each of the division, ``exp``, the ``1 +`` and the ratio), which the
+    64 ulps inside the logarithm cover; the rounding of the distance, the
+    exponent and the logarithm, a few ulps of ``|d| + d_max``, is covered
+    by :data:`RADIUS_SLACK`.  Returns a negative number when no distance
+    can reach the threshold (for ``p == min_accuracy`` unless ``d_max``
+    exceeds about 32) and ``math.inf`` when every distance qualifies
     (``min_accuracy <= 0``); spatial indexes clamp the infinite case to
     their extent.
     """
     if min_accuracy <= 0:
         return math.inf
     ratio = historical_accuracy / min_accuracy - 1.0
-    if ratio <= 0:
+    bound = ratio + 2.0 ** -47 * (1.0 + abs(ratio))
+    if bound <= 0:
         return -1.0
-    return d_max + math.log(ratio)
+    radius = d_max + math.log(bound)
+    return radius + RADIUS_SLACK * (1.0 + abs(radius) + abs(d_max))
 
 
 def instance_reach_radius(instance: LTCInstance) -> Optional[float]:

@@ -1,8 +1,11 @@
-"""The pre-engine candidate scan, retained verbatim as a testing oracle.
+"""The pre-engine candidate scan, retained as a testing oracle.
 
 :class:`LegacyCandidateFinder` is the object-level ``CandidateFinder``
-exactly as it existed before the struct-of-arrays candidate engine
-(``repro.core.candidate_engine``) replaced its internals: a
+as it existed before the struct-of-arrays candidate engine
+(``repro.core.candidate_engine``) replaced its internals, with one edit
+since: eligibility is the exact ``Acc >= min_accuracy``, without the
+``1e-12`` slack it once subtracted, so its scan and its grid agree at
+the threshold.  It uses a
 :class:`~repro.geo.grid_index.GridIndex` (dict-of-lists cells) queried
 per worker, python ``Task`` objects throughout, and one scalar
 ``math.exp`` per (worker, task) accuracy evaluation.  It plays the same
@@ -88,7 +91,7 @@ class LegacyCandidateFinder:
 
     def is_eligible(self, worker: Worker, task: Task) -> bool:
         """Whether ``worker`` may be assigned ``task``."""
-        return self._model.accuracy(worker, task) >= self._min_accuracy - 1e-12
+        return self._model.accuracy(worker, task) >= self._min_accuracy
 
     def _eligible_pool(self, worker: Worker, ordered: bool) -> Sequence[Task]:
         if self._grid is not None and isinstance(self._model, SigmoidDistanceAccuracy):

@@ -15,11 +15,11 @@ is used only when it provably equals the SSPA's:
   DAG).
 * :func:`network_simplex` (:mod:`repro.flow.simplex`) — a primal network
   simplex over the same arena for the layered batch network at zero flow,
-  started from a greedy flow.  It writes its flow back only when a
-  uniqueness certificate shows the
-  optimum is unique to within :data:`~repro.flow.simplex.UNIQUE_MARGIN`,
-  and returns ``None`` otherwise, so the SSPA's tie-breaking still
-  decides among cost-equal optima.
+  started from a greedy flow, with numpy candidate-list pricing and
+  exact integer costs.  It writes its flow back only when a uniqueness
+  certificate shows the exact optimum is unique, and returns ``None`` on
+  an exact tie, so the SSPA's tie-breaking still decides among
+  cost-equal optima.
 * :func:`validate_arena_flow` — independent
   verification of capacity/conservation/twin constraints, used by the
   test-suite and by debugging assertions.

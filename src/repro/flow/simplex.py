@@ -7,11 +7,16 @@ moves whole paths of flow per pivot instead of one unit per Dijkstra.  It
 keeps its own parallel arrays and touches the arena only to write the
 final flow, and only when that flow is provably the unique optimum:
 
+* **Exact integer costs.** Every float is a dyadic rational, so one power
+  of two turns all of a batch's costs into integers without rounding
+  (:func:`_integer_costs`).  Potentials, pivots and the certificate work
+  on those integers: an arc enters only if its reduced cost is negative,
+  the simplex stops at the exact optimum of the float costs, and only an
+  exactly cost-equal second optimum fails the certificate.
 * **Max flow first.** A return arc ``sink -> source`` of unbounded
   capacity turns the problem into a min-cost circulation.  Its cost is
-  lexicographic — integer primary ``-1``, float secondary ``0`` — so every
-  extra unit of flow beats any cost difference without a big-M constant
-  in the float potentials.
+  lexicographic — primary ``-1``, secondary ``0`` — so every extra unit
+  of flow beats any cost difference.
 * **A greedy start, no artificial root.** Arcs of zero capacity and the
   workers and tasks they strand are pruned.  The worker -> task arcs then
   route one unit each, cheapest first, while both ends have capacity
@@ -19,65 +24,48 @@ final flow, and only when that flow is provably the unique optimum:
   (:func:`_greedy_start`).  Every tree arc can carry more flow toward the
   root, so the tree is strongly feasible, and the leaving-arc rule (last
   blocking arc after the apex) keeps it so: no cycling under degeneracy.
-  Far fewer pivots remain than from zero flow: 6,145 instead of 15,413
-  over the MCF-LTC batches of the e2e ``paper_sparse`` workload at its
-  reference seed (``docs/flow_kernel.md``).
-* **Block pricing**: blocks of ``ceil(sqrt(E))`` arcs, the most violating
-  arc of a block enters.
+* **Candidate-list pricing.** A *major pass* (:func:`_major_pass`) prices
+  every arc at once in float64 numpy arrays and keeps the
+  :data:`CANDIDATES` most violating arcs, most violating first.  Before
+  each pivot the return arc and then those candidates are re-priced in
+  integers, and the first one still violating enters; when none is left,
+  the next major pass runs.  The float pass only ranks: an arc whose
+  float reduced cost lies within its rounding-error bound of zero is
+  priced in integers there, so the simplex stops exactly when no arc
+  prices negative.
 
 **The uniqueness certificate.**  Among equal-cost optimal flows the SSPA's
 tie-breaking decides which one MCF-LTC applies, and the simplex may pick
 another.  So the simplex result is used only when the optimum is unique,
-that is when no residual cycle has reduced cost within
-:data:`UNIQUE_MARGIN` of zero:
-
-1. potentials are recomputed from the final tree (so pivot drift does not
-   enter), every non-tree arc must sit on its optimal side, and the arcs
-   whose reduced cost is within the margin of zero are flagged;
-2. tree arcs strictly between their bounds are contracted (they are
-   residual both ways); the remaining tree arcs in their residual
-   direction plus the flagged arcs in theirs form a directed graph in
-   which any cycle passes a flagged arc.  If it is acyclic, the optimum
-   is unique.
+that is when no residual cycle has reduced cost exactly zero.  The last
+major pass lists the non-tree arcs that price exactly zero (*ties*); with
+none, the optimum is unique.  Otherwise tree arcs strictly between their
+bounds are contracted (they are residual both ways), and the remaining
+tree arcs in their residual direction plus the ties in theirs form a
+directed graph in which any zero-cost cycle passes a tie.  If it is
+acyclic, the optimum is unique (:func:`_unique`).
 
 When the certificate fails, :func:`network_simplex` returns ``None`` and
 leaves the arena at zero flow, and the caller re-solves with the SSPA.
-
-**When it fails.**  A node choosing between out-arcs that cost within
-the margin of each other is *indifferent* at the certificate's
-resolution: any optimum in which that choice matters fails it.  Close to
-a task the sigmoid accuracy saturates, so dense batches have many such
-workers, yet most of their optima still certify.  Nothing predicts
-failure up front: MCF-LTC runs the simplex on every batch and pays for
-the SSPA only on a batch whose certificate fails
-(``docs/flow_kernel.md``, "Every batch tries the simplex").
+That happens only on an exact tie between two optima, such as the
+repeated accuracies of the paper's Table I; near-ties of the sigmoid
+accuracy model, however close, are decided exactly
+(``docs/flow_kernel.md``, "Exact costs").
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
+
+import numpy as np
 
 from repro.flow.kernel import ArcArena, KernelFlowResult
 
-#: Reduced-cost margin of the uniqueness certificate.  A residual cycle
-#: cheaper than this counts as a tie.  The SSPA's potentials drift by
-#: about 1e-16 per augmentation (one rounding per float operation on
-#: values of order 1), and an augmentation routes at least one unit, so
-#: a batch of flow value F leaves the SSPA's flow optimal to within about
-#: F * 1e-16; the simplex's recomputed potentials are exact to within a
-#: few roundings.  The largest batch measured routes 1,000 units in the
-#: ``figures`` suite (about 1e-13: 100x headroom) and 19,960 at the
-#: paper's sizes (``fig3_tasks``, |T| = 5,000 at scale 1.0: about 2e-12,
-#: only 5x headroom; ``docs/flow_kernel.md``).  An optimum unique by this
-#: margin is the flow the SSPA finds too.
-UNIQUE_MARGIN = 1e-11
-
-#: An arc enters the tree only if its reduced cost is below ``-PIVOT_TOL``,
-#: so float noise in drifted potentials never triggers a pivot.  Kept
-#: below :data:`UNIQUE_MARGIN`, so an arc the pricing leaves out is either
-#: on its optimal side or flagged by the certificate.
-PIVOT_TOL = 1e-12
+#: How many entering-arc candidates a major pass keeps.  Chosen by a
+#: sweep on the e2e ``paper_dense`` and ``paper_sparse`` instances
+#: (``docs/flow_kernel.md``, "Candidate-list pricing").
+CANDIDATES = 96
 
 _INF = math.inf
 
@@ -93,25 +81,73 @@ def network_simplex(
     result counts pivots as ``augmentations``; ``potentials`` is empty.
     On ``None`` the arena is untouched.
     """
-    head = graph.head
     n = graph.num_nodes
     if not (0 <= source < n and 0 <= sink < n) or source == sink:
         raise ValueError("source and sink must be distinct nodes of the graph")
     if any(graph.flow):
         raise ValueError("network_simplex needs an arena at zero flow")
+    basis = _optimal_basis(graph, source, sink)
+    if basis is None:
+        return KernelFlowResult(flow_value=0, total_cost=0.0, augmentations=0)
+    x = basis.x
+    if basis.ties and not _unique(basis.edge, basis.S, basis.T, basis.U, x,
+                                  basis.ties, n):
+        return None
+    flow = graph.flow
+    for j, a in enumerate(basis.arcs):
+        if x[j]:
+            flow[a] = x[j]
+            flow[a ^ 1] = -x[j]
+    return KernelFlowResult(
+        flow_value=x[-1], total_cost=graph.total_cost(),
+        augmentations=basis.pivots,
+    )
+
+
+class _Basis(NamedTuple):
+    """An optimal basis, as :func:`_optimal_basis` leaves it.
+
+    Local arc ``j`` runs ``S[j] -> T[j]`` with capacity ``U[j]``, integer
+    cost ``C[j]`` and flow ``x[j]``; the last one is the return arc.
+    ``arcs`` maps the others to arena arcs.  ``edge[v]`` is node ``v``'s
+    parent arc in the tree (``-1`` for the root and pruned nodes), and
+    ``P1``/``P2`` price every tree arc at exactly zero.  ``ties`` lists the
+    non-tree arcs that price exactly zero.
+    """
+
+    arcs: List[int]
+    S: List[int]
+    T: List[int]
+    U: list
+    C: List[int]
+    x: List[int]
+    edge: List[int]
+    P1: List[int]
+    P2: List[int]
+    ties: List[int]
+    pivots: int
+
+
+def _optimal_basis(graph: ArcArena, source: int, sink: int) -> Optional[_Basis]:
+    """Pivot from the greedy start to an optimal basis.
+
+    ``None`` when the max flow is zero (nothing to route).
+    """
+    head = graph.head
+    n = graph.num_nodes
     start = _greedy_start(graph, source, sink)
     if start is None:
-        return KernelFlowResult(flow_value=0, total_cost=0.0, augmentations=0)
+        return None
     arcs, x, parent, edge = start
     ret = len(arcs)  # the return arc sink -> source
     S = [head[a ^ 1] for a in arcs]
     T = [head[a] for a in arcs]
     U: list = [graph.cap[a] for a in arcs]
-    C = [graph.cost[a] for a in arcs]
+    cost = graph.cost
+    C, scaled = _integer_costs([cost[a] for a in arcs] + [0.0])
     S.append(sink)
     T.append(source)
     U.append(_INF)
-    C.append(0.0)
 
     # Tree: parent, parent arc, subtree size, circular preorder thread
     # (nxt/prv) and each subtree's last node in that thread.
@@ -138,46 +174,45 @@ def network_simplex(
         last[v] = pre[i + size[v] - 1]
     P1, P2 = _potentials(pre, parent, edge, S, C, ret, n)
 
-    E = ret  # the return arc is priced before every block
-    block = max(1, math.isqrt(E - 1) + 1)
-    num_blocks = (E + block - 1) // block
-    quiet = 0  # consecutive blocks without an entering arc
-    first = 0
+    # The major pass's arrays.  ``sign[j]`` is -1 when arc j carries flow:
+    # a non-tree arc then sits at its upper bound and prices negated.
+    # Only the leaving arc of a pivot can change it.
+    sign = np.array([-1.0 if units else 1.0 for units in x])
+    cost_max = float(np.abs(scaled).max())
+    arrays = (np.array(S), np.array(T), scaled, sign, cost_max)
+
+    candidates: List[int] = []
+    ties: List[int] = []
+    position = 0
     pivots = 0
-    while quiet < num_blocks:
-        # Price one block: the lexicographically most negative reduced
-        # cost enters, primary (flow value) before secondary (cost).
-        stop = first + block
-        if stop > E:
-            scan = [*range(first, E), *range(stop - E)]
-            stop -= E
-        else:
-            scan = range(first, stop)
-        first = stop
-        best_k = P1[source] - P1[sink] - 1
-        best_c = P2[source] - P2[sink]
-        if best_k < 0 or (best_k == 0 and best_c < -PIVOT_TOL):
+    while True:
+        # The return arc first, then the candidates in order: the first
+        # arc whose exact reduced cost is still lexicographically
+        # negative, primary (flow value) before secondary (cost), enters.
+        k = P1[source] - P1[sink] - 1
+        if k < 0 or (k == 0 and P2[source] < P2[sink]):
             i = ret
         else:
-            best_k = 0
-            best_c = -PIVOT_TOL
             i = -1
-        for j in scan:
-            s = S[j]
-            t = T[j]
-            k = P1[t] - P1[s]
-            c = C[j] - P2[s] + P2[t]
-            if x[j]:
-                k = -k
-                c = -c
-            if k < best_k or (k == best_k and c < best_c):
-                best_k = k
-                best_c = c
-                i = j
-        if i < 0:
-            quiet += 1
-            continue
-        quiet = 0
+            while position < len(candidates):
+                j = candidates[position]
+                position += 1
+                s = S[j]
+                t = T[j]
+                k = P1[t] - P1[s]
+                c = C[j] - P2[s] + P2[t]
+                if x[j]:
+                    k = -k
+                    c = -c
+                if k < 0 or (k == 0 and c < 0):
+                    i = j
+                    break
+            if i < 0:
+                candidates, ties = _major_pass(P1, P2, S, T, C, x, edge, arrays)
+                position = 0
+                if not candidates:
+                    break
+                continue
         pivots += 1
         if x[i]:
             p, q = T[i], S[i]
@@ -216,6 +251,7 @@ def network_simplex(
                     x[j] += delta
                 else:
                     x[j] -= delta
+        sign[j_out] = -1.0 if x[j_out] else 1.0
         if j_out == i:
             continue
         t_out = T[j_out] if S[j_out] == s_out else S[j_out]
@@ -310,16 +346,85 @@ def network_simplex(
                 break
             v = nxt[v]
 
-    if not _certified(_preorder(sink, nxt), parent, edge, S, T, U, C, x, ret, n):
-        return None
-    flow = graph.flow
-    for j, a in enumerate(arcs):
+    return _Basis(arcs, S, T, U, C, x, edge, P1, P2, ties, pivots)
+
+
+def _integer_costs(costs: List[float]):
+    """The costs scaled by one power of two to exact integers.
+
+    A nonzero float is ``m * 2**(e - 53)`` with an integer mantissa ``m``
+    and ``e`` its :func:`math.frexp` exponent, so scaling by ``2**shift``
+    with ``shift = 53 - min(e)`` over the costs makes every one an
+    integer, and scaling by a power of two rounds nothing.  For ``-Acc*``
+    in ``[-1, -0.1024]`` that is ``2**56``.  Returns the integers as a
+    list of Python ints, for exact arithmetic, and as a float64 array
+    holding the same values, for the major pass.  ``ValueError`` if a
+    cost is not finite, or if a scaled cost would reach ``2**960``, where
+    sums of them (the potentials) could overflow a float.
+    """
+    values = np.array(costs, dtype=np.float64)
+    if not np.isfinite(values).all():
+        raise ValueError("network_simplex needs finite costs")
+    nonzero = values[values != 0]
+    shift = 0
+    if nonzero.size:
+        exponents = np.frexp(nonzero)[1]
+        shift = max(0, 53 - int(exponents.min()))
+        if int(exponents.max()) + shift > 960:
+            raise ValueError("network_simplex needs costs within 900 binades")
+    scaled = np.ldexp(values, shift)
+    return [int(v) for v in scaled.tolist()], scaled
+
+
+def _major_pass(P1, P2, S, T, C, x, edge, arrays):
+    """Price every arc at once: ``(candidates, ties)``.
+
+    ``candidates`` lists up to :data:`CANDIDATES` arcs whose exact reduced
+    cost is lexicographically negative, most violating first.  When there
+    are none the flow is optimal, and ``ties`` lists the non-tree arcs
+    whose exact reduced cost is zero; otherwise ``ties`` is empty.
+
+    Both parts of each reduced cost go into one float64 key: the primary
+    part times ``big``, a power of two above four times every secondary
+    one, plus the secondary part.  The costs are exact in float64 (scaled
+    integers), and the potentials and the two operations round once
+    each, so a key is off by at most ``12 * 2**-53 * big``, under half of
+    ``band``.  An arc keyed below ``-band`` is therefore violating, one
+    above ``band`` is not, and only the arcs in between are priced in
+    integers, and only when no arc is certainly violating.
+    """
+    S_a, T_a, costs, sign, cost_max = arrays
+    P2_f = np.array(P2, dtype=np.float64)
+    big = 2.0 ** (math.frexp(cost_max + float(np.abs(P2_f).max()))[1] + 2)
+    band = 2.0 ** -48 * big
+    costs[-1] = -big  # the return arc: primary cost -1, secondary 0
+    # P1 is 1 on the nodes hanging below the return arc, 0 elsewhere.
+    P = P2_f + big * np.frombuffer(bytes(P1), dtype=np.int8)
+    key = ((costs - P[S_a]) + P[T_a]) * sign
+    violating = np.flatnonzero(key < -band)
+    if violating.size:
+        keys = key[violating]
+        if violating.size > CANDIDATES:
+            keep = np.argpartition(keys, CANDIDATES - 1)[:CANDIDATES]
+            violating = violating[keep]
+            keys = keys[keep]
+        return violating[np.argsort(keys, kind="stable")].tolist(), []
+
+    near = np.abs(key) <= band
+    near[[j for j in edge if j >= 0]] = False  # tree arcs price exactly 0
+    candidates = []
+    ties = []
+    for j in np.flatnonzero(near).tolist():
+        reduced = C[j] - P2[S[j]] + P2[T[j]]
         if x[j]:
-            flow[a] = x[j]
-            flow[a ^ 1] = -x[j]
-    return KernelFlowResult(
-        flow_value=x[ret], total_cost=graph.total_cost(), augmentations=pivots
-    )
+            reduced = -reduced
+        if reduced < 0:
+            candidates.append(j)
+        elif reduced == 0:
+            ties.append(j)
+    if candidates:
+        return candidates, []
+    return candidates, ties
 
 
 def _greedy_start(graph: ArcArena, source: int, sink: int):
@@ -422,15 +527,6 @@ def _greedy_start(graph: ArcArena, source: int, sink: int):
     return arcs, x, parent, edge
 
 
-def _preorder(root: int, nxt: List[int]) -> List[int]:
-    """The tree's nodes along the circular thread, starting at ``root``."""
-    nodes = [root]
-    v = nxt[root]
-    while v != root:
-        nodes.append(v)
-        v = nxt[v]
-    return nodes
-
 
 def _apex(p: int, q: int, parent: List[int], size: List[int]) -> int:
     """The deepest common ancestor of ``p`` and ``q`` (by subtree sizes)."""
@@ -454,12 +550,13 @@ def _apex(p: int, q: int, parent: List[int], size: List[int]) -> int:
 def _potentials(pre, parent, edge, S, C, ret, n):
     """Node potentials that price every tree arc at exactly zero.
 
-    Reduced costs are ``c - P[S] + P[T]``; ``P1`` is the integer primary
-    component (only the return arc costs ``-1``), ``P2`` the float
-    secondary.  ``pre`` lists the tree in preorder from the root.
+    Reduced costs are ``c - P[S] + P[T]``; ``P1`` is the primary
+    component (only the return arc costs ``-1``), ``P2`` the secondary,
+    in the integer costs ``C``.  ``pre`` lists the tree in preorder from
+    the root.
     """
     P1 = [0] * n
-    P2 = [0.0] * n
+    P2 = [0] * n
     for v in pre[1:]:
         j = edge[v]
         p = parent[v]
@@ -473,36 +570,14 @@ def _potentials(pre, parent, edge, S, C, ret, n):
     return P1, P2
 
 
-def _certified(pre, parent, edge, S, T, U, C, x, ret, n) -> bool:
-    """Whether the final tree's flow is the unique optimum (module docs)."""
-    P1, P2 = _potentials(pre, parent, edge, S, C, ret, n)
-    in_tree = bytearray(len(S))
-    for v in pre[1:]:
-        in_tree[edge[v]] = 1
+def _unique(edge, S, T, U, x, ties, n) -> bool:
+    """Whether no residual cycle of zero reduced cost exists (module docs).
 
-    # Stage 1: optimal sides, and the arcs within the margin of a tie.
-    flagged = []
-    for j in range(len(S)):
-        if in_tree[j]:
-            continue
-        s = S[j]
-        t = T[j]
-        k = P1[t] - P1[s] - (j == ret)
-        c = C[j] - P2[s] + P2[t]
-        if x[j]:
-            k = -k
-            c = -c
-        if k > 0:
-            continue
-        if k < 0 or c < -UNIQUE_MARGIN:
-            return False
-        if c <= UNIQUE_MARGIN:
-            flagged.append(j)
-    if not flagged:
-        return True
-
-    # Stage 2: contract the tree arcs residual both ways, then look for a
-    # directed cycle among the rest of the tree and the flagged arcs.
+    Such a cycle runs only over tree arcs and ``ties``, the non-tree arcs
+    that price exactly zero.  Contract the tree arcs residual both ways,
+    then look for a directed cycle among the rest of the tree and the
+    ties, each in its residual direction.
+    """
     root = list(range(n))
 
     def find(v: int) -> int:
@@ -512,15 +587,16 @@ def _certified(pre, parent, edge, S, T, U, C, x, ret, n) -> bool:
         return v
 
     directed = []
-    for v in pre[1:]:
-        j = edge[v]
+    for j in edge:
+        if j < 0:
+            continue
         if 0 < x[j] < U[j]:
             root[find(S[j])] = find(T[j])
         else:
             directed.append(j)
     successors: dict = {}
     indegree: dict = {}
-    for j in directed + flagged:
+    for j in directed + ties:
         a, b = (S[j], T[j]) if x[j] == 0 else (T[j], S[j])
         a, b = find(a), find(b)
         if a == b:

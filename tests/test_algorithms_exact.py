@@ -13,7 +13,6 @@ from repro.core.accuracy import (
     SigmoidDistanceAccuracy,
     TabularAccuracy,
 )
-from repro.core.candidates import sigmoid_eligibility_radius
 from repro.core.instance import LTCInstance
 from repro.core.task import Task
 from repro.core.worker import Worker
@@ -85,13 +84,15 @@ class TestExactSolver:
 def radius_boundary_instance():
     """One task, a worker just beyond its radius, ten workers close by.
 
-    Worker 1 (p = 0.9) stands 3e-12 beyond its eligibility radius, so its
-    accuracy, 0.66 - 5e-13, clears the threshold's ``1e-12`` slack while
-    the radius gate excludes it.  Workers 2-11 stand 1 unit from the task
+    Worker 1 (p = 0.9) stands 3e-12 beyond the distance at which its
+    sigmoid accuracy is exactly 0.66, so its accuracy, 0.66 - 5e-13,
+    falls just below the threshold: no solver may assign it.  (While the
+    threshold had a ``1e-12`` slack, the exhaustive scan accepted it and
+    the radius gate did not.)  Workers 2-11 stand 1 unit from the task
     (Acc* just under 0.64); delta = 2.6 needs five of them, or worker 1
     (Acc* ~= 0.1024) plus four.
     """
-    radius = sigmoid_eligibility_radius(0.9, 30.0, 0.66)
+    radius = 30.0 + math.log(0.9 / 0.66 - 1.0)
     workers = [Worker(index=1, location=Point(radius + 3e-12, 0.0),
                       accuracy=0.9, capacity=1)]
     workers += [
@@ -106,7 +107,7 @@ def radius_boundary_instance():
 class TestSharedEligibilityRule:
     """Exact decides eligibility like every solver it is compared with."""
 
-    def test_the_boundary_worker_passes_the_threshold_only(self):
+    def test_the_boundary_worker_falls_just_below_the_threshold(self):
         instance = radius_boundary_instance()
         task = instance.task(0)
         acc = instance.accuracy_model.accuracy(instance.worker(1), task)

@@ -123,17 +123,24 @@ class TestFlowFallbacks:
         assert result.extra["flow_fallbacks"] == 0
 
     @pytest.mark.parametrize("repetition", range(3))
-    def test_saturated_dense_batches_match_the_sspa(self, monkeypatch, repetition):
-        # |T| = 50,000 at this scale puts workers close to many tasks, where
-        # the sigmoid saturates and a worker's costs differ by ~1e-12.  A
-        # certified simplex flow must still be the SSPA's, so the
-        # arrangement equals the one with the simplex switched off.
-        factory = get_experiment("fig4_scalability").instance_factory(0.0025)
-        result = MCFLTCSolver().solve(factory(50_000, repetition))
-        extra = result.extra
-        assert extra["flow_fallbacks"] < extra["batches"]
+    @pytest.mark.parametrize(
+        "experiment, value, scale",
+        [("fig4_scalability", 50_000, 0.0025), ("fig4_epsilon", 0.14, 0.05)],
+        ids=["paper_dense", "paper_sparse"],
+    )
+    def test_sigmoid_batches_certify_and_match_the_sspa(
+        self, monkeypatch, experiment, value, scale, repetition
+    ):
+        # The e2e paper workloads' instances.  |T| = 50,000 at this scale
+        # puts workers close to many tasks, where the sigmoid saturates
+        # and a worker's costs differ by ~1e-12.  In exact integers no
+        # batch is a tie, so none falls back, and the certified flows
+        # give the arrangement of the SSPA alone.
+        factory = get_experiment(experiment).instance_factory(scale)
+        result = MCFLTCSolver().solve(factory(value, repetition))
+        assert result.extra["flow_fallbacks"] == 0
         monkeypatch.setattr(mcf_ltc, "network_simplex", lambda *args: None)
-        reference = MCFLTCSolver().solve(factory(50_000, repetition))
+        reference = MCFLTCSolver().solve(factory(value, repetition))
         assert reference.extra["flow_fallbacks"] == reference.extra["batches"]
         assert result.arrangement.assignments == reference.arrangement.assignments
 

@@ -92,7 +92,50 @@ def test_list_shows_every_suite(capsys):
     listed = [line.split()[0] for line in
               capsys.readouterr().out.splitlines()[1:]]
     assert listed == ["candidates", "dispatch_scale", "dynamic_sessions",
-                      "figures", "flow_kernel", "resilience"]
+                      "e2e_counts", "figures", "flow_kernel", "resilience"]
+
+
+def fake_run_py(monkeypatch, correct=True, failed=0):
+    """Make ``bench_e2e_counts`` see a canned ``run.py`` result line."""
+    import bench_e2e_counts
+
+    metrics = {
+        "flow.augmentations": {"value": 7, "unit": "count"},
+        "candidates.topk.calls": {"value": 3, "unit": "count"},
+        "flow.solve_mcf.self_pct": {"value": 12.5, "unit": "%"},
+        "dispatcher.probes_per_arrival": {"value": 8.0, "unit": "probes/arrival"},
+    }
+    line = json.dumps({"correct": correct, "attempted": 10, "failed": failed,
+                       "metrics": metrics})
+    calls = []
+
+    def run(argv, **kwargs):
+        calls.append(argv)
+        return argparse.Namespace(returncode=0 if correct else 1,
+                                  stdout=f"host line\n{line}\n", stderr="")
+
+    monkeypatch.setattr(bench_e2e_counts.subprocess, "run", run)
+    return bench_e2e_counts, calls
+
+
+def test_e2e_counts_fingerprints_only_the_count_metrics(monkeypatch):
+    module, calls = fake_run_py(monkeypatch)
+    namespace = _common.suite_namespace(module.SUITE, smoke=True)
+    result = module.run_suite(namespace)
+    assert [argv[argv.index("--workload") + 1] for argv in calls] == list(
+        module.WORKLOADS)
+    assert all(argv[-6:] == ["--seed", "20180416", "--seconds", "0",
+                             "--trace", "1"] for argv in calls)
+    counts = {"candidates.topk.calls": 3, "flow.augmentations": 7}
+    assert result.fingerprint_payload == {w: counts for w in module.WORKLOADS}
+    assert result.config == {"workloads": list(module.WORKLOADS),
+                             "seed": 20180416}
+
+
+def test_e2e_counts_stops_on_a_failed_run(monkeypatch):
+    module, _ = fake_run_py(monkeypatch, correct=False)
+    with pytest.raises(RuntimeError, match="paper_sparse"):
+        module.traced_counts("paper_sparse", 20180416)
 
 
 def test_figures_config_is_its_two_repetition_counts():

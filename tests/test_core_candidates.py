@@ -42,6 +42,61 @@ class TestEligibilityRadius:
         assert math.isinf(sigmoid_eligibility_radius(0.9, 30.0, 0.0))
 
 
+def three_ways(instance):
+    """The engine, the legacy grid and the legacy scan, as id lists."""
+    finders = (
+        CandidateFinder(instance),
+        LegacyCandidateFinder(instance),
+        LegacyCandidateFinder(instance, use_spatial_index=False),
+    )
+    return [
+        [[task.task_id for task in finder.candidates(worker)]
+         for worker in instance.workers]
+        for finder in finders
+    ]
+
+
+class TestOneInequality:
+    """Eligibility is exactly ``Acc >= min_accuracy`` in every path."""
+
+    def test_a_clipped_worker_on_top_of_a_task_is_eligible_nowhere(self):
+        # p = 0.66 is the generators' clip value; at distance 0 the
+        # sigmoid gives 0.66 - 6.2e-14, just below the threshold.
+        instance = LTCInstance(
+            tasks=[Task(task_id=0, location=Point(5.0, 5.0))],
+            workers=[Worker(index=1, location=Point(5.0, 5.0),
+                            accuracy=MIN_WORKER_ACCURACY, capacity=1)],
+            error_rate=0.14,
+            accuracy_model=SigmoidDistanceAccuracy(d_max=30.0),
+        )
+        assert instance.min_assignable_accuracy == MIN_WORKER_ACCURACY == 0.66
+        assert three_ways(instance) == [[[]], [[]], [[]]]
+
+    @pytest.mark.parametrize("d_max", [30.0, 40.0])
+    def test_the_radius_gate_loses_no_pair_at_the_boundary(self, d_max):
+        # Workers just above the threshold, tasks within a few ulps of the
+        # solved radius on both sides: the grid must keep every pair the
+        # scan accepts, and drop the ones it rejects.
+        tasks = []
+        workers = []
+        for index, p in enumerate([0.66, math.nextafter(0.66, 1.0),
+                                   0.66 + 1e-13, 0.66 + 1e-9, 0.9, 1.0]):
+            x = 1000.0 * index
+            ratio = p / 0.66 - 1.0
+            radius = d_max + math.log(ratio) if ratio > 0 else 0.0
+            workers.append(Worker(index=index + 1, location=Point(x, 0.0),
+                                  accuracy=p, capacity=1))
+            for step in range(-4, 5):
+                offset = max(radius, 0.0) * (1.0 + step * 2.0 ** -52) + step * 1e-15
+                tasks.append(Task(task_id=len(tasks),
+                                  location=Point(x + max(offset, 0.0), 0.0)))
+        instance = LTCInstance(tasks=tasks, workers=workers, error_rate=0.14,
+                               accuracy_model=SigmoidDistanceAccuracy(d_max=d_max))
+        engine, grid, scan = three_ways(instance)
+        assert engine == grid == [sorted(ids) for ids in scan]
+        assert any(engine)
+
+
 class TestCandidateFinder:
     def test_respects_accuracy_threshold(self):
         instance = spatial_instance([0.0, 10.0, 28.0, 60.0])

@@ -17,14 +17,16 @@ basis, the greedy start, is checked on the same arenas: a feasible flow
 on a strongly feasible spanning tree of the pruned network.
 """
 
+import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.algorithms.mcf_ltc import solve_mcf as solve_batch
 from repro.flow.kernel import ArcArena, dag_potentials, solve_mcf
-from repro.flow.simplex import UNIQUE_MARGIN, _greedy_start, network_simplex
+from repro.flow.simplex import _greedy_start, _optimal_basis, network_simplex
 from repro.flow.validate import validate_arena_flow
 
 REGIMES = ("distinct", "ties", "near")
@@ -94,6 +96,49 @@ def check(seed, num_workers, num_tasks, regime):
 )
 def test_certified_flows_match_the_sspa(seed, num_workers, num_tasks, regime):
     check(seed, num_workers, num_tasks, regime)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_workers=st.integers(1, 8),
+    num_tasks=st.integers(1, 8),
+    regime=st.sampled_from(REGIMES),
+)
+def test_every_arc_prices_non_negative_in_exact_integers_at_exit(
+    seed, num_workers, num_tasks, regime
+):
+    arena, _ = batch_arena(seed, num_workers, num_tasks, regime)
+    basis = _optimal_basis(arena, 0, 1)
+    if basis is None:
+        return
+    S, T, C, x, P1, P2 = basis.S, basis.T, basis.C, basis.x, basis.P1, basis.P2
+    ret = len(x) - 1
+
+    # The integer costs are the float costs times one power of two.
+    floats = [arena.cost[a] for a in basis.arcs] + [0.0]
+    scales = {Fraction(c) / Fraction(f) for c, f in zip(C, floats) if f}
+    assert len(scales) == 1
+    scale = scales.pop()
+    assert scale.denominator == 1 and scale.numerator.bit_count() == 1
+    assert all(c == f * scale for c, f in zip(C, floats))
+
+    # Tree arcs price exactly zero, every other arc non-negative on its
+    # bound side (lexicographically: flow value first), and the ties are
+    # exactly the non-tree arcs at zero.
+    tree = {j for j in basis.edge if j >= 0}
+    ties = []
+    for j, units in enumerate(x):
+        reduced = (P1[T[j]] - P1[S[j]] - (j == ret), C[j] - P2[S[j]] + P2[T[j]])
+        if j in tree:
+            assert reduced == (0, 0)
+            continue
+        if units:
+            reduced = (-reduced[0], -reduced[1])
+        assert reduced >= (0, 0)
+        if reduced == (0, 0):
+            ties.append(j)
+    assert sorted(basis.ties) == ties
 
 
 def pruned(arena, source, sink):
@@ -233,17 +278,29 @@ def test_an_exact_two_by_two_tie_is_not_certified():
     assert not any(arena.flow)
 
 
-def test_a_tie_wider_than_the_margin_is_certified():
-    arena = ArcArena(6)
-    for task in (2, 3):
-        arena.add_arc(task, 1, 1, 0.0)
-    for worker, offset in ((4, 0.0), (5, 10 * UNIQUE_MARGIN)):
-        arena.add_arc(0, worker, 1, 0.0)
-        arena.add_arc(worker, 2, 1, -0.5 - offset)
-        arena.add_arc(worker, 3, 1, -0.5)
-    result = network_simplex(arena, 0, 1)
-    assert result is not None and result.flow_value == 2
-    assert [arena.flow[a] for a in (6, 8, 12, 14)] == [0, 1, 1, 0]
+def test_a_one_ulp_near_tie_is_certified():
+    # The two matchings differ by one ulp of 0.5: no tie in exact
+    # arithmetic, so the certificate holds and the flow is the SSPA's.
+    near = math.nextafter(-0.5, -1.0)
+    for costs in ([(near, -0.5), (-0.5, -0.5)], [(-0.5, -0.5), (near, -0.5)]):
+        arena, order = two_by_two(costs)
+        result = network_simplex(arena, 0, 1)
+        assert result is not None and result.flow_value == 2
+        expected, order = two_by_two(costs)
+        solve_mcf(expected, 0, 1, potentials=dag_potentials(expected, 0, order))
+        assert arena.flow == expected.flow
+
+
+@pytest.mark.parametrize(
+    "costs, message",
+    [([(-1e-300, -1e300), (-0.5, -0.5)], "binades"),
+     ([(-math.inf, -0.5), (-0.5, -0.5)], "finite")],
+    ids=["binades-apart", "infinite"],
+)
+def test_costs_without_a_common_integer_scale_are_rejected(costs, message):
+    arena, _ = two_by_two(costs)
+    with pytest.raises(ValueError, match=message):
+        network_simplex(arena, 0, 1)
 
 
 def test_a_sink_out_of_reach_routes_nothing():
