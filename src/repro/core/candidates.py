@@ -40,8 +40,8 @@ from repro.geo.bbox import BoundingBox
 
 #: How far :func:`sigmoid_eligibility_radius` widens the solved radius so
 #: that it is a superset of the exact eligibility test: 64 ulps of
-#: ``1 + ratio`` inside the logarithm, and this relative slack on the
-#: distance (see there).
+#: ``p / min_accuracy`` inside the logarithm, and this relative slack on
+#: the distance (see there).
 RADIUS_SLACK = 1e-12
 
 
@@ -53,26 +53,26 @@ def sigmoid_eligibility_radius(
     Solves ``p / (1 + exp(d - d_max)) >= min_accuracy`` for ``d``, widened
     so that the radius gate never excludes a pair that the exact float
     test ``Acc(w, t) >= min_accuracy`` accepts: the test decides, and the
-    radius only prefilters.  With ``ratio = p / min_accuracy - 1``, a
-    computed accuracy at or above the threshold implies
-    ``exp(d - d_max) <= ratio + 6 ulps * (1 + ratio)`` (one rounding in
-    each of the division, ``exp``, the ``1 +`` and the ratio), which the
-    64 ulps inside the logarithm cover; the rounding of the distance, the
+    radius only prefilters.  With ``q = p / min_accuracy``, a computed
+    accuracy at or above the threshold implies
+    ``exp(d - d_max) <= q - 1 + 6 ulps * q`` (one rounding in each of the
+    division, ``exp``, the ``1 +`` and ``q``), which the 64 ulps of ``q``
+    inside the logarithm cover; the rounding of the distance, the
     exponent and the logarithm, a few ulps of ``|d| + d_max``, is covered
-    by :data:`RADIUS_SLACK`.  Returns a negative number when no distance
-    can reach the threshold (for ``p == min_accuracy`` unless ``d_max``
-    exceeds about 32) and ``math.inf`` when every distance qualifies
-    (``min_accuracy <= 0``); spatial indexes clamp the infinite case to
-    their extent.
+    by :data:`RADIUS_SLACK` (``d_max`` is positive).  Returns a negative
+    number when no distance can reach the threshold (for
+    ``p == min_accuracy`` unless ``d_max`` exceeds about 32) and
+    ``math.inf`` when every distance qualifies (``min_accuracy <= 0``);
+    spatial indexes clamp the infinite case to their extent.
     """
     if min_accuracy <= 0:
         return math.inf
-    ratio = historical_accuracy / min_accuracy - 1.0
-    bound = ratio + 2.0 ** -47 * (1.0 + abs(ratio))
+    bound = historical_accuracy / min_accuracy * (1.0 + 2.0 ** -47) - 1.0
     if bound <= 0:
         return -1.0
     radius = d_max + math.log(bound)
-    return radius + RADIUS_SLACK * (1.0 + abs(radius) + abs(d_max))
+    # A radius below -1 stays negative: no distance qualifies by far.
+    return radius + RADIUS_SLACK * (radius + d_max + 1.0)
 
 
 def instance_reach_radius(instance: LTCInstance) -> Optional[float]:
