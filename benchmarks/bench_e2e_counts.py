@@ -20,8 +20,10 @@ says why.  Each workload's section records the counts with the run's
 that fails any unit, stops the suite.
 
 The suite only calls ``run.py`` and reads its output; it imports and
-edits nothing under ``benchmarks/e2e/``.  It has no smoke configuration
-of its own: a traced run takes a few seconds per workload.
+edits nothing under ``benchmarks/e2e/``.  It has no options and no
+smoke configuration of its own: the counts are fingerprinted for the
+four workloads at the reference seed only, and a traced run takes a few
+seconds per workload.
 
 Usage::
 
@@ -42,6 +44,7 @@ from _common import BenchSuite, SuiteResult
 
 RUN = Path(__file__).resolve().parent / "e2e" / "run.py"
 WORKLOADS = ("paper_sparse", "paper_dense", "dispatch_churn", "sharded_churn")
+SEED = 20180416  # the e2e reference seed
 
 
 def traced_counts(workload: str, seed: int) -> dict:
@@ -72,25 +75,18 @@ def traced_counts(workload: str, seed: int) -> dict:
 def run_suite(args) -> SuiteResult:
     sections = {}
     witnesses = {}
-    for workload in args.workloads:
-        outcome = traced_counts(workload, args.seed)
+    for workload in WORKLOADS:
+        outcome = traced_counts(workload, SEED)
         sections[workload] = {"metrics": outcome}
         witnesses[workload] = outcome["counts"]
         print(f"{workload:>16}  {len(outcome['counts'])} counts, "
               f"flow.augmentations {outcome['counts']['flow.augmentations']}")
     return SuiteResult(
-        config={"workloads": list(args.workloads), "seed": args.seed},
+        config={"workloads": list(WORKLOADS), "seed": SEED},
         sections=sections,
         headline_speedups={},
         fingerprint_payload=witnesses,
     )
-
-
-def add_arguments(parser) -> None:
-    parser.add_argument("--workloads", nargs="+", default=list(WORKLOADS),
-                        choices=WORKLOADS, help="e2e workloads to trace")
-    parser.add_argument("--seed", type=int, default=20180416,
-                        help="workload seed (the e2e reference seed)")
 
 
 SUITE = _common.register_suite(BenchSuite(
@@ -101,7 +97,7 @@ SUITE = _common.register_suite(BenchSuite(
         "augmentations, journal and replay counts, candidate pairs and "
         "yields) is fingerprinted, so --check fails on any change."
     ),
-    add_arguments=add_arguments,
+    add_arguments=lambda parser: None,
     run=run_suite,
 ))
 
