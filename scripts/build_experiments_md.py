@@ -115,10 +115,11 @@ separate, with Random clearly worst (1,078 at |T| = 5000 against 623–705)
 and AAM never above LAF on any instance.  Base-off, not MCF-LTC, has the
 lowest (or tied lowest) mean latency at every |T| but 5000; MCF-LTC is
 within 1.2% of it on the sweep mean, but lower on only 23 of 150 paired
-instances and higher on 51.  MCF-LTC's runtime grows fastest (0.022 s to
-0.165 s, 7.5x, against 2–3.7x for the others), and it is the slowest
-algorithm on the mean.  Its peak memory stays below Random's at every
-|T|, so the paper's memory gap does not appear."""),
+instances and higher on 51.  MCF-LTC's runtime grows fastest (0.013 s to
+0.069 s, 5.4x, against 2.6–3.8x for the others) and is the highest at
+|T| = 5000, but Random is the slowest algorithm on the mean.  MCF-LTC's
+peak memory stays below Random's at every |T|, so the paper's memory gap
+does not appear."""),
     ("fig3_capacity", "Fig. 3b / 3f / 3j — varying the worker capacity K", """\
 Paper: latency drops as K grows, with the largest drop from K = 4 to 5;
 algorithm ordering as in Fig. 3a.
@@ -128,8 +129,9 @@ offline algorithms stay flat within 20 arrivals while the online ones keep
 falling.  Random is worst at every K and by far at K = 4 (1,062), where
 wasted capacity hurts most.  Base-off has the lowest latency at every K;
 MCF-LTC is 1.6% above it on the sweep mean and lower on 27 of 150 paired
-instances, higher on 63.  MCF-LTC is the slowest algorithm at every K,
-and its peak memory falls with K (0.81 to 0.44 MB)."""),
+instances, higher on 63.  Random is the slowest algorithm on the mean;
+MCF-LTC's runtime falls with K (0.056 s to 0.038 s) and stays below
+Random's at every K, and its peak memory falls with K (0.77 to 0.41 MB)."""),
     ("fig3_accuracy_normal", "Fig. 3c / 3g / 3k — historical accuracy ~ Normal(mu, 0.05)", """\
 Paper: latency decreases as the accuracy mean grows; MCF-LTC < Base-off,
 AAM best online.
@@ -137,15 +139,17 @@ Measured: latency decreases monotonically with mu for every algorithm;
 Random is worst (832 to 576) and AAM is at or below LAF at every mu.
 Base-off is lowest at every mu, with MCF-LTC 8–25 arrivals above it
 (2.7% on the sweep mean; lower on 13 of 150 paired instances, higher on
-60).  MCF-LTC is the slowest algorithm on the mean; Random has the
-largest, and most variable, peak memory."""),
+60).  Random is the slowest algorithm on the mean, and MCF-LTC is at or
+below Base-off's runtime at every mu; Random has the largest, and most
+variable, peak memory."""),
     ("fig3_accuracy_uniform", "Fig. 3d / 3h / 3l — historical accuracy ~ Uniform(mean)", """\
 Paper: same conclusions as the normal-distribution column.
 Measured: the same orderings as the normal column.  The decrease is not
 strictly monotone: every algorithm but Random is flat or slightly up from
 mean 0.84 to 0.86 (MCF-LTC 598 to 610).  MCF-LTC is 2.1% above Base-off
 on the sweep mean and lower on 16 of 150 paired instances, higher on
-71."""),
+71.  Random is the slowest algorithm on the mean, and MCF-LTC is below
+both Random and Base-off from mean 0.84 on."""),
     ("fig4_epsilon", "Fig. 4a / 4e / 4i — varying the tolerable error rate epsilon", """\
 Paper: latency drops as epsilon grows (smaller delta); orderings as before.
 Measured: monotone decrease for every algorithm (the task/worker placement
@@ -153,18 +157,19 @@ is held fixed across the sweep, as in the paper); AAM and LAF stay within
 about 40 arrivals of the offline algorithms and Random trails.  Base-off is
 lowest at every epsilon; MCF-LTC is 2.7% above it on the sweep mean and
 lower on 12 of 150 paired instances, higher on 69, the most lopsided split
-of the eight figure panels.  MCF-LTC is the slowest algorithm at every
-epsilon."""),
+of the eight figure panels.  Random is the slowest algorithm on the
+mean; MCF-LTC's runtime falls with epsilon (0.061 s to 0.037 s) and
+stays below Random's at every epsilon."""),
     ("fig4_scalability", "Fig. 4b / 4f / 4j — scalability in |T| (|W| = 400k in the paper)", """\
 Paper: all algorithms scale linearly in latency; MCF-LTC becomes impractical
 (runtime ~2500 s at |T| = 100k) while LAF/AAM stay cheap; AAM best online at
 the largest sizes.
 Measured: latency grows with |T|; all five coincide at |T| = 10k (75–76)
 and Random doubles the others at 100k (362 against 176–188), with AAM the
-best online algorithm from 30k on.  MCF-LTC's runtime grows 65x from 10k
-to 100k (0.005 s to 0.326 s) against 5x for Base-off and 10x for LAF; it
-is faster than Base-off up to 20k and 12x slower at 100k, where its peak
-memory (1.39 MB) is also the largest.  LAF stays the cheapest throughout.
+best online algorithm from 30k on.  MCF-LTC's runtime grows 16x from 10k
+to 100k (0.004 s to 0.066 s) against 6.5x for Base-off and 11x for LAF;
+it is level with Base-off up to 20k and 2.7x slower at 100k, where its
+peak memory (0.99 MB) is also the largest.  LAF stays the cheapest throughout.
 MCF-LTC is lower than Base-off on 36 of 180 paired instances and higher on
 63."""),
     ("fig4_newyork", "Fig. 4c / 4g / 4k — New York check-in stream, varying epsilon", """\
@@ -176,10 +181,10 @@ Random is clearly worst and AAM has the lowest latency of all five at
 every epsilon.  MCF-LTC and Base-off are within 0.3% on the sweep mean and
 split evenly instance by instance (40 lower, 55 equal, 55 higher).  The
 runtime claim fails: Random, not MCF-LTC, is the slowest algorithm at
-every epsilon (0.18–0.26 s against MCF-LTC's 0.10–0.15 s).  With its
+every epsilon (0.18–0.28 s against MCF-LTC's 0.10–0.16 s).  With its
 batches solved by the certified network simplex (`repro.flow.simplex`),
-MCF-LTC's mean runtime is 0.124 s against Base-off's 0.118 s.  MCF-LTC
-also has the smallest peak memory here (0.26–0.47 MB; Random 2.4–3.3 MB),
+MCF-LTC's mean runtime is 0.120 s against Base-off's 0.116 s.  MCF-LTC
+also has the smallest peak memory here (0.24–0.46 MB; Random 2.4–3.3 MB),
 the opposite of the paper's memory panels; no claim checks memory."""),
     ("fig4_tokyo", "Fig. 4d / 4h / 4l — Tokyo check-in stream, varying epsilon", """\
 Paper: same conclusions as New York at roughly double the scale.
@@ -188,8 +193,8 @@ decreases in epsilon and Random is clearly worst.  Base-off is lowest for
 epsilon up to 0.14 and AAM from 0.18 on.  MCF-LTC is 1.1% above Base-off
 on the sweep mean and lower on 27 of 150 paired instances, higher on 60.
 The runtime claim fails as on New York: Random is the slowest algorithm at
-every epsilon (0.26–0.39 s against MCF-LTC's 0.13–0.22 s and Base-off's
-0.15–0.18 s), and MCF-LTC has the smallest peak memory."""),
+every epsilon (0.18–0.32 s against MCF-LTC's 0.08–0.18 s and Base-off's
+0.10–0.16 s), and MCF-LTC has the smallest peak memory."""),
     ("ablation_batch_size", "Ablation — MCF-LTC batch-size multiplier (Sec. V-B1 discussion)", """\
 The paper attributes MCF-LTC's occasional losses to AAM to its batch size
 ("a large T leads to a large batch ... MCF-LTC tends to select these workers
@@ -197,8 +202,9 @@ with large indices").  This reproduction-only ablation sweeps a multiplier on
 the paper's batch size.  Measured: the paper's batch size (multiplier 1) has
 the lowest mean latency (563).  Doubling the batch raises it to 630 and
 quadrupling to 714, as the paper describes, while halving it also raises
-it, to 590.  Runtime and peak memory grow with the batch (0.064 s to
-0.108 s, 0.44 MB to 1.99 MB)."""),
+it, to 590.  Runtime stays at 0.041–0.044 s up to multiplier 2 and
+rises to 0.054 s at 4; peak memory grows with the batch (0.43 MB to
+1.96 MB)."""),
     ("ablation_aam_switch", "Ablation — AAM vs. LGF-only / LRF-only (Sec. IV-B design choice)", """\
 Quantifies the value of AAM's adaptive switch between Largest Gain First and
 Largest Remaining First.  Measured: AAM's sweep means equal LGF-only's at
