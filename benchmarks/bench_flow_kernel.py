@@ -146,7 +146,7 @@ def run_kernel(num_workers: int, num_tasks: int, pairs):
     arena, topo = build_arena(num_workers, num_tasks, pairs)
     potentials = dag_potentials(arena, 0, topo)
     result = solve_mcf(arena, 0, 1, potentials=potentials)
-    return result.flow_value, result.total_cost, result.augmentations, arena.flow
+    return result.flow_value, arena.total_cost(), result.augmentations, arena.flow
 
 
 def run_simplex(num_workers: int, num_tasks: int, pairs):

@@ -33,8 +33,7 @@ Implementation notes
   arcs), so the simplex starts from a greedy flow on a strongly feasible
   tree of real arcs, and the SSPA fallback takes its initial Johnson
   potentials from :func:`~repro.flow.kernel.dag_potentials` in one O(E)
-  pass over the zero-flow DAG; the O(V*E) Bellman-Ford of the generic
-  path is never run.
+  pass over the zero-flow DAG.
 * Each candidate's accuracy is evaluated once, in the candidate engine's
   scan: ``eligible_pairs`` and ``iter_candidates`` yield it with the pair,
   bit-identical to the accuracy model's.  Batch arcs cost

@@ -8,11 +8,11 @@ is used only when it provably equals the SSPA's:
 
 * :class:`ArcArena` / :func:`solve_mcf` — the kernel: parallel
   ``head``/``cost``/``cap``/``flow`` arrays indexed by arc id, residual
-  twins at ``arc ^ 1``, CSR adjacency, SSPA with warm Johnson potentials
-  and deterministic tie-breaking, in pure Python.  Initial potentials
-  come from :func:`bellman_ford_potentials` (general graphs) or
-  :func:`dag_potentials` (one O(E) pass for the LTC reduction's 3-layer
-  DAG).
+  twins at ``arc ^ 1``, packed per-node adjacency, and the SSPA with
+  warm Johnson potentials and deterministic tie-breaking, in pure
+  Python.  MCF-LTC runs it only on an exact tie, from zero flow, with
+  initial potentials from :func:`dag_potentials` (one O(E) pass over the
+  LTC reduction's 3-layer DAG).
 * :func:`network_simplex` (:mod:`repro.flow.simplex`) — a primal network
   simplex over the same arena for the layered batch network at zero flow,
   started from a greedy flow, with numpy candidate-list pricing and
@@ -31,7 +31,6 @@ is used only when it provably equals the SSPA's:
 from repro.flow.kernel import (
     ArcArena,
     KernelFlowResult,
-    bellman_ford_potentials,
     dag_potentials,
     solve_mcf,
 )
@@ -46,7 +45,6 @@ from repro.flow.exceptions import (
 __all__ = [
     "ArcArena",
     "KernelFlowResult",
-    "bellman_ford_potentials",
     "dag_potentials",
     "solve_mcf",
     "network_simplex",

@@ -1,32 +1,31 @@
 """Flat, integer-indexed min-cost-flow kernel.
 
-This module is the hot core of the flow layer.  Instead of one ``Edge``
+This module is the SSPA that MCF-LTC falls back to when its network
+simplex meets an exact tie between two optima.  Instead of one ``Edge``
 object per arc and dict-of-lists adjacency keyed by tuple labels, the graph
 lives in an :class:`ArcArena`: parallel lists ``head`` / ``cost`` / ``cap`` /
 ``flow`` indexed by arc id, with the residual twin of arc ``a`` always at
 ``a ^ 1`` (forward arcs are even, residual arcs odd) and the tail stored
-implicitly as ``head[a ^ 1]``.  Adjacency is materialised on demand in two
-cached forms sharing the same stable arc-insertion order: a compact CSR
-pair ``(ptr, arcs)`` for external array consumers, and packed per-node
-``(arc, head, cost)`` rows (:meth:`ArcArena.packed_adjacency`) that the
-solver's inner loops iterate.
+implicitly as ``head[a ^ 1]``.  Adjacency is materialised on demand as
+packed per-node ``(arc, head, cost)`` rows
+(:meth:`ArcArena.packed_adjacency`) in stable arc-insertion order.
 
 :func:`solve_mcf` is the Successive Shortest Path Algorithm rewritten over
 those arrays: Dijkstra with Johnson potentials per augmentation, potentials
 kept warm across augmentations, and deterministic tie-breaking (heap ties
 fall back to the node id; among equal-cost relaxations the first-inserted
 arc wins), so no vanishing cost perturbations are needed for reproducible
-results.  The augmentation loop (:func:`_augment`) is tuned for CPython:
-packed per-node ``(arc, head, cost)`` rows, a solver-local residual array,
-*live* adjacency rows patched only along each augmenting path,
-goal-directed pruning against the sink's tentative distance, and a
+results.  Among cost-equal optima that tie-breaking is what decides
+MCF-LTC's arrangement.  The augmentation loop (:func:`_augment`) is tuned
+for CPython: packed per-node ``(arc, head, cost)`` rows, a solver-local
+residual array, *live* adjacency rows patched only along each augmenting
+path, goal-directed pruning against the sink's tentative distance, and a
 finalized-node skip before any float arithmetic.
 
-Initial potentials come from either :func:`bellman_ford_potentials`
-(general graphs, detects negative cycles) or — for the LTC reduction, whose
-residual graph at zero flow is a 3-layer DAG ``source -> workers -> tasks ->
-sink`` — :func:`dag_potentials`, a single O(E) relaxation pass over a
-caller-supplied topological order.
+Initial potentials come from :func:`dag_potentials`: the LTC reduction's
+residual graph at zero flow is a 3-layer DAG ``source -> workers -> tasks
+-> sink``, so a single O(E) relaxation pass over a caller-supplied
+topological order gives exact shortest distances.
 
 The arena also supports the batch lifecycle of MCF-LTC: persistent structure
 (task->sink arcs) is built once, a watermark is taken with
@@ -40,10 +39,8 @@ from __future__ import annotations
 import bisect
 import heapq
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
-
-from repro.flow.exceptions import InfeasibleFlowError, NegativeCycleError
+from dataclasses import dataclass
+from typing import Iterable, List, Sequence, Tuple
 
 _INF = math.inf
 
@@ -62,21 +59,21 @@ class ArcArena:
     its residual twin (odd id, ``arc ^ 1``) in one call.  All numeric state
     lives in the four parallel lists; there are no per-arc objects.
 
-    Invariants (maintained by every mutator and relied on by the solver):
+    Invariants (maintained by every mutator and relied on by the solvers):
 
     * the four lists always have equal length, and ``num_arcs`` is even —
       arcs exist only as forward/twin pairs;
     * ``head[a ^ 1]`` is the tail of ``a``; ``cost[a ^ 1] == -cost[a]``;
       ``flow[a ^ 1] == -flow[a]``; residual twins rest at ``cap == 0``;
-    * ``0 <= flow[a] <= cap[a]`` on forward arcs whenever flow was pushed
-      through :meth:`push` or :func:`solve_mcf`;
+    * ``0 <= flow[a] <= cap[a]`` on forward arcs whenever the flow was
+      routed by :func:`solve_mcf` or
+      :func:`~repro.flow.simplex.network_simplex`;
     * arc ids are assigned in insertion order and never reused, which is
       what makes the kernel's tie-breaking (and therefore MCF-LTC
       arrangements) deterministic.
     """
 
-    __slots__ = ("head", "cost", "cap", "flow", "_num_nodes",
-                 "_csr_ptr", "_csr_arcs", "_csr_valid", "_adj", "_adj_valid")
+    __slots__ = ("head", "cost", "cap", "flow", "_num_nodes", "_adj", "_adj_valid")
 
     def __init__(self, num_nodes: int = 0) -> None:
         if num_nodes < 0:
@@ -90,14 +87,7 @@ class ArcArena:
         self.cap: List[int] = []
         #: Current flow; twins always hold the negated flow.
         self.flow: List[int] = []
-        self._csr_ptr: List[int] = []
-        self._csr_arcs: List[int] = []
-        self._csr_valid = False
         self._adj: List[List[Tuple[int, int, float]]] = []
-        self._adj_valid = False
-
-    def _invalidate(self) -> None:
-        self._csr_valid = False
         self._adj_valid = False
 
     # -------------------------------------------------------------- topology
@@ -116,7 +106,7 @@ class ArcArena:
         """Allocate a new node and return its id."""
         node = self._num_nodes
         self._num_nodes += 1
-        self._invalidate()
+        self._adj_valid = False
         return node
 
     def add_nodes(self, count: int) -> int:
@@ -125,7 +115,7 @@ class ArcArena:
             raise ValueError("count must be non-negative")
         first = self._num_nodes
         self._num_nodes += count
-        self._invalidate()
+        self._adj_valid = False
         return first
 
     def add_arc(self, tail: int, head: int, capacity: int, cost: float) -> int:
@@ -150,38 +140,10 @@ class ArcArena:
         self.cost.append(-cost)
         self.cap.append(0)
         self.flow.append(0)
-        self._invalidate()
+        self._adj_valid = False
         return arc
 
-    def tail(self, arc: int) -> int:
-        """Tail node of ``arc`` (the head of its twin)."""
-        return self.head[arc ^ 1]
-
-    def is_residual(self, arc: int) -> bool:
-        """Whether ``arc`` is a residual twin (odd id)."""
-        return bool(arc & 1)
-
-    def forward_arcs(self) -> range:
-        """Ids of all forward (even) arcs."""
-        return range(0, len(self.head), 2)
-
     # ----------------------------------------------------------------- state
-
-    def residual(self, arc: int) -> int:
-        """Residual capacity of ``arc``."""
-        return self.cap[arc] - self.flow[arc]
-
-    def push(self, arc: int, amount: int) -> None:
-        """Push ``amount`` units along ``arc`` (and pull them off its twin)."""
-        if amount < 0:
-            raise ValueError("flow amount must be non-negative")
-        if amount > self.cap[arc] - self.flow[arc]:
-            raise ValueError(
-                f"cannot push {amount} units over residual capacity "
-                f"{self.cap[arc] - self.flow[arc]}"
-            )
-        self.flow[arc] += amount
-        self.flow[arc ^ 1] -= amount
 
     def set_capacity(self, arc: int, capacity: int) -> None:
         """Re-set the capacity of a forward arc (batch-reuse lifecycle)."""
@@ -192,10 +154,6 @@ class ArcArena:
         if int(capacity) != capacity:
             raise ValueError("capacity must be an integer")
         self.cap[arc] = int(capacity)
-
-    def reset_flows(self) -> None:
-        """Zero out the flow on every arc."""
-        self.flow = [0] * len(self.flow)
 
     def total_cost(self) -> float:
         """Total cost of the current flow over forward arcs."""
@@ -232,46 +190,20 @@ class ArcArena:
         del self.cap[num_arcs:]
         self.flow = [0] * num_arcs
         self._num_nodes = num_nodes
-        self._invalidate()
+        self._adj_valid = False
 
     # ------------------------------------------------------------- adjacency
 
-    def csr(self) -> Tuple[List[int], List[int]]:
-        """CSR adjacency ``(ptr, arcs)``, rebuilt lazily after mutations.
-
-        The arcs leaving node ``v`` (forward and residual) are
-        ``arcs[ptr[v]:ptr[v + 1]]`` in stable arc-insertion order, which is
-        what makes tie-breaking in :func:`solve_mcf` deterministic.
-        """
-        if not self._csr_valid:
-            n = self._num_nodes
-            head = self.head
-            m = len(head)
-            ptr = [0] * (n + 1)
-            for a in range(m):
-                ptr[head[a ^ 1] + 1] += 1
-            for v in range(n):
-                ptr[v + 1] += ptr[v]
-            arcs = [0] * m
-            slot = ptr[:-1]
-            for a in range(m):
-                v = head[a ^ 1]
-                arcs[slot[v]] = a
-                slot[v] += 1
-            self._csr_ptr = ptr
-            self._csr_arcs = arcs
-            self._csr_valid = True
-        return self._csr_ptr, self._csr_arcs
-
     def packed_adjacency(self) -> List[List[Tuple[int, int, float]]]:
-        """Per-node ``(arc, head, cost)`` triples, cached like the CSR.
+        """Per-node ``(arc, head, cost)`` triples, rebuilt lazily after mutations.
 
-        The solver's Dijkstra inner loop runs over these packed rows rather
-        than the flat CSR, trading one tuple per arc for three fewer list
-        indexings per relaxation — a large constant-factor win in CPython.
-        Row order is the same stable arc-insertion order as :meth:`csr`;
-        ``cap``/``flow`` are looked up live, so pushing flow does not
-        invalidate the cache (structural mutations do).
+        The arcs leaving node ``v`` (forward and residual) are ``adj[v]`` in
+        stable arc-insertion order, which is what makes tie-breaking in
+        :func:`solve_mcf` deterministic.  One tuple per arc saves the
+        solver's Dijkstra three list indexings per relaxation — a large
+        constant-factor win in CPython.  ``cap``/``flow`` are looked up
+        live, so routing flow does not invalidate the cache (structural
+        mutations do).
         """
         if not self._adj_valid:
             adj: List[List[Tuple[int, int, float]]] = [
@@ -287,51 +219,10 @@ class ArcArena:
 
 @dataclass(slots=True)
 class KernelFlowResult:
-    """Outcome of a :func:`solve_mcf` run.
-
-    ``flow_value`` counts only the units routed by this call (the arena may
-    carry pre-existing flow); ``total_cost`` is the cost of the arena's
-    entire current flow.  ``potentials`` are the final Johnson potentials,
-    reusable to warm-start a follow-up solve on the same arena.
-    """
+    """Outcome of a :func:`solve_mcf` run; the flow itself is in the arena."""
 
     flow_value: int
-    total_cost: float
     augmentations: int
-    potentials: List[float] = field(default_factory=list, repr=False)
-
-
-def bellman_ford_potentials(graph: ArcArena, source: int) -> List[float]:
-    """Shortest-path distances from ``source`` usable as initial potentials.
-
-    Relaxes residual-capacity arcs until a fixpoint (early exit) and raises
-    :class:`NegativeCycleError` after ``num_nodes`` full sweeps without one.
-    Unreachable nodes keep an infinite potential, which removes them from
-    later Dijkstra passes.
-    """
-    n = graph.num_nodes
-    dist = [_INF] * n
-    dist[source] = 0.0
-    head, cost, cap, flow = graph.head, graph.cost, graph.cap, graph.flow
-    m = len(head)
-    for _ in range(n):
-        changed = False
-        for a in range(m):
-            if cap[a] - flow[a] <= 0:
-                continue
-            d_tail = dist[head[a ^ 1]]
-            if d_tail == _INF:
-                continue
-            candidate = d_tail + cost[a]
-            h = head[a]
-            if candidate < dist[h] - 1e-12:
-                dist[h] = candidate
-                changed = True
-        if not changed:
-            break
-    else:
-        raise NegativeCycleError("negative-cost cycle reachable from the source")
-    return dist
 
 
 def dag_potentials(
@@ -364,42 +255,28 @@ def dag_potentials(
 
 
 def solve_mcf(
-    graph: ArcArena,
-    source: int,
-    sink: int,
-    max_flow: Optional[int] = None,
-    require_max_flow: bool = False,
-    potentials: Optional[Sequence[float]] = None,
+    graph: ArcArena, source: int, sink: int, potentials: Sequence[float]
 ) -> KernelFlowResult:
-    """Min-cost flow from ``source`` to ``sink`` by successive shortest paths.
+    """Min-cost max-flow from ``source`` to ``sink`` by successive shortest paths.
 
     Parameters
     ----------
     graph:
-        The arc arena.  Flow already present is kept and extended; on
-        return ``graph.flow`` holds the combined flow (twins in lockstep)
-        and every other arena field is untouched.
+        The arc arena, at zero flow (``ValueError`` otherwise).  On return
+        ``graph.flow`` holds the flow (twins in lockstep) and every other
+        arena field is untouched.
     source, sink:
         Node ids (must differ).
-    max_flow:
-        Route at most this many units; ``None`` routes a min-cost max-flow.
-    require_max_flow:
-        With ``max_flow``, raise :class:`InfeasibleFlowError` when fewer
-        units can be routed.
     potentials:
-        Warm-start Johnson potentials, e.g. from :func:`dag_potentials` or
-        a previous result's ``potentials``.  Must be exact shortest
-        distances from ``source`` under the arena's *current* residual
-        graph (one entry per node, infinite for unreachable nodes) — stale
-        potentials silently break optimality.  ``None`` computes them with
-        :func:`bellman_ford_potentials`.
+        Initial Johnson potentials, e.g. from :func:`dag_potentials`.
+        Must be exact shortest distances from ``source`` in the arena's
+        residual graph (one entry per node, infinite for unreachable
+        nodes) — wrong potentials silently break optimality.  The list is
+        copied, not modified.
 
     Returns
     -------
-    :class:`KernelFlowResult` — units routed by this call, the total cost
-    of the arena's entire current flow, the augmentation count, and the
-    final potentials (valid warm-start input for a follow-up solve on the
-    same arena).
+    :class:`KernelFlowResult` — units routed and the augmentation count.
 
     Notes
     -----
@@ -415,52 +292,35 @@ def solve_mcf(
         raise ValueError("source and sink must be nodes of the graph")
     if source == sink:
         raise ValueError("source and sink must differ")
-    if max_flow is not None and max_flow < 0:
-        raise ValueError("max_flow must be non-negative")
+    if any(graph.flow):
+        raise ValueError("solve_mcf needs an arena at zero flow")
+    pot = list(potentials)
+    if len(pot) != n:
+        raise ValueError("potentials must cover every node")
 
-    if potentials is None:
-        pot = bellman_ford_potentials(graph, source)
-    else:
-        pot = list(potentials)
-        if len(pot) != n:
-            raise ValueError("potentials must cover every node")
-
-    target = _INF if max_flow is None else max_flow
-    routed, augmentations = _augment(graph, source, sink, target, pot)
-
-    if require_max_flow and max_flow is not None and routed < max_flow:
-        raise InfeasibleFlowError(
-            f"only {routed} of the requested {max_flow} units could be routed"
-        )
-
-    return KernelFlowResult(
-        flow_value=routed,
-        total_cost=graph.total_cost(),
-        augmentations=augmentations,
-        potentials=pot,
-    )
+    routed, augmentations = _augment(graph, source, sink, pot)
+    return KernelFlowResult(flow_value=routed, augmentations=augmentations)
 
 
 def _augment(
-    graph: ArcArena, source: int, sink: int, target: float, pot: List[float]
+    graph: ArcArena, source: int, sink: int, pot: List[float]
 ) -> Tuple[int, int]:
-    """Route up to ``target`` units by successive shortest paths.
+    """Route a min-cost max-flow by successive shortest paths.
 
-    ``pot`` must be exact shortest-path distances from ``source`` under
-    the arena's current residual graph; it is advanced in place and ends
-    valid as a warm start for a follow-up solve.  ``graph.flow`` is
-    updated in place, twins in lockstep.  Returns ``(routed,
-    augmentations)``.
+    The arena must be at zero flow and ``pot`` exact shortest-path
+    distances from ``source`` in its residual graph; ``pot`` is advanced
+    in place.  ``graph.flow`` is updated in place, twins in lockstep.
+    Returns ``(routed, augmentations)``.
     """
     n = graph.num_nodes
     head, cost, cap, flow = graph.head, graph.cost, graph.cap, graph.flow
     heappush, heappop = heapq.heappush, heapq.heappop
     insort = bisect.insort
 
-    # Solver-local residual array: one index per touch instead of two
-    # plus a subtraction.  ``flow`` is kept in lockstep so callers read
-    # arc flows off the arena as usual.
-    res = [cap[a] - flow[a] for a in range(len(cap))]
+    # Solver-local residual array (at zero flow, the capacities): one
+    # index per touch instead of two plus a subtraction.  ``flow`` is
+    # kept in lockstep so callers read arc flows off the arena as usual.
+    res = list(cap)
 
     # Live adjacency: per-node rows holding only arcs with residual
     # capacity, so Dijkstra never scans (or re-checks) saturated arcs.
@@ -476,7 +336,7 @@ def _augment(
     routed = 0
     augmentations = 0
 
-    while routed < target:
+    while True:
         # Dijkstra over reduced costs, early exit at the sink.
         dist = [_INF] * n
         pred = [-1] * n
@@ -546,8 +406,9 @@ def _augment(
             if d_v < sink_dist:
                 pot[v] += d_v - sink_dist
 
-        # Bottleneck along sink -> source, then push.
-        bottleneck = target - routed
+        # Bottleneck along sink -> source, then push.  Every path arc
+        # has residual capacity, so the bottleneck is a positive int.
+        bottleneck = _INF
         v = sink
         while v != source:
             a = pred[v]
@@ -555,9 +416,6 @@ def _augment(
             if r < bottleneck:
                 bottleneck = r
             v = head[a ^ 1]
-        bottleneck = int(bottleneck)
-        if bottleneck <= 0:
-            break
         v = sink
         while v != source:
             a = pred[v]

@@ -78,7 +78,7 @@ def network_simplex(
     The arena must hold a layered batch network at zero flow (the layout
     :func:`_greedy_start` checks; ``ValueError`` otherwise).  On success
     the arena holds the unique optimal flow (twins in lockstep) and the
-    result counts pivots as ``augmentations``; ``potentials`` is empty.
+    result counts pivots as ``augmentations``.
     On ``None`` the arena is untouched.
     """
     n = graph.num_nodes
@@ -88,7 +88,7 @@ def network_simplex(
         raise ValueError("network_simplex needs an arena at zero flow")
     basis = _optimal_basis(graph, source, sink)
     if basis is None:
-        return KernelFlowResult(flow_value=0, total_cost=0.0, augmentations=0)
+        return KernelFlowResult(flow_value=0, augmentations=0)
     x = basis.x
     if basis.ties and not _unique(basis.edge, basis.S, basis.T, basis.U, x,
                                   basis.ties, n):
@@ -98,10 +98,7 @@ def network_simplex(
         if x[j]:
             flow[a] = x[j]
             flow[a ^ 1] = -x[j]
-    return KernelFlowResult(
-        flow_value=x[-1], total_cost=graph.total_cost(),
-        augmentations=basis.pivots,
-    )
+    return KernelFlowResult(flow_value=x[-1], augmentations=basis.pivots)
 
 
 class _Basis(NamedTuple):

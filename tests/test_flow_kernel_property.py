@@ -4,8 +4,9 @@ Random LTC-shaped bipartite networks (source -> workers -> tasks -> sink,
 negative real-valued worker->task costs) are solved three ways:
 
 * the array kernel (:func:`repro.flow.kernel.solve_mcf`) with the O(E)
-  DAG potential pass (the dense cases also start it from Bellman-Ford
-  potentials and from a warm restart after one routed unit),
+  DAG potential pass (the dense cases also start it from networkx's
+  shortest distances, and on an arena reused across batches as MCF-LTC
+  reuses it),
 * the retained pre-refactor object-graph SSPA
   (:mod:`repro.flow.reference`), and
 * on tiny instances, brute-force enumeration of every feasible assignment
@@ -17,17 +18,14 @@ zero and per-pair flows must agree exactly.
 """
 
 import itertools
+import math
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.flow.kernel import (
-    ArcArena,
-    KernelFlowResult,
-    dag_potentials,
-    solve_mcf,
-)
+from repro.flow.kernel import ArcArena, dag_potentials, solve_mcf
 from repro.flow.reference import LegacyNetwork, legacy_sspa
 from repro.flow.validate import validate_arena_flow
 
@@ -45,14 +43,23 @@ def random_ltc_shape(seed, num_workers, num_tasks, capacity, max_need, density):
     return pairs, caps, needs
 
 
-def solve_with_kernel(pairs, caps, needs, route="dag"):
-    """Solve on the array kernel.
+def networkx_potentials(arena, source):
+    """Shortest distances from ``source`` over the arena's forward arcs.
 
-    ``route`` picks how the kernel starts: ``"dag"`` warm-starts from
-    :func:`dag_potentials`, ``"bellman_ford"`` passes no potentials, and
-    ``"restart"`` routes one unit, then resumes from that call's
-    potentials with the first unit's flow already in the arena.
+    Computed by networkx's Bellman-Ford, independently of
+    :func:`dag_potentials`; infinite where a node is unreachable.
     """
+    graph = nx.DiGraph()
+    graph.add_nodes_from(range(arena.num_nodes))
+    for a in range(0, arena.num_arcs, 2):
+        if arena.cap[a] > 0:
+            graph.add_edge(arena.head[a ^ 1], arena.head[a], weight=arena.cost[a])
+    dist = nx.single_source_bellman_ford_path_length(graph, source)
+    return [float(dist.get(v, math.inf)) for v in range(arena.num_nodes)]
+
+
+def build_ltc_arena(pairs, caps, needs):
+    """A fresh LTC arena; returns ``(arena, pair_arcs, topo_order)``."""
     arena = ArcArena(2)  # 0 = source, 1 = sink
     worker_nodes = [arena.add_node() for _ in caps]
     task_nodes = [arena.add_node() for _ in needs]
@@ -63,25 +70,58 @@ def solve_with_kernel(pairs, caps, needs, route="dag"):
         pair_arcs[(w, t)] = arena.add_arc(worker_nodes[w], task_nodes[t], 1, -value)
     for node, need in zip(task_nodes, needs):
         arena.add_arc(node, 1, need, 0.0)
-    topo = [0] + worker_nodes + task_nodes + [1]
-    if route == "bellman_ford":
-        result = solve_mcf(arena, 0, 1)
-    elif route == "restart":
-        first = solve_mcf(
-            arena, 0, 1, max_flow=1, potentials=dag_potentials(arena, 0, topo)
-        )
-        rest = solve_mcf(arena, 0, 1, potentials=first.potentials)
-        result = KernelFlowResult(
-            flow_value=first.flow_value + rest.flow_value,
-            total_cost=rest.total_cost,
-            augmentations=first.augmentations + rest.augmentations,
-            potentials=rest.potentials,
-        )
+    return arena, pair_arcs, [0] + worker_nodes + task_nodes + [1]
+
+
+def build_reused_arena(pairs, caps, needs):
+    """The same network on an arena reused across batches, as MCF-LTC does.
+
+    Task nodes and task->sink arcs are built once and a watermark taken;
+    a decoy batch (one worker linked to every task) is solved on top and
+    rolled back before this batch's workers and arcs are appended.
+    """
+    arena = ArcArena(2)  # 0 = source, 1 = sink
+    task_nodes = [arena.add_node() for _ in needs]
+    for node, need in zip(task_nodes, needs):
+        arena.add_arc(node, 1, need, 0.0)
+    mark = arena.watermark()
+    decoy = arena.add_node()
+    arena.add_arc(0, decoy, len(needs), 0.0)
+    for node in task_nodes:
+        arena.add_arc(decoy, node, 1, -1.0)
+    decoy_order = [0, decoy] + task_nodes + [1]
+    decoy_run = solve_mcf(arena, 0, 1, dag_potentials(arena, 0, decoy_order))
+    assert decoy_run.flow_value > 0
+    arena.truncate(*mark)
+    worker_nodes = [arena.add_node() for _ in caps]
+    for node, cap in zip(worker_nodes, caps):
+        arena.add_arc(0, node, cap, 0.0)
+    pair_arcs = {}
+    for (w, t), value in sorted(pairs.items()):
+        pair_arcs[(w, t)] = arena.add_arc(worker_nodes[w], task_nodes[t], 1, -value)
+    return arena, pair_arcs, [0] + worker_nodes + task_nodes + [1]
+
+
+def solve_with_kernel(pairs, caps, needs, route="dag"):
+    """Solve on the array kernel; returns ``(result, cost, flows, violations)``.
+
+    ``route`` picks how the solve is prepared: ``"dag"`` builds a fresh
+    arena and starts from :func:`dag_potentials`, ``"networkx"`` starts the
+    same arena from :func:`networkx_potentials`, and ``"reused"`` solves on
+    :func:`build_reused_arena`'s rolled-back arena from the DAG pass.
+    """
+    if route == "reused":
+        arena, pair_arcs, topo = build_reused_arena(pairs, caps, needs)
     else:
-        result = solve_mcf(arena, 0, 1, potentials=dag_potentials(arena, 0, topo))
+        arena, pair_arcs, topo = build_ltc_arena(pairs, caps, needs)
+    if route == "networkx":
+        potentials = networkx_potentials(arena, 0)
+    else:
+        potentials = dag_potentials(arena, 0, topo)
+    result = solve_mcf(arena, 0, 1, potentials=potentials)
     flows = {pair: arena.flow[arc] for pair, arc in pair_arcs.items()}
     violations = validate_arena_flow(arena, 0, 1, expected_value=result.flow_value)
-    return result, flows, violations
+    return result, arena.total_cost(), flows, violations
 
 
 def solve_with_reference(pairs, caps, needs):
@@ -113,23 +153,25 @@ class TestKernelMatchesReferenceSSPA:
         pairs, caps, needs = random_ltc_shape(
             seed, num_workers, num_tasks, capacity, max_need, density=0.5
         )
-        result, kernel_flows, violations = solve_with_kernel(pairs, caps, needs)
+        result, cost, kernel_flows, violations = solve_with_kernel(
+            pairs, caps, needs
+        )
         ref_value, ref_cost, ref_augmentations, ref_flows = solve_with_reference(
             pairs, caps, needs
         )
         assert violations == []
         assert result.flow_value == ref_value
-        assert result.total_cost == pytest.approx(ref_cost, abs=1e-9)
+        assert cost == pytest.approx(ref_cost, abs=1e-9)
         assert kernel_flows == ref_flows
         assert result.augmentations == ref_augmentations
 
-    @pytest.mark.parametrize("route", ["dag", "bellman_ford", "restart"])
+    @pytest.mark.parametrize("route", ["dag", "networkx", "reused"])
     @pytest.mark.parametrize("seed", range(6))
     def test_dense_instances(self, seed, route):
         pairs, caps, needs = random_ltc_shape(
             seed, num_workers=12, num_tasks=9, capacity=4, max_need=3, density=1.0
         )
-        result, kernel_flows, violations = solve_with_kernel(
+        result, cost, kernel_flows, violations = solve_with_kernel(
             pairs, caps, needs, route=route
         )
         ref_value, ref_cost, ref_augmentations, ref_flows = solve_with_reference(
@@ -137,10 +179,27 @@ class TestKernelMatchesReferenceSSPA:
         )
         assert violations == []
         assert result.flow_value == ref_value
-        assert result.total_cost == pytest.approx(ref_cost, abs=1e-9)
+        assert cost == pytest.approx(ref_cost, abs=1e-9)
         assert kernel_flows == ref_flows
         # Every route takes the same shortest paths, one unit at a time.
         assert result.augmentations == ref_augmentations
+
+
+class TestDagPotentials:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_match_networkx_shortest_distances(self, seed):
+        """The one-pass DAG relaxation gives exact shortest distances.
+
+        At density 0.15 some tasks are linked to no worker; both sides
+        must report those as infinite.
+        """
+        pairs, caps, needs = random_ltc_shape(
+            seed, num_workers=8, num_tasks=6, capacity=3, max_need=3, density=0.15
+        )
+        arena, _pair_arcs, topo = build_ltc_arena(pairs, caps, needs)
+        expected = networkx_potentials(arena, 0)
+        assert math.inf in expected
+        assert dag_potentials(arena, 0, topo) == expected
 
 
 def brute_force_best(pairs, caps, needs):
@@ -176,8 +235,8 @@ class TestKernelMatchesBruteForce:
         pairs, caps, needs = random_ltc_shape(
             seed, num_workers=3, num_tasks=3, capacity=2, max_need=2, density=0.7
         )
-        result, _flows, violations = solve_with_kernel(pairs, caps, needs)
+        result, cost, _flows, violations = solve_with_kernel(pairs, caps, needs)
         best_size, best_value = brute_force_best(pairs, caps, needs)
         assert violations == []
         assert result.flow_value == best_size
-        assert result.total_cost == pytest.approx(-best_value, abs=1e-9)
+        assert cost == pytest.approx(-best_value, abs=1e-9)
