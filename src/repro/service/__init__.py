@@ -13,8 +13,7 @@ backpressure-aware arrival queue (:class:`ShardedDispatcher`) — and
 :mod:`repro.service.loadgen` generates seeded, replayable multi-city
 worker streams for load testing (``benchmarks/bench_dispatch_scale.py``).
 :mod:`repro.service.recovery` makes the sharded runtime fault-tolerant —
-per-shard arrival journals, restart/quarantine policies under a shard
-supervisor — and :mod:`repro.service.faults` provides the deterministic,
+per-shard arrival journals and restart/quarantine policies — and :mod:`repro.service.faults` provides the deterministic,
 seeded fault injection the chaos differential suite (and
 ``benchmarks/bench_resilience.py``) drives it with.
 
@@ -50,7 +49,6 @@ from repro.service.recovery import (
     JournalReplayError,
     RecoveryEvent,
     RecoveryPolicy,
-    ShardSupervisor,
 )
 from repro.service.sharding import (
     BoundedArrivalQueue,
@@ -87,7 +85,6 @@ __all__ = [
     "FAULT_KINDS",
     "RecoveryPolicy",
     "RecoveryEvent",
-    "ShardSupervisor",
     "ArrivalJournal",
     "JournalReplayError",
     "FAILURE_POLICIES",

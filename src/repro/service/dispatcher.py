@@ -48,7 +48,6 @@ from bisect import insort
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import (
-    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -272,22 +271,15 @@ class LTCDispatcher:
         dispatch demo and tests to verify per-session latencies match
         single-session runs.  Off by default to keep memory flat under
         heavy traffic.
-    clock:
-        Monotonic time source used for the ``busy_seconds`` metric;
-        defaults to :func:`time.perf_counter`.  Injectable so tests can
-        pin metric timing and so a sharded deployment can hand every
-        per-shard dispatcher the same clock.
     """
 
     def __init__(
         self,
         default_solver: SolverSpecLike = "AAM",
         keep_streams: bool = False,
-        clock: Optional[Callable[[], float]] = None,
     ) -> None:
         self._default_solver = default_solver
         self._keep_streams = keep_streams
-        self._clock: Callable[[], float] = clock if clock is not None else time.perf_counter
         self._sessions: Dict[str, _ManagedSession] = {}
         self._index = _ReachIndex()
         self._ordinals = itertools.count()
@@ -440,7 +432,7 @@ class LTCDispatcher:
         :meth:`~repro.algorithms.session.OnlineSolverSession.select` call,
         and delivery commits its answer.
         """
-        started = self._clock()
+        started = time.perf_counter()
         self._metrics.workers_fed += 1
         deliveries: Dict[str, List[Assignment]] = {}
         for managed in self._index.probes(worker):
@@ -458,7 +450,7 @@ class LTCDispatcher:
                 self._metrics.sessions_completed += 1
         if not deliveries:
             self._metrics.workers_unrouted += 1
-        self._metrics.busy_seconds += self._clock() - started
+        self._metrics.busy_seconds += time.perf_counter() - started
         return deliveries
 
     def feed_stream(self, workers, stop_when_all_complete: bool = True) -> int:

@@ -15,7 +15,7 @@ Three fault kinds are supported (:data:`FAULT_KINDS`):
   journaled before the attempt, so a restart replays it.
 * ``"transient"`` — the arrival's dispatch attempt raises
   :class:`TransientSolverError` for the first ``failures`` attempts and
-  then succeeds, exercising the supervisor's bounded in-place retry.
+  then succeeds, exercising the bounded in-place retry.
 * ``"stall"`` — the shard stops consuming its queue once ``at_arrival``
   arrivals have been processed, until :meth:`FaultInjector.release_stalls`
   is called (or the runtime stops).  Backlog and backpressure become
@@ -48,9 +48,9 @@ class InjectedShardCrash(RuntimeError):
 class TransientSolverError(RuntimeError):
     """A retryable dispatch failure (injected or genuine).
 
-    The shard supervisor retries the *same* arrival in place up to the
-    recovery policy's ``transient_retries`` before escalating to the
-    shard-failure path.
+    The sharded dispatcher retries the *same* arrival in place up to
+    :data:`~repro.service.recovery.TRANSIENT_RETRIES` times before
+    escalating to the shard-failure path.
     """
 
 

@@ -65,8 +65,8 @@ class DispatcherMetrics:
         Sessions migrated to the overflow shard because their home shard
         was quarantined after a failure.
     busy_seconds:
-        Clock time spent inside the dispatch hot path, measured with the
-        dispatcher's injected clock (wall clock by default).
+        Wall-clock time spent inside the dispatch hot path, measured
+        with :func:`time.perf_counter`.
     """
 
     sessions_opened: int = 0

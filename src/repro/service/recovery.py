@@ -21,7 +21,7 @@ session opened with a *prebuilt* :class:`~repro.algorithms.base.Solver`
 object — the dispatcher forbids reusing a solver object across sessions,
 and rebuilding would need the constructor spec; such opens are recorded
 as unreplayable and :meth:`replay` raises :class:`JournalReplayError`,
-which the supervisor escalates to fail-fast.
+which the sharded dispatcher escalates like any other shard failure.
 
 :class:`RecoveryPolicy` configures what a shard failure does
 (:data:`FAILURE_POLICIES`):
@@ -30,21 +30,20 @@ which the supervisor escalates to fail-fast.
   discards) and raise the error from the call that processed the
   arrival.  No journal is kept.
 * ``"restart"`` — rebuild the dead shard's dispatcher by replaying its
-  journal, with a per-shard restart budget and deterministic backoff.
+  journal, at most :data:`MAX_RESTARTS` times per shard.
 * ``"quarantine"`` — rebuild the shard's sessions *once* (same replay)
   and migrate them to the overflow shard; the geo shard stops serving
   and subsequent arrivals routed to it are discarded (counted).
 
-:class:`ShardSupervisor` owns the policy's bookkeeping — restart budgets,
-last errors, backoff sleeps (injectable; the default budget of
-``backoff_seconds=0.0`` keeps test runs timing-free).
+Before any of these, a
+:class:`~repro.service.faults.TransientSolverError` is retried in place
+up to :data:`TRANSIENT_RETRIES` times.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.algorithms.spec import SolverSpecLike
 from repro.core.instance import LTCInstance
@@ -53,6 +52,15 @@ from repro.core.worker import Worker
 
 #: The accepted shard-failure policies, in documentation order.
 FAILURE_POLICIES: Tuple[str, ...] = ("fail-fast", "restart", "quarantine")
+
+#: Per-shard restart budget under ``"restart"``; once it is spent the
+#: shard fails fast.
+MAX_RESTARTS = 3
+
+#: In-place retries of one arrival's dispatch attempt after a
+#: :class:`~repro.service.faults.TransientSolverError`, before the failure
+#: escalates to the shard-failure path.
+TRANSIENT_RETRIES = 2
 
 #: Sentinel recorded for session opens that cannot be replayed (prebuilt
 #: Solver objects; see the module docstring).
@@ -65,7 +73,7 @@ class JournalReplayError(RuntimeError):
 
 @dataclass(frozen=True)
 class RecoveryPolicy:
-    """What a shard failure does, and how hard recovery tries.
+    """What a shard failure does.
 
     Parameters
     ----------
@@ -73,24 +81,9 @@ class RecoveryPolicy:
         One of :data:`FAILURE_POLICIES`.  Journaling is enabled exactly
         when the policy can need a replay (``restart`` / ``quarantine``);
         ``fail-fast`` pays zero journaling overhead.
-    max_restarts:
-        Per-shard restart budget under ``"restart"``; once exhausted the
-        shard fails fast.
-    transient_retries:
-        In-place retries of one arrival's dispatch attempt after a
-        :class:`~repro.service.faults.TransientSolverError` before the
-        failure escalates to the shard-failure path.
-    backoff_seconds / backoff_multiplier:
-        Sleep before the *n*-th restart of a shard:
-        ``backoff_seconds * backoff_multiplier ** (n - 1)``.  The default
-        of ``0.0`` keeps recovery (and CI) timing-free.
     """
 
     on_shard_failure: str = "fail-fast"
-    max_restarts: int = 3
-    transient_retries: int = 2
-    backoff_seconds: float = 0.0
-    backoff_multiplier: float = 2.0
 
     def __post_init__(self) -> None:
         if self.on_shard_failure not in FAILURE_POLICIES:
@@ -98,14 +91,6 @@ class RecoveryPolicy:
                 f"unknown shard-failure policy {self.on_shard_failure!r}; "
                 f"expected one of {', '.join(FAILURE_POLICIES)}"
             )
-        if self.max_restarts < 0:
-            raise ValueError("max_restarts must be non-negative")
-        if self.transient_retries < 0:
-            raise ValueError("transient_retries must be non-negative")
-        if self.backoff_seconds < 0.0:
-            raise ValueError("backoff_seconds must be non-negative")
-        if self.backoff_multiplier < 1.0:
-            raise ValueError("backoff_multiplier must be at least 1.0")
 
     @property
     def journaling(self) -> bool:
@@ -217,60 +202,3 @@ class ArrivalJournal:
                 dispatcher.close(entry[1])
         return replayed
 
-
-class ShardSupervisor:
-    """Policy bookkeeping: decides what each shard failure becomes.
-
-    ``sleep`` is injectable so tests can assert the backoff schedule
-    without waiting it out.
-    """
-
-    def __init__(
-        self,
-        policy: RecoveryPolicy,
-        sleep: Optional[Callable[[float], None]] = None,
-    ) -> None:
-        self._policy = policy
-        self._sleep = sleep if sleep is not None else time.sleep
-        self._restarts: Dict[int, int] = {}
-        self._last_error: Dict[int, str] = {}
-
-    @property
-    def policy(self) -> RecoveryPolicy:
-        return self._policy
-
-    def decide(self, shard_id: int, error: BaseException) -> str:
-        """Resolve one shard failure to ``"restart" | "quarantine" | "fail"``.
-
-        Under ``"restart"`` each call that returns ``"restart"`` consumes
-        one unit of the shard's budget; an exhausted budget (or any other
-        policy) degrades to ``"fail"`` / ``"quarantine"`` respectively.
-        """
-        self._last_error[shard_id] = repr(error)
-        if self._policy.on_shard_failure == "restart":
-            if self._restarts.get(shard_id, 0) < self._policy.max_restarts:
-                self._restarts[shard_id] = self._restarts.get(shard_id, 0) + 1
-                return "restart"
-            return "fail"
-        if self._policy.on_shard_failure == "quarantine":
-            return "quarantine"
-        return "fail"
-
-    def backoff(self, shard_id: int) -> float:
-        """Sleep before the shard's next restart attempt; return the delay."""
-        attempt = self._restarts.get(shard_id, 0)
-        if attempt < 1 or self._policy.backoff_seconds <= 0.0:
-            return 0.0
-        delay = self._policy.backoff_seconds * (
-            self._policy.backoff_multiplier ** (attempt - 1)
-        )
-        self._sleep(delay)
-        return delay
-
-    def restarts(self, shard_id: int) -> int:
-        """How many restarts the shard has consumed."""
-        return self._restarts.get(shard_id, 0)
-
-    def last_error(self, shard_id: int) -> Optional[str]:
-        """``repr`` of the shard's most recent failure, if any."""
-        return self._last_error.get(shard_id)

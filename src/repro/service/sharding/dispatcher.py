@@ -47,8 +47,8 @@ dispatch attempt, including injected ones — see
   :class:`~repro.service.recovery.ArrivalJournal` — byte-identical by
   the same FIFO argument as above, so a lossless run *with mid-stream
   crashes* still matches the single-process oracle (the chaos
-  differential suite enforces this) — subject to a per-shard restart
-  budget and deterministic backoff;
+  differential suite enforces this) — at most
+  :data:`~repro.service.recovery.MAX_RESTARTS` times per shard;
 * ``"quarantine"`` rebuilds the shard's sessions once (same replay) and
   migrates them to the overflow shard; the geo shard stops serving and
   its subsequent traffic is discarded (counted).
@@ -62,7 +62,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.algorithms.base import Solver, SolveResult
 from repro.algorithms.spec import SolverSpecLike
@@ -81,16 +81,17 @@ from repro.service.dispatcher import (
 from repro.service.faults import FaultInjector, FaultPlan, TransientSolverError
 from repro.service.metrics import DispatcherMetrics
 from repro.service.recovery import (
+    MAX_RESTARTS,
+    TRANSIENT_RETRIES,
     ArrivalJournal,
     RecoveryEvent,
     RecoveryPolicy,
-    ShardSupervisor,
 )
 from repro.service.sharding.plan import ShardPlan
 from repro.service.sharding.queueing import BoundedArrivalQueue, QueueFullError
 
 #: Shard lifecycle states, in the order a shard can move through them.
-SHARD_STATES: Tuple[str, ...] = ("live", "recovering", "quarantined", "failed")
+SHARD_STATES: Tuple[str, ...] = ("live", "quarantined", "failed")
 
 #: States in which a shard no longer accepts or processes traffic.
 _INACTIVE_STATES = ("quarantined", "failed")
@@ -146,6 +147,10 @@ class _ShardRuntime:
     journal: Optional[ArrivalJournal] = None
     #: Arrivals lost to the failure path.
     discarded: int = 0
+    #: Restarts this shard has consumed, out of :data:`MAX_RESTARTS`.
+    restarts: int = 0
+    #: ``repr`` of the shard's most recent failure, if any.
+    last_error: Optional[str] = None
 
 
 class ShardedDispatcher:
@@ -157,10 +162,9 @@ class ShardedDispatcher:
         The :class:`~repro.service.sharding.ShardPlan` partitioning the
         region.  Every shard in the plan (geo cells + overflow) gets its
         own :class:`~repro.service.LTCDispatcher`.
-    default_solver / keep_streams / clock:
+    default_solver / keep_streams:
         Forwarded to every per-shard dispatcher (see
-        :class:`~repro.service.LTCDispatcher`); the clock is shared so
-        per-shard busy-time metrics are comparable.
+        :class:`~repro.service.LTCDispatcher`).
     executor:
         Must be ``"serial"``, the only runtime.  The keyword survives
         solely because ``benchmarks/e2e/workloads.py`` passes it.
@@ -168,23 +172,18 @@ class ShardedDispatcher:
         Bound and backpressure policy of every shard's arrival queue (see
         :class:`~repro.service.sharding.BoundedArrivalQueue`).  Only the
         lossless ``"block"`` policy preserves byte-identity with a
-        single-process dispatcher; a full ``"block"`` queue (a stalled or
-        unstarted shard) makes :meth:`feed_worker` raise
+        single-process dispatcher; a full ``"block"`` queue (a stalled
+        shard) makes :meth:`feed_worker` raise
         :class:`~repro.service.sharding.QueueFullError`.
     recovery:
-        A :class:`~repro.service.recovery.RecoveryPolicy` (or a prebuilt
-        :class:`~repro.service.recovery.ShardSupervisor`, e.g. with an
-        injected backoff sleep) deciding what a shard failure does.
-        Defaults to fail-fast; see the module docstring.
+        A :class:`~repro.service.recovery.RecoveryPolicy` deciding what a
+        shard failure does.  Defaults to fail-fast; see the module
+        docstring.
     faults:
         A :class:`~repro.service.faults.FaultPlan` (or prebuilt
         :class:`~repro.service.faults.FaultInjector`) scheduling
         deterministic faults for chaos testing.  ``None`` (the default)
         injects nothing and skips the hook points entirely.
-    autostart:
-        Start the runtime on construction.  Pass ``False`` to enqueue
-        traffic before any processing happens — tests use this to fill
-        queues past capacity and trigger shed policies deterministically.
     record_latencies:
         Record one routing latency sample per processed arrival per shard
         (for p50/p99 reporting in the load harness).  Off by default to
@@ -199,10 +198,8 @@ class ShardedDispatcher:
         queue_capacity: int = 1024,
         queue_policy: str = "block",
         keep_streams: bool = False,
-        clock: Optional[Callable[[], float]] = None,
-        recovery: Union[RecoveryPolicy, ShardSupervisor, None] = None,
+        recovery: Optional[RecoveryPolicy] = None,
         faults: Union[FaultPlan, FaultInjector, None] = None,
-        autostart: bool = True,
         record_latencies: bool = False,
     ) -> None:
         # Only benchmarks/e2e/workloads.py still passes `executor`; drop
@@ -210,19 +207,10 @@ class ShardedDispatcher:
         if executor != "serial":
             raise ValueError(f"unknown executor {executor!r}; expected serial")
         self._plan = plan
-        self._clock: Callable[[], float] = (
-            clock if clock is not None else time.perf_counter
-        )
         self._record_latencies = record_latencies
         self._default_solver = default_solver
         self._keep_streams = keep_streams
-        if isinstance(recovery, ShardSupervisor):
-            self._supervisor = recovery
-        else:
-            self._supervisor = ShardSupervisor(
-                recovery if recovery is not None else RecoveryPolicy()
-            )
-        self._policy = self._supervisor.policy
+        self._policy = recovery if recovery is not None else RecoveryPolicy()
         if isinstance(faults, FaultPlan):
             self._injector: Optional[FaultInjector] = faults.injector()
         else:
@@ -248,38 +236,13 @@ class ShardedDispatcher:
         self._arrivals_offered = 0
         self._fault_metrics = DispatcherMetrics()
         self._recovery_events: List[RecoveryEvent] = []
-        self._started = False
         self._stopped = False
-        if autostart:
-            self.start()
 
     # ------------------------------------------------------------ lifecycle
 
     @property
     def plan(self) -> ShardPlan:
         return self._plan
-
-    @property
-    def started(self) -> bool:
-        return self._started
-
-    @property
-    def recovery_policy(self) -> RecoveryPolicy:
-        return self._policy
-
-    def start(self) -> None:
-        """Process any pre-queued backlog and go live (idempotent).
-
-        After ``start()`` every :meth:`feed_worker` call processes its
-        arrival inline.
-        """
-        if self._stopped:
-            raise RuntimeError("a stopped ShardedDispatcher cannot be restarted")
-        if self._started:
-            return
-        self._started = True
-        for runtime in self._shards.values():
-            self._drain_inline(runtime)
 
     def drain(self) -> bool:
         """Process every queued arrival that can be processed now.
@@ -288,8 +251,6 @@ class ShardedDispatcher:
         ``False`` while a stalled shard keeps a backlog.  A terminal
         shard failure met while draining raises here.
         """
-        if not self._started:
-            raise RuntimeError("start() the ShardedDispatcher before drain()")
         for runtime in self._shards.values():
             self._drain_inline(runtime)
         return all(runtime.queue.size == 0 for runtime in self._shards.values())
@@ -309,7 +270,7 @@ class ShardedDispatcher:
         if self._injector is not None:
             self._injector.release_stalls()
         try:
-            if drain and self._started:
+            if drain:
                 self.drain()
         finally:
             self._stopped = True
@@ -323,21 +284,14 @@ class ShardedDispatcher:
         instance: LTCInstance,
         solver: Union[SolverSpecLike, Solver, None] = None,
         session_id: Optional[str] = None,
-        shard_id: Optional[int] = None,
     ) -> str:
         """Open a session for ``instance`` on its shard; return the id.
 
         The shard is chosen by the plan's reach-box containment rule
-        (:meth:`~repro.service.sharding.ShardPlan.shard_for_instance`)
-        unless ``shard_id`` overrides it — an override naming a geo shard
-        is validated against the campaign's reach box
-        (:class:`ShardAffinityError` if it does not fit that cell), the
-        overflow shard accepts anything.  Session ids are unique across
-        the *whole* runtime, not per shard.
-
-        A plan-chosen shard that is quarantined or failed falls back to
-        the overflow shard; an explicit override naming a dead shard
-        raises :class:`RuntimeError` instead.
+        (:meth:`~repro.service.sharding.ShardPlan.shard_for_instance`);
+        a shard that is quarantined or failed falls back to the overflow
+        shard.  Session ids are unique across the *whole* runtime, not
+        per shard.
         """
         if session_id is None:
             # Skip ids a caller already chose explicitly.
@@ -350,31 +304,9 @@ class ShardedDispatcher:
             raise DuplicateSessionError(
                 f"session id {session_id!r} is already in use"
             )
-        explicit = shard_id is not None
-        if shard_id is None:
-            shard_id = self._plan.shard_for_instance(instance)
-        else:
-            if shard_id not in self._shards:
-                raise ValueError(
-                    f"shard id {shard_id} is not in the plan "
-                    f"(0..{self._plan.overflow_shard})"
-                )
-            cell = self._plan.cell(shard_id)
-            if cell is not None:
-                reach = tasks_reach_bounds(instance)
-                if reach is None or not self._box_within(reach, cell):
-                    raise ShardAffinityError(
-                        f"campaign reach box does not fit shard {shard_id}'s "
-                        "cell; pin it to the overflow shard instead"
-                    )
+        shard_id = self._plan.shard_for_instance(instance)
         if not self._try_open(self._shards[shard_id], instance, solver,
                               session_id):
-            if explicit:
-                raise RuntimeError(
-                    f"shard {shard_id} is "
-                    f"{self._shards[shard_id].state}; it accepts no new "
-                    "sessions"
-                )
             shard_id = self._plan.overflow_shard
             if not self._try_open(self._shards[shard_id], instance, solver,
                                   session_id):
@@ -464,22 +396,20 @@ class ShardedDispatcher:
 
     # ------------------------------------------------------------ streaming
 
-    def feed_worker(self, worker: Worker) -> Optional[Dict[str, List[Assignment]]]:
+    def feed_worker(self, worker: Worker) -> Dict[str, List[Assignment]]:
         """Route one arrival to its geo shard (and overflow, if populated).
 
-        Once started, the arrival is processed inline and the merged
-        per-session deliveries are returned, exactly like
+        The arrival is processed inline and the merged per-session
+        deliveries are returned, exactly like
         :meth:`LTCDispatcher.feed_worker` (deliveries triggered by a
         crash-recovery replay are an exception: they surface via
-        :meth:`poll` / :meth:`close`, not the return value).  Before
-        :meth:`start` the arrival is only enqueued and ``None`` is
-        returned.  Arrivals routed to a quarantined or failed shard are
-        discarded and counted (:attr:`ShardStatus.arrivals_discarded`).
+        :meth:`poll` / :meth:`close`, not the return value).  Arrivals
+        routed to a quarantined or failed shard are discarded and
+        counted (:attr:`ShardStatus.arrivals_discarded`).
 
         Raises :class:`~repro.service.sharding.QueueFullError` when a
-        target shard's ``"block"`` queue is full (the shard is stalled or
-        the runtime not started); the arrival is then not admitted and no
-        counter moves.
+        target shard's ``"block"`` queue is full (the shard is stalled);
+        the arrival is then not admitted and no counter moves.
         """
         if self._stopped:
             raise RuntimeError("the ShardedDispatcher is stopped")
@@ -494,7 +424,7 @@ class ShardedDispatcher:
                 raise QueueFullError(
                     f"shard {runtime.shard_id}'s queue is full "
                     f"({runtime.queue.capacity} arrivals) and nothing can "
-                    "consume it; start() the runtime or release its stall"
+                    "consume it; release its stall"
                 )
         self._arrivals_offered += 1
         for runtime in candidates:
@@ -502,8 +432,6 @@ class ShardedDispatcher:
                 runtime.discarded += 1
         for runtime in targets:
             runtime.queue.put(worker)
-        if not self._started:
-            return None
         deliveries: Dict[str, List[Assignment]] = {}
         for runtime in targets:
             deliveries.update(self._drain_inline(runtime))
@@ -558,8 +486,8 @@ class ShardedDispatcher:
                     arrivals_shed=runtime.queue.shed,
                     arrivals_processed=runtime.queue.processed,
                     state=runtime.state,
-                    restarts=self._supervisor.restarts(shard_id),
-                    last_error=self._supervisor.last_error(shard_id),
+                    restarts=runtime.restarts,
+                    last_error=runtime.last_error,
                     arrivals_discarded=runtime.discarded,
                     journal_entries=(
                         len(runtime.journal) if runtime.journal is not None else 0
@@ -639,7 +567,6 @@ class ShardedDispatcher:
         return LTCDispatcher(
             default_solver=self._default_solver,
             keep_streams=self._keep_streams,
-            clock=self._clock,
         )
 
     def _runtime_for(self, session_id: str) -> _ShardRuntime:
@@ -662,7 +589,8 @@ class ShardedDispatcher:
         )
 
     def _process(self, runtime: _ShardRuntime, worker: Worker):
-        started = self._clock()
+        if self._record_latencies:
+            started = time.perf_counter()
         # Write-ahead: journal the arrival *before* the dispatch attempt, so
         # the arrival in flight when the shard crashes is replayed rather
         # than lost.
@@ -673,7 +601,7 @@ class ShardedDispatcher:
         else:
             deliveries = self._feed_with_faults(runtime, worker)
         if self._record_latencies:
-            runtime.latencies.append(self._clock() - started)
+            runtime.latencies.append(time.perf_counter() - started)
         return deliveries
 
     def _feed_with_faults(self, runtime: _ShardRuntime, worker: Worker):
@@ -686,7 +614,7 @@ class ShardedDispatcher:
                 return runtime.dispatcher.feed_worker(worker)
             except TransientSolverError:
                 attempt += 1
-                if attempt > self._policy.transient_retries:
+                if attempt > TRANSIENT_RETRIES:
                     raise
 
     def _drain_inline(self, runtime: _ShardRuntime) -> Dict[str, List[Assignment]]:
@@ -723,28 +651,18 @@ class ShardedDispatcher:
         """
         current = error
         while True:
-            action = self._supervisor.decide(runtime.shard_id, current)
-            if (
-                action == "quarantine"
-                and runtime.shard_id == self._plan.overflow_shard
-            ):
-                # The overflow shard has nowhere to migrate to.
-                action = "fail"
-            if action == "restart" and runtime.journal is not None:
-                started = self._clock()
-                self._supervisor.backoff(runtime.shard_id)
-                runtime.state = "recovering"
+            action = self._decide(runtime, current)
+            if action == "restart":
+                started = time.perf_counter()
                 fresh = self._make_dispatcher()
                 try:
                     replayed = runtime.journal.replay(fresh)
                 except BaseException as exc:  # noqa: BLE001 - escalates
-                    runtime.state = "failed"
                     current = exc
                     continue
                 # The dead dispatcher's counters are replaced, not added
                 # to: the replay regenerated them exactly.
                 runtime.dispatcher = fresh
-                runtime.state = "live"
                 self._fault_metrics.restarts += 1
                 self._fault_metrics.replayed_arrivals += replayed
                 self._recovery_events.append(
@@ -752,12 +670,12 @@ class ShardedDispatcher:
                         shard_id=runtime.shard_id,
                         action="restart",
                         replayed_arrivals=replayed,
-                        duration_seconds=self._clock() - started,
+                        duration_seconds=time.perf_counter() - started,
                         error=repr(current),
                     )
                 )
                 return
-            if action == "quarantine" and runtime.journal is not None:
+            if action == "quarantine":
                 try:
                     self._quarantine(runtime, current)
                     return
@@ -767,9 +685,26 @@ class ShardedDispatcher:
             runtime.discarded += runtime.queue.flush()
             raise current
 
+    def _decide(self, runtime: _ShardRuntime, error: BaseException) -> str:
+        """Record ``error``; resolve it to ``restart``, ``quarantine`` or ``fail``.
+
+        Under ``"restart"`` each ``"restart"`` consumes one unit of the
+        shard's :data:`MAX_RESTARTS` budget, and a spent budget fails.
+        The overflow shard has nowhere to migrate to, so quarantining it
+        fails too.
+        """
+        runtime.last_error = repr(error)
+        policy = self._policy.on_shard_failure
+        if policy == "restart" and runtime.restarts < MAX_RESTARTS:
+            runtime.restarts += 1
+            return "restart"
+        if policy == "quarantine" and runtime.shard_id != self._plan.overflow_shard:
+            return "quarantine"
+        return "fail"
+
     def _quarantine(self, runtime: _ShardRuntime, error: BaseException) -> None:
         """Rebuild a failed shard's sessions and migrate them to overflow."""
-        started = self._clock()
+        started = time.perf_counter()
         overflow = self._shards[self._plan.overflow_shard]
         runtime.state = "quarantined"
         scratch = self._make_dispatcher()
@@ -799,7 +734,7 @@ class ShardedDispatcher:
                 shard_id=runtime.shard_id,
                 action="quarantine",
                 replayed_arrivals=replayed,
-                duration_seconds=self._clock() - started,
+                duration_seconds=time.perf_counter() - started,
                 error=repr(error),
             )
         )

@@ -3,7 +3,7 @@
 Each shard of a :class:`~repro.service.sharding.ShardedDispatcher` owns one
 :class:`BoundedArrivalQueue` between the router (``feed_worker``) and the
 shard's dispatcher.  The queue is bounded on purpose: a shard falling
-behind (a stalled shard, or a runtime not yet started) must surface that
+behind (a stalled shard) must surface that
 fact instead of growing an unbounded backlog.  What happens at the bound
 is the *backpressure policy*:
 

@@ -185,7 +185,7 @@ def test_transient_faults_retry_in_place_exactly(workload):
         workload,
         "AAM",
         faults=faults,
-        policy=RecoveryPolicy(on_shard_failure="restart", transient_retries=2),
+        policy=RecoveryPolicy(on_shard_failure="restart"),
     )
     assert_identical(base, (ids, streams, results))
     assert dispatcher.metrics.restarts == 0
@@ -206,7 +206,7 @@ def test_mixed_faults_still_match(workload):
         workload,
         "AAM",
         faults=faults,
-        policy=RecoveryPolicy(on_shard_failure="restart", transient_retries=1),
+        policy=RecoveryPolicy(on_shard_failure="restart"),
     )
     assert_identical(base, (ids, streams, results))
     assert dispatcher.metrics.restarts == 2

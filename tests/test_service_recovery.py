@@ -1,8 +1,8 @@
 """Tests for journaled recovery (`repro.service.recovery`).
 
-Covers the arrival journal's replay exactness, the recovery policy and
-supervisor bookkeeping (restart budgets, backoff schedule), and the
-sharded dispatcher's restart/quarantine paths end to end.
+Covers the arrival journal's replay exactness, the recovery policy, the
+per-shard restart budget and transient retries, and the sharded
+dispatcher's restart/quarantine paths end to end.
 """
 
 import pytest
@@ -23,9 +23,9 @@ from repro.service import (
     RecoveryPolicy,
     ShardedDispatcher,
     ShardPlan,
-    ShardSupervisor,
     TransientSolverError,
 )
+from repro.service.recovery import MAX_RESTARTS, TRANSIENT_RETRIES
 
 BOUNDS = BoundingBox(0.0, 0.0, 2000.0, 2000.0)
 
@@ -42,6 +42,12 @@ def campaign(cx, cy, tid0=0, num_tasks=3, spread=5.0):
     return LTCInstance(tasks=tasks, workers=workers, error_rate=0.2)
 
 
+def straddling_campaign(tid0):
+    """Tasks at the first two city centres: its reach box spans shards 0
+    and 1, so the plan pins it to the overflow shard."""
+    return campaign(*CENTERS[0], tid0=tid0, num_tasks=2, spread=1000.0)
+
+
 def city_worker(index, city=0):
     cx, cy = CENTERS[city]
     return Worker(index=index, location=Point(cx, cy), accuracy=0.9, capacity=2)
@@ -50,6 +56,14 @@ def city_worker(index, city=0):
 def crash_fault(shard_id, at_arrival):
     return FaultPlan(
         faults=(FaultSpec(kind="crash", shard_id=shard_id, at_arrival=at_arrival),)
+    )
+
+
+def crashes(shard_id, count, first=2):
+    """``count`` crashes on consecutive arrivals of one shard."""
+    return tuple(
+        FaultSpec(kind="crash", shard_id=shard_id, at_arrival=first + n)
+        for n in range(count)
     )
 
 
@@ -124,73 +138,12 @@ class TestRecoveryPolicy:
     def test_validation(self):
         with pytest.raises(ValueError):
             RecoveryPolicy(on_shard_failure="reboot")
-        with pytest.raises(ValueError):
-            RecoveryPolicy(max_restarts=-1)
-        with pytest.raises(ValueError):
-            RecoveryPolicy(transient_retries=-1)
-        with pytest.raises(ValueError):
-            RecoveryPolicy(backoff_seconds=-0.1)
-        with pytest.raises(ValueError):
-            RecoveryPolicy(backoff_multiplier=0.5)
 
     def test_journaling_follows_policy(self):
         assert not RecoveryPolicy().journaling
         assert not RecoveryPolicy(on_shard_failure="fail-fast").journaling
         assert RecoveryPolicy(on_shard_failure="restart").journaling
         assert RecoveryPolicy(on_shard_failure="quarantine").journaling
-
-
-class TestShardSupervisor:
-    def test_restart_budget_then_fail(self):
-        supervisor = ShardSupervisor(
-            RecoveryPolicy(on_shard_failure="restart", max_restarts=2)
-        )
-        boom = RuntimeError("boom")
-        assert supervisor.decide(0, boom) == "restart"
-        assert supervisor.decide(0, boom) == "restart"
-        assert supervisor.decide(0, boom) == "fail"
-        assert supervisor.restarts(0) == 2
-        # Budgets are per shard.
-        assert supervisor.decide(1, boom) == "restart"
-        assert supervisor.last_error(0) == repr(boom)
-        assert supervisor.last_error(2) is None
-
-    def test_policies_map_to_actions(self):
-        boom = RuntimeError("boom")
-        assert ShardSupervisor(RecoveryPolicy()).decide(0, boom) == "fail"
-        assert (
-            ShardSupervisor(
-                RecoveryPolicy(on_shard_failure="quarantine")
-            ).decide(0, boom)
-            == "quarantine"
-        )
-
-    def test_backoff_schedule_with_injected_sleep(self):
-        slept = []
-        supervisor = ShardSupervisor(
-            RecoveryPolicy(
-                on_shard_failure="restart",
-                max_restarts=3,
-                backoff_seconds=0.5,
-                backoff_multiplier=2.0,
-            ),
-            sleep=slept.append,
-        )
-        boom = RuntimeError("boom")
-        for _ in range(3):
-            supervisor.decide(0, boom)
-            supervisor.backoff(0)
-        assert slept == [0.5, 1.0, 2.0]
-
-    def test_zero_backoff_never_sleeps(self):
-        def forbidden(_):
-            raise AssertionError("slept with backoff_seconds=0")
-
-        supervisor = ShardSupervisor(
-            RecoveryPolicy(on_shard_failure="restart"), sleep=forbidden
-        )
-        supervisor.decide(0, RuntimeError("boom"))
-        assert supervisor.backoff(0) == 0.0
 
 
 @pytest.fixture
@@ -289,38 +242,99 @@ class TestRestartRecovery:
         )
 
     def test_restart_budget_exhaustion_fails_fast(self, plan):
-        faults = FaultPlan(faults=(
-            FaultSpec(kind="crash", shard_id=0, at_arrival=2),
-            FaultSpec(kind="crash", shard_id=0, at_arrival=3),
-        ))
         dispatcher = ShardedDispatcher(
             plan,
-            faults=faults,
-            recovery=RecoveryPolicy(on_shard_failure="restart", max_restarts=1),
+            faults=FaultPlan(crashes(0, MAX_RESTARTS + 1)),
+            recovery=RecoveryPolicy(on_shard_failure="restart"),
         )
-        dispatcher.submit_instance(campaign(*CENTERS[0]))
+        dispatcher.submit_instance(campaign(*CENTERS[0], num_tasks=30))
         dispatcher.feed_worker(city_worker(1))
-        dispatcher.feed_worker(city_worker(2))  # crash 1: restarted
+        for index in range(2, MAX_RESTARTS + 2):
+            dispatcher.feed_worker(city_worker(index))  # crash: restarted
         with pytest.raises(InjectedShardCrash):
-            dispatcher.feed_worker(city_worker(3))  # crash 2: budget gone
+            dispatcher.feed_worker(city_worker(MAX_RESTARTS + 2))  # budget gone
         status = {s.shard_id: s for s in dispatcher.shard_status()}
         assert status[0].state == "failed"
-        assert status[0].restarts == 1
+        assert status[0].restarts == MAX_RESTARTS
+        dispatcher.stop()
+
+    def test_exactly_max_restarts_crashes_leave_the_shard_live(self, plan):
+        dispatcher = ShardedDispatcher(
+            plan,
+            faults=FaultPlan(crashes(0, MAX_RESTARTS)),
+            recovery=RecoveryPolicy(on_shard_failure="restart"),
+        )
+        sid = dispatcher.submit_instance(campaign(*CENTERS[0], num_tasks=30))
+        for index in range(1, MAX_RESTARTS + 4):
+            dispatcher.feed_worker(city_worker(index))
+        shard0 = dispatcher.shard_status()[0]
+        assert (shard0.state, shard0.restarts) == ("live", MAX_RESTARTS)
+        assert shard0.last_error == crash_repr(MAX_RESTARTS + 1)
+        assert dispatcher.metrics.restarts == MAX_RESTARTS
+        assert dispatcher.poll()[sid].workers_routed == MAX_RESTARTS + 3
+        dispatcher.stop()
+
+    def test_restart_budgets_are_per_shard(self, plan):
+        """Shard 0 spends its budget; shard 1 still restarts after that."""
+        dispatcher = ShardedDispatcher(
+            plan,
+            faults=FaultPlan(
+                crashes(0, MAX_RESTARTS + 1)
+                + (FaultSpec(kind="crash", shard_id=1, at_arrival=2),)
+            ),
+            recovery=RecoveryPolicy(on_shard_failure="restart"),
+        )
+        dispatcher.submit_instance(campaign(*CENTERS[0], num_tasks=30))
+        dispatcher.submit_instance(campaign(*CENTERS[1], tid0=100, num_tasks=30))
+        for index in range(1, MAX_RESTARTS + 2):
+            dispatcher.feed_worker(city_worker(index, city=0))
+        with pytest.raises(InjectedShardCrash):
+            dispatcher.feed_worker(city_worker(MAX_RESTARTS + 2, city=0))
+        for index in range(MAX_RESTARTS + 3, MAX_RESTARTS + 6):
+            dispatcher.feed_worker(city_worker(index, city=1))
+        status = {s.shard_id: s for s in dispatcher.shard_status()}
+        assert (status[0].state, status[0].restarts) == ("failed", MAX_RESTARTS)
+        assert (status[1].state, status[1].restarts) == ("live", 1)
+        assert status[1].last_error == repr(
+            InjectedShardCrash("injected crash: shard 1, arrival 2")
+        )
+        assert dispatcher.recovery_events[-1].shard_id == 1
+        dispatcher.stop()
+
+    def test_a_shard_that_never_failed_has_no_last_error(self, plan):
+        dispatcher = ShardedDispatcher(
+            plan,
+            faults=crash_fault(shard_id=0, at_arrival=1),
+            recovery=RecoveryPolicy(on_shard_failure="restart"),
+        )
+        dispatcher.submit_instance(campaign(*CENTERS[0]))
+        dispatcher.submit_instance(campaign(*CENTERS[1], tid0=100))
+        dispatcher.feed_worker(city_worker(1, city=0))
+        dispatcher.feed_worker(city_worker(2, city=1))
+        status = {s.shard_id: s for s in dispatcher.shard_status()}
+        assert status[0].last_error == crash_repr(1)
+        for shard_id in (1, 2, 3, plan.overflow_shard):
+            assert status[shard_id].last_error is None
+            assert status[shard_id].restarts == 0
         dispatcher.stop()
 
     def test_prebuilt_solver_blocks_replay(self, plan):
         """A session opened with a Solver *object* cannot be rebuilt from
-        the journal; the restart degrades to fail-fast with a clear error."""
+        the journal; every failed replay spends a restart, and the shard then
+        fails fast with a clear error."""
         dispatcher = ShardedDispatcher(
             plan,
             faults=crash_fault(shard_id=0, at_arrival=2),
-            recovery=RecoveryPolicy(on_shard_failure="restart", max_restarts=1),
+            recovery=RecoveryPolicy(on_shard_failure="restart"),
         )
         dispatcher.submit_instance(campaign(*CENTERS[0]), solver=build_solver("AAM"))
         dispatcher.feed_worker(city_worker(1))
         with pytest.raises(JournalReplayError):
             dispatcher.feed_worker(city_worker(2))
-        assert {s.shard_id: s.state for s in dispatcher.shard_status()}[0] == "failed"
+        shard0 = dispatcher.shard_status()[0]
+        assert (shard0.state, shard0.restarts) == ("failed", MAX_RESTARTS)
+        assert "JournalReplayError" in shard0.last_error
+        assert dispatcher.metrics.restarts == 0
         dispatcher.stop()
 
     def test_restart_inside_a_stalled_backlog_is_transparent(self, plan):
@@ -397,10 +411,6 @@ class TestQuarantine:
         dispatcher.feed_worker(city_worker(1))  # quarantines shard 0
         late = dispatcher.submit_instance(campaign(*CENTERS[0], tid0=300))
         assert dispatcher.shard_of(late) == plan.overflow_shard
-        with pytest.raises(RuntimeError):
-            dispatcher.submit_instance(
-                campaign(*CENTERS[0], tid0=400), shard_id=0
-            )
         dispatcher.stop()
 
     def test_overflow_failure_cannot_quarantine(self, plan):
@@ -411,9 +421,8 @@ class TestQuarantine:
             faults=crash_fault(shard_id=overflow, at_arrival=1),
             recovery=RecoveryPolicy(on_shard_failure="quarantine"),
         )
-        dispatcher.submit_instance(
-            campaign(*CENTERS[0], tid0=500), shard_id=overflow
-        )
+        sid = dispatcher.submit_instance(straddling_campaign(tid0=500))
+        assert dispatcher.shard_of(sid) == overflow
         with pytest.raises(InjectedShardCrash):
             dispatcher.feed_worker(city_worker(1))
         state = {s.shard_id: s.state for s in dispatcher.shard_status()}
@@ -443,22 +452,35 @@ FAILURE_SCENARIOS = {
         ("live", 2), [], crash_repr(5),
     ),
     "escalated-transient": (
-        RecoveryPolicy(on_shard_failure="restart", transient_retries=1),
+        RecoveryPolicy(on_shard_failure="restart"),
         FaultPlan(faults=(
             FaultSpec(kind="transient", shard_id=0, at_arrival=2, failures=5),
         )),
         ("live", 1), [],
         repr(TransientSolverError(
             "injected transient dispatch failure: shard 0, arrival 2, "
-            "attempt 2/5"
+            f"attempt {TRANSIENT_RETRIES + 1}/5"
         )),
     ),
     "absorbed-transient": (
-        RecoveryPolicy(on_shard_failure="restart", transient_retries=2),
+        RecoveryPolicy(on_shard_failure="restart"),
         FaultPlan(faults=(
-            FaultSpec(kind="transient", shard_id=0, at_arrival=2, failures=2),
+            FaultSpec(kind="transient", shard_id=0, at_arrival=2,
+                      failures=TRANSIENT_RETRIES),
         )),
         ("live", 0), [], None,
+    ),
+    "transient-one-past-the-retries": (
+        RecoveryPolicy(on_shard_failure="restart"),
+        FaultPlan(faults=(
+            FaultSpec(kind="transient", shard_id=0, at_arrival=2,
+                      failures=TRANSIENT_RETRIES + 1),
+        )),
+        ("live", 1), [],
+        repr(TransientSolverError(
+            "injected transient dispatch failure: shard 0, arrival 2, "
+            f"attempt {TRANSIENT_RETRIES + 1}/{TRANSIENT_RETRIES + 1}"
+        )),
     ),
     "quarantine": (
         RecoveryPolicy(on_shard_failure="quarantine"),
@@ -470,13 +492,18 @@ FAILURE_SCENARIOS = {
         crash_fault(shard_id=0, at_arrival=2),
         ("failed", 0), [4], crash_repr(2),
     ),
+    "restart-budget-spent": (
+        RecoveryPolicy(on_shard_failure="restart"),
+        FaultPlan(crashes(0, MAX_RESTARTS)),
+        ("live", MAX_RESTARTS), [], crash_repr(MAX_RESTARTS + 1),
+    ),
     "restart-budget-exhausted": (
-        RecoveryPolicy(on_shard_failure="restart", max_restarts=1),
-        FaultPlan(faults=(
-            FaultSpec(kind="crash", shard_id=0, at_arrival=2),
-            FaultSpec(kind="crash", shard_id=0, at_arrival=3),
-        )),
-        ("failed", 1), [6], crash_repr(3),
+        RecoveryPolicy(on_shard_failure="restart"),
+        FaultPlan(crashes(0, MAX_RESTARTS + 1)),
+        # Shard 0 takes the even arrivals, so its (MAX_RESTARTS + 2)-th
+        # arrival is stream position 2 * (MAX_RESTARTS + 2).
+        ("failed", MAX_RESTARTS), [2 * (MAX_RESTARTS + 2)],
+        crash_repr(MAX_RESTARTS + 2),
     ),
 }
 

@@ -59,6 +59,12 @@ def city_stream(num_workers, centers=CENTERS, spread=10.0, seed=0):
     return workers
 
 
+def straddling_campaign(tid0):
+    """Tasks at the first two city centres: its reach box spans shards 0
+    and 1, so the plan pins it to the overflow shard."""
+    return campaign(*CENTERS[0], tid0=tid0, num_tasks=2, spread=1000.0)
+
+
 def shard0_worker(index):
     """An arrival at the first city centre, inside shard 0's cell."""
     cx, cy = CENTERS[0]
@@ -333,17 +339,16 @@ class TestShardedDispatcher:
         assert opened == expected
         assert dispatcher.session_ids == expected
 
-    def test_explicit_shard_override_is_validated(self, plan, campaigns):
+    def test_the_plan_is_the_only_pinning_rule(self, plan, campaigns):
+        """A campaign inside one cell pins to that cell's shard; one whose
+        reach box spans two cells pins to the overflow shard."""
         dispatcher = ShardedDispatcher(plan)
-        # A campaign in cell 0 cannot be pinned to cell 3 ...
-        with pytest.raises(ShardAffinityError):
-            dispatcher.submit_instance(campaigns[0], shard_id=3)
-        # ... but the overflow shard accepts anything.
-        sid = dispatcher.submit_instance(campaigns[0],
-                                         shard_id=plan.overflow_shard)
-        assert dispatcher.shard_of(sid) == plan.overflow_shard
-        with pytest.raises(ValueError):
-            dispatcher.submit_instance(campaigns[1], shard_id=99)
+        for shard_id, c in enumerate(campaigns):
+            assert dispatcher.shard_of(dispatcher.submit_instance(c)) == shard_id
+        spanning = dispatcher.submit_instance(straddling_campaign(tid0=900))
+        assert dispatcher.shard_of(spanning) == plan.overflow_shard
+        with pytest.raises(TypeError):
+            dispatcher.submit_instance(campaigns[0], shard_id=0)
 
     def test_serial_feed_returns_deliveries(self, plan, campaigns):
         dispatcher = ShardedDispatcher(plan)
@@ -358,9 +363,8 @@ class TestShardedDispatcher:
     def test_worker_fans_out_to_overflow_when_populated(self, plan, campaigns):
         dispatcher = ShardedDispatcher(plan)
         geo_id = dispatcher.submit_instance(campaigns[0])
-        overflow_id = dispatcher.submit_instance(
-            campaign(*CENTERS[0], tid0=900), shard_id=plan.overflow_shard
-        )
+        overflow_id = dispatcher.submit_instance(straddling_campaign(tid0=900))
+        assert dispatcher.shard_of(overflow_id) == plan.overflow_shard
         cx, cy = CENTERS[0]
         deliveries = dispatcher.feed_worker(
             Worker(index=1, location=Point(cx, cy), accuracy=0.9, capacity=2)
@@ -387,82 +391,56 @@ class TestShardedDispatcher:
 
     def test_overflow_sessions_accept_any_tasks(self, plan, campaigns):
         dispatcher = ShardedDispatcher(plan)
-        sid = dispatcher.submit_instance(campaigns[0],
-                                         shard_id=plan.overflow_shard)
+        sid = dispatcher.submit_instance(straddling_campaign(tid0=900))
+        assert dispatcher.shard_of(sid) == plan.overflow_shard
         dispatcher.submit_tasks(
             sid, [Task(task_id=990, location=Point(1900.0, 1900.0))]
         )
-        assert dispatcher.poll()[sid].snapshot.tasks_total == 4
-
-    def test_autostart_false_defers_processing(self, plan, campaigns):
-        dispatcher = ShardedDispatcher(
-            plan, autostart=False, queue_capacity=64
-        )
-        ids = [dispatcher.submit_instance(c) for c in campaigns]
-        stream = city_stream(40)
-        for worker in stream:
-            assert dispatcher.feed_worker(worker) is None
-        assert dispatcher.metrics.workers_fed == 0  # nothing processed yet
-        dispatcher.start()
-        dispatcher.drain()
-        assert dispatcher.metrics.workers_fed == len(stream)
-        assert set(dispatcher.poll()) == set(ids)
-        dispatcher.stop()
+        assert dispatcher.poll()[sid].snapshot.tasks_total == 3
 
     def test_shed_accounting_with_drop_oldest(self, plan, campaigns):
+        injector = FaultPlan(
+            (FaultSpec("stall", shard_id=0, at_arrival=1),)
+        ).injector()
         dispatcher = ShardedDispatcher(
             plan,
-            autostart=False,
             queue_capacity=4,
             queue_policy="drop-oldest",
+            faults=injector,
         )
         for c in campaigns:
             dispatcher.submit_instance(c)
-        # All 12 arrivals target shard 0's queue (capacity 4) -> 8 evicted.
+        # Shard 0 processes one arrival and stalls; the other 11 target
+        # its queue (capacity 4) -> 7 evicted.
         for index in range(1, 13):
             dispatcher.feed_worker(shard0_worker(index))
-        assert dispatcher.shed_total == 8
+        assert dispatcher.shed_total == 7
         status = {s.shard_id: s for s in dispatcher.shard_status()}
-        assert status[0].arrivals_shed == 8
+        assert status[0].arrivals_shed == 7
         assert status[0].queue_depth == 4
         assert status[1].arrivals_shed == 0
-        dispatcher.start()
-        dispatcher.drain()
-        assert dispatcher.metrics.workers_fed == 4
+        injector.release_stalls()
+        assert dispatcher.drain()
+        assert dispatcher.metrics.workers_fed == 5
         dispatcher.stop()
 
-    def test_shed_accounting_with_reject(self, plan, campaigns):
+    def test_shed_accounting_with_reject(self, plan):
+        injector = FaultPlan(
+            (FaultSpec("stall", shard_id=0, at_arrival=1),)
+        ).injector()
         dispatcher = ShardedDispatcher(
             plan,
-            autostart=False,
             queue_capacity=4,
             queue_policy="reject",
+            faults=injector,
         )
-        dispatcher.submit_instance(campaigns[0])
+        dispatcher.submit_instance(campaign(*CENTERS[0], num_tasks=30))
         for index in range(1, 13):
             dispatcher.feed_worker(shard0_worker(index))
-        assert dispatcher.shed_total == 8
-        # Rejected keeps the *oldest* arrivals, drop-oldest the newest.
-        dispatcher.start()
-        dispatcher.drain()
-        assert dispatcher.poll()["session-1"].workers_routed == 4
-        dispatcher.stop()
-
-    def test_full_block_queue_raises_before_start(self, plan, campaigns):
-        dispatcher = ShardedDispatcher(plan, queue_capacity=4, autostart=False)
-        dispatcher.submit_instance(campaigns[0])
-        for index in range(1, 5):
-            dispatcher.feed_worker(shard0_worker(index))
-        with pytest.raises(QueueFullError, match="shard 0.*4 arrivals"):
-            dispatcher.feed_worker(shard0_worker(5))
-        # The refused arrival was not admitted and moved no counter.
-        assert dispatcher.arrivals_offered == 4
-        status = dispatcher.shard_status()[0]
-        assert (status.arrivals_accepted, status.queue_depth) == (4, 4)
-        assert dispatcher.shed_total == dispatcher.discarded_total == 0
-        dispatcher.start()
-        dispatcher.feed_worker(shard0_worker(5))  # the backlog drained
-        assert dispatcher.metrics.workers_fed == 5
+        assert dispatcher.shed_total == 7
+        injector.release_stalls()
+        assert dispatcher.drain()
+        assert dispatcher.poll()["session-1"].workers_routed == 5
         dispatcher.stop()
 
     def test_full_block_queue_raises_while_stalled(self, plan, campaigns):
@@ -488,9 +466,9 @@ class TestShardedDispatcher:
         faults = FaultPlan((FaultSpec("stall", shard_id=overflow, at_arrival=1),))
         dispatcher = ShardedDispatcher(plan, queue_capacity=2, faults=faults)
         dispatcher.submit_instance(campaigns[0])
-        dispatcher.submit_instance(
-            campaign(*CENTERS[0], tid0=900), shard_id=overflow
-        )
+        assert dispatcher.shard_of(
+            dispatcher.submit_instance(straddling_campaign(tid0=900))
+        ) == overflow
         for index in range(1, 4):  # overflow: one processed, two queued
             dispatcher.feed_worker(shard0_worker(index))
         with pytest.raises(QueueFullError, match=f"shard {overflow}"):
@@ -541,13 +519,10 @@ class TestShardedDispatcher:
 
     def test_drain_serves_the_shards_behind_a_stall(self, plan, campaigns):
         faults = FaultPlan((FaultSpec("stall", shard_id=0, at_arrival=1),))
-        dispatcher = ShardedDispatcher(
-            plan, queue_capacity=64, autostart=False, faults=faults
-        )
+        dispatcher = ShardedDispatcher(plan, queue_capacity=64, faults=faults)
         for c in campaigns:
             dispatcher.submit_instance(c)
         dispatcher.feed_stream(city_stream(40))  # ten arrivals per city
-        dispatcher.start()
         assert dispatcher.drain() is False
         depths = {s.shard_id: s.queue_depth for s in dispatcher.shard_status()}
         assert depths == {0: 9, 1: 0, 2: 0, 3: 0, plan.overflow_shard: 0}
@@ -555,10 +530,16 @@ class TestShardedDispatcher:
         dispatcher.stop()
         assert dispatcher.metrics.workers_fed == 40
 
-    def test_drain_before_start_raises(self, plan):
-        dispatcher = ShardedDispatcher(plan, autostart=False)
-        with pytest.raises(RuntimeError, match="start"):
-            dispatcher.drain()
+    def test_feed_worker_returns_a_dict_behind_a_stall(self, plan, campaigns):
+        """A queued arrival yields empty deliveries, never ``None``."""
+        faults = FaultPlan((FaultSpec("stall", shard_id=0, at_arrival=1),))
+        dispatcher = ShardedDispatcher(plan, faults=faults)
+        sid = dispatcher.submit_instance(campaigns[0])
+        assert set(dispatcher.feed_worker(shard0_worker(1))) == {sid}
+        assert dispatcher.feed_worker(shard0_worker(2)) == {}
+        assert dispatcher.shard_status()[0].queue_depth == 1
+        dispatcher.stop()
+        assert dispatcher.poll()[sid].workers_routed == 2
 
     def test_serves_and_stops(self, plan, campaigns):
         dispatcher = ShardedDispatcher(plan, queue_capacity=256)
