@@ -12,11 +12,14 @@ Measures the two hot candidate paths on a dense sigmoid instance (defaults:
   - ``engine`` — the candidate engine (CSR rows, scalar loops below its
     vector cutover and one numpy pass above it, incremental AAM stats).
 
-* **pairs** — the per-batch arc emission of the MCF-LTC reduction:
+* **pairs** — the per-batch pairs of the MCF-LTC reduction:
   ``list(finder.eligible_pairs(batch))`` over a batch-sized worker slice,
-  mid-run: a quarter of the tasks is completed.  The engine's finder has
-  them retired, as MCF-LTC retires completed tasks; the legacy oracle
-  filters them out with its ``allowed_ids`` restriction.
+  mid-run: a quarter of the tasks is completed.  The engine's
+  ``eligible_pairs`` iterates its batch pass (``batch_pairs``), the one
+  candidate pass MCF-LTC makes per batch; the legacy oracle makes one
+  query per worker.  The engine's finder has the completed tasks
+  retired, as MCF-LTC retires them; the legacy oracle filters them out
+  with its ``allowed_ids`` restriction.
 
 Exactness is asserted on every case: both implementations must produce
 identical arrangements / identical pair streams.  Timings are medians over
@@ -279,7 +282,7 @@ def bench_selection(instance: LTCInstance, repeats: int, sample: int = 800):
 
 
 def bench_pairs(instance: LTCInstance, repeats: int, batch_size: int):
-    """Time the batch arc-emission stream (the MCF-LTC reduction's input)."""
+    """Time one batch's pairs (the MCF-LTC reduction's input)."""
     batch = instance.workers[:batch_size]
     # Model a mid-run batch: a quarter of the tasks already completed.
     allowed = {task.task_id for task in instance.tasks
@@ -413,7 +416,7 @@ SUITE = _common.register_suite(BenchSuite(
         "O(T) remaining rescan). 'online_laf'/'online_aam' time full "
         "LAF/AAM drives to completion arrival by arrival; 'selection' "
         "isolates the frozen per-arrival top-k path; 'pairs' times one "
-        "batch of eligible-pair arc emission for the MCF-LTC reduction. "
+        "batch pass of eligible pairs for the MCF-LTC reduction. "
         "All implementations are asserted to produce identical "
         "arrangements / pair streams."
     ),

@@ -53,6 +53,9 @@ import math
 import random
 import statistics
 import sys
+import time
+from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -60,11 +63,16 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 import _common
 from _common import BenchSuite, SuiteResult
 
-from repro.algorithms.mcf_ltc import solve_mcf as solve_batch
+from repro.algorithms import mcf_ltc
+from repro.algorithms.mcf_ltc import MCFLTCSolver, solve_mcf as solve_batch
+from repro.core.candidate_engine import CandidateEngine
+from repro.experiments.configs import get_experiment
+from repro.flow import simplex
 from repro.core.accuracy import SigmoidDistanceAccuracy, acc_star
 from repro.core.task import Task
 from repro.core.worker import Worker
 from repro.flow.kernel import ArcArena, dag_potentials, solve_mcf
+from repro.flow.simplex import BatchNetwork
 from repro.flow.reference import LegacyNetwork, legacy_sspa
 
 # Shape parameters mirroring a paper-default batch: epsilon = 0.14 gives
@@ -150,9 +158,20 @@ def run_kernel(num_workers: int, num_tasks: int, pairs):
 
 
 def run_simplex(num_workers: int, num_tasks: int, pairs):
-    arena, topo = build_arena(num_workers, num_tasks, pairs)
-    result = solve_batch(arena, topo)
-    return result.flow_value, result.augmentations, result.fallback, arena.flow
+    """MCF-LTC's batch entry on the case's :class:`BatchNetwork`.
+
+    The network's pairs are the arena's pair arcs, in the same order, so
+    the routed pairs compare with the kernel's flow arc for arc.
+    """
+    network = BatchNetwork(
+        [TASK_NEED] * num_tasks,
+        [CAPACITY] * num_workers,
+        [w for w, _, _ in pairs],
+        [t for _, t, _ in pairs],
+        [-value for _, _, value in pairs],
+    )
+    result = solve_batch(network)
+    return result.flow_value, result.augmentations, result.fallback, result.routed
 
 
 def bench_size(num_workers: int, repeats: int, seed: int,
@@ -182,8 +201,10 @@ def bench_size(num_workers: int, repeats: int, seed: int,
                 f"kernel disagrees with the reference at {num_workers} workers: "
                 f"({value}, {cost}) vs ({base_value}, {base_cost})"
             )
-    simplex_value, pivots, fallback, simplex_flow = outputs["simplex"]
-    if simplex_value != value or simplex_flow != flow:
+    simplex_value, pivots, fallback, routed = outputs["simplex"]
+    # build_arena lays out the source arcs first, then the pairs in order.
+    pair_flow = flow[2 * num_workers:2 * (num_workers + len(pairs)):2]
+    if simplex_value != value or routed != [j for j, units in enumerate(pair_flow) if units]:
         raise AssertionError(
             f"the simplex's flow differs from the kernel's at {num_workers} "
             f"workers (seed {seed})"
@@ -215,6 +236,98 @@ def bench_size(num_workers: int, repeats: int, seed: int,
         medians_s["kernel"], medians_s["simplex"]
     )
     return entry, medians_s
+
+
+# The e2e paper workloads' instances (benchmarks/e2e/workloads.py):
+# experiment, sweep value, scale and instances per pass, at seed 1.
+PAPER_WORKLOADS = {
+    "paper_sparse": ("fig4_epsilon", 0.14, 0.05, 8),
+    "paper_dense": ("fig4_scalability", 50_000, 0.0025, 6),
+}
+PHASE_SEED = 1
+PHASES = ("candidates", "start", "pivots", "apply", "fill", "other")
+
+
+@contextmanager
+def timed_calls(totals):
+    """Add the wall time of MCF-LTC's batch steps to ``totals`` (seconds)."""
+    clock = time.perf_counter
+    steps = [
+        (CandidateEngine, "batch_pairs", "batch_pairs"),
+        (mcf_ltc, "BatchNetwork", "network"),
+        (simplex, "_greedy_start", "tree"),
+        (simplex, "_thread", "tree"),
+        (simplex, "_potentials", "tree"),
+        (mcf_ltc, "solve_mcf", "flow"),
+        (MCFLTCSolver, "_solve_batch", "batch"),
+        (MCFLTCSolver, "_greedy_fill", "fill"),
+    ]
+    originals = [(owner, name, vars(owner)[name]) for owner, name, _ in steps]
+
+    def timed(original, key):
+        def call(*args, **kwargs):
+            start = clock()
+            try:
+                return original(*args, **kwargs)
+            finally:
+                totals[key] += clock() - start
+        return call
+
+    try:
+        for (owner, name, original), (_, _, key) in zip(originals, steps):
+            setattr(owner, name, timed(original, key))
+        yield
+    finally:
+        for owner, name, original in originals:
+            setattr(owner, name, original)
+
+
+def bench_batch_phases(repeats: int) -> dict:
+    """Where MCF-LTC's time goes on the e2e paper instances, per pass.
+
+    One pass solves every instance of the workload; each phase is its
+    smallest time over ``repeats`` passes, in ms:
+
+    * ``candidates`` — the batch's candidate-engine pass;
+    * ``start`` — the flow network's arrays with their exact integer
+      costs, the greedy start, the first tree and its potentials;
+    * ``pivots`` — the rest of the flow solve: pivots with their major
+      passes, the certificate, and the SSPA on a fallback batch;
+    * ``apply`` — task capacities and applying the flow;
+    * ``fill`` — the greedy fill;
+    * ``other`` — the rest of the solve (batching, set-up).
+
+    Observational: printed and reported, never gated.
+    """
+    phases = {}
+    for workload, (experiment, value, scale, count) in PAPER_WORKLOADS.items():
+        factory = replace(get_experiment(experiment), seed=PHASE_SEED).instance_factory(scale)
+        instances = [factory(value, repetition) for repetition in range(count)]
+        best = {}
+        for _ in range(repeats):
+            totals = dict.fromkeys(("batch_pairs", "network", "tree", "flow",
+                                    "batch", "fill"), 0.0)
+            with timed_calls(totals):
+                start = time.perf_counter()
+                for instance in instances:
+                    MCFLTCSolver().solve(instance)
+                total = time.perf_counter() - start
+            times = {
+                "candidates": totals["batch_pairs"],
+                "start": totals["network"] + totals["tree"],
+                "pivots": totals["flow"] - totals["tree"],
+                "apply": totals["batch"] - totals["flow"] - totals["network"],
+                "fill": totals["fill"],
+            }
+            times["other"] = total - totals["batch_pairs"] - totals["batch"] - totals["fill"]
+            times["total"] = total
+            for phase, seconds in times.items():
+                best[phase] = min(best.get(phase, math.inf), seconds)
+        phases[workload] = {phase: round(seconds * 1000, 2)
+                            for phase, seconds in best.items()}
+        print(f"phases     {workload:<13} " + "  ".join(
+            f"{phase}={ms:.1f}ms" for phase, ms in phases[workload].items()))
+    return phases
 
 
 _FINGERPRINT_KEYS = ("seed", "batch_workers", "tasks", "pair_arcs",
@@ -264,6 +377,7 @@ def run_suite(args) -> SuiteResult:
                 saturated_s[impl] += value
             fingerprint_cases.append(_fingerprint_case("saturated", entry))
             _print_case("saturated", entry)
+    phases = bench_batch_phases(args.repeats)
     speedup = _common.ratio(totals_s["reference"], totals_s["kernel"])
     simplex_speedup = _common.ratio(totals_s["kernel"], totals_s["simplex"])
     sections = {
@@ -292,6 +406,7 @@ def run_suite(args) -> SuiteResult:
                 "cases": saturated,
             }
         },
+        "batch_phases": {"metrics": {"seed": PHASE_SEED, "ms_per_pass": phases}},
     }
     config = {
         "sizes": list(args.sizes),

@@ -19,26 +19,25 @@ The paper proves a 7.5 approximation ratio for ``epsilon <= e^-1.5``.
 
 Implementation notes
 --------------------
-* The reduction runs directly on the flow kernel's
-  :class:`~repro.flow.kernel.ArcArena`: integer node ids end to end
-  (source 0, sink 1, then task nodes, then per-batch worker nodes), arc-id
-  lookups instead of edge objects, and **one arena reused across batches**
-  — each batch rolls the arena back to the persistent task->sink prefix
-  with :meth:`~repro.flow.kernel.ArcArena.truncate` and refreshes the
-  task->sink capacities from the arrangement's accumulated quality, instead
-  of rebuilding the network from scratch.
+* Each batch is built from **one candidate-engine pass over the whole
+  batch** (:meth:`~repro.core.candidate_engine.engine.CandidateEngine.batch_pairs`):
+  flat arrays of the eligible pairs, workers in arrival order and tasks
+  ascending by id, each with its scalar accuracy, bit-identical to the
+  accuracy model's.  Their costs ``-Acc*`` are computed once, over the
+  array, and everything in the batch is driven from those arrays: the
+  flow network (a :class:`~repro.flow.simplex.BatchNetwork`, integer node
+  ids with source 0, sink 1, then task nodes, then the batch's worker
+  nodes), applying the flow, and the greedy fill's ranking.  Every
+  assignment hands ``acc`` to
+  :meth:`~repro.core.arrangement.Arrangement.assign`.
 * Each batch goes through :func:`solve_mcf`, which runs the primal
   network simplex of :mod:`repro.flow.simplex` first.  The batch network
   is layered (source -> workers -> tasks -> sink, unit worker -> task
   arcs), so the simplex starts from a greedy flow on a strongly feasible
-  tree of real arcs, and the SSPA fallback takes its initial Johnson
-  potentials from :func:`~repro.flow.kernel.dag_potentials` in one O(E)
-  pass over the zero-flow DAG.
-* Each candidate's accuracy is evaluated once, in the candidate engine's
-  scan: ``eligible_pairs`` and ``iter_candidates`` yield it with the pair,
-  bit-identical to the accuracy model's.  Batch arcs cost
-  ``-acc_star(acc)``, the greedy fill ranks by ``acc_star(acc)``, and
-  both hand ``acc`` to :meth:`~repro.core.arrangement.Arrangement.assign`.
+  tree of real arcs.  An :class:`~repro.flow.kernel.ArcArena` is built
+  only for the SSPA fallback, which takes its initial Johnson potentials
+  from :func:`~repro.flow.kernel.dag_potentials` in one O(E) pass over
+  the zero-flow DAG.
 * Determinism among cost-equal optimal flows comes from the kernel SSPA's
   stable tie-breaking (arc-insertion order; workers are inserted in
   arrival order, tasks ascending by id), not from perturbing the costs.
@@ -57,23 +56,25 @@ Implementation notes
   pseudo-code.
 """
 
+
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence
+
+import numpy as np
 
 from repro.algorithms.base import OfflineSolver, SolveResult
 from repro.core.accuracy import acc_star
 from repro.core.arrangement import Arrangement
+from repro.core.candidate_engine.engine import BatchPairs
 from repro.core.candidates import CandidateFinder
 from repro.core.instance import LTCInstance
-from repro.core.task import Task
 from repro.core.worker import Worker
 from repro.flow import kernel
-from repro.flow.kernel import ArcArena, dag_potentials
-from repro.flow.simplex import network_simplex
-from repro.structures.topk import TopKHeap
+from repro.flow.kernel import dag_potentials
+from repro.flow.simplex import BatchNetwork, network_simplex
 
 _SOURCE = 0
 _SINK = 1
@@ -90,27 +91,32 @@ class BatchFlow:
     #: Whether the uniqueness certificate failed (an exact tie) and the
     #: SSPA re-solved.
     fallback: bool
+    #: The pairs that carry a unit, ascending.
+    routed: List[int]
 
 
-def solve_mcf(arena: ArcArena, topo_order: Sequence[int]) -> BatchFlow:
-    """Min-cost max-flow of one batch network, left in ``arena.flow``.
+def solve_mcf(network: BatchNetwork) -> BatchFlow:
+    """Min-cost max-flow of one batch network.
 
     The network simplex runs first, and its flow is kept when its optimum
     is unique (certified in exact integers); otherwise, on an exact tie,
-    the SSPA re-solves from zero flow.  The SSPA runs
+    the SSPA re-solves the network's arena from zero flow.  The SSPA runs
     :func:`~repro.flow.kernel.dag_potentials`, then
     :func:`~repro.flow.kernel.solve_mcf`, and its tie-breaking picks the
     flow among the cost-equal optima.
     """
-    result = network_simplex(arena, _SOURCE, _SINK)
+    result = network_simplex(network)
     if result is None:
-        potentials = dag_potentials(arena, _SOURCE, topo_order)
+        arena, order, pair_arcs = network.to_arena()
+        potentials = dag_potentials(arena, _SOURCE, order)
         sspa = kernel.solve_mcf(arena, _SOURCE, _SINK, potentials=potentials)
-        return BatchFlow(sspa.flow_value, sspa.augmentations, True)
-    return BatchFlow(result.flow_value, result.augmentations, False)
+        flow = arena.flow
+        routed = [j for j, arc in enumerate(pair_arcs) if flow[arc]]
+        return BatchFlow(sspa.flow_value, sspa.augmentations, True, routed)
+    return BatchFlow(result.flow_value, result.augmentations, False, result.routed)
 
 
-_NO_FLOW = BatchFlow(0, 0, False)
+_NO_FLOW = BatchFlow(0, 0, False, [])
 
 
 class MCFLTCSolver(OfflineSolver):
@@ -139,6 +145,7 @@ class MCFLTCSolver(OfflineSolver):
     def solve(self, instance: LTCInstance) -> SolveResult:
         arrangement = instance.new_arrangement()
         candidates = CandidateFinder(instance)
+        engine = candidates.engine
         delta = instance.delta
         capacity = instance.capacity
 
@@ -147,20 +154,11 @@ class MCFLTCSolver(OfflineSolver):
         first_batch_size = max(1, math.floor(1.5 * base_batch))
         batch_size = max(1, math.floor(base_batch))
 
-        # Persistent arena prefix, built once: source, sink, one node and
-        # one sink arc per task.  Batches roll back to this watermark.
-        arena = ArcArena()
-        arena.add_nodes(2)  # _SOURCE, _SINK
-        task_nodes: Dict[int, int] = {}
-        task_sink_arcs: List[Tuple[int, int]] = []  # (task_id, arc_id)
-        # Capacities start at 0: _solve_batch refreshes every task->sink
-        # capacity from the arrangement's accumulated quality before each
-        # solve, so only the arc structure matters here.
-        for task in instance.tasks:
-            node = arena.add_node()
-            task_nodes[task.task_id] = node
-            task_sink_arcs.append((task.task_id, arena.add_arc(node, _SINK, 0, 0.0)))
-        watermark = arena.watermark()
+        # Task i of the instance is flow node 2 + i; map engine positions
+        # to that index.
+        task_ids = [task.task_id for task in instance.tasks]
+        task_index = np.empty(engine.num_tasks, dtype=np.int64)
+        task_index[engine.instance_positions] = np.arange(engine.num_tasks)
 
         workers = instance.workers
         position = 0
@@ -172,13 +170,17 @@ class MCFLTCSolver(OfflineSolver):
             batch = workers[position:position + size]
             position += len(batch)
             batches += 1
+            # One engine pass gives the batch's pairs; completed tasks were
+            # retired as their completions landed, so they are the open set.
+            pairs = engine.batch_pairs(batch)
+            costs = -acc_star(pairs.acc)  # elementwise, bit for bit the scalar's
             flow = self._solve_batch(
-                arrangement, candidates, batch,
-                arena, watermark, task_nodes, task_sink_arcs,
+                arrangement, candidates, batch, pairs, costs, task_ids, task_index
             )
             total_flow += flow.flow_value
             fallbacks += flow.fallback
-            self._greedy_fill(arrangement, candidates, batch)
+            self._greedy_fill(arrangement, candidates, batch, pairs, costs,
+                              flow.routed)
 
         return SolveResult(
             algorithm=self.name,
@@ -201,64 +203,44 @@ class MCFLTCSolver(OfflineSolver):
         arrangement: Arrangement,
         candidates: CandidateFinder,
         batch: Sequence[Worker],
-        arena: ArcArena,
-        watermark: Tuple[int, int],
-        task_nodes: Dict[int, int],
-        task_sink_arcs: Sequence[Tuple[int, int]],
+        pairs: BatchPairs,
+        costs: np.ndarray,
+        task_ids: Sequence[int],
+        task_index: np.ndarray,
     ) -> BatchFlow:
-        """Run the MCF reduction for one batch and apply the resulting flow."""
-        if not batch or arrangement.is_complete():
-            return _NO_FLOW
+        """Run the MCF reduction for one batch and apply the resulting flow.
 
-        # Reuse the arena: drop the previous batch's worker nodes/arcs and
-        # refresh how many more useful answers each task can absorb.
-        arena.truncate(*watermark)
+        The network (Fig. 2a) has a node for every task, with a sink arc
+        of capacity ``ceil(delta - S[t])``, how many more useful answers
+        the task can absorb, and one for every batch worker with a pair.
+        """
+        if not len(costs):
+            return _NO_FLOW
         delta = arrangement.delta
         accumulated_of = arrangement.accumulated_of
-        for task_id, arc in task_sink_arcs:
-            need = delta - accumulated_of(task_id)
-            arena.set_capacity(arc, max(0, math.ceil(need - 1e-12)))
+        task_cap = [
+            max(0, math.ceil(delta - accumulated_of(task_id) - 1e-12))
+            for task_id in task_ids
+        ]
+        workers, pair_worker = np.unique(pairs.workers, return_inverse=True)
+        network = BatchNetwork(
+            task_cap,
+            [batch[k].capacity for k in workers.tolist()],
+            pair_worker,
+            task_index[pairs.positions],
+            costs,
+        )
+        result = solve_mcf(network)
 
-        # Append this batch's worker nodes and arcs (Fig. 2a), streaming the
-        # eligible pairs, each with its accuracy, straight into the arena.
-        # ``eligible_pairs`` yields grouped by worker with tasks ascending,
-        # so the arc order — and therefore the kernel's tie-breaking — is
-        # stable.  Completed tasks were retired through the candidate
-        # facade as their completions landed, so the unrestricted stream is
-        # already the open set — no per-batch uncompleted-id mask is built.
-        pair_arcs: List[Tuple[Worker, Task, float, int]] = []
-        worker_nodes: List[int] = []
-        current_worker = None
-        worker_node = -1
-        for worker, task, acc in candidates.eligible_pairs(batch):
-            if worker is not current_worker:
-                current_worker = worker
-                worker_node = arena.add_node()
-                worker_nodes.append(worker_node)
-                arena.add_arc(_SOURCE, worker_node, worker.capacity, 0.0)
-            arc = arena.add_arc(
-                worker_node, task_nodes[task.task_id], 1, -acc_star(acc)
-            )
-            pair_arcs.append((worker, task, acc, arc))
-        if not pair_arcs:
-            return _NO_FLOW
-
-        # The zero-flow batch network is a source -> workers -> tasks -> sink
-        # DAG; both solvers take that order.
-        topo_order = [_SOURCE]
-        topo_order += worker_nodes
-        topo_order += task_nodes.values()
-        topo_order.append(_SINK)
-        result = solve_mcf(arena, topo_order)
-
-        # Apply every unit of flow on a worker->task arc as an assignment,
+        # Apply every unit of flow on a worker->task pair as an assignment,
         # retiring each task the moment its quality threshold is reached.
-        arc_flow = arena.flow
-        for worker, task, acc, arc in pair_arcs:
-            if arc_flow[arc] > 0:
-                arrangement.assign(worker, task, acc)
-                if arrangement.is_task_complete(task.task_id):
-                    candidates.retire_tasks((task.task_id,))
+        tasks = candidates.engine.tasks
+        index, positions, acc = pairs
+        for j in result.routed:
+            task = tasks[positions[j]]
+            arrangement.assign(batch[index[j]], task, float(acc[j]))
+            if arrangement.is_task_complete(task.task_id):
+                candidates.retire_tasks((task.task_id,))
         return result
 
     def _greedy_fill(
@@ -266,28 +248,45 @@ class MCFLTCSolver(OfflineSolver):
         arrangement: Arrangement,
         candidates: CandidateFinder,
         batch: Sequence[Worker],
+        pairs: BatchPairs,
+        costs: np.ndarray,
+        routed: Sequence[int],
     ) -> None:
         """Lines 8-15: top up workers that still have spare capacity.
 
-        Each such worker receives its best (largest ``Acc*``, from the
-        accuracy each candidate carries) uncompleted tasks it does not
-        already perform, up to its remaining capacity.
-        Completed tasks are already retired from the candidate snapshot,
-        so ``iter_candidates`` yields only the open set; tasks completing
+        Each such worker receives its best (largest ``Acc*``; ties to the
+        earlier candidate, the lower task id under the sigmoid model)
+        uncompleted tasks it does not already perform, up to its
+        remaining capacity.  The batch's pairs are ranked once;
+        the tasks completed since the batch pass are retired from the
+        candidate snapshot, so the fill skips them, and tasks completing
         during the fill are retired in turn.
         """
-        for worker in batch:
+        engine = candidates.engine
+        alive, tasks = engine.alive, engine.tasks
+        taken = np.zeros(len(costs), dtype=bool)
+        taken[routed] = True
+        # Per worker, cheapest pair first; lexsort is stable, so ties keep
+        # the pair order.
+        order = np.lexsort((costs, pairs.workers))
+        bounds = np.searchsorted(pairs.workers[order], np.arange(len(batch) + 1)).tolist()
+        order = order.tolist()
+        taken = taken.tolist()
+        positions = pairs.positions.tolist()
+        acc = pairs.acc.tolist()
+        for k, worker in enumerate(batch):
             if arrangement.is_complete():
                 return
             spare = worker.capacity - arrangement.load_of(worker.index)
             if spare <= 0:
                 continue
-            heap: TopKHeap = TopKHeap(spare)
-            for task, acc in candidates.iter_candidates(worker):
-                if (worker.index, task.task_id) in arrangement:
+            for j in order[bounds[k]:bounds[k + 1]]:
+                if taken[j] or not alive[positions[j]]:
                     continue
-                heap.push(acc_star(acc), (task, acc))
-            for _, (task, acc) in heap.pop_all():
-                arrangement.assign(worker, task, acc)
+                task = tasks[positions[j]]
+                arrangement.assign(worker, task, acc[j])
                 if arrangement.is_task_complete(task.task_id):
                     candidates.retire_tasks((task.task_id,))
+                spare -= 1
+                if not spare:
+                    break

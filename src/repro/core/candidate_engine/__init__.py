@@ -3,7 +3,7 @@
 :class:`~repro.core.candidate_engine.engine.CandidateEngine` snapshots an
 instance's tasks into flat arrays (plus a CSR-packed grid under the
 sigmoid accuracy model) and answers every candidate query — eligibility
-sets, bulk ``eligible_pairs`` arc emission, top-``k`` ``Acc*`` selection,
+sets, MCF-LTC's batch pass (``batch_pairs``), top-``k`` ``Acc*`` selection,
 the dispatcher's routing ``probe``.  Small queries run scalar loops; a query
 whose gathered block reaches
 :data:`~repro.core.candidate_engine.engine.VECTOR_MIN_BLOCK` candidates

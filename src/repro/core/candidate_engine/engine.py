@@ -7,10 +7,11 @@ accuracy model, packs them into a CSR grid: tasks are permuted into
 row-major cell order (``cell_positions``) with per-cell offsets
 (``cell_start``), so a radius query gathers one *contiguous slice per
 cell row* instead of chasing a dict of python lists.  All candidate
-queries the solvers need — eligibility sets, bulk ``eligible_pairs`` arc
-emission, top-``k`` ``Acc*`` selection, and the dispatcher's routing
-probe (:meth:`CandidateEngine.probe`: top-``k``, then a walk over
-completed tasks when that is empty) — run over these arrays.
+queries the solvers need — eligibility sets, MCF-LTC's batch pass
+(:meth:`CandidateEngine.batch_pairs`), top-``k`` ``Acc*`` selection, and
+the dispatcher's routing probe (:meth:`CandidateEngine.probe`: top-``k``,
+then a walk over completed tasks when that is empty) — run over these
+arrays.
 
 **One engine, two gathers, two passes.**  Each grid query computes the
 worker's radius once and picks its *gathered block*.  A snapshot of at
@@ -123,6 +124,7 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -198,8 +200,24 @@ SPILL_REBUILD_FRACTION = 0.25
 #: decide membership either way.
 SPILL_REBUILD_MAX = 2048
 
+#: How many worker-candidate entries :meth:`CandidateEngine.batch_pairs`
+#: filters by distance in one numpy step (float64 arrays of 512 KiB).
+_BATCH_BLOCK = 1 << 16
+
 #: CSR ``(lo, hi)`` slices of the cells a query disk overlaps.
 _Slices = List[Tuple[int, int]]
+
+
+class BatchPairs(NamedTuple):
+    """A batch's assignable pairs, as :meth:`CandidateEngine.batch_pairs`
+    returns them: one entry per pair, grouped by worker."""
+
+    #: The worker's index in the batch, non-decreasing.
+    workers: np.ndarray
+    #: The task's snapshot position, in the oracle order per worker.
+    positions: np.ndarray
+    #: ``Acc(w, t)``, bit-identical to :meth:`CandidateEngine.scalar_accuracy`.
+    acc: np.ndarray
 
 
 class _NumpyMirrors:
@@ -224,6 +242,7 @@ class _NumpyMirrors:
         "ys",
         "task_ids",
         "alive",
+        "cell_start",
         "cell_positions",
         "xs_cell",
         "ys_cell",
@@ -267,10 +286,12 @@ class _NumpyMirrors:
         self.task_ids = np.asarray(engine.task_ids, dtype=np.int64)
         self.alive = np.asarray(engine.alive, dtype=bool)
         if engine.cell_positions is not None:
+            self.cell_start = np.asarray(engine.cell_start, dtype=np.int64)
             self.cell_positions = np.asarray(engine.cell_positions, dtype=np.int64)
             self.xs_cell = self.xs[self.cell_positions]
             self.ys_cell = self.ys[self.cell_positions]
         else:
+            self.cell_start = None
             self.cell_positions = None
             self.xs_cell = None
             self.ys_cell = None
@@ -560,6 +581,23 @@ class CandidateEngine:
         row0 = min(max(row0, 0), self.rows - 1)
         row1 = min(max(row1, 0), self.rows - 1)
         return col0, col1, row0, row1
+
+    def _cell_spans(self, wx, wy, radius):
+        """:meth:`cell_span` over arrays: ``(col0, col1, row0, row1)`` int arrays.
+
+        numpy's float floor division follows Python's, so every span
+        equals :meth:`cell_span`'s; an infinite radius covers the grid.
+        """
+        infinite = np.isinf(radius)
+        radius = np.where(infinite, 0.0, radius)
+        bounds = []
+        for centre, origin, count in ((wx, self.grid_min_x, self.cols),
+                                      (wy, self.grid_min_y, self.rows)):
+            for edge, whole in ((centre - radius, 0), (centre + radius, count - 1)):
+                bound = np.clip((edge - origin) // self.cell_size, 0, count - 1)
+                bound[infinite] = whole
+                bounds.append(bound.astype(np.int64))
+        return bounds
 
     def numpy_mirrors(self) -> _NumpyMirrors:
         """Numpy copies of the lists (built on first use, synced incrementally)."""
@@ -913,18 +951,131 @@ class CandidateEngine:
         tasks = self.tasks
         return [(tasks[p], acc) for p, acc in self._scored(worker)]
 
+    def batch_pairs(self, workers: Sequence[Worker]) -> BatchPairs:
+        """Every assignable pair of a batch of workers, in one pass.
+
+        The pairs are :meth:`scored_tasks` of each worker in turn,
+        concatenated: workers in the given order, each one's tasks in the
+        oracle order, each accuracy the scalar one.  In grid mode every
+        worker gathers the block its own query would (:meth:`_gathered`),
+        numpy filters the entries by the exact squared distance, and the
+        survivors get :meth:`scalar_accuracy`'s expressions and the pinned
+        decision.  The entries come in chunks of at most
+        :data:`_BATCH_BLOCK`, so memory grows with the pairs gathered,
+        never with batch size times snapshot size.  Generic mode runs
+        each worker's scalar pass.
+        """
+        if self.mode != "grid":
+            rows = [self._scalar_pass(worker, 0.0, None) for worker in workers]
+            flat = [entry for row in rows for entry in row]
+            return BatchPairs(
+                np.repeat(np.arange(len(rows), dtype=np.int64),
+                          [len(row) for row in rows]),
+                np.array([p for p, _ in flat], dtype=np.int64),
+                np.array([acc for _, acc in flat], dtype=np.float64),
+            )
+
+        radius = np.array([self.radius_of(worker) for worker in workers],
+                          dtype=np.float64)
+        wx = np.array([worker.location.x for worker in workers], dtype=np.float64)
+        wy = np.array([worker.location.y for worker in workers], dtype=np.float64)
+        reach = np.flatnonzero(radius >= 0)
+        r2 = radius * radius
+
+        mirrors = self.numpy_mirrors()
+        found = []  # (worker indices, positions, dx, dy) per chunk
+        for index, positions in self._gathered(reach, wx, wy, radius):
+            dxs = mirrors.xs[positions] - wx[index]
+            dys = mirrors.ys[positions] - wy[index]
+            keep = dxs * dxs + dys * dys <= r2[index]
+            found.append((index[keep], positions[keep], dxs[keep], dys[keep]))
+        if not found:
+            empty = np.empty(0, dtype=np.int64)
+            return BatchPairs(empty, empty, np.empty(0, dtype=np.float64))
+        index, positions, dxs, dys = (np.concatenate(part) for part in zip(*found))
+
+        # Back into the oracle order: workers as given, task ids ascending.
+        if self.positions_id_ordered:
+            order = np.argsort(index * self.num_tasks + positions, kind="stable")
+        else:
+            order = np.lexsort((mirrors.task_ids[positions], index))
+        index, positions = index[order], positions[order]
+
+        # scalar_accuracy, expression by expression: math.hypot and
+        # math.exp per pair, the rest elementwise (the same IEEE-754 ops).
+        distance = np.array(list(map(math.hypot, dxs[order].tolist(),
+                                     dys[order].tolist())), dtype=np.float64)
+        exponent = -(self.d_max - distance)
+        saturated = exponent > 700.0
+        growth = np.array(list(map(math.exp, np.minimum(exponent, 700.0).tolist())),
+                          dtype=np.float64)
+        p_w = np.array([worker.accuracy for worker in workers], dtype=np.float64)
+        acc = p_w[index] / (1.0 + growth)
+        acc[saturated] = 0.0
+        eligible = acc >= self.threshold
+        return BatchPairs(index[eligible], positions[eligible], acc[eligible])
+
+    def _gathered(self, reach, wx, wy, radius):
+        """The workers' gathered blocks as ``(workers, positions)`` entries.
+
+        Worker ``reach[i]`` gathers what its own query would: the CSR
+        cells its disk overlaps, then the spill range, or every position
+        for a flat gather; tombstones are masked out.  The entries come
+        in chunks of whole workers, each of at most :data:`_BATCH_BLOCK`
+        entries unless one worker's block alone is larger.
+        """
+        mirrors = self.numpy_mirrors()
+        if self.num_tasks <= SPILL_REBUILD_MIN:
+            spill = np.arange(self.num_tasks, dtype=np.int64)
+            rows = np.zeros(len(reach), dtype=np.int64)
+            lo = hi = np.empty(0, dtype=np.int64)
+        else:
+            spill = np.arange(self.spill_start, self.num_tasks, dtype=np.int64)
+            col0, col1, row0, row1 = self._cell_spans(wx[reach], wy[reach],
+                                                      radius[reach])
+            # One CSR slice per worker and cell row.
+            rows = row1 - row0 + 1
+            first = np.cumsum(rows) - rows
+            row = np.repeat(row0 - first, rows) + np.arange(int(rows.sum()))
+            start = mirrors.cell_start
+            lo = start[row * self.cols + np.repeat(col0, rows)]
+            hi = start[row * self.cols + np.repeat(col1, rows) + 1]
+        lengths = hi - lo
+        slice_worker = np.repeat(reach, rows)
+        segments = np.concatenate(([0], np.cumsum(rows)))
+        covered = np.concatenate(([0], np.cumsum(lengths)))
+        sizes = covered[segments[1:]] - covered[segments[:-1]] + len(spill)
+        done = np.concatenate(([0], np.cumsum(sizes)))
+        begin = 0
+        while begin < len(reach):
+            end = max(begin + 1, int(np.searchsorted(
+                done, done[begin] + _BATCH_BLOCK, side="right")) - 1)
+            s0, s1 = segments[begin], segments[end]
+            count = lengths[s0:s1]
+            cells = np.repeat(lo[s0:s1] - covered[s0:s1] + covered[s0], count)
+            cells += np.arange(int(count.sum()))
+            workers = reach[begin:end]
+            index = np.concatenate((np.repeat(slice_worker[s0:s1], count),
+                                    np.repeat(workers, len(spill))))
+            positions = np.concatenate((mirrors.cell_positions[cells],
+                                        np.tile(spill, len(workers))))
+            if self.dead_count:
+                alive = mirrors.alive[positions]
+                index, positions = index[alive], positions[alive]
+            yield index, positions
+            begin = end
+
     def eligible_pairs(
         self, workers: Iterable[Worker]
     ) -> Iterator[Tuple[Worker, Task, float]]:
-        """Bulk-iterate assignable pairs, grouped by worker, ids ascending.
-
-        Each comes as ``(worker, task, Acc(w, task))`` with the scalar
-        accuracy of :meth:`scored_tasks`.
-        """
+        """:meth:`batch_pairs` as ``(worker, task, Acc(w, task))`` triples."""
+        workers = list(workers)
+        pairs = self.batch_pairs(workers)
         tasks = self.tasks
-        for worker in workers:
-            for position, acc in self._scored(worker):
-                yield worker, tasks[position], acc
+        for index, position, acc in zip(pairs.workers.tolist(),
+                                        pairs.positions.tolist(),
+                                        pairs.acc.tolist()):
+            yield workers[index], tasks[position], acc
 
     def reaches_completed(self, worker: Worker) -> bool:
         """Whether the worker is eligible for a task retired as completed.

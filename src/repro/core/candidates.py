@@ -157,7 +157,7 @@ class CandidateFinder:
         """Tombstone completed (or, with ``expired=True``, expired) tasks.
 
         Retired tasks vanish from every subsequent query — candidate
-        lists, ``eligible_pairs`` streams, ``topk`` selection — without
+        lists, batch passes, ``topk`` selection — without
         any snapshot rebuild.  This replaces the per-solver completed-mask
         plumbing: a solver retires a task the moment its arrangement
         completes it, and every later query is automatically restricted
@@ -171,22 +171,25 @@ class CandidateFinder:
     def iter_candidates(self, worker: Worker) -> Iterator[Tuple[Task, float]]:
         """Yield the worker's assignable tasks in ascending-id order.
 
-        Each comes as ``(task, Acc(w, task))``: the scalar accuracy the
-        eligibility decision read, bit-identical to the accuracy model's
-        (:meth:`~repro.core.candidate_engine.engine.CandidateEngine.scored_tasks`).
-        Retired tasks are never yielded.
+        Each comes as ``(task, Acc(w, task))``, from a batch pass of one
+        worker (:meth:`eligible_pairs`).  No program path calls this:
+        MCF-LTC reads its batch's pairs as arrays.  It stays because the
+        frozen end-to-end tracer names it as a trace point.
         """
-        yield from self._engine.scored_tasks(worker)
+        for _, task, acc in self._engine.eligible_pairs([worker]):
+            yield task, acc
 
     def eligible_pairs(
         self, workers: Iterable[Worker]
     ) -> Iterator[Tuple[Worker, Task, float]]:
         """Bulk-iterate every assignable pair as ``(worker, task, acc)``.
 
-        ``acc`` is the pair's accuracy as :meth:`iter_candidates` yields
-        it.  Pairs stream grouped by worker (in the given worker order)
-        with tasks ascending by id inside each group — exactly the stable
-        arc order the MCF-LTC reduction appends to the kernel arena.
+        ``acc`` is the pair's scalar accuracy, bit-identical to the
+        accuracy model's.  Pairs stream grouped by worker (in the given
+        worker order) with tasks ascending by id inside each group, from
+        one engine pass over the whole batch
+        (:meth:`~repro.core.candidate_engine.engine.CandidateEngine.batch_pairs`,
+        whose arrays MCF-LTC reads directly).
         """
         return self._engine.eligible_pairs(workers)
 

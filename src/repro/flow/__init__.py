@@ -14,9 +14,10 @@ is used only when it provably equals the SSPA's:
   initial potentials from :func:`dag_potentials` (one O(E) pass over the
   LTC reduction's 3-layer DAG).
 * :func:`network_simplex` (:mod:`repro.flow.simplex`) — a primal network
-  simplex over the same arena for the layered batch network at zero flow,
-  started from a greedy flow, with numpy candidate-list pricing and
-  exact integer costs.  It writes its flow back only when a uniqueness
+  simplex for the layered batch network, read as flat arrays
+  (:class:`BatchNetwork`, which lays itself out as an arena for the
+  SSPA), started from a greedy flow, with numpy candidate-list pricing
+  and exact integer costs.  It reports its flow only when a uniqueness
   certificate shows the exact optimum is unique, and returns ``None`` on
   an exact tie, so the SSPA's tie-breaking still decides among
   cost-equal optima.
@@ -34,7 +35,7 @@ from repro.flow.kernel import (
     dag_potentials,
     solve_mcf,
 )
-from repro.flow.simplex import network_simplex
+from repro.flow.simplex import BatchNetwork, network_simplex
 from repro.flow.validate import validate_arena_flow, FlowViolation
 from repro.flow.exceptions import (
     FlowError,
@@ -44,6 +45,7 @@ from repro.flow.exceptions import (
 
 __all__ = [
     "ArcArena",
+    "BatchNetwork",
     "KernelFlowResult",
     "dag_potentials",
     "solve_mcf",

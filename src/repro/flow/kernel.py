@@ -27,11 +27,8 @@ residual graph at zero flow is a 3-layer DAG ``source -> workers -> tasks
 -> sink``, so a single O(E) relaxation pass over a caller-supplied
 topological order gives exact shortest distances.
 
-The arena also supports the batch lifecycle of MCF-LTC: persistent structure
-(task->sink arcs) is built once, a watermark is taken with
-:meth:`ArcArena.watermark`, and each batch rolls back to it with
-:meth:`ArcArena.truncate` before appending that batch's worker arcs —
-no per-batch network rebuild.
+MCF-LTC builds an arena only for a batch that falls back, from the batch's
+flat arrays (:meth:`repro.flow.simplex.BatchNetwork.to_arena`).
 """
 
 from __future__ import annotations
@@ -66,8 +63,7 @@ class ArcArena:
     * ``head[a ^ 1]`` is the tail of ``a``; ``cost[a ^ 1] == -cost[a]``;
       ``flow[a ^ 1] == -flow[a]``; residual twins rest at ``cap == 0``;
     * ``0 <= flow[a] <= cap[a]`` on forward arcs whenever the flow was
-      routed by :func:`solve_mcf` or
-      :func:`~repro.flow.simplex.network_simplex`;
+      routed by :func:`solve_mcf`;
     * arc ids are assigned in insertion order and never reused, which is
       what makes the kernel's tie-breaking (and therefore MCF-LTC
       arrangements) deterministic.
@@ -145,52 +141,10 @@ class ArcArena:
 
     # ----------------------------------------------------------------- state
 
-    def set_capacity(self, arc: int, capacity: int) -> None:
-        """Re-set the capacity of a forward arc (batch-reuse lifecycle)."""
-        if arc & 1:
-            raise ValueError("capacities are set on forward (even) arcs")
-        if capacity < 0:
-            raise ValueError("capacity must be non-negative")
-        if int(capacity) != capacity:
-            raise ValueError("capacity must be an integer")
-        self.cap[arc] = int(capacity)
-
     def total_cost(self) -> float:
         """Total cost of the current flow over forward arcs."""
         cost, flow = self.cost, self.flow
         return sum(cost[a] * flow[a] for a in range(0, len(flow), 2) if flow[a])
-
-    # ---------------------------------------------------------- batch reuse
-
-    def watermark(self) -> Tuple[int, int]:
-        """The ``(num_nodes, num_arcs)`` snapshot :meth:`truncate` rolls back to."""
-        return (self._num_nodes, len(self.head))
-
-    def truncate(self, num_nodes: int, num_arcs: int) -> None:
-        """Roll back to a watermark: drop newer nodes/arcs, zero all flows.
-
-        This is how MCF-LTC reuses one arena across batches: the persistent
-        prefix (source, sink, task nodes and task->sink arcs) survives —
-        capacities intact, flows zeroed — while the previous batch's worker
-        nodes and arcs are discarded in one cheap pass over the retained
-        arcs, without rebuilding the graph.
-        """
-        if num_arcs % 2:
-            raise ValueError("num_arcs must be even (arcs come in twin pairs)")
-        if num_arcs > len(self.head) or num_nodes > self._num_nodes:
-            raise ValueError("cannot truncate beyond the current size")
-        for a in range(num_arcs):
-            if self.head[a] >= num_nodes:
-                raise ValueError(
-                    f"arc {a} references node {self.head[a]} above the "
-                    f"node watermark {num_nodes}"
-                )
-        del self.head[num_arcs:]
-        del self.cost[num_arcs:]
-        del self.cap[num_arcs:]
-        self.flow = [0] * num_arcs
-        self._num_nodes = num_nodes
-        self._adj_valid = False
 
     # ------------------------------------------------------------- adjacency
 

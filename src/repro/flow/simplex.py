@@ -4,15 +4,17 @@
 :func:`repro.flow.kernel.solve_mcf` on the layered LTC batch network
 (``source -> workers -> tasks -> sink``, unit worker -> task arcs), but
 moves whole paths of flow per pivot instead of one unit per Dijkstra.  It
-keeps its own parallel arrays and touches the arena only to write the
-final flow, and only when that flow is provably the unique optimum:
+reads the network as flat arrays (:class:`BatchNetwork`), not as an
+arena, and reports the pairs its flow uses only when that flow is
+provably the unique optimum:
 
 * **Exact integer costs.** Every float is a dyadic rational, so one power
   of two turns all of a batch's costs into integers without rounding
-  (:func:`_integer_costs`).  Potentials, pivots and the certificate work
-  on those integers: an arc enters only if its reduced cost is negative,
-  the simplex stops at the exact optimum of the float costs, and only an
-  exactly cost-equal second optimum fails the certificate.
+  (:func:`_integer_costs`, once per network).  Potentials, pivots and the
+  certificate work on those integers: an arc enters only if its reduced
+  cost is negative, the simplex stops at the exact optimum of the float
+  costs, and only an exactly cost-equal second optimum fails the
+  certificate.
 * **Max flow first.** A return arc ``sink -> source`` of unbounded
   capacity turns the problem into a min-cost circulation.  Its cost is
   lexicographic — primary ``-1``, secondary ``0`` — so every extra unit
@@ -45,22 +47,22 @@ tree arcs in their residual direction plus the ties in theirs form a
 directed graph in which any zero-cost cycle passes a tie.  If it is
 acyclic, the optimum is unique (:func:`_unique`).
 
-When the certificate fails, :func:`network_simplex` returns ``None`` and
-leaves the arena at zero flow, and the caller re-solves with the SSPA.
-That happens only on an exact tie between two optima, such as the
-repeated accuracies of the paper's Table I; near-ties of the sigmoid
-accuracy model, however close, are decided exactly
-(``docs/flow_kernel.md``, "Exact costs").
+When the certificate fails, :func:`network_simplex` returns ``None``, and
+the caller re-solves :meth:`BatchNetwork.to_arena` with the SSPA.  That
+happens only on an exact tie between two optima, such as the repeated
+accuracies of the paper's Table I; near-ties of the sigmoid accuracy
+model, however close, are decided exactly (``docs/flow_kernel.md``,
+"Exact costs").
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, NamedTuple, Optional
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.flow.kernel import ArcArena, KernelFlowResult
+from repro.flow.kernel import ArcArena
 
 #: How many entering-arc candidates a major pass keeps.  Chosen by a
 #: sweep on the e2e ``paper_dense`` and ``paper_sparse`` instances
@@ -68,37 +70,121 @@ from repro.flow.kernel import ArcArena, KernelFlowResult
 CANDIDATES = 96
 
 _INF = math.inf
+_SOURCE = 0
+_SINK = 1
 
 
-def network_simplex(
-    graph: ArcArena, source: int, sink: int
-) -> Optional[KernelFlowResult]:
+class BatchNetwork:
+    """One MCF-LTC batch network as flat arrays.
+
+    The source (node 0) feeds worker ``k`` (node ``2 + len(task_cap) + k``)
+    up to ``worker_cap[k]`` units; task ``i`` (node ``2 + i``) drains up to
+    ``task_cap[i]`` units into the sink (node 1); pair ``j`` is a unit arc
+    from worker ``pair_worker[j]`` to task ``pair_task[j]`` costing
+    ``costs[j]``.  Pairs come grouped by worker, workers ascending.  That
+    is the arena MCF-LTC's reduction lays out (:meth:`to_arena`), in the
+    same arc order: the task -> sink arcs, then each worker's source arc
+    followed by its pairs.
+
+    The costs are scaled to exact integers once, here (``scaled``, see
+    :func:`_integer_costs`).  ``ValueError`` if they have no common
+    integer scale, or if the arrays describe no such network.
+    """
+
+    __slots__ = ("task_cap", "worker_cap", "pair_worker", "pair_task",
+                 "costs", "scaled")
+
+    def __init__(
+        self,
+        task_cap: Sequence[int],
+        worker_cap: Sequence[int],
+        pair_worker,
+        pair_task,
+        costs,
+    ) -> None:
+        self.task_cap = list(task_cap)
+        self.worker_cap = list(worker_cap)
+        self.pair_worker = np.asarray(pair_worker, dtype=np.int64)
+        self.pair_task = np.asarray(pair_task, dtype=np.int64)
+        self.costs = np.asarray(costs, dtype=np.float64)
+        pairs = len(self.costs)
+        if not len(self.pair_worker) == len(self.pair_task) == pairs:
+            raise ValueError("every pair needs a worker, a task and a cost")
+        if min(self.task_cap + self.worker_cap, default=0) < 0:
+            raise ValueError("capacities must be non-negative")
+        if pairs and (
+            self.pair_worker[0] < 0
+            or self.pair_worker[-1] >= len(self.worker_cap)
+            or (np.diff(self.pair_worker) < 0).any()
+            or self.pair_task.min() < 0
+            or self.pair_task.max() >= len(self.task_cap)
+        ):
+            raise ValueError(
+                "pairs must name known workers and tasks, grouped by "
+                "worker in ascending order"
+            )
+        self.scaled = _integer_costs(self.costs)
+
+    @property
+    def num_arcs(self) -> int:
+        """Arcs of :meth:`to_arena`'s arena, residual twins included."""
+        return 2 * (len(self.task_cap) + len(self.worker_cap) + len(self.costs))
+
+    def to_arena(self) -> Tuple[ArcArena, List[int], List[int]]:
+        """The network as an arena at zero flow, for the SSPA.
+
+        Returns ``(arena, order, pair_arcs)``: ``order`` is the zero-flow
+        DAG's topological order (source, workers, tasks, sink) that
+        :func:`~repro.flow.kernel.dag_potentials` takes, and
+        ``pair_arcs[j]`` the arena arc of pair ``j``.
+        """
+        num_tasks = len(self.task_cap)
+        arena = ArcArena(2 + num_tasks)
+        for i, cap in enumerate(self.task_cap):
+            arena.add_arc(2 + i, _SINK, cap, 0.0)
+        pair_worker = self.pair_worker.tolist()
+        pair_task = self.pair_task.tolist()
+        costs = self.costs.tolist()
+        worker_nodes = []
+        pair_arcs = []
+        j = 0
+        for k, cap in enumerate(self.worker_cap):
+            node = arena.add_node()
+            worker_nodes.append(node)
+            arena.add_arc(_SOURCE, node, cap, 0.0)
+            while j < len(costs) and pair_worker[j] == k:
+                pair_arcs.append(arena.add_arc(node, 2 + pair_task[j], 1, costs[j]))
+                j += 1
+        order = [_SOURCE, *worker_nodes, *range(2, 2 + num_tasks), _SINK]
+        return arena, order, pair_arcs
+
+
+class SimplexFlow(NamedTuple):
+    """A certified optimum, as :func:`network_simplex` returns it."""
+
+    #: Units routed from the source to the sink.
+    flow_value: int
+    #: Pivots from the greedy start.
+    augmentations: int
+    #: The pairs that carry a unit, ascending.
+    routed: List[int]
+
+
+def network_simplex(network: BatchNetwork) -> Optional[SimplexFlow]:
     """Min-cost max-flow by network simplex, or ``None`` if not unique.
 
-    The arena must hold a layered batch network at zero flow (the layout
-    :func:`_greedy_start` checks; ``ValueError`` otherwise).  On success
-    the arena holds the unique optimal flow (twins in lockstep) and the
-    result counts pivots as ``augmentations``.
-    On ``None`` the arena is untouched.
+    On success the result names the pairs of the unique optimal flow and
+    counts pivots as ``augmentations``.
     """
-    n = graph.num_nodes
-    if not (0 <= source < n and 0 <= sink < n) or source == sink:
-        raise ValueError("source and sink must be distinct nodes of the graph")
-    if any(graph.flow):
-        raise ValueError("network_simplex needs an arena at zero flow")
-    basis = _optimal_basis(graph, source, sink)
+    basis = _optimal_basis(network)
     if basis is None:
-        return KernelFlowResult(flow_value=0, augmentations=0)
+        return SimplexFlow(0, 0, [])
     x = basis.x
     if basis.ties and not _unique(basis.edge, basis.S, basis.T, basis.U, x,
-                                  basis.ties, n):
+                                  basis.ties, len(basis.edge)):
         return None
-    flow = graph.flow
-    for j, a in enumerate(basis.arcs):
-        if x[j]:
-            flow[a] = x[j]
-            flow[a ^ 1] = -x[j]
-    return KernelFlowResult(flow_value=x[-1], augmentations=basis.pivots)
+    units = np.array(x, dtype=np.int64)[basis.pair_local]
+    return SimplexFlow(x[-1], basis.pivots, basis.kept[units > 0].tolist())
 
 
 class _Basis(NamedTuple):
@@ -106,13 +192,14 @@ class _Basis(NamedTuple):
 
     Local arc ``j`` runs ``S[j] -> T[j]`` with capacity ``U[j]``, integer
     cost ``C[j]`` and flow ``x[j]``; the last one is the return arc.
-    ``arcs`` maps the others to arena arcs.  ``edge[v]`` is node ``v``'s
-    parent arc in the tree (``-1`` for the root and pruned nodes), and
-    ``P1``/``P2`` price every tree arc at exactly zero.  ``ties`` lists the
-    non-tree arcs that price exactly zero.
+    Pair ``kept[i]`` is local arc ``pair_local[i]``.  ``edge[v]`` is node
+    ``v``'s parent arc in the tree (``-1`` for the root and pruned nodes),
+    and ``P1``/``P2`` price every tree arc at exactly zero.  ``ties``
+    lists the non-tree arcs that price exactly zero.
     """
 
-    arcs: List[int]
+    kept: np.ndarray
+    pair_local: np.ndarray
     S: List[int]
     T: List[int]
     U: list
@@ -125,58 +212,29 @@ class _Basis(NamedTuple):
     pivots: int
 
 
-def _optimal_basis(graph: ArcArena, source: int, sink: int) -> Optional[_Basis]:
+def _optimal_basis(network: BatchNetwork) -> Optional[_Basis]:
     """Pivot from the greedy start to an optimal basis.
 
     ``None`` when the max flow is zero (nothing to route).
     """
-    head = graph.head
-    n = graph.num_nodes
-    start = _greedy_start(graph, source, sink)
+    start = _greedy_start(network)
     if start is None:
         return None
-    arcs, x, parent, edge = start
-    ret = len(arcs)  # the return arc sink -> source
-    S = [head[a ^ 1] for a in arcs]
-    T = [head[a] for a in arcs]
-    U: list = [graph.cap[a] for a in arcs]
-    cost = graph.cost
-    C, scaled = _integer_costs([cost[a] for a in arcs] + [0.0])
-    S.append(sink)
-    T.append(source)
-    U.append(_INF)
+    S, T, U, C, x, parent, edge = start.S, start.T, start.U, start.C, start.x, \
+        start.parent, start.edge
+    source, sink = _SOURCE, _SINK
+    n = len(parent)
+    ret = len(x) - 1  # the return arc sink -> source
 
-    # Tree: parent, parent arc, subtree size, circular preorder thread
-    # (nxt/prv) and each subtree's last node in that thread.
-    children: List[List[int]] = [[] for _ in range(n)]
-    for v in range(n):
-        if parent[v] >= 0:
-            children[parent[v]].append(v)
-    pre: List[int] = []
-    stack = [sink]
-    while stack:
-        v = stack.pop()
-        pre.append(v)
-        stack.extend(reversed(children[v]))
-    size = [1] * n
-    for v in reversed(pre):
-        if v != sink:
-            size[parent[v]] += size[v]
-    nxt = [-1] * n
-    prv = [-1] * n
-    last = [-1] * n
-    for i, v in enumerate(pre):
-        nxt[v] = pre[(i + 1) % len(pre)]
-        prv[nxt[v]] = v
-        last[v] = pre[i + size[v] - 1]
+    pre, size, nxt, prv, last = _thread(parent, sink)
     P1, P2 = _potentials(pre, parent, edge, S, C, ret, n)
 
     # The major pass's arrays.  ``sign[j]`` is -1 when arc j carries flow:
     # a non-tree arc then sits at its upper bound and prices negated.
     # Only the leaving arc of a pivot can change it.
-    sign = np.array([-1.0 if units else 1.0 for units in x])
-    cost_max = float(np.abs(scaled).max())
-    arrays = (np.array(S), np.array(T), scaled, sign, cost_max)
+    sign = start.sign
+    cost_max = float(np.abs(start.scaled).max())
+    arrays = (start.S_array, start.T_array, start.scaled, sign, cost_max)
 
     candidates: List[int] = []
     ties: List[int] = []
@@ -216,45 +274,39 @@ def _optimal_basis(graph: ArcArena, source: int, sink: int) -> Optional[_Basis]:
         else:
             p, q = S[i], T[i]
 
-        # The pivot cycle: apex -> ... -> p -> q -> ... -> apex, as
-        # (arc, node the flow leaves along that arc) pairs.
+        # The pivot cycle runs apex -> ... -> p -> q -> ... -> apex.
         w = _apex(p, q, parent, size)
-        down = []
-        v = p
-        while v != w:
-            down.append((edge[v], parent[v]))
-            v = parent[v]
-        down.reverse()
-        entering = len(down)
-        cycle = down
-        cycle.append((i, p))
-        v = q
-        while v != w:
-            cycle.append((edge[v], v))
-            v = parent[v]
-
-        # Leaving arc: the last blocking arc after the apex.
-        delta = _INF
-        leave = -1
-        for index, (j, v) in enumerate(cycle):
-            r = U[j] - x[j] if S[j] == v else x[j]
-            if r <= delta:
-                delta = r
-                leave = index
-        j_out, s_out = cycle[leave]
+        delta, j_out, s_out, p_side = _leaving_arc(i, p, q, w, S, U, x,
+                                                   parent, edge)
         if delta:
-            for j, v in cycle:
+            v = p
+            while v != w:
+                j = edge[v]
+                u = parent[v]
+                if S[j] == u:
+                    x[j] += delta
+                else:
+                    x[j] -= delta
+                v = u
+            if S[i] == p:
+                x[i] += delta
+            else:
+                x[i] -= delta
+            v = q
+            while v != w:
+                j = edge[v]
                 if S[j] == v:
                     x[j] += delta
                 else:
                     x[j] -= delta
+                v = parent[v]
         sign[j_out] = -1.0 if x[j_out] else 1.0
         if j_out == i:
             continue
         t_out = T[j_out] if S[j_out] == s_out else S[j_out]
         if parent[t_out] != s_out:
             s_out, t_out = t_out, s_out
-        if leave < entering:
+        if p_side:
             # The leaving arc lies on the apex -> p side, so the subtree
             # cut off contains p: re-enter it through p.
             p, q = q, p
@@ -343,23 +395,100 @@ def _optimal_basis(graph: ArcArena, source: int, sink: int) -> Optional[_Basis]:
                 break
             v = nxt[v]
 
-    return _Basis(arcs, S, T, U, C, x, edge, P1, P2, ties, pivots)
+    return _Basis(start.kept, start.pair_local, S, T, U, C, x, edge, P1, P2,
+                  ties, pivots)
 
 
-def _integer_costs(costs: List[float]):
+def _thread(parent: List[int], root: int):
+    """The tree's bookkeeping: ``(pre, size, nxt, prv, last)``.
+
+    ``pre`` lists the nodes under ``root`` in preorder (children by
+    ascending id); per node, ``size`` is its subtree's size, ``nxt`` and
+    ``prv`` link the circular preorder thread, and ``last`` is its
+    subtree's last node in that thread.
+    """
+    n = len(parent)
+    children: List[List[int]] = [[] for _ in range(n)]
+    for v in range(n):
+        if parent[v] >= 0:
+            children[parent[v]].append(v)
+    pre: List[int] = []
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        pre.append(v)
+        stack.extend(reversed(children[v]))
+    size = [1] * n
+    for v in reversed(pre):
+        if v != root:
+            size[parent[v]] += size[v]
+    nxt = [-1] * n
+    prv = [-1] * n
+    last = [-1] * n
+    for i, v in enumerate(pre):
+        nxt[v] = pre[(i + 1) % len(pre)]
+        prv[nxt[v]] = v
+        last[v] = pre[i + size[v] - 1]
+    return pre, size, nxt, prv, last
+
+
+def _leaving_arc(i, p, q, w, S, U, x, parent, edge):
+    """The leaving arc of the pivot entering ``i`` from ``p`` to ``q``.
+
+    The cycle runs ``w -> ... -> p``, over ``i`` to ``q``, then
+    ``q -> ... -> w`` with ``w`` the apex; the leaving arc is its last
+    arc of least residual capacity in that order.  Walking up from ``p``
+    visits the first side in reverse, so a tie there keeps the arc found
+    first; the entering arc and the walk up from ``q`` follow the cycle's
+    order, so a tie moves on to the later arc.  Returns ``(delta, arc,
+    node, p_side)``: the residual capacity, the leaving arc, the node the
+    flow leaves along it, and whether it lies on the ``w -> p`` side.
+    """
+    delta = _INF
+    leave = out = -1
+    v = p
+    while v != w:
+        j = edge[v]
+        u = parent[v]
+        r = U[j] - x[j] if S[j] == u else x[j]
+        if r < delta:
+            delta = r
+            leave = j
+            out = u
+        v = u
+    p_side = leave >= 0
+    r = U[i] - x[i] if S[i] == p else x[i]
+    if r <= delta:
+        delta = r
+        leave = i
+        out = p
+        p_side = False
+    v = q
+    while v != w:
+        j = edge[v]
+        r = U[j] - x[j] if S[j] == v else x[j]
+        if r <= delta:
+            delta = r
+            leave = j
+            out = v
+            p_side = False
+        v = parent[v]
+    return delta, leave, out, p_side
+
+
+def _integer_costs(costs) -> np.ndarray:
     """The costs scaled by one power of two to exact integers.
 
     A nonzero float is ``m * 2**(e - 53)`` with an integer mantissa ``m``
     and ``e`` its :func:`math.frexp` exponent, so scaling by ``2**shift``
     with ``shift = 53 - min(e)`` over the costs makes every one an
     integer, and scaling by a power of two rounds nothing.  For ``-Acc*``
-    in ``[-1, -0.1024]`` that is ``2**56``.  Returns the integers as a
-    list of Python ints, for exact arithmetic, and as a float64 array
-    holding the same values, for the major pass.  ``ValueError`` if a
-    cost is not finite, or if a scaled cost would reach ``2**960``, where
-    sums of them (the potentials) could overflow a float.
+    in ``[-1, -0.1024]`` that is ``2**56``.  Returns them as a float64
+    array holding those integers exactly.  ``ValueError`` if a cost is
+    not finite, or if a scaled cost would reach ``2**960``, where sums of
+    them (the potentials) could overflow a float.
     """
-    values = np.array(costs, dtype=np.float64)
+    values = np.asarray(costs, dtype=np.float64)
     if not np.isfinite(values).all():
         raise ValueError("network_simplex needs finite costs")
     nonzero = values[values != 0]
@@ -369,8 +498,125 @@ def _integer_costs(costs: List[float]):
         shift = max(0, 53 - int(exponents.min()))
         if int(exponents.max()) + shift > 960:
             raise ValueError("network_simplex needs costs within 900 binades")
-    scaled = np.ldexp(values, shift)
-    return [int(v) for v in scaled.tolist()], scaled
+    return np.ldexp(values, shift)
+
+
+class _Start(NamedTuple):
+    """The first basis, as :func:`_greedy_start` builds it (see there)."""
+
+    kept: np.ndarray
+    pair_local: np.ndarray
+    S: List[int]
+    T: List[int]
+    U: list
+    C: List[int]
+    x: List[int]
+    S_array: np.ndarray
+    T_array: np.ndarray
+    scaled: np.ndarray
+    sign: np.ndarray
+    parent: List[int]
+    edge: List[int]
+
+
+def _greedy_start(network: BatchNetwork) -> Optional[_Start]:
+    """The first basis: a greedy flow on a strongly feasible tree.
+
+    Pruned are the pairs whose worker or task has capacity 0, and the
+    workers and tasks left with no pair.  The kept pairs route one unit
+    each, in ascending ``(cost, pair)`` order, while the worker has
+    source capacity and the task sink capacity left.  Nothing routes
+    exactly when no pair is kept, that is when the max flow is 0; then
+    the result is ``None``.
+
+    Otherwise the local arcs are the kept arena arcs in arena order —
+    the kept tasks' sink arcs, then each kept worker's source arc and its
+    kept pairs — and then the return arc ``sink -> source``.  The start
+    holds the kept pairs and their local arcs; each local arc's ends,
+    capacity, integer cost (as ints and as float64) and flow; the major
+    pass's sign per arc (-1 where it carries flow); and each node's
+    parent and parent arc (a local index) in a tree rooted at the sink,
+    ``-1`` for the sink and pruned nodes.  The source hangs under the
+    sink by the return arc, loaded workers under the source, tasks with
+    room under the sink, full tasks under their first assigned worker
+    and unloaded workers under their first kept task.  Every tree arc can
+    carry more flow toward the sink, so the tree is strongly feasible,
+    and every non-tree arc sits at a bound.
+    """
+    num_tasks = len(network.task_cap)
+    pair_worker, pair_task = network.pair_worker, network.pair_task
+    task_cap = np.array(network.task_cap, dtype=np.int64)
+    worker_cap = np.array(network.worker_cap, dtype=np.int64)
+    kept = np.flatnonzero((worker_cap[pair_worker] > 0) & (task_cap[pair_task] > 0))
+    if not kept.size:
+        return None
+
+    room_w = list(network.worker_cap)
+    room_t = list(network.task_cap)
+    routed = np.zeros(len(pair_worker), dtype=np.int64)
+    first_in = [-1] * num_tasks  # each task's first routed pair
+    total = 0
+    order = kept[np.argsort(network.scaled[kept], kind="stable")]
+    for j, w, t in zip(order.tolist(), pair_worker[order].tolist(),
+                       pair_task[order].tolist()):
+        if room_w[w] and room_t[t]:
+            room_w[w] -= 1
+            room_t[t] -= 1
+            routed[j] = 1
+            total += 1
+            if first_in[t] < 0:
+                first_in[t] = j
+
+    # Local arcs: each kept worker's source arc sits just before its
+    # first kept pair.
+    kept_w, kept_t = pair_worker[kept], pair_task[kept]
+    workers, first = np.unique(kept_w, return_index=True)
+    tasks = np.flatnonzero(np.bincount(kept_t, minlength=num_tasks))
+    nt, nw, nk = len(tasks), len(workers), len(kept)
+    ret = nt + nw + nk
+    rank = np.repeat(np.arange(nw), np.diff(np.append(first, nk)))
+    pair_local = nt + 1 + rank + np.arange(nk)
+    source_local = nt + np.arange(nw) + first
+    worker_nodes = 2 + num_tasks + workers
+    room_w = np.array(room_w, dtype=np.int64)
+    room_t = np.array(room_t, dtype=np.int64)
+
+    S = np.empty(ret + 1, dtype=np.int64)
+    T = np.empty(ret + 1, dtype=np.int64)
+    U = np.empty(ret + 1, dtype=np.int64)
+    x = np.empty(ret + 1, dtype=np.int64)
+    S[:nt], T[:nt], U[:nt] = 2 + tasks, _SINK, task_cap[tasks]
+    x[:nt] = U[:nt] - room_t[tasks]
+    S[source_local], T[source_local] = _SOURCE, worker_nodes
+    U[source_local] = worker_cap[workers]
+    x[source_local] = worker_cap[workers] - room_w[workers]
+    S[pair_local], T[pair_local], U[pair_local] = 2 + num_tasks + kept_w, 2 + kept_t, 1
+    x[pair_local] = routed[kept]
+    S[ret], T[ret], U[ret], x[ret] = _SINK, _SOURCE, 0, total
+    scaled = np.zeros(ret + 1)
+    scaled[pair_local] = network.scaled[kept]
+
+    n = 2 + num_tasks + len(network.worker_cap)
+    parent = np.full(n, -1, dtype=np.int64)
+    edge = np.full(n, -1, dtype=np.int64)
+    parent[_SOURCE], edge[_SOURCE] = _SINK, ret
+    loaded = room_w[workers] < worker_cap[workers]
+    parent[worker_nodes] = np.where(loaded, _SOURCE, 2 + kept_t[first])
+    edge[worker_nodes] = np.where(loaded, source_local, pair_local[first])
+    full = room_t[tasks] == 0
+    feeder = np.array(first_in, dtype=np.int64)[tasks]
+    parent[2 + tasks] = np.where(full, 2 + num_tasks + pair_worker[feeder], _SINK)
+    edge[2 + tasks] = np.where(
+        full, pair_local[np.searchsorted(kept, feeder)], np.arange(nt)
+    )
+
+    U_list = U.tolist()
+    U_list[ret] = _INF
+    return _Start(
+        kept, pair_local, S.tolist(), T.tolist(), U_list,
+        [int(c) for c in scaled.tolist()], x.tolist(), S, T, scaled,
+        np.where(x > 0, -1.0, 1.0), parent.tolist(), edge.tolist(),
+    )
 
 
 def _major_pass(P1, P2, S, T, C, x, edge, arrays):
@@ -422,107 +668,6 @@ def _major_pass(P1, P2, S, T, C, x, edge, arrays):
     if candidates:
         return candidates, []
     return candidates, ties
-
-
-def _greedy_start(graph: ArcArena, source: int, sink: int):
-    """The first basis: a greedy flow on a strongly feasible tree.
-
-    The arena must be a layered batch network, or ``ValueError`` is
-    raised: one arc from ``source`` into each *worker*, one arc from each
-    *task* into ``sink``, no node both, and every other arc from a worker
-    to a task with capacity at most 1.  Pruned are the arcs of capacity
-    0, the worker -> task arcs whose worker or task has capacity 0, and
-    the workers and tasks left with no worker -> task arc.
-
-    The kept worker -> task arcs route one unit each, in ascending
-    ``(cost, arc id)`` order, while the worker has source capacity and
-    the task sink capacity left.  Nothing routes exactly when no arc is
-    kept, that is when the max flow is 0; then the result is ``None``.
-    Otherwise it is ``(arcs, x, parent, edge)``: the kept arena arcs
-    ascending; the flow on each of them, then on the return arc
-    ``sink -> source`` (local index ``len(arcs)``); and each node's parent
-    and parent arc (a local index) in a tree rooted at the sink, ``-1``
-    for the sink and pruned nodes.  The source hangs under the sink by
-    the return arc, loaded workers under the source, tasks with room
-    under the sink, full tasks under their first assigned worker and
-    unloaded workers under their first kept task.  Every tree arc can
-    carry more flow toward the sink, so the tree is strongly feasible,
-    and every non-tree arc sits at a bound.
-    """
-    head, cap = graph.head, graph.cap
-    n = graph.num_nodes
-    # Classify the layers; ``into`` is a worker's source arc or a task's
-    # sink arc, ``room`` its capacity left.
-    layer = bytearray(n)  # 1 worker, 2 task
-    into = [-1] * n
-    room = [0] * n
-    middle = []
-    for a in range(0, len(head), 2):
-        s, t = head[a ^ 1], head[a]
-        if s == source:
-            v, kind = t, 1
-        elif t == sink:
-            v, kind = s, 2
-        else:
-            middle.append(a)
-            continue
-        if layer[v] or v == source or v == sink:
-            raise ValueError("network_simplex needs a layered batch network")
-        layer[v] = kind
-        into[v] = a
-        room[v] = cap[a]
-    for a in middle:
-        if layer[head[a ^ 1]] != 1 or layer[head[a]] != 2 or cap[a] > 1:
-            raise ValueError("network_simplex needs a layered batch network")
-    kept = [a for a in middle if cap[a] and room[head[a ^ 1]] and room[head[a]]]
-    if not kept:
-        return None
-
-    total = 0
-    routed = bytearray(len(head))
-    first_in = [-1] * n  # each task's first routed arc
-    for a in sorted(kept, key=graph.cost.__getitem__):
-        w, t = head[a ^ 1], head[a]
-        if room[w] and room[t]:
-            room[w] -= 1
-            room[t] -= 1
-            routed[a] = 1
-            total += 1
-            if first_in[t] < 0:
-                first_in[t] = a
-    first_out = [-1] * n  # each kept worker's first kept arc
-    nodes = {}
-    for a in kept:
-        w = head[a ^ 1]
-        if first_out[w] < 0:
-            first_out[w] = a
-        nodes[w] = nodes[head[a]] = None
-    arcs = sorted(kept + [into[v] for v in nodes])
-    local = {a: j for j, a in enumerate(arcs)}
-    x = []
-    for a in arcs:
-        s, t = head[a ^ 1], head[a]
-        if s == source:
-            x.append(cap[a] - room[t])
-        elif t == sink:
-            x.append(cap[a] - room[s])
-        else:
-            x.append(routed[a])
-    x.append(total)
-
-    parent = [-1] * n
-    edge = [-1] * n
-    parent[source] = sink
-    edge[source] = len(arcs)
-    for v in nodes:
-        if layer[v] == 1:
-            a = into[v] if room[v] < cap[into[v]] else first_out[v]
-        else:
-            a = into[v] if room[v] else first_in[v]
-        parent[v] = head[a] if head[a] != v else head[a ^ 1]
-        edge[v] = local[a]
-    return arcs, x, parent, edge
-
 
 
 def _apex(p: int, q: int, parent: List[int], size: List[int]) -> int:

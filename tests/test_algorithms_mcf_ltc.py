@@ -89,6 +89,23 @@ class TestSolving:
         assert result.arrangement.constraint_violations(
             instance.workers_by_index()) == []
 
+    def test_greedy_fill_breaks_ties_toward_the_earlier_candidate(self):
+        """Equal ``Acc*`` candidates fill in candidate order.
+
+        Two tasks absorb ceil(delta) = 2 units each, so the flow places
+        four of the five unit workers; the fifth is filled, and its two
+        candidates are worth the same.  Under a non-sigmoid model the
+        candidate order is the posting order, so task 2 comes first.
+        """
+        tasks = [Task.at(2, 0, 0), Task.at(1, 0, 0)]
+        workers = [Worker.at(i, 0, 0, accuracy=0.8, capacity=1) for i in range(1, 6)]
+        instance = LTCInstance(tasks=tasks, workers=workers, error_rate=0.42,
+                               accuracy_model=ConstantAccuracy(0.8))
+        result = MCFLTCSolver().solve(instance)
+        per_task = [a.task_id for a in result.arrangement]
+        assert (per_task.count(2), per_task.count(1)) == (3, 2)
+        assert result.extra["flow_units"] == 4
+
     def test_uses_accuracy_to_reduce_worker_count(self):
         """MCF-LTC should prefer accurate workers within a batch.
 

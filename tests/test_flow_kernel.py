@@ -79,44 +79,6 @@ class TestArena:
         assert [entry[0] for entry in adj[1]] == [first ^ 1, third ^ 1]
         assert [entry[0] for entry in adj[2]] == [second ^ 1]
 
-    def test_set_capacity(self):
-        arena = ArcArena(2)
-        arc = arena.add_arc(0, 1, 1, 0.0)
-        arena.set_capacity(arc, 7)
-        assert arena.cap[arc] == 7
-        with pytest.raises(ValueError):
-            arena.set_capacity(arc ^ 1, 3)
-        with pytest.raises(ValueError):
-            arena.set_capacity(arc, -1)
-
-    def test_truncate_rolls_back_to_watermark(self):
-        arena = ArcArena(2)
-        base_arc = arena.add_arc(0, 1, 4, 1.0)
-        mark = arena.watermark()
-        extra = arena.add_node()
-        arena.add_arc(0, extra, 1, 0.0)
-        set_flow(arena, base_arc, 2)
-        arena.truncate(*mark)
-        assert arena.num_nodes == 2
-        assert arena.num_arcs == 2
-        assert len(arena.head) == len(arena.cost) == len(arena.cap) == 2
-        assert arena.flow == [0, 0]  # flows zeroed on surviving arcs
-        assert arena.cap[base_arc] == 4  # capacities survive
-        # The adjacency no longer mentions the dropped node or arc.
-        adj = arena.packed_adjacency()
-        assert [[entry[0] for entry in row] for row in adj] == [[0], [1]]
-
-    def test_truncate_validates(self):
-        arena = ArcArena(1)
-        node = arena.add_node()
-        arena.add_arc(0, node, 1, 0.0)
-        with pytest.raises(ValueError):
-            arena.truncate(2, 1)  # odd arc count
-        with pytest.raises(ValueError):
-            arena.truncate(2, 8)  # beyond current size
-        with pytest.raises(ValueError):
-            arena.truncate(1, 2)  # surviving arc references dropped node
-
     def test_nodes_are_allocated_as_a_dense_run(self):
         arena = ArcArena()
         assert arena.num_nodes == 0
@@ -286,31 +248,6 @@ class TestSolveMcf:
             solve_diamond(arena, s, a, b, t)
             runs.append(list(arena.flow))
         assert runs[0] == runs[1] == runs[2]
-
-    def test_batch_reuse_lifecycle(self):
-        """The MCF-LTC pattern: persistent sink arcs, per-batch worker arcs."""
-        arena = ArcArena(2)  # 0 = source, 1 = sink
-        task = arena.add_node()
-        sink_arc = arena.add_arc(task, 1, 2, 0.0)
-        mark = arena.watermark()
-
-        # Batch 1: one worker, routes one unit.
-        w1 = arena.add_node()
-        arena.add_arc(0, w1, 1, 0.0)
-        arena.add_arc(w1, task, 1, -0.9)
-        r1 = solve_mcf(arena, 0, 1, dag_potentials(arena, 0, [0, w1, task, 1]))
-        assert r1.flow_value == 1
-
-        # Batch 2: roll back, task only needs one more unit now.
-        arena.truncate(*mark)
-        arena.set_capacity(sink_arc, 1)
-        w2 = arena.add_node()
-        arena.add_arc(0, w2, 3, 0.0)
-        arena.add_arc(w2, task, 1, -0.8)
-        r2 = solve_mcf(arena, 0, 1, dag_potentials(arena, 0, [0, w2, task, 1]))
-        assert r2.flow_value == 1
-        assert arena.total_cost() == pytest.approx(-0.8)
-        assert validate_arena_flow(arena, 0, 1, expected_value=1) == []
 
     def test_augmentations_bounded_by_flow_value(self):
         arena, s, a, b, t = diamond()

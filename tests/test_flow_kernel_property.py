@@ -5,8 +5,7 @@ negative real-valued worker->task costs) are solved three ways:
 
 * the array kernel (:func:`repro.flow.kernel.solve_mcf`) with the O(E)
   DAG potential pass (the dense cases also start it from networkx's
-  shortest distances, and on an arena reused across batches as MCF-LTC
-  reuses it),
+  shortest distances),
 * the retained pre-refactor object-graph SSPA
   (:mod:`repro.flow.reference`), and
 * on tiny instances, brute-force enumeration of every feasible assignment
@@ -73,47 +72,14 @@ def build_ltc_arena(pairs, caps, needs):
     return arena, pair_arcs, [0] + worker_nodes + task_nodes + [1]
 
 
-def build_reused_arena(pairs, caps, needs):
-    """The same network on an arena reused across batches, as MCF-LTC does.
-
-    Task nodes and task->sink arcs are built once and a watermark taken;
-    a decoy batch (one worker linked to every task) is solved on top and
-    rolled back before this batch's workers and arcs are appended.
-    """
-    arena = ArcArena(2)  # 0 = source, 1 = sink
-    task_nodes = [arena.add_node() for _ in needs]
-    for node, need in zip(task_nodes, needs):
-        arena.add_arc(node, 1, need, 0.0)
-    mark = arena.watermark()
-    decoy = arena.add_node()
-    arena.add_arc(0, decoy, len(needs), 0.0)
-    for node in task_nodes:
-        arena.add_arc(decoy, node, 1, -1.0)
-    decoy_order = [0, decoy] + task_nodes + [1]
-    decoy_run = solve_mcf(arena, 0, 1, dag_potentials(arena, 0, decoy_order))
-    assert decoy_run.flow_value > 0
-    arena.truncate(*mark)
-    worker_nodes = [arena.add_node() for _ in caps]
-    for node, cap in zip(worker_nodes, caps):
-        arena.add_arc(0, node, cap, 0.0)
-    pair_arcs = {}
-    for (w, t), value in sorted(pairs.items()):
-        pair_arcs[(w, t)] = arena.add_arc(worker_nodes[w], task_nodes[t], 1, -value)
-    return arena, pair_arcs, [0] + worker_nodes + task_nodes + [1]
-
-
 def solve_with_kernel(pairs, caps, needs, route="dag"):
     """Solve on the array kernel; returns ``(result, cost, flows, violations)``.
 
     ``route`` picks how the solve is prepared: ``"dag"`` builds a fresh
-    arena and starts from :func:`dag_potentials`, ``"networkx"`` starts the
-    same arena from :func:`networkx_potentials`, and ``"reused"`` solves on
-    :func:`build_reused_arena`'s rolled-back arena from the DAG pass.
+    arena and starts from :func:`dag_potentials`, and ``"networkx"``
+    starts the same arena from :func:`networkx_potentials`.
     """
-    if route == "reused":
-        arena, pair_arcs, topo = build_reused_arena(pairs, caps, needs)
-    else:
-        arena, pair_arcs, topo = build_ltc_arena(pairs, caps, needs)
+    arena, pair_arcs, topo = build_ltc_arena(pairs, caps, needs)
     if route == "networkx":
         potentials = networkx_potentials(arena, 0)
     else:
@@ -165,7 +131,7 @@ class TestKernelMatchesReferenceSSPA:
         assert kernel_flows == ref_flows
         assert result.augmentations == ref_augmentations
 
-    @pytest.mark.parametrize("route", ["dag", "networkx", "reused"])
+    @pytest.mark.parametrize("route", ["dag", "networkx"])
     @pytest.mark.parametrize("seed", range(6))
     def test_dense_instances(self, seed, route):
         pairs, caps, needs = random_ltc_shape(

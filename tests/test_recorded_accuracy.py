@@ -3,8 +3,8 @@
 LAF and AAM hand each pick's ``Acc(w, t)`` from the candidate engine to
 :meth:`~repro.core.arrangement.Arrangement.assign`, which records it and
 derives ``Acc*`` from it instead of evaluating the model again; MCF-LTC
-does the same with the accuracy each eligible pair carries, and prices
-its batch arcs from it.  So every recorded ``Assignment.acc`` must equal
+does the same with the accuracy each pair of its batch pass carries, and
+prices its batch networks from it.  So every recorded ``Assignment.acc`` must equal
 the accuracy model's own evaluation bit for bit, and
 ``Assignment.acc_star`` the model's ``acc_star``: in every engine pass,
 on snapshots small enough for the flat gather and on ones large enough
@@ -19,8 +19,8 @@ import pytest
 from repro.algorithms import mcf_ltc
 from repro.algorithms.aam import AAMSolver, LGFOnlySolver, LRFOnlySolver
 from repro.algorithms.laf import LAFSolver
+from repro.core.candidate_engine import CandidateEngine
 from repro.core.candidate_engine import engine as engine_module
-from repro.core.candidates import CandidateFinder
 from repro.core.task import Task
 from repro.datagen.synthetic import SyntheticConfig, generate_synthetic_instance
 from repro.geo.point import Point
@@ -125,45 +125,44 @@ def test_mcf_ltc_records_and_prices_the_model_accuracy(
     request, monkeypatch, engine_pass, instances, gather
 ):
     """Batch-flow and greedy-fill assignments record the model's ``Acc``,
-    and every batch arc costs the model's ``-Acc*``, bit for bit."""
+    and every pair of a batch network costs the model's ``-Acc*``, bit
+    for bit."""
     if gather == "grid":
         request.getfixturevalue("grid_gather")
-    batches = []  # per batch: the (worker, task) pairs in arc order, flows
+    batches = []  # per batch: the (worker, task) pairs in network order, routed
     model = None  # the instance being solved's model, set in the loop below
-    eligible_pairs = CandidateFinder.eligible_pairs
+    batch_pairs = CandidateEngine.batch_pairs
     solve_mcf = mcf_ltc.solve_mcf
 
     def recording_pairs(self, workers):
-        pairs = []
+        found = batch_pairs(self, workers)
+        pairs = [(workers[index], self.tasks[position])
+                 for index, position in zip(found.workers.tolist(),
+                                            found.positions.tolist())]
         batches.append([pairs, None])
-        for worker, task, acc in eligible_pairs(self, workers):
-            pairs.append((worker, task))
-            yield worker, task, acc
+        return found
 
-    def recording_solve(arena, topo_order):
+    def recording_solve(network):
         pairs = batches[-1][0]
-        arcs = [
-            a for a in range(0, len(arena.head), 2)
-            if arena.head[a ^ 1] != mcf_ltc._SOURCE and arena.head[a] != mcf_ltc._SINK
-        ]
-        assert len(arcs) == len(pairs)
-        for arc, (worker, task) in zip(arcs, pairs):
-            expected = -model.acc_star(worker, task)
-            assert arena.cost[arc].hex() == expected.hex()
-        result = solve_mcf(arena, topo_order)
-        batches[-1][1] = [arena.flow[arc] for arc in arcs]
+        assert network.num_arcs == 2 * (
+            len(network.task_cap) + len(network.worker_cap) + len(pairs)
+        )
+        for cost, (worker, task) in zip(network.costs.tolist(), pairs):
+            assert cost.hex() == (-model.acc_star(worker, task)).hex()
+        result = solve_mcf(network)
+        batches[-1][1] = result.routed
         return result
 
-    monkeypatch.setattr(CandidateFinder, "eligible_pairs", recording_pairs)
+    monkeypatch.setattr(CandidateEngine, "batch_pairs", recording_pairs)
     monkeypatch.setattr(mcf_ltc, "solve_mcf", recording_solve)
     for instance in instances:
         model = instance.accuracy_model
         batches.clear()
         result = mcf_ltc.MCFLTCSolver().solve(instance)
         by_flow = {
-            (worker.index, task.task_id)
-            for pairs, flows in batches if flows is not None
-            for (worker, task), units in zip(pairs, flows) if units
+            (pairs[j][0].index, pairs[j][1].task_id)
+            for pairs, routed in batches if routed is not None
+            for j in routed
         }
         assignments = list(result.arrangement)
         recorded = {assignment.as_tuple() for assignment in assignments}
