@@ -22,9 +22,10 @@ instead of rebuilding the remaining list over all tasks on every arrival
 them through the :class:`~repro.core.candidates.CandidateFinder` facade
 (the engine's tombstone mask).
 
-AAM is **dynamic**: :meth:`AAMSolver.add_tasks` posts tasks mid-stream,
-folding their needs into the running statistics and appending them to
-the live snapshot.
+AAM extends the shared :class:`~repro.algorithms.base.OnlineSolver`
+state: :meth:`AAMSolver.start`, :meth:`AAMSolver.add_tasks` and
+:meth:`AAMSolver.expire_tasks` fold the need statistics in and out as
+tasks arrive mid-stream or expire.
 
 ``maxRemain`` is exact (same float set as the naive scan).  The running
 sum can differ from the naive left-to-right sum by accumulated rounding
@@ -45,29 +46,23 @@ import heapq
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.algorithms.base import OnlineSolver, Selection
-from repro.core.arrangement import Arrangement, Assignment
-from repro.core.candidates import CandidateFinder
+from repro.core.arrangement import Assignment
 from repro.core.instance import LTCInstance
 from repro.core.task import Task
 from repro.core.worker import Worker
 
 
-#: The engine's top-k mode for each greedy rule.  With no rule (no open
-#: task) there is nothing to rank, so any mode gives the empty top-k.
-_TOPK_MODE = {"lgf": "gain", "lrf": "need", "": "need"}
+#: The engine's top-k mode for each greedy rule.
+_TOPK_MODE = {"lgf": "gain", "lrf": "need"}
 
 
 class AAMSolver(OnlineSolver):
     """Average And Max online solver (paper Algorithm 3)."""
 
     name = "AAM"
-    supports_dynamic_tasks = True
-    supports_task_expiry = True
 
     def __init__(self) -> None:
-        self._instance: Optional[LTCInstance] = None
-        self._arrangement: Optional[Arrangement] = None
-        self._candidates: Optional[CandidateFinder] = None
+        super().__init__()
         #: Remaining need ``delta - S[t]`` per engine position.
         self._need: List[float] = []
         self._uncompleted_count = 0
@@ -81,11 +76,9 @@ class AAMSolver(OnlineSolver):
     # --------------------------------------------------------------- protocol
 
     def start(self, instance: LTCInstance) -> None:
-        self._instance = instance
-        self._arrangement = instance.new_arrangement()
-        self._candidates = CandidateFinder(instance)
+        super().start(instance)
         delta = self._arrangement.delta
-        self._need = [delta] * self._candidates.engine.num_tasks
+        self._need = [delta] * self._engine.num_tasks
         self._uncompleted_count = instance.num_tasks
         # Seed the running sum with the same left-to-right addition order
         # the naive scan uses, so the two start bit-identical.
@@ -103,12 +96,6 @@ class AAMSolver(OnlineSolver):
         heapq.heapify(self._need_heap)
         self._lgf_rounds = 0
         self._lrf_rounds = 0
-
-    @property
-    def arrangement(self) -> Arrangement:
-        if self._arrangement is None:
-            raise RuntimeError("start() must be called before reading the arrangement")
-        return self._arrangement
 
     # ------------------------------------------------- incremental remaining
 
@@ -135,11 +122,10 @@ class AAMSolver(OnlineSolver):
         refreshes the need value and re-keys the lazy max-heap.
         """
         arrangement = self._arrangement
-        candidates = self._candidates
-        position = candidates.engine.position_of[task_id]
+        position = self._engine.position_of[task_id]
         old_need = self._need[position]
         if arrangement.is_task_complete(task_id):
-            candidates.retire_tasks((task_id,))
+            self._candidates.retire_tasks((task_id,))
             self._uncompleted_count -= 1
             self._add_to_sum(-old_need)
         else:
@@ -157,7 +143,7 @@ class AAMSolver(OnlineSolver):
         O(log) per assignment.
         """
         heap = self._need_heap
-        alive, need = self._candidates.engine.alive, self._need
+        alive, need = self._engine.alive, self._need
         while heap:
             negated, position = heap[0]
             if alive[position] and need[position] == -negated:
@@ -168,20 +154,15 @@ class AAMSolver(OnlineSolver):
     # ------------------------------------------------------- dynamic tasks
 
     def add_tasks(self, tasks: Sequence[Task]) -> None:
-        """Post additional tasks mid-stream (the dynamic-arrival path).
+        """Post tasks mid-stream and fold them into the running statistics.
 
-        Extends the instance/arrangement/snapshot in place and folds each
-        new task's full ``delta`` need into the incremental statistics
-        (running remaining sum, need max-heap, uncompleted count), so the
-        LGF/LRF switch sees the enlarged task set on the next arrival.
+        Each new task's full ``delta`` need joins the running remaining
+        sum, the need max-heap and the uncompleted count, so the LGF/LRF
+        switch sees the enlarged task set on the next arrival.
         """
-        if self._instance is None or self._arrangement is None or self._candidates is None:
-            raise RuntimeError("start() must be called before add_tasks()")
         tasks = list(tasks)
-        self._instance.add_tasks(tasks)
-        self._arrangement.add_tasks(tasks)
-        self._candidates.add_tasks(tasks)
-        engine = self._candidates.engine
+        super().add_tasks(tasks)
+        engine = self._engine
         delta = self._arrangement.delta
         self._need.extend([delta] * (engine.num_tasks - len(self._need)))
         for task in tasks:
@@ -191,39 +172,19 @@ class AAMSolver(OnlineSolver):
         self._uncompleted_count += len(tasks)
 
     def expire_tasks(self, task_ids: Sequence[int]) -> List[int]:
-        """Abandon overdue tasks and unwind them from the running statistics.
+        """Expire tasks and unwind them from the running statistics.
 
-        Each expired task leaves the arrangement's open set (abandoned, no
-        further assignments) and the candidate snapshot (tombstoned), and
-        its remaining need is subtracted from the incremental
-        remaining-``Acc*`` sum and uncompleted count — the same bookkeeping
-        a completion performs, so ``avg``/``maxRemain`` keep describing
-        exactly the live open tasks.  Stale heap entries for the expired
-        positions are skipped lazily by the ``alive`` check in
-        :meth:`_current_max_remaining`.  Returns the ids actually expired
-        (completed and already-expired ids are skipped).
+        Each expired task's remaining need leaves the running sum and the
+        uncompleted count — the same bookkeeping a completion performs, so
+        ``avg``/``maxRemain`` keep describing exactly the live open tasks.
+        Stale heap entries for the expired positions are skipped lazily by
+        the ``alive`` check in :meth:`_current_max_remaining`.
         """
-        if self._instance is None or self._arrangement is None or self._candidates is None:
-            raise RuntimeError("start() must be called before expire_tasks()")
-        arrangement = self._arrangement
-        engine = self._candidates.engine
-        position_of = engine.position_of
-        expired: List[int] = []
-        for task_id in task_ids:
-            if task_id not in position_of:
-                raise KeyError(f"task id {task_id} is not in the snapshot")
-            if arrangement.is_task_abandoned(task_id):
-                continue
-            if arrangement.is_task_complete(task_id):
-                continue
-            expired.append(task_id)
-        if expired:
-            arrangement.abandon_tasks(expired)
-            self._candidates.retire_tasks(expired, expired=True)
-            for task_id in expired:
-                position = position_of[task_id]
-                self._add_to_sum(-self._need[position])
-                self._uncompleted_count -= 1
+        expired = super().expire_tasks(task_ids)
+        position_of = self._engine.position_of
+        for task_id in expired:
+            self._add_to_sum(-self._need[position_of[task_id]])
+        self._uncompleted_count -= len(expired)
         return expired
 
     # ---------------------------------------------------------------- observe
@@ -264,38 +225,32 @@ class AAMSolver(OnlineSolver):
             ) / instance.capacity
         return "lgf" if avg >= max_remain else "lrf"
 
-    def select(self, worker: Worker) -> Optional[Selection]:
-        """The LGF/LRF hybrid's picks for ``worker``, or ``None`` (see base)."""
-        if self._instance is None or self._arrangement is None or self._candidates is None:
-            raise RuntimeError("start() must be called before select()")
+    def select(self, worker: Worker) -> Selection:
+        """The LGF/LRF hybrid's picks for ``worker`` (none when no task is open)."""
         rule = self._rule()
-        picks = self._candidates.engine.probe(
+        if not rule:
+            return Selection([])
+        picks = self._engine.topk(
             worker, worker.capacity, _TOPK_MODE[rule], self._need
         )
-        return None if picks is None else Selection(picks, rule)
+        return Selection(picks, rule)
 
     def observe(
         self, worker: Worker, selection: Optional[Selection] = None
     ) -> List[Assignment]:
         """Assign up to K tasks to ``worker`` using the LGF/LRF hybrid rule."""
-        if self._instance is None or self._arrangement is None or self._candidates is None:
+        arrangement = self._arrangement
+        if arrangement is None:
             raise RuntimeError("start() must be called before observe()")
         if selection is None:
-            rule = self._rule()
-            picks = []
-            if rule:
-                picks = self._candidates.engine.topk(
-                    worker, worker.capacity, _TOPK_MODE[rule], self._need
-                )
-        else:
-            picks, rule = selection.picks, selection.rule
+            selection = self.select(worker)
+        rule = selection.rule
         if rule == "lgf":
             self._lgf_rounds += 1
         elif rule == "lrf":
             self._lrf_rounds += 1
-        arrangement = self._arrangement
         assignments: List[Assignment] = []
-        for task, acc in picks:
+        for task, acc in selection.picks:
             assignments.append(arrangement.assign(worker, task, acc))
             self._note_assignment(task.task_id)
         return assignments

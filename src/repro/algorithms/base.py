@@ -20,15 +20,17 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.arrangement import Arrangement, Assignment
+from repro.core.candidates import CandidateFinder
 from repro.core.instance import LTCInstance
 from repro.core.stream import WorkerStream
 from repro.core.task import Task
 from repro.core.worker import Worker
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.core.candidate_engine import CandidateEngine
     from repro.core.session import Session
 
 
@@ -115,13 +117,16 @@ class Solver(abc.ABC):
         return f"{type(self).__name__}(name={self.name!r})"
 
 
-class Selection(NamedTuple):
+@dataclass(slots=True)
+class Selection:
     """An online solver's decision for one worker, made but not committed.
 
     :meth:`OnlineSolver.select` returns it and
     :meth:`OnlineSolver.observe` commits it, so a caller that needs the
     decision before delivering (the dispatcher's routing probe) queries
-    the candidate engine once per worker, not twice.
+    the candidate engine once per worker, not twice.  A slotted dataclass
+    rather than a named tuple: every arrival builds one, and a named
+    tuple's Python-level ``__new__`` costs about twice as much.
     """
 
     #: ``(task, acc)`` pairs in the order ``observe`` assigns the tasks
@@ -143,82 +148,114 @@ class OfflineSolver(Solver):
 class OnlineSolver(Solver):
     """A solver that commits assignments as each worker arrives.
 
-    Subclasses implement :meth:`start` and :meth:`observe`; the base class
-    provides the stream-driving :meth:`solve`.  Solvers whose candidate
-    state rides the dynamic engine set :attr:`supports_dynamic_tasks` and
-    implement :meth:`add_tasks`, which makes
-    :meth:`~repro.core.session.Session.submit_tasks` legal after the
-    first arrival for their sessions.
+    The base class owns the per-session state every greedy rule reads:
+    the instance, the arrangement and the long-lived
+    :class:`~repro.core.candidates.CandidateFinder` that :meth:`start`
+    builds.  It also implements, once for every rule, mid-stream task
+    posting (:meth:`add_tasks`), expiry (:meth:`expire_tasks`) and the
+    routing fallback (:meth:`reaches_completed`).  A subclass decides in
+    :meth:`select` and commits in :meth:`observe`; the base class provides
+    the stream-driving :meth:`solve`.
     """
 
     is_online = True
 
-    #: Whether the solver accepts tasks posted after serving started.
-    #: Dynamic solvers implement :meth:`add_tasks`; the default refuses.
-    supports_dynamic_tasks: bool = False
+    def __init__(self) -> None:
+        # Every attribute is bound here, before ``start``, so instances
+        # keep CPython's compact shared-key attribute layout.
+        self._instance: Optional[LTCInstance] = None
+        #: ``None`` until :meth:`start`; ``observe`` checks it.
+        self._arrangement: Optional[Arrangement] = None
+        self._candidates: Optional[CandidateFinder] = None
+        #: The engine behind ``_candidates``, read once per session for
+        #: the per-arrival queries; writes go through the finder.
+        self._engine: Optional[CandidateEngine] = None
+        #: The live session the solver serves (set when one activates).
+        self._active_session: Optional["Session"] = None
 
-    #: Whether the solver can expire (abandon) live tasks mid-stream.
-    #: Expiry-capable solvers implement :meth:`expire_tasks`.
-    supports_task_expiry: bool = False
-
-    def expire_tasks(self, task_ids: List[int]) -> List[int]:
-        """Expire tasks whose deadline passed (expiry-capable solvers override).
-
-        Called by a live session's ``expire_tasks``.  An override must
-        abandon the tasks in the arrangement (they stop blocking
-        completion) and tombstone them in the candidate snapshot (they
-        vanish from every later query), then return the ids it actually
-        expired — already-completed and already-expired ids are skipped,
-        so the return value is the honest abandonment count for
-        latency-vs-abandonment reporting.
-        """
-        raise NotImplementedError(
-            f"solver {self.name!r} does not support expiring tasks mid-stream"
-        )
-
-    def add_tasks(self, tasks: List[Task]) -> None:
-        """Post additional tasks mid-stream (dynamic solvers override).
-
-        Called by a live session's ``submit_tasks`` after the first
-        arrival.  An override must extend the instance, the arrangement
-        and the candidate snapshot in place so serving continues with the
-        enlarged open set; implementations append — positions and prior
-        assignments are never disturbed.
-        """
-        raise NotImplementedError(
-            f"solver {self.name!r} does not accept tasks after serving starts"
-        )
-
-    @abc.abstractmethod
     def start(self, instance: LTCInstance) -> None:
         """Reset internal state for a new instance (tasks are now visible)."""
+        self._instance = instance
+        self._arrangement = instance.new_arrangement()
+        self._candidates = CandidateFinder(instance)
+        self._engine = self._candidates.engine
+
+    @property
+    def arrangement(self) -> Arrangement:
+        """The arrangement built so far."""
+        if self._arrangement is None:
+            raise RuntimeError("start() must be called before reading the arrangement")
+        return self._arrangement
+
+    def add_tasks(self, tasks: Sequence[Task]) -> None:
+        """Post additional tasks mid-stream.
+
+        Called by a live session's ``submit_tasks`` after the first
+        arrival.  Extends the instance, the arrangement (zero accumulated
+        quality) and the candidate snapshot in place, with no rebuild: the
+        engine appends the tasks at fresh positions, and prior positions
+        and assignments are never disturbed.
+        """
+        arrangement = self.arrangement
+        tasks = list(tasks)
+        self._instance.add_tasks(tasks)
+        arrangement.add_tasks(tasks)
+        self._candidates.add_tasks(tasks)
+
+    def expire_tasks(self, task_ids: Sequence[int]) -> List[int]:
+        """Abandon overdue tasks (the TTL sweep); return the expired ids.
+
+        Expired tasks are abandoned in the arrangement (they stop blocking
+        completion, keep their partial quality and refuse further
+        assignments) and tombstoned in the candidate snapshot (they vanish
+        from every later query without a rebuild).  Completed,
+        already-expired and repeated ids are skipped, so the return value
+        is the honest abandonment count; unknown ids raise ``KeyError``
+        before anything changes.
+        """
+        arrangement = self.arrangement
+        position_of = self._engine.position_of
+        expired: List[int] = []
+        for task_id in dict.fromkeys(task_ids):  # each repeated id once
+            if task_id not in position_of:
+                raise KeyError(f"task id {task_id} is not in the snapshot")
+            if arrangement.is_task_abandoned(task_id):
+                continue
+            if arrangement.is_task_complete(task_id):
+                continue
+            expired.append(task_id)
+        if expired:
+            arrangement.abandon_tasks(expired)
+            self._candidates.retire_tasks(expired, expired=True)
+        return expired
+
+    def reaches_completed(self, worker: Worker) -> bool:
+        """Whether ``worker`` is eligible for a task retired as completed.
+
+        The routing fallback for an empty :meth:`select`: a session counts
+        a worker eligible for any task that has not expired, completed
+        ones included, so its arrival axis does not shrink as it completes.
+        """
+        return self._engine.reaches_completed(worker)
 
     @abc.abstractmethod
-    def select(self, worker: Worker) -> Optional[Selection]:
+    def select(self, worker: Worker) -> Selection:
         """Decide for ``worker`` without committing anything.
 
-        Returns ``None`` when the worker is eligible for no task that has
-        not expired — completed tasks count, so a worker near only
-        completed tasks still gets a (possibly empty) selection.  Must
-        have no side effect: the arrangement, the candidate snapshot,
-        counters and random state stay as they were.
+        The rule's only decision; the picks may be empty.  Must have no
+        side effect: the arrangement, the candidate snapshot, counters
+        and random state stay as they were.
         """
 
     @abc.abstractmethod
     def observe(
         self, worker: Worker, selection: Optional[Selection] = None
     ) -> List[Assignment]:
-        """Handle one arriving worker and return the assignments made for it.
+        """Commit the decision for one arriving worker; return its assignments.
 
-        ``selection``, when given, is what :meth:`select` returned for this
-        worker with no mutation in between, and is committed as is;
-        otherwise the solver decides here.
+        ``selection`` is what :meth:`select` returned for this worker with
+        no mutation in between; ``None`` asks :meth:`select` first.
         """
-
-    @property
-    @abc.abstractmethod
-    def arrangement(self) -> Arrangement:
-        """The arrangement built so far."""
 
     def is_complete(self) -> bool:
         """Whether every task has reached the quality threshold."""

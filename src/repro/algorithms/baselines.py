@@ -12,15 +12,15 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from itertools import repeat
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.algorithms.base import OfflineSolver, OnlineSolver, Selection, SolveResult
-from repro.core.arrangement import Arrangement, Assignment
+from repro.core.arrangement import Assignment
 from repro.core.candidates import CandidateFinder
 from repro.core.instance import LTCInstance
-from repro.core.task import Task
 from repro.core.worker import Worker
 
 
@@ -84,78 +84,48 @@ class RandomOnlineSolver(OnlineSolver):
     """
 
     name = "Random"
-    supports_dynamic_tasks = True
 
     def __init__(
         self,
         seed: int = 0,
         skip_completed: bool = False,
     ) -> None:
+        super().__init__()
         self.seed = seed
         self.skip_completed = skip_completed
         self._rng = np.random.default_rng(seed)
-        self._instance: Optional[LTCInstance] = None
-        self._arrangement: Optional[Arrangement] = None
-        self._candidates: Optional[CandidateFinder] = None
 
     def start(self, instance: LTCInstance) -> None:
-        self._instance = instance
-        self._arrangement = instance.new_arrangement()
-        self._candidates = CandidateFinder(instance)
+        super().start(instance)
         self._rng = np.random.default_rng(self.seed)
 
-    @property
-    def arrangement(self) -> Arrangement:
-        if self._arrangement is None:
-            raise RuntimeError("start() must be called before reading the arrangement")
-        return self._arrangement
+    def select(self, worker: Worker) -> Selection:
+        """The nearby pool the draw picks from.
 
-    def add_tasks(self, tasks: Sequence[Task]) -> None:
-        """Post additional tasks mid-stream (the dynamic-arrival path).
-
-        Random keeps no per-task state beyond the arrangement, so the
-        extension is just the shared instance/arrangement/snapshot
-        appends; the enlarged nearby pool is drawn from on the next
-        arrival.  (Random never retires tasks — the paper's naive
-        baseline deliberately keeps drawing completed ones.)
+        Random never retires a completed task, so the pool holds every
+        task the worker is eligible for that has not expired; the draw
+        itself (and so the rng) waits for :meth:`observe`.
         """
-        if self._instance is None or self._arrangement is None or self._candidates is None:
-            raise RuntimeError("start() must be called before add_tasks()")
-        tasks = list(tasks)
-        self._instance.add_tasks(tasks)
-        self._arrangement.add_tasks(tasks)
-        self._candidates.add_tasks(tasks)
-
-    def select(self, worker: Worker) -> Optional[Selection]:
-        """The nearby pool the draw picks from, or ``None`` when it is empty.
-
-        Random never retires a task, so the pool already holds every task
-        the worker is eligible for; the draw itself (and so the rng) waits
-        for :meth:`observe`.
-        """
-        if self._candidates is None:
-            raise RuntimeError("start() must be called before select()")
         nearby = self._candidates.candidates(worker)
-        return Selection([(task, None) for task in nearby]) if nearby else None
+        return Selection(list(zip(nearby, repeat(None))))
 
     def observe(
         self, worker: Worker, selection: Optional[Selection] = None
     ) -> List[Assignment]:
-        if self._instance is None or self._arrangement is None or self._candidates is None:
-            raise RuntimeError("start() must be called before observe()")
         arrangement = self._arrangement
+        if arrangement is None:
+            raise RuntimeError("start() must be called before observe()")
         if selection is None:
-            nearby = self._candidates.candidates(worker)
-        else:
-            nearby = [task for task, _ in selection.picks]
+            selection = self.select(worker)
+        picks = selection.picks
         if self.skip_completed:
-            nearby = [
-                task
-                for task in nearby
-                if not arrangement.is_task_complete(task.task_id)
+            picks = [
+                pick
+                for pick in picks
+                if not arrangement.is_task_complete(pick[0].task_id)
             ]
-        if not nearby:
+        if not picks:
             return []
-        count = min(worker.capacity, len(nearby))
-        chosen = self._rng.choice(len(nearby), size=count, replace=False)
-        return [arrangement.assign(worker, nearby[i]) for i in sorted(chosen)]
+        count = min(worker.capacity, len(picks))
+        chosen = self._rng.choice(len(picks), size=count, replace=False)
+        return [arrangement.assign(worker, picks[i][0]) for i in sorted(chosen)]

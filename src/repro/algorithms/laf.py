@@ -18,20 +18,18 @@ them out of every later query.  The arrangement is byte-identical to the
 pre-engine object-level loop (pinned by the differential suite against
 :func:`repro.core.candidates_legacy.legacy_laf_arrangement`).
 
-LAF is **dynamic**: tasks may keep being posted after serving starts
-(:meth:`LAFSolver.add_tasks`), landing in the engine's spill/append path
-instead of forcing a snapshot rebuild.
+LAF decides in :meth:`LAFSolver.select` and commits in
+:meth:`LAFSolver.observe`; mid-stream tasks and expiry ride the shared
+:class:`~repro.algorithms.base.OnlineSolver` state.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.algorithms.base import OnlineSolver, Selection
-from repro.core.arrangement import Arrangement, Assignment
-from repro.core.candidates import CandidateFinder
+from repro.core.arrangement import Assignment
 from repro.core.instance import LTCInstance
-from repro.core.task import Task
 from repro.core.worker import Worker
 
 
@@ -39,93 +37,33 @@ class LAFSolver(OnlineSolver):
     """Largest Acc First online solver (paper Algorithm 2)."""
 
     name = "LAF"
-    supports_dynamic_tasks = True
-    supports_task_expiry = True
 
     def __init__(self) -> None:
-        self._instance: Optional[LTCInstance] = None
-        self._arrangement: Optional[Arrangement] = None
-        self._candidates: Optional[CandidateFinder] = None
+        super().__init__()
         self._workers_with_assignments = 0
-
-    # --------------------------------------------------------------- protocol
 
     def start(self, instance: LTCInstance) -> None:
-        self._instance = instance
-        self._arrangement = instance.new_arrangement()
-        self._candidates = CandidateFinder(instance)
+        super().start(instance)
         self._workers_with_assignments = 0
 
-    @property
-    def arrangement(self) -> Arrangement:
-        if self._arrangement is None:
-            raise RuntimeError("start() must be called before reading the arrangement")
-        return self._arrangement
-
-    def add_tasks(self, tasks: Sequence[Task]) -> None:
-        """Post additional tasks mid-stream (the dynamic-arrival path).
-
-        Extends the instance, the arrangement (zero accumulated quality)
-        and the candidate snapshot in place — no rebuild; the engine
-        appends the tasks at fresh stable positions.  Serving continues
-        with the enlarged open set on the very next arrival.
-        """
-        if self._instance is None or self._arrangement is None or self._candidates is None:
-            raise RuntimeError("start() must be called before add_tasks()")
-        tasks = list(tasks)
-        self._instance.add_tasks(tasks)
-        self._arrangement.add_tasks(tasks)
-        self._candidates.add_tasks(tasks)
-
-    def expire_tasks(self, task_ids: Sequence[int]) -> List[int]:
-        """Abandon overdue tasks (the TTL sweep path); return the expired ids.
-
-        Expired tasks are abandoned in the arrangement (they stop blocking
-        completion, keep their partial quality, and refuse further
-        assignments) and tombstoned in the candidate snapshot (they vanish
-        from every later ``topk`` query without a rebuild).  Completed and
-        already-expired ids are skipped; unknown ids raise ``KeyError``.
-        """
-        if self._instance is None or self._arrangement is None or self._candidates is None:
-            raise RuntimeError("start() must be called before expire_tasks()")
-        arrangement = self._arrangement
-        position_of = self._candidates.engine.position_of
-        expired: List[int] = []
-        for task_id in task_ids:
-            if task_id not in position_of:
-                raise KeyError(f"task id {task_id} is not in the snapshot")
-            if arrangement.is_task_abandoned(task_id):
-                continue
-            if arrangement.is_task_complete(task_id):
-                continue
-            expired.append(task_id)
-        if expired:
-            arrangement.abandon_tasks(expired)
-            self._candidates.retire_tasks(expired, expired=True)
-        return expired
-
-    def select(self, worker: Worker) -> Optional[Selection]:
-        """The K largest-``Acc*`` uncompleted tasks, or ``None`` (see base)."""
-        if self._candidates is None:
-            raise RuntimeError("start() must be called before select()")
-        picks = self._candidates.engine.probe(worker, worker.capacity)
-        return None if picks is None else Selection(picks)
+    def select(self, worker: Worker) -> Selection:
+        """The K largest-``Acc*`` uncompleted tasks for ``worker``."""
+        return Selection(
+            self._engine.topk_acc_star(worker, worker.capacity)
+        )
 
     def observe(
         self, worker: Worker, selection: Optional[Selection] = None
     ) -> List[Assignment]:
         """Assign the K largest-``Acc*`` uncompleted tasks to ``worker``."""
-        if self._instance is None or self._arrangement is None or self._candidates is None:
-            raise RuntimeError("start() must be called before observe()")
         arrangement = self._arrangement
-        candidates = self._candidates
+        if arrangement is None:
+            raise RuntimeError("start() must be called before observe()")
         if selection is None:
-            picks = candidates.engine.topk_acc_star(worker, worker.capacity)
-        else:
-            picks = selection.picks
-
+            selection = self.select(worker)
+        candidates = self._candidates
         assignments: List[Assignment] = []
-        for task, acc in picks:
+        for task, acc in selection.picks:
             assignments.append(arrangement.assign(worker, task, acc))
             if arrangement.is_task_complete(task.task_id):
                 candidates.retire_tasks((task.task_id,))

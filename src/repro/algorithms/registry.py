@@ -41,15 +41,8 @@ class SolverCapabilities:
     ----------
     online:
         Obeys the online temporal constraint (drivable arrival by arrival
-        natively; offline solvers are driven through a replay session).
-    dynamic_tasks:
-        Accepts tasks posted after serving started: the session's
-        ``submit_tasks`` stays legal mid-stream because the solver's
-        candidate state rides the incremental engine.
-    task_expiry:
-        Can abandon live tasks mid-stream: the session's ``expire_tasks``
-        (deadline/TTL sweep) is legal because the solver retires tasks
-        through the engine's tombstone mask.
+        natively, with tasks posted and expired mid-stream; offline
+        solvers are driven through a replay session that refuses both).
     supports_batch:
         Processes workers in tunable batches (exposes ``batch_multiplier``).
     randomized:
@@ -59,8 +52,6 @@ class SolverCapabilities:
     """
 
     online: bool = False
-    dynamic_tasks: bool = False
-    task_expiry: bool = False
     supports_batch: bool = False
     randomized: bool = False
     exact: bool = False
@@ -71,8 +62,6 @@ class SolverCapabilities:
             flag
             for flag in (
                 "online",
-                "dynamic_tasks",
-                "task_expiry",
                 "supports_batch",
                 "randomized",
                 "exact",
@@ -133,8 +122,6 @@ def _infer_capabilities(
     """Default capabilities from the factory's class attributes and signature."""
     return SolverCapabilities(
         online=bool(getattr(factory, "is_online", False)),
-        dynamic_tasks=bool(getattr(factory, "supports_dynamic_tasks", False)),
-        task_expiry=bool(getattr(factory, "supports_task_expiry", False)),
         supports_batch="batch_multiplier" in parameters,
         randomized="seed" in parameters,
     )

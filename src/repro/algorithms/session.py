@@ -13,11 +13,9 @@ plan computed for one future is meaningless on another.
 
 Both sessions defer solver start-up until the first arrival so that
 :meth:`~repro.core.session.Session.submit_tasks` can stage tasks into the
-effective instance for free.  After activation, submission stays legal
-for online solvers that declare ``supports_dynamic_tasks`` (their
-candidate state rides the incremental engine, so new tasks append to the
-live snapshot); replay sessions and non-dynamic solvers refuse with
-:class:`~repro.core.session.SessionStateError`.
+effective instance for free.  After activation, an online session passes
+submitted and expired tasks to its solver's live state; a replay session
+refuses both with :class:`~repro.core.session.SessionStateError`.
 """
 
 from __future__ import annotations
@@ -81,7 +79,8 @@ class _SolverSession(Session):
         the same worker with no mutation in between; the solver commits
         it instead of querying again.
         """
-        self._activate()
+        if self._instance is None:
+            self._activate()
         # Count the arrival only after dispatch succeeds, so a worker the
         # session *rejects up front* (wrong stream, rebound solver) does not
         # desync it or inflate workers_observed.  If a solver's observe()
@@ -181,14 +180,12 @@ class OnlineSolverSession(_SolverSession):
         self._online: OnlineSolver = solver
 
     def _effective_instance(self) -> LTCInstance:
-        # Dynamic solvers extend their instance in place as tasks are
-        # submitted mid-stream, so the session must own a private copy —
-        # otherwise the caller's instance object would silently grow (and
-        # a second session or offline baseline run on it would see a
-        # different task set than the caller posted).
+        # The solver extends its instance in place as tasks are submitted
+        # mid-stream, so the session must own a private copy — otherwise
+        # the caller's instance object would silently grow (and a second
+        # session or offline baseline run on it would see a different
+        # task set than the caller posted).
         base = self._base_instance
-        if not self._extra_tasks and not self._online.supports_dynamic_tasks:
-            return base
         return LTCInstance(
             tasks=[*base.tasks, *self._extra_tasks],
             workers=list(base.workers),
@@ -208,12 +205,12 @@ class OnlineSolverSession(_SolverSession):
     def is_complete(self) -> bool:
         if self._instance is None:
             return False
-        self._check_binding()
+        if self._online._active_session is not self:
+            self._check_binding()  # raises
         return self._online.arrangement.is_complete()
 
     def _check_binding(self) -> None:
-        bound = getattr(self._online, "_active_session", None)
-        if bound is not self:
+        if self._online._active_session is not self:
             raise SessionStateError(
                 f"solver {self._online.name!r} has been rebound to another "
                 "session since this one started; a solver object serves one "
@@ -228,25 +225,31 @@ class OnlineSolverSession(_SolverSession):
         """The solver's decision for ``worker``, not yet committed.
 
         ``None`` when the worker is eligible for no task of the session
-        that has not expired (see
-        :meth:`~repro.algorithms.base.OnlineSolver.select`); otherwise
-        pass the result to :meth:`on_worker`.  The first call activates
-        the session, as the first arrival would.
+        that has not expired: the selection over the open tasks is empty
+        and the worker reaches no completed task either (completed tasks
+        count, so a session's arrival axis does not shrink as it
+        completes).  Otherwise pass the result to :meth:`on_worker`.  The
+        first call activates the session, as the first arrival would.
         """
         if self._instance is None:
             self._activate()
-        if self._online._active_session is not self:
+        online = self._online
+        if online._active_session is not self:
             self._check_binding()  # raises
-        return self._online.select(worker)
+        selection = online.select(worker)
+        if selection.picks or online.reaches_completed(worker):
+            return selection
+        return None
 
     def _dispatch(
         self, worker: Worker, selection: Optional[Selection]
     ) -> List[Assignment]:
-        self._check_binding()
+        if self._online._active_session is not self:
+            self._check_binding()  # raises
         return self._online.observe(worker, selection)
 
     def _submit_live(self, tasks: List[Task]) -> None:
-        """Mid-stream submission: forward to a dynamic solver in place.
+        """Mid-stream submission: forward to the solver in place.
 
         The solver extends its instance/arrangement/candidate snapshot
         (see :meth:`~repro.algorithms.base.OnlineSolver.add_tasks`).  The
@@ -255,29 +258,17 @@ class OnlineSolverSession(_SolverSession):
         see the enlarged task set immediately while the instance object
         the caller submitted stays untouched.
         """
-        if not self._online.supports_dynamic_tasks:
-            raise SessionStateError(
-                f"solver {self._online.name!r} does not accept tasks after "
-                "the first worker arrives; its candidate snapshot froze at "
-                "activation (only dynamic engine-backed solvers can extend "
-                "a live task set)"
-            )
         self._check_binding()
         self._online.add_tasks(tasks)
 
     def expire_tasks(self, task_ids: Sequence[int]) -> List[int]:
-        """Expire overdue tasks through an expiry-capable solver.
+        """Expire overdue tasks through the solver.
 
         Activates the session first (a TTL sweep may fire before the first
         routed arrival), then abandons the tasks in the solver's live
         arrangement/candidate snapshot.  See
         :meth:`repro.core.session.Session.expire_tasks` for the contract.
         """
-        if not self._online.supports_task_expiry:
-            raise SessionStateError(
-                f"session over solver {self._online.name!r} cannot expire "
-                "tasks: the solver does not support mid-stream task expiry"
-            )
         self._activate()
         self._check_binding()
         return self._online.expire_tasks(list(task_ids))
@@ -388,9 +379,9 @@ def open_session(solver: Solver, instance: LTCInstance) -> Session:
     instance:
         The LTC instance to serve.  More tasks may always be added through
         :meth:`~repro.core.session.Session.submit_tasks` before the first
-        worker arrives; after that, submission stays legal exactly for
-        dynamic online solvers (``supports_dynamic_tasks``), whose live
-        candidate snapshot absorbs the new tasks in place.
+        worker arrives; after that, submission stays legal for online
+        solvers, whose live candidate snapshot absorbs the new tasks in
+        place.
 
     Returns
     -------

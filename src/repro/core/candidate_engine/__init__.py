@@ -4,7 +4,7 @@
 instance's tasks into flat arrays (plus a CSR-packed grid under the
 sigmoid accuracy model) and answers every candidate query — eligibility
 sets, MCF-LTC's batch pass (``batch_pairs``), top-``k`` ``Acc*`` selection,
-the dispatcher's routing ``probe``.  Small queries run scalar loops; a query
+the routing fallback over completed tasks (``reaches_completed``).  Small queries run scalar loops; a query
 whose gathered block reaches
 :data:`~repro.core.candidate_engine.engine.VECTOR_MIN_BLOCK` candidates
 runs one vectorized numpy pass.  Both give identical results, ordering

@@ -9,9 +9,8 @@ row-major cell order (``cell_positions``) with per-cell offsets
 cell row* instead of chasing a dict of python lists.  All candidate
 queries the solvers need — eligibility sets, MCF-LTC's batch pass
 (:meth:`CandidateEngine.batch_pairs`), top-``k`` ``Acc*`` selection, and
-the dispatcher's routing probe (:meth:`CandidateEngine.probe`: top-``k``,
-then a walk over completed tasks when that is empty) — run over these
-arrays.
+the routing fallback over completed tasks
+(:meth:`CandidateEngine.reaches_completed`) — run over these arrays.
 
 **One engine, two gathers, two passes.**  Each grid query computes the
 worker's radius once and picks its *gathered block*.  A snapshot of at
@@ -1080,11 +1079,11 @@ class CandidateEngine:
     def reaches_completed(self, worker: Worker) -> bool:
         """Whether the worker is eligible for a task retired as completed.
 
-        The fallback half of a routing probe: a session counts a worker
-        eligible for any task that has not expired, completed ones
-        included, so a probe whose selection over the open tasks comes
-        back empty asks this next.  The walk covers the positions
-        :meth:`retire_tasks` recorded as completed — grid rebuilds sweep
+        The routing fallback: a session counts a worker eligible for any
+        task that has not expired, completed ones included, so a session
+        whose selection over the open tasks comes back empty asks this
+        next.  The walk covers the positions :meth:`retire_tasks`
+        recorded as completed — grid rebuilds sweep
         them out of the cells, not out of this list — with the pinned
         radius gate and decision, and stops at the first eligible one.
         Always scalar.
@@ -1146,28 +1145,6 @@ class CandidateEngine:
     def topk_acc_star(self, worker: Worker, k: int) -> List[Tuple[Task, float]]:
         """LAF's selection: the ``k`` open tasks of largest ``Acc*``."""
         return self.topk(worker, k, "acc_star")
-
-    def probe(
-        self,
-        worker: Worker,
-        k: int,
-        mode: str = "acc_star",
-        need: Optional[Sequence[float]] = None,
-    ) -> Optional[List[Tuple[Task, float]]]:
-        """Routing and selection in one query.
-
-        ``None`` when the worker is eligible for no task that has not
-        expired; otherwise :meth:`topk` over the open tasks, which is
-        empty when only completed tasks are in reach.  Completed tasks
-        count for routing so that a dispatched session's arrival axis
-        does not shrink as it completes; the fallback walk
-        (:meth:`reaches_completed`) runs only when the selection is
-        empty.
-        """
-        picks = self.topk(worker, k, mode, need)
-        if picks or self.reaches_completed(worker):
-            return picks
-        return None
 
     def candidate_counts(self) -> Dict[int, int]:
         """Eligible-worker counts per task id (posting order).

@@ -121,7 +121,7 @@ class LTCInstance:
         """Append newly posted tasks (the online dynamic-arrival path).
 
         The paper's online setting is a stream: tasks keep being posted
-        while workers check in.  Sessions over dynamic solvers mutate
+        while workers check in.  Sessions over online solvers mutate
         their *private working copy* of the instance through this method
         (the caller's original is never touched), so downstream views
         (``num_tasks``, ``task()``, progress counters) stay consistent.

@@ -6,12 +6,11 @@ in one at a time, and every assignment is an irrevocable online decision.  A
 
 * :meth:`Session.submit_tasks` posts additional tasks.  Before the first
   worker arrives this is always legal (the tasks are staged into the
-  effective instance); afterwards it stays legal exactly for sessions
-  over *dynamic* online solvers (those with ``supports_dynamic_tasks``,
-  whose candidate state rides the incremental engine) — the new tasks
-  join the live snapshot without a rebuild and serving continues.
-  Sessions over offline replay plans refuse mid-stream tasks: their plan
-  was computed for a fixed future;
+  effective instance); afterwards it stays legal for sessions over
+  online solvers, whose candidate state rides the incremental engine —
+  the new tasks join the live snapshot without a rebuild and serving
+  continues.  Sessions over offline replay plans refuse mid-stream
+  tasks: their plan was computed for a fixed future;
 * :meth:`Session.on_worker` feeds one arriving worker and returns the
   assignments committed for it;
 * :meth:`Session.snapshot` reports cheap progress counters at any point;
@@ -49,10 +48,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (annotations only)
 class SessionStateError(RuntimeError):
     """An operation was issued in a state the session cannot honour.
 
-    Raised e.g. when tasks are submitted mid-stream to a session whose
-    solver cannot extend its task set (offline replay plans, non-dynamic
-    online solvers) or when a replay session is fed a stream that differs
-    from the one its plan was computed on.
+    Raised e.g. when tasks are submitted or expired mid-stream in a
+    replay session (its offline plan was computed for a fixed task set)
+    or when a replay session is fed a stream that differs from the one
+    its plan was computed on.
     """
 
 
@@ -109,17 +108,15 @@ class Session(abc.ABC):
 
         Always legal before the first worker arrives (tasks are staged
         into the effective instance).  After the first arrival it remains
-        legal for sessions over dynamic online solvers — the tasks join
-        the live candidate snapshot in place and the session's completion
-        state reopens until they too reach the quality threshold.
+        legal for sessions over online solvers — the tasks join the live
+        candidate snapshot in place and the session's completion state
+        reopens until they too reach the quality threshold.
 
         Raises
         ------
         SessionStateError
-            If a worker has already been observed and the serving solver
-            cannot extend its task set mid-stream (offline replay plans
-            are computed for a fixed future; non-dynamic online solvers
-            froze their snapshot at activation).
+            If a worker has already been observed and the session replays
+            an offline plan (computed for a fixed future).
         ValueError
             If a submitted task id is already posted.
         """
@@ -134,9 +131,8 @@ class Session(abc.ABC):
         skipped, so the returned list is the honest abandonment increment
         for latency-vs-abandonment reporting.
 
-        Legal for sessions over expiry-capable online solvers
-        (``supports_task_expiry``); the default — replay sessions over
-        offline plans, non-dynamic online solvers — refuses.
+        Legal for sessions over online solvers; the default — replay
+        sessions over offline plans — refuses.
 
         Raises
         ------
@@ -148,7 +144,7 @@ class Session(abc.ABC):
         """
         raise SessionStateError(
             f"session over solver {self.algorithm!r} cannot expire tasks: "
-            "the solver does not support mid-stream task expiry"
+            "an offline replay plan is computed for a fixed task set"
         )
 
     @abc.abstractmethod

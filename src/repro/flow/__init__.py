@@ -21,9 +21,9 @@ is used only when it provably equals the SSPA's:
   certificate shows the exact optimum is unique, and returns ``None`` on
   an exact tie, so the SSPA's tie-breaking still decides among
   cost-equal optima.
-* :func:`validate_arena_flow` — independent
-  verification of capacity/conservation/twin constraints, used by the
-  test-suite and by debugging assertions.
+* :mod:`repro.flow.validate` — independent verification of
+  capacity/conservation/twin constraints, used by the test-suite (not
+  re-exported here; import it explicitly).
 * :mod:`repro.flow.reference` — the pre-kernel object-graph SSPA, retained
   as a differential-testing oracle and benchmark baseline (not re-exported
   here; import it explicitly).
@@ -36,7 +36,6 @@ from repro.flow.kernel import (
     solve_mcf,
 )
 from repro.flow.simplex import BatchNetwork, network_simplex
-from repro.flow.validate import validate_arena_flow, FlowViolation
 from repro.flow.exceptions import (
     FlowError,
     InfeasibleFlowError,
@@ -50,8 +49,6 @@ __all__ = [
     "dag_potentials",
     "solve_mcf",
     "network_simplex",
-    "validate_arena_flow",
-    "FlowViolation",
     "FlowError",
     "NegativeCycleError",
     "InfeasibleFlowError",

@@ -13,7 +13,6 @@ from repro.quality.voting import VoteOutcome, weighted_majority_vote
 from repro.quality.answers import AnswerSimulator, simulate_answers
 from repro.quality.hoeffding import (
     hoeffding_error_bound,
-    required_acc_star,
     empirical_error_rate,
 )
 
@@ -23,6 +22,5 @@ __all__ = [
     "AnswerSimulator",
     "simulate_answers",
     "hoeffding_error_bound",
-    "required_acc_star",
     "empirical_error_rate",
 ]

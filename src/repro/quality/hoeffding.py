@@ -2,9 +2,10 @@
 
 The quality threshold in the paper comes from Hoeffding's inequality: with
 weights ``2*Acc - 1`` the probability that the weighted majority vote is
-wrong is at most ``exp(-sum Acc* / 2)``.  These helpers expose the bound in
-both directions and measure the empirical error rate of a solved arrangement
-by Monte-Carlo simulation.
+wrong is at most ``exp(-sum Acc* / 2)``.  These helpers evaluate the bound
+and measure the empirical error rate of a solved arrangement by Monte-Carlo
+simulation; the inverse direction, the ``Acc*`` total a tolerable error rate
+needs, is :func:`repro.core.quality_threshold.quality_threshold`.
 """
 
 from __future__ import annotations
@@ -31,18 +32,6 @@ def hoeffding_error_bound(acc_star_values: Iterable[float]) -> float:
             raise ValueError("Acc* values cannot be negative")
         total += value
     return math.exp(-total / 2.0)
-
-
-def required_acc_star(error_rate: float) -> float:
-    """Total ``Acc*`` needed to push the Hoeffding bound below ``error_rate``.
-
-    Identical to :func:`repro.core.quality_threshold.quality_threshold`;
-    provided here so quality-focused code does not need to import the core
-    module for a one-liner.
-    """
-    if not 0.0 < error_rate < 1.0:
-        raise ValueError("error rate must be in (0, 1)")
-    return 2.0 * math.log(1.0 / error_rate)
 
 
 def empirical_error_rate(

@@ -357,19 +357,16 @@ class LTCDispatcher:
 
         Works at any point in the session's life: before its first probe
         the tasks are staged by the session, afterwards they join the
-        serving solver's live candidate snapshot in place (legal for the
-        dynamic online solvers the dispatcher accepts; a solver without
-        dynamic support raises
-        :class:`~repro.core.session.SessionStateError` and the dispatcher
-        state is left untouched).  Routing asks that same snapshot, so
+        serving solver's live candidate snapshot in place (a duplicate id
+        raises ``ValueError`` and the dispatcher state is left
+        untouched).  Routing asks that same snapshot, so
         subsequent arrivals near only the new tasks route correctly — and
         a session that had already completed reopens and resumes
         receiving workers.
         """
         managed = self._managed(session_id)
         tasks = list(tasks)
-        # Session first: it validates duplicate ids (and dynamic support)
-        # before the routing index or the metrics are touched.
+        # Session first: it validates duplicate ids before the routing index or the metrics are touched.
         managed.session.submit_tasks(tasks)
         if tasks and managed.reach is not None:
             self._index.grow(managed, tasks_reach_bounds(managed.instance, tasks))
@@ -383,7 +380,7 @@ class LTCDispatcher:
         """Expire overdue tasks in an open session; return the expired ids.
 
         Delegates to :meth:`~repro.core.session.Session.expire_tasks` (legal
-        for sessions over expiry-capable online solvers), whose solver
+        for sessions over online solvers), whose solver
         retires the tasks as expired, so arrivals near only-expired tasks
         stop being routed to the session.  A session
         whose last open tasks all expire becomes complete — abandonment,

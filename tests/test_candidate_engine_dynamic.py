@@ -174,12 +174,12 @@ class TestDynamicMachinery:
         assert engine.topk_acc_star(worker, 3) == []
         # Only the routing fallback still sees the completed pair.
         assert engine.reaches_completed(worker)
-        assert engine.probe(worker, 3) == []
         # A rebuild over the empty alive set must also survive, and it
         # sweeps the cells, not the completed list.
         engine.rebuild_index()
         assert engine.eligible_tasks(worker) == []
-        assert engine.probe(worker, 3) == []
+        assert engine.topk_acc_star(worker, 3) == []
+        assert engine.reaches_completed(worker)
 
     def test_expired_tasks_never_reach_routing(self, engine_pass, grid_gather):
         instance = make_instance(num_tasks=4)
@@ -188,7 +188,7 @@ class TestDynamicMachinery:
         assert not engine.reaches_completed(worker)
         engine.retire_tasks([task.task_id for task in instance.tasks], expired=True)
         assert not engine.reaches_completed(worker)
-        assert engine.probe(worker, 3) is None
+        assert engine.topk_acc_star(worker, 3) == []
         # Retiring again as completed is a no-op: retirement is permanent.
         engine.retire_tasks([instance.tasks[0].task_id])
         assert not engine.reaches_completed(worker)
@@ -295,15 +295,14 @@ class TestDynamicDifferential:
             scanned = scan.candidates(worker) if scan is not None else []
             assert sorted(got) == sorted(task.task_id for task in scanned)
             assert [task_ids[p] for p in engine.eligible_positions(worker)] == expected
-            # The fused routing probe: not eligible for any task that has
-            # not expired, or eligible with the top-k over the open ones.
+            # Routing: eligible for a task that has not expired exactly
+            # when the top-k over the open tasks is non-empty or the
+            # fallback walk reaches a completed one.
             eligible = routable is not None and bool(routable.candidates(worker))
             reaches = completed is not None and bool(completed.candidates(worker))
             assert engine.reaches_completed(worker) == reaches
-            probed = engine.probe(worker, 2)
-            assert (probed is not None) == eligible
-            if probed is not None:
-                assert probed == engine.topk_acc_star(worker, 2)
+            routed = bool(engine.topk_acc_star(worker, 2)) or reaches
+            assert routed == eligible
             for mode in ("acc_star", "gain", "need"):
                 heap: TopKHeap = TopKHeap(2)
                 for task in candidates:

@@ -2,12 +2,34 @@
 
 import pytest
 
+from repro.algorithms.base import OnlineSolver
 from repro.algorithms.laf import LAFSolver
 from repro.algorithms.mcf_ltc import MCFLTCSolver
+from repro.algorithms.registry import build_solver
 from repro.algorithms.session import OnlineSolverSession, ReplaySession, open_session
+from repro.core.instance import LTCInstance
 from repro.core.session import SessionSnapshot, SessionStateError
 from repro.core.stream import WorkerStream
 from repro.core.task import Task
+from repro.core.worker import Worker
+from repro.geo.point import Point
+
+ONLINE = ["AAM", "LAF", "LGF-only", "LRF-only", "Random"]
+
+
+def two_sites(num_workers=40):
+    """Task 0 under a cluster of workers; task 1 far from all of them."""
+    return LTCInstance(
+        tasks=[
+            Task(task_id=0, location=Point(0.0, 0.0)),
+            Task(task_id=1, location=Point(400.0, 0.0)),
+        ],
+        workers=[
+            Worker(index=index, location=Point(0.0, 1.0), accuracy=0.92, capacity=2)
+            for index in range(1, num_workers + 1)
+        ],
+        error_rate=0.2,
+    )
 
 
 class TestOnlineSolverSession:
@@ -66,6 +88,51 @@ class TestOnlineSolverSession:
         first = solver.solve(tiny_instance)
         second = solver.solve(tiny_instance)
         assert first.max_latency == second.max_latency
+
+
+@pytest.mark.parametrize("name", ONLINE)
+class TestSessionSelect:
+    """``OnlineSolverSession.select`` routes: ``None`` only when the worker
+    reaches no task that has not expired."""
+
+    def test_open_task_in_reach_gives_picks(self, name):
+        instance = two_sites()
+        session = build_solver(name).open_session(instance)
+        selection = session.select(instance.workers[0])
+        assert [task.task_id for task, _ in selection.picks] == [0]
+
+    def test_completed_task_in_reach_still_routes(self, name):
+        instance = two_sites()
+        session = build_solver(name).open_session(instance)
+        for worker in instance.workers:
+            session.on_worker(worker)
+            if session.arrangement.is_task_complete(0):
+                break
+        next_worker = instance.workers[session.workers_observed]
+        selection = session.select(next_worker)
+        assert selection is not None
+        if name != "Random":  # Random never retires a completed task
+            assert selection.picks == []
+            assert session.on_worker(next_worker, selection) == []
+
+    def test_only_expired_tasks_in_reach_routes_nowhere(self, name):
+        instance = two_sites()
+        session = build_solver(name).open_session(instance)
+        assert session.expire_tasks([0]) == [0]
+        assert session.select(instance.workers[0]) is None
+        far = Worker(index=1, location=Point(400.0, 1.0), accuracy=0.92, capacity=2)
+        assert [task.task_id for task, _ in session.select(far).picks] == [1]
+
+    def test_drive_never_asks_the_routing_fallback(self, name, monkeypatch):
+        def refuse(self, worker):
+            raise AssertionError("reaches_completed called on the drive path")
+
+        monkeypatch.setattr(OnlineSolver, "reaches_completed", refuse)
+        instance = two_sites()
+        session = build_solver(name).open_session(instance)
+        result = session.drive(instance.workers, stop_when_complete=False)
+        assert result.workers_observed == instance.num_workers
+        assert build_solver(name).solve(instance).workers_observed > 0
 
 
 class TestSubmitTasks:

@@ -1,6 +1,7 @@
 """Tests for the top-level public API surface."""
 
 import importlib
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -74,6 +75,38 @@ class TestServiceSurface:
             capture_output=True, text=True, check=True,
         ).stdout.strip()
         assert loaded == "[]"
+
+
+#: Modules kept only as test oracles and benchmark baselines: the shipped
+#: package must never import them.
+ORACLES = (
+    "repro.core.candidates_legacy",
+    "repro.geo.grid_index",
+    "repro.flow.reference",
+    "repro.flow.validate",
+    "repro.structures.topk",
+)
+
+
+def test_importing_the_package_loads_no_oracle():
+    """``import repro`` plus every non-oracle module under it leaves the
+    oracles unloaded."""
+    assert all(importlib.util.find_spec(name) for name in ORACLES)
+    src = Path(importlib.import_module("repro").__file__).parent.parent
+    script = (
+        "import importlib, pkgutil, sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        f"oracles = {ORACLES!r}\n"
+        "import repro\n"
+        "for info in pkgutil.walk_packages(repro.__path__, 'repro.'):\n"
+        "    if info.name not in oracles:\n"
+        "        importlib.import_module(info.name)\n"
+        "print(sorted(name for name in oracles if name in sys.modules))\n"
+    )
+    loaded = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True,
+    ).stdout.strip()
+    assert loaded == "[]"
 
 
 class TestExamplesAreImportable:

@@ -5,11 +5,8 @@ import math
 import pytest
 
 from repro.algorithms.laf import LAFSolver
-from repro.quality.hoeffding import (
-    empirical_error_rate,
-    hoeffding_error_bound,
-    required_acc_star,
-)
+from repro.core.quality_threshold import quality_threshold
+from repro.quality.hoeffding import empirical_error_rate, hoeffding_error_bound
 
 
 class TestBounds:
@@ -24,16 +21,9 @@ class TestBounds:
         with pytest.raises(ValueError):
             hoeffding_error_bound([-0.1])
 
-    def test_required_acc_star_matches_threshold(self):
-        assert required_acc_star(0.2) == pytest.approx(2 * math.log(5))
-
-    def test_required_acc_star_rejects_bad_error_rate(self):
-        with pytest.raises(ValueError):
-            required_acc_star(0.0)
-
     def test_meeting_the_threshold_pushes_bound_below_epsilon(self):
         epsilon = 0.14
-        needed = required_acc_star(epsilon)
+        needed = quality_threshold(epsilon)
         assert hoeffding_error_bound([needed / 4] * 4) <= epsilon + 1e-12
 
 

@@ -55,11 +55,10 @@ class TestRegistryConformance:
         assert after.max_latency == result.max_latency
         assert after.complete == session.is_complete
 
-        # Mid-stream submission is part of the protocol: dynamic solvers
+        # Mid-stream submission is part of the protocol: online solvers
         # absorb the task into their live snapshot (reopening completion),
-        # everything else refuses with SessionStateError.
-        solver = build_solver(name)
-        if getattr(solver, "supports_dynamic_tasks", False):
+        # offline replays refuse with SessionStateError.
+        if solver_entry(name).capabilities.online:
             tasks_before = session.snapshot().tasks_total
             session.submit_tasks([Task.at(99, 0.0, 0.0)])
             assert session.snapshot().tasks_total == tasks_before + 1
@@ -87,12 +86,18 @@ class TestRegistryConformance:
 )
 def test_select_then_commit_matches_observe(name, tiny_instance):
     """An online solver's ``select`` changes nothing, and committing its
-    selection assigns what a standalone ``observe`` would."""
+    selection assigns what a standalone ``observe`` would, also while
+    tasks are posted and expired mid-stream."""
     fused = build_solver(name).open_session(tiny_instance)
     standalone = build_solver(name).open_session(tiny_instance)
     for worker in tiny_instance.workers:
         if standalone.is_complete:
             break
+        if worker.index == 3:
+            for session in (fused, standalone):
+                session.submit_tasks([Task.at(7, 2.0, 0.0), Task.at(8, 3.0, 0.0)])
+        if worker.index == 5:
+            assert fused.expire_tasks([0, 8]) == standalone.expire_tasks([0, 8]) == [0, 8]
         before = fused.snapshot()
         rng = getattr(fused._online, "_rng", None)
         rng_state = None if rng is None else rng.bit_generator.state

@@ -8,7 +8,6 @@ from repro.algorithms.registry import build_solver
 from repro.core.accuracy import SigmoidDistanceAccuracy
 from repro.core.candidates import CandidateFinder
 from repro.core.instance import LTCInstance
-from repro.core.session import SessionStateError
 from repro.core.task import Task
 from repro.core.worker import Worker
 from repro.geo.point import Point
@@ -159,12 +158,7 @@ class TestProbeActivation:
         for dispatcher in (probed, unprobed):
             assert dispatcher.submit_tasks("d", posted) == "d"
         assert probed.poll() == unprobed.poll()
-        if solver == "Random":
-            for dispatcher in (probed, unprobed):
-                with pytest.raises(SessionStateError):
-                    dispatcher.expire_tasks("d", [1])
-        else:
-            assert probed.expire_tasks("d", [1]) == unprobed.expire_tasks("d", [1]) == [1]
+        assert probed.expire_tasks("d", [1]) == unprobed.expire_tasks("d", [1]) == [1]
         assert probed.poll() == unprobed.poll()
 
         for worker in instance.workers:

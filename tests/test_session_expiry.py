@@ -3,14 +3,18 @@
 import pytest
 
 from repro.algorithms.aam import AAMSolver
+from repro.algorithms.baselines import RandomOnlineSolver
 from repro.algorithms.laf import LAFSolver
-from repro.algorithms.registry import build_solver, solver_entry
+from repro.algorithms.registry import available_solvers, build_solver, solver_entry
 from repro.core.instance import LTCInstance
 from repro.core.session import SessionStateError
 from repro.core.task import Task
 from repro.core.worker import Worker
+from repro.geo.bbox import BoundingBox
 from repro.geo.point import Point
-from repro.service import DispatcherMetrics, LTCDispatcher
+from repro.service import DispatcherMetrics, LTCDispatcher, RecoveryPolicy, ShardPlan
+from repro.service.recovery import ArrivalJournal
+from repro.service.sharding import ShardedDispatcher
 
 
 def small_instance(num_tasks=4, num_workers=30, spacing=12.0):
@@ -143,6 +147,21 @@ class TestSolverExpiry:
         assert solver.arrangement.constraint_violations(workers) == []
 
 
+@pytest.mark.parametrize("solver_cls", [LAFSolver, AAMSolver, RandomOnlineSolver])
+def test_duplicate_ids_in_one_sweep_expire_once(solver_cls):
+    instance = small_instance()
+    solver = solver_cls()
+    solver.start(instance)
+    solver.observe(instance.workers[0])
+    assert solver.expire_tasks([0, 0]) == [0]
+    assert solver.arrangement.abandoned_tasks == [0]
+    assert solver.expire_tasks([3, 1, 3, 1]) == [3, 1]
+    if isinstance(solver, AAMSolver):
+        # The need statistics drop each expired task exactly once.
+        open_ids = solver.arrangement.uncompleted_tasks()
+        assert solver._uncompleted_count == len(open_ids)
+
+
 class TestSessionExpiry:
     def test_snapshot_reports_abandonment(self):
         instance = small_instance()
@@ -170,10 +189,59 @@ class TestSessionExpiry:
             session.expire_tasks([0])
 
     def test_registry_capability_flag(self):
-        assert solver_entry("LAF").capabilities.task_expiry
-        assert solver_entry("AAM").capabilities.task_expiry
-        assert not solver_entry("Random").capabilities.task_expiry
-        assert not solver_entry("MCF-LTC").capabilities.task_expiry
+        """Every online solver expires tasks; offline replays refuse."""
+        for name in ("MCF-LTC", "Base-off", "Random", "LAF", "AAM",
+                     "LGF-only", "LRF-only"):
+            assert name in available_solvers()
+            session = build_solver(name).open_session(small_instance())
+            if solver_entry(name).capabilities.online:
+                assert session.expire_tasks([2, 2]) == [2]
+                assert session.snapshot().tasks_abandoned == 1
+            else:
+                with pytest.raises(SessionStateError):
+                    session.expire_tasks([2])
+
+
+class TestRandomExpiry:
+    def test_expired_task_is_never_drawn_again(self):
+        instance = small_instance(num_tasks=4, num_workers=60)
+        session = RandomOnlineSolver(seed=3).open_session(instance)
+        for worker in instance.workers[:4]:
+            session.on_worker(worker)
+        assert session.expire_tasks([1, 2]) == [1, 2]
+        for worker in instance.workers[4:]:
+            assignments = session.on_worker(worker)
+            assert all(a.task_id not in (1, 2) for a in assignments)
+        drawn_late = {
+            a.task_id for a in session.result().arrangement.assignments
+            if a.worker_index > 4
+        }
+        assert drawn_late and drawn_late.isdisjoint({1, 2})
+
+    def test_expiring_the_remaining_open_tasks_completes_the_session(self):
+        # Task 0 sits under the workers; task 1 is out of everyone's reach.
+        instance = LTCInstance(
+            tasks=[
+                Task(task_id=0, location=Point(0.0, 0.0)),
+                Task(task_id=1, location=Point(400.0, 0.0)),
+            ],
+            workers=[
+                Worker(index=index, location=Point(0.0, 1.0),
+                       accuracy=0.92, capacity=2)
+                for index in range(1, 41)
+            ],
+            error_rate=0.2,
+        )
+        session = RandomOnlineSolver(seed=0).open_session(instance)
+        for worker in instance.workers:
+            session.on_worker(worker)
+            if session.arrangement.is_task_complete(0):
+                break
+        assert session.arrangement.is_task_complete(0)
+        assert not session.is_complete
+        assert session.expire_tasks([0, 1]) == [1]
+        assert session.is_complete
+        assert session.snapshot().tasks_abandoned == 1
 
 
 class TestDispatcherExpiry:
@@ -209,6 +277,32 @@ class TestDispatcherExpiry:
         # Completed-by-expiry sessions stop receiving traffic.
         deliveries = dispatcher.feed_worker(instance.workers[0])
         assert deliveries == {}
+
+    def test_duplicate_ids_count_once(self):
+        dispatcher = LTCDispatcher(default_solver="LAF")
+        sid = dispatcher.submit_instance(small_instance())
+        assert dispatcher.expire_tasks(sid, [0, 0]) == [0]
+        assert dispatcher.metrics.tasks_expired == 1
+        assert dispatcher.poll()[sid].snapshot.tasks_abandoned == 1
+
+    def test_sharded_journal_records_a_duplicate_id_once(self, monkeypatch):
+        recorded = []
+        original = ArrivalJournal.record_expire
+
+        def recording(journal, session_id, task_ids):
+            recorded.append((session_id, list(task_ids)))
+            original(journal, session_id, task_ids)
+
+        monkeypatch.setattr(ArrivalJournal, "record_expire", recording)
+        plan = ShardPlan(BoundingBox(-100.0, -100.0, 100.0, 100.0), cols=1, rows=1)
+        dispatcher = ShardedDispatcher(
+            plan, recovery=RecoveryPolicy(on_shard_failure="restart")
+        )
+        sid = dispatcher.submit_instance(small_instance(num_tasks=2), solver="AAM")
+        assert dispatcher.expire_tasks(sid, [1, 1]) == [1]
+        assert recorded == [(sid, [1])]
+        assert dispatcher.metrics.tasks_expired == 1
+        dispatcher.stop()
 
 
 class TestMetricsMerge:
